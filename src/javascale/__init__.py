@@ -6,16 +6,11 @@ variants, runs binned Welch analyses, and produces size-independent
 normalized metrics.
 """
 
-from .extractor import (
-    DEFAULT_JDK_PREFIXES,
-    Provenance,
-    classify_provenance,
-    extract_corpus,
-    extract_project,
-)
+from .extractor import extract_corpus, extract_project
 from .facts import EntityKind, FactRelation, ProjectFacts, RelationKind, SourceEntity
 from .javalex import count_sloc
 from .metrics import (
+    DEFAULT_JDK_PREFIXES,
     METRIC_COLUMNS,
     ProjectMetrics,
     compute_metrics,
@@ -70,7 +65,6 @@ __all__ = [
     "ModelEval",
     "ProjectFacts",
     "ProjectMetrics",
-    "Provenance",
     "RelationKind",
     "SourceEntity",
     "SplitMix64",
@@ -78,7 +72,6 @@ __all__ = [
     "WelchResult",
     "beta_normalize",
     "bin_by",
-    "classify_provenance",
     "compute_metrics",
     "count_dui",
     "count_inherited_from",

@@ -16,11 +16,11 @@ from .extractor import extract_corpus
 from .metrics import compute_metrics, metric_value, used_modules_by_provenance
 from .normalize import decorrelation_report, normalize_corpus
 from .pipeline import (
-    GridCell,
-    EvalSet,
+    analyze_bins,
     evaluate_grid,
     fit_grid,
     load_config,
+    parse_grid,
     render_run_report,
     run_pipeline,
 )
@@ -32,7 +32,7 @@ from .report import (
     render_nrmse_table,
     render_welch_matrix,
 )
-from .stats import bin_by, linear_ratios, log_ratio_summary, log_ratios, welch_t_test
+from .stats import linear_ratios, log_ratios
 from .store import (
     FactsArchive,
     export_metrics_table,
@@ -125,11 +125,10 @@ def cmd_extract(args) -> int:
 
 def cmd_metrics(args) -> int:
     archive = read_facts(args.facts)
-    corpus = [compute_metrics(p) for p in archive.projects]
+    used = [used_modules_by_provenance(p) for p in archive.projects]
+    corpus = [compute_metrics(p, u) for p, u in zip(archive.projects, used)]
     export_metrics_table(corpus, args.output)
-    unresolved = sum(
-        used_modules_by_provenance(p).unresolved for p in archive.projects
-    )
+    unresolved = sum(u.unresolved for u in used)
     resolved = sum(pm.used_total for pm in corpus)
     total_names = resolved + unresolved
     fraction = unresolved / total_names if total_names else 0.0
@@ -163,24 +162,16 @@ def cmd_bins(args) -> int:
     except ValueError as exc:
         raise UsageError("--ratio must look like interfaces/classes") from exc
     edges = [float(e) for e in args.edges.split(",") if e.strip()]
-    bin_metric = args.bin_metric or den
-    bins = bin_by(corpus, bin_metric, edges)
-    ratio_series = linear_ratios if args.linear_ratios else log_ratios
-    summaries = []
-    series = {}
-    for b in bins:
-        values, _ = ratio_series(b, num, den)
-        series[b.label] = values
-        if values:
-            summaries.append(log_ratio_summary(b, num, den))
+    summaries, p_values = analyze_bins(
+        corpus,
+        args.bin_metric or den,
+        edges,
+        num,
+        den,
+        linear_ratios if args.linear_ratios else log_ratios,
+    )
     print(render_bin_report(summaries, num, den), end="")
-    labels = [s.label for s in summaries]
-    p_values = {}
-    for i, a in enumerate(labels):
-        for b_label in labels[i + 1 :]:
-            if len(series[a]) >= 2 and len(series[b_label]) >= 2:
-                p_values[(a, b_label)] = welch_t_test(series[a], series[b_label]).p_value
-    print(render_welch_matrix(labels, p_values), end="")
+    print(render_welch_matrix([s.label for s in summaries], p_values), end="")
     return 0
 
 
@@ -190,31 +181,7 @@ def cmd_validate(args) -> int:
         grid_data = json.loads(Path(args.grid).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read grid config: {exc}") from exc
-    cells = [
-        GridCell(
-            model_id=m["id"],
-            y_metric=m["y"],
-            x_metric=m["x"],
-            k=float(m.get("k", 1)),
-            subset=None
-            if m.get("subset") is None
-            else (
-                float(m["subset"][0]),
-                math.inf if m["subset"][1] is None else float(m["subset"][1]),
-            ),
-            robust=bool(m.get("robust", False)),
-        )
-        for m in grid_data["models"]
-    ]
-    testsets = [
-        EvalSet(
-            name=t["name"],
-            metric=t["metric"],
-            low=float(t["range"][0]),
-            high=math.inf if t["range"][1] is None else float(t["range"][1]),
-        )
-        for t in grid_data.get("testsets", [])
-    ]
+    cells, testsets = parse_grid(grid_data, None, [])
     space = grid_data.get("space", "log")
     fitted = fit_grid(corpus, cells)
     print(render_fit_table([(mid, fit) for mid, fit, _ in fitted]), end="")
@@ -252,8 +219,8 @@ def cmd_normalize(args) -> int:
             f"pearson_log={deco.pearson_log:.4f} spearman={deco.spearman:.4f} "
             f"decorrelated={deco.decorrelated}"
         )
-    except DataError:
-        pass
+    except DataError as exc:
+        print(f"decorrelation unavailable: {exc}")
     return 0
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 
 from .errors import DuplicateProjectError, EmptyCorpusError
@@ -26,8 +25,6 @@ from .facts import (
 from .javalex import ASSIGN_OPS, KEYWORDS, PRIMITIVES, Tok, count_sloc, tokenize
 
 log = logging.getLogger(__name__)
-
-DEFAULT_JDK_PREFIXES: tuple[str, ...] = ("java.", "javax.")
 
 DEFAULT_PACKAGE = "(default)"
 
@@ -99,12 +96,6 @@ _DECL_BOUNDARY_WORDS = frozenset(["final", "else", "do"])
 _DECL_TERMINATORS = frozenset(["=", ";", ",", ":", ")"])
 
 
-class Provenance(str, Enum):
-    INTERNAL = "INTERNAL"
-    JDK = "JDK"
-    EXTERNAL = "EXTERNAL"
-
-
 # ---------------------------------------------------------------------------
 # Parse tree (per file)
 # ---------------------------------------------------------------------------
@@ -173,6 +164,7 @@ class TypeDecl:
     members: list = field(default_factory=list)  # declaration order
     consts: list[EnumConst] = field(default_factory=list)
     anon_super: TypeRef | None = None
+    is_record: bool = False
     type_params: list[str] = field(default_factory=list)
     type_param_bounds: list[str] = field(default_factory=list)
     fqn: str = ""
@@ -568,7 +560,7 @@ class _Parser:
     def _parse_record_decl(self, i: int, line: int) -> tuple[TypeDecl | None, int]:
         toks = self.toks
         n = len(toks)
-        decl = TypeDecl(kind="class", name=toks[i].text, line=line)
+        decl = TypeDecl(kind="class", name=toks[i].text, line=line, is_record=True)
         i += 1
         if i < n and toks[i].text == "<":
             tp, i = _skip_type_params(toks, i)
@@ -667,6 +659,15 @@ class _Parser:
             if ref.base == decl.name and ref.dims == 0:
                 return self._parse_callable(decl, None, decl.name, True, j, toks[i].line, end)
             return None, i
+        if j < end and toks[j].text == "{" and decl.is_record and ref == TypeRef(decl.name):
+            # compact canonical constructor: the parameters are the components
+            blk_end = _find_matching(toks, j, "{", "}")
+            member = MethodDecl(
+                name=decl.name, ret=None, params=[], throws=[], line=toks[i].line,
+                is_ctor=True, body_raw=toks[j + 1 : blk_end],
+            )
+            decl.members.append(member)
+            return member, blk_end + 1
         if j >= end or toks[j].kind != "word":
             return None, i
         name = toks[j].text
@@ -1723,27 +1724,6 @@ def extract_project(
     facts.relations = builder.relations
     facts.sloc = total_sloc
     return facts
-
-
-def classify_provenance(
-    type_fqn: str,
-    facts: ProjectFacts,
-    jdk_prefixes: tuple[str, ...] | list[str] = DEFAULT_JDK_PREFIXES,
-) -> Provenance:
-    """Classify a used type as project-internal, JDK, or external."""
-    if not type_fqn:
-        raise ValueError("type_fqn must be non-empty")
-    if type_fqn in facts.declared_type_fqns():
-        return Provenance.INTERNAL
-    for prefix in jdk_prefixes:
-        if type_fqn.startswith(prefix):
-            return Provenance.JDK
-    return Provenance.EXTERNAL
-
-
-def is_unresolved_name(type_fqn: str, declared: set[str]) -> bool:
-    """A name with no package and no project declaration is unresolved."""
-    return "." not in type_fqn and type_fqn not in declared
 
 
 def read_manifest(manifest_path: str | Path) -> list[tuple[str, Path]]:

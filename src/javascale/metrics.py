@@ -1,6 +1,6 @@
 """Per-project metric record computed from extracted facts.
 
-Counting conventions (all configurable where noted):
+Counting conventions:
 
 * ``classes`` includes enums, ``interfaces`` includes annotation types,
   mirroring how the JVM treats them.
@@ -8,17 +8,18 @@ Counting conventions (all configurable where noted):
 * ``calls`` counts call sites; constructor invocations (INSTANTIATES)
   are not included.
 * ``dui`` counts classes with an explicit extends of anything other than
-  ``java.lang.Object`` or, by default, at least one implements clause.
-* ``used_*`` are distinct used modules; call/instantiation targets whose
-  owner type never resolves are tallied separately as unresolved and do
-  not enter the provenance split.
+  ``java.lang.Object`` or at least one implements clause.
+* ``used_*`` are distinct used modules, split by provenance into
+  internal (declared in the project), JDK (``DEFAULT_JDK_PREFIXES``) and
+  external.  Call/instantiation targets whose owner type never resolves,
+  and package-less names the project does not declare, are tallied
+  separately as unresolved and do not enter the provenance split.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .extractor import DEFAULT_JDK_PREFIXES
 from .facts import EntityKind, ProjectFacts, RelationKind
 
 METRIC_COLUMNS = [
@@ -42,6 +43,11 @@ METRIC_COLUMNS = [
 ]
 
 METRIC_NAMES = frozenset(METRIC_COLUMNS[1:])
+
+DEFAULT_JDK_PREFIXES: tuple[str, ...] = ("java.", "javax.")
+
+_CLASS_KINDS = frozenset({EntityKind.CLASS, EntityKind.ENUM})
+_INTERFACE_KINDS = frozenset({EntityKind.INTERFACE, EntityKind.ANNOTATION})
 
 _TYPE_USE_KINDS = frozenset(
     {
@@ -108,20 +114,6 @@ class UsedModules:
     external: int
     total: int
     unresolved: int  # distinct names with no resolvable owner type
-
-
-def _class_kinds(enums_as_classes: bool) -> set[EntityKind]:
-    kinds = {EntityKind.CLASS}
-    if enums_as_classes:
-        kinds.add(EntityKind.ENUM)
-    return kinds
-
-
-def _interface_kinds(annotations_as_interfaces: bool) -> set[EntityKind]:
-    kinds = {EntityKind.INTERFACE}
-    if annotations_as_interfaces:
-        kinds.add(EntityKind.ANNOTATION)
-    return kinds
 
 
 def _containing_type(
@@ -221,16 +213,10 @@ def used_modules_by_provenance(
     )
 
 
-def count_dui(
-    facts: ProjectFacts,
-    *,
-    include_implements: bool = True,
-    enums_as_classes: bool = True,
-) -> int:
+def count_dui(facts: ProjectFacts) -> int:
     """Classes defined using inheritance: explicit extends of a type other
-    than java.lang.Object, or (by default) at least one implements."""
-    class_kinds = _class_kinds(enums_as_classes)
-    class_ids = {e.entity_id for e in facts.entities if e.kind in class_kinds}
+    than java.lang.Object, or at least one implements."""
+    class_ids = {e.entity_id for e in facts.entities if e.kind in _CLASS_KINDS}
     fqns = {e.entity_id: e.fqn for e in facts.entities}
     dui: set[int] = set()
     for rel in facts.relations:
@@ -242,17 +228,14 @@ def count_dui(
             )
             if target_fqn not in ("java.lang.Object", "Object"):
                 dui.add(rel.source)
-        elif include_implements and rel.kind is RelationKind.IMPLEMENTS:
+        elif rel.kind is RelationKind.IMPLEMENTS:
             dui.add(rel.source)
     return len(dui)
 
 
-def count_inherited_from(
-    facts: ProjectFacts, *, enums_as_classes: bool = True
-) -> int:
+def count_inherited_from(facts: ProjectFacts) -> int:
     """Classes that some other declaration in the project extends."""
-    class_kinds = _class_kinds(enums_as_classes)
-    class_ids = {e.entity_id for e in facts.entities if e.kind in class_kinds}
+    class_ids = {e.entity_id for e in facts.entities if e.kind in _CLASS_KINDS}
     inherited: set[int] = set()
     for rel in facts.relations:
         if rel.kind is RelationKind.EXTENDS and isinstance(rel.target, int):
@@ -262,18 +245,18 @@ def count_inherited_from(
 
 
 def compute_metrics(
-    facts: ProjectFacts,
-    *,
-    jdk_prefixes: tuple[str, ...] | list[str] = DEFAULT_JDK_PREFIXES,
-    dui_includes_implements: bool = True,
-    enums_as_classes: bool = True,
-    annotations_as_interfaces: bool = True,
+    facts: ProjectFacts, used: UsedModules | None = None
 ) -> ProjectMetrics:
-    """Compute the full per-project metric record. Pure and deterministic."""
-    class_kinds = _class_kinds(enums_as_classes)
-    iface_kinds = _interface_kinds(annotations_as_interfaces)
-    classes = sum(1 for e in facts.entities if e.kind in class_kinds)
-    interfaces = sum(1 for e in facts.entities if e.kind in iface_kinds)
+    """Compute the full per-project metric record. Pure and deterministic.
+
+    ``used`` is the project's ``used_modules_by_provenance`` result, for a
+    caller that needs it too; by default it is computed with the default
+    JDK prefixes.
+    """
+    if used is None:
+        used = used_modules_by_provenance(facts)
+    classes = sum(1 for e in facts.entities if e.kind in _CLASS_KINDS)
+    interfaces = sum(1 for e in facts.entities if e.kind in _INTERFACE_KINDS)
     parent = {
         r.target: r.source
         for r in facts.relations
@@ -283,7 +266,7 @@ def compute_metrics(
     methods = sum(
         1
         for e in facts.entities
-        if e.kind is EntityKind.METHOD and kinds.get(parent.get(e.entity_id)) in class_kinds
+        if e.kind is EntityKind.METHOD and kinds.get(parent.get(e.entity_id)) in _CLASS_KINDS
     )
     constructors = sum(1 for e in facts.entities if e.kind is EntityKind.CONSTRUCTOR)
     calls = sum(1 for r in facts.relations if r.kind is RelationKind.CALLS)
@@ -291,7 +274,6 @@ def compute_metrics(
         1 for r in facts.relations if r.kind is RelationKind.INSTANCEOF
     )
     casts = sum(1 for r in facts.relations if r.kind is RelationKind.CASTS)
-    used = used_modules_by_provenance(facts, jdk_prefixes)
     return ProjectMetrics(
         project_id=facts.project_id,
         sloc=facts.sloc,
@@ -303,12 +285,8 @@ def compute_metrics(
         calls=calls,
         instanceof_count=instanceof_count,
         casts=casts,
-        dui=count_dui(
-            facts,
-            include_implements=dui_includes_implements,
-            enums_as_classes=enums_as_classes,
-        ),
-        if_count=count_inherited_from(facts, enums_as_classes=enums_as_classes),
+        dui=count_dui(facts),
+        if_count=count_inherited_from(facts),
         used_total=used.total,
         used_internal=used.internal,
         used_jdk=used.jdk,

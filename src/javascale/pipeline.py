@@ -12,9 +12,16 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import UsageError
-from .extractor import DEFAULT_JDK_PREFIXES, extract_corpus
-from .metrics import METRIC_NAMES, ProjectMetrics, compute_metrics, metric_value
+from .errors import DataError, UsageError
+from .extractor import extract_corpus
+from .metrics import (
+    DEFAULT_JDK_PREFIXES,
+    METRIC_NAMES,
+    ProjectMetrics,
+    compute_metrics,
+    metric_value,
+    used_modules_by_provenance,
+)
 from .normalize import decorrelation_report, normalize_corpus
 from .regression import (
     FitResult,
@@ -38,7 +45,7 @@ from .report import (
     welch_csv,
     write_manifest,
 )
-from .stats import bin_by, log_ratio_summary, log_ratios, welch_t_test
+from .stats import BinSummary, bin_by, log_ratio_summary, log_ratios, welch_t_test
 from .store import (
     FactsArchive,
     export_metrics_table,
@@ -107,7 +114,6 @@ class RunConfig:
     normalize_beta: float | str = "auto"  # "auto" reads the chosen model's fit
     normalize_model: str = "m5"
     nrmse_space: str = "log"
-    seed: int = 0
 
     def validate(self) -> None:
         names = [
@@ -129,11 +135,43 @@ class RunConfig:
             raise UsageError("model grid ids must be unique")
 
 
-def _optional_range(value) -> tuple[float, float] | None:
-    if value is None:
-        return None
+def _range(value) -> tuple[float, float]:
     lo, hi = value
     return (float(lo), math.inf if hi is None else float(hi))
+
+
+def parse_grid(
+    data: dict, models: list[GridCell] | None, testsets: list[EvalSet]
+) -> tuple[list[GridCell], list[EvalSet]]:
+    """The model grid and test sets of a JSON config object.
+
+    Absent keys keep the given ``models`` and ``testsets``; ``models=None``
+    makes the ``models`` key required.  Missing keys and non-numeric
+    values are usage errors.
+    """
+    try:
+        if models is None or "models" in data:
+            models = [
+                GridCell(
+                    model_id=m["id"],
+                    y_metric=m["y"],
+                    x_metric=m["x"],
+                    k=float(m.get("k", 1)),
+                    subset=None if m.get("subset") is None else _range(m["subset"]),
+                    robust=bool(m.get("robust", False)),
+                )
+                for m in data["models"]
+            ]
+        if "testsets" in data:
+            testsets = [
+                EvalSet(t["name"], t["metric"], *_range(t["range"]))
+                for t in data["testsets"]
+            ]
+    except KeyError as exc:
+        raise UsageError(f"grid config lacks key {exc}") from exc
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise UsageError(f"bad grid config value: {exc}") from exc
+    return models, testsets
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -162,28 +200,7 @@ def load_config(path: str | Path) -> RunConfig:
         cfg.bin_metric = cfg.bin_denominator
     if "bin_metric" in data:
         cfg.bin_metric = data["bin_metric"]
-    if "models" in data:
-        cfg.model_grid = [
-            GridCell(
-                model_id=m["id"],
-                y_metric=m["y"],
-                x_metric=m["x"],
-                k=float(m.get("k", 1)),
-                subset=_optional_range(m.get("subset")),
-                robust=bool(m.get("robust", False)),
-            )
-            for m in data["models"]
-        ]
-    if "testsets" in data:
-        cfg.testsets = [
-            EvalSet(
-                name=t["name"],
-                metric=t["metric"],
-                low=float(t["range"][0]),
-                high=math.inf if t["range"][1] is None else float(t["range"][1]),
-            )
-            for t in data["testsets"]
-        ]
+    cfg.model_grid, cfg.testsets = parse_grid(data, cfg.model_grid, cfg.testsets)
     if "normalize" in data:
         norm = data["normalize"]
         cfg.normalize_numerator = norm.get("num", cfg.normalize_numerator)
@@ -192,8 +209,6 @@ def load_config(path: str | Path) -> RunConfig:
         cfg.normalize_model = norm.get("model", cfg.normalize_model)
     if "nrmse_space" in data:
         cfg.nrmse_space = data["nrmse_space"]
-    if "seed" in data:
-        cfg.seed = int(data["seed"])
     cfg.validate()
     return cfg
 
@@ -231,6 +246,8 @@ def evaluate_grid(
     testsets: list[EvalSet],
     space: str = "log",
 ) -> list[ModelEval]:
+    if space not in ("log", "linear"):
+        raise UsageError(f"unknown NRMSE space {space!r}")
     evals = []
     for model_id, fit, cell in fitted:
         per_testset: dict[str, float] = {}
@@ -240,7 +257,7 @@ def evaluate_grid(
             ys = [metric_value(pm, cell.y_metric) for pm in rows]
             try:
                 per_testset[ts.name] = evaluate_nrmse(fit, xs, ys, space=space)
-            except Exception:
+            except DataError:
                 continue  # test set too small for this corpus; leave blank
         evals.append(
             ModelEval(
@@ -250,6 +267,34 @@ def evaluate_grid(
             )
         )
     return evals
+
+
+def analyze_bins(
+    corpus: list[ProjectMetrics],
+    bin_metric: str,
+    edges,
+    numerator: str,
+    denominator: str,
+    ratio_series=log_ratios,
+) -> tuple[list[BinSummary], dict[tuple[str, str], float]]:
+    """Bin the corpus by ``bin_metric`` and summarise the log ratio of each
+    bin with a usable ratio.  Welch tests compare the ``ratio_series``
+    values (log or linear) of every pair of bins holding two or more.
+    """
+    summaries = []
+    series = {}
+    for b in bin_by(corpus, bin_metric, edges):
+        values, _excluded = ratio_series(b, numerator, denominator)
+        if values:
+            series[b.label] = values
+            summaries.append(log_ratio_summary(b, numerator, denominator))
+    labels = list(series)
+    p_values = {}
+    for idx, a in enumerate(labels):
+        for b_label in labels[idx + 1 :]:
+            if len(series[a]) >= 2 and len(series[b_label]) >= 2:
+                p_values[(a, b_label)] = welch_t_test(series[a], series[b_label]).p_value
+    return summaries, p_values
 
 
 def run_pipeline(config: RunConfig) -> RunResult:
@@ -273,7 +318,9 @@ def run_pipeline(config: RunConfig) -> RunResult:
         mark("extract")
 
         corpus = [
-            compute_metrics(facts, jdk_prefixes=config.jdk_prefixes)
+            compute_metrics(
+                facts, used_modules_by_provenance(facts, config.jdk_prefixes)
+            )
             for facts in projects
         ]
         export_metrics_table(corpus, out / "metrics.csv")
@@ -295,32 +342,19 @@ def run_pipeline(config: RunConfig) -> RunResult:
             )
         mark("fits")
 
-        bins = bin_by(corpus, config.bin_metric, config.bin_edges)
-        summaries = []
-        series = {}
-        for b in bins:
-            values, _excluded = log_ratios(
-                b, config.bin_numerator, config.bin_denominator
-            )
-            series[b.label] = values
-            try:
-                summaries.append(
-                    log_ratio_summary(b, config.bin_numerator, config.bin_denominator)
-                )
-            except Exception:
-                continue  # empty bin: simply not reported
+        summaries, p_values = analyze_bins(
+            corpus,
+            config.bin_metric,
+            config.bin_edges,
+            config.bin_numerator,
+            config.bin_denominator,
+        )
         (out / "bins.csv").write_text(bins_csv(summaries), encoding="utf-8")
         (out / "bin_report.txt").write_text(
             render_bin_report(summaries, config.bin_numerator, config.bin_denominator),
             encoding="utf-8",
         )
-        p_values: dict[tuple[str, str], float] = {}
         labels = [s.label for s in summaries]
-        for idx, a in enumerate(labels):
-            for b_label in labels[idx + 1 :]:
-                if len(series[a]) >= 2 and len(series[b_label]) >= 2:
-                    res = welch_t_test(series[a], series[b_label])
-                    p_values[(a, b_label)] = res.p_value
         (out / "welch_matrix.csv").write_text(
             welch_csv(labels, p_values), encoding="utf-8"
         )
@@ -368,7 +402,7 @@ def run_pipeline(config: RunConfig) -> RunResult:
                 f"spearman {deco.spearman!r}\n"
                 f"decorrelated {deco.decorrelated}\n"
             )
-        except Exception as exc:
+        except DataError as exc:
             deco_text = f"decorrelation unavailable: {exc}\n"
         (out / "decorrelation.txt").write_text(deco_text, encoding="utf-8")
         mark("normalize")
@@ -393,8 +427,6 @@ def render_run_report(run_dir: str | Path) -> str:
     """
     out = Path(run_dir)
     if not out.is_dir():
-        from .errors import DataError
-
         raise DataError(f"run directory {run_dir} does not exist")
     sections = []
     for name, title in [

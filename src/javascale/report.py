@@ -11,7 +11,7 @@ import hashlib
 from pathlib import Path
 
 from .regression import Diagnostics, FitResult, ModelEval
-from .stats import BinSummary
+from .stats import BinSummary, range_text
 
 
 def _fmt(value: float) -> str:
@@ -66,23 +66,13 @@ def render_bin_report(
         "bin | range | projects | mean_log (linear%) | sd_log | excluded",
     ]
     for s in summaries:
-        rng = _range_text(s.low, s.high)
+        rng = range_text(s.low, s.high)
         lines.append(
             f"{s.label} | {rng} | {s.project_count} | "
             f"{s.mean_log:.2f} ({s.mean_linear_pct:.1f}) | {s.sd_log:.2f} | "
             f"{s.excluded_zero_ratio_count}"
         )
     return "\n".join(lines) + "\n"
-
-
-def _range_text(low: float, high: float) -> str:
-    import math
-
-    if math.isinf(low):
-        return f"< {high:g}"
-    if math.isinf(high):
-        return f">= {low:g}"
-    return f"{low:g} -- {high:g}"
 
 
 def bins_csv(summaries: list[BinSummary]) -> str:

@@ -209,13 +209,14 @@ class Bin:
     high: float  # +inf for the open right extreme
     projects: list[ProjectMetrics]
 
-    @property
-    def range_text(self) -> str:
-        if math.isinf(self.low):
-            return f"< {self.high:g}"
-        if math.isinf(self.high):
-            return f">= {self.low:g}"
-        return f"{self.low:g} -- {self.high:g}"
+
+def range_text(low: float, high: float) -> str:
+    """A bin's range as shown in reports: ``< hi``, ``lo -- hi`` or ``>= lo``."""
+    if math.isinf(low):
+        return f"< {high:g}"
+    if math.isinf(high):
+        return f">= {low:g}"
+    return f"{low:g} -- {high:g}"
 
 
 @dataclass(frozen=True)

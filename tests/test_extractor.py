@@ -2,12 +2,7 @@ import textwrap
 
 import pytest
 
-from javascale.extractor import (
-    Provenance,
-    classify_provenance,
-    extract_corpus,
-    extract_project,
-)
+from javascale.extractor import extract_corpus, extract_project
 from javascale.errors import DuplicateProjectError, EmptyCorpusError
 from javascale.facts import EntityKind, RelationKind
 
@@ -288,35 +283,27 @@ class TestExtraction:
         rels = rel_texts(facts)
         assert ("a.T.worker", RelationKind.HOLDS, "other.Thread") in rels
 
-
-class TestClassifyProvenance:
-    def test_internal(self, foonumber_facts):
-        assert (
-            classify_provenance("foo.FooNumber", foonumber_facts)
-            is Provenance.INTERNAL
+    def test_record_compact_constructor(self, tmp_path):
+        write_project(
+            tmp_path,
+            {
+                "R.java": """
+                public record R(int a) {
+                    public R { if (a < 0) throw new IllegalArgumentException(); }
+                }
+                """
+            },
         )
-
-    def test_jdk(self, foonumber_facts):
+        facts = extract_project(tmp_path, "p")
+        ctors = [e.fqn for e in facts.entities if e.kind is EntityKind.CONSTRUCTOR]
+        assert ctors == ["R.<init>"]
         assert (
-            classify_provenance("java.lang.Integer", foonumber_facts)
-            is Provenance.JDK
-        )
-
-    def test_external(self, foonumber_facts):
-        assert (
-            classify_provenance("org.apache.commons.X", foonumber_facts)
-            is Provenance.EXTERNAL
-        )
-
-    def test_custom_prefixes(self, foonumber_facts):
-        assert (
-            classify_provenance("sun.misc.Unsafe", foonumber_facts, ("java.", "sun."))
-            is Provenance.JDK
-        )
-
-    def test_empty_name_rejected(self, foonumber_facts):
-        with pytest.raises(ValueError):
-            classify_provenance("", foonumber_facts)
+            "R.<init>",
+            RelationKind.INSTANTIATES,
+            "java.lang.IllegalArgumentException.<init>",
+        ) in rel_texts(facts)
+        assert facts.parse_warning_count == 0
+        assert facts.warnings == []
 
 
 class TestCorpusManifest:

@@ -83,7 +83,6 @@ class TestDui:
             tmp_path, {"A.java": "class A implements Runnable { public void run() {} }"}
         )
         assert count_dui(facts) == 1
-        assert count_dui(facts, include_implements=False) == 0
 
     def test_extends_object_does_not_count(self, tmp_path):
         facts = project_from(tmp_path, {"A.java": "class A extends Object { }"})
@@ -120,6 +119,36 @@ class TestInheritedFrom:
 
 
 class TestUsedModules:
+    def test_internal(self, tmp_path):
+        facts = project_from(
+            tmp_path,
+            {"a/A.java": "package a; class A {}", "a/B.java": "package a; class B { A a; }"},
+        )
+        used = used_modules_by_provenance(facts)
+        assert (used.internal, used.jdk, used.external) == (1, 0, 0)
+
+    def test_jdk(self, tmp_path):
+        facts = project_from(tmp_path, {"A.java": "class A { Integer n; }"})
+        used = used_modules_by_provenance(facts)
+        assert (used.internal, used.jdk, used.external) == (0, 1, 0)
+
+    def test_external(self, tmp_path):
+        facts = project_from(
+            tmp_path, {"A.java": "import org.apache.commons.X; class A { X x; }"}
+        )
+        used = used_modules_by_provenance(facts)
+        assert (used.internal, used.jdk, used.external) == (0, 0, 1)
+
+    def test_custom_prefixes(self, tmp_path):
+        facts = project_from(
+            tmp_path, {"A.java": "import sun.misc.Unsafe; class A { Unsafe u; }"}
+        )
+        assert used_modules_by_provenance(facts).external == 1
+        used = used_modules_by_provenance(facts, ("java.", "sun."))
+        assert (used.jdk, used.external) == (1, 0)
+        pm = compute_metrics(facts, used)
+        assert (pm.used_jdk, pm.used_external) == (1, 0)
+
     def test_foonumber_provenance(self, foonumber_facts):
         used = used_modules_by_provenance(foonumber_facts)
         assert used.internal == 1  # the class itself, via self-instantiation

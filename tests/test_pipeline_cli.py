@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 from javascale.cli import main
 from javascale.errors import EmptyCorpusError
 from javascale.pipeline import load_config, render_run_report, run_pipeline
+from javascale.store import export_metrics_table
 
 from conftest import CORPUS_DIR, FIXTURES
 
@@ -26,6 +28,24 @@ EXPECTED_OUTPUTS = [
     "STATUS",
 ]
 
+# sha256 of the fixture run's integer-and-string outputs; unlike the
+# fitted-float files they do not depend on the platform's libm
+GOLDEN_SHA256 = {
+    "facts.bin": "d4406d545989d25b01fb4d34802635dc765abf3cd9774f5d7609289b6c43dc6e",
+    "metrics.csv": "0b43767f8b86148bd0072878bc233a28bb6b1f557dc3b42c2aaeaadba7f043db",
+}
+
+MALFORMED_GRIDS = [
+    {"models": [{"y": "methods", "x": "classes"}]},
+    {"models": [{"id": "m1", "y": "methods", "x": "classes", "k": "two"}]},
+    {"models": [{"id": "m1", "y": "methods", "x": "classes", "subset": [10]}]},
+    {"models": [{"id": "m1", "y": "methods", "x": "classes"}],
+     "testsets": [{"name": "all", "metric": "classes", "range": ["lo", None]}]},
+    {"models": [{"id": "m1", "y": "methods", "x": "classes"}],
+     "testsets": [{"name": "all", "metric": "classes", "range": [0, None]}],
+     "space": "cubic", "nrmse_space": "cubic"},
+]
+
 
 def fixture_config(tmp_path, out_name="run"):
     """Copy the fixture pipeline config with a writable out_dir."""
@@ -35,6 +55,13 @@ def fixture_config(tmp_path, out_name="run"):
     cfg_path = tmp_path / f"{out_name}.json"
     cfg_path.write_text(json.dumps(data))
     return cfg_path
+
+
+@pytest.fixture
+def fixture_table(tmp_path, fixture_corpus):
+    path = tmp_path / "metrics.csv"
+    export_metrics_table(fixture_corpus, path)
+    return path
 
 
 def bundle_bytes(out_dir: Path) -> dict[str, bytes]:
@@ -64,6 +91,11 @@ class TestRunPipeline:
         assert a.keys() == b.keys()
         for name in a:
             assert a[name] == b[name], name
+
+    def test_facts_and_metrics_match_golden_hashes(self, tmp_path):
+        out = run_pipeline(load_config(fixture_config(tmp_path))).out_dir
+        for name, digest in GOLDEN_SHA256.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
     def test_empty_manifest_is_explicit_error(self, tmp_path):
         manifest = tmp_path / "empty.txt"
@@ -308,6 +340,29 @@ class TestCli:
         assert self.run("extract", str(CORPUS_DIR / "manifest.txt"), "-o", str(facts)) == 0
         assert self.run("metrics", str(facts), "-o", str(table)) == 0
         assert "unresolved used-module names" in capsys.readouterr().out
+
+    def test_normalize_reports_missing_decorrelation(self, fixture_table, capsys):
+        assert (
+            self.run(
+                "normalize", str(fixture_table), "--num", "methods", "--den", "classes",
+                "--beta", "1.0",
+            )
+            == 0
+        )
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "decorrelation unavailable: "
+            "decorrelation check needs >= 10 usable projects, have 9"
+        )
+
+    @pytest.mark.parametrize("grid", MALFORMED_GRIDS)
+    def test_malformed_grid_is_usage_error(self, tmp_path, fixture_table, capsys, grid):
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(grid))
+        assert self.run("validate", str(fixture_table), "--grid", str(grid_path)) == 1
+        cfg = fixture_config(tmp_path)
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), **grid}))
+        assert self.run("pipeline", str(cfg)) == 1
+        assert capsys.readouterr().err.count("usage error: ") == 2
 
     def test_usage_error_exit_1(self, capsys):
         assert self.run("fit") == 1

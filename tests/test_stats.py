@@ -13,6 +13,7 @@ from javascale.stats import (
     inverse_normal_cdf,
     log_ratio_summary,
     normal_cdf,
+    range_text,
     regularized_incomplete_beta,
     student_t_cdf,
     welch_t_test,
@@ -161,8 +162,8 @@ class TestBinBy:
         bins = bin_by(self.corpus([5, 50, 500, 2000, 9000]), "classes", self.EDGES)
         assert len(bins) == 5
         assert [len(b.projects) for b in bins] == [1, 1, 1, 1, 1]
-        assert bins[0].range_text == "< 20"
-        assert bins[-1].range_text == ">= 5000"
+        assert range_text(bins[0].low, bins[0].high) == "< 20"
+        assert range_text(bins[-1].low, bins[-1].high) == ">= 5000"
 
     def test_left_inclusive_boundary(self):
         bins = bin_by(self.corpus([20]), "classes", self.EDGES)
