@@ -229,17 +229,22 @@ def cmd_synth(args) -> int:
         data = json.loads(Path(args.spec).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read synth spec: {exc}") from exc
-    spec = SynthSpec(
-        n_projects=int(data["n_projects"]),
-        x_range=(float(data["x_range"][0]), float(data["x_range"][1])),
-        true_alpha=float(data["alpha"]),
-        true_beta=float(data["beta"]),
-        true_k=float(data.get("k", 1)),
-        noise_sigma=float(data.get("sigma", 0)),
-        seed=int(data.get("seed", 0)),
-        x_metric=data.get("x_metric", "classes"),
-        y_metric=data.get("y_metric", "methods"),
-    )
+    try:
+        spec = SynthSpec(
+            n_projects=int(data["n_projects"]),
+            x_range=(float(data["x_range"][0]), float(data["x_range"][1])),
+            true_alpha=float(data["alpha"]),
+            true_beta=float(data["beta"]),
+            true_k=float(data.get("k", 1)),
+            noise_sigma=float(data.get("sigma", 0)),
+            seed=int(data.get("seed", 0)),
+            x_metric=data.get("x_metric", "classes"),
+            y_metric=data.get("y_metric", "methods"),
+        )
+    except KeyError as exc:
+        raise UsageError(f"synth spec lacks key {exc}") from exc
+    except (IndexError, TypeError, ValueError) as exc:
+        raise UsageError(f"bad synth spec value: {exc}") from exc
     corpus = generate_metrics(spec)
     export_metrics_table(corpus, args.output)
     print(f"wrote {len(corpus)} synthetic project(s) -> {args.output}")

@@ -1,13 +1,32 @@
 """Tolerant lexer for Java source text.
 
-The lexer never raises on malformed input: unterminated strings close at
-end of line, unterminated block comments fall back to being counted as
-code.  This is deliberate -- extraction must survive whatever a large
-crawled corpus throws at it.
+Each function reads the text with one compiled master pattern, an
+alternation of named groups tried at every position, in the manner of
+CPython's ``tokenize`` and Pygments' ``RegexLexer``.  ``tokenize`` walks
+the matches of ``_TOKEN`` and dispatches on ``Match.lastgroup``;
+``count_sloc`` rewrites the text once with ``_SLOC`` so that comments
+vanish (their newlines kept) and literals become plain code characters,
+then counts the lines left with code on them.
+
+The lexer never raises on malformed input.  The tolerance rules are:
+
+* A string or char literal closes at its quote or at the end of its line,
+  whichever comes first.  A backslash escapes any character except a
+  newline, so a literal never spans lines.
+* A text block whose three closing quotes never come runs to the end of
+  the file.
+* A block comment that is never closed ends tokenization; ``count_sloc``
+  counts the non-blank lines from the one where it opens as code.
+* A character that starts no token (``#``, a non-ASCII letter, a
+  vertical tab) is a one-character ``punct`` token.
+
+This is deliberate -- extraction must survive whatever a large crawled
+corpus throws at it.
 """
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 
@@ -30,171 +49,91 @@ PRIMITIVES = frozenset(
 )
 
 # Longest-match-first punctuation/operator list.
-_OPERATORS = [
+_OPERATORS = (
     ">>>=", "<<=", ">>=", ">>>", "...", "->", "::",
     "==", "!=", "<=", ">=", "&&", "||", "++", "--",
     "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<", ">>",
-]
+)
 
 ASSIGN_OPS = frozenset(
     ["=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>="]
 )
 
-_WORD_START = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$"
+_STRING = r'"[^"\\\n]*(?:\\.?[^"\\\n]*)*"?'
+_CHAR = r"'[^'\\\n]*(?:\\.?[^'\\\n]*)*'?"
+_TEXT_BLOCK = r'"""[\s\S]*?(?:"""|\Z)'
+_LINE_COMMENT = r"//[^\n]*"
+_BLOCK_COMMENT = r"/\*[^*]*\*+(?:[^/*][^*]*\*+)*/"
+_OPEN_COMMENT = r"/\*[\s\S]*"
+
+# Each match swallows the blanks after it, so blanks cost no loop turn.
+# A file's leading blanks are skipped by ``finditer``'s search, which can
+# skip nothing else: the last alternative takes any other character.
+_TOKEN = re.compile(
+    rf"""(?:
+      (?P<nl>\n)
+    | (?P<word>[A-Za-z_$][A-Za-z0-9_$]*)
+    | (?P<skip>{_LINE_COMMENT}|{_BLOCK_COMMENT})
+    | (?P<open>{_OPEN_COMMENT})
+    | (?P<text>{_TEXT_BLOCK})
+    | (?P<str>{_STRING})
+    | (?P<char>{_CHAR})
+    | (?P<num>[0-9][A-Za-z0-9_$.]*(?:(?<=[eEpP])[+-][A-Za-z0-9_$.]*)*)
+    | (?P<punct>{"|".join(map(re.escape, _OPERATORS))}|[^ \t\r\f\n])
+    )[ \t\r\f]*""",
+    re.VERBOSE,
 )
-_WORD_CHARS = _WORD_START | frozenset("0123456789")
-_DIGITS = frozenset("0123456789")
+_EMITTED = frozenset(["word", "num", "str", "char", "punct"])
+
+_SLOC = re.compile(
+    rf"(?P<comment>{_LINE_COMMENT}|{_BLOCK_COMMENT})|(?P<open>{_OPEN_COMMENT})"
+    rf"|(?P<text>{_TEXT_BLOCK})|{_STRING}|{_CHAR}"
+)
+_CODE_LINE = re.compile(r"^[ \t\r\f]*[^ \t\r\f\n]", re.MULTILINE)
 
 
 def tokenize(text: str) -> list[Tok]:
     """Lex ``text`` into tokens, dropping comments and whitespace."""
     toks: list[Tok] = []
-    i = 0
-    n = len(text)
+    append = toks.append
+    new = tuple.__new__
     line = 1
-    while i < n:
-        c = text[i]
-        if c == "\n":
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind in _EMITTED:
+            append(new(Tok, (kind, m[kind], line)))
+        elif kind == "nl":
             line += 1
-            i += 1
-            continue
-        if c in " \t\r\f":
-            i += 1
-            continue
-        if c == "/" and i + 1 < n:
-            nxt = text[i + 1]
-            if nxt == "/":
-                j = text.find("\n", i)
-                i = n if j < 0 else j
-                continue
-            if nxt == "*":
-                j = text.find("*/", i + 2)
-                if j < 0:
-                    # Unterminated block comment: swallow to EOF.
-                    line += text.count("\n", i)
-                    i = n
-                    continue
-                line += text.count("\n", i, j + 2)
-                i = j + 2
-                continue
-        if c == '"':
-            if text.startswith('"""', i):
-                j = text.find('"""', i + 3)
-                end = n if j < 0 else j + 3
-                line_start = line
-                line += text.count("\n", i, end)
-                toks.append(Tok("str", text[i:end], line_start))
-                i = end
-                continue
-            j = i + 1
-            while j < n and text[j] not in '"\n':
-                j = j + 2 if text[j] == "\\" else j + 1
-            end = min(j + 1, n) if j < n and text[j] == '"' else j
-            toks.append(Tok("str", text[i:end], line))
-            i = end
-            continue
-        if c == "'":
-            j = i + 1
-            while j < n and text[j] not in "'\n":
-                j = j + 2 if text[j] == "\\" else j + 1
-            end = min(j + 1, n) if j < n and text[j] == "'" else j
-            toks.append(Tok("char", text[i:end], line))
-            i = end
-            continue
-        if c in _WORD_START:
-            j = i + 1
-            while j < n and text[j] in _WORD_CHARS:
-                j += 1
-            toks.append(Tok("word", text[i:j], line))
-            i = j
-            continue
-        if c in _DIGITS:
-            j = i + 1
-            while j < n:
-                ch = text[j]
-                if ch in _WORD_CHARS or ch == ".":
-                    j += 1
-                elif ch in "+-" and text[j - 1] in "eEpP":
-                    j += 1
-                else:
-                    break
-            toks.append(Tok("num", text[i:j], line))
-            i = j
-            continue
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                toks.append(Tok("punct", op, line))
-                i += len(op)
-                break
+        elif kind == "open":
+            break
         else:
-            toks.append(Tok("punct", c, line))
-            i += 1
+            body = m[kind]
+            if kind == "text":
+                append(new(Tok, ("str", body, line)))
+            line += body.count("\n")
     return toks
+
+
+def _as_code(m: re.Match) -> str:
+    """Replace one comment or literal by what ``count_sloc`` should see."""
+    kind = m.lastgroup
+    if kind is None:  # string or char literal: one line of code
+        return "x"
+    body = m.group()
+    if kind == "comment":
+        return "\n" * body.count("\n")
+    if kind == "text":
+        return "x" + "\nx" * body.count("\n")
+    # Unterminated block comment: its non-blank lines count as code.
+    return "\n".join(["x" if part.strip() else "" for part in body.split("\n")])
 
 
 def count_sloc(source_text: str) -> int:
     """Count physical source lines: neither blank nor comment-only.
 
-    String literals are tracked by the scanner, so ``//`` inside a string
-    does not start a comment.  An unterminated block comment falls back to
-    counting its lines as code.
+    A literal is matched as a whole, so ``//`` inside a string does not
+    start a comment.  Every line a text block spans is code.  An
+    unterminated block comment falls back to counting its non-blank lines
+    as code.
     """
-    lines = source_text.split("\n")
-    has_code = [False] * len(lines)
-    i = 0
-    n = len(source_text)
-    line = 0
-    while i < n:
-        c = source_text[i]
-        if c == "\n":
-            line += 1
-            i += 1
-            continue
-        if c in " \t\r\f":
-            i += 1
-            continue
-        if c == "/" and i + 1 < n:
-            nxt = source_text[i + 1]
-            if nxt == "/":
-                j = source_text.find("\n", i)
-                i = n if j < 0 else j
-                continue
-            if nxt == "*":
-                j = source_text.find("*/", i + 2)
-                if j < 0:
-                    # Malformed comment: count the remaining non-blank
-                    # lines as code.
-                    for k in range(line, len(lines)):
-                        if lines[k].strip():
-                            has_code[k] = True
-                    break
-                line += source_text.count("\n", i, j + 2)
-                i = j + 2
-                continue
-        # Any other non-whitespace character is code, including string
-        # and char literal content.
-        has_code[line] = True
-        if c == '"':
-            if source_text.startswith('"""', i):
-                j = source_text.find('"""', i + 3)
-                end = n if j < 0 else j + 3
-                for k in range(line, line + source_text.count("\n", i, end) + 1):
-                    if k < len(has_code):
-                        has_code[k] = True
-                line += source_text.count("\n", i, end)
-                i = end
-                continue
-            j = i + 1
-            while j < n and source_text[j] not in '"\n':
-                j = j + 2 if source_text[j] == "\\" else j + 1
-            i = min(j + 1, n) if j < n and source_text[j] == '"' else j
-            continue
-        if c == "'":
-            j = i + 1
-            while j < n and source_text[j] not in "'\n":
-                j = j + 2 if source_text[j] == "\\" else j + 1
-            i = min(j + 1, n) if j < n and source_text[j] == "'" else j
-            continue
-        i += 1
-    return sum(has_code)
+    return len(_CODE_LINE.findall(_SLOC.sub(_as_code, source_text)))

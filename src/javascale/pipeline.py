@@ -187,28 +187,33 @@ def load_config(path: str | Path) -> RunConfig:
         q = Path(value)
         return str(q if q.is_absolute() else base / q)
 
-    cfg = RunConfig(
-        manifest=_path(data["manifest"]),
-        out_dir=_path(data["out_dir"]),
-    )
-    if "jdk_prefixes" in data:
-        cfg.jdk_prefixes = tuple(data["jdk_prefixes"])
-    if "bin_edges" in data:
-        cfg.bin_edges = tuple(float(e) for e in data["bin_edges"])
-    if "bin_ratio" in data:
-        cfg.bin_numerator, cfg.bin_denominator = data["bin_ratio"]
-        cfg.bin_metric = cfg.bin_denominator
-    if "bin_metric" in data:
-        cfg.bin_metric = data["bin_metric"]
-    cfg.model_grid, cfg.testsets = parse_grid(data, cfg.model_grid, cfg.testsets)
-    if "normalize" in data:
-        norm = data["normalize"]
-        cfg.normalize_numerator = norm.get("num", cfg.normalize_numerator)
-        cfg.normalize_denominator = norm.get("den", cfg.normalize_denominator)
-        cfg.normalize_beta = norm.get("beta", cfg.normalize_beta)
-        cfg.normalize_model = norm.get("model", cfg.normalize_model)
-    if "nrmse_space" in data:
-        cfg.nrmse_space = data["nrmse_space"]
+    try:
+        cfg = RunConfig(
+            manifest=_path(data["manifest"]),
+            out_dir=_path(data["out_dir"]),
+        )
+        if "jdk_prefixes" in data:
+            cfg.jdk_prefixes = tuple(data["jdk_prefixes"])
+        if "bin_edges" in data:
+            cfg.bin_edges = tuple(float(e) for e in data["bin_edges"])
+        if "bin_ratio" in data:
+            cfg.bin_numerator, cfg.bin_denominator = data["bin_ratio"]
+            cfg.bin_metric = cfg.bin_denominator
+        if "bin_metric" in data:
+            cfg.bin_metric = data["bin_metric"]
+        cfg.model_grid, cfg.testsets = parse_grid(data, cfg.model_grid, cfg.testsets)
+        if "normalize" in data:
+            norm = data["normalize"]
+            cfg.normalize_numerator = norm.get("num", cfg.normalize_numerator)
+            cfg.normalize_denominator = norm.get("den", cfg.normalize_denominator)
+            cfg.normalize_beta = norm.get("beta", cfg.normalize_beta)
+            cfg.normalize_model = norm.get("model", cfg.normalize_model)
+        if "nrmse_space" in data:
+            cfg.nrmse_space = data["nrmse_space"]
+    except KeyError as exc:
+        raise UsageError(f"config lacks key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise UsageError(f"bad config value: {exc}") from exc
     cfg.validate()
     return cfg
 

@@ -1,6 +1,15 @@
+import string
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from javascale.javalex import Tok, count_sloc, tokenize
 
-from conftest import FOONUMBER_SOURCE
+import javalex_reference as reference
+from conftest import CORPUS_DIR, FOONUMBER_SOURCE
+
+# backslash-newline inside a string literal; the literal ends at the line end
+BACKSLASH_NEWLINE = 'String s = "ab\\\ncd";\nint x;\n'
 
 
 class TestCountSloc:
@@ -42,6 +51,21 @@ class TestCountSloc:
         text = 'String s = """\nline\n""";\nint a;\n'
         assert count_sloc(text) == 4
 
+    def test_text_block_counts_every_line_it_spans(self):
+        text = 'String s = """\n\n  // not a comment\n\n""";\n\nint a;\n'
+        assert count_sloc(text) == 6
+
+    def test_backslash_before_newline_does_not_join_lines(self):
+        assert count_sloc(BACKSLASH_NEWLINE) == 3
+        assert count_sloc("char c = '\\\nint x;\n") == 2
+
+    def test_unterminated_block_comment_counts_non_blank_tail(self):
+        text = "int a;\n\n  /* open\n \t\n  tail\n\x0b\n"
+        # in the open comment's tail, str.strip() decides what is blank,
+        # so the vertical-tab line is blank there; elsewhere it is code
+        assert count_sloc(text) == 3
+        assert count_sloc("int a;\n\x0b\n") == 2
+
 
 class TestTokenize:
     def test_words_and_punct(self):
@@ -61,14 +85,15 @@ class TestTokenize:
         assert [t.kind for t in toks] == ["word", "punct", "str", "punct"]
 
     def test_numbers(self):
-        toks = tokenize("int a = 0x1F + 1_000 + 1.5e-3f;")
+        toks = tokenize("int a = 0x1F + 1_000 + 1.5e-3f + 1e+5 + 0x1p-3 + 1_000L;")
         nums = [t.text for t in toks if t.kind == "num"]
-        assert nums == ["0x1F", "1_000", "1.5e-3f"]
+        assert nums == ["0x1F", "1_000", "1.5e-3f", "1e+5", "0x1p-3", "1_000L"]
 
     def test_compound_operators(self):
-        toks = tokenize("a >>= 2; b != c; d :: e")
+        toks = tokenize("a >>= 2; b != c; d :: e; f >>>= g; h(String... i) >>> j")
         ops = [t.text for t in toks if t.kind == "punct"]
         assert ">>=" in ops and "!=" in ops and "::" in ops
+        assert ">>>=" in ops and "..." in ops and ">>>" in ops
 
     def test_generic_shift_ambiguity_lexes_greedily(self):
         toks = tokenize("Map<String,List<Integer>> m")
@@ -77,3 +102,66 @@ class TestTokenize:
     def test_tok_is_named_tuple(self):
         tok = tokenize("x")[0]
         assert tok == Tok("word", "x", 1)
+        assert type(tok) is Tok and tok.kind == "word" and tok.line == 1
+
+    def test_backslash_before_newline_does_not_join_lines(self):
+        toks = tokenize(BACKSLASH_NEWLINE)
+        assert [(t.kind, t.text, t.line) for t in toks] == [
+            ("word", "String", 1), ("word", "s", 1), ("punct", "=", 1),
+            ("str", '"ab\\', 1), ("word", "cd", 2), ("str", '";', 2),
+            ("word", "int", 3), ("word", "x", 3), ("punct", ";", 3),
+        ]
+
+    def test_text_block_takes_its_first_line(self):
+        toks = tokenize('a = """\none\ntwo""";\nb')
+        assert [(t.kind, t.line) for t in toks] == [
+            ("word", 1), ("punct", 1), ("str", 1), ("punct", 3), ("word", 4),
+        ]
+        assert toks[2].text == '"""\none\ntwo"""'
+
+    def test_unterminated_text_block_runs_to_end_of_file(self):
+        toks = tokenize('a = """\nno end; b\n')
+        assert toks[-1] == Tok("str", '"""\nno end; b\n', 1)
+        assert len(toks) == 3
+
+    def test_unterminated_block_comment_ends_tokens(self):
+        assert tokenize("/* never closed\nint a;\n") == []
+        assert [t.text for t in tokenize("a /* b\nc")] == ["a"]
+
+    def test_non_ascii_character_is_one_punct(self):
+        toks = tokenize("caf\u00e9 = 1;")
+        assert [(t.kind, t.text) for t in toks][:2] == [("word", "caf"), ("punct", "\u00e9")]
+        assert [t.kind for t in tokenize("\x0b\u00a0")] == ["punct", "punct"]
+
+    def test_lone_slash_at_end_of_file(self):
+        assert tokenize("a /") == [Tok("word", "a", 1), Tok("punct", "/", 1)]
+        assert count_sloc("a /") == 1
+
+
+# Pieces rich in what changes the lexer's state: quotes, comment markers,
+# backslashes, line breaks, exponent letters and signs, operator
+# characters, and characters that start no token.
+_PIECES = list(
+    "\"'/\\*\n\t\r\f "
+    + string.ascii_letters[:6] + "xyzXYZ_$" + string.digits[:4]
+    + "eEpP+-." + "<>=!&|^%:?~()[]{};,@#" + "\u00e9\u00a0\x0b"
+) + ['"""', "/*", "*/", "//", "\\\n", '\\"', "\\'", "1e+", "0x1p-", ">>>=", "..."]
+_TEXT = st.lists(st.sampled_from(_PIECES), max_size=40).map("".join)
+
+
+class TestAgainstReference:
+    """The master-pattern lexer against the frozen character loops."""
+
+    @given(_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_text(self, text):
+        assert tokenize(text) == reference.tokenize(text)
+        assert count_sloc(text) == reference.count_sloc(text)
+
+    def test_fixture_corpus(self):
+        sources = sorted(CORPUS_DIR.rglob("*.java"))
+        assert sources
+        for path in sources:
+            text = path.read_text(encoding="utf-8")
+            assert tokenize(text) == reference.tokenize(text), path
+            assert count_sloc(text) == reference.count_sloc(text), path

@@ -46,6 +46,14 @@ MALFORMED_GRIDS = [
      "space": "cubic", "nrmse_space": "cubic"},
 ]
 
+_SPEC = {"n_projects": 5, "x_range": [1, 100], "alpha": 1.0, "beta": 1.0}
+MALFORMED_CONFIGS = [
+    ("pipeline", {"out_dir": "out"}),
+    ("pipeline", {"manifest": "m.txt"}),
+    ("pipeline", {"manifest": "m.txt", "out_dir": "out", "bin_edges": [20, "many"]}),
+    ("pipeline", {"manifest": "m.txt", "out_dir": "out", "normalize": ["methods"]}),
+] + [("synth", {k: v for k, v in _SPEC.items() if k != key}) for key in _SPEC]
+
 
 def fixture_config(tmp_path, out_name="run"):
     """Copy the fixture pipeline config with a writable out_dir."""
@@ -363,6 +371,17 @@ class TestCli:
         cfg.write_text(json.dumps({**json.loads(cfg.read_text()), **grid}))
         assert self.run("pipeline", str(cfg)) == 1
         assert capsys.readouterr().err.count("usage error: ") == 2
+
+    @pytest.mark.parametrize("command, data", MALFORMED_CONFIGS)
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys, command, data):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        if command == "pipeline":
+            argv = ["pipeline", str(path)]
+        else:
+            argv = ["synth", "--spec", str(path), "-o", str(tmp_path / "t.csv")]
+        assert self.run(*argv) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
 
     def test_usage_error_exit_1(self, capsys):
         assert self.run("fit") == 1
