@@ -44,6 +44,12 @@ class UnknownMetricError(DataError):
 class DuplicateProjectError(DataError):
     """Two projects share the same project id."""
 
+    @classmethod
+    def check(cls, ids: list[str], what: str) -> None:
+        """Raise ``what: [ids listed twice or more]`` if any id repeats."""
+        if len(ids) != len(set(ids)):
+            raise cls(f"{what}: {sorted({x for x in ids if ids.count(x) > 1})}")
+
 
 class EmptyCorpusError(DataError):
     """The corpus manifest resolves to zero projects."""

@@ -6,6 +6,26 @@ type inference and no bytecode analysis, so call receivers that cannot be
 resolved are recorded against the receiver text as written; provenance
 counting later skips such targets.  Parsing is tolerant: a declaration
 that cannot be understood is skipped and counted, never fatal.
+
+A simple type name resolves to the first of:
+
+1. the current type or one of its enclosing types, or a member type of
+   one of them, innermost first;
+2. a top-level type of the same file;
+3. a project type of the same package (in the default package, any
+   default-package type; a named package does not see the default
+   package, JLS 7.5);
+4. a single-type import;
+5. a project type in a package the file imports with ``p.*``;
+6. ``java.lang.<name>``, for the names in ``JAVA_LANG_TYPES``;
+7. a guess, ``p.<name>``, when the file has exactly one wildcard import
+   ``p.*`` and the name is capitalised, as type names are by convention.
+
+Otherwise it does not resolve.  Primitive types resolve to their boxes.
+A dotted name that is a project type stands as is; else its first segment
+is resolved as above and the rest appended, or the name is kept as
+written.  A type use targets the project type's entity when the name
+resolves to one, else the resolved name, else the name as written.
 """
 
 from __future__ import annotations
@@ -13,6 +33,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import DuplicateProjectError, EmptyCorpusError
 from .facts import (
@@ -113,7 +134,7 @@ class FieldDecl:
     name: str
     tref: TypeRef
     line: int
-    init_raw: list[Tok] = field(default_factory=list)
+    raw: list[Tok] = field(default_factory=list)  # initializer tokens
     stmts: list[Tok] = field(default_factory=list)
     anons: list["TypeDecl"] = field(default_factory=list)
     entity_id: int = 0
@@ -129,7 +150,7 @@ class MethodDecl:
     is_ctor: bool = False
     type_params: list[str] = field(default_factory=list)
     type_param_bounds: list[str] = field(default_factory=list)
-    body_raw: list[Tok] | None = None
+    raw: list[Tok] = field(default_factory=list)  # body tokens
     stmts: list[Tok] = field(default_factory=list)
     anons: list["TypeDecl"] = field(default_factory=list)
     entity_id: int = 0
@@ -137,7 +158,7 @@ class MethodDecl:
 
 @dataclass
 class InitDecl:
-    body_raw: list[Tok]
+    raw: list[Tok]
     line: int
     stmts: list[Tok] = field(default_factory=list)
     anons: list["TypeDecl"] = field(default_factory=list)
@@ -147,7 +168,7 @@ class InitDecl:
 class EnumConst:
     name: str
     line: int
-    args_raw: list[Tok] = field(default_factory=list)
+    raw: list[Tok] = field(default_factory=list)  # argument tokens
     body: "TypeDecl | None" = None
     stmts: list[Tok] = field(default_factory=list)
     anons: list["TypeDecl"] = field(default_factory=list)
@@ -627,7 +648,7 @@ class _Parser:
             t = toks[j]
             if t.text == "{":
                 blk_end = _find_matching(toks, j, "{", "}")
-                decl.members.append(InitDecl(body_raw=toks[j + 1 : blk_end], line=t.line))
+                decl.members.append(InitDecl(raw=toks[j + 1 : blk_end], line=t.line))
                 i = blk_end + 1
                 continue
             method_tp: TypeParams | None = None
@@ -664,7 +685,7 @@ class _Parser:
             blk_end = _find_matching(toks, j, "{", "}")
             member = MethodDecl(
                 name=decl.name, ret=None, params=[], throws=[], line=toks[i].line,
-                is_ctor=True, body_raw=toks[j + 1 : blk_end],
+                is_ctor=True, raw=toks[j + 1 : blk_end],
             )
             decl.members.append(member)
             return member, blk_end + 1
@@ -707,7 +728,7 @@ class _Parser:
         )
         if i < end and toks[i].text == "{":
             blk_end = _find_matching(toks, i, "{", "}")
-            member.body_raw = toks[i + 1 : blk_end]
+            member.raw = toks[i + 1 : blk_end]
             i = blk_end + 1
         else:
             i += 1
@@ -738,7 +759,7 @@ class _Parser:
                     elif t in (";", ",") and depth == 0:
                         break
                     i += 1
-                fd.init_raw = toks[start:i]
+                fd.raw = toks[start:i]
             decl.members.append(fd)
             if i < end and toks[i].text == ",":
                 i += 1
@@ -767,7 +788,7 @@ class _Parser:
             i += 1
             if i < end and toks[i].text == "(":
                 close = _find_matching(toks, i, "(", ")")
-                const.args_raw = toks[i + 1 : close]
+                const.raw = toks[i + 1 : close]
                 i = close + 1
             if i < end and toks[i].text == "{":
                 close = _find_matching(toks, i, "{", "}")
@@ -854,27 +875,20 @@ def _extract_anons(
 
 
 def _process_bodies(decl: TypeDecl, parser: _Parser) -> None:
-    for member in decl.members:
+    """Split every member's raw tokens into statements and nested types.
+
+    An enum constant's class body goes last among the constant's anons, so
+    the builder numbers it and the relation pass reaches it like any other.
+    """
+    for member in [*decl.members, *decl.consts]:
         if isinstance(member, TypeDecl):
             _process_bodies(member, parser)
-        elif isinstance(member, MethodDecl) and member.body_raw is not None:
-            member.stmts, member.anons = _extract_anons(member.body_raw, parser)
-            for anon in member.anons:
-                _process_bodies(anon, parser)
-        elif isinstance(member, InitDecl):
-            member.stmts, member.anons = _extract_anons(member.body_raw, parser)
-            for anon in member.anons:
-                _process_bodies(anon, parser)
-        elif isinstance(member, FieldDecl) and member.init_raw:
-            member.stmts, member.anons = _extract_anons(member.init_raw, parser)
-            for anon in member.anons:
-                _process_bodies(anon, parser)
-    for const in decl.consts:
-        const.stmts, const.anons = _extract_anons(const.args_raw, parser)
-        for anon in const.anons:
+            continue
+        member.stmts, member.anons = _extract_anons(member.raw, parser)
+        if isinstance(member, EnumConst) and member.body is not None:
+            member.anons.append(member.body)
+        for anon in member.anons:
             _process_bodies(anon, parser)
-        if const.body is not None:
-            _process_bodies(const.body, parser)
 
 
 def parse_java_file(path_text: str, text: str) -> FileSyntax:
@@ -888,7 +902,7 @@ def parse_java_file(path_text: str, text: str) -> FileSyntax:
 
 
 # ---------------------------------------------------------------------------
-# Project-level symbol index and entity building
+# Project-level symbol index, entities, name resolution and relations
 # ---------------------------------------------------------------------------
 
 
@@ -904,11 +918,31 @@ _KIND_MAP = {
 class _TypeInfo:
     decl: TypeDecl
     file: FileSyntax
-    package: str
     fields: dict[str, FieldDecl] = field(default_factory=dict)
     methods: dict[str, MethodDecl] = field(default_factory=dict)
     ctors: list[MethodDecl] = field(default_factory=list)
     outer: "_TypeInfo | None" = None
+
+
+class _Scope(NamedTuple):
+    """What the names in one type's declarations and bodies can see.
+
+    Built once per type by the relation pass and dropped after it; never
+    stored on a ``_TypeInfo``, whose own entry in ``chain`` would make a
+    reference cycle that keeps every token list alive until a collection.
+    """
+
+    syntax: FileSyntax
+    chain: list[_TypeInfo]  # the type, then its enclosing types outward
+    skip: frozenset[str]  # type variables declared along the chain
+    # member lookup also sees fields/methods inherited from internal
+    # superclasses; type-name resolution stays lexical
+    lookup: list[_TypeInfo]
+
+
+def _super_ref(decl: TypeDecl) -> TypeRef | None:
+    """The superclass as written: ``extends``, else an anonymous class's base."""
+    return decl.extends[0] if decl.extends else decl.anon_super
 
 
 class _ProjectBuilder:
@@ -920,7 +954,6 @@ class _ProjectBuilder:
         self.packages: dict[str, int] = {}
         self.types: dict[str, _TypeInfo] = {}
         self.all_infos: list[_TypeInfo] = []  # declaration order, no overwrites
-        self.simple_index: dict[str, list[str]] = {}
 
     def _new_entity(self, fqn: str, kind: EntityKind, file: str, line: int) -> int:
         eid = self.next_id
@@ -937,133 +970,74 @@ class _ProjectBuilder:
         )
         return eid
 
+    def _contains(self, parent: int, fqn: str, kind: EntityKind, file: str, line: int) -> int:
+        eid = self._new_entity(fqn, kind, file, line)
+        self.relations.append(FactRelation(parent, RelationKind.CONTAINS, eid))
+        return eid
+
     def package_entity(self, name: str) -> int:
         if name not in self.packages:
             self.packages[name] = self._new_entity(name, EntityKind.PACKAGE, "", 0)
         return self.packages[name]
 
     def add_file(self, syntax: FileSyntax) -> None:
-        pkg = syntax.package or DEFAULT_PACKAGE
-        pkg_eid = self.package_entity(pkg)
-        prefix = syntax.package or ""
+        pkg_eid = self.package_entity(syntax.package or DEFAULT_PACKAGE)
         for decl in syntax.types:
-            self._add_type(decl, syntax, prefix, pkg_eid, outer=None)
-
-    def _register(self, fqn: str, info: _TypeInfo) -> None:
-        self.types.setdefault(fqn, info)
-        self.all_infos.append(info)
-        simple = fqn.rsplit(".", 1)[-1].rsplit("$", 1)[-1]
-        self.simple_index.setdefault(simple, []).append(fqn)
+            fqn = f"{syntax.package}.{decl.name}" if syntax.package else decl.name
+            self._add_type(decl, fqn, syntax, pkg_eid, outer=None)
 
     def _add_type(
         self,
         decl: TypeDecl,
+        fqn: str,
         syntax: FileSyntax,
-        prefix: str,
         parent_eid: int,
         outer: _TypeInfo | None,
-        fqn_override: str | None = None,
-    ) -> _TypeInfo:
-        if fqn_override is not None:
-            fqn = fqn_override
-        elif prefix:
-            fqn = f"{prefix}.{decl.name}"
-        else:
-            fqn = decl.name or "(anonymous)"
+    ) -> None:
         decl.fqn = fqn
-        decl.entity_id = self._new_entity(
-            fqn, _KIND_MAP[decl.kind], syntax.path, decl.line
+        decl.entity_id = self._contains(
+            parent_eid, fqn, _KIND_MAP[decl.kind], syntax.path, decl.line
         )
-        self.relations.append(
-            FactRelation(parent_eid, RelationKind.CONTAINS, decl.entity_id)
-        )
-        info = _TypeInfo(
-            decl=decl, file=syntax, package=syntax.package or "", outer=outer
-        )
-        self._register(fqn, info)
-        anon_counter = 0
-        for member in decl.members:
+        info = _TypeInfo(decl=decl, file=syntax, outer=outer)
+        self.types.setdefault(fqn, info)
+        self.all_infos.append(info)
+        counter = 0  # anonymous and local types, numbered across the type
+        for member in [*decl.members, *decl.consts]:
             if isinstance(member, TypeDecl):
-                self._add_type(member, syntax, fqn, decl.entity_id, outer=info)
-            elif isinstance(member, FieldDecl):
-                member.entity_id = self._new_entity(
-                    f"{fqn}.{member.name}", EntityKind.FIELD, syntax.path, member.line
-                )
-                self.relations.append(
-                    FactRelation(decl.entity_id, RelationKind.CONTAINS, member.entity_id)
-                )
-                info.fields.setdefault(member.name, member)
-                anon_counter = self._add_anons(member.anons, syntax, fqn, decl, info, anon_counter)
-            elif isinstance(member, MethodDecl):
-                if member.is_ctor:
-                    member.entity_id = self._new_entity(
-                        f"{fqn}.<init>", EntityKind.CONSTRUCTOR, syntax.path, member.line
-                    )
-                    info.ctors.append(member)
-                else:
-                    member.entity_id = self._new_entity(
-                        f"{fqn}.{member.name}", EntityKind.METHOD, syntax.path, member.line
-                    )
-                    info.methods.setdefault(member.name, member)
-                self.relations.append(
-                    FactRelation(decl.entity_id, RelationKind.CONTAINS, member.entity_id)
-                )
-                anon_counter = self._add_anons(member.anons, syntax, fqn, decl, info, anon_counter)
-            elif isinstance(member, InitDecl):
-                anon_counter = self._add_anons(member.anons, syntax, fqn, decl, info, anon_counter)
-        for const in decl.consts:
-            const.entity_id = self._new_entity(
-                f"{fqn}.{const.name}", EntityKind.FIELD, syntax.path, const.line
-            )
-            self.relations.append(
-                FactRelation(decl.entity_id, RelationKind.CONTAINS, const.entity_id)
-            )
-            anon_counter = self._add_anons(const.anons, syntax, fqn, decl, info, anon_counter)
-            if const.body is not None:
-                anon_counter += 1
                 self._add_type(
-                    const.body,
-                    syntax,
-                    "",
-                    decl.entity_id,
+                    member, f"{fqn}.{member.name}", syntax, decl.entity_id, outer=info
+                )
+                continue
+            if not isinstance(member, InitDecl):
+                self._add_member(member, info, syntax)
+            for anon in member.anons:
+                counter += 1
+                # a named local class gets a binary-style nested name
+                self._add_type(
+                    anon, f"{fqn}${anon.name or counter}", syntax, decl.entity_id,
                     outer=info,
-                    fqn_override=f"{fqn}${anon_counter}",
                 )
-        return info
 
-    def _add_anons(
-        self,
-        anons: list[TypeDecl],
+    def _add_member(
+        self, member: FieldDecl | MethodDecl | EnumConst, info: _TypeInfo,
         syntax: FileSyntax,
-        fqn: str,
-        decl: TypeDecl,
-        info: _TypeInfo,
-        counter: int,
-    ) -> int:
-        for anon in anons:
-            counter += 1
-            if anon.name is not None:
-                # named local class: binary-style nested name
-                self._add_type(
-                    anon, syntax, "", decl.entity_id, outer=info,
-                    fqn_override=f"{fqn}${anon.name}",
-                )
-            else:
-                self._add_type(
-                    anon, syntax, "", decl.entity_id, outer=info,
-                    fqn_override=f"{fqn}${counter}",
-                )
-        return counter
+    ) -> None:
+        if isinstance(member, MethodDecl) and member.is_ctor:
+            kind, name = EntityKind.CONSTRUCTOR, "<init>"
+            info.ctors.append(member)
+        elif isinstance(member, MethodDecl):
+            kind, name = EntityKind.METHOD, member.name
+            info.methods.setdefault(name, member)
+        else:
+            kind, name = EntityKind.FIELD, member.name
+            if isinstance(member, FieldDecl):
+                info.fields.setdefault(name, member)
+        member.entity_id = self._contains(
+            info.decl.entity_id, f"{info.decl.fqn}.{name}", kind, syntax.path,
+            member.line,
+        )
 
-
-# ---------------------------------------------------------------------------
-# Name resolution + relation emission
-# ---------------------------------------------------------------------------
-
-
-class _Resolver:
-    def __init__(self, builder: _ProjectBuilder):
-        self.b = builder
+    # -- name resolution --------------------------------------------------
 
     def resolve(
         self, name: str, syntax: FileSyntax, chain: list[_TypeInfo]
@@ -1076,7 +1050,7 @@ class _Resolver:
         if name in ("void", "var"):
             return None
         if "." in name:
-            if name in self.b.types:
+            if name in self.types:
                 return name
             head, rest = name.split(".", 1)
             head_fqn = self._resolve_simple(head, syntax, chain)
@@ -1100,21 +1074,141 @@ class _Resolver:
         pkg = syntax.package
         if pkg:
             cand = f"{pkg}.{name}"
-            if cand in self.b.types:
+            if cand in self.types:
                 return cand
-        elif name in self.b.types:
+        elif name in self.types:
             return name
         if name in syntax.imports:
             return syntax.imports[name]
         for wpkg in syntax.wildcard_imports:
             cand = f"{wpkg}.{name}"
-            if cand in self.b.types:
+            if cand in self.types:
                 return cand
         if name in JAVA_LANG_TYPES:
             return f"java.lang.{name}"
-        if len(syntax.wildcard_imports) == 1:
+        if len(syntax.wildcard_imports) == 1 and name[:1].isupper():
+            # a capitalised name is a type by convention: guess the one
+            # package the file imports whole
             return f"{syntax.wildcard_imports[0]}.{name}"
         return None
+
+    def owner(self, name: str, scope: _Scope) -> str:
+        """``name`` resolved, or as written when it resolves to nothing."""
+        resolved = self.resolve(name, scope.syntax, scope.chain)
+        return name if resolved is None else resolved
+
+    def type_use(
+        self, scope: _Scope, skip: frozenset[str], source: int, kind: RelationKind,
+        name: str,
+    ) -> None:
+        """Record that ``source`` uses the type written ``name``.
+
+        The target is the declared type's entity when the name resolves to
+        one, else the resolved name, else the name as written.
+        """
+        if not name or name in ("void", "var") or name in skip:
+            return
+        resolved = self.resolve(name, scope.syntax, scope.chain)
+        info = self.types.get(resolved)
+        target: int | str
+        if info is not None:
+            target = info.decl.entity_id
+        else:
+            target = name if resolved is None else resolved
+        self.relations.append(FactRelation(source, kind, target))
+
+    def ref_use(
+        self, scope: _Scope, skip: frozenset[str], source: int, kind: RelationKind,
+        ref: TypeRef,
+    ) -> None:
+        """A reference's base as ``kind``, then each generic argument as USES."""
+        self.type_use(scope, skip, source, kind, ref.base)
+        for arg in ref.args:
+            self.type_use(scope, skip, source, RelationKind.USES, arg)
+
+    # -- relation pass ------------------------------------------------------
+
+    def emit_relations(self) -> None:
+        for info in self.all_infos:
+            chain = []
+            cur: _TypeInfo | None = info
+            while cur is not None:
+                chain.append(cur)
+                cur = cur.outer
+            skip = frozenset(name for link in chain for name in link.decl.type_params)
+            self._emit_type(_Scope(info.file, chain, skip, self._lookup_chain(chain)))
+
+    def _lookup_chain(self, chain: list[_TypeInfo]) -> list[_TypeInfo]:
+        """``chain`` with each link followed by its internal superclasses."""
+        out: list[_TypeInfo] = []
+        seen: set[int] = set()
+        for info in chain:
+            cur: _TypeInfo | None = info
+            while cur is not None and id(cur) not in seen:
+                seen.add(id(cur))
+                out.append(cur)
+                ref = _super_ref(cur.decl)
+                fqn = None if ref is None else self.resolve(ref.base, cur.file, [cur])
+                nxt = self.types.get(fqn)
+                cur = nxt if nxt is not None and nxt.decl.kind in ("class", "enum") else None
+        return out
+
+    def _emit_type(self, scope: _Scope) -> None:
+        decl = scope.chain[0].decl
+        eid = decl.entity_id
+        if decl.anon_super is not None:
+            resolved = self.resolve(
+                decl.anon_super.base, scope.syntax, scope.chain[1:] or scope.chain
+            )
+            kind = RelationKind.EXTENDS
+            target = self.types.get(resolved)
+            if target is not None:
+                if target.decl.kind in ("interface", "annotation"):
+                    kind = RelationKind.IMPLEMENTS
+            elif resolved in KNOWN_JDK_INTERFACES:
+                kind = RelationKind.IMPLEMENTS
+            self.type_use(scope, scope.skip, eid, kind, decl.anon_super.base)
+        for bound in decl.type_param_bounds:
+            self.type_use(scope, scope.skip, eid, RelationKind.USES, bound)
+        for ref in decl.extends:
+            self.ref_use(scope, scope.skip, eid, RelationKind.EXTENDS, ref)
+        for ref in decl.implements:
+            self.ref_use(scope, scope.skip, eid, RelationKind.IMPLEMENTS, ref)
+        for member in [*decl.members, *decl.consts]:
+            if not isinstance(member, TypeDecl):
+                self._emit_member(member, scope, eid)
+
+    def _emit_member(
+        self, member: FieldDecl | MethodDecl | InitDecl | EnumConst, scope: _Scope,
+        type_eid: int,
+    ) -> None:
+        skip = scope.skip
+        params: dict[str, TypeRef | None] = {}
+        if isinstance(member, MethodDecl):
+            source = member.entity_id
+            skip |= frozenset(member.type_params)
+            for bound in member.type_param_bounds:
+                self.type_use(scope, skip, source, RelationKind.USES, bound)
+            if member.ret is not None and not member.is_ctor:
+                self.ref_use(scope, skip, source, RelationKind.USES, member.ret)
+            for tref, name in member.params:
+                self.ref_use(scope, skip, source, RelationKind.USES, tref)
+                params[name] = tref
+            for tref in member.throws:
+                self.type_use(scope, skip, source, RelationKind.USES, tref.base)
+        elif isinstance(member, FieldDecl):
+            source = member.entity_id
+            self.ref_use(scope, skip, source, RelationKind.HOLDS, member.tref)
+        else:  # an initializer block or an enum constant's arguments
+            source = type_eid
+            if isinstance(member, EnumConst):
+                self.relations.append(
+                    FactRelation(member.entity_id, RelationKind.HOLDS, type_eid)
+                )
+        if member.stmts:
+            _BodyAnalyzer(self, scope, skip, source, member.anons, params).run(
+                member.stmts
+            )
 
 
 class _BodyAnalyzer:
@@ -1123,49 +1217,19 @@ class _BodyAnalyzer:
     def __init__(
         self,
         builder: _ProjectBuilder,
-        resolver: _Resolver,
-        syntax: FileSyntax,
-        chain: list[_TypeInfo],
+        scope: _Scope,
+        skip: frozenset[str],
         source_id: int,
         anons: list[TypeDecl],
+        params: dict[str, TypeRef | None],
     ):
         self.b = builder
-        self.r = resolver
-        self.syntax = syntax
-        self.chain = chain
+        self.scope = scope
+        self.skip = skip
         self.source = source_id
         self.anons = anons
-        self.locals: dict[str, TypeRef | None] = {}
+        self.locals = params
         self.consumed: set[int] = set()  # token indexes already emitted
-        self.type_params: set[str] = set()
-        for info in chain:
-            self.type_params.update(info.decl.type_params)
-        # member lookup also sees fields/methods inherited from internal
-        # superclasses; type-name resolution stays lexical
-        self.lookup_chain = self._expand_with_internal_supers(chain)
-
-    def _expand_with_internal_supers(
-        self, chain: list[_TypeInfo]
-    ) -> list[_TypeInfo]:
-        out: list[_TypeInfo] = []
-        seen: set[int] = set()
-        for info in chain:
-            cur: _TypeInfo | None = info
-            while cur is not None and id(cur) not in seen:
-                seen.add(id(cur))
-                out.append(cur)
-                refs = cur.decl.extends or (
-                    [cur.decl.anon_super] if cur.decl.anon_super else []
-                )
-                prev = cur
-                cur = None
-                if refs:
-                    fqn = self.r.resolve(refs[0].base, prev.file, [prev])
-                    if fqn is not None and fqn in self.b.types:
-                        nxt = self.b.types[fqn]
-                        if nxt.decl.kind in ("class", "enum"):
-                            cur = nxt
-        return out
 
     # -- small helpers ----------------------------------------------------
 
@@ -1173,29 +1237,25 @@ class _BodyAnalyzer:
         self.b.relations.append(FactRelation(self.source, kind, target))
 
     def resolve_type(self, name: str) -> str | None:
-        return self.r.resolve(name, self.syntax, self.chain)
+        return self.b.resolve(name, self.scope.syntax, self.scope.chain)
 
     def emit_type_use(self, kind: RelationKind, name: str) -> None:
-        if name in ("void", "var") or not name or name in self.type_params:
-            return
-        resolved = self.resolve_type(name)
-        target = resolved if resolved is not None else name
-        if isinstance(target, str) and target in self.b.types:
-            self.emit(kind, self.b.types[target].decl.entity_id)
-        else:
-            self.emit(kind, target)
+        self.b.type_use(self.scope, self.skip, self.source, kind, name)
+
+    def emit_ref_use(self, kind: RelationKind, ref: TypeRef) -> None:
+        self.b.ref_use(self.scope, self.skip, self.source, kind, ref)
 
     def find_field(self, name: str) -> FieldDecl | None:
-        for info in self.lookup_chain:
+        for info in self.scope.lookup:
             if name in info.fields:
                 return info.fields[name]
         return None
 
-    def find_method(self, name: str) -> tuple[str, MethodDecl | None] | None:
-        """Nearest enclosing or inherited declarer of ``name``."""
-        for info in self.lookup_chain:
+    def find_method(self, name: str) -> MethodDecl | None:
+        """Nearest enclosing or inherited declarer's method ``name``."""
+        for info in self.scope.lookup:
             if name in info.methods:
-                return info.decl.fqn, info.methods[name]
+                return info.methods[name]
         return None
 
     def _call_target(self, owner_fqn: str, rest: list[str], name: str) -> int | str:
@@ -1220,50 +1280,20 @@ class _BodyAnalyzer:
         prev: Tok | None = None
         while i < n:
             t = toks[i]
-            if t.kind == "anon":
-                i += 1
-                prev = t
-                continue
             if t.kind == "word" and t.text == "new":
-                i = self._handle_new(toks, i)
-                prev = t
-                continue
-            if t.kind == "word" and t.text == "this":
-                i = self._handle_this_super(toks, i, is_super=False)
-                prev = t
-                continue
-            if t.kind == "word" and t.text == "super":
-                i = self._handle_this_super(toks, i, is_super=True)
-                prev = t
-                continue
-            if t.kind == "word" and t.text == "instanceof":
-                ref, j = parse_typeref(toks, i + 1)
-                if ref is not None:
-                    self.emit_type_use(RelationKind.INSTANCEOF, ref.base)
-                    if j < n and toks[j].kind == "word" and toks[j].text not in KEYWORDS:
-                        self.locals[toks[j].text] = ref
-                        j += 1
-                    i = j
-                else:
-                    i += 1
-                prev = t
-                continue
-            if t.text == "(" and t.kind == "punct":
-                consumed = self._try_cast(toks, i)
-                if consumed is not None:
-                    prev = t
-                    i = consumed
-                    continue
-                i += 1
-                prev = t
-                continue
-            if t.kind == "word" and (t.text not in KEYWORDS or t.text in PRIMITIVES):
-                i = self._handle_word(toks, i, prev)
-                prev = t
-                continue
-            i += 1
+                j = self._handle_new(toks, i)
+            elif t.kind == "word" and t.text in ("this", "super"):
+                j = self._handle_this_super(toks, i, is_super=t.text == "super")
+            elif t.kind == "word" and t.text == "instanceof":
+                j = self._handle_instanceof(toks, i)
+            elif t.kind == "punct" and t.text == "(":
+                j = self._try_cast(toks, i) or i + 1
+            elif t.kind == "word" and (t.text not in KEYWORDS or t.text in PRIMITIVES):
+                j = self._handle_word(toks, i, prev)
+            else:
+                j = i + 1
             prev = t
-        return
+            i = j
 
     def _handle_new(self, toks: list[Tok], i: int) -> int:
         n = len(toks)
@@ -1279,8 +1309,7 @@ class _BodyAnalyzer:
                 anon = self.anons[int(after.text)]
                 self.emit(RelationKind.INSTANTIATES, f"{anon.fqn}.<init>")
             else:
-                resolved = self.resolve_type(ref.base)
-                owner = resolved if resolved is not None else ref.base
+                owner = self.b.owner(ref.base, self.scope)
                 self.emit(RelationKind.INSTANTIATES, self._ctor_target(owner))
                 # chained call on the fresh instance: new T(...).m(...)
                 if (
@@ -1307,54 +1336,31 @@ class _BodyAnalyzer:
 
     def _handle_this_super(self, toks: list[Tok], i: int, is_super: bool) -> int:
         n = len(toks)
-        own = self.chain[0] if self.chain else None
+        own = self.scope.chain[0].decl
+        target: str | None = own.fqn
+        if is_super:
+            ref = _super_ref(own)
+            target = None if ref is None else self.b.owner(ref.base, self.scope)
         nxt = toks[i + 1] if i + 1 < n else None
-        if nxt is not None and nxt.text == "(" and own is not None:
-            if is_super:
-                supers = own.decl.extends or (
-                    [own.decl.anon_super] if own.decl.anon_super else []
-                )
-                if supers:
-                    resolved = self.resolve_type(supers[0].base)
-                    owner = resolved if resolved is not None else supers[0].base
-                    self.emit(RelationKind.CALLS, self._ctor_target(owner))
-            else:
-                self.emit(RelationKind.CALLS, self._ctor_target(own.decl.fqn))
+        if nxt is not None and nxt.text == "(":
+            if target is not None:
+                self.emit(RelationKind.CALLS, self._ctor_target(target))
             return i + 1
-        if nxt is not None and nxt.text == "::" and i + 2 < n and toks[i + 2].kind == "word":
-            name = toks[i + 2].text
-            if own is not None:
-                if name == "new":
-                    self.emit(RelationKind.INSTANTIATES, self._ctor_target(own.decl.fqn))
-                elif not is_super:
-                    self.emit(RelationKind.CALLS, self._call_target(own.decl.fqn, [], name))
-                else:
-                    supers = own.decl.extends or (
-                        [own.decl.anon_super] if own.decl.anon_super else []
-                    )
-                    if supers:
-                        resolved = self.resolve_type(supers[0].base)
-                        owner = resolved if resolved is not None else supers[0].base
-                        self.emit(RelationKind.CALLS, self._call_target(owner, [], name))
+        if nxt is None or i + 2 >= n or toks[i + 2].kind != "word":
+            return i + 1
+        name = toks[i + 2].text
+        if nxt.text == "::":
+            if name == "new":
+                self.emit(RelationKind.INSTANTIATES, self._ctor_target(own.fqn))
+            elif target is not None:
+                self.emit(RelationKind.CALLS, self._call_target(target, [], name))
             return i + 3
-        if nxt is not None and nxt.text == "." and i + 2 < n and toks[i + 2].kind == "word":
-            name = toks[i + 2].text
-            after = toks[i + 3] if i + 3 < n else None
-            if after is not None and after.text == "(" and own is not None:
-                if is_super:
-                    supers = own.decl.extends or (
-                        [own.decl.anon_super] if own.decl.anon_super else []
-                    )
-                    if supers:
-                        resolved = self.resolve_type(supers[0].base)
-                        owner = resolved if resolved is not None else supers[0].base
-                        self.emit(RelationKind.CALLS, self._call_target(owner, [], name))
-                    else:
-                        self.emit(RelationKind.CALLS, name)
-                else:
-                    self.emit(
-                        RelationKind.CALLS, self._call_target(own.decl.fqn, [], name)
-                    )
+        if nxt.text == ".":
+            if i + 3 < n and toks[i + 3].text == "(":
+                self.emit(
+                    RelationKind.CALLS,
+                    name if target is None else self._call_target(target, [], name),
+                )
                 return i + 3
             # this.f / super.f field access
             fd = self.find_field(name)
@@ -1362,6 +1368,16 @@ class _BodyAnalyzer:
                 self._emit_field_access(toks, i + 2, fd)
             return i + 3
         return i + 1
+
+    def _handle_instanceof(self, toks: list[Tok], i: int) -> int:
+        ref, j = parse_typeref(toks, i + 1)
+        if ref is None:
+            return i + 1
+        self.emit_type_use(RelationKind.INSTANCEOF, ref.base)
+        if j < len(toks) and toks[j].kind == "word" and toks[j].text not in KEYWORDS:
+            self.locals[toks[j].text] = ref  # pattern binding
+            j += 1
+        return j
 
     def _try_cast(self, toks: list[Tok], i: int) -> int | None:
         n = len(toks)
@@ -1390,9 +1406,7 @@ class _BodyAnalyzer:
                 return None
             if not ref.base[:1].isupper() and self.resolve_type(ref.base) is None:
                 return None
-        self.emit_type_use(RelationKind.CASTS, ref.base)
-        for arg in ref.args:
-            self.emit_type_use(RelationKind.USES, arg)
+        self.emit_ref_use(RelationKind.CASTS, ref)
         return j + 1
 
     def _handle_word(self, toks: list[Tok], i: int, prev: Tok | None) -> int:
@@ -1420,12 +1434,8 @@ class _BodyAnalyzer:
                 and toks[j].text not in KEYWORDS
                 and (j + 1 >= n or toks[j + 1].text in _DECL_TERMINATORS)
             ):
-                varname = toks[j].text
-                self.locals[varname] = None if ref.base in ("var",) else ref
-                if ref.base not in ("var",):
-                    self.emit_type_use(RelationKind.USES, ref.base)
-                    for arg in ref.args:
-                        self.emit_type_use(RelationKind.USES, arg)
+                self.locals[toks[j].text] = None if ref.base == "var" else ref
+                self.emit_ref_use(RelationKind.USES, ref)
                 return j + 1
         # dotted name chain
         segs = [toks[i].text]
@@ -1445,13 +1455,12 @@ class _BodyAnalyzer:
         if after is not None and after.text == "::" and j + 1 < n and toks[j + 1].kind == "word":
             ref_name = toks[j + 1].text
             if ref_name == "new":
-                resolved = self.resolve_type(".".join(segs))
-                owner = resolved if resolved is not None else ".".join(segs)
+                owner = self.b.owner(".".join(segs), self.scope)
                 self.emit(RelationKind.INSTANTIATES, self._ctor_target(owner))
             else:
                 self._emit_call(segs + [ref_name])
             return j + 2
-        self._emit_name_use(toks, i, j - 1, segs, prev)
+        self._emit_name_use(toks, j - 1, segs, prev)
         return j
 
     def _emit_call(self, segs: list[str]) -> None:
@@ -1459,30 +1468,16 @@ class _BodyAnalyzer:
         receiver = segs[:-1]
         if not receiver:
             found = self.find_method(name)
-            if found is not None:
-                _owner_fqn, decl = found
-                self.emit(RelationKind.CALLS, decl.entity_id)
-            else:
-                self.emit(RelationKind.CALLS, name)
+            self.emit(RelationKind.CALLS, name if found is None else found.entity_id)
             return
         head = receiver[0]
         rest = receiver[1:]
-        owner: str | None = None
         if head in self.locals:
             ref = self.locals[head]
             owner = self.resolve_type(ref.base) if ref is not None else None
-            if owner is None:
-                self.emit(RelationKind.CALLS, ".".join(segs))
-                return
         else:
             fd = self.find_field(head)
-            if fd is not None:
-                owner = self.resolve_type(fd.tref.base)
-                if owner is None:
-                    self.emit(RelationKind.CALLS, ".".join(segs))
-                    return
-            else:
-                owner = self.resolve_type(head)
+            owner = self.resolve_type(head if fd is None else fd.tref.base)
         if owner is None:
             # unresolved receiver; keep the raw text
             self.emit(RelationKind.CALLS, ".".join(segs))
@@ -1490,7 +1485,7 @@ class _BodyAnalyzer:
         self.emit(RelationKind.CALLS, self._call_target(owner, rest, name))
 
     def _emit_name_use(
-        self, toks: list[Tok], i: int, last: int, segs: list[str], prev: Tok | None
+        self, toks: list[Tok], last: int, segs: list[str], prev: Tok | None
     ) -> None:
         head = segs[0]
         if head in self.locals:
@@ -1501,7 +1496,7 @@ class _BodyAnalyzer:
                 self._emit_field_access(toks, last, fd, prev)
             return
         if len(segs) == 1:
-            if head in self.type_params:
+            if head in self.skip:
                 return
             resolved = self.resolve_type(head)
             if resolved is not None and (
@@ -1510,18 +1505,14 @@ class _BodyAnalyzer:
                 # a bare type mention: multi-catch clause, class literal, ...
                 self.emit_type_use(RelationKind.USES, head)
             return
-        if len(segs) >= 2:
-            owner = self.resolve_type(head)
-            if owner is not None and owner in self.b.types:
-                info = self.b.types[owner]
-                if len(segs) == 2 and segs[1] in info.fields:
-                    self._emit_field_access(toks, last, info.fields[segs[1]], prev)
-                return
-            if owner is not None:
-                # static member access on a library type
-                self.emit_type_use(RelationKind.USES, head)
-            return
-        return
+        owner = self.resolve_type(head)
+        if owner is not None and owner in self.b.types:
+            info = self.b.types[owner]
+            if len(segs) == 2 and segs[1] in info.fields:
+                self._emit_field_access(toks, last, info.fields[segs[1]], prev)
+        elif owner is not None:
+            # static member access on a library type
+            self.emit_type_use(RelationKind.USES, head)
 
     def _emit_field_access(
         self, toks: list[Tok], last: int, fd: FieldDecl, prev: Tok | None = None
@@ -1543,130 +1534,6 @@ class _BodyAnalyzer:
             self.emit(RelationKind.WRITES, fd.entity_id)
         if read:
             self.emit(RelationKind.READS, fd.entity_id)
-
-
-# ---------------------------------------------------------------------------
-# Relation pass over the declaration tree
-# ---------------------------------------------------------------------------
-
-
-class _RelationPass:
-    def __init__(self, builder: _ProjectBuilder):
-        self.b = builder
-        self.r = _Resolver(builder)
-
-    def run(self) -> None:
-        for info in self.b.all_infos:
-            self._emit_type(info)
-
-    def _chain(self, info: _TypeInfo) -> list[_TypeInfo]:
-        chain = []
-        cur: _TypeInfo | None = info
-        while cur is not None:
-            chain.append(cur)
-            cur = cur.outer
-        return chain
-
-    def _type_use(
-        self, source: int, kind: RelationKind, name: str, syntax: FileSyntax,
-        chain: list[_TypeInfo],
-        skip: frozenset[str] = frozenset(),
-    ) -> None:
-        if not name or name in ("void", "var") or name in skip:
-            return
-        resolved = self.r.resolve(name, syntax, chain)
-        target: int | str
-        if resolved is not None and resolved in self.b.types:
-            target = self.b.types[resolved].decl.entity_id
-        else:
-            target = resolved if resolved is not None else name
-        self.b.relations.append(FactRelation(source, kind, target))
-
-    def _emit_type(self, info: _TypeInfo) -> None:
-        decl = info.decl
-        syntax = info.file
-        chain = self._chain(info)
-        skip = frozenset(
-            name for link in chain for name in link.decl.type_params
-        )
-        eid = decl.entity_id
-        if decl.anon_super is not None:
-            resolved = self.r.resolve(decl.anon_super.base, syntax, chain[1:] or chain)
-            kind = RelationKind.EXTENDS
-            if resolved is not None and resolved in self.b.types:
-                target_kind = self.b.types[resolved].decl.kind
-                if target_kind in ("interface", "annotation"):
-                    kind = RelationKind.IMPLEMENTS
-            elif resolved in KNOWN_JDK_INTERFACES:
-                kind = RelationKind.IMPLEMENTS
-            self._type_use(eid, kind, decl.anon_super.base, syntax, chain, skip)
-        for bound in decl.type_param_bounds:
-            self._type_use(eid, RelationKind.USES, bound, syntax, chain, skip)
-        for ref in decl.extends:
-            self._type_use(eid, RelationKind.EXTENDS, ref.base, syntax, chain, skip)
-            for arg in ref.args:
-                self._type_use(eid, RelationKind.USES, arg, syntax, chain, skip)
-        for ref in decl.implements:
-            self._type_use(eid, RelationKind.IMPLEMENTS, ref.base, syntax, chain, skip)
-            for arg in ref.args:
-                self._type_use(eid, RelationKind.USES, arg, syntax, chain, skip)
-        for member in decl.members:
-            if isinstance(member, FieldDecl):
-                self._type_use(
-                    member.entity_id, RelationKind.HOLDS, member.tref.base, syntax,
-                    chain, skip,
-                )
-                for arg in member.tref.args:
-                    self._type_use(
-                        member.entity_id, RelationKind.USES, arg, syntax, chain, skip
-                    )
-                if member.stmts or member.anons:
-                    self._run_body(member.stmts, member.anons, member.entity_id, info)
-            elif isinstance(member, MethodDecl):
-                self._emit_member(member, info)
-            elif isinstance(member, InitDecl):
-                self._run_body(member.stmts, member.anons, eid, info)
-        for const in decl.consts:
-            self.b.relations.append(
-                FactRelation(const.entity_id, RelationKind.HOLDS, eid)
-            )
-            if const.stmts or const.anons:
-                self._run_body(const.stmts, const.anons, eid, info)
-
-    def _emit_member(self, member: MethodDecl, info: _TypeInfo) -> None:
-        syntax = info.file
-        chain = self._chain(info)
-        skip = frozenset(
-            name for link in chain for name in link.decl.type_params
-        ) | frozenset(member.type_params)
-        eid = member.entity_id
-        for bound in member.type_param_bounds:
-            self._type_use(eid, RelationKind.USES, bound, syntax, chain, skip)
-        if member.ret is not None and not member.is_ctor:
-            self._type_use(eid, RelationKind.USES, member.ret.base, syntax, chain, skip)
-            for arg in member.ret.args:
-                self._type_use(eid, RelationKind.USES, arg, syntax, chain, skip)
-        for tref, _name in member.params:
-            self._type_use(eid, RelationKind.USES, tref.base, syntax, chain, skip)
-            for arg in tref.args:
-                self._type_use(eid, RelationKind.USES, arg, syntax, chain, skip)
-        for tref in member.throws:
-            self._type_use(eid, RelationKind.USES, tref.base, syntax, chain, skip)
-        if member.body_raw is None:
-            return
-        analyzer = _BodyAnalyzer(self.b, self.r, syntax, chain, eid, member.anons)
-        analyzer.type_params.update(member.type_params)
-        for tref, name in member.params:
-            analyzer.locals[name] = tref
-        analyzer.run(member.stmts)
-
-    def _run_body(
-        self, stmts: list[Tok], anons: list[TypeDecl], source: int, info: _TypeInfo
-    ) -> None:
-        analyzer = _BodyAnalyzer(
-            self.b, self.r, info.file, self._chain(info), source, anons
-        )
-        analyzer.run(stmts)
 
 
 # ---------------------------------------------------------------------------
@@ -1719,7 +1586,7 @@ def extract_project(
         syntaxes.append(syntax)
     for syntax in syntaxes:
         builder.add_file(syntax)
-    _RelationPass(builder).run()
+    builder.emit_relations()
     facts.entities = builder.entities
     facts.relations = builder.relations
     facts.sloc = total_sloc
@@ -1746,10 +1613,9 @@ def read_manifest(manifest_path: str | Path) -> list[tuple[str, Path]]:
     if not roots:
         raise EmptyCorpusError(f"manifest {manifest} lists no projects")
     roots.sort(key=lambda item: item[0])
-    ids = [pid for pid, _ in roots]
-    if len(ids) != len(set(ids)):
-        dupes = sorted({x for x in ids if ids.count(x) > 1})
-        raise DuplicateProjectError(f"duplicate project ids in manifest: {dupes}")
+    DuplicateProjectError.check(
+        [pid for pid, _ in roots], "duplicate project ids in manifest"
+    )
     return roots
 
 

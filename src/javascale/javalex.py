@@ -17,6 +17,10 @@ The lexer never raises on malformed input.  The tolerance rules are:
   the file.
 * A block comment that is never closed ends tokenization; ``count_sloc``
   counts the non-blank lines from the one where it opens as code.
+* A number runs over letters, digits, ``_``, ``$`` and ``.``; a sign
+  continues it only as an exponent's, after ``e``/``E`` in a decimal
+  literal or ``p``/``P`` in a hex one (JLS 3.10.2), so ``0xE-1`` is three
+  tokens.
 * A character that starts no token (``#``, a non-ASCII letter, a
   vertical tab) is a one-character ``punct`` token.
 
@@ -78,7 +82,8 @@ _TOKEN = re.compile(
     | (?P<text>{_TEXT_BLOCK})
     | (?P<str>{_STRING})
     | (?P<char>{_CHAR})
-    | (?P<num>[0-9][A-Za-z0-9_$.]*(?:(?<=[eEpP])[+-][A-Za-z0-9_$.]*)*)
+    | (?P<num>0[xX][A-Za-z0-9_$.]*(?:(?<=[pP])[+-][A-Za-z0-9_$.]*)*
+            |[0-9][A-Za-z0-9_$.]*(?:(?<=[eE])[+-][A-Za-z0-9_$.]*)*)
     | (?P<punct>{"|".join(map(re.escape, _OPERATORS))}|[^ \t\r\f\n])
     )[ \t\r\f]*""",
     re.VERBOSE,

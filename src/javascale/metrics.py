@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .facts import EntityKind, ProjectFacts, RelationKind
+from .facts import TYPE_KINDS, EntityKind, ProjectFacts, RelationKind
 
 METRIC_COLUMNS = [
     "project_id",
@@ -116,18 +116,22 @@ class UsedModules:
     unresolved: int  # distinct names with no resolvable owner type
 
 
+def _containment(facts: ProjectFacts) -> tuple[dict[int, int], dict[int, EntityKind]]:
+    """Each entity's CONTAINS parent, and each entity's kind."""
+    parent = {
+        r.target: r.source
+        for r in facts.relations
+        if r.kind is RelationKind.CONTAINS and isinstance(r.target, int)
+    }
+    return parent, {e.entity_id: e.kind for e in facts.entities}
+
+
 def _containing_type(
     entity_id: int, parent: dict[int, int], kinds: dict[int, EntityKind]
 ) -> int | None:
     cur: int | None = entity_id
     while cur is not None:
-        kind = kinds.get(cur)
-        if kind in (
-            EntityKind.CLASS,
-            EntityKind.INTERFACE,
-            EntityKind.ENUM,
-            EntityKind.ANNOTATION,
-        ):
+        if kinds.get(cur) in TYPE_KINDS:
             return cur
         cur = parent.get(cur)
     return None
@@ -177,12 +181,7 @@ def used_modules_by_provenance(
     and excluded from the three provenance buckets.
     """
     declared = facts.declared_type_fqns()
-    parent = {
-        r.target: r.source
-        for r in facts.relations
-        if r.kind is RelationKind.CONTAINS and isinstance(r.target, int)
-    }
-    kinds = {e.entity_id: e.kind for e in facts.entities}
+    parent, kinds = _containment(facts)
     fqns = {e.entity_id: e.fqn for e in facts.entities}
     internal: set[str] = set()
     jdk: set[str] = set()
@@ -257,12 +256,7 @@ def compute_metrics(
         used = used_modules_by_provenance(facts)
     classes = sum(1 for e in facts.entities if e.kind in _CLASS_KINDS)
     interfaces = sum(1 for e in facts.entities if e.kind in _INTERFACE_KINDS)
-    parent = {
-        r.target: r.source
-        for r in facts.relations
-        if r.kind is RelationKind.CONTAINS and isinstance(r.target, int)
-    }
-    kinds = {e.entity_id: e.kind for e in facts.entities}
+    parent, kinds = _containment(facts)
     methods = sum(
         1
         for e in facts.entities

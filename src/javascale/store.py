@@ -30,10 +30,9 @@ class FactsArchive:
     projects: list[ProjectFacts] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        ids = [p.project_id for p in self.projects]
-        if len(ids) != len(set(ids)):
-            dupes = sorted({x for x in ids if ids.count(x) > 1})
-            raise DuplicateProjectError(f"duplicate project ids: {dupes}")
+        DuplicateProjectError.check(
+            [p.project_id for p in self.projects], "duplicate project ids"
+        )
 
 
 def _project_payload(p: ProjectFacts) -> str:
@@ -133,10 +132,9 @@ def export_metrics_table(metrics: list[ProjectMetrics], path: str | Path) -> Non
     """Write the per-project metrics CSV, rows sorted by project id."""
     if not metrics:
         raise ValueError("metrics list must be non-empty")
-    ids = [m.project_id for m in metrics]
-    if len(ids) != len(set(ids)):
-        dupes = sorted({x for x in ids if ids.count(x) > 1})
-        raise DuplicateProjectError(f"duplicate project ids in export: {dupes}")
+    DuplicateProjectError.check(
+        [m.project_id for m in metrics], "duplicate project ids in export"
+    )
     rows = [",".join(METRIC_COLUMNS)]
     for m in sorted(metrics, key=lambda m: m.project_id):
         rows.append(",".join(str(getattr(m, col)) for col in METRIC_COLUMNS))

@@ -1,9 +1,11 @@
 """Reference lexer: the character-loop ``tokenize`` and ``count_sloc``.
 
 A frozen copy of the lexer that ``javascale.javalex`` replaced with its
-master-pattern version, kept so tests can check the two agree.  One rule
-differs from the original loops: a backslash escapes any character except
-a newline, so a string or char literal ends at the end of its line.
+master-pattern version, kept so tests can check the two agree.  Two rules
+differ from the original loops: a backslash escapes any character except
+a newline, so a string or char literal ends at the end of its line; and a
+number takes a sign only after ``e``/``E`` in a decimal literal or
+``p``/``P`` in a hex one, so ``0xE-1`` is three tokens.
 """
 
 from __future__ import annotations
@@ -87,12 +89,13 @@ def tokenize(text: str) -> list[Tok]:
             i = j
             continue
         if c in _DIGITS:
+            exponent = "pP" if text[i : i + 2] in ("0x", "0X") else "eE"
             j = i + 1
             while j < n:
                 ch = text[j]
                 if ch in _WORD_CHARS or ch == ".":
                     j += 1
-                elif ch in "+-" and text[j - 1] in "eEpP":
+                elif ch in "+-" and text[j - 1] in exponent:
                     j += 1
                 else:
                     break

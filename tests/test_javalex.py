@@ -88,6 +88,14 @@ class TestTokenize:
         toks = tokenize("int a = 0x1F + 1_000 + 1.5e-3f + 1e+5 + 0x1p-3 + 1_000L;")
         nums = [t.text for t in toks if t.kind == "num"]
         assert nums == ["0x1F", "1_000", "1.5e-3f", "1e+5", "0x1p-3", "1_000L"]
+        # a hex digit E is no exponent: the sign is an operator
+        toks = tokenize("a = 0xE-1; b = 0xEE+x;")
+        assert [(t.kind, t.text) for t in toks][2:5] == [
+            ("num", "0xE"), ("punct", "-"), ("num", "1")
+        ]
+        assert [(t.kind, t.text) for t in toks][8:11] == [
+            ("num", "0xEE"), ("punct", "+"), ("word", "x")
+        ]
 
     def test_compound_operators(self):
         toks = tokenize("a >>= 2; b != c; d :: e; f >>>= g; h(String... i) >>> j")

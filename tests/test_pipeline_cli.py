@@ -31,8 +31,8 @@ EXPECTED_OUTPUTS = [
 # sha256 of the fixture run's integer-and-string outputs; unlike the
 # fitted-float files they do not depend on the platform's libm
 GOLDEN_SHA256 = {
-    "facts.bin": "d4406d545989d25b01fb4d34802635dc765abf3cd9774f5d7609289b6c43dc6e",
-    "metrics.csv": "0b43767f8b86148bd0072878bc233a28bb6b1f557dc3b42c2aaeaadba7f043db",
+    "facts.bin": "09db026f35dd5795bb7cc02b82a6b8feea1c3347621c88185230ca8de1ebfdbd",
+    "metrics.csv": "389c299e41c57335f474a5eeb0facb85e4e9a5af66157028b830a8ce1e991263",
 }
 
 MALFORMED_GRIDS = [

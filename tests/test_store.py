@@ -61,7 +61,7 @@ class TestArchiveRoundTrip:
             read_facts(path)
 
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(DuplicateProjectError):
+        with pytest.raises(DuplicateProjectError, match=r"^duplicate project ids: \['p'\]$"):
             FactsArchive(
                 projects=[ProjectFacts(project_id="p"), ProjectFacts(project_id="p")]
             )
@@ -94,7 +94,9 @@ class TestMetricsTable:
 
     def test_duplicate_project_id_refused(self, tmp_path):
         metrics = [ProjectMetrics(project_id="p"), ProjectMetrics(project_id="p")]
-        with pytest.raises(DuplicateProjectError):
+        with pytest.raises(
+            DuplicateProjectError, match=r"^duplicate project ids in export: \['p'\]$"
+        ):
             export_metrics_table(metrics, tmp_path / "m.csv")
 
     def test_empty_export_rejected(self, tmp_path):
