@@ -13,9 +13,11 @@ from pathlib import Path
 
 from .errors import DataError, UsageError
 from .extractor import extract_corpus
-from .metrics import compute_metrics, metric_value, used_modules_by_provenance
+from .metrics import compute_metrics, used_modules_by_provenance
 from .normalize import decorrelation_report, normalize_corpus
 from .pipeline import (
+    GridCell,
+    _series,
     analyze_bins,
     evaluate_grid,
     fit_grid,
@@ -24,7 +26,7 @@ from .pipeline import (
     render_run_report,
     run_pipeline,
 )
-from .regression import filter_by_size, fit_log_power, fit_robust_log_power
+from .regression import fit_log_power, fit_robust_log_power
 from .report import (
     normalized_csv,
     render_bin_report,
@@ -32,7 +34,6 @@ from .report import (
     render_nrmse_table,
     render_welch_matrix,
 )
-from .stats import linear_ratios, log_ratios
 from .store import (
     FactsArchive,
     export_metrics_table,
@@ -142,14 +143,12 @@ def cmd_metrics(args) -> int:
 
 def cmd_fit(args) -> int:
     corpus = read_metrics_table(args.metrics)
+    label = f"{args.y_metric} vs. {args.x_metric}"
+    xs, ys = _series(corpus, GridCell(label, args.y_metric, args.x_metric, subset=args.subset))
     if args.subset is not None:
-        corpus = filter_by_size(corpus, args.x_metric, args.subset[0], args.subset[1])
-        print(f"subset projects: {len(corpus)}")
-    xs = [metric_value(pm, args.x_metric) for pm in corpus]
-    ys = [metric_value(pm, args.y_metric) for pm in corpus]
+        print(f"subset projects: {len(xs)}")
     fitter = fit_robust_log_power if args.robust else fit_log_power
     fit = fitter(xs, ys, args.k, zero_offset=args.zero_offset)
-    label = f"{args.y_metric} vs. {args.x_metric}"
     print(render_fit_table([(label, fit)]), end="")
     print(f"n={fit.n} excluded_zero_pairs={fit.excluded_zero_pairs}")
     return 0
@@ -168,7 +167,7 @@ def cmd_bins(args) -> int:
         edges,
         num,
         den,
-        linear_ratios if args.linear_ratios else log_ratios,
+        log=not args.linear_ratios,
     )
     print(render_bin_report(summaries, num, den), end="")
     print(render_welch_matrix([s.label for s in summaries], p_values), end="")
@@ -194,11 +193,8 @@ def cmd_validate(args) -> int:
 def cmd_normalize(args) -> int:
     corpus = read_metrics_table(args.metrics)
     if args.beta == "auto":
-        subset = filter_by_size(corpus, args.den, args.subset[0], args.subset[1])
-        fit = fit_log_power(
-            [metric_value(pm, args.den) for pm in subset],
-            [metric_value(pm, args.num) for pm in subset],
-        )
+        cell = GridCell(f"{args.num} ~ {args.den}", args.num, args.den, subset=args.subset)
+        [(_, fit, _)] = fit_grid(corpus, [cell])
         beta = fit.beta
         print(f"auto beta from subset {args.subset[0]:g}:{args.subset[1]:g} -> {beta!r}")
     else:

@@ -7,6 +7,10 @@ resolved are recorded against the receiver text as written; provenance
 counting later skips such targets.  Parsing is tolerant: a declaration
 that cannot be understood is skipped and counted, never fatal.
 
+Parsing is one pass: each body the parser captures (a method body, a
+field initializer, an initializer block, an enum constant's arguments) is
+split right there into a flat statement stream and its nested types.
+
 A simple type name resolves to the first of:
 
 1. the current type or one of its enclosing types, or a member type of
@@ -134,7 +138,6 @@ class FieldDecl:
     name: str
     tref: TypeRef
     line: int
-    raw: list[Tok] = field(default_factory=list)  # initializer tokens
     stmts: list[Tok] = field(default_factory=list)
     anons: list["TypeDecl"] = field(default_factory=list)
     entity_id: int = 0
@@ -150,7 +153,6 @@ class MethodDecl:
     is_ctor: bool = False
     type_params: list[str] = field(default_factory=list)
     type_param_bounds: list[str] = field(default_factory=list)
-    raw: list[Tok] = field(default_factory=list)  # body tokens
     stmts: list[Tok] = field(default_factory=list)
     anons: list["TypeDecl"] = field(default_factory=list)
     entity_id: int = 0
@@ -158,7 +160,6 @@ class MethodDecl:
 
 @dataclass
 class InitDecl:
-    raw: list[Tok]
     line: int
     stmts: list[Tok] = field(default_factory=list)
     anons: list["TypeDecl"] = field(default_factory=list)
@@ -168,9 +169,8 @@ class InitDecl:
 class EnumConst:
     name: str
     line: int
-    raw: list[Tok] = field(default_factory=list)  # argument tokens
-    body: "TypeDecl | None" = None
     stmts: list[Tok] = field(default_factory=list)
+    # anonymous classes in the arguments, then the constant's class body
     anons: list["TypeDecl"] = field(default_factory=list)
     entity_id: int = 0
 
@@ -182,8 +182,8 @@ class TypeDecl:
     line: int
     extends: list[TypeRef] = field(default_factory=list)
     implements: list[TypeRef] = field(default_factory=list)
-    members: list = field(default_factory=list)  # declaration order
-    consts: list[EnumConst] = field(default_factory=list)
+    # declaration order; an enum's constants follow its other members
+    members: list = field(default_factory=list)
     anon_super: TypeRef | None = None
     is_record: bool = False
     type_params: list[str] = field(default_factory=list)
@@ -385,6 +385,14 @@ class _Parser:
 
     # -- helpers ---------------------------------------------------------
 
+    def _capture(
+        self, member: FieldDecl | MethodDecl | InitDecl | EnumConst, start: int, end: int
+    ) -> FieldDecl | MethodDecl | InitDecl | EnumConst:
+        """Split the body ``toks[start:end]`` into ``member``'s statements
+        and nested types; returns ``member``."""
+        member.stmts, member.anons = _extract_anons(self.toks[start:end], self)
+        return member
+
     def _skip_annotation(self, i: int) -> int:
         # at '@': @Name or @pkg.Name, optional (...)
         toks = self.toks
@@ -544,7 +552,7 @@ class _Parser:
             and toks[j + 1].kind == "word"
             and toks[j + 2].text in ("(", "<")
         ):
-            return self._parse_record_decl(j + 1, t.line)
+            return self._parse_type_decl(j + 1, "record", t.line)
         return None, i
 
     def _parse_type_decl(self, i: int, kind: str, line: int) -> tuple[TypeDecl | None, int]:
@@ -553,18 +561,25 @@ class _Parser:
         if i >= n or toks[i].kind != "word":
             self.warn()
             return None, self._skip_to_member_boundary(i)
-        decl = TypeDecl(kind=kind, name=toks[i].text, line=line)
+        is_record = kind == "record"  # kept as a class
+        decl = TypeDecl("class" if is_record else kind, toks[i].text, line, is_record=is_record)
         i += 1
         if i < n and toks[i].text == "<":
             tp, i = _skip_type_params(toks, i)
             decl.type_params, decl.type_param_bounds = tp.names, tp.bounds
+        if is_record and i < n and toks[i].text == "(":
+            end = _find_matching(toks, i, "(", ")")
+            for tref, name in self._parse_params(i, end):
+                decl.members.append(FieldDecl(name=name, tref=tref, line=line))
+            i = end + 1
+        # a record header takes only `implements`
         while i < n and toks[i].text != "{":
             t = toks[i]
-            if t.kind == "word" and t.text == "extends":
+            if t.kind == "word" and t.text == "extends" and not is_record:
                 decl.extends, i = self._typeref_list(i + 1)
             elif t.kind == "word" and t.text == "implements":
                 decl.implements, i = self._typeref_list(i + 1)
-            elif t.kind == "word" and t.text == "permits":
+            elif t.kind == "word" and t.text == "permits" and not is_record:
                 _, i = self._typeref_list(i + 1)
             else:
                 i += 1
@@ -576,32 +591,6 @@ class _Parser:
             self._parse_enum_body(decl, i + 1, end)
         else:
             self._parse_members(decl, i + 1, end)
-        return decl, end + 1
-
-    def _parse_record_decl(self, i: int, line: int) -> tuple[TypeDecl | None, int]:
-        toks = self.toks
-        n = len(toks)
-        decl = TypeDecl(kind="class", name=toks[i].text, line=line, is_record=True)
-        i += 1
-        if i < n and toks[i].text == "<":
-            tp, i = _skip_type_params(toks, i)
-            decl.type_params, decl.type_param_bounds = tp.names, tp.bounds
-        if i < n and toks[i].text == "(":
-            end = _find_matching(toks, i, "(", ")")
-            params = self._parse_params(i, end)
-            for tref, name in params:
-                decl.members.append(FieldDecl(name=name, tref=tref, line=line))
-            i = end + 1
-        while i < n and toks[i].text != "{":
-            if toks[i].kind == "word" and toks[i].text == "implements":
-                decl.implements, i = self._typeref_list(i + 1)
-            else:
-                i += 1
-        if i >= n:
-            self.warn()
-            return decl, n
-        end = _find_matching(toks, i, "{", "}")
-        self._parse_members(decl, i + 1, end)
         return decl, end + 1
 
     def _parse_params(self, i_open: int, i_close: int) -> list[tuple[TypeRef, str]]:
@@ -648,7 +637,7 @@ class _Parser:
             t = toks[j]
             if t.text == "{":
                 blk_end = _find_matching(toks, j, "{", "}")
-                decl.members.append(InitDecl(raw=toks[j + 1 : blk_end], line=t.line))
+                decl.members.append(self._capture(InitDecl(t.line), j + 1, blk_end))
                 i = blk_end + 1
                 continue
             method_tp: TypeParams | None = None
@@ -684,10 +673,9 @@ class _Parser:
             # compact canonical constructor: the parameters are the components
             blk_end = _find_matching(toks, j, "{", "}")
             member = MethodDecl(
-                name=decl.name, ret=None, params=[], throws=[], line=toks[i].line,
-                is_ctor=True, raw=toks[j + 1 : blk_end],
+                name=decl.name, ret=None, params=[], throws=[], line=toks[i].line, is_ctor=True
             )
-            decl.members.append(member)
+            decl.members.append(self._capture(member, j + 1, blk_end))
             return member, blk_end + 1
         if j >= end or toks[j].kind != "word":
             return None, i
@@ -728,7 +716,7 @@ class _Parser:
         )
         if i < end and toks[i].text == "{":
             blk_end = _find_matching(toks, i, "{", "}")
-            member.raw = toks[i + 1 : blk_end]
+            self._capture(member, i + 1, blk_end)
             i = blk_end + 1
         else:
             i += 1
@@ -759,7 +747,7 @@ class _Parser:
                     elif t in (";", ",") and depth == 0:
                         break
                     i += 1
-                fd.raw = toks[start:i]
+                self._capture(fd, start, i)
             decl.members.append(fd)
             if i < end and toks[i].text == ",":
                 i += 1
@@ -774,6 +762,7 @@ class _Parser:
 
     def _parse_enum_body(self, decl: TypeDecl, i: int, end: int) -> None:
         toks = self.toks
+        consts: list[EnumConst] = []
         # constants come first, up to ';' or the closing brace
         while i < end:
             while i < end and toks[i].text == "@":
@@ -788,7 +777,7 @@ class _Parser:
             i += 1
             if i < end and toks[i].text == "(":
                 close = _find_matching(toks, i, "(", ")")
-                const.raw = toks[i + 1 : close]
+                self._capture(const, i + 1, close)
                 i = close + 1
             if i < end and toks[i].text == "{":
                 close = _find_matching(toks, i, "{", "}")
@@ -799,9 +788,9 @@ class _Parser:
                     anon_super=TypeRef(base=decl.name or ""),
                 )
                 self._parse_members(body, i + 1, close)
-                const.body = body
+                const.anons.append(body)
                 i = close + 1
-            decl.consts.append(const)
+            consts.append(const)
             if i < end and toks[i].text == ",":
                 i += 1
                 continue
@@ -809,6 +798,7 @@ class _Parser:
                 i += 1
                 break
         self._parse_members(decl, i, end)
+        decl.members += consts
 
 
 # ---------------------------------------------------------------------------
@@ -874,30 +864,10 @@ def _extract_anons(
     return out, anons
 
 
-def _process_bodies(decl: TypeDecl, parser: _Parser) -> None:
-    """Split every member's raw tokens into statements and nested types.
-
-    An enum constant's class body goes last among the constant's anons, so
-    the builder numbers it and the relation pass reaches it like any other.
-    """
-    for member in [*decl.members, *decl.consts]:
-        if isinstance(member, TypeDecl):
-            _process_bodies(member, parser)
-            continue
-        member.stmts, member.anons = _extract_anons(member.raw, parser)
-        if isinstance(member, EnumConst) and member.body is not None:
-            member.anons.append(member.body)
-        for anon in member.anons:
-            _process_bodies(anon, parser)
-
-
 def parse_java_file(path_text: str, text: str) -> FileSyntax:
     """Parse one Java compilation unit into its structural summary."""
     syntax = FileSyntax(path=path_text)
-    parser = _Parser(tokenize(text), syntax)
-    parser.parse_file()
-    for decl in syntax.types:
-        _process_bodies(decl, parser)
+    _Parser(tokenize(text), syntax).parse_file()
     return syntax
 
 
@@ -1002,7 +972,7 @@ class _ProjectBuilder:
         self.types.setdefault(fqn, info)
         self.all_infos.append(info)
         counter = 0  # anonymous and local types, numbered across the type
-        for member in [*decl.members, *decl.consts]:
+        for member in decl.members:
             if isinstance(member, TypeDecl):
                 self._add_type(
                     member, f"{fqn}.{member.name}", syntax, decl.entity_id, outer=info
@@ -1174,7 +1144,7 @@ class _ProjectBuilder:
             self.ref_use(scope, scope.skip, eid, RelationKind.EXTENDS, ref)
         for ref in decl.implements:
             self.ref_use(scope, scope.skip, eid, RelationKind.IMPLEMENTS, ref)
-        for member in [*decl.members, *decl.consts]:
+        for member in decl.members:
             if not isinstance(member, TypeDecl):
                 self._emit_member(member, scope, eid)
 

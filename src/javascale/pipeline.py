@@ -280,16 +280,16 @@ def analyze_bins(
     edges,
     numerator: str,
     denominator: str,
-    ratio_series=log_ratios,
+    log: bool = True,
 ) -> tuple[list[BinSummary], dict[tuple[str, str], float]]:
     """Bin the corpus by ``bin_metric`` and summarise the log ratio of each
-    bin with a usable ratio.  Welch tests compare the ``ratio_series``
-    values (log or linear) of every pair of bins holding two or more.
+    bin with a usable ratio.  Welch tests compare the ratios (log ones
+    unless ``log`` is false) of every pair of bins holding two or more.
     """
     summaries = []
     series = {}
     for b in bin_by(corpus, bin_metric, edges):
-        values, _excluded = ratio_series(b, numerator, denominator)
+        values, _excluded = log_ratios(b, numerator, denominator, log)
         if values:
             series[b.label] = values
             summaries.append(log_ratio_summary(b, numerator, denominator))

@@ -220,22 +220,15 @@ def fit_robust_log_power(
     )
 
 
-def _transform_x(fit: FitResult, x: float) -> float:
-    if fit.zero_offset:
-        x = x + 1.0
-    if x <= 0:
-        raise ValueError("predict requires x > 0")
-    lx = math.log(x)
-    if fit.k == 1:
-        return lx
-    if lx < 0 and fit.k != int(fit.k):
-        raise ValueError(f"x < 1 is outside the k={fit.k} transform domain")
-    return lx**fit.k
-
-
 def predict(fit: FitResult, x: float) -> float:
-    """Model prediction in the original (linear) space."""
-    y = math.exp(fit.alpha + fit.beta * _transform_x(fit, x))
+    """Model prediction in the original (linear) space.
+
+    Raises ValueError for an ``x`` the fit's transform excludes.
+    """
+    ts, _, _ = _transform([x], [1.0], fit.k, fit.zero_offset)
+    if not ts:
+        raise ValueError(f"x={x!r} is outside the k={fit.k:g} transform domain")
+    y = math.exp(fit.alpha + fit.beta * ts[0])
     return y - 1.0 if fit.zero_offset else y
 
 

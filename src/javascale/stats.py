@@ -258,11 +258,14 @@ def bin_by(corpus: list[ProjectMetrics], metric_name: str, edges) -> list[Bin]:
     return bins
 
 
-def log_ratios(bin_: Bin, numerator_metric: str, denominator_metric: str) -> tuple[list[float], int]:
-    """Per-project log(num/den) for a bin, plus the excluded-project count.
+def log_ratios(
+    bin_: Bin, numerator_metric: str, denominator_metric: str, log: bool = True
+) -> tuple[list[float], int]:
+    """Per-project log(num/den) for a bin, or the raw num/den when ``log``
+    is false, plus the excluded-project count.
 
     Projects with a zero numerator or denominator have no defined log
-    ratio and are excluded (counted).
+    ratio and are excluded (counted) either way.
     """
     values: list[float] = []
     excluded = 0
@@ -272,23 +275,7 @@ def log_ratios(bin_: Bin, numerator_metric: str, denominator_metric: str) -> tup
         if num <= 0 or den <= 0:
             excluded += 1
             continue
-        values.append(math.log(num / den))
-    return values, excluded
-
-
-def linear_ratios(
-    bin_: Bin, numerator_metric: str, denominator_metric: str
-) -> tuple[list[float], int]:
-    """Raw num/den ratios for a bin, same exclusion rule as log_ratios."""
-    values: list[float] = []
-    excluded = 0
-    for pm in bin_.projects:
-        num = metric_value(pm, numerator_metric)
-        den = metric_value(pm, denominator_metric)
-        if num <= 0 or den <= 0:
-            excluded += 1
-            continue
-        values.append(num / den)
+        values.append(math.log(num / den) if log else num / den)
     return values, excluded
 
 

@@ -1,6 +1,10 @@
+import tempfile
 import textwrap
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from javascale.extractor import extract_corpus, extract_project
 from javascale.errors import DuplicateProjectError, EmptyCorpusError
@@ -305,6 +309,21 @@ class TestExtraction:
         assert facts.parse_warning_count == 0
         assert facts.warnings == []
 
+    def test_record_header_takes_only_implements(self, tmp_path):
+        # a record cannot extend; a stray `extends` is skipped, not a supertype
+        write_project(
+            tmp_path,
+            {"R.java": "record R(int a) extends Base implements Runnable { public void run() {} }"},
+        )
+        facts = extract_project(tmp_path, "p")
+        supers = [
+            (kind, target)
+            for source, kind, target in rel_texts(facts)
+            if source == "R" and kind is not RelationKind.CONTAINS
+        ]
+        assert supers == [(RelationKind.IMPLEMENTS, "java.lang.Runnable")]
+        assert [e.fqn for e in facts.entities if e.kind is EntityKind.FIELD] == ["R.a"]
+
 
 class TestCorpusManifest:
     def test_extract_corpus_sorted_with_global_ids(self):
@@ -336,9 +355,12 @@ class TestCorpusManifest:
 
 # A project using the constructs the fixtures and the benchmark corpus leave
 # out: this(...)/super(...)/super.m() calls, method references, enum-constant
-# bodies, a local class, casts and instanceof bindings.  The expected list is
-# the extractor's output as it stands, misses included (the local class is
-# resolved to the bare name 'Local'); it pins behaviour, it does not bless it.
+# bodies, a local class, casts and instanceof bindings, an enum constant with
+# both an anonymous class in its arguments and a class body (the argument's
+# class is Tone$1, the body Tone$2), and a generic record with `implements`.
+# The expected list is the extractor's output as it stands, misses included
+# (the local class is resolved to the bare name 'Local'); it pins behaviour,
+# it does not bless it.
 EDGE_FILES = {
     "e/Shape.java": """\
 package e;
@@ -456,6 +478,33 @@ class Runner {
     }
 }
 """,
+    "e/Tone.java": """\
+package e;
+
+enum Tone {
+    SUB(new Object() {}) {
+        int depth() { return 1; }
+    },
+    FLAT(null);
+
+    Tone(Object tag) {}
+
+    int depth() { return 0; }
+}
+""",
+    "e/Tuple.java": """\
+package e;
+
+import java.util.List;
+import java.util.Map;
+
+record Tuple<K extends Comparable<K>>(Map<K, List<String>> pairs, K first)
+        implements Comparable<Tuple<K>> {
+    public int compareTo(Tuple<K> o) {
+        return first.compareTo(o.first);
+    }
+}
+""",
 }
 
 EDGE_RELATIONS = """
@@ -493,6 +542,18 @@ e.Square CONTAINS e.Square.<init>
 e.Square CONTAINS e.Square.area
 e.Square CONTAINS e.Square.compareTo
 e.Square CONTAINS e.Square.widen
+e CONTAINS e.Tone
+e.Tone CONTAINS e.Tone.<init>
+e.Tone CONTAINS e.Tone.depth
+e.Tone CONTAINS e.Tone.SUB
+e.Tone CONTAINS e.Tone$1
+e.Tone CONTAINS e.Tone$2
+e.Tone$2 CONTAINS e.Tone$2.depth
+e.Tone CONTAINS e.Tone.FLAT
+e CONTAINS e.Tuple
+e.Tuple CONTAINS e.Tuple.pairs
+e.Tuple CONTAINS e.Tuple.first
+e.Tuple CONTAINS e.Tuple.compareTo
 e.Op IMPLEMENTS 'java.util.function.IntBinaryOperator'
 e.Op.label HOLDS 'java.lang.String'
 e.Op.<init> CALLS e.Op.<init>
@@ -580,6 +641,23 @@ e.Square.widen CASTS e.Square
 e.Square.widen USES 'java.lang.Long'
 e.Square.widen CASTS 'java.lang.Long'
 e.Square.widen READS e.Shape.sides
+e.Tone.<init> USES 'java.lang.Object'
+e.Tone.depth USES 'java.lang.Integer'
+e.Tone.SUB HOLDS e.Tone
+e.Tone INSTANTIATES 'e.Tone$1.<init>'
+e.Tone.FLAT HOLDS e.Tone
+e.Tone$1 EXTENDS 'java.lang.Object'
+e.Tone$2 EXTENDS e.Tone
+e.Tone$2.depth USES 'java.lang.Integer'
+e.Tuple USES 'java.lang.Comparable'
+e.Tuple IMPLEMENTS 'java.lang.Comparable'
+e.Tuple USES e.Tuple
+e.Tuple.pairs HOLDS 'java.util.Map'
+e.Tuple.pairs USES 'java.util.List'
+e.Tuple.pairs USES 'java.lang.String'
+e.Tuple.compareTo USES 'java.lang.Integer'
+e.Tuple.compareTo USES e.Tuple
+e.Tuple.compareTo CALLS 'first.compareTo'
 """
 
 
@@ -647,3 +725,53 @@ class TestRelationCharacterization:
         assert "w.W.go USES 'java.io.File'" in lines
         # the guess still names a capitalised type from the one wildcard
         assert "w.W.go USES 'java.util.Deque'" in lines
+
+
+_SOURCES = [p.read_text() for p in sorted(CORPUS_DIR.rglob("*.java"))] + list(
+    EDGE_FILES.values()
+)
+_PIECES = ["{", "}", "(", ")", "<", ">", "[", "]", ";", ",", "@", "=", " new ",
+           " class ", " enum ", " record ", " extends "]
+# (cut | dup | insert, position, destination, length, inserted piece)
+_EDIT = st.tuples(
+    st.sampled_from(["cut", "dup", "insert"]),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.integers(1, 80),
+    st.sampled_from(_PIECES),
+)
+_FILE = st.tuples(
+    st.integers(0, len(_SOURCES) - 1), st.lists(_EDIT, min_size=1, max_size=6)
+)
+
+
+def _mutate(text: str, edits) -> str:
+    for op, at, to, size, piece in edits:
+        a = at % (len(text) + 1)
+        if op == "cut":
+            text = text[:a] + text[a + size :]
+        elif op == "dup":
+            b = to % (len(text) + 1)
+            text = text[:b] + text[a : a + size] + text[b:]
+        else:
+            text = text[:a] + piece + text[a:]
+    return text
+
+
+class TestMutatedSources:
+    @given(st.lists(_FILE, min_size=1, max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_java_never_breaks_extraction(self, files):
+        # The extractor catches any exception from the parser and records it
+        # as a "parse failure" warning; on mutated Java there must be none.
+        with tempfile.TemporaryDirectory() as root:
+            write_project(
+                Path(root),
+                {
+                    f"p{k}/F{k}.java": _mutate(_SOURCES[index], edits)
+                    for k, (index, edits) in enumerate(files)
+                },
+            )
+            facts = extract_project(root, "fuzz")
+        assert not [w for w in facts.warnings if "parse failure" in w]
+        facts.validate()
