@@ -160,7 +160,10 @@ def cmd_bins(args) -> int:
         num, den = args.ratio.split("/", 1)
     except ValueError as exc:
         raise UsageError("--ratio must look like interfaces/classes") from exc
-    edges = [float(e) for e in args.edges.split(",") if e.strip()]
+    try:
+        edges = [float(e) for e in args.edges.split(",") if e.strip()]
+    except ValueError as exc:
+        raise UsageError(f"--edges must be comma-separated numbers: {exc}") from exc
     summaries, p_values = analyze_bins(
         corpus,
         args.bin_metric or den,

@@ -13,6 +13,11 @@ class UsageError(JavaScaleError):
     """Bad command line or configuration input."""
 
 
+class OutOfRangeError(UsageError, ValueError):
+    """An argument outside the range a library rule accepts, such as
+    descending bin edges; the CLI reports it as a usage error."""
+
+
 class DataError(JavaScaleError):
     """Input data cannot be processed as requested."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, OutOfRangeError
 from .metrics import ProjectMetrics, metric_value
 from .regression import kahan_sum, pearson, spearman
 
@@ -58,7 +58,7 @@ def beta_normalize(numerator: float, denominator: float, beta: float) -> float:
     if denominator < 1:
         raise ValueError("denominator must be at least 1")
     if not math.isfinite(beta):
-        raise ValueError("beta must be finite")
+        raise OutOfRangeError(f"beta must be finite, got {beta!r}")
     return numerator / denominator**beta
 
 

@@ -22,10 +22,11 @@ from .metrics import (
     metric_value,
     used_modules_by_provenance,
 )
-from .normalize import decorrelation_report, normalize_corpus
+from .normalize import beta_normalize, decorrelation_report, normalize_corpus
 from .regression import (
     FitResult,
     ModelEval,
+    _transform,
     diagnostics,
     evaluate_nrmse,
     filter_by_size,
@@ -133,6 +134,19 @@ class RunConfig:
         ids = [c.model_id for c in self.model_grid]
         if len(ids) != len(set(ids)):
             raise UsageError("model grid ids must be unique")
+        # each stage's own argument rules, run on empty input so that an
+        # out-of-range value fails before any stage runs
+        for cell in self.model_grid:
+            _transform([], [], cell.k, False)
+            _series([], cell)
+        for ts in self.testsets:
+            filter_by_size([], ts.metric, ts.low, ts.high)
+        bin_by([], self.bin_metric, self.bin_edges)
+        evaluate_grid([], [], [], self.nrmse_space)
+        if self.normalize_beta != "auto":
+            beta_normalize(1, 1, self.normalize_beta)
+        elif self.normalize_model not in ids:
+            raise UsageError(f"normalize model {self.normalize_model!r} not in the grid")
 
 
 def _range(value) -> tuple[float, float]:
@@ -206,7 +220,8 @@ def load_config(path: str | Path) -> RunConfig:
             norm = data["normalize"]
             cfg.normalize_numerator = norm.get("num", cfg.normalize_numerator)
             cfg.normalize_denominator = norm.get("den", cfg.normalize_denominator)
-            cfg.normalize_beta = norm.get("beta", cfg.normalize_beta)
+            beta = norm.get("beta", cfg.normalize_beta)
+            cfg.normalize_beta = beta if beta == "auto" else float(beta)
             cfg.normalize_model = norm.get("model", cfg.normalize_model)
         if "nrmse_space" in data:
             cfg.nrmse_space = data["nrmse_space"]
@@ -303,24 +318,28 @@ def analyze_bins(
 
 
 def run_pipeline(config: RunConfig) -> RunResult:
-    """Execute every stage and write the report bundle."""
+    """Execute every stage and write the report bundle.
+
+    ``STATUS`` lists the finished stages, one a line, then ``FAILED`` if a
+    stage raised.
+    """
     config.validate()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    status_path = out / "STATUS"
     stages: list[str] = []
 
-    def mark(stage: str) -> None:
+    def done(stage: str, files: dict[str, str]) -> None:
+        """End a stage: write its files under ``out``, then ``STATUS``."""
+        for name, text in files.items():
+            (out / name).parent.mkdir(exist_ok=True)
+            (out / name).write_text(text, encoding="utf-8")
         stages.append(stage)
-        status_path.write_text(
-            "\n".join(stages) + "\n", encoding="utf-8"
-        )
+        (out / "STATUS").write_text("".join(f"{s}\n" for s in stages), encoding="utf-8")
 
     try:
         projects = extract_corpus(config.manifest)
-        archive = FactsArchive(projects=projects)
-        write_facts(archive, out / "facts.bin")
-        mark("extract")
+        write_facts(FactsArchive(projects=projects), out / "facts.bin")
+        done("extract", {})
 
         corpus = [
             compute_metrics(
@@ -329,77 +348,49 @@ def run_pipeline(config: RunConfig) -> RunResult:
             for facts in projects
         ]
         export_metrics_table(corpus, out / "metrics.csv")
-        mark("metrics")
+        done("metrics", {})
 
         fitted = fit_grid(corpus, config.model_grid)
         fit_rows = [(model_id, fit) for model_id, fit, _ in fitted]
-        (out / "fits.csv").write_text(fits_csv(fit_rows), encoding="utf-8")
-        (out / "fit_table.txt").write_text(render_fit_table(fit_rows), encoding="utf-8")
-        diag_dir = out / "diagnostics"
-        diag_dir.mkdir(exist_ok=True)
+        files = {"fits.csv": fits_csv(fit_rows), "fit_table.txt": render_fit_table(fit_rows)}
         for model_id, fit, cell in fitted:
-            if fit.robust:
-                continue
-            xs, ys = _series(corpus, cell)
-            diag = diagnostics(fit, xs, ys)
-            (diag_dir / f"{model_id}.csv").write_text(
-                diagnostics_csv(diag), encoding="utf-8"
-            )
-        mark("fits")
+            if not fit.robust:
+                diag = diagnostics(fit, *_series(corpus, cell))
+                files[f"diagnostics/{model_id}.csv"] = diagnostics_csv(diag)
+        done("fits", files)
 
+        num, den = config.bin_numerator, config.bin_denominator
         summaries, p_values = analyze_bins(
-            corpus,
-            config.bin_metric,
-            config.bin_edges,
-            config.bin_numerator,
-            config.bin_denominator,
-        )
-        (out / "bins.csv").write_text(bins_csv(summaries), encoding="utf-8")
-        (out / "bin_report.txt").write_text(
-            render_bin_report(summaries, config.bin_numerator, config.bin_denominator),
-            encoding="utf-8",
+            corpus, config.bin_metric, config.bin_edges, num, den
         )
         labels = [s.label for s in summaries]
-        (out / "welch_matrix.csv").write_text(
-            welch_csv(labels, p_values), encoding="utf-8"
+        done(
+            "bins",
+            {
+                "bins.csv": bins_csv(summaries),
+                "bin_report.txt": render_bin_report(summaries, num, den),
+                "welch_matrix.csv": welch_csv(p_values),
+                "welch_matrix.txt": render_welch_matrix(labels, p_values),
+            },
         )
-        (out / "welch_matrix.txt").write_text(
-            render_welch_matrix(labels, p_values), encoding="utf-8"
-        )
-        mark("bins")
 
         evals = evaluate_grid(corpus, fitted, config.testsets, config.nrmse_space)
-        testset_names = [ts.name for ts in config.testsets]
-        (out / "nrmse.csv").write_text(
-            nrmse_csv(evals, testset_names), encoding="utf-8"
+        names = [ts.name for ts in config.testsets]
+        done(
+            "validate",
+            {
+                "nrmse.csv": nrmse_csv(evals, names),
+                "nrmse_table.txt": render_nrmse_table(evals, names),
+            },
         )
-        (out / "nrmse_table.txt").write_text(
-            render_nrmse_table(evals, testset_names), encoding="utf-8"
-        )
-        mark("validate")
 
+        num, den = config.normalize_numerator, config.normalize_denominator
         beta = config.normalize_beta
         if beta == "auto":
-            by_id = {model_id: fit for model_id, fit, _ in fitted}
-            if config.normalize_model not in by_id:
-                raise UsageError(
-                    f"normalize model {config.normalize_model!r} not in the grid"
-                )
-            beta = by_id[config.normalize_model].beta
-        rows = normalize_corpus(
-            corpus,
-            config.normalize_numerator,
-            config.normalize_denominator,
-            float(beta),
-        )
-        (out / "normalized.csv").write_text(normalized_csv(rows), encoding="utf-8")
+            beta = dict(fit_rows)[config.normalize_model].beta
+        normalized = normalized_csv(normalize_corpus(corpus, num, den, beta))
         try:
-            deco = decorrelation_report(
-                corpus,
-                config.normalize_numerator,
-                config.normalize_denominator,
-                float(beta),
-            )
+            deco = decorrelation_report(corpus, num, den, beta)
             deco_text = (
                 f"beta {deco.beta!r}\n"
                 f"n {deco.n}\n"
@@ -409,18 +400,12 @@ def run_pipeline(config: RunConfig) -> RunResult:
             )
         except DataError as exc:
             deco_text = f"decorrelation unavailable: {exc}\n"
-        (out / "decorrelation.txt").write_text(deco_text, encoding="utf-8")
-        mark("normalize")
+        done("normalize", {"normalized.csv": normalized, "decorrelation.txt": deco_text})
 
         write_manifest(out)
-        mark("done")
+        done("done", {})
     except Exception:
-        if stages:
-            status_path.write_text(
-                "\n".join(stages) + "\nFAILED\n", encoding="utf-8"
-            )
-        else:
-            status_path.write_text("FAILED\n", encoding="utf-8")
+        done("FAILED", {})
         raise
     return RunResult(out_dir=out, stages=stages, fit_rows=fit_rows)
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .errors import (
     DegeneratePredictorError,
     InsufficientDataError,
+    OutOfRangeError,
     UndefinedCorrelationError,
     UndefinedNormalizationError,
     UnknownMetricError,
@@ -92,8 +93,8 @@ def _transform(
     ys = list(ys)
     if len(xs) != len(ys):
         raise ValueError("xs and ys must have the same length")
-    if k < 1:
-        raise ValueError("transform exponent k must be >= 1")
+    if not 1 <= k < math.inf:
+        raise OutOfRangeError(f"transform exponent k must be finite and >= 1, got {k!r}")
     frac = k != int(k) if isinstance(k, float) else False
     ts: list[float] = []
     zs: list[float] = []
@@ -332,7 +333,7 @@ def filter_by_size(
     if size_metric_name not in METRIC_NAMES:
         raise UnknownMetricError(f"unknown metric {size_metric_name!r}")
     if not low < high:
-        raise ValueError(f"empty range [{low}, {high})")
+        raise OutOfRangeError(f"empty range [{low}, {high})")
     return [
         pm for pm in corpus if low <= metric_value(pm, size_metric_name) < high
     ]

@@ -14,8 +14,15 @@ from .regression import Diagnostics, FitResult, ModelEval
 from .stats import BinSummary, range_text
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _fmt(value: float | None) -> str:
+    """A data cell: the shortest round-trip repr, or empty for a missing value."""
+    return "" if value is None else repr(float(value))
+
+
+def _delimited(header: str, rows) -> str:
+    """A delimited data file: ``header``, then each row's cells joined by
+    commas, every line ending in a newline."""
+    return "\n".join([header, *map(",".join, rows)]) + "\n"
 
 
 def render_fit_table(rows: list[tuple[str, FitResult]]) -> str:
@@ -34,28 +41,25 @@ def render_fit_table(rows: list[tuple[str, FitResult]]) -> str:
 
 
 def fits_csv(rows: list[tuple[str, FitResult]]) -> str:
-    header = "analysis,alpha,beta,k,r,r_squared,n,robust,converged,excluded_zero_pairs,space"
-    lines = [header]
-    for label, fit in rows:
-        r2 = "" if fit.r_squared is None else _fmt(fit.r_squared)
-        lines.append(
-            ",".join(
-                [
-                    label,
-                    _fmt(fit.alpha),
-                    _fmt(fit.beta),
-                    _fmt(fit.k),
-                    _fmt(fit.r),
-                    r2,
-                    str(fit.n),
-                    str(int(fit.robust)),
-                    str(int(fit.converged)),
-                    str(fit.excluded_zero_pairs),
-                    fit.space,
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _delimited(
+        "analysis,alpha,beta,k,r,r_squared,n,robust,converged,excluded_zero_pairs,space",
+        (
+            [
+                label,
+                _fmt(fit.alpha),
+                _fmt(fit.beta),
+                _fmt(fit.k),
+                _fmt(fit.r),
+                _fmt(fit.r_squared),
+                str(fit.n),
+                str(int(fit.robust)),
+                str(int(fit.converged)),
+                str(fit.excluded_zero_pairs),
+                fit.space,
+            ]
+            for label, fit in rows
+        ),
+    )
 
 
 def render_bin_report(
@@ -76,24 +80,22 @@ def render_bin_report(
 
 
 def bins_csv(summaries: list[BinSummary]) -> str:
-    header = "bin,low,high,projects,mean_log,sd_log,mean_linear_pct,excluded"
-    lines = [header]
-    for s in summaries:
-        lines.append(
-            ",".join(
-                [
-                    s.label,
-                    _fmt(s.low),
-                    _fmt(s.high),
-                    str(s.project_count),
-                    _fmt(s.mean_log),
-                    _fmt(s.sd_log),
-                    _fmt(s.mean_linear_pct),
-                    str(s.excluded_zero_ratio_count),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _delimited(
+        "bin,low,high,projects,mean_log,sd_log,mean_linear_pct,excluded",
+        (
+            [
+                s.label,
+                _fmt(s.low),
+                _fmt(s.high),
+                str(s.project_count),
+                _fmt(s.mean_log),
+                _fmt(s.sd_log),
+                _fmt(s.mean_linear_pct),
+                str(s.excluded_zero_ratio_count),
+            ]
+            for s in summaries
+        ),
+    )
 
 
 def render_welch_matrix(labels: list[str], p_values: dict[tuple[str, str], float]) -> str:
@@ -113,11 +115,10 @@ def render_welch_matrix(labels: list[str], p_values: dict[tuple[str, str], float
     return "\n".join(lines) + "\n"
 
 
-def welch_csv(labels: list[str], p_values: dict[tuple[str, str], float]) -> str:
-    lines = ["bin_a,bin_b,p_value"]
-    for (a, b), p in sorted(p_values.items()):
-        lines.append(f"{a},{b},{_fmt(p)}")
-    return "\n".join(lines) + "\n"
+def welch_csv(p_values: dict[tuple[str, str], float]) -> str:
+    return _delimited(
+        "bin_a,bin_b,p_value", ([a, b, _fmt(p)] for (a, b), p in sorted(p_values.items()))
+    )
 
 
 def render_nrmse_table(evals: list[ModelEval], testset_names: list[str]) -> str:
@@ -132,46 +133,39 @@ def render_nrmse_table(evals: list[ModelEval], testset_names: list[str]) -> str:
 
 
 def nrmse_csv(evals: list[ModelEval], testset_names: list[str]) -> str:
-    lines = ["model,subset," + ",".join(testset_names)]
-    for ev in evals:
-        cells = [
-            "" if ev.nrmse_per_testset.get(n) is None else _fmt(ev.nrmse_per_testset[n])
-            for n in testset_names
-        ]
-        lines.append(f"{ev.model_id},{ev.subset_rule}," + ",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _delimited(
+        ",".join(["model", "subset", *testset_names]),
+        (
+            [ev.model_id, ev.subset_rule]
+            + [_fmt(ev.nrmse_per_testset.get(name)) for name in testset_names]
+            for ev in evals
+        ),
+    )
 
 
 def diagnostics_csv(diag: Diagnostics) -> str:
     """One row per point; the qq columns carry the i-th sorted pair."""
-    header = "fitted,residual,std_resid,leverage,cooks_d,qq_theoretical,qq_sample"
-    lines = [header]
-    for i in range(len(diag.fitted)):
-        qq_t, qq_s = diag.qq_pairs[i]
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    diag.fitted[i],
-                    diag.residuals[i],
-                    diag.standardized_residuals[i],
-                    diag.leverage[i],
-                    diag.cooks_distance[i],
-                    qq_t,
-                    qq_s,
-                )
+    return _delimited(
+        "fitted,residual,std_resid,leverage,cooks_d,qq_theoretical,qq_sample",
+        (
+            map(_fmt, (*point, *qq))
+            for *point, qq in zip(
+                diag.fitted,
+                diag.residuals,
+                diag.standardized_residuals,
+                diag.leverage,
+                diag.cooks_distance,
+                diag.qq_pairs,
             )
-        )
-    return "\n".join(lines) + "\n"
+        ),
+    )
 
 
 def normalized_csv(rows) -> str:
-    lines = ["project_id,raw_ratio,beta,normalized_value"]
-    for nm in rows:
-        lines.append(
-            f"{nm.project_id},{_fmt(nm.raw_ratio)},{_fmt(nm.beta)},{_fmt(nm.value)}"
-        )
-    return "\n".join(lines) + "\n"
+    return _delimited(
+        "project_id,raw_ratio,beta,normalized_value",
+        ([nm.project_id, _fmt(nm.raw_ratio), _fmt(nm.beta), _fmt(nm.value)] for nm in rows),
+    )
 
 
 def sha256_file(path: Path) -> str:

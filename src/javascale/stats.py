@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import EmptyBinError, InsufficientDataError
+from .errors import EmptyBinError, InsufficientDataError, OutOfRangeError
 from .metrics import ProjectMetrics, metric_value
 from .regression import kahan_sum
 
@@ -238,10 +238,10 @@ def bin_by(corpus: list[ProjectMetrics], metric_name: str, edges) -> list[Bin]:
     ``>= ek``.  Every project lands in exactly one bin.
     """
     edges = [float(e) for e in edges]
-    if any(b <= a for a, b in zip(edges, edges[1:])):
-        raise ValueError("bin edges must be strictly ascending")
+    if not all(a < b for a, b in zip([-math.inf, *edges], [*edges, math.inf])):
+        raise OutOfRangeError(f"bin edges must be finite and strictly ascending, got {edges}")
     if not edges:
-        raise ValueError("at least one bin edge is required")
+        raise OutOfRangeError("at least one bin edge is required")
     bounds = [(-math.inf, edges[0])]
     bounds += list(zip(edges, edges[1:]))
     bounds.append((edges[-1], math.inf))

@@ -119,7 +119,12 @@ def read_facts(path: str | Path) -> FactsArchive:
             raise ArchiveIntegrityError(
                 f"{path}: record length mismatch at line {lineno + 1}"
             )
-        projects.append(_project_from_payload(json.loads(payload)))
+        try:
+            projects.append(_project_from_payload(json.loads(payload)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ArchiveIntegrityError(
+                f"{path}: bad record at line {lineno + 1}: {exc!r}"
+            ) from exc
     return FactsArchive(version=version, projects=projects)
 
 
@@ -155,7 +160,10 @@ def read_metrics_table(path: str | Path) -> list[ProjectMetrics]:
         if len(cells) != len(METRIC_COLUMNS):
             raise ArchiveIntegrityError(f"{path}: bad row {ln!r}")
         kwargs = {"project_id": cells[0]}
-        for name, cell in zip(METRIC_COLUMNS[1:], cells[1:]):
-            kwargs[name] = int(cell)
-        out.append(ProjectMetrics(**kwargs))
+        try:
+            for name, cell in zip(METRIC_COLUMNS[1:], cells[1:]):
+                kwargs[name] = int(cell)
+            out.append(ProjectMetrics(**kwargs))
+        except ValueError as exc:
+            raise ArchiveIntegrityError(f"{path}: bad row {ln!r}: {exc}") from exc
     return out

@@ -8,9 +8,38 @@ from hypothesis import strategies as st
 
 from javascale.extractor import extract_corpus, extract_project
 from javascale.errors import DuplicateProjectError, EmptyCorpusError
-from javascale.facts import EntityKind, RelationKind
+from javascale.facts import EntityKind, FactRelation, ProjectFacts, RelationKind, SourceEntity
 
 from conftest import CORPUS_DIR
+
+
+def _entity(entity_id: int, fqn: str, kind: EntityKind) -> SourceEntity:
+    return SourceEntity(entity_id, fqn, kind, "p", "", 0)
+
+
+_PKG, _CLS, _MTH = (
+    _entity(1, "p", EntityKind.PACKAGE),
+    _entity(2, "p.C", EntityKind.CLASS),
+    _entity(3, "p.C.m", EntityKind.METHOD),
+)
+_TREE = [FactRelation(1, RelationKind.CONTAINS, 2), FactRelation(2, RelationKind.CONTAINS, 3)]
+
+# one hand-built project per structural invariant that validate() enforces
+BROKEN_FACTS = [
+    ([_PKG, _CLS, _entity(2, "p.C.m", EntityKind.METHOD)], _TREE, 0,
+     "entity ids are not unique"),
+    ([_PKG, _CLS, _MTH], _TREE + [FactRelation(9, RelationKind.CALLS, "x")], 0,
+     "relation source 9 not in entity set"),
+    ([_PKG, _CLS, _MTH], _TREE + [FactRelation(1, RelationKind.CONTAINS, "p.D")], 0,
+     "CONTAINS target must be a project entity"),
+    ([_PKG, _CLS, _MTH], _TREE + [FactRelation(1, RelationKind.CONTAINS, 3)], 0,
+     "entity 3 has two CONTAINS parents"),
+    ([_PKG, _CLS, _MTH], _TREE[:1], 0, "p.C.m has no CONTAINS parent"),
+    ([_PKG, _CLS, _MTH],
+     [FactRelation(2, RelationKind.CONTAINS, 3), FactRelation(3, RelationKind.CONTAINS, 2)], 0,
+     "CONTAINS cycle detected"),
+    ([_PKG, _CLS, _MTH], _TREE, -1, "sloc must be non-negative"),
+]
 
 
 def write_project(tmp_path, files: dict[str, str]):
@@ -70,6 +99,14 @@ class TestFooNumber:
 
     def test_structural_invariants(self, foonumber_facts):
         foonumber_facts.validate()
+
+
+@pytest.mark.parametrize("entities, relations, sloc, message", BROKEN_FACTS)
+def test_validate_rejects_broken_facts(entities, relations, sloc, message):
+    ProjectFacts("p", [_PKG, _CLS, _MTH], _TREE).validate()
+    facts = ProjectFacts("p", entities, relations, sloc=sloc)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        facts.validate()
 
 
 class TestExtraction:

@@ -28,6 +28,28 @@ EXPECTED_OUTPUTS = [
     "STATUS",
 ]
 
+STAGES = ["extract", "metrics", "fits", "bins", "validate", "normalize", "done"]
+
+# every file the fixture run hashes, in MANIFEST order; diagnostics are
+# written for the non-robust models only (m1 and small, not m1r)
+MANIFEST_FILES = [
+    "STATUS",
+    "bin_report.txt",
+    "bins.csv",
+    "decorrelation.txt",
+    "diagnostics/m1.csv",
+    "diagnostics/small.csv",
+    "facts.bin",
+    "fit_table.txt",
+    "fits.csv",
+    "metrics.csv",
+    "normalized.csv",
+    "nrmse.csv",
+    "nrmse_table.txt",
+    "welch_matrix.csv",
+    "welch_matrix.txt",
+]
+
 # sha256 of the fixture run's integer-and-string outputs; unlike the
 # fitted-float files they do not depend on the platform's libm
 GOLDEN_SHA256 = {
@@ -54,6 +76,31 @@ MALFORMED_CONFIGS = [
     ("pipeline", {"manifest": "m.txt", "out_dir": "out", "normalize": ["methods"]}),
 ] + [("synth", {k: v for k, v in _SPEC.items() if k != key}) for key in _SPEC]
 
+# arguments outside a library rule's range; TABLE stands for a metrics table
+_FIT = ["fit", "TABLE", "--y", "methods", "--x", "classes"]
+_NORMALIZE = ["normalize", "TABLE", "--num", "methods", "--den", "classes"]
+OUT_OF_RANGE_ARGS = [
+    ["bins", "TABLE", "--ratio", "interfaces/classes", "--edges", "x,1"],
+    ["bins", "TABLE", "--ratio", "interfaces/classes", "--edges", "5,1"],
+    ["bins", "TABLE", "--ratio", "interfaces/classes", "--edges", ","],
+    ["bins", "TABLE", "--ratio", "interfaces/classes", "--edges", "1,nan"],
+    _FIT + ["--k", "0.5"],
+    _FIT + ["--k", "inf"],
+    _FIT + ["--k", "nan"],
+    _FIT + ["--subset", "5:1"],
+    _NORMALIZE + ["--beta", "auto", "--subset", "5:1"],
+    _NORMALIZE + ["--beta", "inf"],
+]
+_MODEL = {"id": "m1", "y": "methods", "x": "classes"}
+# config keys outside a library rule's range, merged into the fixture config
+OUT_OF_RANGE_CONFIGS = [
+    {"bin_edges": [5, 1]},
+    {"models": [{**_MODEL, "k": 0.5}]},
+    {"models": [{**_MODEL, "subset": [5, 1]}]},
+    {"testsets": [{"name": "all", "metric": "classes", "range": [5, 1]}]},
+    {"normalize": {"num": "methods", "den": "classes", "beta": "inf"}},
+]
+
 
 def fixture_config(tmp_path, out_name="run"):
     """Copy the fixture pipeline config with a writable out_dir."""
@@ -72,6 +119,21 @@ def fixture_table(tmp_path, fixture_corpus):
     return path
 
 
+def write_java_corpus(root: Path, n: int) -> Path:
+    """A manifest of ``n`` one-package projects: project i declares i + 1
+    classes, each with one to four methods, so methods do not scale
+    exactly with classes."""
+    for i in range(n):
+        src = root / f"q{i:02d}" / "src" / "q"
+        src.mkdir(parents=True)
+        for c in range(i + 1):
+            body = "".join(f"int m{j}() {{ return {j}; }}\n" for j in range(1 + (7 * i + c) % 4))
+            (src / f"C{c}.java").write_text(f"package q;\nclass C{c} {{\n{body}}}\n")
+    manifest = root / "manifest.txt"
+    manifest.write_text("".join(f"q{i:02d}\n" for i in range(n)))
+    return manifest
+
+
 def bundle_bytes(out_dir: Path) -> dict[str, bytes]:
     return {
         p.relative_to(out_dir).as_posix(): p.read_bytes()
@@ -86,9 +148,10 @@ class TestRunPipeline:
         result = run_pipeline(config)
         for name in EXPECTED_OUTPUTS:
             assert (result.out_dir / name).exists(), name
-        assert (result.out_dir / "diagnostics" / "m1.csv").exists()
-        status = (result.out_dir / "STATUS").read_text().split()
-        assert status[-1] == "done"
+        assert (result.out_dir / "STATUS").read_text() == "".join(f"{s}\n" for s in STAGES)
+        assert result.stages == STAGES
+        manifest = (result.out_dir / "MANIFEST").read_text().splitlines()
+        assert [line.split("  ", 1)[1] for line in manifest] == MANIFEST_FILES
         assert len(result.fit_rows) == 3
 
     def test_byte_identical_across_runs(self, tmp_path):
@@ -127,10 +190,31 @@ class TestRunPipeline:
         with pytest.raises(Exception):
             run_pipeline(load_config(cfg))
         out = Path(data["out_dir"])
-        status = (out / "STATUS").read_text().splitlines()
-        assert status[-1] == "FAILED"
-        assert "metrics" in status  # earlier stages completed
+        # the stages before fits completed; fits wrote nothing
+        assert (out / "STATUS").read_text() == "extract\nmetrics\nFAILED\n"
         assert (out / "metrics.csv").exists()
+        assert not (out / "fits.csv").exists()
+
+    def test_decorrelation_report_format(self, tmp_path):
+        data = {
+            "manifest": str(write_java_corpus(tmp_path / "corpus", 12)),
+            "out_dir": str(tmp_path / "run"),
+            "bin_edges": [4, 8],
+            "models": [{"id": "m1", "y": "methods", "x": "classes"}],
+            "testsets": [{"name": "all", "metric": "classes", "range": [0, None]}],
+            "normalize": {"num": "methods", "den": "classes", "beta": "auto", "model": "m1"},
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        out = run_pipeline(load_config(cfg)).out_dir
+        fits = (out / "fits.csv").read_text().splitlines()
+        beta_text = dict(zip(fits[0].split(","), fits[1].split(",")))["beta"]
+        deco = (out / "decorrelation.txt").read_text().splitlines()
+        keys, values = zip(*(line.split(" ") for line in deco))
+        assert keys == ("beta", "n", "pearson_log", "spearman", "decorrelated")
+        assert values[:2] == (beta_text, "12")
+        assert all(-1.0 <= float(v) <= 1.0 for v in values[2:4])
+        assert values[4] in ("True", "False")
 
     def test_report_renders_from_stored_tables(self, tmp_path):
         result = run_pipeline(load_config(fixture_config(tmp_path)))
@@ -382,6 +466,30 @@ class TestCli:
             argv = ["synth", "--spec", str(path), "-o", str(tmp_path / "t.csv")]
         assert self.run(*argv) == 1
         assert capsys.readouterr().err.startswith("usage error: ")
+
+    def test_normalize_model_outside_grid_is_usage_error(self, tmp_path, capsys):
+        cfg = fixture_config(tmp_path)
+        data = json.loads(cfg.read_text())
+        data["normalize"]["model"] = "m9"
+        cfg.write_text(json.dumps(data))
+        assert self.run("pipeline", str(cfg)) == 1
+        assert capsys.readouterr().err == "usage error: normalize model 'm9' not in the grid\n"
+
+    @pytest.mark.parametrize(
+        "argv", OUT_OF_RANGE_ARGS, ids=lambda argv: " ".join([argv[0], *argv[2:]])
+    )
+    def test_out_of_range_argument_is_usage_error(self, fixture_table, capsys, argv):
+        assert self.run(*[str(fixture_table) if a == "TABLE" else a for a in argv]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("change", OUT_OF_RANGE_CONFIGS, ids=json.dumps)
+    def test_out_of_range_config_fails_before_any_stage(self, tmp_path, capsys, change):
+        cfg = fixture_config(tmp_path)
+        data = {**json.loads(cfg.read_text()), **change}
+        cfg.write_text(json.dumps(data))
+        assert self.run("pipeline", str(cfg)) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not Path(data["out_dir"]).exists()
 
     def test_usage_error_exit_1(self, capsys):
         assert self.run("fit") == 1

@@ -80,7 +80,7 @@ class TestOtherRenderers:
         lines = text.splitlines()
         assert lines[1] == "bin | a | b"
         assert "0.034" in lines[2] or "0.034" in lines[3]
-        assert welch_csv(["a", "b"], {("a", "b"): 0.034}).splitlines()[1].startswith("a,b,")
+        assert welch_csv({("a", "b"): 0.034}).splitlines()[1].startswith("a,b,")
 
     def test_nrmse_table(self):
         ev = ModelEval("m5", "[50,1000)", {"vsmall": 0.13078, "vlarge": 0.1204})

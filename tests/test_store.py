@@ -1,5 +1,9 @@
+import json
+import re
+
 import pytest
 
+from javascale.cli import main
 from javascale.errors import (
     ArchiveIntegrityError,
     DuplicateProjectError,
@@ -14,6 +18,72 @@ from javascale.store import (
     read_metrics_table,
     write_facts,
 )
+
+_PAYLOAD = {"project_id": "p", "sloc": 1, "entities": [[1, "p", "PACKAGE", "", 0]]}
+
+
+def _archive(count: str, payload: str) -> str:
+    """An archive of one record whose length prefix is right for ``payload``."""
+    return f"JSCALE-FACTS 1\n{count}\n{len(payload.encode('utf-8'))} {payload}\n"
+
+
+def _record(**changes) -> str:
+    return json.dumps({"relations": [], **_PAYLOAD, **changes})
+
+
+# each text, read as a facts archive, breaks one rule of the reader
+BAD_ARCHIVES = [
+    pytest.param("JSCALE-FACTS one\n0\n", "bad version line", id="version"),
+    pytest.param("JSCALE-FACTS 1", "missing project count", id="no-count"),
+    pytest.param("JSCALE-FACTS 1\nmany\n", "missing project count", id="bad-count"),
+    pytest.param(_archive("2", _record())[:-1], "truncated at record 2", id="truncated"),
+    pytest.param(f"JSCALE-FACTS 1\n1\nlong {_record()}\n", "bad record at line 3", id="prefix"),
+    pytest.param("JSCALE-FACTS 1\n1\n99 {}\n", "record length mismatch at line 3", id="length"),
+    pytest.param(_archive("1", "{not json"), "bad record at line 3: .*Expecting", id="json"),
+    pytest.param(
+        _archive("1", _record(entities=[[1, "p", "KLASS", "", 0]])),
+        "bad record at line 3: .*KLASS",
+        id="kind",
+    ),
+    pytest.param(
+        _archive("1", json.dumps(_PAYLOAD)), "bad record at line 3: .*relations", id="key"
+    ),
+]
+
+_HEADER = ",".join(METRIC_COLUMNS)
+_ZEROS = ",0" * (len(METRIC_COLUMNS) - 1)
+# each text, read as a metrics table, breaks one rule of the reader
+BAD_TABLES = [
+    pytest.param("", "empty metrics table", id="empty"),
+    pytest.param("nope,nope\n1,2\n", "unexpected metrics table header", id="header"),
+    pytest.param(f"{_HEADER}\nz,0\n", "bad row 'z,0'", id="cells"),
+    pytest.param(f"{_HEADER}\nz{_ZEROS[:-1]}x\n", "bad row .*invalid literal", id="int"),
+    pytest.param(  # classes 1, modules 0
+        f"{_HEADER}\nz,0,1{_ZEROS[4:]}\n",
+        r"bad row .*modules must equal classes \+ interfaces",
+        id="invariant",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, message", BAD_ARCHIVES)
+def test_bad_archive_is_integrity_error(tmp_path, capsys, text, message):
+    path = tmp_path / "facts.bin"
+    path.write_text(text)
+    with pytest.raises(ArchiveIntegrityError, match=f"^{re.escape(str(path))}: {message}"):
+        read_facts(path)
+    assert main(["metrics", str(path), "-o", str(tmp_path / "m.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {path}: ")
+
+
+@pytest.mark.parametrize("text, message", BAD_TABLES)
+def test_bad_metrics_table_is_integrity_error(tmp_path, capsys, text, message):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with pytest.raises(ArchiveIntegrityError, match=f"^{re.escape(str(path))}: {message}"):
+        read_metrics_table(path)
+    assert main(["fit", str(path), "--y", "methods", "--x", "classes"]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {path}: ")
 
 
 class TestArchiveRoundTrip:
