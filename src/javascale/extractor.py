@@ -916,9 +916,8 @@ def _super_ref(decl: TypeDecl) -> TypeRef | None:
 
 
 class _ProjectBuilder:
-    def __init__(self, project_id: str, first_id: int):
+    def __init__(self, project_id: str):
         self.project_id = project_id
-        self.next_id = first_id
         self.entities: list[SourceEntity] = []
         self.relations: list[FactRelation] = []
         self.packages: dict[str, int] = {}
@@ -926,8 +925,7 @@ class _ProjectBuilder:
         self.all_infos: list[_TypeInfo] = []  # declaration order, no overwrites
 
     def _new_entity(self, fqn: str, kind: EntityKind, file: str, line: int) -> int:
-        eid = self.next_id
-        self.next_id += 1
+        eid = len(self.entities) + 1
         self.entities.append(
             SourceEntity(
                 entity_id=eid,
@@ -1511,21 +1509,17 @@ class _BodyAnalyzer:
 # ---------------------------------------------------------------------------
 
 
-def extract_project(
-    project_root: str | Path,
-    project_id: str,
-    *,
-    first_id: int = 1,
-) -> ProjectFacts:
+def extract_project(project_root: str | Path, project_id: str) -> ProjectFacts:
     """Extract the fact model for every ``.java`` file under a directory.
 
     Files are processed in sorted relative-path order, so repeated runs on
-    the same tree produce identical entity ids.  Unreadable files and
-    unparseable declarations are skipped with a recorded warning.
+    the same tree produce identical entity ids, which run 1..n whatever
+    other projects exist.  Unreadable files and unparseable declarations
+    are skipped with a recorded warning.
     """
     root = Path(project_root)
     facts = ProjectFacts(project_id=project_id)
-    builder = _ProjectBuilder(project_id, first_id)
+    builder = _ProjectBuilder(project_id)
     files = sorted(
         (p for p in root.rglob("*.java") if p.is_file()),
         key=lambda p: p.relative_to(root).as_posix(),
@@ -1592,14 +1586,7 @@ def read_manifest(manifest_path: str | Path) -> list[tuple[str, Path]]:
 def extract_corpus(manifest_path: str | Path) -> list[ProjectFacts]:
     """Extract every project listed in a manifest.
 
-    Projects are independent units merged in sorted project-id order with
-    corpus-wide contiguous entity ids.
+    Projects come in sorted project-id order, each with its own entity ids
+    1..n, so any project can be extracted on its own.
     """
-    out: list[ProjectFacts] = []
-    next_id = 1
-    for project_id, root in read_manifest(manifest_path):
-        facts = extract_project(root, project_id, first_id=next_id)
-        if facts.entities:
-            next_id = max(e.entity_id for e in facts.entities) + 1
-        out.append(facts)
-    return out
+    return [extract_project(root, pid) for pid, root in read_manifest(manifest_path)]

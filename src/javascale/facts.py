@@ -104,12 +104,12 @@ class ProjectFacts:
                 if rel.target in parents:
                     raise ValueError(f"entity {rel.target} has two CONTAINS parents")
                 parents[rel.target] = rel.source
-        by_id = self.entity_by_id()
         for ent in self.entities:
             if ent.kind in TYPE_KINDS or ent.kind in MEMBER_KINDS:
                 if ent.entity_id not in parents:
                     raise ValueError(f"{ent.fqn} has no CONTAINS parent")
-        # CONTAINS edges must form a forest rooted at packages.
+        # CONTAINS edges must form a forest; as only packages lack a parent,
+        # every tree is rooted at one.
         for ent in self.entities:
             seen = set()
             cur = ent.entity_id
@@ -118,9 +118,5 @@ class ProjectFacts:
                     raise ValueError("CONTAINS cycle detected")
                 seen.add(cur)
                 cur = parents[cur]
-            if by_id[cur].kind is not EntityKind.PACKAGE and (
-                ent.kind in TYPE_KINDS or ent.kind in MEMBER_KINDS
-            ):
-                raise ValueError(f"{ent.fqn} is not rooted at a package")
         if self.sloc < 0:
             raise ValueError("sloc must be non-negative")

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
-from .errors import DataError, UsageError
-from .extractor import extract_corpus
+from .errors import DataError, OutOfRangeError, UsageError
+from .extractor import extract_project, read_manifest
 from .metrics import (
     DEFAULT_JDK_PREFIXES,
     METRIC_NAMES,
@@ -47,12 +50,7 @@ from .report import (
     write_manifest,
 )
 from .stats import BinSummary, bin_by, log_ratio_summary, log_ratios, welch_t_test
-from .store import (
-    FactsArchive,
-    export_metrics_table,
-    read_metrics_table,
-    write_facts,
-)
+from .store import _project_payload, export_metrics_table, read_metrics_table, write_records
 
 
 @dataclass(frozen=True)
@@ -317,12 +315,62 @@ def analyze_bins(
     return summaries, p_values
 
 
-def run_pipeline(config: RunConfig) -> RunResult:
+def _measure_project(
+    project_id: str, root: Path, jdk_prefixes: tuple[str, ...]
+) -> tuple[str, ProjectMetrics]:
+    """One project's archive record and metrics row; its facts stay here."""
+    facts = extract_project(root, project_id)
+    used = used_modules_by_provenance(facts, jdk_prefixes)
+    return _project_payload(facts), compute_metrics(facts, used)
+
+
+def _java_bytes(root: Path) -> int:
+    return sum(p.stat().st_size for p in root.rglob("*.java") if p.is_file())
+
+
+def _project_records(
+    projects: list[tuple[str, Path]], jdk_prefixes: tuple[str, ...], workers: int
+) -> Iterator[tuple[str, ProjectMetrics]]:
+    """Yield each project's record and metrics row in the given order.
+
+    With more than one worker the projects run in a process pool, the
+    largest (by ``.java`` bytes) submitted first; with one they run here.
+    """
+    workers = min(workers, len(projects))
+    if workers == 1:
+        for project_id, root in projects:
+            yield _measure_project(project_id, root, jdk_prefixes)
+        return
+    # imported here: with multiprocessing it adds about 35 ms to start-up
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers)
+    try:
+        futures = {
+            project_id: pool.submit(_measure_project, project_id, root, jdk_prefixes)
+            for project_id, root in sorted(
+                projects, key=lambda job: _java_bytes(job[1]), reverse=True
+            )
+        }
+        for project_id, _ in projects:
+            yield futures[project_id].result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def run_pipeline(config: RunConfig, *, workers: int | None = None) -> RunResult:
     """Execute every stage and write the report bundle.
 
-    ``STATUS`` lists the finished stages, one a line, then ``FAILED`` if a
-    stage raised.
+    Projects are extracted and measured in ``workers`` processes, by
+    default one per CPU this process may run on; the bundle is the same
+    for any count.  ``STATUS`` lists the finished stages, one a line, then
+    ``FAILED`` if a stage raised.
     """
+    if workers is None:
+        affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+        workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+    elif workers < 1:
+        raise OutOfRangeError(f"workers must be at least 1, got {workers}")
     config.validate()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -337,16 +385,18 @@ def run_pipeline(config: RunConfig) -> RunResult:
         (out / "STATUS").write_text("".join(f"{s}\n" for s in stages), encoding="utf-8")
 
     try:
-        projects = extract_corpus(config.manifest)
-        write_facts(FactsArchive(projects=projects), out / "facts.bin")
+        projects = read_manifest(config.manifest)
+        corpus: list[ProjectMetrics] = []
+
+        def payloads(records):
+            for payload, metrics in records:
+                corpus.append(metrics)
+                yield payload
+
+        with closing(_project_records(projects, config.jdk_prefixes, workers)) as records:
+            write_records(payloads(records), len(projects), out / "facts.bin")
         done("extract", {})
 
-        corpus = [
-            compute_metrics(
-                facts, used_modules_by_provenance(facts, config.jdk_prefixes)
-            )
-            for facts in projects
-        ]
         export_metrics_table(corpus, out / "metrics.csv")
         done("metrics", {})
 

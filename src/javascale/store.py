@@ -2,8 +2,10 @@
 
 The archive is a line-oriented, length-prefixed record file: a header line
 with the format version, a project-count line, then one record per project
-whose payload length is stated up front so truncation is detectable.  No
-database engine; readers rebuild in-memory indexes from the rows.
+whose payload length is stated up front so truncation is detectable.
+Entity ids are local to their project, so each record is encoded on its
+own and records can be written as they are made.  No database engine;
+readers rebuild in-memory indexes from the rows.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 from .errors import (
     ArchiveIntegrityError,
@@ -79,18 +82,27 @@ def _project_from_payload(data: dict) -> ProjectFacts:
     )
 
 
+def write_records(payloads: Iterable[str], count: int, path: str | Path) -> None:
+    """Write an archive of ``count`` encoded project records, each one as
+    ``payloads`` yields it; until the last is written the file reads as
+    truncated."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{_MAGIC} {ARCHIVE_VERSION}\n{count}\n")
+        for payload in payloads:
+            fh.write(f"{len(payload.encode('utf-8'))} {payload}\n")
+
+
 def write_facts(archive: FactsArchive, path: str | Path) -> None:
     """Write an archive; two writes of equal content are byte-identical."""
-    lines = [f"{_MAGIC} {archive.version}", str(len(archive.projects))]
-    for project in archive.projects:
-        payload = _project_payload(project)
-        lines.append(f"{len(payload.encode('utf-8'))} {payload}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    payloads = map(_project_payload, archive.projects)
+    write_records(payloads, len(archive.projects), path)
 
 
 def read_facts(path: str | Path) -> FactsArchive:
     text = Path(path).read_text(encoding="utf-8")
     lines = text.split("\n")
+    if lines[-1] == "":  # the newline that ends the last complete line
+        lines.pop()
     if not lines or not lines[0].startswith(_MAGIC + " "):
         raise ArchiveIntegrityError(f"{path}: not a facts archive")
     try:
@@ -125,6 +137,8 @@ def read_facts(path: str | Path) -> FactsArchive:
             raise ArchiveIntegrityError(
                 f"{path}: bad record at line {lineno + 1}: {exc!r}"
             ) from exc
+    if len(lines) > 2 + count:
+        raise ArchiveIntegrityError(f"{path}: data after record {count}")
     return FactsArchive(version=version, projects=projects)
 
 

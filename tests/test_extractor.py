@@ -363,15 +363,14 @@ class TestExtraction:
 
 
 class TestCorpusManifest:
-    def test_extract_corpus_sorted_with_global_ids(self):
+    def test_extract_corpus_sorted_with_project_local_ids(self):
         projects = extract_corpus(CORPUS_DIR / "manifest.txt")
         ids = [p.project_id for p in projects]
         assert ids == sorted(ids)
-        seen = set()
+        assert sum(1 for facts in projects if facts.entities) > 1
         for facts in projects:
-            for e in facts.entities:
-                assert e.entity_id not in seen
-                seen.add(e.entity_id)
+            entity_ids = [e.entity_id for e in facts.entities]
+            assert entity_ids == list(range(1, len(entity_ids) + 1)), facts.project_id
 
     def test_empty_manifest(self, tmp_path):
         manifest = tmp_path / "m.txt"

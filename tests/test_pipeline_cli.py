@@ -1,13 +1,18 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import javascale
+from javascale import pipeline
 from javascale.cli import main
-from javascale.errors import EmptyCorpusError
+from javascale.errors import ArchiveIntegrityError, EmptyCorpusError, OutOfRangeError
 from javascale.pipeline import load_config, render_run_report, run_pipeline
-from javascale.store import export_metrics_table
+from javascale.store import export_metrics_table, read_facts
 
 from conftest import CORPUS_DIR, FIXTURES
 
@@ -53,7 +58,7 @@ MANIFEST_FILES = [
 # sha256 of the fixture run's integer-and-string outputs; unlike the
 # fitted-float files they do not depend on the platform's libm
 GOLDEN_SHA256 = {
-    "facts.bin": "09db026f35dd5795bb7cc02b82a6b8feea1c3347621c88185230ca8de1ebfdbd",
+    "facts.bin": "64c43751809a88cac99ec8436960926d3dddc728aee97e72e3ac7d06e73e241c",
     "metrics.csv": "389c299e41c57335f474a5eeb0facb85e4e9a5af66157028b830a8ce1e991263",
 }
 
@@ -134,6 +139,29 @@ def write_java_corpus(root: Path, n: int) -> Path:
     return manifest
 
 
+def java_corpus_config(tmp_path: Path, out_name: str = "run") -> Path:
+    """A one-model config over a 12-project ``write_java_corpus`` corpus."""
+    corpus = tmp_path / "corpus"
+    manifest = corpus / "manifest.txt"
+    if not manifest.exists():
+        write_java_corpus(corpus, 12)
+    data = {
+        "manifest": str(manifest),
+        "out_dir": str(tmp_path / out_name),
+        "bin_edges": [4, 8],
+        "models": [{"id": "m1", "y": "methods", "x": "classes"}],
+        "testsets": [{"name": "all", "metric": "classes", "range": [0, None]}],
+        "normalize": {"num": "methods", "den": "classes", "beta": "auto", "model": "m1"},
+    }
+    cfg = tmp_path / f"{out_name}.json"
+    cfg.write_text(json.dumps(data))
+    return cfg
+
+
+class ExtractionCrash(RuntimeError):
+    """Raised by a patched extractor inside a pool worker."""
+
+
 def bundle_bytes(out_dir: Path) -> dict[str, bytes]:
     return {
         p.relative_to(out_dir).as_posix(): p.read_bytes()
@@ -195,18 +223,41 @@ class TestRunPipeline:
         assert (out / "metrics.csv").exists()
         assert not (out / "fits.csv").exists()
 
+    @pytest.mark.parametrize("make_config", [fixture_config, java_corpus_config])
+    def test_byte_identical_for_any_worker_count(self, tmp_path, make_config):
+        def bundle(workers):
+            config = load_config(make_config(tmp_path, f"w{workers}"))
+            return bundle_bytes(run_pipeline(config, workers=workers).out_dir)
+
+        first = bundle(1)
+        for workers in (2, 4):
+            assert bundle(workers) == first, workers
+
+    def test_worker_count_below_one_is_usage_error(self, tmp_path):
+        with pytest.raises(OutOfRangeError, match="workers must be at least 1, got 0"):
+            run_pipeline(load_config(fixture_config(tmp_path)), workers=0)
+
+    def test_worker_failure_fails_the_run(self, tmp_path, monkeypatch):
+        real = pipeline.extract_project
+
+        def extract_project(root, project_id):
+            if project_id == "p10_mixed":  # the last record in the archive
+                raise ExtractionCrash(project_id)
+            return real(root, project_id)
+
+        # patched before the pool starts, so the forked workers inherit it
+        monkeypatch.setattr(pipeline, "extract_project", extract_project)
+        config = load_config(fixture_config(tmp_path))
+        with pytest.raises(ExtractionCrash):
+            run_pipeline(config, workers=2)
+        out = Path(config.out_dir)
+        assert (out / "STATUS").read_text() == "FAILED\n"
+        # the nine records before the failed one are not a shorter corpus
+        with pytest.raises(ArchiveIntegrityError, match="truncated at record 10$"):
+            read_facts(out / "facts.bin")
+
     def test_decorrelation_report_format(self, tmp_path):
-        data = {
-            "manifest": str(write_java_corpus(tmp_path / "corpus", 12)),
-            "out_dir": str(tmp_path / "run"),
-            "bin_edges": [4, 8],
-            "models": [{"id": "m1", "y": "methods", "x": "classes"}],
-            "testsets": [{"name": "all", "metric": "classes", "range": [0, None]}],
-            "normalize": {"num": "methods", "den": "classes", "beta": "auto", "model": "m1"},
-        }
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(data))
-        out = run_pipeline(load_config(cfg)).out_dir
+        out = run_pipeline(load_config(java_corpus_config(tmp_path))).out_dir
         fits = (out / "fits.csv").read_text().splitlines()
         beta_text = dict(zip(fits[0].split(","), fits[1].split(",")))["beta"]
         deco = (out / "decorrelation.txt").read_text().splitlines()
@@ -221,6 +272,23 @@ class TestRunPipeline:
         text = render_run_report(result.out_dir)
         assert "model fits" in text
         assert "projects: 10" in text
+
+
+def test_import_leaves_process_pools_unloaded():
+    """The pool modules load only when a run starts a pool, not when
+    ``javascale`` or any of its modules is imported."""
+    src = Path(javascale.__file__).resolve().parents[1]
+    code = (
+        "import pkgutil, sys, javascale\n"
+        "for m in pkgutil.iter_modules(javascale.__path__):\n"
+        "    __import__(f'javascale.{m.name}')\n"
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "[]\n"
 
 
 class TestConfig:

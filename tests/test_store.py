@@ -37,6 +37,8 @@ BAD_ARCHIVES = [
     pytest.param("JSCALE-FACTS 1", "missing project count", id="no-count"),
     pytest.param("JSCALE-FACTS 1\nmany\n", "missing project count", id="bad-count"),
     pytest.param(_archive("2", _record())[:-1], "truncated at record 2", id="truncated"),
+    pytest.param(_archive("2", _record()), "truncated at record 2", id="cut-after-record"),
+    pytest.param(_archive("1", _record()) + "garbage\n", "data after record 1", id="trailing"),
     pytest.param(f"JSCALE-FACTS 1\n1\nlong {_record()}\n", "bad record at line 3", id="prefix"),
     pytest.param("JSCALE-FACTS 1\n1\n99 {}\n", "record length mismatch at line 3", id="length"),
     pytest.param(_archive("1", "{not json"), "bad record at line 3: .*Expecting", id="json"),
