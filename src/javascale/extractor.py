@@ -47,7 +47,9 @@ from .facts import (
     RelationKind,
     SourceEntity,
 )
-from .javalex import ASSIGN_OPS, KEYWORDS, PRIMITIVES, Tok, count_sloc, tokenize
+# ``tokenize`` is not called here; the benchmark's tracer (bench/worker.py)
+# looks it up in this module, with ``count_sloc`` and the public functions
+from .javalex import ASSIGN_OPS, KEYWORDS, PRIMITIVES, Tok, count_sloc, lex, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -200,6 +202,7 @@ class FileSyntax:
     wildcard_imports: list[str] = field(default_factory=list)
     types: list[TypeDecl] = field(default_factory=list)
     parse_warnings: int = 0
+    sloc: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -866,8 +869,9 @@ def _extract_anons(
 
 def parse_java_file(path_text: str, text: str) -> FileSyntax:
     """Parse one Java compilation unit into its structural summary."""
-    syntax = FileSyntax(path=path_text)
-    _Parser(tokenize(text), syntax).parse_file()
+    toks, sloc = lex(text)
+    syntax = FileSyntax(path=path_text, sloc=sloc)
+    _Parser(toks, syntax).parse_file()
     return syntax
 
 
@@ -916,8 +920,7 @@ def _super_ref(decl: TypeDecl) -> TypeRef | None:
 
 
 class _ProjectBuilder:
-    def __init__(self, project_id: str):
-        self.project_id = project_id
+    def __init__(self):
         self.entities: list[SourceEntity] = []
         self.relations: list[FactRelation] = []
         self.packages: dict[str, int] = {}
@@ -931,7 +934,6 @@ class _ProjectBuilder:
                 entity_id=eid,
                 fqn=fqn,
                 kind=kind,
-                project_id=self.project_id,
                 file=file,
                 line=line,
             )
@@ -1519,7 +1521,7 @@ def extract_project(project_root: str | Path, project_id: str) -> ProjectFacts:
     """
     root = Path(project_root)
     facts = ProjectFacts(project_id=project_id)
-    builder = _ProjectBuilder(project_id)
+    builder = _ProjectBuilder()
     files = sorted(
         (p for p in root.rglob("*.java") if p.is_file()),
         key=lambda p: p.relative_to(root).as_posix(),
@@ -1534,14 +1536,15 @@ def extract_project(project_root: str | Path, project_id: str) -> ProjectFacts:
             facts.warnings.append(f"skipped-file {rel}: {exc}")
             log.warning("project=%s file=%s skipped: %s", project_id, rel, exc)
             continue
-        total_sloc += count_sloc(text)
         try:
             syntax = parse_java_file(rel, text)
         except Exception as exc:  # tolerant by contract
             facts.warnings.append(f"skipped-file {rel}: parse failure {exc}")
             log.warning("project=%s file=%s parse failure: %s", project_id, rel, exc)
             facts.parse_warning_count += 1
+            total_sloc += count_sloc(text)
             continue
+        total_sloc += syntax.sloc
         if syntax.parse_warnings:
             facts.parse_warning_count += syntax.parse_warnings
             facts.warnings.append(

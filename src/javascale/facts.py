@@ -56,7 +56,6 @@ class SourceEntity:
     entity_id: int
     fqn: str
     kind: EntityKind
-    project_id: str
     file: str  # relative path, "" for package entities
     line: int  # 1-based, 0 for package entities
 
@@ -80,9 +79,6 @@ class ProjectFacts:
     sloc: int = 0
     warnings: list[str] = field(default_factory=list)
     parse_warning_count: int = 0
-
-    def entity_by_id(self) -> dict[int, SourceEntity]:
-        return {e.entity_id: e for e in self.entities}
 
     def declared_type_fqns(self) -> set[str]:
         """Fully qualified names of all types declared in this project."""

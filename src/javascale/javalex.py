@@ -1,12 +1,13 @@
 """Tolerant lexer for Java source text.
 
-Each function reads the text with one compiled master pattern, an
+``lex`` reads the text in one pass over one compiled master pattern, an
 alternation of named groups tried at every position, in the manner of
-CPython's ``tokenize`` and Pygments' ``RegexLexer``.  ``tokenize`` walks
-the matches of ``_TOKEN`` and dispatches on ``Match.lastgroup``;
-``count_sloc`` rewrites the text once with ``_SLOC`` so that comments
-vanish (their newlines kept) and literals become plain code characters,
-then counts the lines left with code on them.
+CPython's ``tokenize`` and Pygments' ``RegexLexer``.  It dispatches on
+``Match.lastgroup`` and returns the tokens, comments and whitespace
+dropped, with the text's SLOC: the lines on which a token starts, and
+every line a text block spans.  A comment-only or blank line is not
+counted, and ``//`` inside a literal starts no comment.  ``tokenize``
+and ``count_sloc`` are its two halves.
 
 The lexer never raises on malformed input.  The tolerance rules are:
 
@@ -14,15 +15,16 @@ The lexer never raises on malformed input.  The tolerance rules are:
   whichever comes first.  A backslash escapes any character except a
   newline, so a literal never spans lines.
 * A text block whose three closing quotes never come runs to the end of
-  the file.
-* A block comment that is never closed ends tokenization; ``count_sloc``
-  counts the non-blank lines from the one where it opens as code.
+  the file, and every line it spans counts.
+* A block comment that is never closed ends the tokens.  Its first line
+  counts, and so does each later line that ``str.strip()`` leaves
+  non-empty.
 * A number runs over letters, digits, ``_``, ``$`` and ``.``; a sign
   continues it only as an exponent's, after ``e``/``E`` in a decimal
   literal or ``p``/``P`` in a hex one (JLS 3.10.2), so ``0xE-1`` is three
   tokens.
 * A character that starts no token (``#``, a non-ASCII letter, a
-  vertical tab) is a one-character ``punct`` token.
+  vertical tab) is a one-character ``punct`` token, so its line counts.
 
 This is deliberate -- extraction must survive whatever a large crawled
 corpus throws at it.
@@ -90,55 +92,45 @@ _TOKEN = re.compile(
 )
 _EMITTED = frozenset(["word", "num", "str", "char", "punct"])
 
-_SLOC = re.compile(
-    rf"(?P<comment>{_LINE_COMMENT}|{_BLOCK_COMMENT})|(?P<open>{_OPEN_COMMENT})"
-    rf"|(?P<text>{_TEXT_BLOCK})|{_STRING}|{_CHAR}"
-)
-_CODE_LINE = re.compile(r"^[ \t\r\f]*[^ \t\r\f\n]", re.MULTILINE)
 
-
-def tokenize(text: str) -> list[Tok]:
-    """Lex ``text`` into tokens, dropping comments and whitespace."""
+def lex(text: str) -> tuple[list[Tok], int]:
+    """Lex ``text`` into its tokens and its count of source lines."""
     toks: list[Tok] = []
     append = toks.append
     new = tuple.__new__
     line = 1
+    sloc = 0
+    counted = 0  # the last line counted as code
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
         if kind in _EMITTED:
             append(new(Tok, (kind, m[kind], line)))
+            if line != counted:
+                sloc += 1
+                counted = line
         elif kind == "nl":
             line += 1
-        elif kind == "open":
-            break
-        else:
+        elif kind == "skip":
+            line += m[kind].count("\n")
+        elif kind == "text":
             body = m[kind]
-            if kind == "text":
-                append(new(Tok, ("str", body, line)))
-            line += body.count("\n")
-    return toks
+            append(new(Tok, ("str", body, line)))
+            spanned = body.count("\n")
+            sloc += spanned + (line != counted)
+            line += spanned
+            counted = line
+        else:  # an unterminated block comment runs to the end of the text
+            tail = m[kind].split("\n")[1:]
+            sloc += (line != counted) + sum(1 for part in tail if part.strip())
+            break
+    return toks, sloc
 
 
-def _as_code(m: re.Match) -> str:
-    """Replace one comment or literal by what ``count_sloc`` should see."""
-    kind = m.lastgroup
-    if kind is None:  # string or char literal: one line of code
-        return "x"
-    body = m.group()
-    if kind == "comment":
-        return "\n" * body.count("\n")
-    if kind == "text":
-        return "x" + "\nx" * body.count("\n")
-    # Unterminated block comment: its non-blank lines count as code.
-    return "\n".join(["x" if part.strip() else "" for part in body.split("\n")])
+def tokenize(text: str) -> list[Tok]:
+    """Lex ``text`` into tokens, dropping comments and whitespace."""
+    return lex(text)[0]
 
 
 def count_sloc(source_text: str) -> int:
-    """Count physical source lines: neither blank nor comment-only.
-
-    A literal is matched as a whole, so ``//`` inside a string does not
-    start a comment.  Every line a text block spans is code.  An
-    unterminated block comment falls back to counting its non-blank lines
-    as code.
-    """
-    return len(_CODE_LINE.findall(_SLOC.sub(_as_code, source_text)))
+    """Count physical source lines: neither blank nor comment-only."""
+    return lex(source_text)[1]

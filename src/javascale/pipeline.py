@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from .errors import DataError, OutOfRangeError, UsageError
+from .errors import DataError, UsageError
 from .extractor import extract_project, read_manifest
 from .metrics import (
     DEFAULT_JDK_PREFIXES,
@@ -329,14 +329,16 @@ def _java_bytes(root: Path) -> int:
 
 
 def _project_records(
-    projects: list[tuple[str, Path]], jdk_prefixes: tuple[str, ...], workers: int
+    projects: list[tuple[str, Path]], jdk_prefixes: tuple[str, ...]
 ) -> Iterator[tuple[str, ProjectMetrics]]:
     """Yield each project's record and metrics row in the given order.
 
-    With more than one worker the projects run in a process pool, the
-    largest (by ``.java`` bytes) submitted first; with one they run here.
+    The projects run in a pool of one process per CPU this process may run
+    on, the largest (by ``.java`` bytes) submitted first; with one CPU or
+    one project they run here.
     """
-    workers = min(workers, len(projects))
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+    workers = min(len(affinity(0)) if affinity else os.cpu_count() or 1, len(projects))
     if workers == 1:
         for project_id, root in projects:
             yield _measure_project(project_id, root, jdk_prefixes)
@@ -358,19 +360,14 @@ def _project_records(
         pool.shutdown(cancel_futures=True)
 
 
-def run_pipeline(config: RunConfig, *, workers: int | None = None) -> RunResult:
+def run_pipeline(config: RunConfig) -> RunResult:
     """Execute every stage and write the report bundle.
 
-    Projects are extracted and measured in ``workers`` processes, by
-    default one per CPU this process may run on; the bundle is the same
-    for any count.  ``STATUS`` lists the finished stages, one a line, then
-    ``FAILED`` if a stage raised.
+    Projects are extracted and measured in one process per CPU this
+    process may run on; the bundle is the same for any count.  ``STATUS``
+    lists the finished stages, one a line, then ``FAILED`` if a stage
+    raised.
     """
-    if workers is None:
-        affinity = getattr(os, "sched_getaffinity", None)  # Linux only
-        workers = len(affinity(0)) if affinity else os.cpu_count() or 1
-    elif workers < 1:
-        raise OutOfRangeError(f"workers must be at least 1, got {workers}")
     config.validate()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -393,7 +390,7 @@ def run_pipeline(config: RunConfig, *, workers: int | None = None) -> RunResult:
                 corpus.append(metrics)
                 yield payload
 
-        with closing(_project_records(projects, config.jdk_prefixes, workers)) as records:
+        with closing(_project_records(projects, config.jdk_prefixes)) as records:
             write_records(payloads(records), len(projects), out / "facts.bin")
         done("extract", {})
 

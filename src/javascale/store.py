@@ -58,9 +58,8 @@ def _project_payload(p: ProjectFacts) -> str:
 
 
 def _project_from_payload(data: dict) -> ProjectFacts:
-    pid = data["project_id"]
     return ProjectFacts(
-        project_id=pid,
+        project_id=data["project_id"],
         sloc=data["sloc"],
         parse_warning_count=data.get("parse_warning_count", 0),
         warnings=list(data.get("warnings", [])),
@@ -69,7 +68,6 @@ def _project_from_payload(data: dict) -> ProjectFacts:
                 entity_id=eid,
                 fqn=fqn,
                 kind=EntityKind(kind),
-                project_id=pid,
                 file=file,
                 line=line,
             )

@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from javascale import extractor
 from javascale.extractor import extract_corpus, extract_project
 from javascale.errors import DuplicateProjectError, EmptyCorpusError
 from javascale.facts import EntityKind, FactRelation, ProjectFacts, RelationKind, SourceEntity
 
+import javalex_reference as reference
 from conftest import CORPUS_DIR
 
 
 def _entity(entity_id: int, fqn: str, kind: EntityKind) -> SourceEntity:
-    return SourceEntity(entity_id, fqn, kind, "p", "", 0)
+    return SourceEntity(entity_id, fqn, kind, "", 0)
 
 
 _PKG, _CLS, _MTH = (
@@ -148,6 +150,26 @@ class TestExtraction:
         write_project(tmp_path, files)
         facts = extract_project(tmp_path, "p")
         assert facts.sloc == sum(count_sloc(textwrap.dedent(b)) for b in files.values())
+
+    def test_parse_failure_keeps_the_file_sloc(self, tmp_path, monkeypatch):
+        files = {
+            "a/Bad.java": "package a;\n\n// broken\nclass Bad {\n  int x;\n}\n",
+            "a/Good.java": "package a;\nclass Good {\n}\n",
+        }
+        write_project(tmp_path, files)
+        real = extractor._Parser.parse_file
+
+        def parse_file(parser):
+            if parser.syntax.path == "a/Bad.java":
+                raise RuntimeError("boom")
+            real(parser)
+
+        monkeypatch.setattr(extractor._Parser, "parse_file", parse_file)
+        facts = extract_project(tmp_path, "p")
+        assert facts.sloc == sum(map(reference.count_sloc, files.values())) == 7
+        assert facts.warnings == ["skipped-file a/Bad.java: parse failure boom"]
+        assert facts.parse_warning_count == 1
+        assert [e.fqn for e in facts.entities] == ["a", "a.Good"]
 
     def test_parse_warning_on_garbage_declaration(self, tmp_path):
         write_project(

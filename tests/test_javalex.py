@@ -3,7 +3,7 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from javascale.javalex import Tok, count_sloc, tokenize
+from javascale.javalex import Tok, count_sloc, lex, tokenize
 
 import javalex_reference as reference
 from conftest import CORPUS_DIR, FOONUMBER_SOURCE
@@ -160,16 +160,29 @@ _TEXT = st.lists(st.sampled_from(_PIECES), max_size=40).map("".join)
 class TestAgainstReference:
     """The master-pattern lexer against the frozen character loops."""
 
+    @staticmethod
+    def check(text, where=None):
+        expected = (reference.tokenize(text), reference.count_sloc(text))
+        assert lex(text) == expected, where
+        assert (tokenize(text), count_sloc(text)) == expected, where
+
     @given(_TEXT)
     @settings(max_examples=300, deadline=None)
     def test_fuzzed_text(self, text):
-        assert tokenize(text) == reference.tokenize(text)
-        assert count_sloc(text) == reference.count_sloc(text)
+        self.check(text)
 
     def test_fixture_corpus(self):
         sources = sorted(CORPUS_DIR.rglob("*.java"))
         assert sources
         for path in sources:
-            text = path.read_text(encoding="utf-8")
-            assert tokenize(text) == reference.tokenize(text), path
-            assert count_sloc(text) == reference.count_sloc(text), path
+            self.check(path.read_text(encoding="utf-8"), path)
+
+    def test_project_sloc_sums_its_files(self, fixture_projects):
+        assert fixture_projects
+        for facts in fixture_projects:
+            texts = [
+                path.read_text(encoding="utf-8")
+                for path in (CORPUS_DIR / facts.project_id).rglob("*.java")
+            ]
+            expected = sum(map(reference.count_sloc, texts))
+            assert facts.sloc == expected, facts.project_id

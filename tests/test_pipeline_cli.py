@@ -10,7 +10,7 @@ import pytest
 import javascale
 from javascale import pipeline
 from javascale.cli import main
-from javascale.errors import ArchiveIntegrityError, EmptyCorpusError, OutOfRangeError
+from javascale.errors import ArchiveIntegrityError, EmptyCorpusError
 from javascale.pipeline import load_config, render_run_report, run_pipeline
 from javascale.store import export_metrics_table, read_facts
 
@@ -224,18 +224,15 @@ class TestRunPipeline:
         assert not (out / "fits.csv").exists()
 
     @pytest.mark.parametrize("make_config", [fixture_config, java_corpus_config])
-    def test_byte_identical_for_any_worker_count(self, tmp_path, make_config):
+    def test_byte_identical_for_any_worker_count(self, tmp_path, make_config, monkeypatch):
         def bundle(workers):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
             config = load_config(make_config(tmp_path, f"w{workers}"))
-            return bundle_bytes(run_pipeline(config, workers=workers).out_dir)
+            return bundle_bytes(run_pipeline(config).out_dir)
 
         first = bundle(1)
         for workers in (2, 4):
             assert bundle(workers) == first, workers
-
-    def test_worker_count_below_one_is_usage_error(self, tmp_path):
-        with pytest.raises(OutOfRangeError, match="workers must be at least 1, got 0"):
-            run_pipeline(load_config(fixture_config(tmp_path)), workers=0)
 
     def test_worker_failure_fails_the_run(self, tmp_path, monkeypatch):
         real = pipeline.extract_project
@@ -247,9 +244,10 @@ class TestRunPipeline:
 
         # patched before the pool starts, so the forked workers inherit it
         monkeypatch.setattr(pipeline, "extract_project", extract_project)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         config = load_config(fixture_config(tmp_path))
         with pytest.raises(ExtractionCrash):
-            run_pipeline(config, workers=2)
+            run_pipeline(config)
         out = Path(config.out_dir)
         assert (out / "STATUS").read_text() == "FAILED\n"
         # the nine records before the failed one are not a shorter corpus
