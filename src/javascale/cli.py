@@ -11,17 +11,18 @@ import math
 import sys
 from pathlib import Path
 
-from .errors import DataError, UsageError
-from .extractor import extract_corpus
-from .metrics import compute_metrics, used_modules_by_provenance
+from .errors import DataError, EmptyCorpusError, UsageError
+from .metrics import DEFAULT_JDK_PREFIXES
 from .normalize import decorrelation_report, normalize_corpus
 from .pipeline import (
     GridCell,
     _series,
     analyze_bins,
     evaluate_grid,
+    extract_facts,
     fit_grid,
     load_config,
+    measure,
     parse_grid,
     render_run_report,
     run_pipeline,
@@ -34,13 +35,7 @@ from .report import (
     render_nrmse_table,
     render_welch_matrix,
 )
-from .store import (
-    FactsArchive,
-    export_metrics_table,
-    read_facts,
-    read_metrics_table,
-    write_facts,
-)
+from .store import export_metrics_table, read_metrics_table, read_records
 from .synth import SynthSpec, generate_metrics
 
 
@@ -116,20 +111,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_extract(args) -> int:
-    projects = extract_corpus(args.manifest)
-    write_facts(FactsArchive(projects=projects), args.output)
-    total_warn = sum(p.parse_warning_count for p in projects)
-    print(f"extracted {len(projects)} project(s) -> {args.output}"
-          f" ({total_warn} parse warning(s))")
+    corpus, warnings = extract_facts(args.manifest, DEFAULT_JDK_PREFIXES, args.output)
+    print(f"extracted {len(corpus)} project(s) -> {args.output}"
+          f" ({warnings} parse warning(s))")
     return 0
 
 
 def cmd_metrics(args) -> int:
-    archive = read_facts(args.facts)
-    used = [used_modules_by_provenance(p) for p in archive.projects]
-    corpus = [compute_metrics(p, u) for p, u in zip(archive.projects, used)]
+    measured = [measure(facts, DEFAULT_JDK_PREFIXES) for facts in read_records(args.facts)]
+    corpus = [row for row, _ in measured]
+    if not corpus:
+        raise EmptyCorpusError(f"{args.facts}: archive holds no projects")
     export_metrics_table(corpus, args.output)
-    unresolved = sum(u.unresolved for u in used)
+    unresolved = sum(missing for _, missing in measured)
     resolved = sum(pm.used_total for pm in corpus)
     total_names = resolved + unresolved
     fraction = unresolved / total_names if total_names else 0.0

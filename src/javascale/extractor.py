@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import DuplicateProjectError, EmptyCorpusError
+from .errors import DataError, DuplicateProjectError, EmptyCorpusError
 from .facts import (
     EntityKind,
     FactRelation,
@@ -1564,7 +1564,8 @@ def read_manifest(manifest_path: str | Path) -> list[tuple[str, Path]]:
     """Read a corpus manifest: one project-root path per line.
 
     Returns (project_id, absolute root) pairs sorted by project id; the
-    project id is the base name of the path.
+    project id is the base name of the path.  Every root must be a
+    directory.
     """
     manifest = Path(manifest_path)
     base = manifest.parent
@@ -1583,6 +1584,9 @@ def read_manifest(manifest_path: str | Path) -> list[tuple[str, Path]]:
     DuplicateProjectError.check(
         [pid for pid, _ in roots], "duplicate project ids in manifest"
     )
+    missing = [str(root) for _, root in roots if not root.is_dir()]
+    if missing:
+        raise DataError(f"manifest {manifest} lists missing project directories: {missing}")
     return roots
 
 

@@ -10,13 +10,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
 
 from .errors import DataError, UsageError
 from .extractor import extract_project, read_manifest
+from .facts import ProjectFacts
 from .metrics import (
     DEFAULT_JDK_PREFIXES,
     METRIC_NAMES,
@@ -315,49 +314,65 @@ def analyze_bins(
     return summaries, p_values
 
 
+def measure(
+    facts: ProjectFacts, jdk_prefixes: tuple[str, ...]
+) -> tuple[ProjectMetrics, int]:
+    """A project's metrics row and its count of unresolved used-module names."""
+    used = used_modules_by_provenance(facts, jdk_prefixes)
+    return compute_metrics(facts, used), used.unresolved
+
+
 def _measure_project(
     project_id: str, root: Path, jdk_prefixes: tuple[str, ...]
-) -> tuple[str, ProjectMetrics]:
-    """One project's archive record and metrics row; its facts stay here."""
+) -> tuple[str, ProjectMetrics, int]:
+    """One project's record, metrics row and parse-warning count; its facts stay here."""
     facts = extract_project(root, project_id)
-    used = used_modules_by_provenance(facts, jdk_prefixes)
-    return _project_payload(facts), compute_metrics(facts, used)
+    metrics, _ = measure(facts, jdk_prefixes)
+    return _project_payload(facts), metrics, facts.parse_warning_count
 
 
 def _java_bytes(root: Path) -> int:
     return sum(p.stat().st_size for p in root.rglob("*.java") if p.is_file())
 
 
-def _project_records(
-    projects: list[tuple[str, Path]], jdk_prefixes: tuple[str, ...]
-) -> Iterator[tuple[str, ProjectMetrics]]:
-    """Yield each project's record and metrics row in the given order.
+def extract_facts(
+    manifest: str | Path, jdk_prefixes: tuple[str, ...], path: str | Path
+) -> tuple[list[ProjectMetrics], int]:
+    """Write the facts archive of a manifest's projects to ``path``, a record
+    at a time in project-id order; return their metrics rows and their
+    parse-warning total.  The projects run in one process per CPU this
+    process may run on, the largest (by ``.java`` bytes) submitted first;
+    with one CPU or one project they run here."""
+    projects = read_manifest(manifest)
+    rows: list[list] = []  # [metrics row, parse warnings] per project
 
-    The projects run in a pool of one process per CPU this process may run
-    on, the largest (by ``.java`` bytes) submitted first; with one CPU or
-    one project they run here.
-    """
+    def payloads(results):
+        for payload, *row in results:
+            rows.append(row)
+            yield payload
+
     affinity = getattr(os, "sched_getaffinity", None)  # Linux only
     workers = min(len(affinity(0)) if affinity else os.cpu_count() or 1, len(projects))
     if workers == 1:
-        for project_id, root in projects:
-            yield _measure_project(project_id, root, jdk_prefixes)
-        return
-    # imported here: with multiprocessing it adds about 35 ms to start-up
-    from concurrent.futures import ProcessPoolExecutor
+        results = (_measure_project(pid, root, jdk_prefixes) for pid, root in projects)
+        write_records(payloads(results), len(projects), path)
+    else:
+        # imported here: with multiprocessing it adds about 35 ms to start-up
+        from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(workers)
-    try:
-        futures = {
-            project_id: pool.submit(_measure_project, project_id, root, jdk_prefixes)
-            for project_id, root in sorted(
-                projects, key=lambda job: _java_bytes(job[1]), reverse=True
-            )
-        }
-        for project_id, _ in projects:
-            yield futures[project_id].result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+        pool = ProcessPoolExecutor(workers)
+        try:
+            futures = {
+                project_id: pool.submit(_measure_project, project_id, root, jdk_prefixes)
+                for project_id, root in sorted(
+                    projects, key=lambda job: _java_bytes(job[1]), reverse=True
+                )
+            }
+            results = (futures[project_id].result() for project_id, _ in projects)
+            write_records(payloads(results), len(projects), path)
+        finally:
+            pool.shutdown(cancel_futures=True)
+    return [metrics for metrics, _ in rows], sum(warned for _, warned in rows)
 
 
 def run_pipeline(config: RunConfig) -> RunResult:
@@ -382,16 +397,7 @@ def run_pipeline(config: RunConfig) -> RunResult:
         (out / "STATUS").write_text("".join(f"{s}\n" for s in stages), encoding="utf-8")
 
     try:
-        projects = read_manifest(config.manifest)
-        corpus: list[ProjectMetrics] = []
-
-        def payloads(records):
-            for payload, metrics in records:
-                corpus.append(metrics)
-                yield payload
-
-        with closing(_project_records(projects, config.jdk_prefixes)) as records:
-            write_records(payloads(records), len(projects), out / "facts.bin")
+        corpus, _ = extract_facts(config.manifest, config.jdk_prefixes, out / "facts.bin")
         done("extract", {})
 
         export_metrics_table(corpus, out / "metrics.csv")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import (
     ArchiveIntegrityError,
@@ -29,7 +29,6 @@ _MAGIC = "JSCALE-FACTS"
 
 @dataclass
 class FactsArchive:
-    version: int = ARCHIVE_VERSION
     projects: list[ProjectFacts] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -84,7 +83,7 @@ def write_records(payloads: Iterable[str], count: int, path: str | Path) -> None
     """Write an archive of ``count`` encoded project records, each one as
     ``payloads`` yields it; until the last is written the file reads as
     truncated."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{_MAGIC} {ARCHIVE_VERSION}\n{count}\n")
         for payload in payloads:
             fh.write(f"{len(payload.encode('utf-8'))} {payload}\n")
@@ -96,48 +95,51 @@ def write_facts(archive: FactsArchive, path: str | Path) -> None:
     write_records(payloads, len(archive.projects), path)
 
 
-def read_facts(path: str | Path) -> FactsArchive:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.split("\n")
-    if lines[-1] == "":  # the newline that ends the last complete line
-        lines.pop()
-    if not lines or not lines[0].startswith(_MAGIC + " "):
-        raise ArchiveIntegrityError(f"{path}: not a facts archive")
-    try:
-        version = int(lines[0][len(_MAGIC) + 1 :])
-    except ValueError as exc:
-        raise ArchiveIntegrityError(f"{path}: bad version line") from exc
-    if version != ARCHIVE_VERSION:
-        raise UnsupportedVersionError(
-            f"{path}: archive version {version}, reader supports {ARCHIVE_VERSION}"
-        )
-    try:
-        count = int(lines[1])
-    except (IndexError, ValueError) as exc:
-        raise ArchiveIntegrityError(f"{path}: missing project count") from exc
-    projects: list[ProjectFacts] = []
-    for lineno in range(2, 2 + count):
-        if lineno >= len(lines):
-            raise ArchiveIntegrityError(f"{path}: truncated at record {lineno - 1}")
-        line = lines[lineno]
+def read_records(path: str | Path) -> Iterator[ProjectFacts]:
+    """Yield each project of an archive as its record is read and checked;
+    what follows the last record is checked when the iterator is exhausted."""
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        if not header.startswith(_MAGIC.encode() + b" "):
+            raise ArchiveIntegrityError(f"{path}: not a facts archive")
         try:
-            size_text, payload = line.split(" ", 1)
-            size = int(size_text)
+            version = int(header[len(_MAGIC) + 1 :])
         except ValueError as exc:
-            raise ArchiveIntegrityError(f"{path}: bad record at line {lineno + 1}") from exc
-        if len(payload.encode("utf-8")) != size:
-            raise ArchiveIntegrityError(
-                f"{path}: record length mismatch at line {lineno + 1}"
+            raise ArchiveIntegrityError(f"{path}: bad version line") from exc
+        if version != ARCHIVE_VERSION:
+            raise UnsupportedVersionError(
+                f"{path}: archive version {version}, reader supports {ARCHIVE_VERSION}"
             )
         try:
-            projects.append(_project_from_payload(json.loads(payload)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ArchiveIntegrityError(
-                f"{path}: bad record at line {lineno + 1}: {exc!r}"
-            ) from exc
-    if len(lines) > 2 + count:
-        raise ArchiveIntegrityError(f"{path}: data after record {count}")
-    return FactsArchive(version=version, projects=projects)
+            count = int(fh.readline())
+        except ValueError as exc:
+            raise ArchiveIntegrityError(f"{path}: missing project count") from exc
+        if count < 0:
+            raise ArchiveIntegrityError(f"{path}: missing project count")
+        for lineno in range(3, count + 3):
+            line = fh.readline()
+            if not line:
+                raise ArchiveIntegrityError(f"{path}: truncated at record {lineno - 2}")
+            try:
+                size_text, payload = line.rstrip(b"\n").split(b" ", 1)
+                size = int(size_text)
+            except ValueError as exc:
+                raise ArchiveIntegrityError(f"{path}: bad record at line {lineno}") from exc
+            if len(payload) != size:
+                raise ArchiveIntegrityError(f"{path}: record length mismatch at line {lineno}")
+            try:
+                facts = _project_from_payload(json.loads(payload.decode("utf-8")))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ArchiveIntegrityError(
+                    f"{path}: bad record at line {lineno}: {exc!r}"
+                ) from exc
+            yield facts
+        if fh.read(1):
+            raise ArchiveIntegrityError(f"{path}: data after record {count}")
+
+
+def read_facts(path: str | Path) -> FactsArchive:
+    return FactsArchive(projects=list(read_records(path)))
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +161,10 @@ def export_metrics_table(metrics: list[ProjectMetrics], path: str | Path) -> Non
 
 
 def read_metrics_table(path: str | Path) -> list[ProjectMetrics]:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ArchiveIntegrityError(f"{path}: not UTF-8 text: {exc}") from exc
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ArchiveIntegrityError(f"{path}: empty metrics table")

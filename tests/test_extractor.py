@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from javascale import extractor
 from javascale.extractor import extract_corpus, extract_project
-from javascale.errors import DuplicateProjectError, EmptyCorpusError
+from javascale.errors import DataError, DuplicateProjectError, EmptyCorpusError
 from javascale.facts import EntityKind, FactRelation, ProjectFacts, RelationKind, SourceEntity
 
 import javalex_reference as reference
@@ -398,6 +398,16 @@ class TestCorpusManifest:
         manifest = tmp_path / "m.txt"
         manifest.write_text("\n# comment only\n")
         with pytest.raises(EmptyCorpusError):
+            extract_corpus(manifest)
+
+    def test_missing_project_directory(self, tmp_path):
+        (tmp_path / "here").mkdir()
+        manifest = tmp_path / "m.txt"
+        manifest.write_text("here\ngone\n/nonexistent/projX\n")
+        with pytest.raises(
+            DataError,
+            match=r"lists missing project directories: \['.*/gone', '/nonexistent/projX'\]$",
+        ):
             extract_corpus(manifest)
 
     def test_duplicate_project_ids(self, tmp_path):

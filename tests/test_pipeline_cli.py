@@ -11,8 +11,9 @@ import javascale
 from javascale import pipeline
 from javascale.cli import main
 from javascale.errors import ArchiveIntegrityError, EmptyCorpusError
+from javascale.extractor import extract_corpus
 from javascale.pipeline import load_config, render_run_report, run_pipeline
-from javascale.store import export_metrics_table, read_facts
+from javascale.store import FactsArchive, export_metrics_table, read_facts, write_facts
 
 from conftest import CORPUS_DIR, FIXTURES
 
@@ -491,6 +492,40 @@ class TestCli:
             == 0
         )
         assert "welch p-value matrix" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_extract_and_metrics_give_the_pipeline_bytes(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        facts = tmp_path / "facts.bin"
+        table = tmp_path / "metrics.csv"
+        assert self.run("extract", str(CORPUS_DIR / "manifest.txt"), "-o", str(facts)) == 0
+        assert self.run("metrics", str(facts), "-o", str(table)) == 0
+        out = run_pipeline(load_config(fixture_config(tmp_path))).out_dir
+        assert facts.read_bytes() == (out / "facts.bin").read_bytes()
+        assert table.read_bytes() == (out / "metrics.csv").read_bytes()
+        # how the benchmark writes the archive it measures
+        library = tmp_path / "library.bin"
+        write_facts(FactsArchive(projects=extract_corpus(CORPUS_DIR / "manifest.txt")), library)
+        assert facts.read_bytes() == library.read_bytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_extract_reports_parse_warnings(self, tmp_path, capsys, monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        manifest = write_java_corpus(tmp_path, 3)
+        for project in ("q01", "q02"):
+            (tmp_path / project / "src" / "q" / "Bad.java").write_text(
+                "package q; class Bad { ??? x(; }\n"
+            )
+        assert [p.parse_warning_count for p in extract_corpus(manifest)] == [0, 1, 1]
+        assert self.run("extract", str(manifest), "-o", str(tmp_path / "facts.bin")) == 0
+        assert capsys.readouterr().out.endswith(" (2 parse warning(s))\n")
+
+    def test_empty_archive_is_data_error(self, tmp_path, capsys):
+        facts = tmp_path / "facts.bin"
+        write_facts(FactsArchive(), facts)
+        assert self.run("metrics", str(facts), "-o", str(tmp_path / "m.csv")) == 2
+        assert capsys.readouterr().err == f"data error: {facts}: archive holds no projects\n"
+        assert not (tmp_path / "m.csv").exists()
 
     def test_metrics_reports_unresolved_fraction(self, tmp_path, capsys):
         facts = tmp_path / "facts.bin"

@@ -16,6 +16,7 @@ from javascale.store import (
     export_metrics_table,
     read_facts,
     read_metrics_table,
+    read_records,
     write_facts,
 )
 
@@ -50,6 +51,11 @@ BAD_ARCHIVES = [
     pytest.param(
         _archive("1", json.dumps(_PAYLOAD)), "bad record at line 3: .*relations", id="key"
     ),
+    pytest.param(
+        b'JSCALE-FACTS 1\n1\n3 "\xff"\n',
+        "bad record at line 3: UnicodeDecodeError",
+        id="non-utf8",
+    ),
 ]
 
 _HEADER = ",".join(METRIC_COLUMNS)
@@ -65,23 +71,30 @@ BAD_TABLES = [
         r"bad row .*modules must equal classes \+ interfaces",
         id="invariant",
     ),
+    pytest.param(b"project_id\xff\n", "not UTF-8 text", id="non-utf8"),
 ]
+
+
+def _write(path, text: str | bytes) -> None:
+    path.write_bytes(text.encode() if isinstance(text, str) else text)
 
 
 @pytest.mark.parametrize("text, message", BAD_ARCHIVES)
 def test_bad_archive_is_integrity_error(tmp_path, capsys, text, message):
     path = tmp_path / "facts.bin"
-    path.write_text(text)
+    _write(path, text)
     with pytest.raises(ArchiveIntegrityError, match=f"^{re.escape(str(path))}: {message}"):
         read_facts(path)
     assert main(["metrics", str(path), "-o", str(tmp_path / "m.csv")]) == 2
     assert capsys.readouterr().err.startswith(f"data error: {path}: ")
+    # cut-after-record and trailing hold a valid record first
+    assert not (tmp_path / "m.csv").exists()
 
 
 @pytest.mark.parametrize("text, message", BAD_TABLES)
 def test_bad_metrics_table_is_integrity_error(tmp_path, capsys, text, message):
     path = tmp_path / "m.csv"
-    path.write_text(text)
+    _write(path, text)
     with pytest.raises(ArchiveIntegrityError, match=f"^{re.escape(str(path))}: {message}"):
         read_metrics_table(path)
     assert main(["fit", str(path), "--y", "methods", "--x", "classes"]) == 2
@@ -93,10 +106,17 @@ class TestArchiveRoundTrip:
         path = tmp_path / "facts.bin"
         write_facts(FactsArchive(projects=[foonumber_facts]), path)
         loaded = read_facts(path)
-        assert loaded.version == 1
         assert loaded.projects[0].entities == foonumber_facts.entities
         assert loaded.projects[0].relations == foonumber_facts.relations
         assert loaded.projects[0].sloc == foonumber_facts.sloc
+
+    def test_records_are_read_one_at_a_time(self, tmp_path):
+        path = tmp_path / "facts.bin"
+        path.write_text(_archive("2", _record()) + "99 {}\n")
+        records = read_records(path)
+        assert next(records).project_id == "p"
+        with pytest.raises(ArchiveIntegrityError, match="record length mismatch at line 4$"):
+            next(records)
 
     def test_empty_archive(self, tmp_path):
         path = tmp_path / "facts.bin"
