@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 usage problem, 2 data error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -22,7 +21,8 @@ from .pipeline import (
     extract_facts,
     fit_grid,
     load_config,
-    measure,
+    load_json,
+    measure_archive,
     parse_grid,
     render_run_report,
     run_pipeline,
@@ -35,7 +35,7 @@ from .report import (
     render_nrmse_table,
     render_welch_matrix,
 )
-from .store import export_metrics_table, read_metrics_table, read_records
+from .store import export_metrics_table, read_metrics_table
 from .synth import SynthSpec, generate_metrics
 
 
@@ -118,7 +118,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    measured = [measure(facts, DEFAULT_JDK_PREFIXES) for facts in read_records(args.facts)]
+    measured = measure_archive(args.facts, DEFAULT_JDK_PREFIXES)
     corpus = [row for row, _ in measured]
     if not corpus:
         raise EmptyCorpusError(f"{args.facts}: archive holds no projects")
@@ -173,10 +173,7 @@ def cmd_bins(args) -> int:
 
 def cmd_validate(args) -> int:
     corpus = read_metrics_table(args.metrics)
-    try:
-        grid_data = json.loads(Path(args.grid).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read grid config: {exc}") from exc
+    grid_data = load_json(args.grid, "grid config")
     cells, testsets = parse_grid(grid_data, None, [])
     space = grid_data.get("space", "log")
     fitted = fit_grid(corpus, cells)
@@ -218,10 +215,7 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    try:
-        data = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read synth spec: {exc}") from exc
+    data = load_json(args.spec, "synth spec")
     try:
         spec = SynthSpec(
             n_projects=int(data["n_projects"]),

@@ -1569,8 +1569,12 @@ def read_manifest(manifest_path: str | Path) -> list[tuple[str, Path]]:
     """
     manifest = Path(manifest_path)
     base = manifest.parent
+    try:
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"manifest {manifest} is not UTF-8 text: {exc}") from exc
     roots: list[tuple[str, Path]] = []
-    for raw in manifest.read_text(encoding="utf-8").splitlines():
+    for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

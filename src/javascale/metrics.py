@@ -183,6 +183,7 @@ def used_modules_by_provenance(
     declared = facts.declared_type_fqns()
     parent, kinds = _containment(facts)
     fqns = {e.entity_id: e.fqn for e in facts.entities}
+    prefixes = tuple(jdk_prefixes)
     internal: set[str] = set()
     jdk: set[str] = set()
     external: set[str] = set()
@@ -199,7 +200,7 @@ def used_modules_by_provenance(
             internal.add(fqn)
         elif "." not in fqn:
             unresolved.add(fqn)
-        elif any(fqn.startswith(p) for p in jdk_prefixes):
+        elif fqn.startswith(prefixes):
             jdk.add(fqn)
         else:
             external.add(fqn)

@@ -10,10 +10,11 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DataError, UsageError
+from .errors import ArchiveError, DataError, UsageError
 from .extractor import extract_project, read_manifest
 from .facts import ProjectFacts
 from .metrics import (
@@ -49,7 +50,14 @@ from .report import (
     write_manifest,
 )
 from .stats import BinSummary, bin_by, log_ratio_summary, log_ratios, welch_t_test
-from .store import _project_payload, export_metrics_table, read_metrics_table, write_records
+from .store import (
+    _project_payload,
+    decode_record,
+    export_metrics_table,
+    read_metrics_table,
+    scan_records,
+    write_records,
+)
 
 
 @dataclass(frozen=True)
@@ -185,14 +193,18 @@ def parse_grid(
     return models, testsets
 
 
+def load_json(path: str | Path, what: str):
+    """A JSON file's value; unreadable, non-UTF-8 or malformed is a usage error."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_config(path: str | Path) -> RunConfig:
     """Read a pipeline config from JSON; paths resolve against its parent."""
-    p = Path(path)
-    try:
-        data = json.loads(p.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
-    base = p.parent
+    data = load_json(path, "config")
+    base = Path(path).parent
 
     def _path(value: str) -> str:
         q = Path(value)
@@ -335,15 +347,35 @@ def _java_bytes(root: Path) -> int:
     return sum(p.stat().st_size for p in root.rglob("*.java") if p.is_file())
 
 
+def _in_workers(fn, jobs: list[tuple], weight):
+    """Yield ``fn(*job)`` for each job, in job order, from one process per CPU
+    this process may run on, heaviest by ``weight`` first; one CPU or job runs here."""
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+    workers = min(len(affinity(0)) if affinity else os.cpu_count() or 1, len(jobs))
+    if workers <= 1:
+        for job in jobs:
+            yield fn(*job)
+        return
+    # imported here: with multiprocessing it adds about 35 ms to start-up
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers)
+    try:
+        order = sorted(range(len(jobs)), key=lambda i: weight(jobs[i]), reverse=True)
+        futures = {i: pool.submit(fn, *jobs[i]) for i in order}
+        yield from (futures[i].result() for i in range(len(jobs)))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def extract_facts(
     manifest: str | Path, jdk_prefixes: tuple[str, ...], path: str | Path
 ) -> tuple[list[ProjectMetrics], int]:
     """Write the facts archive of a manifest's projects to ``path``, a record
     at a time in project-id order; return their metrics rows and their
-    parse-warning total.  The projects run in one process per CPU this
-    process may run on, the largest (by ``.java`` bytes) submitted first;
-    with one CPU or one project they run here."""
-    projects = read_manifest(manifest)
+    parse-warning total.  The projects run in worker processes, the largest
+    (by ``.java`` bytes) first."""
+    jobs = [(pid, root, jdk_prefixes) for pid, root in read_manifest(manifest)]
     rows: list[list] = []  # [metrics row, parse warnings] per project
 
     def payloads(results):
@@ -351,28 +383,34 @@ def extract_facts(
             rows.append(row)
             yield payload
 
-    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
-    workers = min(len(affinity(0)) if affinity else os.cpu_count() or 1, len(projects))
-    if workers == 1:
-        results = (_measure_project(pid, root, jdk_prefixes) for pid, root in projects)
-        write_records(payloads(results), len(projects), path)
-    else:
-        # imported here: with multiprocessing it adds about 35 ms to start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(workers)
-        try:
-            futures = {
-                project_id: pool.submit(_measure_project, project_id, root, jdk_prefixes)
-                for project_id, root in sorted(
-                    projects, key=lambda job: _java_bytes(job[1]), reverse=True
-                )
-            }
-            results = (futures[project_id].result() for project_id, _ in projects)
-            write_records(payloads(results), len(projects), path)
-        finally:
-            pool.shutdown(cancel_futures=True)
+    with closing(_in_workers(_measure_project, jobs, lambda job: _java_bytes(job[1]))) as results:
+        write_records(payloads(results), len(jobs), path)
     return [metrics for metrics, _ in rows], sum(warned for _, warned in rows)
+
+
+def _measure_record(path, offset, size, lineno, jdk_prefixes) -> tuple[ProjectMetrics, int]:
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        payload = fh.read(size)
+    return measure(decode_record(payload, path, lineno), jdk_prefixes)
+
+
+def measure_archive(
+    path: str | Path, jdk_prefixes: tuple[str, ...]
+) -> list[tuple[ProjectMetrics, int]]:
+    """Each archived project's metrics row and unresolved-name count.  The
+    records are decoded and measured in worker processes, the longest first;
+    the error raised is the archive's first fault in file order."""
+    jobs, fault = [], None
+    try:
+        for offset, payload, lineno in scan_records(path):
+            jobs.append((path, offset, len(payload), lineno, jdk_prefixes))
+    except ArchiveError as exc:  # raised once the records before it are measured
+        fault = exc
+    measured = list(_in_workers(_measure_record, jobs, lambda job: job[2]))
+    if fault is not None:
+        raise fault
+    return measured
 
 
 def run_pipeline(config: RunConfig) -> RunResult:

@@ -56,27 +56,28 @@ def _project_payload(p: ProjectFacts) -> str:
     )
 
 
-def _project_from_payload(data: dict) -> ProjectFacts:
-    return ProjectFacts(
-        project_id=data["project_id"],
-        sloc=data["sloc"],
-        parse_warning_count=data.get("parse_warning_count", 0),
-        warnings=list(data.get("warnings", [])),
-        entities=[
-            SourceEntity(
-                entity_id=eid,
-                fqn=fqn,
-                kind=EntityKind(kind),
-                file=file,
-                line=line,
-            )
-            for eid, fqn, kind, file, line in data["entities"]
-        ],
-        relations=[
-            FactRelation(source=s, kind=RelationKind(k), target=t)
-            for s, k, t in data["relations"]
-        ],
-    )
+# a dict lookup costs a fraction of an enum call; an unknown kind is a KeyError
+_ENTITY_KINDS = {k.value: k for k in EntityKind}
+_RELATION_KINDS = {k.value: k for k in RelationKind}
+
+
+def decode_record(payload: bytes, path: str | Path, lineno: int) -> ProjectFacts:
+    """The project of the record payload framed at line ``lineno`` of ``path``."""
+    try:
+        data = json.loads(payload.decode("utf-8"))
+        return ProjectFacts(
+            project_id=data["project_id"],
+            sloc=data["sloc"],
+            parse_warning_count=data.get("parse_warning_count", 0),
+            warnings=list(data.get("warnings", [])),
+            entities=[
+                SourceEntity(eid, fqn, _ENTITY_KINDS[kind], file, line)
+                for eid, fqn, kind, file, line in data["entities"]
+            ],
+            relations=[FactRelation(s, _RELATION_KINDS[k], t) for s, k, t in data["relations"]],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArchiveIntegrityError(f"{path}: bad record at line {lineno}: {exc!r}") from exc
 
 
 def write_records(payloads: Iterable[str], count: int, path: str | Path) -> None:
@@ -95,9 +96,9 @@ def write_facts(archive: FactsArchive, path: str | Path) -> None:
     write_records(payloads, len(archive.projects), path)
 
 
-def read_records(path: str | Path) -> Iterator[ProjectFacts]:
-    """Yield each project of an archive as its record is read and checked;
-    what follows the last record is checked when the iterator is exhausted."""
+def scan_records(path: str | Path) -> Iterator[tuple[int, bytes, int]]:
+    """Yield each record's payload offset, payload and line number, checking
+    the archive's framing, not the payloads: header, count, lengths, the end."""
     with open(path, "rb") as fh:
         header = fh.readline()
         if not header.startswith(_MAGIC.encode() + b" "):
@@ -117,6 +118,7 @@ def read_records(path: str | Path) -> Iterator[ProjectFacts]:
         if count < 0:
             raise ArchiveIntegrityError(f"{path}: missing project count")
         for lineno in range(3, count + 3):
+            offset = fh.tell()
             line = fh.readline()
             if not line:
                 raise ArchiveIntegrityError(f"{path}: truncated at record {lineno - 2}")
@@ -127,15 +129,16 @@ def read_records(path: str | Path) -> Iterator[ProjectFacts]:
                 raise ArchiveIntegrityError(f"{path}: bad record at line {lineno}") from exc
             if len(payload) != size:
                 raise ArchiveIntegrityError(f"{path}: record length mismatch at line {lineno}")
-            try:
-                facts = _project_from_payload(json.loads(payload.decode("utf-8")))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ArchiveIntegrityError(
-                    f"{path}: bad record at line {lineno}: {exc!r}"
-                ) from exc
-            yield facts
+            yield offset + len(size_text) + 1, payload, lineno
         if fh.read(1):
             raise ArchiveIntegrityError(f"{path}: data after record {count}")
+
+
+def read_records(path: str | Path) -> Iterator[ProjectFacts]:
+    """Yield each project of an archive as its record is read and checked;
+    what follows the last record is checked when the iterator is exhausted."""
+    for _, payload, lineno in scan_records(path):
+        yield decode_record(payload, path, lineno)
 
 
 def read_facts(path: str | Path) -> FactsArchive:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -519,6 +520,54 @@ class TestCli:
         assert [p.parse_warning_count for p in extract_corpus(manifest)] == [0, 1, 1]
         assert self.run("extract", str(manifest), "-o", str(tmp_path / "facts.bin")) == 0
         assert capsys.readouterr().out.endswith(" (2 parse warning(s))\n")
+
+    @pytest.mark.parametrize(
+        "make_manifest",
+        [lambda tmp: CORPUS_DIR / "manifest.txt", lambda tmp: write_java_corpus(tmp, 12)],
+        ids=["fixture", "java_corpus"],
+    )
+    def test_metrics_byte_identical_for_any_worker_count(
+        self, tmp_path, capsys, monkeypatch, make_manifest
+    ):
+        facts = tmp_path / "facts.bin"
+        table = tmp_path / "metrics.csv"
+        assert self.run("extract", str(make_manifest(tmp_path)), "-o", str(facts)) == 0
+        capsys.readouterr()
+        pools = []
+
+        class Pool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, workers):
+                pools.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        outputs = []
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            table.unlink(missing_ok=True)
+            assert self.run("metrics", str(facts), "-o", str(table)) == 0
+            outputs.append((table.read_bytes(), capsys.readouterr().out))
+        assert outputs == [outputs[0]] * 3
+        assert pools == [2, 4]  # one CPU measures in-process
+
+    @pytest.mark.parametrize(
+        "command, code", [("extract", 2), ("pipeline", 1), ("validate", 1), ("synth", 1)]
+    )
+    def test_non_utf8_input_names_its_path(
+        self, tmp_path, fixture_table, capsys, command, code
+    ):
+        path = tmp_path / "input"
+        path.write_bytes(b"p\xff\n" if command == "extract" else b'{"x": "\xff"}')
+        argv = {
+            "extract": ["extract", str(path), "-o", str(tmp_path / "f.bin")],
+            "pipeline": ["pipeline", str(path)],
+            "validate": ["validate", str(fixture_table), "--grid", str(path)],
+            "synth": ["synth", "--spec", str(path), "-o", str(tmp_path / "t.csv")],
+        }[command]
+        assert self.run(*argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("data error: " if code == 2 else "usage error: ")
+        assert f" {path}" in err
 
     def test_empty_archive_is_data_error(self, tmp_path, capsys):
         facts = tmp_path / "facts.bin"

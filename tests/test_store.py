@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import pytest
@@ -23,9 +24,10 @@ from javascale.store import (
 _PAYLOAD = {"project_id": "p", "sloc": 1, "entities": [[1, "p", "PACKAGE", "", 0]]}
 
 
-def _archive(count: str, payload: str) -> str:
-    """An archive of one record whose length prefix is right for ``payload``."""
-    return f"JSCALE-FACTS 1\n{count}\n{len(payload.encode('utf-8'))} {payload}\n"
+def _archive(count: str, *payloads: str) -> str:
+    """An archive of records whose length prefixes are right for ``payloads``."""
+    records = "".join(f"{len(p.encode('utf-8'))} {p}\n" for p in payloads)
+    return f"JSCALE-FACTS 1\n{count}\n{records}"
 
 
 def _record(**changes) -> str:
@@ -75,10 +77,47 @@ BAD_TABLES = [
 ]
 
 
+# archives with a fault after two or more framed records, so that the
+# metrics command measures the records before it in a pool
+_BIG_BAD_KIND = _record(
+    project_id="big",
+    entities=[[i, "p", "PACKAGE", "", 0] for i in range(1, 500)] + [[500, "p", "KLASS", "", 0]],
+)
+MULTI_FAULT_ARCHIVES = [
+    pytest.param(
+        _archive("3", "{not json", _record()),
+        "bad record at line 3: .*Expecting",
+        id="json-then-truncated",
+    ),
+    pytest.param(
+        _archive("3", _record(), _record(project_id="q")) + "99 {}\n",
+        "record length mismatch at line 5",
+        id="good-then-length",
+    ),
+    pytest.param(
+        _archive("2", _record(), _record(project_id="q")) + "garbage\n",
+        "data after record 2",
+        id="good-then-trailing",
+    ),
+    # the later bad record is the longest, so a pool runs it first
+    pytest.param(
+        _archive("4", _record(), "{not json", _BIG_BAD_KIND, _record(project_id="q")),
+        "bad record at line 4: .*Expecting",
+        id="json-then-longer-bad-kind",
+    ),
+]
+
+
 def _write(path, text: str | bytes) -> None:
     path.write_bytes(text.encode() if isinstance(text, str) else text)
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.mark.usefixtures("two_cpus")
 @pytest.mark.parametrize("text, message", BAD_ARCHIVES)
 def test_bad_archive_is_integrity_error(tmp_path, capsys, text, message):
     path = tmp_path / "facts.bin"
@@ -88,6 +127,21 @@ def test_bad_archive_is_integrity_error(tmp_path, capsys, text, message):
     assert main(["metrics", str(path), "-o", str(tmp_path / "m.csv")]) == 2
     assert capsys.readouterr().err.startswith(f"data error: {path}: ")
     # cut-after-record and trailing hold a valid record first
+    assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("text, message", MULTI_FAULT_ARCHIVES)
+def test_metrics_reports_the_readers_first_fault(
+    tmp_path, capsys, monkeypatch, text, message, cpus
+):
+    path = tmp_path / "facts.bin"
+    _write(path, text)
+    with pytest.raises(ArchiveIntegrityError, match=f"^{re.escape(str(path))}: {message}") as read:
+        list(read_records(path))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert main(["metrics", str(path), "-o", str(tmp_path / "m.csv")]) == 2
+    assert capsys.readouterr().err == f"data error: {read.value}\n"
     assert not (tmp_path / "m.csv").exists()
 
 
