@@ -4,6 +4,8 @@
 exit code 1.
 """
 
+from collections import Counter
+
 
 class JavaScaleError(Exception):
     """Base class for all package errors."""
@@ -52,8 +54,9 @@ class DuplicateProjectError(DataError):
     @classmethod
     def check(cls, ids: list[str], what: str) -> None:
         """Raise ``what: [ids listed twice or more]`` if any id repeats."""
-        if len(ids) != len(set(ids)):
-            raise cls(f"{what}: {sorted({x for x in ids if ids.count(x) > 1})}")
+        counts = Counter(ids)
+        if len(counts) != len(ids):
+            raise cls(f"{what}: {sorted(x for x, n in counts.items() if n > 1)}")
 
 
 class EmptyCorpusError(DataError):

@@ -18,8 +18,11 @@ Counting conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Callable
 
+from .errors import UnknownMetricError
 from .facts import TYPE_KINDS, EntityKind, ProjectFacts, RelationKind
 
 METRIC_COLUMNS = [
@@ -62,6 +65,9 @@ _TYPE_USE_KINDS = frozenset(
     }
 )
 
+# a row's 16 counts in column order, read in one call
+_counts = attrgetter(*METRIC_COLUMNS[1:])
+
 
 @dataclass(frozen=True)
 class ProjectMetrics:
@@ -84,11 +90,10 @@ class ProjectMetrics:
     efferent_coupling: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if f.name == "project_id":
-                continue
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"{f.name} must be non-negative")
+        counts = _counts(self)
+        if min(counts) < 0:
+            name = next(n for n, v in zip(METRIC_COLUMNS[1:], counts) if v < 0)
+            raise ValueError(f"{name} must be non-negative")
         if self.modules != self.classes + self.interfaces:
             raise ValueError("modules must equal classes + interfaces")
         if self.used_total != self.used_internal + self.used_jdk + self.used_external:
@@ -99,12 +104,11 @@ class ProjectMetrics:
             raise ValueError("dui and if_count cannot exceed the class count")
 
 
-def metric_value(pm: ProjectMetrics, name: str) -> int:
+def metric_getter(name: str) -> Callable[[ProjectMetrics], int]:
+    """The accessor of metric ``name``, checked once instead of per row."""
     if name not in METRIC_NAMES:
-        from .errors import UnknownMetricError
-
         raise UnknownMetricError(f"unknown metric {name!r}")
-    return getattr(pm, name)
+    return attrgetter(name)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InsufficientDataError, OutOfRangeError
-from .metrics import ProjectMetrics, metric_value
+from .metrics import ProjectMetrics, metric_getter
 from .regression import kahan_sum, pearson, spearman
 
 DECORRELATION_THRESHOLD = 0.05
@@ -69,12 +69,13 @@ def normalize_corpus(
     beta: float,
 ) -> list[NormalizedMetric]:
     """Normalized values for every project with a positive denominator."""
+    denominator, numerator = metric_getter(denominator_metric), metric_getter(numerator_metric)
     out: list[NormalizedMetric] = []
     for pm in corpus:
-        den = metric_value(pm, denominator_metric)
+        den = denominator(pm)
         if den < 1:
             continue
-        num = metric_value(pm, numerator_metric)
+        num = numerator(pm)
         out.append(
             NormalizedMetric(
                 project_id=pm.project_id,
@@ -99,10 +100,10 @@ def decorrelation_report(
     When beta matches the corpus scaling law, both coefficients should be
     indistinguishable from zero.
     """
+    denominator, numerator = metric_getter(denominator_metric), metric_getter(numerator_metric)
     pairs: list[tuple[float, float]] = []
     for pm in corpus:
-        den = metric_value(pm, denominator_metric)
-        num = metric_value(pm, numerator_metric)
+        den, num = denominator(pm), numerator(pm)
         if den < 1 or num <= 0:
             continue
         pairs.append((math.log(beta_normalize(num, den, beta)), math.log(den)))

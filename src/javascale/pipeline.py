@@ -22,7 +22,7 @@ from .metrics import (
     METRIC_NAMES,
     ProjectMetrics,
     compute_metrics,
-    metric_value,
+    metric_getter,
     used_modules_by_provenance,
 )
 from .normalize import beta_normalize, decorrelation_report, normalize_corpus
@@ -253,9 +253,8 @@ def _series(corpus: list[ProjectMetrics], cell: GridCell) -> tuple[list[int], li
     rows = corpus
     if cell.subset is not None:
         rows = filter_by_size(corpus, cell.x_metric, cell.subset[0], cell.subset[1])
-    xs = [metric_value(pm, cell.x_metric) for pm in rows]
-    ys = [metric_value(pm, cell.y_metric) for pm in rows]
-    return xs, ys
+    x, y = metric_getter(cell.x_metric), metric_getter(cell.y_metric)
+    return [x(pm) for pm in rows], [y(pm) for pm in rows]
 
 
 def fit_grid(
@@ -277,15 +276,16 @@ def evaluate_grid(
 ) -> list[ModelEval]:
     if space not in ("log", "linear"):
         raise UsageError(f"unknown NRMSE space {space!r}")
+    test_rows = [(ts.name, filter_by_size(corpus, ts.metric, ts.low, ts.high)) for ts in testsets]
     evals = []
     for model_id, fit, cell in fitted:
+        x, y = metric_getter(cell.x_metric), metric_getter(cell.y_metric)
         per_testset: dict[str, float] = {}
-        for ts in testsets:
-            rows = filter_by_size(corpus, ts.metric, ts.low, ts.high)
-            xs = [metric_value(pm, cell.x_metric) for pm in rows]
-            ys = [metric_value(pm, cell.y_metric) for pm in rows]
+        for name, rows in test_rows:
+            xs = [x(pm) for pm in rows]
+            ys = [y(pm) for pm in rows]
             try:
-                per_testset[ts.name] = evaluate_nrmse(fit, xs, ys, space=space)
+                per_testset[name] = evaluate_nrmse(fit, xs, ys, space=space)
             except DataError:
                 continue  # test set too small for this corpus; leave blank
         evals.append(

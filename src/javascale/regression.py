@@ -22,9 +22,8 @@ from .errors import (
     OutOfRangeError,
     UndefinedCorrelationError,
     UndefinedNormalizationError,
-    UnknownMetricError,
 )
-from .metrics import METRIC_NAMES, ProjectMetrics, metric_value
+from .metrics import ProjectMetrics, metric_getter
 
 HUBER_C = 1.345
 MAD_TO_SIGMA = 0.6745
@@ -330,13 +329,10 @@ def filter_by_size(
     corpus: list[ProjectMetrics], size_metric_name: str, low: float, high: float
 ) -> list[ProjectMetrics]:
     """Projects with ``low <= metric < high``."""
-    if size_metric_name not in METRIC_NAMES:
-        raise UnknownMetricError(f"unknown metric {size_metric_name!r}")
+    size = metric_getter(size_metric_name)
     if not low < high:
         raise OutOfRangeError(f"empty range [{low}, {high})")
-    return [
-        pm for pm in corpus if low <= metric_value(pm, size_metric_name) < high
-    ]
+    return [pm for pm in corpus if low <= size(pm) < high]
 
 
 def pearson(xs, ys) -> float:
@@ -359,7 +355,7 @@ def pearson(xs, ys) -> float:
 
 
 def _average_ranks(values: list[float]) -> list[float]:
-    order = sorted(range(len(values)), key=lambda i: values[i])
+    order = sorted(range(len(values)), key=values.__getitem__)
     ranks = [0.0] * len(values)
     i = 0
     while i < len(order):

@@ -10,10 +10,11 @@ leaves the error far below 1e-8 across (0, 1).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import EmptyBinError, InsufficientDataError, OutOfRangeError
-from .metrics import ProjectMetrics, metric_value
+from .metrics import ProjectMetrics, metric_getter
 from .regression import kahan_sum
 
 # ---------------------------------------------------------------------------
@@ -249,12 +250,10 @@ def bin_by(corpus: list[ProjectMetrics], metric_name: str, edges) -> list[Bin]:
         Bin(label=f"b{idx + 1}", low=lo, high=hi, projects=[])
         for idx, (lo, hi) in enumerate(bounds)
     ]
+    value = metric_getter(metric_name)
     for pm in corpus:
-        v = metric_value(pm, metric_name)
-        for b in bins:
-            if b.low <= v < b.high:
-                b.projects.append(pm)
-                break
+        # the edges at or below v count the bins left of v's bin
+        bins[bisect_right(edges, value(pm))].projects.append(pm)
     return bins
 
 
@@ -267,11 +266,11 @@ def log_ratios(
     Projects with a zero numerator or denominator have no defined log
     ratio and are excluded (counted) either way.
     """
+    numerator, denominator = metric_getter(numerator_metric), metric_getter(denominator_metric)
     values: list[float] = []
     excluded = 0
     for pm in bin_.projects:
-        num = metric_value(pm, numerator_metric)
-        den = metric_value(pm, denominator_metric)
+        num, den = numerator(pm), denominator(pm)
         if num <= 0 or den <= 0:
             excluded += 1
             continue

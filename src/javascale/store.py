@@ -179,11 +179,9 @@ def read_metrics_table(path: str | Path) -> list[ProjectMetrics]:
         cells = ln.split(",")
         if len(cells) != len(METRIC_COLUMNS):
             raise ArchiveIntegrityError(f"{path}: bad row {ln!r}")
-        kwargs = {"project_id": cells[0]}
         try:
-            for name, cell in zip(METRIC_COLUMNS[1:], cells[1:]):
-                kwargs[name] = int(cell)
-            out.append(ProjectMetrics(**kwargs))
+            out.append(ProjectMetrics(cells[0], *map(int, cells[1:])))
         except ValueError as exc:
             raise ArchiveIntegrityError(f"{path}: bad row {ln!r}: {exc}") from exc
+    DuplicateProjectError.check([m.project_id for m in out], f"{path}: duplicate project ids")
     return out

@@ -9,10 +9,13 @@ from javascale.metrics import (
     compute_metrics,
     count_dui,
     count_inherited_from,
-    metric_value,
+    metric_getter,
     used_modules_by_provenance,
 )
 from javascale.errors import UnknownMetricError
+from javascale.normalize import decorrelation_report, normalize_corpus
+from javascale.pipeline import GridCell, _series
+from javascale.stats import Bin, bin_by, log_ratios
 
 
 def project_from(tmp_path, files):
@@ -224,15 +227,34 @@ class TestMonotonicity:
             previous = pm
 
 
-class TestMetricValue:
+class TestMetricGetter:
     def test_lookup(self):
         pm = ProjectMetrics(project_id="p", sloc=7)
-        assert metric_value(pm, "sloc") == 7
+        assert metric_getter("sloc")(pm) == 7
 
     def test_unknown_metric(self):
-        pm = ProjectMetrics(project_id="p")
-        with pytest.raises(UnknownMetricError):
-            metric_value(pm, "bogus")
+        with pytest.raises(UnknownMetricError, match=r"^unknown metric 'bogus'$"):
+            metric_getter("bogus")
+
+    # each consumer resolves its metrics before it reads a row
+    @pytest.mark.parametrize(
+        "consume",
+        [
+            lambda: bin_by([], "bogus", (5,)),
+            lambda: log_ratios(Bin("b1", 0, 1, []), "bogus", "classes"),
+            lambda: normalize_corpus([], "methods", "bogus", 1.0),
+            lambda: decorrelation_report([], "bogus", "classes", 1.0),
+            lambda: _series([], GridCell("m", "bogus", "classes")),
+        ],
+        ids=["bin_by", "log_ratios", "normalize_corpus", "decorrelation_report", "series"],
+    )
+    def test_unknown_metric_on_empty_corpus(self, consume):
+        with pytest.raises(UnknownMetricError, match=r"^unknown metric 'bogus'$"):
+            consume()
+
+    def test_first_negative_count_is_named(self):
+        with pytest.raises(ValueError, match=r"^calls must be non-negative$"):
+            ProjectMetrics(project_id="p", calls=-1, efferent_coupling=-2)
 
     def test_invariant_validation(self):
         with pytest.raises(ValueError):

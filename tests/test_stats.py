@@ -3,7 +3,7 @@ import math
 import pytest
 import scipy.special
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from javascale.errors import EmptyBinError, InsufficientDataError
@@ -181,12 +181,24 @@ class TestBinBy:
         with pytest.raises(ValueError):
             bin_by([], "classes", (10, 10))
 
-    @given(st.lists(st.integers(0, 10000), min_size=0, max_size=60))
+    # each edge and the size just below it, where an off-by-one bin lookup slips
+    AT_EDGES = [e + d for e in EDGES for d in (-1, 0)]
+
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from(AT_EDGES), st.integers(0, 10000)),
+            min_size=0,
+            max_size=60,
+        )
+    )
+    @example(sizes=AT_EDGES)
     @settings(max_examples=50, deadline=None)
     def test_partition_property(self, sizes):
         corpus = self.corpus(sizes)
         bins = bin_by(corpus, "classes", self.EDGES)
         assert sum(len(b.projects) for b in bins) == len(corpus)
+        for b in bins:
+            assert all(b.low <= p.classes < b.high for p in b.projects), b.label
 
 
 class TestLogRatioSummary:

@@ -74,6 +74,16 @@ BAD_TABLES = [
         id="invariant",
     ),
     pytest.param(b"project_id\xff\n", "not UTF-8 text", id="non-utf8"),
+    pytest.param(  # calls -1
+        f"{_HEADER}\nz{_ZEROS[:12]},-1{_ZEROS[14:]}\n",
+        "bad row .*calls must be non-negative",
+        id="negative",
+    ),
+    pytest.param(
+        f"{_HEADER}\nz{_ZEROS}\ny{_ZEROS}\nz{_ZEROS}\n",
+        r"duplicate project ids: \['z'\]$",
+        id="duplicate",
+    ),
 ]
 
 
@@ -149,8 +159,12 @@ def test_metrics_reports_the_readers_first_fault(
 def test_bad_metrics_table_is_integrity_error(tmp_path, capsys, text, message):
     path = tmp_path / "m.csv"
     _write(path, text)
-    with pytest.raises(ArchiveIntegrityError, match=f"^{re.escape(str(path))}: {message}"):
+    # a repeated id is a DuplicateProjectError, every other fault an integrity error
+    with pytest.raises(
+        (DuplicateProjectError, ArchiveIntegrityError), match=f"^{re.escape(str(path))}: {message}"
+    ) as err:
         read_metrics_table(path)
+    assert isinstance(err.value, DuplicateProjectError) == message.startswith("duplicate")
     assert main(["fit", str(path), "--y", "methods", "--x", "classes"]) == 2
     assert capsys.readouterr().err.startswith(f"data error: {path}: ")
 
