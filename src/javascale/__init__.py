@@ -14,9 +14,7 @@ from .metrics import (
     METRIC_COLUMNS,
     ProjectMetrics,
     compute_metrics,
-    count_dui,
-    count_inherited_from,
-    used_modules_by_provenance,
+    measure,
 )
 from .normalize import beta_normalize, decorrelation_report, wmc_summary
 from .regression import (
@@ -73,8 +71,6 @@ __all__ = [
     "beta_normalize",
     "bin_by",
     "compute_metrics",
-    "count_dui",
-    "count_inherited_from",
     "count_sloc",
     "decorrelation_report",
     "diagnostics",
@@ -89,6 +85,7 @@ __all__ = [
     "generate_metrics",
     "inverse_normal_cdf",
     "log_ratio_summary",
+    "measure",
     "nrmse",
     "pearson",
     "predict",
@@ -96,7 +93,6 @@ __all__ = [
     "read_metrics_table",
     "spearman",
     "student_t_cdf",
-    "used_modules_by_provenance",
     "welch_t_test",
     "wmc_summary",
     "write_facts",

@@ -108,6 +108,26 @@ MODIFIER_WORDS = frozenset(
 
 _TYPE_KEYWORDS = frozenset(["class", "interface", "enum"])
 
+
+def _type_keyword(toks: list[Tok], i: int) -> str | None:
+    """The kind of type declared from ``toks[i]`` on, if it starts one:
+    ``class``, ``interface`` or ``enum``, or ``record`` followed by a name
+    and ``(`` or ``<`` (elsewhere ``record`` is an identifier)."""
+    t = toks[i]
+    if t.kind != "word":
+        return None
+    if t.text in _TYPE_KEYWORDS:
+        return t.text
+    if (
+        t.text == "record"
+        and i + 2 < len(toks)
+        and toks[i + 1].kind == "word"
+        and toks[i + 2].text in ("(", "<")
+    ):
+        return "record"
+    return None
+
+
 # Tokens that may legally appear inside a generic argument list in a usage
 # position; anything else means "this was a comparison, not a type".
 _GENERIC_OK_PUNCT = frozenset([".", ",", "?", "<", ">", "[", "]"])
@@ -546,16 +566,9 @@ class _Parser:
         t = toks[j]
         if t.text == "@" and j + 1 < n and toks[j + 1].text == "interface":
             return self._parse_type_decl(j + 2, "annotation", toks[j].line)
-        if t.kind == "word" and t.text in _TYPE_KEYWORDS:
-            return self._parse_type_decl(j + 1, t.text, t.line)
-        if (
-            t.kind == "word"
-            and t.text == "record"
-            and j + 2 < n
-            and toks[j + 1].kind == "word"
-            and toks[j + 2].text in ("(", "<")
-        ):
-            return self._parse_type_decl(j + 1, "record", t.line)
+        kind = _type_keyword(toks, j)
+        if kind is not None:
+            return self._parse_type_decl(j + 1, kind, t.line)
         return None, i
 
     def _parse_type_decl(self, i: int, kind: str, line: int) -> tuple[TypeDecl | None, int]:
@@ -848,16 +861,16 @@ def _extract_anons(
             out.append(t)
             i += 1
             continue
+        kind = _type_keyword(raw, i)
         if (
-            t.kind == "word"
-            and t.text in _TYPE_KEYWORDS
+            kind is not None
             and not (out and out[-1].text == ".")
             and i + 1 < n
             and raw[i + 1].kind == "word"
         ):
             # local type declaration
             sub = _Parser(raw, parser.syntax)
-            decl, i2 = sub._parse_type_decl(i + 1, t.text, t.line)
+            decl, i2 = sub._parse_type_decl(i + 1, kind, t.line)
             if decl is not None and decl.members is not None and i2 > i:
                 anons.append(decl)
                 i = i2

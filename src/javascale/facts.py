@@ -80,10 +80,6 @@ class ProjectFacts:
     warnings: list[str] = field(default_factory=list)
     parse_warning_count: int = 0
 
-    def declared_type_fqns(self) -> set[str]:
-        """Fully qualified names of all types declared in this project."""
-        return {e.fqn for e in self.entities if e.kind in TYPE_KINDS}
-
     def validate(self) -> None:
         """Check the structural invariants; raise ValueError on violation."""
         ids = [e.entity_id for e in self.entities]

@@ -14,10 +14,15 @@ Counting conventions:
   external.  Call/instantiation targets whose owner type never resolves,
   and package-less names the project does not declare, are tallied
   separately as unresolved and do not enter the provenance split.
+
+:func:`measure` takes every count from one walk over a project's facts
+and returns the unresolved count beside the row; the ``metrics`` command
+sums it over the projects and prints the unresolved fraction.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable
@@ -111,184 +116,127 @@ def metric_getter(name: str) -> Callable[[ProjectMetrics], int]:
     return attrgetter(name)
 
 
-@dataclass(frozen=True)
-class UsedModules:
-    internal: int
-    jdk: int
-    external: int
-    total: int
-    unresolved: int  # distinct names with no resolvable owner type
+def _call_owner(name: str, declared: set[str]) -> str | None:
+    """Owner type of a CALLS or INSTANTIATES target name, or None when it
+    cannot be known."""
+    if name.endswith(".<init>"):
+        return name[: -len(".<init>")] or None
+    if "." not in name:
+        return None  # bare unresolved call
+    segs = name.split(".")[:-1]  # drop the member name
+    for k in range(len(segs), 0, -1):
+        cand = ".".join(segs[:k])
+        if cand in declared or segs[k - 1][:1].isupper():
+            return cand
+    return None
 
 
-def _containment(facts: ProjectFacts) -> tuple[dict[int, int], dict[int, EntityKind]]:
-    """Each entity's CONTAINS parent, and each entity's kind."""
+def measure(
+    facts: ProjectFacts, jdk_prefixes: tuple[str, ...] = DEFAULT_JDK_PREFIXES
+) -> tuple[ProjectMetrics, int]:
+    """A project's metrics row and its count of distinct unresolved names.
+
+    Pure and deterministic.  The entities are read once and the relations
+    twice: first for the CONTAINS parents, since the relations come in any
+    order, then for every count, set and used module.  A module used many
+    times counts once.
+    """
+    kinds: dict[int, EntityKind] = {}
+    fqns: dict[int, str] = {}
+    per_kind: Counter[EntityKind] = Counter()
+    declared: set[str] = set()
+    method_ids: list[int] = []
+    for e in facts.entities:
+        kinds[e.entity_id] = e.kind
+        fqns[e.entity_id] = e.fqn
+        per_kind[e.kind] += 1
+        if e.kind in TYPE_KINDS:
+            declared.add(e.fqn)
+        elif e.kind is EntityKind.METHOD:
+            method_ids.append(e.entity_id)
     parent = {
         r.target: r.source
         for r in facts.relations
         if r.kind is RelationKind.CONTAINS and isinstance(r.target, int)
     }
-    return parent, {e.entity_id: e.kind for e in facts.entities}
+    owners: dict[int, str | None] = {}
 
+    def owner_type(entity_id: int) -> str | None:
+        """The innermost type that is or contains the entity, looked up once."""
+        if entity_id not in owners:
+            cur: int | None = entity_id
+            while cur is not None and kinds.get(cur) not in TYPE_KINDS:
+                cur = parent.get(cur)
+            owners[entity_id] = None if cur is None else fqns[cur]
+        return owners[entity_id]
 
-def _containing_type(
-    entity_id: int, parent: dict[int, int], kinds: dict[int, EntityKind]
-) -> int | None:
-    cur: int | None = entity_id
-    while cur is not None:
-        if kinds.get(cur) in TYPE_KINDS:
-            return cur
-        cur = parent.get(cur)
-    return None
-
-
-def _target_type_fqn(
-    rel_kind: RelationKind,
-    target: int | str,
-    parent: dict[int, int],
-    kinds: dict[int, EntityKind],
-    fqns: dict[int, str],
-    declared: set[str],
-) -> str | None:
-    """Owner type of a relation target, or None when it cannot be known."""
-    if isinstance(target, int):
-        owner = _containing_type(target, parent, kinds)
-        return fqns[owner] if owner is not None else None
-    s = target
-    if rel_kind in (RelationKind.CALLS, RelationKind.INSTANTIATES):
-        if s.endswith(".<init>"):
-            s = s[: -len(".<init>")]
-            return s or None
-        if "." not in s:
-            return None  # bare unresolved call
-        s = s.rsplit(".", 1)[0]  # drop the member name
-        if s in declared:
-            return s
-        segs = s.split(".")
-        for k in range(len(segs), 0, -1):
-            cand = ".".join(segs[:k])
-            if cand in declared:
-                return cand
-            if segs[k - 1][:1].isupper():
-                return cand
-        return None
-    return s
-
-
-def used_modules_by_provenance(
-    facts: ProjectFacts,
-    jdk_prefixes: tuple[str, ...] | list[str] = DEFAULT_JDK_PREFIXES,
-) -> UsedModules:
-    """Distinct modules used by the project, split by provenance.
-
-    A module used many times counts once.  Targets whose owner type cannot
-    be resolved (no import, no declaration) are reported in ``unresolved``
-    and excluded from the three provenance buckets.
-    """
-    declared = facts.declared_type_fqns()
-    parent, kinds = _containment(facts)
-    fqns = {e.entity_id: e.fqn for e in facts.entities}
-    prefixes = tuple(jdk_prefixes)
-    internal: set[str] = set()
-    jdk: set[str] = set()
-    external: set[str] = set()
+    per_rel: Counter[RelationKind] = Counter()
+    dui: set[int] = set()  # classes with a non-Object extends or an implements
+    inherited: set[int] = set()  # classes some declaration extends
+    used: set[str] = set()
     unresolved: set[str] = set()
-    for rel in facts.relations:
-        if rel.kind not in _TYPE_USE_KINDS:
+    for r in facts.relations:
+        kind, target = r.kind, r.target
+        per_rel[kind] += 1
+        if kind not in _TYPE_USE_KINDS:
             continue
-        fqn = _target_type_fqn(rel.kind, rel.target, parent, kinds, fqns, declared)
-        if fqn is None:
-            if isinstance(rel.target, str):
-                unresolved.add(rel.target)
-            continue
+        if kind is RelationKind.EXTENDS:
+            if kinds.get(target) in _CLASS_KINDS:
+                inherited.add(target)
+            name = fqns.get(target) if isinstance(target, int) else target
+            if kinds.get(r.source) in _CLASS_KINDS and name not in ("java.lang.Object", "Object"):
+                dui.add(r.source)
+        elif kind is RelationKind.IMPLEMENTS and kinds.get(r.source) in _CLASS_KINDS:
+            dui.add(r.source)
+        if isinstance(target, int):
+            fqn = owner_type(target)
+        elif kind is RelationKind.CALLS or kind is RelationKind.INSTANTIATES:
+            fqn = _call_owner(target, declared)
+            if fqn is None:
+                unresolved.add(target)
+        else:
+            fqn = target
+        if fqn is not None:
+            used.add(fqn)
+    internal = jdk = external = 0
+    for fqn in used:
         if fqn in declared:
-            internal.add(fqn)
+            internal += 1
         elif "." not in fqn:
             unresolved.add(fqn)
-        elif fqn.startswith(prefixes):
-            jdk.add(fqn)
+        elif fqn.startswith(jdk_prefixes):
+            jdk += 1
         else:
-            external.add(fqn)
-    return UsedModules(
-        internal=len(internal),
-        jdk=len(jdk),
-        external=len(external),
-        total=len(internal) + len(jdk) + len(external),
-        unresolved=len(unresolved),
-    )
-
-
-def count_dui(facts: ProjectFacts) -> int:
-    """Classes defined using inheritance: explicit extends of a type other
-    than java.lang.Object, or at least one implements."""
-    class_ids = {e.entity_id for e in facts.entities if e.kind in _CLASS_KINDS}
-    fqns = {e.entity_id: e.fqn for e in facts.entities}
-    dui: set[int] = set()
-    for rel in facts.relations:
-        if rel.source not in class_ids:
-            continue
-        if rel.kind is RelationKind.EXTENDS:
-            target_fqn = (
-                fqns.get(rel.target) if isinstance(rel.target, int) else rel.target
-            )
-            if target_fqn not in ("java.lang.Object", "Object"):
-                dui.add(rel.source)
-        elif rel.kind is RelationKind.IMPLEMENTS:
-            dui.add(rel.source)
-    return len(dui)
-
-
-def count_inherited_from(facts: ProjectFacts) -> int:
-    """Classes that some other declaration in the project extends."""
-    class_ids = {e.entity_id for e in facts.entities if e.kind in _CLASS_KINDS}
-    inherited: set[int] = set()
-    for rel in facts.relations:
-        if rel.kind is RelationKind.EXTENDS and isinstance(rel.target, int):
-            if rel.target in class_ids:
-                inherited.add(rel.target)
-    return len(inherited)
-
-
-def compute_metrics(
-    facts: ProjectFacts, used: UsedModules | None = None
-) -> ProjectMetrics:
-    """Compute the full per-project metric record. Pure and deterministic.
-
-    ``used`` is the project's ``used_modules_by_provenance`` result, for a
-    caller that needs it too; by default it is computed with the default
-    JDK prefixes.
-    """
-    if used is None:
-        used = used_modules_by_provenance(facts)
-    classes = sum(1 for e in facts.entities if e.kind in _CLASS_KINDS)
-    interfaces = sum(1 for e in facts.entities if e.kind in _INTERFACE_KINDS)
-    parent, kinds = _containment(facts)
-    methods = sum(
-        1
-        for e in facts.entities
-        if e.kind is EntityKind.METHOD and kinds.get(parent.get(e.entity_id)) in _CLASS_KINDS
-    )
-    constructors = sum(1 for e in facts.entities if e.kind is EntityKind.CONSTRUCTOR)
-    calls = sum(1 for r in facts.relations if r.kind is RelationKind.CALLS)
-    instanceof_count = sum(
-        1 for r in facts.relations if r.kind is RelationKind.INSTANCEOF
-    )
-    casts = sum(1 for r in facts.relations if r.kind is RelationKind.CASTS)
-    return ProjectMetrics(
+            external += 1
+    classes = per_kind[EntityKind.CLASS] + per_kind[EntityKind.ENUM]
+    interfaces = per_kind[EntityKind.INTERFACE] + per_kind[EntityKind.ANNOTATION]
+    row = ProjectMetrics(
         project_id=facts.project_id,
         sloc=facts.sloc,
         classes=classes,
         interfaces=interfaces,
         modules=classes + interfaces,
-        methods=methods,
-        constructors=constructors,
-        calls=calls,
-        instanceof_count=instanceof_count,
-        casts=casts,
-        dui=count_dui(facts),
-        if_count=count_inherited_from(facts),
-        used_total=used.total,
-        used_internal=used.internal,
-        used_jdk=used.jdk,
-        used_external=used.external,
-        efferent_coupling=used.jdk + used.external,
+        methods=sum(kinds.get(parent.get(m)) in _CLASS_KINDS for m in method_ids),
+        constructors=per_kind[EntityKind.CONSTRUCTOR],
+        calls=per_rel[RelationKind.CALLS],
+        instanceof_count=per_rel[RelationKind.INSTANCEOF],
+        casts=per_rel[RelationKind.CASTS],
+        dui=len(dui),
+        if_count=len(inherited),
+        used_total=internal + jdk + external,
+        used_internal=internal,
+        used_jdk=jdk,
+        used_external=external,
+        efferent_coupling=jdk + external,
     )
+    return row, len(unresolved)
+
+
+# kept for bench/worker.py's traced run, which wraps this name as its
+# metrics.provenance span: the span times every measure call
+used_modules_by_provenance = measure
+
+
+def compute_metrics(facts: ProjectFacts) -> ProjectMetrics:
+    """The project's metrics row, with the default JDK prefixes."""
+    return measure(facts)[0]

@@ -16,14 +16,12 @@ from pathlib import Path
 
 from .errors import ArchiveError, DataError, UsageError
 from .extractor import extract_project, read_manifest
-from .facts import ProjectFacts
 from .metrics import (
     DEFAULT_JDK_PREFIXES,
     METRIC_NAMES,
     ProjectMetrics,
-    compute_metrics,
+    measure,
     metric_getter,
-    used_modules_by_provenance,
 )
 from .normalize import beta_normalize, decorrelation_report, normalize_corpus
 from .regression import (
@@ -324,14 +322,6 @@ def analyze_bins(
             if len(series[a]) >= 2 and len(series[b_label]) >= 2:
                 p_values[(a, b_label)] = welch_t_test(series[a], series[b_label]).p_value
     return summaries, p_values
-
-
-def measure(
-    facts: ProjectFacts, jdk_prefixes: tuple[str, ...]
-) -> tuple[ProjectMetrics, int]:
-    """A project's metrics row and its count of unresolved used-module names."""
-    used = used_modules_by_provenance(facts, jdk_prefixes)
-    return compute_metrics(facts, used), used.unresolved
 
 
 def _measure_project(

@@ -383,6 +383,32 @@ class TestExtraction:
         assert supers == [(RelationKind.IMPLEMENTS, "java.lang.Runnable")]
         assert [e.fqn for e in facts.entities if e.kind is EntityKind.FIELD] == ["R.a"]
 
+    def test_local_record_is_a_type(self, tmp_path):
+        # like a local class, not statements of the method that declares it
+        write_project(
+            tmp_path,
+            {
+                "A.java": """
+                class A {
+                    int go() {
+                        record Pt(int x, int y) {
+                            int sum() { return x + y; }
+                        }
+                        return new Pt(1, 2).sum();
+                    }
+                }
+                """
+            },
+        )
+        facts = extract_project(tmp_path, "p")
+        fqns = {kind: [e.fqn for e in facts.entities if e.kind is kind] for kind in EntityKind}
+        assert fqns[EntityKind.CLASS] == ["A", "A$Pt"]
+        assert fqns[EntityKind.METHOD] == ["A.go", "A$Pt.sum"]
+        assert fqns[EntityKind.FIELD] == ["A$Pt.x", "A$Pt.y"]
+        calls = [t for _, kind, t in rel_texts(facts) if kind is RelationKind.CALLS]
+        assert calls == ["Pt.sum"]
+        assert facts.warnings == []
+
 
 class TestCorpusManifest:
     def test_extract_corpus_sorted_with_project_local_ids(self):

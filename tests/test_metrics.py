@@ -1,17 +1,19 @@
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from javascale.extractor import extract_project
-from javascale.facts import ProjectFacts
-from javascale.metrics import (
-    ProjectMetrics,
-    compute_metrics,
-    count_dui,
-    count_inherited_from,
-    metric_getter,
-    used_modules_by_provenance,
+from javascale.facts import (
+    TYPE_KINDS,
+    EntityKind,
+    FactRelation,
+    ProjectFacts,
+    RelationKind,
+    SourceEntity,
 )
+from javascale.metrics import ProjectMetrics, compute_metrics, measure, metric_getter
 from javascale.errors import UnknownMetricError
 from javascale.normalize import decorrelation_report, normalize_corpus
 from javascale.pipeline import GridCell, _series
@@ -79,29 +81,29 @@ class TestComputeMetrics:
 class TestDui:
     def test_plain_class_contributes_zero(self, tmp_path):
         facts = project_from(tmp_path, {"A.java": "class A { }"})
-        assert count_dui(facts) == 0
+        assert compute_metrics(facts).dui == 0
 
     def test_implements_only_counts_by_default(self, tmp_path):
         facts = project_from(
             tmp_path, {"A.java": "class A implements Runnable { public void run() {} }"}
         )
-        assert count_dui(facts) == 1
+        assert compute_metrics(facts).dui == 1
 
     def test_extends_object_does_not_count(self, tmp_path):
         facts = project_from(tmp_path, {"A.java": "class A extends Object { }"})
-        assert count_dui(facts) == 0
+        assert compute_metrics(facts).dui == 0
 
     def test_extends_counts(self, tmp_path):
         facts = project_from(
             tmp_path, {"A.java": "class A {}", "B.java": "class B extends A {}"}
         )
-        assert count_dui(facts) == 1
+        assert compute_metrics(facts).dui == 1
 
 
 class TestInheritedFrom:
     def test_no_inheritance(self, tmp_path):
         facts = project_from(tmp_path, {"A.java": "class A {}", "B.java": "class B {}"})
-        assert count_inherited_from(facts) == 0
+        assert compute_metrics(facts).if_count == 0
 
     def test_chain(self, tmp_path):
         facts = project_from(
@@ -112,13 +114,13 @@ class TestInheritedFrom:
                 "C.java": "class C extends B {}",
             },
         )
-        assert count_inherited_from(facts) == 2
+        assert compute_metrics(facts).if_count == 2
 
     def test_external_parent_not_counted(self, tmp_path):
         facts = project_from(
             tmp_path, {"A.java": "import x.Base; class A extends Base {}"}
         )
-        assert count_inherited_from(facts) == 0
+        assert compute_metrics(facts).if_count == 0
 
 
 class TestUsedModules:
@@ -127,41 +129,39 @@ class TestUsedModules:
             tmp_path,
             {"a/A.java": "package a; class A {}", "a/B.java": "package a; class B { A a; }"},
         )
-        used = used_modules_by_provenance(facts)
-        assert (used.internal, used.jdk, used.external) == (1, 0, 0)
+        pm, _ = measure(facts)
+        assert (pm.used_internal, pm.used_jdk, pm.used_external) == (1, 0, 0)
 
     def test_jdk(self, tmp_path):
         facts = project_from(tmp_path, {"A.java": "class A { Integer n; }"})
-        used = used_modules_by_provenance(facts)
-        assert (used.internal, used.jdk, used.external) == (0, 1, 0)
+        pm, _ = measure(facts)
+        assert (pm.used_internal, pm.used_jdk, pm.used_external) == (0, 1, 0)
 
     def test_external(self, tmp_path):
         facts = project_from(
             tmp_path, {"A.java": "import org.apache.commons.X; class A { X x; }"}
         )
-        used = used_modules_by_provenance(facts)
-        assert (used.internal, used.jdk, used.external) == (0, 0, 1)
+        pm, _ = measure(facts)
+        assert (pm.used_internal, pm.used_jdk, pm.used_external) == (0, 0, 1)
 
     def test_custom_prefixes(self, tmp_path):
         facts = project_from(
             tmp_path, {"A.java": "import sun.misc.Unsafe; class A { Unsafe u; }"}
         )
-        assert used_modules_by_provenance(facts).external == 1
-        used = used_modules_by_provenance(facts, ("java.", "sun."))
-        assert (used.jdk, used.external) == (1, 0)
-        pm = compute_metrics(facts, used)
+        assert compute_metrics(facts).used_external == 1
+        pm, _ = measure(facts, ("java.", "sun."))
         assert (pm.used_jdk, pm.used_external) == (1, 0)
 
     def test_foonumber_provenance(self, foonumber_facts):
-        used = used_modules_by_provenance(foonumber_facts)
-        assert used.internal == 1  # the class itself, via self-instantiation
-        assert used.jdk >= 2  # Integer and System at least
-        assert used.external == 0
-        assert used.total == used.internal + used.jdk + used.external
+        pm, _ = measure(foonumber_facts)
+        assert pm.used_internal == 1  # the class itself, via self-instantiation
+        assert pm.used_jdk >= 2  # Integer and System at least
+        assert pm.used_external == 0
+        assert pm.used_total == pm.used_internal + pm.used_jdk + pm.used_external
 
     def test_empty(self):
-        used = used_modules_by_provenance(ProjectFacts(project_id="none"))
-        assert (used.internal, used.jdk, used.external, used.total) == (0, 0, 0, 0)
+        pm, _ = measure(ProjectFacts(project_id="none"))
+        assert (pm.used_internal, pm.used_jdk, pm.used_external, pm.used_total) == (0, 0, 0, 0)
 
     def test_distinctness(self, tmp_path):
         body = "\n".join(
@@ -171,17 +171,76 @@ class TestUsedModules:
             tmp_path,
             {"A.java": f"import ext.Thing;\nclass A {{\n  void go() {{\n{body}\n  }}\n}}"},
         )
-        used = used_modules_by_provenance(facts)
-        assert used.external == 1
+        pm, _ = measure(facts)
+        assert pm.used_external == 1
 
     def test_unresolved_not_in_provenance_split(self, tmp_path):
         facts = project_from(
             tmp_path,
             {"A.java": "class A { void go() { Mystery.call(); helper(); } }"},
         )
-        used = used_modules_by_provenance(facts)
-        assert used.external == 0
-        assert used.unresolved >= 1
+        pm, unresolved = measure(facts)
+        assert pm.used_external == 0
+        assert unresolved >= 1
+
+
+_TYPE_KINDS = sorted(TYPE_KINDS)
+_MEMBER_KINDS = [EntityKind.FIELD, EntityKind.CONSTRUCTOR, EntityKind.METHOD]
+_USE_KINDS = [k for k in RelationKind if k is not RelationKind.CONTAINS]
+# names as the extractor leaves them: resolved, member, constructor, bare
+_NAMES = st.sampled_from(
+    [
+        "java.lang.Object",
+        "Object",
+        "java.util.List",
+        "sun.misc.Unsafe",
+        "ext.Thing",
+        "ext.Thing.<init>",
+        "ext.Thing.go",
+        "p.E1.go",
+        "a.b.c",
+        "Mystery.call",
+        "helper",
+    ]
+)
+
+
+@st.composite
+def small_projects(draw):
+    """A valid project of a package, up to a dozen types and members, and
+    relations of every kind to project entities and to names."""
+    entities = [SourceEntity(0, "p", EntityKind.PACKAGE, "", 0)]
+    relations = []
+    for eid in range(1, draw(st.integers(1, 12)) + 1):
+        owner = draw(st.sampled_from([e for e in entities if e.kind is not EntityKind.FIELD]))
+        if owner.kind is EntityKind.PACKAGE:
+            kind = draw(st.sampled_from(_TYPE_KINDS))
+        else:
+            kind = draw(st.sampled_from(_TYPE_KINDS + _MEMBER_KINDS))
+        entities.append(SourceEntity(eid, f"{owner.fqn}.E{eid}", kind, "A.java", eid))
+        relations.append(FactRelation(owner.entity_id, RelationKind.CONTAINS, eid))
+    ids = st.integers(0, len(entities) - 1)
+    uses = st.builds(FactRelation, ids, st.sampled_from(_USE_KINDS), st.one_of(ids, _NAMES))
+    relations += draw(st.lists(uses, max_size=20))
+    facts = ProjectFacts("generated", entities, relations, sloc=draw(st.integers(0, 99)))
+    facts.validate()
+    return facts
+
+
+class TestMeasure:
+    # the extractor emits every CONTAINS edge first; an archive may not
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_entity_and_relation_order_do_not_matter(self, fixture_projects, data):
+        for facts in [*fixture_projects, data.draw(small_projects())]:
+            shuffled = ProjectFacts(
+                facts.project_id,
+                data.draw(st.permutations(facts.entities)),
+                data.draw(st.permutations(facts.relations)),
+                facts.sloc,
+            )
+            for prefixes in [("java.", "javax."), ("java.", "sun.")]:
+                assert measure(shuffled, prefixes) == measure(facts, prefixes)
 
 
 class TestMonotonicity:

@@ -581,7 +581,9 @@ class TestCli:
         table = tmp_path / "metrics.csv"
         assert self.run("extract", str(CORPUS_DIR / "manifest.txt"), "-o", str(facts)) == 0
         assert self.run("metrics", str(facts), "-o", str(table)) == 0
-        assert "unresolved used-module names" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "unresolved used-module names: 1 of 50 (2.0%); excluded from the provenance split"
+        )
 
     def test_normalize_reports_missing_decorrelation(self, fixture_table, capsys):
         assert (
