@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
+from typing import NamedTuple, Union
 
 
 class EntityKind(str, Enum):
@@ -51,21 +51,26 @@ MEMBER_KINDS = frozenset(
 RelationTarget = Union[int, str]
 
 
-@dataclass(frozen=True)
-class SourceEntity:
+class _SourceEntityRow(NamedTuple):
     entity_id: int
     fqn: str
     kind: EntityKind
     file: str  # relative path, "" for package entities
     line: int  # 1-based, 0 for package entities
 
-    def __post_init__(self) -> None:
-        if not self.fqn:
+
+class SourceEntity(_SourceEntityRow):
+    """An immutable named tuple whose construction checks the fqn."""
+
+    __slots__ = ()
+
+    def __new__(cls, entity_id: int, fqn: str, kind: EntityKind, file: str, line: int):
+        if not fqn:
             raise ValueError("entity fqn must be non-empty")
+        return tuple.__new__(cls, (entity_id, fqn, kind, file, line))
 
 
-@dataclass(frozen=True)
-class FactRelation:
+class FactRelation(NamedTuple):
     source: int
     kind: RelationKind
     target: RelationTarget

@@ -22,8 +22,7 @@ sums it over the projects and prints the unresolved fraction.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from operator import attrgetter
 from typing import Callable
 
@@ -70,32 +69,24 @@ _TYPE_USE_KINDS = frozenset(
     }
 )
 
-# a row's 16 counts in column order, read in one call
-_counts = attrgetter(*METRIC_COLUMNS[1:])
 
+class ProjectMetrics(
+    namedtuple("_ProjectMetricsRow", METRIC_COLUMNS, defaults=(0,) * (len(METRIC_COLUMNS) - 1))
+):
+    """One project's metrics row: an immutable named tuple of the
+    ``METRIC_COLUMNS``, the 16 counts defaulting to 0.
 
-@dataclass(frozen=True)
-class ProjectMetrics:
-    project_id: str
-    sloc: int = 0
-    classes: int = 0
-    interfaces: int = 0
-    modules: int = 0
-    methods: int = 0
-    constructors: int = 0
-    calls: int = 0
-    instanceof_count: int = 0
-    casts: int = 0
-    dui: int = 0
-    if_count: int = 0
-    used_total: int = 0
-    used_internal: int = 0
-    used_jdk: int = 0
-    used_external: int = 0
-    efferent_coupling: int = 0
+    Construction checks the row's invariants, and so does unpickling, by
+    which rows leave worker processes.  ``_make`` and ``_replace`` build a
+    row without calling ``__new__`` and so skip the checks; nothing in
+    ``src/`` calls them.
+    """
 
-    def __post_init__(self) -> None:
-        counts = _counts(self)
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        counts = self[1:]
         if min(counts) < 0:
             name = next(n for n, v in zip(METRIC_COLUMNS[1:], counts) if v < 0)
             raise ValueError(f"{name} must be non-negative")
@@ -107,6 +98,7 @@ class ProjectMetrics:
             raise ValueError("efferent_coupling must equal used_jdk + used_external")
         if self.dui > self.classes or self.if_count > self.classes:
             raise ValueError("dui and if_count cannot exceed the class count")
+        return self
 
 
 def metric_getter(name: str) -> Callable[[ProjectMetrics], int]:
@@ -139,25 +131,25 @@ def measure(
     Pure and deterministic.  The entities are read once and the relations
     twice: first for the CONTAINS parents, since the relations come in any
     order, then for every count, set and used module.  A module used many
-    times counts once.
+    times counts once.  A CONTAINS cycle is a ValueError naming its entities.
     """
     kinds: dict[int, EntityKind] = {}
     fqns: dict[int, str] = {}
     per_kind: Counter[EntityKind] = Counter()
     declared: set[str] = set()
     method_ids: list[int] = []
-    for e in facts.entities:
-        kinds[e.entity_id] = e.kind
-        fqns[e.entity_id] = e.fqn
-        per_kind[e.kind] += 1
-        if e.kind in TYPE_KINDS:
-            declared.add(e.fqn)
-        elif e.kind is EntityKind.METHOD:
-            method_ids.append(e.entity_id)
+    for eid, fqn, kind, _, _ in facts.entities:
+        kinds[eid] = kind
+        fqns[eid] = fqn
+        per_kind[kind] += 1
+        if kind in TYPE_KINDS:
+            declared.add(fqn)
+        elif kind is EntityKind.METHOD:
+            method_ids.append(eid)
     parent = {
-        r.target: r.source
-        for r in facts.relations
-        if r.kind is RelationKind.CONTAINS and isinstance(r.target, int)
+        target: source
+        for source, kind, target in facts.relations
+        if kind is RelationKind.CONTAINS and isinstance(target, int)
     }
     owners: dict[int, str | None] = {}
 
@@ -165,8 +157,15 @@ def measure(
         """The innermost type that is or contains the entity, looked up once."""
         if entity_id not in owners:
             cur: int | None = entity_id
+            steps = 0
             while cur is not None and kinds.get(cur) not in TYPE_KINDS:
+                if steps > len(parent):  # a parent taken twice: cur is on a cycle
+                    cycle = [cur]
+                    while parent[cycle[-1]] != cur:
+                        cycle.append(parent[cycle[-1]])
+                    raise ValueError(f"CONTAINS cycle through entities {sorted(cycle)}")
                 cur = parent.get(cur)
+                steps += 1
             owners[entity_id] = None if cur is None else fqns[cur]
         return owners[entity_id]
 
@@ -175,8 +174,7 @@ def measure(
     inherited: set[int] = set()  # classes some declaration extends
     used: set[str] = set()
     unresolved: set[str] = set()
-    for r in facts.relations:
-        kind, target = r.kind, r.target
+    for source, kind, target in facts.relations:
         per_rel[kind] += 1
         if kind not in _TYPE_USE_KINDS:
             continue
@@ -184,10 +182,10 @@ def measure(
             if kinds.get(target) in _CLASS_KINDS:
                 inherited.add(target)
             name = fqns.get(target) if isinstance(target, int) else target
-            if kinds.get(r.source) in _CLASS_KINDS and name not in ("java.lang.Object", "Object"):
-                dui.add(r.source)
-        elif kind is RelationKind.IMPLEMENTS and kinds.get(r.source) in _CLASS_KINDS:
-            dui.add(r.source)
+            if kinds.get(source) in _CLASS_KINDS and name not in ("java.lang.Object", "Object"):
+                dui.add(source)
+        elif kind is RelationKind.IMPLEMENTS and kinds.get(source) in _CLASS_KINDS:
+            dui.add(source)
         if isinstance(target, int):
             fqn = owner_type(target)
         elif kind is RelationKind.CALLS or kind is RelationKind.INSTANTIATES:

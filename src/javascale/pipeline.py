@@ -14,7 +14,7 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ArchiveError, DataError, UsageError
+from .errors import ArchiveError, ArchiveIntegrityError, DataError, UsageError
 from .extractor import extract_project, read_manifest
 from .metrics import (
     DEFAULT_JDK_PREFIXES,
@@ -33,6 +33,7 @@ from .regression import (
     filter_by_size,
     fit_log_power,
     fit_robust_log_power,
+    transformed_nrmse,
 )
 from .report import (
     bins_csv,
@@ -275,15 +276,25 @@ def evaluate_grid(
     if space not in ("log", "linear"):
         raise UsageError(f"unknown NRMSE space {space!r}")
     test_rows = [(ts.name, filter_by_size(corpus, ts.metric, ts.low, ts.high)) for ts in testsets]
+    # models with the same metrics, k and zero offset share a test set's
+    # points, mapped by _transform once for the log space
+    points: dict[tuple, tuple[list, list]] = {}
     evals = []
     for model_id, fit, cell in fitted:
         x, y = metric_getter(cell.x_metric), metric_getter(cell.y_metric)
         per_testset: dict[str, float] = {}
         for name, rows in test_rows:
-            xs = [x(pm) for pm in rows]
-            ys = [y(pm) for pm in rows]
+            key = (cell.x_metric, cell.y_metric, fit.k, fit.zero_offset, name)
+            if key not in points:
+                xs, ys = [x(pm) for pm in rows], [y(pm) for pm in rows]
+                if space == "log":
+                    xs, ys, _ = _transform(xs, ys, fit.k, fit.zero_offset)
+                points[key] = xs, ys
             try:
-                per_testset[name] = evaluate_nrmse(fit, xs, ys, space=space)
+                if space == "log":
+                    per_testset[name] = transformed_nrmse(fit, *points[key])
+                else:
+                    per_testset[name] = evaluate_nrmse(fit, *points[key], space=space)
             except DataError:
                 continue  # test set too small for this corpus; leave blank
         evals.append(
@@ -382,7 +393,10 @@ def _measure_record(path, offset, size, lineno, jdk_prefixes) -> tuple[ProjectMe
     with open(path, "rb") as fh:
         fh.seek(offset)
         payload = fh.read(size)
-    return measure(decode_record(payload, path, lineno), jdk_prefixes)
+    try:
+        return measure(decode_record(payload, path, lineno), jdk_prefixes)
+    except ValueError as exc:  # a CONTAINS cycle, or a row invariant such as sloc >= 0
+        raise ArchiveIntegrityError(f"{path}: bad record at line {lineno}: {exc}") from exc
 
 
 def measure_archive(

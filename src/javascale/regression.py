@@ -312,10 +312,7 @@ def evaluate_nrmse(fit: FitResult, test_xs, test_ys, *, space: str = "log") -> f
     """
     if space == "log":
         ts, zs, _ = _transform(test_xs, test_ys, fit.k, fit.zero_offset)
-        if len(ts) < 2:
-            raise InsufficientDataError("NRMSE needs at least 2 usable points")
-        preds = [fit.alpha + fit.beta * t for t in ts]
-        return nrmse(preds, zs)
+        return transformed_nrmse(fit, ts, zs)
     if space == "linear":
         pairs = [(x, y) for x, y in zip(test_xs, test_ys) if x > 0]
         if len(pairs) < 2:
@@ -323,6 +320,14 @@ def evaluate_nrmse(fit: FitResult, test_xs, test_ys, *, space: str = "log") -> f
         preds = [predict(fit, x) for x, _ in pairs]
         return nrmse(preds, [y for _, y in pairs])
     raise ValueError(f"unknown NRMSE space {space!r}")
+
+
+def transformed_nrmse(fit: FitResult, ts: list[float], zs: list[float]) -> float:
+    """NRMSE of a fitted model on a test set already mapped by ``_transform``
+    with the fit's ``k`` and ``zero_offset``."""
+    if len(ts) < 2:
+        raise InsufficientDataError("NRMSE needs at least 2 usable points")
+    return nrmse([fit.alpha + fit.beta * t for t in ts], zs)
 
 
 def filter_by_size(

@@ -45,10 +45,9 @@ def _project_payload(p: ProjectFacts) -> str:
             "parse_warning_count": p.parse_warning_count,
             "warnings": p.warnings,
             "entities": [
-                [e.entity_id, e.fqn, e.kind.value, e.file, e.line]
-                for e in p.entities
+                [eid, fqn, kind.value, file, line] for eid, fqn, kind, file, line in p.entities
             ],
-            "relations": [[r.source, r.kind.value, r.target] for r in p.relations],
+            "relations": [[source, kind.value, target] for source, kind, target in p.relations],
         },
         separators=(",", ":"),
         sort_keys=True,
@@ -157,10 +156,8 @@ def export_metrics_table(metrics: list[ProjectMetrics], path: str | Path) -> Non
     DuplicateProjectError.check(
         [m.project_id for m in metrics], "duplicate project ids in export"
     )
-    rows = [",".join(METRIC_COLUMNS)]
-    for m in sorted(metrics, key=lambda m: m.project_id):
-        rows.append(",".join(str(getattr(m, col)) for col in METRIC_COLUMNS))
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    rows = [METRIC_COLUMNS, *sorted(metrics, key=lambda m: m.project_id)]
+    Path(path).write_text("".join(",".join(map(str, r)) + "\n" for r in rows), encoding="utf-8")
 
 
 def read_metrics_table(path: str | Path) -> list[ProjectMetrics]:

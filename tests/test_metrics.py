@@ -1,3 +1,5 @@
+import pickle
+import re
 import textwrap
 
 import pytest
@@ -13,7 +15,13 @@ from javascale.facts import (
     RelationKind,
     SourceEntity,
 )
-from javascale.metrics import ProjectMetrics, compute_metrics, measure, metric_getter
+from javascale.metrics import (
+    METRIC_COLUMNS,
+    ProjectMetrics,
+    compute_metrics,
+    measure,
+    metric_getter,
+)
 from javascale.errors import UnknownMetricError
 from javascale.normalize import decorrelation_report, normalize_corpus
 from javascale.pipeline import GridCell, _series
@@ -242,6 +250,117 @@ class TestMeasure:
             for prefixes in [("java.", "javax."), ("java.", "sun.")]:
                 assert measure(shuffled, prefixes) == measure(facts, prefixes)
 
+    @pytest.mark.parametrize(
+        "relations, used, cycle",
+        [
+            ([(2, 3), (3, 2)], 3, "[2, 3]"),
+            ([(3, 3)], 3, "[3]"),
+            ([(3, 1), (2, 3), (3, 2)], 1, "[2, 3]"),  # from 1 up into the cycle
+        ],
+        ids=["two", "self", "tail"],
+    )
+    def test_contains_cycle_is_named(self, relations, used, cycle):
+        facts = ProjectFacts(
+            "cyc",
+            [
+                SourceEntity(1, "p", EntityKind.PACKAGE, "", 0),
+                SourceEntity(2, "p.f", EntityKind.FIELD, "A.java", 1),
+                SourceEntity(3, "p.m", EntityKind.METHOD, "A.java", 2),
+            ],
+            [FactRelation(s, RelationKind.CONTAINS, t) for s, t in relations]
+            + [FactRelation(1, RelationKind.USES, used)],
+        )
+        message = f"^CONTAINS cycle through entities {re.escape(cycle)}$"
+        with pytest.raises(ValueError, match=message):
+            measure(facts)
+
+    def test_walk_up_to_a_package_is_no_cycle(self):
+        # one CONTAINS edge, but two steps up from the field: to p, then to nothing
+        facts = ProjectFacts(
+            "flat",
+            [
+                SourceEntity(1, "p", EntityKind.PACKAGE, "", 0),
+                SourceEntity(2, "p.f", EntityKind.FIELD, "A.java", 1),
+            ],
+            [FactRelation(1, RelationKind.CONTAINS, 2), FactRelation(1, RelationKind.USES, 2)],
+        )
+        row, unresolved = measure(facts)
+        assert (row.used_total, unresolved) == (0, 0)
+
+
+# one row per ProjectMetrics invariant, with its message
+_BAD_ROWS = [
+    pytest.param(
+        {"calls": -1, "efferent_coupling": -2}, "calls must be non-negative", id="negative"
+    ),
+    pytest.param({"classes": 1}, r"modules must equal classes \+ interfaces", id="modules"),
+    pytest.param(
+        {"used_total": 1}, "used_total must be the sum of the provenance counts", id="used_total"
+    ),
+    pytest.param(
+        {"used_total": 1, "used_jdk": 1},
+        r"efferent_coupling must equal used_jdk \+ used_external",
+        id="efferent",
+    ),
+    pytest.param({"dui": 1}, "dui and if_count cannot exceed the class count", id="dui"),
+    pytest.param({"if_count": 1}, "dui and if_count cannot exceed the class count", id="if_count"),
+]
+
+
+class TestRowContract:
+    @pytest.mark.parametrize("fields, message", _BAD_ROWS)
+    def test_invariant_on_construction(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ProjectMetrics(project_id="p", **fields)
+
+    # rows leave worker processes pickled; unpickling runs the same checks
+    @pytest.mark.parametrize("fields, message", _BAD_ROWS)
+    def test_invariant_on_unpickling(self, fields, message):
+        values = dict.fromkeys(METRIC_COLUMNS[1:], 0) | fields
+        bad = ProjectMetrics._make(["p", *values.values()])  # skips the checks
+        data = pickle.dumps(bad)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pickle.loads(data)
+
+    def test_pickle_round_trip(self, by_id):
+        for pm in by_id.values():
+            back = pickle.loads(pickle.dumps(pm))
+            assert back == pm and type(back) is ProjectMetrics
+
+    def test_keyword_construction_with_defaults(self):
+        pm = ProjectMetrics(project_id="p", classes=2, interfaces=1, modules=3, sloc=9)
+        assert pm == ProjectMetrics("p", 9, 2, 1, 3, *[0] * 12)
+        assert pm._fields == tuple(METRIC_COLUMNS)
+        assert pm[1:] == (9, 2, 1, 3) + (0,) * 12
+
+    def test_missing_project_id(self):
+        with pytest.raises(TypeError):
+            ProjectMetrics(sloc=1)
+
+    def test_rows_are_immutable(self):
+        pm = ProjectMetrics(project_id="p")
+        with pytest.raises(AttributeError):
+            pm.classes = 3
+        with pytest.raises(AttributeError):
+            pm.extra = 1
+        entity = SourceEntity(1, "p", EntityKind.PACKAGE, "", 0)
+        with pytest.raises(AttributeError):
+            entity.fqn = "q"
+        with pytest.raises(AttributeError):
+            FactRelation(1, RelationKind.USES, "x").target = "y"
+
+    def test_entity_fqn_must_be_non_empty(self):
+        with pytest.raises(ValueError, match="^entity fqn must be non-empty$"):
+            SourceEntity(1, "", EntityKind.PACKAGE, "", 0)
+        with pytest.raises(ValueError, match="^entity fqn must be non-empty$"):
+            SourceEntity(entity_id=1, fqn="", kind=EntityKind.PACKAGE, file="", line=0)
+        good = SourceEntity(entity_id=2, fqn="p.C", kind=EntityKind.CLASS, file="C.java", line=3)
+        assert good == (2, "p.C", EntityKind.CLASS, "C.java", 3)
+        assert pickle.loads(pickle.dumps(good)) == good
+        bad = pickle.dumps(good._replace(fqn=""))  # _replace skips the check
+        with pytest.raises(ValueError, match="^entity fqn must be non-empty$"):
+            pickle.loads(bad)
+
 
 class TestMonotonicity:
     FILES = {
@@ -311,10 +430,3 @@ class TestMetricGetter:
         with pytest.raises(UnknownMetricError, match=r"^unknown metric 'bogus'$"):
             consume()
 
-    def test_first_negative_count_is_named(self):
-        with pytest.raises(ValueError, match=r"^calls must be non-negative$"):
-            ProjectMetrics(project_id="p", calls=-1, efferent_coupling=-2)
-
-    def test_invariant_validation(self):
-        with pytest.raises(ValueError):
-            ProjectMetrics(project_id="p", classes=1, modules=3)

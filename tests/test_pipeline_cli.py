@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,11 +10,13 @@ from pathlib import Path
 import pytest
 
 import javascale
-from javascale import pipeline
+from javascale import pipeline, regression
 from javascale.cli import main
 from javascale.errors import ArchiveIntegrityError, EmptyCorpusError
 from javascale.extractor import extract_corpus
+from javascale.metrics import ProjectMetrics
 from javascale.pipeline import load_config, render_run_report, run_pipeline
+from javascale.regression import evaluate_nrmse
 from javascale.store import FactsArchive, export_metrics_table, read_facts, write_facts
 
 from conftest import CORPUS_DIR, FIXTURES
@@ -289,6 +292,69 @@ def test_import_leaves_process_pools_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout == "[]\n"
+
+
+class TestEvaluateGrid:
+    # m1, m5 and r1 share their metrics, k and zero offset; i2 does not
+    CELLS = [
+        pipeline.GridCell("m1", "methods", "classes"),
+        pipeline.GridCell("m5", "methods", "classes", subset=(50, 1000)),
+        pipeline.GridCell("r1", "methods", "classes", robust=True),
+        pipeline.GridCell("i2", "interfaces", "classes", k=2.0),
+    ]
+    TESTSETS = [
+        pipeline.EvalSet("vsmall", "classes", 0, 10),
+        pipeline.EvalSet("vlarge", "classes", 3000, math.inf),
+        pipeline.EvalSet("all", "classes", 0, math.inf),
+    ]
+
+    @staticmethod
+    def corpus() -> list[ProjectMetrics]:
+        rows = []
+        for i in range(60):
+            classes = round(2 * 1.15**i)
+            interfaces = classes // 7 + i % 3
+            rows.append(
+                ProjectMetrics(
+                    project_id=f"p{i:02d}",
+                    classes=classes,
+                    interfaces=interfaces,
+                    modules=classes + interfaces,
+                    methods=round(3 * classes**1.1) + i % 5,
+                )
+            )
+        return rows
+
+    @pytest.mark.parametrize("space", ["log", "linear"])
+    def test_same_as_one_evaluation_per_model_and_test_set(self, space):
+        corpus = self.corpus()
+        fitted = pipeline.fit_grid(corpus, self.CELLS)
+        expected = []
+        for model_id, fit, cell in fitted:
+            per_testset = {}
+            for ts in self.TESTSETS:
+                rows = pipeline.filter_by_size(corpus, ts.metric, ts.low, ts.high)
+                xs = [getattr(pm, cell.x_metric) for pm in rows]
+                ys = [getattr(pm, cell.y_metric) for pm in rows]
+                per_testset[ts.name] = evaluate_nrmse(fit, xs, ys, space=space)
+            expected.append((model_id, per_testset))
+        evals = pipeline.evaluate_grid(corpus, fitted, self.TESTSETS, space)
+        assert [(e.model_id, e.nrmse_per_testset) for e in evals] == expected
+
+    def test_transforms_each_test_set_once_per_series(self, monkeypatch):
+        corpus = self.corpus()
+        fitted = pipeline.fit_grid(corpus, self.CELLS)
+        calls = []
+
+        def counted(xs, ys, k, zero_offset):
+            calls.append(k)
+            return transform(xs, ys, k, zero_offset)
+
+        transform = regression._transform
+        monkeypatch.setattr(regression, "_transform", counted)
+        monkeypatch.setattr(pipeline, "_transform", counted)
+        pipeline.evaluate_grid(corpus, fitted, self.TESTSETS)
+        assert sorted(calls) == [1.0] * 3 + [2.0] * 3
 
 
 class TestConfig:

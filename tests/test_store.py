@@ -1,8 +1,14 @@
 import json
 import os
 import re
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import javascale
 
 from javascale.cli import main
 from javascale.errors import (
@@ -153,6 +159,59 @@ def test_metrics_reports_the_readers_first_fault(
     assert main(["metrics", str(path), "-o", str(tmp_path / "m.csv")]) == 2
     assert capsys.readouterr().err == f"data error: {read.value}\n"
     assert not (tmp_path / "m.csv").exists()
+
+
+_CYCLE_RECORD = _record(
+    project_id="cyc",
+    entities=[
+        [1, "p", "PACKAGE", "", 0],
+        [2, "p.f", "FIELD", "A.java", 1],
+        [3, "p.m", "METHOD", "A.java", 2],
+    ],
+    relations=[[2, "CONTAINS", 3], [3, "CONTAINS", 2], [1, "USES", 3]],
+)
+
+
+# run in a process group of its own, so that a command looping on the
+# cycle fails the test on a timeout, pool workers and all, instead of
+# stalling the suite
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_contains_cycle_is_integrity_error(tmp_path, cpus):
+    path = tmp_path / "facts.bin"
+    _write(path, _archive("2", _record(), _CYCLE_RECORD))
+    code = (
+        "import os, sys; os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))\n"
+        "from javascale.cli import main; sys.exit(main(sys.argv[2:]))"
+    )
+    src = Path(javascale.__file__).resolve().parents[1]
+    argv = ["metrics", str(path), "-o", str(tmp_path / "m.csv")]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, str(cpus), *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        _, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the metrics command ran for 60 s on a CONTAINS cycle")
+    assert proc.returncode == 2
+    assert err == (
+        f"data error: {path}: bad record at line 4: CONTAINS cycle through entities [2, 3]\n"
+    )
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_negative_sloc_record_is_integrity_error(tmp_path, capsys):
+    path = tmp_path / "facts.bin"
+    _write(path, _archive("1", _record(sloc=-1)))
+    assert main(["metrics", str(path), "-o", str(tmp_path / "m.csv")]) == 2
+    message = f"data error: {path}: bad record at line 3: sloc must be non-negative\n"
+    assert capsys.readouterr().err == message
 
 
 @pytest.mark.parametrize("text, message", BAD_TABLES)
