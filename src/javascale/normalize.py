@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import InsufficientDataError, OutOfRangeError
 from .metrics import ProjectMetrics, metric_getter
-from .regression import kahan_sum, pearson, spearman
+from .regression import mean_ss, pearson, spearman
 
 DECORRELATION_THRESHOLD = 0.05
 
@@ -141,13 +141,9 @@ def wmc_summary(corpus: list[ProjectMetrics]) -> WmcSummary:
     if not values:
         raise InsufficientDataError("no projects with classes and methods")
     n = len(values)
-    mean_linear = kahan_sum(values) / n
-    logs = [math.log(v) for v in values]
-    mean_log = kahan_sum(logs) / n
-    if n > 1:
-        sd_log = math.sqrt(kahan_sum((v - mean_log) ** 2 for v in logs) / (n - 1))
-    else:
-        sd_log = 0.0
+    mean_linear = math.fsum(values) / n
+    mean_log, ss_log = mean_ss([math.log(v) for v in values])
+    sd_log = math.sqrt(ss_log / (n - 1)) if n > 1 else 0.0
     return WmcSummary(
         n=n,
         mean_linear=mean_linear,

@@ -395,7 +395,9 @@ def _measure_record(path, offset, size, lineno, jdk_prefixes) -> tuple[ProjectMe
         payload = fh.read(size)
     try:
         return measure(decode_record(payload, path, lineno), jdk_prefixes)
-    except ValueError as exc:  # a CONTAINS cycle, or a row invariant such as sloc >= 0
+    except (TypeError, ValueError) as exc:
+        # a CONTAINS cycle, a row invariant such as sloc >= 0, or a field of
+        # the wrong type, which decode_record does not check
         raise ArchiveIntegrityError(f"{path}: bad record at line {lineno}: {exc}") from exc
 
 

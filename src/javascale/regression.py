@@ -6,14 +6,15 @@ equations) or by a Huber M-estimate for outlier resistance.  ``k=1`` is
 the plain power law ``y = e^alpha * x^beta``; ``k>1`` bends the relation
 and makes the implied ratio y/x non-monotonic in x.
 
-Numerical policy: double precision with compensated (Kahan) summation in
-every reduction, so results do not depend on input order at the 1e-12
-level.
+Numerical policy: double precision, and every reduction is an exactly
+rounded ``math.fsum``, so a fit or a correlation does not depend on the
+order of the input pairs: a permutation gives the same bits.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 from .errors import (
@@ -31,15 +32,10 @@ MAX_IRLS_ITERATIONS = 50
 IRLS_TOLERANCE = 1e-8
 
 
-def kahan_sum(values) -> float:
-    total = 0.0
-    c = 0.0
-    for v in values:
-        y = v - c
-        t = total + y
-        c = (t - total) - y
-        total = t
-    return total
+def mean_ss(values: list[float]) -> tuple[float, float]:
+    """Mean and sum of squared deviations from it, each summed by ``math.fsum``."""
+    mean = math.fsum(values) / len(values)
+    return mean, math.fsum((v - mean) ** 2 for v in values)
 
 
 @dataclass(frozen=True)
@@ -111,20 +107,29 @@ def _transform(
     return ts, zs, excluded
 
 
+def _usable(
+    xs, ys, k: float, zero_offset: bool
+) -> tuple[list[float], list[float], int]:
+    """``_transform`` for a fit, which needs at least 3 usable pairs."""
+    ts, zs, excluded = _transform(xs, ys, k, zero_offset)
+    if len(ts) < 3:
+        raise InsufficientDataError(
+            f"need at least 3 usable pairs, have {len(ts)} ({excluded} excluded)"
+        )
+    return ts, zs, excluded
+
+
 def _ols(ts: list[float], zs: list[float]) -> tuple[float, float, float, float]:
     """Closed-form simple OLS: returns (alpha, beta, r, r_squared)."""
-    n = len(ts)
-    t_bar = kahan_sum(ts) / n
-    z_bar = kahan_sum(zs) / n
-    s_tt = kahan_sum((t - t_bar) ** 2 for t in ts)
-    s_zz = kahan_sum((z - z_bar) ** 2 for z in zs)
-    s_tz = kahan_sum((t - t_bar) * (z - z_bar) for t, z in zip(ts, zs))
+    t_bar, s_tt = mean_ss(ts)
+    z_bar, s_zz = mean_ss(zs)
+    s_tz = math.fsum((t - t_bar) * (z - z_bar) for t, z in zip(ts, zs))
     if s_tt <= 0.0:
         raise DegeneratePredictorError("zero variance in transformed predictor")
     beta = s_tz / s_tt
     alpha = z_bar - beta * t_bar
     r = s_tz / math.sqrt(s_tt * s_zz) if s_zz > 0.0 else 0.0
-    sse = kahan_sum((z - alpha - beta * t) ** 2 for t, z in zip(ts, zs))
+    sse = math.fsum((z - alpha - beta * t) ** 2 for t, z in zip(ts, zs))
     r_squared = 1.0 - sse / s_zz if s_zz > 0.0 else 1.0
     return alpha, beta, r, r_squared
 
@@ -133,11 +138,7 @@ def fit_log_power(
     xs, ys, k: float = 1.0, *, zero_offset: bool = False
 ) -> FitResult:
     """OLS fit of log(y) on (log x)^k over the usable pairs."""
-    ts, zs, excluded = _transform(xs, ys, k, zero_offset)
-    if len(ts) < 3:
-        raise InsufficientDataError(
-            f"need at least 3 usable pairs, have {len(ts)} ({excluded} excluded)"
-        )
+    ts, zs, excluded = _usable(xs, ys, k, zero_offset)
     alpha, beta, r, r_squared = _ols(ts, zs)
     return FitResult(
         alpha=alpha,
@@ -154,25 +155,16 @@ def fit_log_power(
 def _weighted_ols(
     ts: list[float], zs: list[float], ws: list[float]
 ) -> tuple[float, float]:
-    sw = kahan_sum(ws)
-    t_bar = kahan_sum(w * t for w, t in zip(ws, ts)) / sw
-    z_bar = kahan_sum(w * z for w, z in zip(ws, zs)) / sw
-    s_tt = kahan_sum(w * (t - t_bar) ** 2 for w, t in zip(ws, ts))
-    s_tz = kahan_sum(
-        w * (t - t_bar) * (z - z_bar) for w, t, z in zip(ws, ts, zs)
-    )
+    sw = math.fsum(ws)
+    t_bar = math.fsum(w * t for w, t in zip(ws, ts)) / sw
+    z_bar = math.fsum(w * z for w, z in zip(ws, zs)) / sw
+    s_tt = math.fsum(w * (t - t_bar) ** 2 for w, t in zip(ws, ts))
+    s_tz = math.fsum(w * (t - t_bar) * (z - z_bar) for w, t, z in zip(ws, ts, zs))
     if s_tt <= 0.0:
         raise DegeneratePredictorError("zero variance in transformed predictor")
     beta = s_tz / s_tt
     alpha = z_bar - beta * t_bar
     return alpha, beta
-
-
-def _median(values: list[float]) -> float:
-    s = sorted(values)
-    n = len(s)
-    mid = n // 2
-    return s[mid] if n % 2 else 0.5 * (s[mid - 1] + s[mid])
 
 
 def fit_robust_log_power(
@@ -184,17 +176,13 @@ def fit_robust_log_power(
     fit is reported for robust fits; ``converged`` is False if the
     parameter change never fell below tolerance within the iteration cap.
     """
-    ts, zs, excluded = _transform(xs, ys, k, zero_offset)
-    if len(ts) < 3:
-        raise InsufficientDataError(
-            f"need at least 3 usable pairs, have {len(ts)} ({excluded} excluded)"
-        )
+    ts, zs, excluded = _usable(xs, ys, k, zero_offset)
     alpha, beta, r, _ = _ols(ts, zs)
     converged = True
     for _iteration in range(MAX_IRLS_ITERATIONS):
         resid = [z - alpha - beta * t for t, z in zip(ts, zs)]
-        med = _median(resid)
-        scale = _median([abs(e - med) for e in resid]) / MAD_TO_SIGMA
+        med = statistics.median(resid)
+        scale = statistics.median([abs(e - med) for e in resid]) / MAD_TO_SIGMA
         if scale <= 0.0:
             break  # residuals (essentially) identical: OLS answer stands
         cutoff = HUBER_C * scale
@@ -247,10 +235,9 @@ def diagnostics(fit: FitResult, xs, ys) -> Diagnostics:
         raise ValueError("diagnostics require the series the fit was made from")
     fitted = [fit.alpha + fit.beta * t for t in ts]
     residuals = [z - f for z, f in zip(zs, fitted)]
-    t_bar = kahan_sum(ts) / n
-    s_tt = kahan_sum((t - t_bar) ** 2 for t in ts)
+    t_bar, s_tt = mean_ss(ts)
     leverage = [1.0 / n + (t - t_bar) ** 2 / s_tt for t in ts]
-    sse = kahan_sum(e * e for e in residuals)
+    sse = math.fsum(e * e for e in residuals)
     p = 2
     sigma = math.sqrt(sse / (n - p)) if n > p else 0.0
     # a numerically perfect fit has no meaningful standardized residuals
@@ -298,7 +285,7 @@ def nrmse(predictions, actuals) -> float:
     if y_max == y_min:
         raise UndefinedNormalizationError("y_max equals y_min; range is zero")
     rmse = math.sqrt(
-        kahan_sum((p - a) ** 2 for p, a in zip(predictions, actuals)) / len(actuals)
+        math.fsum((p - a) ** 2 for p, a in zip(predictions, actuals)) / len(actuals)
     )
     return rmse / (y_max - y_min)
 
@@ -346,16 +333,13 @@ def pearson(xs, ys) -> float:
     ys = [float(v) for v in ys]
     if len(xs) != len(ys):
         raise ValueError("series must have equal length")
-    n = len(xs)
-    if n < 3:
+    if len(xs) < 3:
         raise InsufficientDataError("correlation needs at least 3 points")
-    x_bar = kahan_sum(xs) / n
-    y_bar = kahan_sum(ys) / n
-    s_xx = kahan_sum((x - x_bar) ** 2 for x in xs)
-    s_yy = kahan_sum((y - y_bar) ** 2 for y in ys)
+    x_bar, s_xx = mean_ss(xs)
+    y_bar, s_yy = mean_ss(ys)
     if s_xx <= 0.0 or s_yy <= 0.0:
         raise UndefinedCorrelationError("a series has zero variance")
-    s_xy = kahan_sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
+    s_xy = math.fsum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
     return s_xy / math.sqrt(s_xx * s_yy)
 
 

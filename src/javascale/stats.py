@@ -2,9 +2,9 @@
 distribution functions they need.
 
 The Student-t CDF goes through the regularized incomplete beta function
-(continued fraction, Lentz's method); the inverse normal CDF is a rational
-approximation refined by one Newton step against the erfc-based CDF, which
-leaves the error far below 1e-8 across (0, 1).
+(continued fraction, Lentz's method); the inverse normal CDF is
+``statistics.NormalDist.inv_cdf`` (Wichura's AS241), which stays within
+1e-15 * max(1, |z|) of ``scipy.special.ndtri`` across (0, 1).
 """
 
 from __future__ import annotations
@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from statistics import NormalDist
 
 from .errors import EmptyBinError, InsufficientDataError, OutOfRangeError
 from .metrics import ProjectMetrics, metric_getter
-from .regression import kahan_sum
+from .regression import mean_ss
 
 # ---------------------------------------------------------------------------
 # Distribution functions
@@ -26,57 +27,14 @@ def normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-# Rational approximation coefficients (relative error < 1.15e-9 before the
-# Newton refinement).
-_INV_A = (
-    -3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-    1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00,
-)
-_INV_B = (
-    -5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-    6.680131188771972e+01, -1.328068155288572e+01,
-)
-_INV_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-    -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00,
-)
-_INV_D = (
-    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-    3.754408661907416e+00,
-)
-_INV_P_LOW = 0.02425
+_STANDARD_NORMAL = NormalDist()
 
 
 def inverse_normal_cdf(p: float) -> float:
     """Quantile function of the standard normal distribution."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
-    if p < _INV_P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        z = (
-            ((((_INV_C[0] * q + _INV_C[1]) * q + _INV_C[2]) * q + _INV_C[3]) * q + _INV_C[4]) * q
-            + _INV_C[5]
-        ) / ((((_INV_D[0] * q + _INV_D[1]) * q + _INV_D[2]) * q + _INV_D[3]) * q + 1.0)
-    elif p <= 1.0 - _INV_P_LOW:
-        q = p - 0.5
-        s = q * q
-        z = (
-            (((((_INV_A[0] * s + _INV_A[1]) * s + _INV_A[2]) * s + _INV_A[3]) * s + _INV_A[4]) * s + _INV_A[5])
-            * q
-            / (((((_INV_B[0] * s + _INV_B[1]) * s + _INV_B[2]) * s + _INV_B[3]) * s + _INV_B[4]) * s + 1.0)
-        )
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        z = -(
-            ((((_INV_C[0] * q + _INV_C[1]) * q + _INV_C[2]) * q + _INV_C[3]) * q + _INV_C[4]) * q
-            + _INV_C[5]
-        ) / ((((_INV_D[0] * q + _INV_D[1]) * q + _INV_D[2]) * q + _INV_D[3]) * q + 1.0)
-    # one Newton step against the exact CDF
-    err = normal_cdf(z) - p
-    pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    if pdf > 0.0:
-        z -= err / pdf
-    return z
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -160,10 +118,8 @@ class WelchResult:
 
 
 def _mean_var(sample: list[float]) -> tuple[float, float]:
-    n = len(sample)
-    mean = kahan_sum(sample) / n
-    var = kahan_sum((v - mean) ** 2 for v in sample) / (n - 1)
-    return mean, var
+    mean, ss = mean_ss(sample)
+    return mean, ss / (len(sample) - 1)
 
 
 def welch_t_test(sample_a, sample_b) -> WelchResult:
@@ -288,11 +244,8 @@ def log_ratio_summary(
             f"bin {bin_.label}: no projects with usable "
             f"{numerator_metric}/{denominator_metric} ratio"
         )
-    mean = kahan_sum(values) / len(values)
-    if len(values) > 1:
-        sd = math.sqrt(kahan_sum((v - mean) ** 2 for v in values) / (len(values) - 1))
-    else:
-        sd = 0.0
+    mean, ss = mean_ss(values)
+    sd = math.sqrt(ss / (len(values) - 1)) if len(values) > 1 else 0.0
     return BinSummary(
         label=bin_.label,
         low=bin_.low,

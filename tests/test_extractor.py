@@ -1,3 +1,5 @@
+import shutil
+import subprocess
 import tempfile
 import textwrap
 from pathlib import Path
@@ -819,6 +821,142 @@ class TestRelationCharacterization:
         assert "w.W.go USES 'java.io.File'" in lines
         # the guess still names a capitalised type from the one wildcard
         assert "w.W.go USES 'java.util.Deque'" in lines
+
+
+# One file with the declaration syntax no other test parses: static imports,
+# an annotation type with member defaults, sealed/permits/non-sealed,
+# generic arguments after a qualified segment, `int a = 1, b;`, varargs,
+# and annotations on a type, on methods and on a parameter, one qualified
+# and two with arguments.  The expected facts are the extractor's output as
+# it stands, misses included (a statically imported `max` stays a bare
+# name); they pin behaviour, they do not bless it.
+DECLARATIONS_SOURCE = """\
+package a.b;
+
+import static java.lang.Math.max;
+import static java.util.Collections.*;
+
+import java.util.List;
+
+@interface Marker {
+    String value() default "m";
+    int level() default 1;
+}
+
+sealed interface Shape permits Circle, Box {}
+
+final class Circle implements Shape {}
+
+non-sealed class Box implements Shape {}
+
+class Outer<K> {
+    class Inner<V> {
+        K key;
+        V value;
+    }
+}
+
+@a.b.Marker(level = 2)
+public class Scale {
+    int a = 1, b;
+    Outer<String>.Inner<Integer> pair;
+
+    @SuppressWarnings("x")
+    int sum(@Marker int... xs) {
+        int total = 0;
+        for (int x : xs) {
+            total = max(total, x);
+        }
+        return total;
+    }
+
+    @Override
+    public String toString() {
+        List<String> none = emptyList();
+        return none.toString();
+    }
+}
+"""
+DECLARATIONS_ENTITIES = [
+    ("a.b", "PACKAGE", 0),
+    ("a.b.Marker", "ANNOTATION", 8),
+    ("a.b.Marker.value", "METHOD", 9),
+    ("a.b.Marker.level", "METHOD", 10),
+    ("a.b.Shape", "INTERFACE", 13),
+    ("a.b.Circle", "CLASS", 15),
+    ("a.b.Box", "CLASS", 17),
+    ("a.b.Outer", "CLASS", 19),
+    ("a.b.Outer.Inner", "CLASS", 20),
+    ("a.b.Outer.Inner.key", "FIELD", 21),
+    ("a.b.Outer.Inner.value", "FIELD", 22),
+    ("a.b.Scale", "CLASS", 27),
+    ("a.b.Scale.a", "FIELD", 28),
+    ("a.b.Scale.b", "FIELD", 28),
+    ("a.b.Scale.pair", "FIELD", 29),
+    ("a.b.Scale.sum", "METHOD", 32),
+    ("a.b.Scale.toString", "METHOD", 41),
+]
+DECLARATIONS_RELATIONS = """
+a.b CONTAINS a.b.Marker
+a.b.Marker CONTAINS a.b.Marker.value
+a.b.Marker CONTAINS a.b.Marker.level
+a.b CONTAINS a.b.Shape
+a.b CONTAINS a.b.Circle
+a.b CONTAINS a.b.Box
+a.b CONTAINS a.b.Outer
+a.b.Outer CONTAINS a.b.Outer.Inner
+a.b.Outer.Inner CONTAINS a.b.Outer.Inner.key
+a.b.Outer.Inner CONTAINS a.b.Outer.Inner.value
+a.b CONTAINS a.b.Scale
+a.b.Scale CONTAINS a.b.Scale.a
+a.b.Scale CONTAINS a.b.Scale.b
+a.b.Scale CONTAINS a.b.Scale.pair
+a.b.Scale CONTAINS a.b.Scale.sum
+a.b.Scale CONTAINS a.b.Scale.toString
+a.b.Marker.value USES 'java.lang.String'
+a.b.Marker.level USES 'java.lang.Integer'
+a.b.Circle IMPLEMENTS a.b.Shape
+a.b.Box IMPLEMENTS a.b.Shape
+a.b.Scale.a HOLDS 'java.lang.Integer'
+a.b.Scale.b HOLDS 'java.lang.Integer'
+a.b.Scale.pair HOLDS a.b.Outer.Inner
+a.b.Scale.pair USES 'java.lang.String'
+a.b.Scale.pair USES 'java.lang.Integer'
+a.b.Scale.sum USES 'java.lang.Integer'
+a.b.Scale.sum USES 'java.lang.Integer'
+a.b.Scale.sum USES 'java.lang.Integer'
+a.b.Scale.sum USES 'java.lang.Integer'
+a.b.Scale.sum CALLS 'max'
+a.b.Scale.toString USES 'java.lang.String'
+a.b.Scale.toString USES 'java.util.List'
+a.b.Scale.toString USES 'java.lang.String'
+a.b.Scale.toString CALLS 'emptyList'
+a.b.Scale.toString CALLS 'java.util.List.toString'
+"""
+
+
+class TestDeclarationCharacterization:
+    def test_entities_and_relations(self, tmp_path):
+        write_project(tmp_path, {"a/b/Scale.java": DECLARATIONS_SOURCE})
+        facts = extract_project(tmp_path, "decl")
+        assert facts.warnings == []
+        assert [(e.fqn, e.kind.name, e.line) for e in facts.entities] == DECLARATIONS_ENTITIES
+        assert rel_lines(facts) == DECLARATIONS_RELATIONS.split("\n")[1:-1]
+
+    def test_source_compiles_as_java_17(self, tmp_path):
+        javac = shutil.which("javac")
+        if javac is None:
+            pytest.skip("no javac on PATH")
+        source = tmp_path / "Scale.java"
+        source.write_text(DECLARATIONS_SOURCE)
+        proc = subprocess.run(
+            [javac, "--release", "17", "-d", str(tmp_path / "out"), str(source)],
+            capture_output=True,
+            text=True,
+        )
+        if "release version 17 not supported" in proc.stderr:
+            pytest.skip("javac is older than JDK 17")
+        assert proc.returncode == 0, proc.stderr
 
 
 _SOURCES = [p.read_text() for p in sorted(CORPUS_DIR.rglob("*.java"))] + list(

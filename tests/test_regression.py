@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from javascale.errors import (
+    DataError,
     DegeneratePredictorError,
     InsufficientDataError,
     UndefinedCorrelationError,
@@ -25,6 +26,7 @@ from javascale.regression import (
     predict,
     spearman,
 )
+from javascale.stats import welch_t_test
 from javascale.synth import SynthSpec, generate
 
 E = math.e
@@ -318,3 +320,35 @@ class TestCorrelation:
         assert pearson(xs, ys) == pytest.approx(
             float(np.corrcoef(xs, ys)[0, 1]), abs=1e-12
         )
+
+
+def _outcome(fn, *args, **kwargs):
+    """``fn``'s result, or the type of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except DataError as exc:
+        return type(exc)
+
+
+# every reduction is exactly rounded, so the order of the rows cannot move a
+# single bit of a fit, a correlation or a test
+@given(
+    st.lists(
+        st.tuples(st.floats(0.5, 1e6), st.floats(0.5, 1e6)), min_size=3, max_size=60
+    ),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_results_do_not_depend_on_row_order(pairs, data):
+    shuffled = data.draw(st.permutations(pairs))
+    for fn, kwargs in [
+        (fit_log_power, {}),
+        (fit_log_power, {"k": 2.0, "zero_offset": True}),
+        (fit_robust_log_power, {}),
+        (pearson, {}),
+        (spearman, {}),
+        (welch_t_test, {}),
+    ]:
+        before = _outcome(fn, *zip(*pairs), **kwargs)
+        after = _outcome(fn, *zip(*shuffled), **kwargs)
+        assert after == before, fn.__name__

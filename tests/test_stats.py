@@ -54,6 +54,14 @@ class TestInverseNormal:
                 float(scipy.stats.norm.ppf(p)), abs=1e-9
             )
 
+    def test_within_1e_14_of_ndtri(self):
+        grid = [(i + 0.5) / 4096 for i in range(4096)]
+        low = [m * 10.0**-e for e in range(1, 301) for m in (1.0, 2.5, 5.0)]
+        high = [1.0 - m * 10.0**-e for e in range(1, 16) for m in (1.0, 2.5, 5.0)]
+        for p in grid + low + high:
+            z = float(scipy.special.ndtri(p))
+            assert abs(inverse_normal_cdf(p) - z) <= 1e-14 * max(1.0, abs(z)), p
+
     def test_domain(self):
         for bad in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(ValueError):

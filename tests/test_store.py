@@ -206,6 +206,33 @@ def test_contains_cycle_is_integrity_error(tmp_path, cpus):
     assert not (tmp_path / "m.csv").exists()
 
 
+# decode_record checks a record's shape but not its field types; measuring
+# the record is what finds a wrong one, in a worker or in-process
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        pytest.param(
+            _record(sloc="x"),
+            "'<' not supported between instances of 'int' and 'str'",
+            id="sloc",
+        ),
+        pytest.param(
+            _record(relations=[[1, "USES", [1]]]), "unhashable type: 'list'", id="target"
+        ),
+    ],
+)
+def test_wrongly_typed_field_is_integrity_error(
+    tmp_path, capsys, monkeypatch, record, message, cpus
+):
+    path = tmp_path / "facts.bin"
+    _write(path, _archive("2", _record(project_id="q"), record))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert main(["metrics", str(path), "-o", str(tmp_path / "m.csv")]) == 2
+    assert capsys.readouterr().err == f"data error: {path}: bad record at line 4: {message}\n"
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_negative_sloc_record_is_integrity_error(tmp_path, capsys):
     path = tmp_path / "facts.bin"
     _write(path, _archive("1", _record(sloc=-1)))
