@@ -187,7 +187,7 @@ def cmd_validate(args) -> int:
 def cmd_normalize(args) -> int:
     corpus = read_metrics_table(args.metrics)
     if args.beta == "auto":
-        cell = GridCell(f"{args.num} ~ {args.den}", args.num, args.den, subset=args.subset)
+        cell = GridCell("auto", args.num, args.den, subset=args.subset)
         [(_, fit, _)] = fit_grid(corpus, [cell])
         beta = fit.beta
         print(f"auto beta from subset {args.subset[0]:g}:{args.subset[1]:g} -> {beta!r}")

@@ -7,9 +7,11 @@ resolved are recorded against the receiver text as written; provenance
 counting later skips such targets.  Parsing is tolerant: a declaration
 that cannot be understood is skipped and counted, never fatal.
 
-Parsing is one pass: each body the parser captures (a method body, a
+Parsing is one pass over one token list per file, whose brackets are
+matched once, up front.  Each body the parser captures (a method body, a
 field initializer, an initializer block, an enum constant's arguments) is
-split right there into a flat statement stream and its nested types.
+parsed in place, as a window of its file's tokens, and split right there
+into a flat statement stream and its nested types.
 
 A simple type name resolves to the first of:
 
@@ -109,10 +111,10 @@ MODIFIER_WORDS = frozenset(
 _TYPE_KEYWORDS = frozenset(["class", "interface", "enum"])
 
 
-def _type_keyword(toks: list[Tok], i: int) -> str | None:
+def _type_keyword(toks: list[Tok], i: int, end: int) -> str | None:
     """The kind of type declared from ``toks[i]`` on, if it starts one:
     ``class``, ``interface`` or ``enum``, or ``record`` followed by a name
-    and ``(`` or ``<`` (elsewhere ``record`` is an identifier)."""
+    and ``(`` or ``<`` before ``end`` (elsewhere ``record`` is a name)."""
     t = toks[i]
     if t.kind != "word":
         return None
@@ -120,7 +122,7 @@ def _type_keyword(toks: list[Tok], i: int) -> str | None:
         return t.text
     if (
         t.text == "record"
-        and i + 2 < len(toks)
+        and i + 2 < end
         and toks[i + 1].kind == "word"
         and toks[i + 2].text in ("(", "<")
     ):
@@ -230,20 +232,20 @@ class FileSyntax:
 # ---------------------------------------------------------------------------
 
 
-def _find_matching(toks: list[Tok], i: int, open_t: str, close_t: str) -> int:
-    """Index of the token closing the bracket at ``i``, or len(toks)."""
-    depth = 0
-    n = len(toks)
-    while i < n:
-        t = toks[i].text
-        if t == open_t:
-            depth += 1
-        elif t == close_t:
-            depth -= 1
-            if depth == 0:
-                return i
-        i += 1
-    return n
+def _partners(toks: list[Tok]) -> list[int]:
+    """For each ``(`` and ``{``, the index of the token closing it, or
+    ``len(toks)``; one stack per kind, so a ``)`` never closes a ``{``."""
+    partner = [len(toks)] * len(toks)
+    parens: list[int] = []
+    braces: list[int] = []
+    stacks = {"(": parens, ")": parens, "{": braces, "}": braces}
+    for i in [i for i, t in enumerate(toks) if t.text in stacks]:
+        stack = stacks[toks[i].text]
+        if toks[i].text in "({":
+            stack.append(i)
+        elif stack:
+            partner[stack.pop()] = i
+    return partner
 
 
 @dataclass
@@ -252,15 +254,14 @@ class TypeParams:
     bounds: list[str] = field(default_factory=list)  # referenced bound types
 
 
-def _skip_type_params(toks: list[Tok], i: int) -> tuple[TypeParams, int]:
-    """Parse a declaration type-parameter list starting at ``<``.
+def _skip_type_params(toks: list[Tok], i: int, n: int) -> tuple[TypeParams, int]:
+    """Parse a declaration type-parameter list from ``<`` up to ``n``.
 
     Collects the introduced type-variable names (identifiers directly after
     ``<`` or a top-level comma) and every other type name mentioned in the
     bounds; returns them with the index past the list.
     """
     depth = 0
-    n = len(toks)
     out = TypeParams()
     expect_name = False
     chain: list[str] = []
@@ -305,13 +306,12 @@ def _skip_type_params(toks: list[Tok], i: int) -> tuple[TypeParams, int]:
     return out, n
 
 
-def parse_typeref(toks: list[Tok], i: int) -> tuple[TypeRef | None, int]:
-    """Parse a type reference in a usage position.
+def parse_typeref(toks: list[Tok], i: int, n: int) -> tuple[TypeRef | None, int]:
+    """Parse a type reference in a usage position, from ``i`` up to ``n``.
 
     Returns (None, i) when the tokens at ``i`` do not look like a type.
     Generic arguments are collected by base name; array brackets counted.
     """
-    n = len(toks)
     if i >= n or toks[i].kind != "word":
         return None, i
     word = toks[i].text
@@ -326,7 +326,7 @@ def parse_typeref(toks: list[Tok], i: int) -> tuple[TypeRef | None, int]:
         args: list[str] = []
         # generic args may follow any segment
         if i < n and toks[i].text == "<":
-            ok, args_here, i2 = _scan_generic_args(toks, i)
+            ok, args_here, i2 = _scan_generic_args(toks, i, n)
             if not ok:
                 args_here, i2 = [], i
             args += args_here
@@ -340,7 +340,7 @@ def parse_typeref(toks: list[Tok], i: int) -> tuple[TypeRef | None, int]:
             segs.append(toks[i + 1].text)
             i += 2
             if i < n and toks[i].text == "<":
-                ok, args_here, i2 = _scan_generic_args(toks, i)
+                ok, args_here, i2 = _scan_generic_args(toks, i, n)
                 if not ok:
                     break
                 args += args_here
@@ -355,12 +355,11 @@ def parse_typeref(toks: list[Tok], i: int) -> tuple[TypeRef | None, int]:
     return ref, i
 
 
-def _scan_generic_args(toks: list[Tok], i: int) -> tuple[bool, list[str], int]:
+def _scan_generic_args(toks: list[Tok], i: int, n: int) -> tuple[bool, list[str], int]:
     """Scan ``<...>`` in a usage position; reject anything un-type-like."""
     assert toks[i].text == "<"
     depth = 0
     names: list[str] = []
-    n = len(toks)
     j = i
     cur: list[str] = []
 
@@ -397,51 +396,63 @@ def _scan_generic_args(toks: list[Tok], i: int) -> tuple[bool, list[str], int]:
 
 
 class _Parser:
-    """Recursive-descent structural parser over a token list."""
+    """Recursive-descent structural parser over a file's tokens up to
+    ``end``: the file's end, or the end of the body it reads."""
 
-    def __init__(self, toks: list[Tok], syntax: FileSyntax):
+    def __init__(self, toks: list[Tok], syntax: FileSyntax, partner: list[int], end: int):
         self.toks = toks
         self.syntax = syntax
+        self.partner = partner  # _partners(toks)
+        self.end = end
 
     def warn(self) -> None:
         self.syntax.parse_warnings += 1
 
     # -- helpers ---------------------------------------------------------
 
+    def close(self, i: int) -> int:
+        """Index of the token closing the bracket at ``i``, or the window's
+        end when the window does not hold it."""
+        return min(self.partner[i], self.end)
+
+    def window(self, end: int) -> _Parser:
+        """A parser over the same tokens whose window ends at ``end``."""
+        return _Parser(self.toks, self.syntax, self.partner, end)
+
     def _capture(
         self, member: FieldDecl | MethodDecl | InitDecl | EnumConst, start: int, end: int
     ) -> FieldDecl | MethodDecl | InitDecl | EnumConst:
-        """Split the body ``toks[start:end]`` into ``member``'s statements
-        and nested types; returns ``member``."""
-        member.stmts, member.anons = _extract_anons(self.toks[start:end], self)
+        """Split the body ``[start, end)`` into ``member``'s statements and
+        nested types; returns ``member``."""
+        member.stmts, member.anons = self.window(end)._extract_anons(start)
         return member
 
     def _skip_annotation(self, i: int) -> int:
         # at '@': @Name or @pkg.Name, optional (...)
-        toks = self.toks
+        toks, n = self.toks, self.end
         i += 1
-        while i + 1 < len(toks) and toks[i].kind == "word" and toks[i + 1].text == ".":
+        while i + 1 < n and toks[i].kind == "word" and toks[i + 1].text == ".":
             i += 2
-        if i < len(toks) and toks[i].kind == "word":
+        if i < n and toks[i].kind == "word":
             i += 1
-        if i < len(toks) and toks[i].text == "(":
-            i = _find_matching(toks, i, "(", ")") + 1
+        if i < n and toks[i].text == "(":
+            i = self.close(i) + 1
         return i
 
     def _skip_mods_annotations(self, i: int) -> int:
-        toks = self.toks
-        while i < len(toks):
+        toks, n = self.toks, self.end
+        while i < n:
             t = toks[i]
-            if t.text == "@" and i + 1 < len(toks) and toks[i + 1].text != "interface":
+            if t.text == "@" and i + 1 < n and toks[i + 1].text != "interface":
                 i = self._skip_annotation(i)
             elif t.kind == "word" and t.text in MODIFIER_WORDS:
                 # 'default' only acts as a modifier when not a switch label
-                if t.text == "default" and i + 1 < len(toks) and toks[i + 1].text == ":":
+                if t.text == "default" and i + 1 < n and toks[i + 1].text == ":":
                     return i
                 i += 1
             elif t.kind == "word" and t.text == "non":
                 # tolerate 'non-sealed' lexed as ['non', '-', 'sealed']
-                if i + 2 < len(toks) and toks[i + 1].text == "-" and toks[i + 2].text == "sealed":
+                if i + 2 < n and toks[i + 1].text == "-" and toks[i + 2].text == "sealed":
                     i += 3
                 else:
                     return i
@@ -452,10 +463,10 @@ class _Parser:
     def _skip_to_member_boundary(self, i: int) -> int:
         toks = self.toks
         depth = 0
-        while i < len(toks):
+        while i < self.end:
             t = toks[i].text
             if t == "{":
-                i = _find_matching(toks, i, "{", "}") + 1
+                i = self.close(i) + 1
                 if depth == 0:
                     return i
                 continue
@@ -474,15 +485,15 @@ class _Parser:
 
     def _typeref_list(self, i: int) -> tuple[list[TypeRef], int]:
         refs: list[TypeRef] = []
-        toks = self.toks
+        toks, n = self.toks, self.end
         while True:
-            while i < len(toks) and toks[i].text == "@":
+            while i < n and toks[i].text == "@":
                 i = self._skip_annotation(i)
-            ref, i = parse_typeref(toks, i)
+            ref, i = parse_typeref(toks, i, n)
             if ref is None:
                 break
             refs.append(ref)
-            if i < len(toks) and toks[i].text == ",":
+            if i < n and toks[i].text == ",":
                 i += 1
                 continue
             break
@@ -491,9 +502,8 @@ class _Parser:
     # -- file level ------------------------------------------------------
 
     def parse_file(self) -> None:
-        toks = self.toks
+        toks, n = self.toks, self.end
         i = 0
-        n = len(toks)
         while i < n:
             t = toks[i]
             if t.text == ";":
@@ -529,8 +539,7 @@ class _Parser:
             i = self._skip_to_member_boundary(i + 1)
 
     def _parse_import(self, i: int) -> int:
-        toks = self.toks
-        n = len(toks)
+        toks, n = self.toks, self.end
         i += 1
         is_static = False
         if i < n and toks[i].text == "static":
@@ -558,22 +567,20 @@ class _Parser:
     # -- type declarations -----------------------------------------------
 
     def _try_type_decl(self, i: int) -> tuple[TypeDecl | None, int]:
-        toks = self.toks
-        n = len(toks)
+        toks, n = self.toks, self.end
         j = self._skip_mods_annotations(i)
         if j >= n:
             return None, i
         t = toks[j]
         if t.text == "@" and j + 1 < n and toks[j + 1].text == "interface":
             return self._parse_type_decl(j + 2, "annotation", toks[j].line)
-        kind = _type_keyword(toks, j)
+        kind = _type_keyword(toks, j, n)
         if kind is not None:
             return self._parse_type_decl(j + 1, kind, t.line)
         return None, i
 
     def _parse_type_decl(self, i: int, kind: str, line: int) -> tuple[TypeDecl | None, int]:
-        toks = self.toks
-        n = len(toks)
+        toks, n = self.toks, self.end
         if i >= n or toks[i].kind != "word":
             self.warn()
             return None, self._skip_to_member_boundary(i)
@@ -581,10 +588,10 @@ class _Parser:
         decl = TypeDecl("class" if is_record else kind, toks[i].text, line, is_record=is_record)
         i += 1
         if i < n and toks[i].text == "<":
-            tp, i = _skip_type_params(toks, i)
+            tp, i = _skip_type_params(toks, i, n)
             decl.type_params, decl.type_param_bounds = tp.names, tp.bounds
         if is_record and i < n and toks[i].text == "(":
-            end = _find_matching(toks, i, "(", ")")
+            end = self.close(i)
             for tref, name in self._parse_params(i, end):
                 decl.members.append(FieldDecl(name=name, tref=tref, line=line))
             i = end + 1
@@ -602,7 +609,7 @@ class _Parser:
         if i >= n:
             self.warn()
             return decl, n
-        end = _find_matching(toks, i, "{", "}")
+        end = self.close(i)
         if kind == "enum":
             self._parse_enum_body(decl, i + 1, end)
         else:
@@ -618,7 +625,7 @@ class _Parser:
                 i = self._skip_annotation(i)
             while i < i_close and toks[i].kind == "word" and toks[i].text == "final":
                 i += 1
-            ref, i2 = parse_typeref(toks, i)
+            ref, i2 = parse_typeref(toks, i, self.end)
             if ref is None:
                 i += 1
                 continue
@@ -652,16 +659,14 @@ class _Parser:
                 break
             t = toks[j]
             if t.text == "{":
-                blk_end = _find_matching(toks, j, "{", "}")
+                blk_end = self.close(j)
                 decl.members.append(self._capture(InitDecl(t.line), j + 1, blk_end))
                 i = blk_end + 1
                 continue
             method_tp: TypeParams | None = None
             if t.text == "<":
-                method_tp, j = _skip_type_params(toks, j)
-                if j < end:
-                    t = toks[j]
-                else:
+                method_tp, j = _skip_type_params(toks, j, self.end)
+                if j >= end:
                     break
             member, i2 = self._parse_member_after_mods(decl, j, end)
             if member is None:
@@ -677,7 +682,7 @@ class _Parser:
         self, decl: TypeDecl, i: int, end: int
     ) -> tuple[object | None, int]:
         toks = self.toks
-        ref, j = parse_typeref(toks, i)
+        ref, j = parse_typeref(toks, i, self.end)
         if ref is None:
             return None, i
         if j < end and toks[j].text == "(":
@@ -687,7 +692,7 @@ class _Parser:
             return None, i
         if j < end and toks[j].text == "{" and decl.is_record and ref == TypeRef(decl.name):
             # compact canonical constructor: the parameters are the components
-            blk_end = _find_matching(toks, j, "{", "}")
+            blk_end = self.close(j)
             member = MethodDecl(
                 name=decl.name, ret=None, params=[], throws=[], line=toks[i].line, is_ctor=True
             )
@@ -714,7 +719,7 @@ class _Parser:
         end: int,
     ) -> tuple[MethodDecl | None, int]:
         toks = self.toks
-        close = _find_matching(toks, i_open, "(", ")")
+        close = self.close(i_open)
         params = self._parse_params(i_open, close)
         i = close + 1
         throws: list[TypeRef] = []
@@ -731,7 +736,7 @@ class _Parser:
             name=name, ret=ret, params=params, throws=throws, line=line, is_ctor=is_ctor
         )
         if i < end and toks[i].text == "{":
-            blk_end = _find_matching(toks, i, "{", "}")
+            blk_end = self.close(i)
             self._capture(member, i + 1, blk_end)
             i = blk_end + 1
         else:
@@ -792,11 +797,11 @@ class _Parser:
             const = EnumConst(name=t.text, line=t.line)
             i += 1
             if i < end and toks[i].text == "(":
-                close = _find_matching(toks, i, "(", ")")
+                close = self.close(i)
                 self._capture(const, i + 1, close)
                 i = close + 1
             if i < end and toks[i].text == "{":
-                close = _find_matching(toks, i, "{", "}")
+                close = self.close(i)
                 body = TypeDecl(
                     kind="class",
                     name=None,
@@ -816,75 +821,58 @@ class _Parser:
         self._parse_members(decl, i, end)
         decl.members += consts
 
+    # -- member bodies ---------------------------------------------------
 
-# ---------------------------------------------------------------------------
-# Anonymous class extraction from raw statement tokens
-# ---------------------------------------------------------------------------
-
-
-def _extract_anons(
-    raw: list[Tok], parser: _Parser
-) -> tuple[list[Tok], list[TypeDecl]]:
-    """Split raw body tokens into a flat statement stream plus anonymous
-    and local type declarations.  A ``Tok('anon', idx, line)`` marker is
-    left where an anonymous class body was removed."""
-    out: list[Tok] = []
-    anons: list[TypeDecl] = []
-    i = 0
-    n = len(raw)
-    while i < n:
-        t = raw[i]
-        if t.kind == "word" and t.text == "new":
-            ref, j = parse_typeref(raw, i + 1)
-            if ref is not None and j < n and raw[j].text == "(":
-                close = _find_matching(raw, j, "(", ")")
-                out.append(t)
-                out.extend(raw[i + 1 : j])
-                out.append(raw[j])
-                inner, inner_anons = _extract_anons(raw[j + 1 : close], parser)
-                out.extend(inner)
-                anons.extend(inner_anons)
-                if close < n:
-                    out.append(raw[close])
-                i = close + 1
-                if i < n and raw[i].text == "{":
-                    blk_end = _find_matching(raw, i, "{", "}")
-                    body = TypeDecl(
-                        kind="class", name=None, line=raw[i].line, anon_super=ref
-                    )
-                    sub = _Parser(raw[i + 1 : blk_end], parser.syntax)
-                    sub._parse_members(body, 0, blk_end - i - 1)
-                    anons.append(body)
-                    out.append(Tok("anon", str(len(anons) - 1), raw[i].line))
-                    i = blk_end + 1
+    def _extract_anons(self, i: int) -> tuple[list[Tok], list[TypeDecl]]:
+        """Split the body tokens from ``i`` to the window end into a flat
+        statement stream plus anonymous and local type declarations.  A
+        ``Tok('anon', idx, line)`` marker is left where an anonymous class
+        body was removed."""
+        toks, n = self.toks, self.end
+        out: list[Tok] = []
+        anons: list[TypeDecl] = []
+        while i < n:
+            t = toks[i]
+            if t.kind == "word" and t.text == "new":
+                ref, j = parse_typeref(toks, i + 1, n)
+                if ref is not None and j < n and toks[j].text == "(":
+                    close = self.close(j)
+                    out += toks[i : j + 1]
+                    inner, inner_anons = self.window(close)._extract_anons(j + 1)
+                    out += inner
+                    anons += inner_anons
+                    if close < n:
+                        out.append(toks[close])
+                    i = close + 1
+                    if i < n and toks[i].text == "{":
+                        blk_end = self.close(i)
+                        body = TypeDecl("class", None, toks[i].line, anon_super=ref)
+                        self.window(blk_end)._parse_members(body, i + 1, blk_end)
+                        anons.append(body)
+                        out.append(Tok("anon", str(len(anons) - 1), toks[i].line))
+                        i = blk_end + 1
+                    continue
+            kind = _type_keyword(toks, i, n)
+            if (
+                kind is not None
+                and not (out and out[-1].text == ".")
+                and i + 1 < n
+                and toks[i + 1].kind == "word"
+            ):
+                # local type declaration; a name follows, so it parses
+                decl, i = self._parse_type_decl(i + 1, kind, t.line)
+                anons.append(decl)
                 continue
             out.append(t)
             i += 1
-            continue
-        kind = _type_keyword(raw, i)
-        if (
-            kind is not None
-            and not (out and out[-1].text == ".")
-            and i + 1 < n
-            and raw[i + 1].kind == "word"
-        ):
-            # local type declaration
-            sub = _Parser(raw, parser.syntax)
-            decl, i2 = sub._parse_type_decl(i + 1, kind, t.line)
-            if decl is not None and decl.members is not None and i2 > i:
-                anons.append(decl)
-                i = i2
-                continue
-        out.append(t)
-        i += 1
-    return out, anons
+        return out, anons
 
 
 def parse_java_file(path_text: str, text: str) -> FileSyntax:
     """Parse one Java compilation unit into its structural summary."""
     toks, sloc = lex(text)
     syntax = FileSyntax(path=path_text, sloc=sloc)
-    _Parser(toks, syntax).parse_file()
+    _Parser(toks, syntax, _partners(toks), len(toks)).parse_file()
     return syntax
 
 
@@ -906,8 +894,8 @@ class _TypeInfo:
     decl: TypeDecl
     file: FileSyntax
     fields: dict[str, FieldDecl] = field(default_factory=dict)
+    # the first declared overload of each name; constructors as "<init>"
     methods: dict[str, MethodDecl] = field(default_factory=dict)
-    ctors: list[MethodDecl] = field(default_factory=list)
     outer: "_TypeInfo | None" = None
 
 
@@ -1005,11 +993,9 @@ class _ProjectBuilder:
         self, member: FieldDecl | MethodDecl | EnumConst, info: _TypeInfo,
         syntax: FileSyntax,
     ) -> None:
-        if isinstance(member, MethodDecl) and member.is_ctor:
-            kind, name = EntityKind.CONSTRUCTOR, "<init>"
-            info.ctors.append(member)
-        elif isinstance(member, MethodDecl):
-            kind, name = EntityKind.METHOD, member.name
+        if isinstance(member, MethodDecl):
+            kind = EntityKind.CONSTRUCTOR if member.is_ctor else EntityKind.METHOD
+            name = "<init>" if member.is_ctor else member.name
             info.methods.setdefault(name, member)
         else:
             kind, name = EntityKind.FIELD, member.name
@@ -1213,6 +1199,7 @@ class _BodyAnalyzer:
         self.anons = anons
         self.locals = params
         self.consumed: set[int] = set()  # token indexes already emitted
+        self.partner: list[int] | None = None  # the stream's, once a `new` needs it
 
     # -- small helpers ----------------------------------------------------
 
@@ -1249,12 +1236,6 @@ class _BodyAnalyzer:
         parts = [owner_fqn, *rest, name]
         return ".".join(parts)
 
-    def _ctor_target(self, owner_fqn: str) -> int | str:
-        info = self.b.types.get(owner_fqn)
-        if info is not None and info.ctors:
-            return info.ctors[0].entity_id
-        return f"{owner_fqn}.<init>"
-
     # -- main scan --------------------------------------------------------
 
     def run(self, toks: list[Tok]) -> None:
@@ -1280,20 +1261,22 @@ class _BodyAnalyzer:
 
     def _handle_new(self, toks: list[Tok], i: int) -> int:
         n = len(toks)
-        ref, j = parse_typeref(toks, i + 1)
+        ref, j = parse_typeref(toks, i + 1, n)
         if ref is None:
             return i + 1
         for arg in ref.args:
             self.emit_type_use(RelationKind.USES, arg)
         if j < n and toks[j].text == "(":
-            close = _find_matching(toks, j, "(", ")")
+            if self.partner is None:
+                self.partner = _partners(toks)
+            close = self.partner[j]
             after = toks[close + 1] if close + 1 < n else None
             if after is not None and after.kind == "anon":
                 anon = self.anons[int(after.text)]
                 self.emit(RelationKind.INSTANTIATES, f"{anon.fqn}.<init>")
             else:
                 owner = self.b.owner(ref.base, self.scope)
-                self.emit(RelationKind.INSTANTIATES, self._ctor_target(owner))
+                self.emit(RelationKind.INSTANTIATES, self._call_target(owner, [], "<init>"))
                 # chained call on the fresh instance: new T(...).m(...)
                 if (
                     after is not None
@@ -1327,14 +1310,14 @@ class _BodyAnalyzer:
         nxt = toks[i + 1] if i + 1 < n else None
         if nxt is not None and nxt.text == "(":
             if target is not None:
-                self.emit(RelationKind.CALLS, self._ctor_target(target))
+                self.emit(RelationKind.CALLS, self._call_target(target, [], "<init>"))
             return i + 1
         if nxt is None or i + 2 >= n or toks[i + 2].kind != "word":
             return i + 1
         name = toks[i + 2].text
         if nxt.text == "::":
             if name == "new":
-                self.emit(RelationKind.INSTANTIATES, self._ctor_target(own.fqn))
+                self.emit(RelationKind.INSTANTIATES, self._call_target(own.fqn, [], "<init>"))
             elif target is not None:
                 self.emit(RelationKind.CALLS, self._call_target(target, [], name))
             return i + 3
@@ -1353,7 +1336,7 @@ class _BodyAnalyzer:
         return i + 1
 
     def _handle_instanceof(self, toks: list[Tok], i: int) -> int:
-        ref, j = parse_typeref(toks, i + 1)
+        ref, j = parse_typeref(toks, i + 1, len(toks))
         if ref is None:
             return i + 1
         self.emit_type_use(RelationKind.INSTANCEOF, ref.base)
@@ -1364,7 +1347,7 @@ class _BodyAnalyzer:
 
     def _try_cast(self, toks: list[Tok], i: int) -> int | None:
         n = len(toks)
-        ref, j = parse_typeref(toks, i + 1)
+        ref, j = parse_typeref(toks, i + 1, n)
         if ref is None or j >= n or toks[j].text != ")":
             return None
         nxt = toks[j + 1] if j + 1 < n else None
@@ -1409,7 +1392,7 @@ class _BodyAnalyzer:
             or prev.kind == "anon"
         )
         if boundary:
-            ref, j = parse_typeref(toks, i)
+            ref, j = parse_typeref(toks, i, n)
             if (
                 ref is not None
                 and j < n
@@ -1439,7 +1422,7 @@ class _BodyAnalyzer:
             ref_name = toks[j + 1].text
             if ref_name == "new":
                 owner = self.b.owner(".".join(segs), self.scope)
-                self.emit(RelationKind.INSTANTIATES, self._ctor_target(owner))
+                self.emit(RelationKind.INSTANTIATES, self._call_target(owner, [], "<init>"))
             else:
                 self._emit_call(segs + [ref_name])
             return j + 2

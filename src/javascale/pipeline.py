@@ -263,7 +263,11 @@ def fit_grid(
     for cell in grid:
         xs, ys = _series(corpus, cell)
         fitter = fit_robust_log_power if cell.robust else fit_log_power
-        out.append((cell.model_id, fitter(xs, ys, cell.k), cell))
+        try:
+            out.append((cell.model_id, fitter(xs, ys, cell.k), cell))
+        except DataError as exc:
+            where = f"{cell.y_metric} ~ {cell.x_metric} on {cell.subset_rule}"
+            raise type(exc)(f"model {cell.model_id} ({where}): {exc}") from exc
     return out
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import random
 import shutil
 import subprocess
 import tempfile
@@ -12,6 +14,7 @@ from javascale import extractor
 from javascale.extractor import extract_corpus, extract_project
 from javascale.errors import DataError, DuplicateProjectError, EmptyCorpusError
 from javascale.facts import EntityKind, FactRelation, ProjectFacts, RelationKind, SourceEntity
+from javascale.store import FactsArchive, write_facts
 
 import javalex_reference as reference
 from conftest import CORPUS_DIR
@@ -944,23 +947,213 @@ class TestDeclarationCharacterization:
         assert rel_lines(facts) == DECLARATIONS_RELATIONS.split("\n")[1:-1]
 
     def test_source_compiles_as_java_17(self, tmp_path):
-        javac = shutil.which("javac")
-        if javac is None:
-            pytest.skip("no javac on PATH")
-        source = tmp_path / "Scale.java"
-        source.write_text(DECLARATIONS_SOURCE)
-        proc = subprocess.run(
-            [javac, "--release", "17", "-d", str(tmp_path / "out"), str(source)],
-            capture_output=True,
-            text=True,
-        )
-        if "release version 17 not supported" in proc.stderr:
-            pytest.skip("javac is older than JDK 17")
-        assert proc.returncode == 0, proc.stderr
+        compile_java_17(tmp_path, {"a/b/Scale.java": DECLARATIONS_SOURCE})
 
 
-_SOURCES = [p.read_text() for p in sorted(CORPUS_DIR.rglob("*.java"))] + list(
-    EDGE_FILES.values()
+def compile_java_17(tmp_path, files: dict[str, str]) -> None:
+    """Compile ``files`` with ``javac --release 17``; skip without a JDK 17."""
+    javac = shutil.which("javac")
+    if javac is None:
+        pytest.skip("no javac on PATH")
+    sources = sorted(write_project(tmp_path / "src", files).rglob("*.java"))
+    proc = subprocess.run(
+        [javac, "--release", "17", "-d", str(tmp_path / "out"), *map(str, sources)],
+        capture_output=True,
+        text=True,
+    )
+    if "release version 17 not supported" in proc.stderr:
+        pytest.skip("javac is older than JDK 17")
+    assert proc.returncode == 0, proc.stderr
+
+
+# Two files with the constructs no other test parses: initializer blocks,
+# array creation with a size and with an initializer, prefix ++/-- on a
+# field, reads and writes of `Type.field`, a bounded method type parameter,
+# an anonymous class of a project interface, a sibling member type named
+# simply, a type from a wildcard import and a fully qualified one, `final`
+# and C-style array parameters and fields, an annotated enum constant,
+# `return this;`, and two constructors reached by `this(3)` and `Cov::new`.
+# The expected facts are the extractor's output as it stands; they pin
+# behaviour, they do not bless it.
+CONSTRUCTS_FILES = {
+    "c/Cov.java": """\
+package c;
+
+import d.*;
+
+public class Cov {
+    static int count;
+    int grid[];
+    int n;
+    d.Api held;
+
+    static {
+        count = 1;
+    }
+
+    {
+        n = 0;
+    }
+
+    Cov(int n) {
+        this.n = n;
+    }
+
+    Cov() {
+        this(3);
+    }
+
+    Cov bump() {
+        ++count;
+        if (--n < 0) return this;
+        n = count;
+        return this;
+    }
+
+    <U extends Number> int size(final String args[], U u) {
+        int[] a = new int[4];
+        String[] s = new String[] {"x"};
+        Cov.count = a.length;
+        return Cov.count + s.length;
+    }
+
+    Api api() {
+        return new Api() {
+            public void call() {}
+        };
+    }
+
+    java.util.function.Supplier<Cov> maker() {
+        return Cov::new;
+    }
+
+    static class Inner {
+        Helper helper;
+    }
+
+    static class Helper {}
+
+    enum Mode {
+        @Deprecated OLD,
+        NEW
+    }
+}
+""",
+    "d/Api.java": """\
+package d;
+
+public interface Api {
+    void call();
+}
+""",
+}
+CONSTRUCTS_ENTITIES = [
+    ("c", "PACKAGE", 0),
+    ("c.Cov", "CLASS", 5),
+    ("c.Cov.count", "FIELD", 6),
+    ("c.Cov.grid", "FIELD", 7),
+    ("c.Cov.n", "FIELD", 8),
+    ("c.Cov.held", "FIELD", 9),
+    ("c.Cov.<init>", "CONSTRUCTOR", 19),
+    ("c.Cov.<init>", "CONSTRUCTOR", 23),
+    ("c.Cov.bump", "METHOD", 27),
+    ("c.Cov.size", "METHOD", 34),
+    ("c.Cov.api", "METHOD", 41),
+    ("c.Cov$1", "CLASS", 42),
+    ("c.Cov$1.call", "METHOD", 43),
+    ("c.Cov.maker", "METHOD", 47),
+    ("c.Cov.Inner", "CLASS", 51),
+    ("c.Cov.Inner.helper", "FIELD", 52),
+    ("c.Cov.Helper", "CLASS", 55),
+    ("c.Cov.Mode", "ENUM", 57),
+    ("c.Cov.Mode.OLD", "FIELD", 58),
+    ("c.Cov.Mode.NEW", "FIELD", 59),
+    ("d", "PACKAGE", 0),
+    ("d.Api", "INTERFACE", 3),
+    ("d.Api.call", "METHOD", 4),
+]
+CONSTRUCTS_RELATIONS = """
+c CONTAINS c.Cov
+c.Cov CONTAINS c.Cov.count
+c.Cov CONTAINS c.Cov.grid
+c.Cov CONTAINS c.Cov.n
+c.Cov CONTAINS c.Cov.held
+c.Cov CONTAINS c.Cov.<init>
+c.Cov CONTAINS c.Cov.<init>
+c.Cov CONTAINS c.Cov.bump
+c.Cov CONTAINS c.Cov.size
+c.Cov CONTAINS c.Cov.api
+c.Cov CONTAINS c.Cov$1
+c.Cov$1 CONTAINS c.Cov$1.call
+c.Cov CONTAINS c.Cov.maker
+c.Cov CONTAINS c.Cov.Inner
+c.Cov.Inner CONTAINS c.Cov.Inner.helper
+c.Cov CONTAINS c.Cov.Helper
+c.Cov CONTAINS c.Cov.Mode
+c.Cov.Mode CONTAINS c.Cov.Mode.OLD
+c.Cov.Mode CONTAINS c.Cov.Mode.NEW
+d CONTAINS d.Api
+d.Api CONTAINS d.Api.call
+c.Cov.count HOLDS 'java.lang.Integer'
+c.Cov.grid HOLDS 'java.lang.Integer'
+c.Cov.n HOLDS 'java.lang.Integer'
+c.Cov.held HOLDS d.Api
+c.Cov WRITES c.Cov.count
+c.Cov WRITES c.Cov.n
+c.Cov.<init> USES 'java.lang.Integer'
+c.Cov.<init> WRITES c.Cov.n
+c.Cov.<init> CALLS c.Cov.<init>
+c.Cov.bump USES c.Cov
+c.Cov.bump WRITES c.Cov.count
+c.Cov.bump WRITES c.Cov.n
+c.Cov.bump WRITES c.Cov.n
+c.Cov.bump READS c.Cov.count
+c.Cov.size USES 'java.lang.Number'
+c.Cov.size USES 'java.lang.Integer'
+c.Cov.size USES 'java.lang.String'
+c.Cov.size USES 'java.lang.Integer'
+c.Cov.size USES 'java.lang.Integer'
+c.Cov.size USES 'java.lang.String'
+c.Cov.size USES 'java.lang.String'
+c.Cov.size WRITES c.Cov.count
+c.Cov.size READS c.Cov.count
+c.Cov.api USES d.Api
+c.Cov.api INSTANTIATES 'c.Cov$1.<init>'
+c.Cov.maker USES 'java.util.function.Supplier'
+c.Cov.maker USES c.Cov
+c.Cov.maker INSTANTIATES c.Cov.<init>
+c.Cov$1 IMPLEMENTS d.Api
+c.Cov.Inner.helper HOLDS c.Cov.Helper
+c.Cov.Mode.OLD HOLDS c.Cov.Mode
+c.Cov.Mode.NEW HOLDS c.Cov.Mode
+"""
+
+
+class TestConstructCharacterization:
+    def test_entities_and_relations(self, tmp_path):
+        facts = extract_project(write_project(tmp_path, CONSTRUCTS_FILES), "constructs")
+        assert facts.warnings == []
+        assert [(e.fqn, e.kind.name, e.line) for e in facts.entities] == CONSTRUCTS_ENTITIES
+        assert rel_lines(facts) == CONSTRUCTS_RELATIONS.split("\n")[1:-1]
+        # both constructors are c.Cov.<init>: `this(3)` in the second and
+        # `Cov::new` target the first declared, on line 19
+        line = {e.entity_id: e.line for e in facts.entities}
+        ctors = {e.entity_id for e in facts.entities if e.kind is EntityKind.CONSTRUCTOR}
+        ctor_edges = [
+            (line[r.source], r.kind.name, line[r.target])
+            for r in facts.relations
+            if r.target in ctors and r.kind is not RelationKind.CONTAINS
+        ]
+        assert ctor_edges == [(23, "CALLS", 19), (47, "INSTANTIATES", 19)]
+
+    def test_sources_compile_as_java_17(self, tmp_path):
+        compile_java_17(tmp_path, CONSTRUCTS_FILES)
+
+
+_SOURCES = (
+    [p.read_text() for p in sorted(CORPUS_DIR.rglob("*.java"))]
+    + list(EDGE_FILES.values())
+    + list(CONSTRUCTS_FILES.values())
 )
 _PIECES = ["{", "}", "(", ")", "<", ">", "[", "]", ";", ",", "@", "=", " new ",
            " class ", " enum ", " record ", " extends "]
@@ -1007,3 +1200,36 @@ class TestMutatedSources:
             facts = extract_project(root, "fuzz")
         assert not [w for w in facts.warnings if "parse failure" in w]
         facts.validate()
+
+
+# sha256 of the archive of MUTATED_PROJECTS projects mutated from _SOURCES
+# by a seeded generator; a deliberate change to the extractor's facts
+# changes it, and CHANGES.md records the old and new values
+MUTATED_SHA256 = "b2e0549c93c8cdc270bf8aea20acb3b35348ca7338a651cc87dbb9cbaf1cfba7"
+MUTATED_PROJECTS = 400
+
+
+def mutated_projects(seed: int, count: int):
+    """``count`` projects of 1-3 files, each a source with 1-6 ``_mutate``
+    edits drawn from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        files = {}
+        for k in range(rng.randint(1, 3)):
+            edits = [
+                (rng.choice(["cut", "dup", "insert"]), rng.randint(0, 10**6),
+                 rng.randint(0, 10**6), rng.randint(1, 80), rng.choice(_PIECES))
+                for _ in range(rng.randint(1, 6))
+            ]
+            files[f"p{k}/F{k}.java"] = _mutate(rng.choice(_SOURCES), edits)
+        yield files
+
+
+def test_mutated_sources_match_golden_digest(tmp_path):
+    projects = [
+        extract_project(write_project(tmp_path / f"m{n:03d}", files), f"m{n:03d}")
+        for n, files in enumerate(mutated_projects(20260, MUTATED_PROJECTS))
+    ]
+    write_facts(FactsArchive(projects=projects), tmp_path / "facts.bin")
+    digest = hashlib.sha256((tmp_path / "facts.bin").read_bytes()).hexdigest()
+    assert digest == MUTATED_SHA256

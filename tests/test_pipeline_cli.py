@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,12 @@ import pytest
 import javascale
 from javascale import pipeline, regression
 from javascale.cli import main
-from javascale.errors import ArchiveIntegrityError, EmptyCorpusError
+from javascale.errors import (
+    ArchiveIntegrityError,
+    DegeneratePredictorError,
+    EmptyCorpusError,
+    InsufficientDataError,
+)
 from javascale.extractor import extract_corpus
 from javascale.metrics import ProjectMetrics
 from javascale.pipeline import load_config, render_run_report, run_pipeline
@@ -684,6 +690,61 @@ class TestCli:
             argv = ["synth", "--spec", str(path), "-o", str(tmp_path / "t.csv")]
         assert self.run(*argv) == 1
         assert capsys.readouterr().err.startswith("usage error: ")
+
+    # the fixture projects have 0-3 classes, so these cells have no points
+    UNFITTABLE_CELLS = [
+        # the default grid's m2 subset, [10, 3000)
+        ("pipeline", "model m2 (methods ~ classes on [10,3000))"),
+        ("validate", "model big (methods ~ classes on [100,inf))"),
+        ("normalize", "model auto (methods ~ classes on [50,1000))"),
+    ]
+
+    @pytest.mark.parametrize("command, cell", UNFITTABLE_CELLS, ids=lambda v: v.split()[0])
+    def test_unfittable_cell_is_named(self, tmp_path, fixture_table, capsys, command, cell):
+        path = tmp_path / "in.json"
+        if command == "pipeline":
+            run = tmp_path / "run"
+            path.write_text(json.dumps({"manifest": str(CORPUS_DIR / "manifest.txt"),
+                                        "out_dir": str(run)}))
+            argv = ["pipeline", str(path)]
+        elif command == "validate":
+            path.write_text(json.dumps({"models": [
+                {"id": "m1", "y": "methods", "x": "classes"},
+                {"id": "big", "y": "methods", "x": "classes", "k": 2, "subset": [100, None],
+                 "robust": True},
+            ]}))
+            argv = ["validate", str(fixture_table), "--grid", str(path)]
+        else:
+            argv = [str(fixture_table) if a == "TABLE" else a for a in _NORMALIZE]
+            argv += ["--beta", "auto", "-o", str(tmp_path / "n.csv")]
+        assert self.run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"data error: {cell}: need at least 3 usable pairs, have 0 (0 excluded)\n"
+        )
+        if command == "pipeline":
+            assert (run / "STATUS").read_text() == "extract\nmetrics\nFAILED\n"
+        else:
+            assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "cell, error, message",
+        [
+            (pipeline.GridCell("one", "methods", "classes", subset=(1, 2)),
+             DegeneratePredictorError,
+             "model one (methods ~ classes on [1,2)): zero variance in transformed predictor"),
+            (pipeline.GridCell("all", "interfaces", "classes", robust=True),
+             InsufficientDataError,
+             "model all (interfaces ~ classes on all): need at least 3 usable pairs, "
+             "have 1 (9 excluded)"),
+        ],
+        ids=["degenerate", "insufficient"],
+    )
+    def test_fit_grid_keeps_the_error_type(self, fixture_corpus, cell, error, message):
+        grid = [pipeline.GridCell("m1", "methods", "classes"), cell]
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+            pipeline.fit_grid(fixture_corpus, grid)
+        assert type(info.value) is error and type(info.value.__cause__) is error
 
     def test_normalize_model_outside_grid_is_usage_error(self, tmp_path, capsys):
         cfg = fixture_config(tmp_path)
