@@ -341,7 +341,7 @@ def analyze_bins(
 
 def _measure_project(
     project_id: str, root: Path, jdk_prefixes: tuple[str, ...]
-) -> tuple[str, ProjectMetrics, int]:
+) -> tuple[bytes, ProjectMetrics, int]:
     """One project's record, metrics row and parse-warning count; its facts stay here."""
     facts = extract_project(root, project_id)
     metrics, _ = measure(facts, jdk_prefixes)

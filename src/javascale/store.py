@@ -1,16 +1,20 @@
 """Persistence for facts archives and the per-project metrics table.
 
-The archive is a line-oriented, length-prefixed record file: a header line
-with the format version, a project-count line, then one record per project
-whose payload length is stated up front so truncation is detectable.
-Entity ids are local to their project, so each record is encoded on its
-own and records can be written as they are made.  No database engine;
-readers rebuild in-memory indexes from the rows.
+The archive is a header line with the format version, a project-count
+line, then one record per project: its length, a space, its payload and a
+newline, so that truncation is detectable.  A payload is the zlib stream
+(RFC 1950; its Adler-32 trailer checks it) of canonical JSON whose
+``entities`` and ``relations`` hold one array per row field.  Entity ids
+are local to their project, so each record is encoded on its own and
+records can be written as they are made.  No database engine; readers
+rebuild in-memory indexes.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -23,8 +27,9 @@ from .errors import (
 from .facts import EntityKind, FactRelation, ProjectFacts, RelationKind, SourceEntity
 from .metrics import METRIC_COLUMNS, ProjectMetrics
 
-ARCHIVE_VERSION = 1
+ARCHIVE_VERSION = 2
 _MAGIC = "JSCALE-FACTS"
+_MAX_DIGITS = 20  # of a record's length prefix
 
 
 @dataclass
@@ -37,22 +42,22 @@ class FactsArchive:
         )
 
 
-def _project_payload(p: ProjectFacts) -> str:
-    return json.dumps(
+def _project_payload(p: ProjectFacts) -> bytes:
+    text = json.dumps(
         {
             "project_id": p.project_id,
             "sloc": p.sloc,
             "parse_warning_count": p.parse_warning_count,
             "warnings": p.warnings,
-            "entities": [
-                [eid, fqn, kind.value, file, line] for eid, fqn, kind, file, line in p.entities
-            ],
-            "relations": [[source, kind.value, target] for source, kind, target in p.relations],
+            # one array per field; the kinds are str enums, so encode as their values
+            "entities": list(zip(*p.entities)) or [()] * len(SourceEntity._fields),
+            "relations": list(zip(*p.relations)) or [()] * len(FactRelation._fields),
         },
         separators=(",", ":"),
         sort_keys=True,
         ensure_ascii=False,
     )
+    return zlib.compress(text.encode("utf-8"))
 
 
 # a dict lookup costs a fraction of an enum call; an unknown kind is a KeyError
@@ -60,33 +65,41 @@ _ENTITY_KINDS = {k.value: k for k in EntityKind}
 _RELATION_KINDS = {k.value: k for k in RelationKind}
 
 
+def _columns(data: dict, key: str) -> list:
+    # map() would stop at the shortest column, silently dropping rows
+    if len(set(map(len, data[key]))) > 1:
+        raise ValueError(f"{key} columns differ in length")
+    return data[key]
+
+
 def decode_record(payload: bytes, path: str | Path, lineno: int) -> ProjectFacts:
     """The project of the record payload framed at line ``lineno`` of ``path``."""
     try:
-        data = json.loads(payload.decode("utf-8"))
+        data = json.loads(zlib.decompress(payload).decode("utf-8"))
+        ids, fqns, kinds, files, lines = _columns(data, "entities")
+        sources, relation_kinds, targets = _columns(data, "relations")
+        kinds = map(_ENTITY_KINDS.__getitem__, kinds)
+        relation_kinds = map(_RELATION_KINDS.__getitem__, relation_kinds)
         return ProjectFacts(
             project_id=data["project_id"],
             sloc=data["sloc"],
             parse_warning_count=data.get("parse_warning_count", 0),
             warnings=list(data.get("warnings", [])),
-            entities=[
-                SourceEntity(eid, fqn, _ENTITY_KINDS[kind], file, line)
-                for eid, fqn, kind, file, line in data["entities"]
-            ],
-            relations=[FactRelation(s, _RELATION_KINDS[k], t) for s, k, t in data["relations"]],
+            entities=list(map(SourceEntity, ids, fqns, kinds, files, lines)),
+            relations=list(map(FactRelation, sources, relation_kinds, targets)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, zlib.error) as exc:
         raise ArchiveIntegrityError(f"{path}: bad record at line {lineno}: {exc!r}") from exc
 
 
-def write_records(payloads: Iterable[str], count: int, path: str | Path) -> None:
+def write_records(payloads: Iterable[bytes], count: int, path: str | Path) -> None:
     """Write an archive of ``count`` encoded project records, each one as
     ``payloads`` yields it; until the last is written the file reads as
     truncated."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{_MAGIC} {ARCHIVE_VERSION}\n{count}\n")
+    with open(path, "wb") as fh:
+        fh.write(f"{_MAGIC} {ARCHIVE_VERSION}\n{count}\n".encode())
         for payload in payloads:
-            fh.write(f"{len(payload.encode('utf-8'))} {payload}\n")
+            fh.write(b"%d %b\n" % (len(payload), payload))
 
 
 def write_facts(archive: FactsArchive, path: str | Path) -> None:
@@ -116,19 +129,23 @@ def scan_records(path: str | Path) -> Iterator[tuple[int, bytes, int]]:
             raise ArchiveIntegrityError(f"{path}: missing project count") from exc
         if count < 0:
             raise ArchiveIntegrityError(f"{path}: missing project count")
+        end = os.fstat(fh.fileno()).st_size
         for lineno in range(3, count + 3):
             offset = fh.tell()
-            line = fh.readline()
-            if not line:
+            # a payload may hold any byte, so the record is framed by its length alone
+            head = fh.read(_MAX_DIGITS + 1)
+            if not head:
                 raise ArchiveIntegrityError(f"{path}: truncated at record {lineno - 2}")
-            try:
-                size_text, payload = line.rstrip(b"\n").split(b" ", 1)
-                size = int(size_text)
-            except ValueError as exc:
-                raise ArchiveIntegrityError(f"{path}: bad record at line {lineno}") from exc
-            if len(payload) != size:
+            size_text, space, _ = head.partition(b" ")
+            if not space or not size_text.isdigit():
+                raise ArchiveIntegrityError(f"{path}: bad record at line {lineno}")
+            start, size = offset + len(size_text) + 1, int(size_text)
+            fh.seek(start)
+            # a size past the end is not read; a missing last newline is a missing next record
+            payload = fh.read(size) if size <= end - start else b""
+            if len(payload) != size or fh.read(1) not in (b"\n", b""):
                 raise ArchiveIntegrityError(f"{path}: record length mismatch at line {lineno}")
-            yield offset + len(size_text) + 1, payload, lineno
+            yield start, payload, lineno
         if fh.read(1):
             raise ArchiveIntegrityError(f"{path}: data after record {count}")
 

@@ -4,9 +4,13 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
+import zlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import javascale
 
@@ -16,10 +20,11 @@ from javascale.errors import (
     DuplicateProjectError,
     UnsupportedVersionError,
 )
-from javascale.facts import ProjectFacts
+from javascale.facts import EntityKind, FactRelation, ProjectFacts, RelationKind, SourceEntity
 from javascale.metrics import METRIC_COLUMNS, ProjectMetrics, compute_metrics
 from javascale.store import (
     FactsArchive,
+    _project_payload,
     export_metrics_table,
     read_facts,
     read_metrics_table,
@@ -27,42 +32,81 @@ from javascale.store import (
     write_facts,
 )
 
-_PAYLOAD = {"project_id": "p", "sloc": 1, "entities": [[1, "p", "PACKAGE", "", 0]]}
+# entities and relations hold one array per field: (entity_id, fqn, kind,
+# file, line) and (source, kind, target)
+_PAYLOAD = {"project_id": "p", "sloc": 1, "entities": [[1], ["p"], ["PACKAGE"], [""], [0]]}
 
 
-def _archive(count: str, *payloads: str) -> str:
+def _archive(count: str, *payloads: bytes) -> bytes:
     """An archive of records whose length prefixes are right for ``payloads``."""
-    records = "".join(f"{len(p.encode('utf-8'))} {p}\n" for p in payloads)
-    return f"JSCALE-FACTS 1\n{count}\n{records}"
+    records = b"".join(b"%d %b\n" % (len(p), p) for p in payloads)
+    return f"JSCALE-FACTS 2\n{count}\n".encode() + records
 
 
-def _record(**changes) -> str:
-    return json.dumps({"relations": [], **_PAYLOAD, **changes})
+def _z(text: str) -> bytes:
+    return zlib.compress(text.encode())
+
+
+def _record(**changes) -> bytes:
+    return _z(json.dumps({"relations": [[], [], []], **_PAYLOAD, **changes}))
+
+
+# a record as version 1 wrote it: plain JSON, one array per row
+_V1_RECORD = '{"entities":[[1,"p","PACKAGE","",0]],"project_id":"p","relations":[],"sloc":1}'
 
 
 # each text, read as a facts archive, breaks one rule of the reader
 BAD_ARCHIVES = [
     pytest.param("JSCALE-FACTS one\n0\n", "bad version line", id="version"),
-    pytest.param("JSCALE-FACTS 1", "missing project count", id="no-count"),
-    pytest.param("JSCALE-FACTS 1\nmany\n", "missing project count", id="bad-count"),
+    pytest.param(
+        f"JSCALE-FACTS 1\n1\n{len(_V1_RECORD)} {_V1_RECORD}\n",
+        "archive version 1, reader supports 2$",
+        id="v1",
+    ),
+    pytest.param("JSCALE-FACTS 2", "missing project count", id="no-count"),
+    pytest.param("JSCALE-FACTS 2\nmany\n", "missing project count", id="bad-count"),
     pytest.param(_archive("2", _record())[:-1], "truncated at record 2", id="truncated"),
     pytest.param(_archive("2", _record()), "truncated at record 2", id="cut-after-record"),
-    pytest.param(_archive("1", _record()) + "garbage\n", "data after record 1", id="trailing"),
-    pytest.param(f"JSCALE-FACTS 1\n1\nlong {_record()}\n", "bad record at line 3", id="prefix"),
-    pytest.param("JSCALE-FACTS 1\n1\n99 {}\n", "record length mismatch at line 3", id="length"),
-    pytest.param(_archive("1", "{not json"), "bad record at line 3: .*Expecting", id="json"),
+    pytest.param(_archive("1", _record()) + b"garbage\n", "data after record 1", id="trailing"),
     pytest.param(
-        _archive("1", _record(entities=[[1, "p", "KLASS", "", 0]])),
+        b"JSCALE-FACTS 2\n1\nlong " + _record() + b"\n", "bad record at line 3$", id="prefix"
+    ),
+    pytest.param("JSCALE-FACTS 2\n1\n99 {}\n", "record length mismatch at line 3", id="length"),
+    pytest.param(  # not read, so nothing of that size is allocated
+        f"JSCALE-FACTS 2\n1\n{'9' * 20} {{}}\n", "record length mismatch at line 3", id="huge"
+    ),
+    pytest.param(f"JSCALE-FACTS 2\n1\n{'1' * 21} {{}}\n", "bad record at line 3$", id="digits"),
+    pytest.param(_archive("1", _z("{not json")), "bad record at line 3: .*Expecting", id="json"),
+    pytest.param(
+        _archive("1", _record(entities=[[1], ["p"], ["KLASS"], [""], [0]])),
         "bad record at line 3: .*KLASS",
         id="kind",
     ),
     pytest.param(
-        _archive("1", json.dumps(_PAYLOAD)), "bad record at line 3: .*relations", id="key"
+        _archive("1", _z(json.dumps(_PAYLOAD))), "bad record at line 3: .*relations", id="key"
     ),
     pytest.param(
-        b'JSCALE-FACTS 1\n1\n3 "\xff"\n',
+        _archive("1", zlib.compress(b'"\xff"')),
         "bad record at line 3: UnicodeDecodeError",
         id="non-utf8",
+    ),
+    pytest.param(
+        _archive("1", b"{}"), "bad record at line 3: error.*incorrect header check", id="not-zlib"
+    ),
+    pytest.param(  # the Adler-32 trailer's last byte changed
+        _archive("1", _record()[:-1] + bytes([_record()[-1] ^ 1])),
+        "bad record at line 3: error.*incorrect data check",
+        id="checksum",
+    ),
+    pytest.param(
+        _archive("1", _record(entities=[[1, 2], ["p"], ["PACKAGE"], [""], [0]])),
+        r"bad record at line 3: ValueError\('entities columns differ in length'\)",
+        id="entity-columns",
+    ),
+    pytest.param(
+        _archive("1", _record(relations=[[1], ["USES"], []])),
+        r"bad record at line 3: ValueError\('relations columns differ in length'\)",
+        id="relation-columns",
     ),
 ]
 
@@ -97,27 +141,29 @@ BAD_TABLES = [
 # metrics command measures the records before it in a pool
 _BIG_BAD_KIND = _record(
     project_id="big",
-    entities=[[i, "p", "PACKAGE", "", 0] for i in range(1, 500)] + [[500, "p", "KLASS", "", 0]],
+    entities=[
+        list(range(1, 501)), ["p"] * 500, ["PACKAGE"] * 499 + ["KLASS"], [""] * 500, [0] * 500
+    ],
 )
 MULTI_FAULT_ARCHIVES = [
     pytest.param(
-        _archive("3", "{not json", _record()),
+        _archive("3", _z("{not json"), _record()),
         "bad record at line 3: .*Expecting",
         id="json-then-truncated",
     ),
     pytest.param(
-        _archive("3", _record(), _record(project_id="q")) + "99 {}\n",
+        _archive("3", _record(), _record(project_id="q")) + b"99 {}\n",
         "record length mismatch at line 5",
         id="good-then-length",
     ),
     pytest.param(
-        _archive("2", _record(), _record(project_id="q")) + "garbage\n",
+        _archive("2", _record(), _record(project_id="q")) + b"garbage\n",
         "data after record 2",
         id="good-then-trailing",
     ),
     # the later bad record is the longest, so a pool runs it first
     pytest.param(
-        _archive("4", _record(), "{not json", _BIG_BAD_KIND, _record(project_id="q")),
+        _archive("4", _record(), _z("{not json"), _BIG_BAD_KIND, _record(project_id="q")),
         "bad record at line 4: .*Expecting",
         id="json-then-longer-bad-kind",
     ),
@@ -138,8 +184,13 @@ def two_cpus(monkeypatch):
 def test_bad_archive_is_integrity_error(tmp_path, capsys, text, message):
     path = tmp_path / "facts.bin"
     _write(path, text)
-    with pytest.raises(ArchiveIntegrityError, match=f"^{re.escape(str(path))}: {message}"):
+    # another version is an UnsupportedVersionError, every other fault an integrity error
+    with pytest.raises(
+        (UnsupportedVersionError, ArchiveIntegrityError),
+        match=f"^{re.escape(str(path))}: {message}",
+    ) as err:
         read_facts(path)
+    assert isinstance(err.value, UnsupportedVersionError) == message.startswith("archive version")
     assert main(["metrics", str(path), "-o", str(tmp_path / "m.csv")]) == 2
     assert capsys.readouterr().err.startswith(f"data error: {path}: ")
     # cut-after-record and trailing hold a valid record first
@@ -164,11 +215,13 @@ def test_metrics_reports_the_readers_first_fault(
 _CYCLE_RECORD = _record(
     project_id="cyc",
     entities=[
-        [1, "p", "PACKAGE", "", 0],
-        [2, "p.f", "FIELD", "A.java", 1],
-        [3, "p.m", "METHOD", "A.java", 2],
+        [1, 2, 3],
+        ["p", "p.f", "p.m"],
+        ["PACKAGE", "FIELD", "METHOD"],
+        ["", "A.java", "A.java"],
+        [0, 1, 2],
     ],
-    relations=[[2, "CONTAINS", 3], [3, "CONTAINS", 2], [1, "USES", 3]],
+    relations=[[2, 3, 1], ["CONTAINS", "CONTAINS", "USES"], [3, 2, 3]],
 )
 
 
@@ -218,7 +271,7 @@ def test_contains_cycle_is_integrity_error(tmp_path, cpus):
             id="sloc",
         ),
         pytest.param(
-            _record(relations=[[1, "USES", [1]]]), "unhashable type: 'list'", id="target"
+            _record(relations=[[1], ["USES"], [[1]]]), "unhashable type: 'list'", id="target"
         ),
     ],
 )
@@ -257,16 +310,17 @@ def test_bad_metrics_table_is_integrity_error(tmp_path, capsys, text, message):
 
 class TestArchiveRoundTrip:
     def test_foonumber_round_trip(self, foonumber_facts, tmp_path):
+        # its compressed record holds both framing bytes, so a reader that
+        # split the record at either would cut it short
+        payload = _project_payload(foonumber_facts)
+        assert b"\n" in payload and b" " in payload
         path = tmp_path / "facts.bin"
-        write_facts(FactsArchive(projects=[foonumber_facts]), path)
-        loaded = read_facts(path)
-        assert loaded.projects[0].entities == foonumber_facts.entities
-        assert loaded.projects[0].relations == foonumber_facts.relations
-        assert loaded.projects[0].sloc == foonumber_facts.sloc
+        write_facts(FactsArchive(projects=[foonumber_facts, ProjectFacts(project_id="q")]), path)
+        assert read_facts(path).projects == [foonumber_facts, ProjectFacts(project_id="q")]
 
     def test_records_are_read_one_at_a_time(self, tmp_path):
         path = tmp_path / "facts.bin"
-        path.write_text(_archive("2", _record()) + "99 {}\n")
+        path.write_bytes(_archive("2", _record()) + b"99 {}\n")
         records = read_records(path)
         assert next(records).project_id == "p"
         with pytest.raises(ArchiveIntegrityError, match="record length mismatch at line 4$"):
@@ -287,9 +341,9 @@ class TestArchiveRoundTrip:
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "facts.bin"
         write_facts(FactsArchive(projects=[ProjectFacts(project_id="p")]), path)
-        text = path.read_text().replace("JSCALE-FACTS 1", "JSCALE-FACTS 99", 1)
-        path.write_text(text)
-        with pytest.raises(UnsupportedVersionError):
+        data = path.read_bytes().replace(b"JSCALE-FACTS 2\n", b"JSCALE-FACTS 99\n", 1)
+        path.write_bytes(data)
+        with pytest.raises(UnsupportedVersionError, match="archive version 99, reader supports 2$"):
             read_facts(path)
 
     def test_truncated_file(self, foonumber_facts, tmp_path):
@@ -311,6 +365,42 @@ class TestArchiveRoundTrip:
             FactsArchive(
                 projects=[ProjectFacts(project_id="p"), ProjectFacts(project_id="p")]
             )
+
+
+_TEXT = st.text(max_size=12)  # any code point but a lone surrogate
+_PROJECTS = st.builds(
+    ProjectFacts,
+    project_id=_TEXT,
+    entities=st.lists(
+        st.builds(
+            SourceEntity, st.integers(), _TEXT.filter(bool), st.sampled_from(EntityKind),
+            _TEXT, st.integers(min_value=0),
+        ),
+        max_size=6,
+    ),
+    relations=st.lists(
+        st.builds(
+            FactRelation, st.integers(), st.sampled_from(RelationKind),
+            st.one_of(st.integers(), _TEXT),
+        ),
+        max_size=6,
+    ),
+    sloc=st.integers(min_value=0),
+    warnings=st.lists(_TEXT, max_size=3),
+    parse_warning_count=st.integers(min_value=0),
+)
+
+
+@given(st.lists(_PROJECTS, max_size=3, unique_by=lambda p: p.project_id))
+@settings(max_examples=200, deadline=None)
+def test_any_facts_survive_write_and_read(projects):
+    with tempfile.TemporaryDirectory() as tmp:
+        a, b = Path(tmp, "a.bin"), Path(tmp, "b.bin")
+        write_facts(FactsArchive(projects=projects), a)
+        write_facts(FactsArchive(projects=projects), b)
+        assert a.read_bytes() == b.read_bytes()
+        loaded = read_facts(a).projects
+    assert loaded == projects  # 1 and "1" are different targets
 
 
 class TestMetricsTable:
