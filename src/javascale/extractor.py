@@ -37,6 +37,7 @@ resolves to one, else the resolved name, else the name as written.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -109,6 +110,7 @@ MODIFIER_WORDS = frozenset(
 )
 
 _TYPE_KEYWORDS = frozenset(["class", "interface", "enum"])
+_TYPE_KEYWORD_TEXTS = _TYPE_KEYWORDS | {"record"}  # the texts _type_keyword accepts
 
 
 def _type_keyword(toks: list[Tok], i: int, end: int) -> str | None:
@@ -852,7 +854,8 @@ class _Parser:
                         out.append(Tok("anon", str(len(anons) - 1), toks[i].line))
                         i = blk_end + 1
                     continue
-            kind = _type_keyword(toks, i, n)
+            # most tokens are not type keywords, and a set test is cheaper than the call
+            kind = _type_keyword(toks, i, n) if t.text in _TYPE_KEYWORD_TEXTS else None
             if (
                 kind is not None
                 and not (out and out[-1].text == ".")
@@ -1513,7 +1516,8 @@ def extract_project(project_root: str | Path, project_id: str) -> ProjectFacts:
     Files are processed in sorted relative-path order, so repeated runs on
     the same tree produce identical entity ids, which run 1..n whatever
     other projects exist.  Unreadable files and unparseable declarations
-    are skipped with a recorded warning.
+    are skipped with a recorded warning.  A file name that is not UTF-8,
+    which no archive can store, is a ``DataError``.
     """
     root = Path(project_root)
     facts = ProjectFacts(project_id=project_id)
@@ -1526,6 +1530,11 @@ def extract_project(project_root: str | Path, project_id: str) -> ProjectFacts:
     total_sloc = 0
     for path in files:
         rel = path.relative_to(root).as_posix()
+        try:
+            rel.encode("utf-8")
+        except UnicodeEncodeError:
+            name = os.fsencode(rel)
+            raise DataError(f"project {project_id}: file name {name!r} is not UTF-8") from None
         try:
             text = path.read_bytes().decode("utf-8", errors="replace")
         except OSError as exc:

@@ -4,14 +4,16 @@ A project is reduced to a flat list of :class:`SourceEntity` rows (packages,
 types, members) and :class:`FactRelation` edges between them.  Relation
 targets are entity ids when the target is declared inside the project and
 dotted name strings otherwise; names that could not be resolved to any
-package stay as plain (undotted) strings.
+package stay as plain (undotted) strings.  :class:`FactColumns` holds the
+same facts with each table transposed, one sequence per row field, as the
+archive stores them and as ``metrics.measure`` reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, Union
+from typing import NamedTuple, Sequence, Union
 
 
 class EntityKind(str, Enum):
@@ -76,6 +78,20 @@ class FactRelation(NamedTuple):
     target: RelationTarget
 
 
+class FactColumns(NamedTuple):
+    """A project's facts with each table transposed: ``entities`` holds the
+    ``SourceEntity`` fields' columns, ``relations`` the ``FactRelation``
+    fields', each in row order.  A kind is an enum member or its value,
+    which compares and hashes equal to it."""
+
+    project_id: str
+    sloc: int
+    parse_warning_count: int
+    warnings: list[str]
+    entities: Sequence[Sequence]  # entity_id, fqn, kind, file, line
+    relations: Sequence[Sequence]  # source, kind, target
+
+
 @dataclass
 class ProjectFacts:
     project_id: str
@@ -84,6 +100,17 @@ class ProjectFacts:
     sloc: int = 0
     warnings: list[str] = field(default_factory=list)
     parse_warning_count: int = 0
+
+    def columns(self) -> FactColumns:
+        """The facts transposed, one tuple per row field; no row is checked."""
+        return FactColumns(
+            self.project_id,
+            self.sloc,
+            self.parse_warning_count,
+            self.warnings,
+            list(zip(*self.entities)) or [()] * len(SourceEntity._fields),
+            list(zip(*self.relations)) or [()] * len(FactRelation._fields),
+        )
 
     def validate(self) -> None:
         """Check the structural invariants; raise ValueError on violation."""

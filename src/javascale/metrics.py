@@ -15,19 +15,24 @@ Counting conventions:
   and package-less names the project does not declare, are tallied
   separately as unresolved and do not enter the provenance split.
 
-:func:`measure` takes every count from one walk over a project's facts
-and returns the unresolved count beside the row; the ``metrics`` command
-sums it over the projects and prints the unresolved fraction.
+:func:`measure` reads a project's facts as columns
+(:class:`~javascale.facts.FactColumns`), the form the archive stores: the
+``metrics`` command passes each record's columns without building a row
+object, and a ``ProjectFacts`` is transposed once.  Kinds are counted per
+column, and each distinct relation target is resolved once.  The
+unresolved count comes back beside the row; the ``metrics`` command sums
+it over the projects and prints the unresolved fraction.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from itertools import compress
 from operator import attrgetter
 from typing import Callable
 
 from .errors import UnknownMetricError
-from .facts import TYPE_KINDS, EntityKind, ProjectFacts, RelationKind
+from .facts import TYPE_KINDS, EntityKind, FactColumns, ProjectFacts, RelationKind
 
 METRIC_COLUMNS = [
     "project_id",
@@ -54,7 +59,10 @@ METRIC_NAMES = frozenset(METRIC_COLUMNS[1:])
 DEFAULT_JDK_PREFIXES: tuple[str, ...] = ("java.", "javax.")
 
 _CLASS_KINDS = frozenset({EntityKind.CLASS, EntityKind.ENUM})
-_INTERFACE_KINDS = frozenset({EntityKind.INTERFACE, EntityKind.ANNOTATION})
+_METHOD_KINDS = frozenset({EntityKind.METHOD})
+_CONTAINS_KINDS = frozenset({RelationKind.CONTAINS})
+_INHERIT_KINDS = frozenset({RelationKind.EXTENDS, RelationKind.IMPLEMENTS})
+_CALL_KINDS = frozenset({RelationKind.CALLS, RelationKind.INSTANTIATES})
 
 _TYPE_USE_KINDS = frozenset(
     {
@@ -124,32 +132,33 @@ def _call_owner(name: str, declared: set[str]) -> str | None:
 
 
 def measure(
-    facts: ProjectFacts, jdk_prefixes: tuple[str, ...] = DEFAULT_JDK_PREFIXES
+    facts: ProjectFacts | FactColumns, jdk_prefixes: tuple[str, ...] = DEFAULT_JDK_PREFIXES
 ) -> tuple[ProjectMetrics, int]:
     """A project's metrics row and its count of distinct unresolved names.
 
-    Pure and deterministic.  The entities are read once and the relations
-    twice: first for the CONTAINS parents, since the relations come in any
-    order, then for every count, set and used module.  A module used many
-    times counts once.  A CONTAINS cycle is a ValueError naming its entities.
+    Pure and deterministic.  Reads the facts as columns, transposing a
+    ``ProjectFacts`` once.  The kind columns are counted; only the CONTAINS
+    rows are walked for the parents and only the EXTENDS and IMPLEMENTS
+    rows for ``dui`` and ``if_count``; each distinct (kind, target) pair of
+    a type use is resolved once, in file order, to at most one used module.
+    A CONTAINS cycle is a ValueError naming its entities.
     """
-    kinds: dict[int, EntityKind] = {}
-    fqns: dict[int, str] = {}
-    per_kind: Counter[EntityKind] = Counter()
-    declared: set[str] = set()
-    method_ids: list[int] = []
-    for eid, fqn, kind, _, _ in facts.entities:
-        kinds[eid] = kind
-        fqns[eid] = fqn
-        per_kind[kind] += 1
-        if kind in TYPE_KINDS:
-            declared.add(fqn)
-        elif kind is EntityKind.METHOD:
-            method_ids.append(eid)
+    if isinstance(facts, ProjectFacts):
+        facts = facts.columns()
+    ids, fqns_of_ids, entity_kinds, _, _ = facts.entities
+    sources, relation_kinds, targets = facts.relations
+    # an id given twice keeps its last row, as a dict built row by row would
+    kinds = dict(zip(ids, entity_kinds))
+    fqns = dict(zip(ids, fqns_of_ids))
+    per_kind = Counter(entity_kinds)
+    declared = set(compress(fqns_of_ids, map(TYPE_KINDS.__contains__, entity_kinds)))
+    method_ids = compress(ids, map(_METHOD_KINDS.__contains__, entity_kinds))
     parent = {
         target: source
-        for source, kind, target in facts.relations
-        if kind is RelationKind.CONTAINS and isinstance(target, int)
+        for target, source in compress(
+            zip(targets, sources), map(_CONTAINS_KINDS.__contains__, relation_kinds)
+        )
+        if isinstance(target, int)
     }
     owners: dict[int, str | None] = {}
 
@@ -169,26 +178,28 @@ def measure(
             owners[entity_id] = None if cur is None else fqns[cur]
         return owners[entity_id]
 
-    per_rel: Counter[RelationKind] = Counter()
     dui: set[int] = set()  # classes with a non-Object extends or an implements
     inherited: set[int] = set()  # classes some declaration extends
-    used: set[str] = set()
-    unresolved: set[str] = set()
-    for source, kind, target in facts.relations:
-        per_rel[kind] += 1
-        if kind not in _TYPE_USE_KINDS:
-            continue
-        if kind is RelationKind.EXTENDS:
+    for source, kind, target in compress(
+        zip(sources, relation_kinds, targets), map(_INHERIT_KINDS.__contains__, relation_kinds)
+    ):
+        if kind == RelationKind.EXTENDS:
             if kinds.get(target) in _CLASS_KINDS:
                 inherited.add(target)
             name = fqns.get(target) if isinstance(target, int) else target
             if kinds.get(source) in _CLASS_KINDS and name not in ("java.lang.Object", "Object"):
                 dui.add(source)
-        elif kind is RelationKind.IMPLEMENTS and kinds.get(source) in _CLASS_KINDS:
+        elif kinds.get(source) in _CLASS_KINDS:
             dui.add(source)
+    used: set[str] = set()
+    unresolved: set[str] = set()
+    type_uses = compress(
+        zip(relation_kinds, targets), map(_TYPE_USE_KINDS.__contains__, relation_kinds)
+    )
+    for kind, target in dict.fromkeys(type_uses):  # in file order, for the cycle named
         if isinstance(target, int):
             fqn = owner_type(target)
-        elif kind is RelationKind.CALLS or kind is RelationKind.INSTANTIATES:
+        elif kind in _CALL_KINDS:
             fqn = _call_owner(target, declared)
             if fqn is None:
                 unresolved.add(target)
@@ -206,6 +217,7 @@ def measure(
             jdk += 1
         else:
             external += 1
+    per_rel = Counter(relation_kinds)
     classes = per_kind[EntityKind.CLASS] + per_kind[EntityKind.ENUM]
     interfaces = per_kind[EntityKind.INTERFACE] + per_kind[EntityKind.ANNOTATION]
     row = ProjectMetrics(
@@ -231,7 +243,8 @@ def measure(
 
 
 # kept for bench/worker.py's traced run, which wraps this name as its
-# metrics.provenance span: the span times every measure call
+# metrics.provenance span: the span times every measure call, on archive
+# columns and on ProjectFacts alike
 used_modules_by_provenance = measure
 
 

@@ -51,7 +51,7 @@ from .report import (
 from .stats import BinSummary, bin_by, log_ratio_summary, log_ratios, welch_t_test
 from .store import (
     _project_payload,
-    decode_record,
+    decode_columns,
     export_metrics_table,
     read_metrics_table,
     scan_records,
@@ -344,8 +344,9 @@ def _measure_project(
 ) -> tuple[bytes, ProjectMetrics, int]:
     """One project's record, metrics row and parse-warning count; its facts stay here."""
     facts = extract_project(root, project_id)
-    metrics, _ = measure(facts, jdk_prefixes)
-    return _project_payload(facts), metrics, facts.parse_warning_count
+    columns = facts.columns()
+    metrics, _ = measure(columns, jdk_prefixes)
+    return _project_payload(columns), metrics, facts.parse_warning_count
 
 
 def _java_bytes(root: Path) -> int:
@@ -397,11 +398,12 @@ def _measure_record(path, offset, size, lineno, jdk_prefixes) -> tuple[ProjectMe
     with open(path, "rb") as fh:
         fh.seek(offset)
         payload = fh.read(size)
+    columns = decode_columns(payload, path, lineno)
     try:
-        return measure(decode_record(payload, path, lineno), jdk_prefixes)
+        return measure(columns, jdk_prefixes)
     except (TypeError, ValueError) as exc:
         # a CONTAINS cycle, a row invariant such as sloc >= 0, or a field of
-        # the wrong type, which decode_record does not check
+        # the wrong type, which decode_columns does not check
         raise ArchiveIntegrityError(f"{path}: bad record at line {lineno}: {exc}") from exc
 
 

@@ -24,7 +24,14 @@ from .errors import (
     DuplicateProjectError,
     UnsupportedVersionError,
 )
-from .facts import EntityKind, FactRelation, ProjectFacts, RelationKind, SourceEntity
+from .facts import (
+    EntityKind,
+    FactColumns,
+    FactRelation,
+    ProjectFacts,
+    RelationKind,
+    SourceEntity,
+)
 from .metrics import METRIC_COLUMNS, ProjectMetrics
 
 ARCHIVE_VERSION = 2
@@ -42,17 +49,10 @@ class FactsArchive:
         )
 
 
-def _project_payload(p: ProjectFacts) -> bytes:
+def _project_payload(columns: FactColumns) -> bytes:
     text = json.dumps(
-        {
-            "project_id": p.project_id,
-            "sloc": p.sloc,
-            "parse_warning_count": p.parse_warning_count,
-            "warnings": p.warnings,
-            # one array per field; the kinds are str enums, so encode as their values
-            "entities": list(zip(*p.entities)) or [()] * len(SourceEntity._fields),
-            "relations": list(zip(*p.relations)) or [()] * len(FactRelation._fields),
-        },
+        # the kinds are str enums, so they encode as their values
+        columns._asdict(),
         separators=(",", ":"),
         sort_keys=True,
         ensure_ascii=False,
@@ -72,24 +72,58 @@ def _columns(data: dict, key: str) -> list:
     return data[key]
 
 
-def decode_record(payload: bytes, path: str | Path, lineno: int) -> ProjectFacts:
-    """The project of the record payload framed at line ``lineno`` of ``path``."""
+def _rows(c: FactColumns) -> tuple[list[SourceEntity], list[FactRelation]]:
+    """The rows of the columns, kinds as members; the first row that cannot
+    be built, for an empty fqn or an unknown kind, raises."""
+    ids, fqns, kinds, files, lines = c.entities
+    sources, kinds_of_relations, targets = c.relations
+    kinds = map(_ENTITY_KINDS.__getitem__, kinds)
+    kinds_of_relations = map(_RELATION_KINDS.__getitem__, kinds_of_relations)
+    return (
+        list(map(SourceEntity, ids, fqns, kinds, files, lines)),
+        list(map(FactRelation, sources, kinds_of_relations, targets)),
+    )
+
+
+def decode_columns(payload: bytes, path: str | Path, lineno: int) -> FactColumns:
+    """The columns of the record payload framed at line ``lineno`` of
+    ``path``; a record whose rows could not be built is refused."""
     try:
         data = json.loads(zlib.decompress(payload).decode("utf-8"))
-        ids, fqns, kinds, files, lines = _columns(data, "entities")
-        sources, relation_kinds, targets = _columns(data, "relations")
-        kinds = map(_ENTITY_KINDS.__getitem__, kinds)
-        relation_kinds = map(_RELATION_KINDS.__getitem__, relation_kinds)
-        return ProjectFacts(
+        entities = _columns(data, "entities")
+        _, fqns, kinds, _, _ = entities
+        relations = _columns(data, "relations")
+        _, kinds_of_relations, _ = relations
+        columns = FactColumns(
             project_id=data["project_id"],
             sloc=data["sloc"],
             parse_warning_count=data.get("parse_warning_count", 0),
             warnings=list(data.get("warnings", [])),
-            entities=list(map(SourceEntity, ids, fqns, kinds, files, lines)),
-            relations=list(map(FactRelation, sources, relation_kinds, targets)),
+            entities=entities,
+            relations=relations,
         )
+        try:
+            buildable = (
+                all(fqns)
+                and _ENTITY_KINDS.keys() >= set(kinds)
+                and _RELATION_KINDS.keys() >= set(kinds_of_relations)
+            )
+        except TypeError:  # an unhashable kind
+            buildable = False
+        if not buildable:
+            _rows(columns)  # raises what the first bad row raises
+        return columns
     except (KeyError, TypeError, ValueError, zlib.error) as exc:
         raise ArchiveIntegrityError(f"{path}: bad record at line {lineno}: {exc!r}") from exc
+
+
+def decode_record(payload: bytes, path: str | Path, lineno: int) -> ProjectFacts:
+    """The project of the record payload framed at line ``lineno`` of ``path``."""
+    c = decode_columns(payload, path, lineno)
+    entities, relations = _rows(c)
+    return ProjectFacts(
+        c.project_id, entities, relations, c.sloc, c.warnings, c.parse_warning_count
+    )
 
 
 def write_records(payloads: Iterable[bytes], count: int, path: str | Path) -> None:
@@ -104,7 +138,7 @@ def write_records(payloads: Iterable[bytes], count: int, path: str | Path) -> No
 
 def write_facts(archive: FactsArchive, path: str | Path) -> None:
     """Write an archive; two writes of equal content are byte-identical."""
-    payloads = map(_project_payload, archive.projects)
+    payloads = map(_project_payload, map(ProjectFacts.columns, archive.projects))
     write_records(payloads, len(archive.projects), path)
 
 

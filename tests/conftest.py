@@ -1,7 +1,10 @@
 import pytest
 
+from javascale.errors import ArchiveIntegrityError
 from javascale.extractor import extract_corpus, extract_project
-from javascale.metrics import compute_metrics
+from javascale.metrics import DEFAULT_JDK_PREFIXES, compute_metrics, measure
+from javascale.pipeline import _measure_record
+from javascale.store import scan_records
 
 from pathlib import Path
 
@@ -11,6 +14,24 @@ MANIFEST = CORPUS_DIR / "manifest.txt"
 
 FOONUMBER_ROOT = CORPUS_DIR / "p01_foonumber"
 FOONUMBER_SOURCE = (FOONUMBER_ROOT / "src/foo/FooNumber.java").read_text()
+
+
+def assert_measured_alike(archive: Path, projects) -> None:
+    """Measuring each record of ``archive`` as the metrics command does gives
+    what ``measure`` gives its project: the row and unresolved count, or the
+    fault's message."""
+    records = list(scan_records(archive))
+    assert len(records) == len(projects)
+    for (offset, payload, lineno), facts in zip(records, projects):
+        try:
+            expected = measure(facts)
+        except (TypeError, ValueError) as exc:
+            expected = f"{archive}: bad record at line {lineno}: {exc}"
+        try:
+            got = _measure_record(archive, offset, len(payload), lineno, DEFAULT_JDK_PREFIXES)
+        except ArchiveIntegrityError as exc:
+            got = str(exc)
+        assert got == expected
 
 
 def pytest_collection_modifyitems(items):

@@ -17,7 +17,7 @@ from javascale.facts import EntityKind, FactRelation, ProjectFacts, RelationKind
 from javascale.store import FactsArchive, write_facts
 
 import javalex_reference as reference
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, assert_measured_alike
 
 
 def _entity(entity_id: int, fqn: str, kind: EntityKind) -> SourceEntity:
@@ -1233,3 +1233,4 @@ def test_mutated_sources_match_golden_digest(tmp_path):
     write_facts(FactsArchive(projects=projects), tmp_path / "facts.bin")
     digest = hashlib.sha256((tmp_path / "facts.bin").read_bytes()).hexdigest()
     assert digest == MUTATED_SHA256
+    assert_measured_alike(tmp_path / "facts.bin", projects)

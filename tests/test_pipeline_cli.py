@@ -623,23 +623,37 @@ class TestCli:
         assert pools == [2, 4]  # one CPU measures in-process
 
     @pytest.mark.parametrize(
-        "command, code", [("extract", 2), ("pipeline", 1), ("validate", 1), ("synth", 1)]
+        "command, code",
+        [("extract", 2), ("pipeline", 1), ("validate", 1), ("synth", 1), ("file-name", 2)],
     )
     def test_non_utf8_input_names_its_path(
-        self, tmp_path, fixture_table, capsys, command, code
+        self, tmp_path, fixture_table, capsys, monkeypatch, command, code
     ):
         path = tmp_path / "input"
         path.write_bytes(b"p\xff\n" if command == "extract" else b'{"x": "\xff"}')
+        if command == "file-name":  # project b holds a file whose name is not UTF-8
+            for project, name in [("a", b"A.java"), ("b", b"\xffB.java")]:
+                (tmp_path / project).mkdir()
+                (tmp_path / project / os.fsdecode(name)).write_text("class X {}\n")
+            path.write_text("a\nb\n")
         argv = {
             "extract": ["extract", str(path), "-o", str(tmp_path / "f.bin")],
             "pipeline": ["pipeline", str(path)],
             "validate": ["validate", str(fixture_table), "--grid", str(path)],
             "synth": ["synth", "--spec", str(path), "-o", str(tmp_path / "t.csv")],
+            "file-name": ["extract", str(path), "-o", str(tmp_path / "f.bin")],
         }[command]
-        assert self.run(*argv) == code
-        err = capsys.readouterr().err
-        assert err.startswith("data error: " if code == 2 else "usage error: ")
-        assert f" {path}" in err
+        for cpus in (1, 2):  # in-process and in a pool
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            assert self.run(*argv) == code
+            err = capsys.readouterr().err
+            assert err.startswith("data error: " if code == 2 else "usage error: ")
+            if command != "file-name":
+                assert f" {path}" in err
+                continue
+            assert err == "data error: project b: file name b'\\xffB.java' is not UTF-8\n"
+            with pytest.raises(ArchiveIntegrityError, match="truncated at record 2$"):
+                read_facts(tmp_path / "f.bin")
 
     def test_empty_archive_is_data_error(self, tmp_path, capsys):
         facts = tmp_path / "facts.bin"

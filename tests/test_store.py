@@ -32,6 +32,8 @@ from javascale.store import (
     write_facts,
 )
 
+from conftest import assert_measured_alike
+
 # entities and relations hold one array per field: (entity_id, fqn, kind,
 # file, line) and (source, kind, target)
 _PAYLOAD = {"project_id": "p", "sloc": 1, "entities": [[1], ["p"], ["PACKAGE"], [""], [0]]}
@@ -107,6 +109,11 @@ BAD_ARCHIVES = [
         _archive("1", _record(relations=[[1], ["USES"], []])),
         r"bad record at line 3: ValueError\('relations columns differ in length'\)",
         id="relation-columns",
+    ),
+    pytest.param(
+        _archive("1", _record(warnings=5)),
+        r"bad record at line 3: TypeError\(\"'int' object is not iterable\"\)$",
+        id="warnings",
     ),
 ]
 
@@ -192,7 +199,7 @@ def test_bad_archive_is_integrity_error(tmp_path, capsys, text, message):
         read_facts(path)
     assert isinstance(err.value, UnsupportedVersionError) == message.startswith("archive version")
     assert main(["metrics", str(path), "-o", str(tmp_path / "m.csv")]) == 2
-    assert capsys.readouterr().err.startswith(f"data error: {path}: ")
+    assert capsys.readouterr().err == f"data error: {err.value}\n"
     # cut-after-record and trailing hold a valid record first
     assert not (tmp_path / "m.csv").exists()
 
@@ -312,7 +319,7 @@ class TestArchiveRoundTrip:
     def test_foonumber_round_trip(self, foonumber_facts, tmp_path):
         # its compressed record holds both framing bytes, so a reader that
         # split the record at either would cut it short
-        payload = _project_payload(foonumber_facts)
+        payload = _project_payload(foonumber_facts.columns())
         assert b"\n" in payload and b" " in payload
         path = tmp_path / "facts.bin"
         write_facts(FactsArchive(projects=[foonumber_facts, ProjectFacts(project_id="q")]), path)
@@ -400,6 +407,7 @@ def test_any_facts_survive_write_and_read(projects):
         write_facts(FactsArchive(projects=projects), b)
         assert a.read_bytes() == b.read_bytes()
         loaded = read_facts(a).projects
+        assert_measured_alike(a, projects)
     assert loaded == projects  # 1 and "1" are different targets
 
 
