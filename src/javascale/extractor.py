@@ -250,29 +250,24 @@ def _partners(toks: list[Tok]) -> list[int]:
     return partner
 
 
-@dataclass
-class TypeParams:
-    names: list[str] = field(default_factory=list)  # introduced variables
-    bounds: list[str] = field(default_factory=list)  # referenced bound types
-
-
-def _skip_type_params(toks: list[Tok], i: int, n: int) -> tuple[TypeParams, int]:
+def _skip_type_params(toks: list[Tok], i: int, n: int) -> tuple[list[str], list[str], int]:
     """Parse a declaration type-parameter list from ``<`` up to ``n``.
 
-    Collects the introduced type-variable names (identifiers directly after
-    ``<`` or a top-level comma) and every other type name mentioned in the
-    bounds; returns them with the index past the list.
+    Returns the introduced type-variable names (identifiers directly after
+    ``<`` or a top-level comma), every other type name mentioned in the
+    bounds, and the index past the list.
     """
     depth = 0
-    out = TypeParams()
+    names: list[str] = []
+    bounds: list[str] = []
     expect_name = False
     chain: list[str] = []
 
     def flush() -> None:
         if chain:
             name = ".".join(chain)
-            if name not in out.names:
-                out.bounds.append(name)
+            if name not in names:
+                bounds.append(name)
             chain.clear()
 
     while i < n:
@@ -289,10 +284,10 @@ def _skip_type_params(toks: list[Tok], i: int, n: int) -> tuple[TypeParams, int]
             expect_name = True
         elif t.text in ("{", ";", ")"):
             flush()
-            return out, i  # malformed; let the caller cope
+            return names, bounds, i  # malformed; let the caller cope
         elif t.kind == "word" and t.text not in KEYWORDS:
             if expect_name:
-                out.names.append(t.text)
+                names.append(t.text)
                 expect_name = False
             elif not chain or (i > 0 and toks[i - 1].text == "."):
                 chain.append(t.text)
@@ -303,9 +298,9 @@ def _skip_type_params(toks: list[Tok], i: int, n: int) -> tuple[TypeParams, int]
             flush()
         i += 1
         if depth <= 0:
-            return out, i
+            return names, bounds, i
     flush()
-    return out, n
+    return names, bounds, n
 
 
 def parse_typeref(toks: list[Tok], i: int, n: int) -> tuple[TypeRef | None, int]:
@@ -590,8 +585,7 @@ class _Parser:
         decl = TypeDecl("class" if is_record else kind, toks[i].text, line, is_record=is_record)
         i += 1
         if i < n and toks[i].text == "<":
-            tp, i = _skip_type_params(toks, i, n)
-            decl.type_params, decl.type_param_bounds = tp.names, tp.bounds
+            decl.type_params, decl.type_param_bounds, i = _skip_type_params(toks, i, n)
         if is_record and i < n and toks[i].text == "(":
             end = self.close(i)
             for tref, name in self._parse_params(i, end):
@@ -665,9 +659,10 @@ class _Parser:
                 decl.members.append(self._capture(InitDecl(t.line), j + 1, blk_end))
                 i = blk_end + 1
                 continue
-            method_tp: TypeParams | None = None
+            names: list[str] = []
+            bounds: list[str] = []
             if t.text == "<":
-                method_tp, j = _skip_type_params(toks, j, self.end)
+                names, bounds, j = _skip_type_params(toks, j, self.end)
                 if j >= end:
                     break
             member, i2 = self._parse_member_after_mods(decl, j, end)
@@ -675,9 +670,8 @@ class _Parser:
                 self.warn()
                 i = self._skip_to_member_boundary(j + 1)
             else:
-                if isinstance(member, MethodDecl) and method_tp is not None:
-                    member.type_params = method_tp.names
-                    member.type_param_bounds = method_tp.bounds
+                if isinstance(member, MethodDecl):
+                    member.type_params, member.type_param_bounds = names, bounds
                 i = i2
 
     def _parse_member_after_mods(
@@ -1064,40 +1058,6 @@ class _ProjectBuilder:
             return f"{syntax.wildcard_imports[0]}.{name}"
         return None
 
-    def owner(self, name: str, scope: _Scope) -> str:
-        """``name`` resolved, or as written when it resolves to nothing."""
-        resolved = self.resolve(name, scope.syntax, scope.chain)
-        return name if resolved is None else resolved
-
-    def type_use(
-        self, scope: _Scope, skip: frozenset[str], source: int, kind: RelationKind,
-        name: str,
-    ) -> None:
-        """Record that ``source`` uses the type written ``name``.
-
-        The target is the declared type's entity when the name resolves to
-        one, else the resolved name, else the name as written.
-        """
-        if not name or name in ("void", "var") or name in skip:
-            return
-        resolved = self.resolve(name, scope.syntax, scope.chain)
-        info = self.types.get(resolved)
-        target: int | str
-        if info is not None:
-            target = info.decl.entity_id
-        else:
-            target = name if resolved is None else resolved
-        self.relations.append(FactRelation(source, kind, target))
-
-    def ref_use(
-        self, scope: _Scope, skip: frozenset[str], source: int, kind: RelationKind,
-        ref: TypeRef,
-    ) -> None:
-        """A reference's base as ``kind``, then each generic argument as USES."""
-        self.type_use(scope, skip, source, kind, ref.base)
-        for arg in ref.args:
-            self.type_use(scope, skip, source, RelationKind.USES, arg)
-
     # -- relation pass ------------------------------------------------------
 
     def emit_relations(self) -> None:
@@ -1127,7 +1087,7 @@ class _ProjectBuilder:
 
     def _emit_type(self, scope: _Scope) -> None:
         decl = scope.chain[0].decl
-        eid = decl.entity_id
+        emitter = _Emitter(self, scope, decl.entity_id, [])
         if decl.anon_super is not None:
             resolved = self.resolve(
                 decl.anon_super.base, scope.syntax, scope.chain[1:] or scope.chain
@@ -1139,68 +1099,64 @@ class _ProjectBuilder:
                     kind = RelationKind.IMPLEMENTS
             elif resolved in KNOWN_JDK_INTERFACES:
                 kind = RelationKind.IMPLEMENTS
-            self.type_use(scope, scope.skip, eid, kind, decl.anon_super.base)
+            emitter.type_use(kind, decl.anon_super.base)
         for bound in decl.type_param_bounds:
-            self.type_use(scope, scope.skip, eid, RelationKind.USES, bound)
+            emitter.type_use(RelationKind.USES, bound)
         for ref in decl.extends:
-            self.ref_use(scope, scope.skip, eid, RelationKind.EXTENDS, ref)
+            emitter.ref_use(RelationKind.EXTENDS, ref)
         for ref in decl.implements:
-            self.ref_use(scope, scope.skip, eid, RelationKind.IMPLEMENTS, ref)
+            emitter.ref_use(RelationKind.IMPLEMENTS, ref)
         for member in decl.members:
             if not isinstance(member, TypeDecl):
-                self._emit_member(member, scope, eid)
+                self._emit_member(member, scope, decl.entity_id)
 
     def _emit_member(
         self, member: FieldDecl | MethodDecl | InitDecl | EnumConst, scope: _Scope,
         type_eid: int,
     ) -> None:
-        skip = scope.skip
-        params: dict[str, TypeRef | None] = {}
         if isinstance(member, MethodDecl):
-            source = member.entity_id
-            skip |= frozenset(member.type_params)
+            emitter = _Emitter(self, scope, member.entity_id, member.anons)
+            emitter.skip |= frozenset(member.type_params)
             for bound in member.type_param_bounds:
-                self.type_use(scope, skip, source, RelationKind.USES, bound)
+                emitter.type_use(RelationKind.USES, bound)
             if member.ret is not None and not member.is_ctor:
-                self.ref_use(scope, skip, source, RelationKind.USES, member.ret)
+                emitter.ref_use(RelationKind.USES, member.ret)
             for tref, name in member.params:
-                self.ref_use(scope, skip, source, RelationKind.USES, tref)
-                params[name] = tref
+                emitter.ref_use(RelationKind.USES, tref)
+                emitter.locals[name] = tref
             for tref in member.throws:
-                self.type_use(scope, skip, source, RelationKind.USES, tref.base)
+                emitter.type_use(RelationKind.USES, tref.base)
         elif isinstance(member, FieldDecl):
-            source = member.entity_id
-            self.ref_use(scope, skip, source, RelationKind.HOLDS, member.tref)
+            emitter = _Emitter(self, scope, member.entity_id, member.anons)
+            emitter.ref_use(RelationKind.HOLDS, member.tref)
         else:  # an initializer block or an enum constant's arguments
-            source = type_eid
+            emitter = _Emitter(self, scope, type_eid, member.anons)
             if isinstance(member, EnumConst):
                 self.relations.append(
                     FactRelation(member.entity_id, RelationKind.HOLDS, type_eid)
                 )
-        if member.stmts:
-            _BodyAnalyzer(self, scope, skip, source, member.anons, params).run(
-                member.stmts
-            )
+        emitter.run(member.stmts)
 
 
-class _BodyAnalyzer:
-    """Token-pattern analysis of one member body."""
+class _Emitter:
+    """Records the relations whose source is one entity: a type's
+    declaration uses, or a member's signature uses and the token-pattern
+    analysis of its body (an initializer block's or an enum constant's
+    body counts as its type's).  Every type use, declared or in a body,
+    resolves through ``type_use``.  Built per source and dropped after it,
+    like ``_Scope``.
+    """
 
     def __init__(
-        self,
-        builder: _ProjectBuilder,
-        scope: _Scope,
-        skip: frozenset[str],
-        source_id: int,
+        self, builder: _ProjectBuilder, scope: _Scope, source_id: int,
         anons: list[TypeDecl],
-        params: dict[str, TypeRef | None],
     ):
         self.b = builder
         self.scope = scope
-        self.skip = skip
+        self.skip = scope.skip  # type variables in scope; a method adds its own
         self.source = source_id
         self.anons = anons
-        self.locals = params
+        self.locals: dict[str, TypeRef | None] = {}  # parameters and locals
         self.consumed: set[int] = set()  # token indexes already emitted
         self.partner: list[int] | None = None  # the stream's, once a `new` needs it
 
@@ -1212,23 +1168,32 @@ class _BodyAnalyzer:
     def resolve_type(self, name: str) -> str | None:
         return self.b.resolve(name, self.scope.syntax, self.scope.chain)
 
-    def emit_type_use(self, kind: RelationKind, name: str) -> None:
-        self.b.type_use(self.scope, self.skip, self.source, kind, name)
+    def type_use(self, kind: RelationKind, name: str) -> None:
+        """Record a use of the type written ``name``: the project type's
+        entity when the name resolves to one, else the resolved name, else
+        the name as written."""
+        if not name or name in ("void", "var") or name in self.skip:
+            return
+        resolved = self.resolve_type(name)
+        info = self.b.types.get(resolved)
+        if info is not None:
+            self.emit(kind, info.decl.entity_id)
+        else:
+            self.emit(kind, name if resolved is None else resolved)
 
-    def emit_ref_use(self, kind: RelationKind, ref: TypeRef) -> None:
-        self.b.ref_use(self.scope, self.skip, self.source, kind, ref)
+    def ref_use(self, kind: RelationKind, ref: TypeRef) -> None:
+        """A reference's base as ``kind``, then each generic argument as USES."""
+        self.type_use(kind, ref.base)
+        for arg in ref.args:
+            self.type_use(RelationKind.USES, arg)
 
-    def find_field(self, name: str) -> FieldDecl | None:
+    def find(self, table: str, name: str) -> FieldDecl | MethodDecl | None:
+        """The nearest enclosing or inherited declarer's member ``name`` in
+        ``table``: ``"fields"`` or ``"methods"``."""
         for info in self.scope.lookup:
-            if name in info.fields:
-                return info.fields[name]
-        return None
-
-    def find_method(self, name: str) -> MethodDecl | None:
-        """Nearest enclosing or inherited declarer's method ``name``."""
-        for info in self.scope.lookup:
-            if name in info.methods:
-                return info.methods[name]
+            member = getattr(info, table).get(name)
+            if member is not None:
+                return member
         return None
 
     def _call_target(self, owner_fqn: str, rest: list[str], name: str) -> int | str:
@@ -1268,7 +1233,7 @@ class _BodyAnalyzer:
         if ref is None:
             return i + 1
         for arg in ref.args:
-            self.emit_type_use(RelationKind.USES, arg)
+            self.type_use(RelationKind.USES, arg)
         if j < n and toks[j].text == "(":
             if self.partner is None:
                 self.partner = _partners(toks)
@@ -1278,7 +1243,7 @@ class _BodyAnalyzer:
                 anon = self.anons[int(after.text)]
                 self.emit(RelationKind.INSTANTIATES, f"{anon.fqn}.<init>")
             else:
-                owner = self.b.owner(ref.base, self.scope)
+                owner = self.resolve_type(ref.base) or ref.base
                 self.emit(RelationKind.INSTANTIATES, self._call_target(owner, [], "<init>"))
                 # chained call on the fresh instance: new T(...).m(...)
                 if (
@@ -1296,11 +1261,11 @@ class _BodyAnalyzer:
                     self.consumed.add(close + 2)
             return j + 1  # scan proceeds into the constructor args
         if j < n and toks[j].text == "[":
-            self.emit_type_use(RelationKind.USES, ref.base)
+            self.type_use(RelationKind.USES, ref.base)
             return j + 1
         if ref.dims:
             # new T[]{...} array creation with initializer
-            self.emit_type_use(RelationKind.USES, ref.base)
+            self.type_use(RelationKind.USES, ref.base)
         return j
 
     def _handle_this_super(self, toks: list[Tok], i: int, is_super: bool) -> int:
@@ -1309,7 +1274,7 @@ class _BodyAnalyzer:
         target: str | None = own.fqn
         if is_super:
             ref = _super_ref(own)
-            target = None if ref is None else self.b.owner(ref.base, self.scope)
+            target = None if ref is None else (self.resolve_type(ref.base) or ref.base)
         nxt = toks[i + 1] if i + 1 < n else None
         if nxt is not None and nxt.text == "(":
             if target is not None:
@@ -1332,7 +1297,7 @@ class _BodyAnalyzer:
                 )
                 return i + 3
             # this.f / super.f field access
-            fd = self.find_field(name)
+            fd = self.find("fields", name)
             if fd is not None and not is_super:
                 self._emit_field_access(toks, i + 2, fd)
             return i + 3
@@ -1342,7 +1307,7 @@ class _BodyAnalyzer:
         ref, j = parse_typeref(toks, i + 1, len(toks))
         if ref is None:
             return i + 1
-        self.emit_type_use(RelationKind.INSTANCEOF, ref.base)
+        self.type_use(RelationKind.INSTANCEOF, ref.base)
         if j < len(toks) and toks[j].kind == "word" and toks[j].text not in KEYWORDS:
             self.locals[toks[j].text] = ref  # pattern binding
             j += 1
@@ -1371,11 +1336,11 @@ class _BodyAnalyzer:
         ):
             # A bare lowercase name that resolves to nothing is far more
             # likely a parenthesised expression than a cast.
-            if ref.base in self.locals or self.find_field(ref.base) is not None:
+            if ref.base in self.locals or self.find("fields", ref.base) is not None:
                 return None
             if not ref.base[:1].isupper() and self.resolve_type(ref.base) is None:
                 return None
-        self.emit_ref_use(RelationKind.CASTS, ref)
+        self.ref_use(RelationKind.CASTS, ref)
         return j + 1
 
     def _handle_word(self, toks: list[Tok], i: int, prev: Tok | None) -> int:
@@ -1404,7 +1369,7 @@ class _BodyAnalyzer:
                 and (j + 1 >= n or toks[j + 1].text in _DECL_TERMINATORS)
             ):
                 self.locals[toks[j].text] = None if ref.base == "var" else ref
-                self.emit_ref_use(RelationKind.USES, ref)
+                self.ref_use(RelationKind.USES, ref)
                 return j + 1
         # dotted name chain
         segs = [toks[i].text]
@@ -1424,7 +1389,8 @@ class _BodyAnalyzer:
         if after is not None and after.text == "::" and j + 1 < n and toks[j + 1].kind == "word":
             ref_name = toks[j + 1].text
             if ref_name == "new":
-                owner = self.b.owner(".".join(segs), self.scope)
+                written = ".".join(segs)
+                owner = self.resolve_type(written) or written
                 self.emit(RelationKind.INSTANTIATES, self._call_target(owner, [], "<init>"))
             else:
                 self._emit_call(segs + [ref_name])
@@ -1436,7 +1402,7 @@ class _BodyAnalyzer:
         name = segs[-1]
         receiver = segs[:-1]
         if not receiver:
-            found = self.find_method(name)
+            found = self.find("methods", name)
             self.emit(RelationKind.CALLS, name if found is None else found.entity_id)
             return
         head = receiver[0]
@@ -1445,7 +1411,7 @@ class _BodyAnalyzer:
             ref = self.locals[head]
             owner = self.resolve_type(ref.base) if ref is not None else None
         else:
-            fd = self.find_field(head)
+            fd = self.find("fields", head)
             owner = self.resolve_type(head if fd is None else fd.tref.base)
         if owner is None:
             # unresolved receiver; keep the raw text
@@ -1459,7 +1425,7 @@ class _BodyAnalyzer:
         head = segs[0]
         if head in self.locals:
             return
-        fd = self.find_field(head)
+        fd = self.find("fields", head)
         if fd is not None:
             if len(segs) == 1:
                 self._emit_field_access(toks, last, fd, prev)
@@ -1472,7 +1438,7 @@ class _BodyAnalyzer:
                 resolved in self.b.types or "." in resolved
             ):
                 # a bare type mention: multi-catch clause, class literal, ...
-                self.emit_type_use(RelationKind.USES, head)
+                self.type_use(RelationKind.USES, head)
             return
         owner = self.resolve_type(head)
         if owner is not None and owner in self.b.types:
@@ -1481,7 +1447,7 @@ class _BodyAnalyzer:
                 self._emit_field_access(toks, last, info.fields[segs[1]], prev)
         elif owner is not None:
             # static member access on a library type
-            self.emit_type_use(RelationKind.USES, head)
+            self.type_use(RelationKind.USES, head)
 
     def _emit_field_access(
         self, toks: list[Tok], last: int, fd: FieldDecl, prev: Tok | None = None

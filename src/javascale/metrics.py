@@ -141,7 +141,9 @@ def measure(
     rows are walked for the parents and only the EXTENDS and IMPLEMENTS
     rows for ``dui`` and ``if_count``; each distinct (kind, target) pair of
     a type use is resolved once, in file order, to at most one used module.
-    A CONTAINS cycle is a ValueError naming its entities.
+    A CONTAINS cycle is a ValueError naming its entities; a type use whose
+    target is neither a name nor an entity id of the record is one naming
+    the target.
     """
     if isinstance(facts, ProjectFacts):
         facts = facts.columns()
@@ -197,8 +199,12 @@ def measure(
         zip(relation_kinds, targets), map(_TYPE_USE_KINDS.__contains__, relation_kinds)
     )
     for kind, target in dict.fromkeys(type_uses):  # in file order, for the cycle named
-        if isinstance(target, int):
+        if type(target) is int and target in kinds:  # not a bool or a float equal to an id
             fqn = owner_type(target)
+        elif not isinstance(target, str):
+            raise ValueError(
+                f"{RelationKind(kind).value} target {target!r} is not an entity of the record"
+            )
         elif kind in _CALL_KINDS:
             fqn = _call_owner(target, declared)
             if fqn is None:

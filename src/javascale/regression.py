@@ -359,11 +359,8 @@ def _average_ranks(values: list[float]) -> list[float]:
 
 
 def spearman(xs, ys) -> float:
-    """Rank correlation: Pearson on average ranks, ties averaged."""
-    xs = [float(v) for v in xs]
-    ys = [float(v) for v in ys]
-    if len(xs) != len(ys):
-        raise ValueError("series must have equal length")
-    if len(xs) < 3:
-        raise InsufficientDataError("correlation needs at least 3 points")
-    return pearson(_average_ranks(xs), _average_ranks(ys))
+    """Rank correlation: Pearson on average ranks, ties averaged; ``pearson``
+    checks the lengths."""
+    return pearson(
+        _average_ranks([float(v) for v in xs]), _average_ranks([float(v) for v in ys])
+    )

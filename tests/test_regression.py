@@ -313,6 +313,13 @@ class TestCorrelation:
         with pytest.raises(UndefinedCorrelationError):
             pearson([1, 1, 1], [1, 2, 3])
 
+    @pytest.mark.parametrize("correlation", [pearson, spearman])
+    def test_series_checks(self, correlation):
+        with pytest.raises(ValueError, match="^series must have equal length$"):
+            correlation([1, 2, 3], [1, 2, 3, 4])
+        with pytest.raises(InsufficientDataError, match="^correlation needs at least 3 points$"):
+            correlation([1, 2], [2, 1])
+
     def test_matches_numpy(self):
         rng = np.random.default_rng(3)
         xs = rng.normal(size=40)

@@ -280,6 +280,31 @@ def test_contains_cycle_is_integrity_error(tmp_path, cpus):
         pytest.param(
             _record(relations=[[1], ["USES"], [[1]]]), "unhashable type: 'list'", id="target"
         ),
+        pytest.param(
+            _record(relations=[[1], ["CALLS"], [None]]),
+            "CALLS target None is not an entity of the record",
+            id="null-call",
+        ),
+        pytest.param(
+            _record(relations=[[1], ["USES"], [None]]),
+            "USES target None is not an entity of the record",
+            id="null-use",
+        ),
+        pytest.param(
+            _record(relations=[[1], ["USES"], [9]]),
+            "USES target 9 is not an entity of the record",
+            id="dangling",
+        ),
+        pytest.param(
+            _record(relations=[[1], ["INSTANTIATES"], [1.5]]),
+            "INSTANTIATES target 1.5 is not an entity of the record",
+            id="float",
+        ),
+        pytest.param(
+            _record(relations=[[1], ["USES"], [True]]),
+            "USES target True is not an entity of the record",
+            id="bool",
+        ),
     ],
 )
 def test_wrongly_typed_field_is_integrity_error(
