@@ -9,9 +9,10 @@ that cannot be understood is skipped and counted, never fatal.
 
 Parsing is one pass over one token list per file, whose brackets are
 matched once, up front.  Each body the parser captures (a method body, a
-field initializer, an initializer block, an enum constant's arguments) is
-parsed in place, as a window of its file's tokens, and split right there
-into a flat statement stream and its nested types.
+field initializer, an initializer block, an enum constant's arguments)
+stays a window of its file's tokens: the parser reads the anonymous class
+bodies and local type declarations nested in it and records their spans,
+and the relation pass walks the window, jumping over those spans.
 
 A simple type name resolves to the first of:
 
@@ -164,7 +165,7 @@ class FieldDecl:
     name: str
     tref: TypeRef
     line: int
-    stmts: list[Tok] = field(default_factory=list)
+    body: tuple[int, int] = (0, 0)  # the initializer, as [start, end) of the file's tokens
     anons: list["TypeDecl"] = field(default_factory=list)
     entity_id: int = 0
 
@@ -179,7 +180,7 @@ class MethodDecl:
     is_ctor: bool = False
     type_params: list[str] = field(default_factory=list)
     type_param_bounds: list[str] = field(default_factory=list)
-    stmts: list[Tok] = field(default_factory=list)
+    body: tuple[int, int] = (0, 0)  # [start, end) of the file's tokens
     anons: list["TypeDecl"] = field(default_factory=list)
     entity_id: int = 0
 
@@ -187,7 +188,7 @@ class MethodDecl:
 @dataclass
 class InitDecl:
     line: int
-    stmts: list[Tok] = field(default_factory=list)
+    body: tuple[int, int] = (0, 0)  # [start, end) of the file's tokens
     anons: list["TypeDecl"] = field(default_factory=list)
 
 
@@ -195,7 +196,7 @@ class InitDecl:
 class EnumConst:
     name: str
     line: int
-    stmts: list[Tok] = field(default_factory=list)
+    body: tuple[int, int] = (0, 0)  # the arguments
     # anonymous classes in the arguments, then the constant's class body
     anons: list["TypeDecl"] = field(default_factory=list)
     entity_id: int = 0
@@ -221,6 +222,11 @@ class TypeDecl:
 @dataclass
 class FileSyntax:
     path: str
+    toks: list[Tok]
+    partner: list[int]  # _partners(toks)
+    # the `{` of each anonymous class body and the keyword of each local type
+    # declaration in a body: the index past its tokens, and its declaration
+    nested: dict[int, tuple[int, "TypeDecl"]] = field(default_factory=dict)
     package: str | None = None
     imports: dict[str, str] = field(default_factory=dict)  # simple -> fqn
     wildcard_imports: list[str] = field(default_factory=list)
@@ -396,10 +402,9 @@ class _Parser:
     """Recursive-descent structural parser over a file's tokens up to
     ``end``: the file's end, or the end of the body it reads."""
 
-    def __init__(self, toks: list[Tok], syntax: FileSyntax, partner: list[int], end: int):
-        self.toks = toks
+    def __init__(self, syntax: FileSyntax, end: int):
         self.syntax = syntax
-        self.partner = partner  # _partners(toks)
+        self.toks = syntax.toks
         self.end = end
 
     def warn(self) -> None:
@@ -410,18 +415,19 @@ class _Parser:
     def close(self, i: int) -> int:
         """Index of the token closing the bracket at ``i``, or the window's
         end when the window does not hold it."""
-        return min(self.partner[i], self.end)
+        return min(self.syntax.partner[i], self.end)
 
     def window(self, end: int) -> _Parser:
         """A parser over the same tokens whose window ends at ``end``."""
-        return _Parser(self.toks, self.syntax, self.partner, end)
+        return _Parser(self.syntax, end)
 
-    def _capture(
+    def _body(
         self, member: FieldDecl | MethodDecl | InitDecl | EnumConst, start: int, end: int
     ) -> FieldDecl | MethodDecl | InitDecl | EnumConst:
-        """Split the body ``[start, end)`` into ``member``'s statements and
-        nested types; returns ``member``."""
-        member.stmts, member.anons = self.window(end)._extract_anons(start)
+        """Make ``[start, end)`` ``member``'s body and parse the types
+        nested in it; returns ``member``."""
+        member.body = (start, end)
+        self.window(end)._nested_types(start, member.anons)
         return member
 
     def _skip_annotation(self, i: int) -> int:
@@ -656,7 +662,7 @@ class _Parser:
             t = toks[j]
             if t.text == "{":
                 blk_end = self.close(j)
-                decl.members.append(self._capture(InitDecl(t.line), j + 1, blk_end))
+                decl.members.append(self._body(InitDecl(t.line), j + 1, blk_end))
                 i = blk_end + 1
                 continue
             names: list[str] = []
@@ -692,7 +698,7 @@ class _Parser:
             member = MethodDecl(
                 name=decl.name, ret=None, params=[], throws=[], line=toks[i].line, is_ctor=True
             )
-            decl.members.append(self._capture(member, j + 1, blk_end))
+            decl.members.append(self._body(member, j + 1, blk_end))
             return member, blk_end + 1
         if j >= end or toks[j].kind != "word":
             return None, i
@@ -733,7 +739,7 @@ class _Parser:
         )
         if i < end and toks[i].text == "{":
             blk_end = self.close(i)
-            self._capture(member, i + 1, blk_end)
+            self._body(member, i + 1, blk_end)
             i = blk_end + 1
         else:
             i += 1
@@ -764,7 +770,7 @@ class _Parser:
                     elif t in (";", ",") and depth == 0:
                         break
                     i += 1
-                self._capture(fd, start, i)
+                self._body(fd, start, i)
             decl.members.append(fd)
             if i < end and toks[i].text == ",":
                 i += 1
@@ -794,7 +800,7 @@ class _Parser:
             i += 1
             if i < end and toks[i].text == "(":
                 close = self.close(i)
-                self._capture(const, i + 1, close)
+                self._body(const, i + 1, close)
                 i = close + 1
             if i < end and toks[i].text == "{":
                 close = self.close(i)
@@ -819,57 +825,49 @@ class _Parser:
 
     # -- member bodies ---------------------------------------------------
 
-    def _extract_anons(self, i: int) -> tuple[list[Tok], list[TypeDecl]]:
-        """Split the body tokens from ``i`` to the window end into a flat
-        statement stream plus anonymous and local type declarations.  A
-        ``Tok('anon', idx, line)`` marker is left where an anonymous class
-        body was removed."""
+    def _nested_types(self, i: int, out: list[TypeDecl]) -> None:
+        """Parse the anonymous class bodies and local type declarations from
+        ``i`` to the window end into ``out``, in source order, and record
+        each one's span in ``syntax.nested``."""
         toks, n = self.toks, self.end
-        out: list[Tok] = []
-        anons: list[TypeDecl] = []
         while i < n:
             t = toks[i]
             if t.kind == "word" and t.text == "new":
                 ref, j = parse_typeref(toks, i + 1, n)
                 if ref is not None and j < n and toks[j].text == "(":
                     close = self.close(j)
-                    out += toks[i : j + 1]
-                    inner, inner_anons = self.window(close)._extract_anons(j + 1)
-                    out += inner
-                    anons += inner_anons
-                    if close < n:
-                        out.append(toks[close])
+                    self.window(close)._nested_types(j + 1, out)
                     i = close + 1
                     if i < n and toks[i].text == "{":
                         blk_end = self.close(i)
                         body = TypeDecl("class", None, toks[i].line, anon_super=ref)
                         self.window(blk_end)._parse_members(body, i + 1, blk_end)
-                        anons.append(body)
-                        out.append(Tok("anon", str(len(anons) - 1), toks[i].line))
+                        out.append(body)
+                        self.syntax.nested[i] = (min(blk_end + 1, n), body)
                         i = blk_end + 1
                     continue
             # most tokens are not type keywords, and a set test is cheaper than the call
             kind = _type_keyword(toks, i, n) if t.text in _TYPE_KEYWORD_TEXTS else None
             if (
                 kind is not None
-                and not (out and out[-1].text == ".")
+                and toks[i - 1].text != "."
                 and i + 1 < n
                 and toks[i + 1].kind == "word"
             ):
                 # local type declaration; a name follows, so it parses
-                decl, i = self._parse_type_decl(i + 1, kind, t.line)
-                anons.append(decl)
+                decl, end = self._parse_type_decl(i + 1, kind, t.line)
+                out.append(decl)
+                self.syntax.nested[i] = (min(end, n), decl)
+                i = end
                 continue
-            out.append(t)
             i += 1
-        return out, anons
 
 
 def parse_java_file(path_text: str, text: str) -> FileSyntax:
     """Parse one Java compilation unit into its structural summary."""
     toks, sloc = lex(text)
-    syntax = FileSyntax(path=path_text, sloc=sloc)
-    _Parser(toks, syntax, _partners(toks), len(toks)).parse_file()
+    syntax = FileSyntax(path_text, toks, _partners(toks), sloc=sloc)
+    _Parser(syntax, len(toks)).parse_file()
     return syntax
 
 
@@ -1087,7 +1085,7 @@ class _ProjectBuilder:
 
     def _emit_type(self, scope: _Scope) -> None:
         decl = scope.chain[0].decl
-        emitter = _Emitter(self, scope, decl.entity_id, [])
+        emitter = _Emitter(self, scope, decl.entity_id)
         if decl.anon_super is not None:
             resolved = self.resolve(
                 decl.anon_super.base, scope.syntax, scope.chain[1:] or scope.chain
@@ -1115,7 +1113,7 @@ class _ProjectBuilder:
         type_eid: int,
     ) -> None:
         if isinstance(member, MethodDecl):
-            emitter = _Emitter(self, scope, member.entity_id, member.anons)
+            emitter = _Emitter(self, scope, member.entity_id)
             emitter.skip |= frozenset(member.type_params)
             for bound in member.type_param_bounds:
                 emitter.type_use(RelationKind.USES, bound)
@@ -1127,15 +1125,15 @@ class _ProjectBuilder:
             for tref in member.throws:
                 emitter.type_use(RelationKind.USES, tref.base)
         elif isinstance(member, FieldDecl):
-            emitter = _Emitter(self, scope, member.entity_id, member.anons)
+            emitter = _Emitter(self, scope, member.entity_id)
             emitter.ref_use(RelationKind.HOLDS, member.tref)
         else:  # an initializer block or an enum constant's arguments
-            emitter = _Emitter(self, scope, type_eid, member.anons)
+            emitter = _Emitter(self, scope, type_eid)
             if isinstance(member, EnumConst):
                 self.relations.append(
                     FactRelation(member.entity_id, RelationKind.HOLDS, type_eid)
                 )
-        emitter.run(member.stmts)
+        emitter.run(*member.body)
 
 
 class _Emitter:
@@ -1147,18 +1145,15 @@ class _Emitter:
     like ``_Scope``.
     """
 
-    def __init__(
-        self, builder: _ProjectBuilder, scope: _Scope, source_id: int,
-        anons: list[TypeDecl],
-    ):
+    def __init__(self, builder: _ProjectBuilder, scope: _Scope, source_id: int):
         self.b = builder
         self.scope = scope
         self.skip = scope.skip  # type variables in scope; a method adds its own
         self.source = source_id
-        self.anons = anons
+        self.toks = scope.syntax.toks
+        self.end = 0  # the end of the body ``run`` walks
         self.locals: dict[str, TypeRef | None] = {}  # parameters and locals
         self.consumed: set[int] = set()  # token indexes already emitted
-        self.partner: list[int] | None = None  # the stream's, once a `new` needs it
 
     # -- small helpers ----------------------------------------------------
 
@@ -1206,58 +1201,62 @@ class _Emitter:
 
     # -- main scan --------------------------------------------------------
 
-    def run(self, toks: list[Tok]) -> None:
-        i = 0
-        n = len(toks)
+    def run(self, start: int, end: int) -> None:
+        """Analyse the body ``[start, end)`` of the file's tokens, jumping over
+        the anonymous class bodies and local types nested in it.  A lookahead
+        may read a local type's first token, but the walk never enters one."""
+        toks, nested = self.toks, self.scope.syntax.nested
+        self.end = end
+        i = start
         prev: Tok | None = None
-        while i < n:
+        while i < end:
             t = toks[i]
+            if i in nested:
+                # after a local type, `prev` stays the token before it
+                i, prev = nested[i][0], t if t.text == "{" else prev
+                continue
             if t.kind == "word" and t.text == "new":
-                j = self._handle_new(toks, i)
+                j = self._handle_new(i)
             elif t.kind == "word" and t.text in ("this", "super"):
-                j = self._handle_this_super(toks, i, is_super=t.text == "super")
+                j = self._handle_this_super(i, is_super=t.text == "super")
             elif t.kind == "word" and t.text == "instanceof":
-                j = self._handle_instanceof(toks, i)
+                j = self._handle_instanceof(i)
             elif t.kind == "punct" and t.text == "(":
-                j = self._try_cast(toks, i) or i + 1
+                j = self._try_cast(i) or i + 1
             elif t.kind == "word" and (t.text not in KEYWORDS or t.text in PRIMITIVES):
-                j = self._handle_word(toks, i, prev)
+                j = self._handle_word(i, prev)
             else:
                 j = i + 1
             prev = t
+            if j > i + 1:  # resume at a span the lookahead ran into
+                j = next((k for k in range(i + 1, j) if k in nested), j)
             i = j
 
-    def _handle_new(self, toks: list[Tok], i: int) -> int:
-        n = len(toks)
+    def _handle_new(self, i: int) -> int:
+        toks, n = self.toks, self.end
         ref, j = parse_typeref(toks, i + 1, n)
         if ref is None:
             return i + 1
         for arg in ref.args:
             self.type_use(RelationKind.USES, arg)
         if j < n and toks[j].text == "(":
-            if self.partner is None:
-                self.partner = _partners(toks)
-            close = self.partner[j]
-            after = toks[close + 1] if close + 1 < n else None
-            if after is not None and after.kind == "anon":
-                anon = self.anons[int(after.text)]
+            syntax = self.scope.syntax
+            close = min(syntax.partner[j], n)
+            if close + 1 < n and toks[close + 1].text == "{":  # a body the parser recorded
+                anon = syntax.nested[close + 1][1]
                 self.emit(RelationKind.INSTANTIATES, f"{anon.fqn}.<init>")
             else:
                 owner = self.resolve_type(ref.base) or ref.base
                 self.emit(RelationKind.INSTANTIATES, self._call_target(owner, [], "<init>"))
                 # chained call on the fresh instance: new T(...).m(...)
                 if (
-                    after is not None
-                    and after.text == "."
-                    and close + 2 < n
+                    close + 3 < n
+                    and toks[close + 1].text == "."
                     and toks[close + 2].kind == "word"
-                    and close + 3 < n
                     and toks[close + 3].text == "("
                 ):
                     name = toks[close + 2].text
-                    self.emit(
-                        RelationKind.CALLS, self._call_target(owner, [], name)
-                    )
+                    self.emit(RelationKind.CALLS, self._call_target(owner, [], name))
                     self.consumed.add(close + 2)
             return j + 1  # scan proceeds into the constructor args
         if j < n and toks[j].text == "[":
@@ -1268,8 +1267,8 @@ class _Emitter:
             self.type_use(RelationKind.USES, ref.base)
         return j
 
-    def _handle_this_super(self, toks: list[Tok], i: int, is_super: bool) -> int:
-        n = len(toks)
+    def _handle_this_super(self, i: int, is_super: bool) -> int:
+        toks, n = self.toks, self.end
         own = self.scope.chain[0].decl
         target: str | None = own.fqn
         if is_super:
@@ -1299,22 +1298,23 @@ class _Emitter:
             # this.f / super.f field access
             fd = self.find("fields", name)
             if fd is not None and not is_super:
-                self._emit_field_access(toks, i + 2, fd)
+                self._emit_field_access(i + 2, fd)
             return i + 3
         return i + 1
 
-    def _handle_instanceof(self, toks: list[Tok], i: int) -> int:
-        ref, j = parse_typeref(toks, i + 1, len(toks))
+    def _handle_instanceof(self, i: int) -> int:
+        toks, n = self.toks, self.end
+        ref, j = parse_typeref(toks, i + 1, n)
         if ref is None:
             return i + 1
         self.type_use(RelationKind.INSTANCEOF, ref.base)
-        if j < len(toks) and toks[j].kind == "word" and toks[j].text not in KEYWORDS:
+        if j < n and toks[j].kind == "word" and toks[j].text not in KEYWORDS:
             self.locals[toks[j].text] = ref  # pattern binding
             j += 1
         return j
 
-    def _try_cast(self, toks: list[Tok], i: int) -> int | None:
-        n = len(toks)
+    def _try_cast(self, i: int) -> int | None:
+        toks, n = self.toks, self.end
         ref, j = parse_typeref(toks, i + 1, n)
         if ref is None or j >= n or toks[j].text != ")":
             return None
@@ -1343,8 +1343,8 @@ class _Emitter:
         self.ref_use(RelationKind.CASTS, ref)
         return j + 1
 
-    def _handle_word(self, toks: list[Tok], i: int, prev: Tok | None) -> int:
-        n = len(toks)
+    def _handle_word(self, i: int, prev: Tok | None) -> int:
+        toks, n = self.toks, self.end
         if i in self.consumed:
             return i + 1
         if prev is not None and prev.text == ".":
@@ -1357,7 +1357,6 @@ class _Emitter:
             prev is None
             or (prev.kind == "punct" and prev.text in _DECL_BOUNDARY_PUNCT)
             or (prev.kind == "word" and prev.text in _DECL_BOUNDARY_WORDS)
-            or prev.kind == "anon"
         )
         if boundary:
             ref, j = parse_typeref(toks, i, n)
@@ -1395,7 +1394,7 @@ class _Emitter:
             else:
                 self._emit_call(segs + [ref_name])
             return j + 2
-        self._emit_name_use(toks, j - 1, segs, prev)
+        self._emit_name_use(j - 1, segs, prev)
         return j
 
     def _emit_call(self, segs: list[str]) -> None:
@@ -1419,16 +1418,14 @@ class _Emitter:
             return
         self.emit(RelationKind.CALLS, self._call_target(owner, rest, name))
 
-    def _emit_name_use(
-        self, toks: list[Tok], last: int, segs: list[str], prev: Tok | None
-    ) -> None:
+    def _emit_name_use(self, last: int, segs: list[str], prev: Tok | None) -> None:
         head = segs[0]
         if head in self.locals:
             return
         fd = self.find("fields", head)
         if fd is not None:
             if len(segs) == 1:
-                self._emit_field_access(toks, last, fd, prev)
+                self._emit_field_access(last, fd, prev)
             return
         if len(segs) == 1:
             if head in self.skip:
@@ -1444,15 +1441,13 @@ class _Emitter:
         if owner is not None and owner in self.b.types:
             info = self.b.types[owner]
             if len(segs) == 2 and segs[1] in info.fields:
-                self._emit_field_access(toks, last, info.fields[segs[1]], prev)
+                self._emit_field_access(last, info.fields[segs[1]], prev)
         elif owner is not None:
             # static member access on a library type
             self.type_use(RelationKind.USES, head)
 
-    def _emit_field_access(
-        self, toks: list[Tok], last: int, fd: FieldDecl, prev: Tok | None = None
-    ) -> None:
-        after = toks[last + 1] if last + 1 < len(toks) else None
+    def _emit_field_access(self, last: int, fd: FieldDecl, prev: Tok | None = None) -> None:
+        after = self.toks[last + 1] if last + 1 < self.end else None
         write = False
         read = True
         if after is not None and after.kind == "punct":

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 
 class Tok(NamedTuple):
-    kind: str  # one of: word, num, str, char, punct, anon
+    kind: str  # one of: word, num, str, char, punct
     text: str
     line: int
 

@@ -121,6 +121,9 @@ class RunConfig:
     nrmse_space: str = "log"
 
     def validate(self) -> None:
+        prefixes = self.jdk_prefixes
+        if not (isinstance(prefixes, tuple) and all(isinstance(p, str) for p in prefixes)):
+            raise UsageError(f"jdk_prefixes must be a list of strings, not {prefixes!r}")
         names = [
             self.bin_numerator,
             self.bin_denominator,
@@ -215,7 +218,8 @@ def load_config(path: str | Path) -> RunConfig:
             out_dir=_path(data["out_dir"]),
         )
         if "jdk_prefixes" in data:
-            cfg.jdk_prefixes = tuple(data["jdk_prefixes"])
+            prefixes = data["jdk_prefixes"]  # a string must not become a tuple of letters
+            cfg.jdk_prefixes = tuple(prefixes) if isinstance(prefixes, list) else prefixes
         if "bin_edges" in data:
             cfg.bin_edges = tuple(float(e) for e in data["bin_edges"])
         if "bin_ratio" in data:

@@ -115,6 +115,8 @@ OUT_OF_RANGE_CONFIGS = [
     {"models": [{**_MODEL, "subset": [5, 1]}]},
     {"testsets": [{"name": "all", "metric": "classes", "range": [5, 1]}]},
     {"normalize": {"num": "methods", "den": "classes", "beta": "inf"}},
+    {"jdk_prefixes": "java."},
+    {"jdk_prefixes": [1]},
 ]
 
 
