@@ -12,9 +12,11 @@ from .javalex import count_sloc
 from .metrics import (
     DEFAULT_JDK_PREFIXES,
     METRIC_COLUMNS,
+    MetricColumns,
     ProjectMetrics,
     compute_metrics,
     measure,
+    metric_columns,
 )
 from .normalize import beta_normalize, decorrelation_report, wmc_summary
 from .regression import (
@@ -60,6 +62,7 @@ __all__ = [
     "FactRelation",
     "FactsArchive",
     "FitResult",
+    "MetricColumns",
     "ModelEval",
     "ProjectFacts",
     "ProjectMetrics",
@@ -86,6 +89,7 @@ __all__ = [
     "inverse_normal_cdf",
     "log_ratio_summary",
     "measure",
+    "metric_columns",
     "nrmse",
     "pearson",
     "predict",

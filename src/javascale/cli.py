@@ -196,11 +196,11 @@ def cmd_normalize(args) -> int:
             beta = float(args.beta)
         except ValueError as exc:
             raise UsageError("--beta must be a number or 'auto'") from exc
-    rows = normalize_corpus(corpus, args.num, args.den, beta)
-    text = normalized_csv(rows)
+    normalized = normalize_corpus(corpus, args.num, args.den, beta)
+    text = normalized_csv(normalized)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
-        print(f"wrote {len(rows)} normalized row(s) -> {args.output}")
+        print(f"wrote {len(normalized.project_id)} normalized row(s) -> {args.output}")
     else:
         print(text, end="")
     try:

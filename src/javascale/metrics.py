@@ -22,14 +22,18 @@ object, and a ``ProjectFacts`` is transposed once.  Kinds are counted per
 column, and each distinct relation target is resolved once.  The
 unresolved count comes back beside the row; the ``metrics`` command sums
 it over the projects and prints the unresolved fraction.
+
+A :class:`ProjectMetrics` row is what extraction and the archive path
+make, one per project.  The statistics stages read a whole table as
+:class:`MetricColumns`, one list per column: ``read_metrics_table`` returns
+that form, and a pipeline transposes its rows once with
+:func:`metric_columns`.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
 from itertools import compress
-from operator import attrgetter
-from typing import Callable
 
 from .errors import UnknownMetricError
 from .facts import TYPE_KINDS, EntityKind, FactColumns, ProjectFacts, RelationKind
@@ -109,11 +113,24 @@ class ProjectMetrics(
         return self
 
 
-def metric_getter(name: str) -> Callable[[ProjectMetrics], int]:
-    """The accessor of metric ``name``, checked once instead of per row."""
-    if name not in METRIC_NAMES:
-        raise UnknownMetricError(f"unknown metric {name!r}")
-    return attrgetter(name)
+class MetricColumns(namedtuple("_MetricColumns", METRIC_COLUMNS)):
+    """A metrics table as columns: ``project_id``, then one ``list[int]``
+    per count, in ``METRIC_COLUMNS`` order; row ``i`` of the table is item
+    ``i`` of every column."""
+
+    __slots__ = ()
+
+    def column(self, name: str) -> list[int]:
+        """The column of metric ``name``, checked once instead of per row."""
+        if name not in METRIC_NAMES:
+            raise UnknownMetricError(f"unknown metric {name!r}")
+        return getattr(self, name)
+
+
+def metric_columns(rows: list[ProjectMetrics]) -> MetricColumns:
+    """The columns of ``rows``, in row order."""
+    columns = zip(*rows) if rows else [()] * len(METRIC_COLUMNS)
+    return MetricColumns._make(map(list, columns))
 
 
 def _call_owner(name: str, declared: set[str]) -> str | None:

@@ -10,22 +10,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import truediv
+from typing import Iterator
 
 from .errors import InsufficientDataError, OutOfRangeError
-from .metrics import ProjectMetrics, metric_getter
+from .metrics import MetricColumns
 from .regression import mean_ss, pearson, spearman
 
 DECORRELATION_THRESHOLD = 0.05
 
 
 @dataclass(frozen=True)
-class NormalizedMetric:
-    project_id: str
+class NormalizedColumns:
+    """The normalized table: one list per column, a row per project."""
+
     numerator_metric: str
     denominator_metric: str
     beta: float
-    raw_ratio: float
-    value: float  # numerator / denominator**beta
+    project_id: list[str]
+    raw_ratio: list[float]
+    value: list[float]  # numerator / denominator**beta
 
 
 @dataclass(frozen=True)
@@ -53,44 +58,49 @@ class WmcSummary:
     excluded: int
 
 
+def _check_beta(beta: float) -> None:
+    if not math.isfinite(beta):
+        raise OutOfRangeError(f"beta must be finite, got {beta!r}")
+
+
 def beta_normalize(numerator: float, denominator: float, beta: float) -> float:
     """Size-adjusted ratio: numerator / denominator**beta."""
     if denominator < 1:
         raise ValueError("denominator must be at least 1")
-    if not math.isfinite(beta):
-        raise OutOfRangeError(f"beta must be finite, got {beta!r}")
+    _check_beta(beta)
     return numerator / denominator**beta
 
 
+def _normalized(nums: list[int], dens: list[int], beta: float) -> Iterator[float]:
+    """``beta_normalize`` of each pair, denominators at least 1, beta checked
+    once if there is a pair."""
+    if dens:
+        _check_beta(beta)
+    return map(truediv, nums, map(pow, dens, repeat(beta)))
+
+
 def normalize_corpus(
-    corpus: list[ProjectMetrics],
+    corpus: MetricColumns,
     numerator_metric: str,
     denominator_metric: str,
     beta: float,
-) -> list[NormalizedMetric]:
+) -> NormalizedColumns:
     """Normalized values for every project with a positive denominator."""
-    denominator, numerator = metric_getter(denominator_metric), metric_getter(numerator_metric)
-    out: list[NormalizedMetric] = []
-    for pm in corpus:
-        den = denominator(pm)
-        if den < 1:
-            continue
-        num = numerator(pm)
-        out.append(
-            NormalizedMetric(
-                project_id=pm.project_id,
-                numerator_metric=numerator_metric,
-                denominator_metric=denominator_metric,
-                beta=beta,
-                raw_ratio=num / den,
-                value=beta_normalize(num, den, beta),
-            )
-        )
-    return out
+    dens, nums = corpus.column(denominator_metric), corpus.column(numerator_metric)
+    keep = [den >= 1 for den in dens]
+    dens, nums = list(compress(dens, keep)), list(compress(nums, keep))
+    return NormalizedColumns(
+        numerator_metric=numerator_metric,
+        denominator_metric=denominator_metric,
+        beta=beta,
+        project_id=list(compress(corpus.project_id, keep)),
+        raw_ratio=list(map(truediv, nums, dens)),
+        value=list(_normalized(nums, dens, beta)),
+    )
 
 
 def decorrelation_report(
-    corpus: list[ProjectMetrics],
+    corpus: MetricColumns,
     numerator_metric: str,
     denominator_metric: str,
     beta: float,
@@ -100,30 +110,26 @@ def decorrelation_report(
     When beta matches the corpus scaling law, both coefficients should be
     indistinguishable from zero.
     """
-    denominator, numerator = metric_getter(denominator_metric), metric_getter(numerator_metric)
-    pairs: list[tuple[float, float]] = []
-    for pm in corpus:
-        den, num = denominator(pm), numerator(pm)
-        if den < 1 or num <= 0:
-            continue
-        pairs.append((math.log(beta_normalize(num, den, beta)), math.log(den)))
-    if len(pairs) < 10:
+    dens, nums = corpus.column(denominator_metric), corpus.column(numerator_metric)
+    keep = [den >= 1 and num > 0 for den, num in zip(dens, nums)]
+    dens, nums = list(compress(dens, keep)), list(compress(nums, keep))
+    values = list(map(math.log, _normalized(nums, dens, beta)))
+    if len(values) < 10:
         raise InsufficientDataError(
-            f"decorrelation check needs >= 10 usable projects, have {len(pairs)}"
+            f"decorrelation check needs >= 10 usable projects, have {len(values)}"
         )
-    values = [v for v, _ in pairs]
-    sizes = [s for _, s in pairs]
+    sizes = list(map(math.log, dens))
     return DecorrelationReport(
         numerator_metric=numerator_metric,
         denominator_metric=denominator_metric,
         beta=beta,
-        n=len(pairs),
+        n=len(values),
         pearson_log=pearson(values, sizes),
         spearman=spearman(values, sizes),
     )
 
 
-def wmc_summary(corpus: list[ProjectMetrics]) -> WmcSummary:
+def wmc_summary(corpus: MetricColumns) -> WmcSummary:
     """Methods-per-class summary in linear and log space.
 
     The linear mean always sits at or above exp(mean of logs); on the
@@ -131,18 +137,14 @@ def wmc_summary(corpus: list[ProjectMetrics]) -> WmcSummary:
     Projects without classes or methods have no defined log value and are
     excluded (counted).
     """
-    values: list[float] = []
-    excluded = 0
-    for pm in corpus:
-        if pm.classes < 1 or pm.methods < 1:
-            excluded += 1
-            continue
-        values.append(pm.methods / pm.classes)
+    keep = [c >= 1 and m >= 1 for c, m in zip(corpus.classes, corpus.methods)]
+    values = list(map(truediv, compress(corpus.methods, keep), compress(corpus.classes, keep)))
+    excluded = len(keep) - len(values)
     if not values:
         raise InsufficientDataError("no projects with classes and methods")
     n = len(values)
     mean_linear = math.fsum(values) / n
-    mean_log, ss_log = mean_ss([math.log(v) for v in values])
+    mean_log, ss_log = mean_ss(list(map(math.log, values)))
     sd_log = math.sqrt(ss_log / (n - 1)) if n > 1 else 0.0
     return WmcSummary(
         n=n,

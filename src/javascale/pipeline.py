@@ -12,6 +12,7 @@ import math
 import os
 from contextlib import closing
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 
 from .errors import ArchiveError, ArchiveIntegrityError, DataError, UsageError
@@ -19,9 +20,10 @@ from .extractor import extract_project, read_manifest
 from .metrics import (
     DEFAULT_JDK_PREFIXES,
     METRIC_NAMES,
+    MetricColumns,
     ProjectMetrics,
     measure,
-    metric_getter,
+    metric_columns,
 )
 from .normalize import beta_normalize, decorrelation_report, normalize_corpus
 from .regression import (
@@ -48,7 +50,7 @@ from .report import (
     welch_csv,
     write_manifest,
 )
-from .stats import BinSummary, bin_by, log_ratio_summary, log_ratios, welch_t_test
+from .stats import analyze_bins, bin_by
 from .store import (
     _project_payload,
     decode_columns,
@@ -143,13 +145,14 @@ class RunConfig:
             raise UsageError("model grid ids must be unique")
         # each stage's own argument rules, run on empty input so that an
         # out-of-range value fails before any stage runs
+        empty = metric_columns([])
         for cell in self.model_grid:
             _transform([], [], cell.k, False)
-            _series([], cell)
+            _series(empty, cell)
         for ts in self.testsets:
-            filter_by_size([], ts.metric, ts.low, ts.high)
-        bin_by([], self.bin_metric, self.bin_edges)
-        evaluate_grid([], [], [], self.nrmse_space)
+            filter_by_size(empty, ts.metric, ts.low, ts.high)
+        bin_by(empty, self.bin_metric, self.bin_edges)
+        evaluate_grid(empty, [], [], self.nrmse_space)
         if self.normalize_beta != "auto":
             beta_normalize(1, 1, self.normalize_beta)
         elif self.normalize_model not in ids:
@@ -252,16 +255,17 @@ class RunResult:
     fit_rows: list[tuple[str, FitResult]]
 
 
-def _series(corpus: list[ProjectMetrics], cell: GridCell) -> tuple[list[int], list[int]]:
-    rows = corpus
-    if cell.subset is not None:
-        rows = filter_by_size(corpus, cell.x_metric, cell.subset[0], cell.subset[1])
-    x, y = metric_getter(cell.x_metric), metric_getter(cell.y_metric)
-    return [x(pm) for pm in rows], [y(pm) for pm in rows]
+def _series(corpus: MetricColumns, cell: GridCell) -> tuple[list[int], list[int]]:
+    """The cell's x and y columns, over its subset's rows."""
+    if cell.subset is None:
+        return corpus.column(cell.x_metric), corpus.column(cell.y_metric)
+    keep = filter_by_size(corpus, cell.x_metric, cell.subset[0], cell.subset[1])
+    xs, ys = corpus.column(cell.x_metric), corpus.column(cell.y_metric)
+    return list(compress(xs, keep)), list(compress(ys, keep))
 
 
 def fit_grid(
-    corpus: list[ProjectMetrics], grid: list[GridCell]
+    corpus: MetricColumns, grid: list[GridCell]
 ) -> list[tuple[str, FitResult, GridCell]]:
     out = []
     for cell in grid:
@@ -276,25 +280,25 @@ def fit_grid(
 
 
 def evaluate_grid(
-    corpus: list[ProjectMetrics],
+    corpus: MetricColumns,
     fitted: list[tuple[str, FitResult, GridCell]],
     testsets: list[EvalSet],
     space: str = "log",
 ) -> list[ModelEval]:
     if space not in ("log", "linear"):
         raise UsageError(f"unknown NRMSE space {space!r}")
-    test_rows = [(ts.name, filter_by_size(corpus, ts.metric, ts.low, ts.high)) for ts in testsets]
+    kept = [(ts.name, filter_by_size(corpus, ts.metric, ts.low, ts.high)) for ts in testsets]
     # models with the same metrics, k and zero offset share a test set's
     # points, mapped by _transform once for the log space
     points: dict[tuple, tuple[list, list]] = {}
     evals = []
     for model_id, fit, cell in fitted:
-        x, y = metric_getter(cell.x_metric), metric_getter(cell.y_metric)
+        x, y = corpus.column(cell.x_metric), corpus.column(cell.y_metric)
         per_testset: dict[str, float] = {}
-        for name, rows in test_rows:
+        for name, keep in kept:
             key = (cell.x_metric, cell.y_metric, fit.k, fit.zero_offset, name)
             if key not in points:
-                xs, ys = [x(pm) for pm in rows], [y(pm) for pm in rows]
+                xs, ys = list(compress(x, keep)), list(compress(y, keep))
                 if space == "log":
                     xs, ys, _ = _transform(xs, ys, fit.k, fit.zero_offset)
                 points[key] = xs, ys
@@ -313,34 +317,6 @@ def evaluate_grid(
             )
         )
     return evals
-
-
-def analyze_bins(
-    corpus: list[ProjectMetrics],
-    bin_metric: str,
-    edges,
-    numerator: str,
-    denominator: str,
-    log: bool = True,
-) -> tuple[list[BinSummary], dict[tuple[str, str], float]]:
-    """Bin the corpus by ``bin_metric`` and summarise the log ratio of each
-    bin with a usable ratio.  Welch tests compare the ratios (log ones
-    unless ``log`` is false) of every pair of bins holding two or more.
-    """
-    summaries = []
-    series = {}
-    for b in bin_by(corpus, bin_metric, edges):
-        values, _excluded = log_ratios(b, numerator, denominator, log)
-        if values:
-            series[b.label] = values
-            summaries.append(log_ratio_summary(b, numerator, denominator))
-    labels = list(series)
-    p_values = {}
-    for idx, a in enumerate(labels):
-        for b_label in labels[idx + 1 :]:
-            if len(series[a]) >= 2 and len(series[b_label]) >= 2:
-                p_values[(a, b_label)] = welch_t_test(series[a], series[b_label]).p_value
-    return summaries, p_values
 
 
 def _measure_project(
@@ -455,21 +431,20 @@ def run_pipeline(config: RunConfig) -> RunResult:
         done("extract", {})
 
         export_metrics_table(corpus, out / "metrics.csv")
+        table = metric_columns(corpus)
         done("metrics", {})
 
-        fitted = fit_grid(corpus, config.model_grid)
+        fitted = fit_grid(table, config.model_grid)
         fit_rows = [(model_id, fit) for model_id, fit, _ in fitted]
         files = {"fits.csv": fits_csv(fit_rows), "fit_table.txt": render_fit_table(fit_rows)}
         for model_id, fit, cell in fitted:
             if not fit.robust:
-                diag = diagnostics(fit, *_series(corpus, cell))
+                diag = diagnostics(fit, *_series(table, cell))
                 files[f"diagnostics/{model_id}.csv"] = diagnostics_csv(diag)
         done("fits", files)
 
         num, den = config.bin_numerator, config.bin_denominator
-        summaries, p_values = analyze_bins(
-            corpus, config.bin_metric, config.bin_edges, num, den
-        )
+        summaries, p_values = analyze_bins(table, config.bin_metric, config.bin_edges, num, den)
         labels = [s.label for s in summaries]
         done(
             "bins",
@@ -481,7 +456,7 @@ def run_pipeline(config: RunConfig) -> RunResult:
             },
         )
 
-        evals = evaluate_grid(corpus, fitted, config.testsets, config.nrmse_space)
+        evals = evaluate_grid(table, fitted, config.testsets, config.nrmse_space)
         names = [ts.name for ts in config.testsets]
         done(
             "validate",
@@ -495,9 +470,9 @@ def run_pipeline(config: RunConfig) -> RunResult:
         beta = config.normalize_beta
         if beta == "auto":
             beta = dict(fit_rows)[config.normalize_model].beta
-        normalized = normalized_csv(normalize_corpus(corpus, num, den, beta))
+        normalized = normalized_csv(normalize_corpus(table, num, den, beta))
         try:
-            deco = decorrelation_report(corpus, num, den, beta)
+            deco = decorrelation_report(table, num, den, beta)
             deco_text = (
                 f"beta {deco.beta!r}\n"
                 f"n {deco.n}\n"
@@ -538,6 +513,6 @@ def render_run_report(run_dir: str | Path) -> str:
             sections.append(f"== {title}\n{path.read_text(encoding='utf-8')}")
     metrics_path = out / "metrics.csv"
     if metrics_path.exists():
-        corpus = read_metrics_table(metrics_path)
-        sections.insert(0, f"== corpus\nprojects: {len(corpus)}\n")
+        table = read_metrics_table(metrics_path)
+        sections.insert(0, f"== corpus\nprojects: {len(table.project_id)}\n")
     return "\n".join(sections)

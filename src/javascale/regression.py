@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import (
     DegeneratePredictorError,
@@ -24,7 +25,7 @@ from .errors import (
     UndefinedCorrelationError,
     UndefinedNormalizationError,
 )
-from .metrics import ProjectMetrics, metric_getter
+from .metrics import MetricColumns
 
 HUBER_C = 1.345
 MAD_TO_SIGMA = 0.6745
@@ -91,20 +92,18 @@ def _transform(
     if not 1 <= k < math.inf:
         raise OutOfRangeError(f"transform exponent k must be finite and >= 1, got {k!r}")
     frac = k != int(k) if isinstance(k, float) else False
-    ts: list[float] = []
-    zs: list[float] = []
-    excluded = 0
-    for x, y in zip(xs, ys):
-        if zero_offset:
-            x, y = x + 1.0, y + 1.0
-        if x <= 0 or y <= 0 or (frac and x < 1):
-            excluded += 1
-            continue
-        lx = math.log(x)
-        # fractional k excluded x < 1 above, integral k handles lx < 0
-        ts.append(lx if k == 1 else lx**k)
-        zs.append(math.log(y))
-    return ts, zs, excluded
+    if zero_offset:
+        xs = [x + 1.0 for x in xs]
+        ys = [y + 1.0 for y in ys]
+    excluded = [x <= 0 or y <= 0 or (frac and x < 1) for x, y in zip(xs, ys)]
+    if any(excluded):
+        keep = [not e for e in excluded]
+        xs, ys = list(compress(xs, keep)), list(compress(ys, keep))
+    ts = list(map(math.log, xs))
+    if k != 1:
+        # fractional k excluded x < 1 above, integral k handles log x < 0
+        ts = [lx**k for lx in ts]
+    return ts, list(map(math.log, ys)), len(excluded) - len(ts)
 
 
 def _usable(
@@ -318,13 +317,14 @@ def transformed_nrmse(fit: FitResult, ts: list[float], zs: list[float]) -> float
 
 
 def filter_by_size(
-    corpus: list[ProjectMetrics], size_metric_name: str, low: float, high: float
-) -> list[ProjectMetrics]:
-    """Projects with ``low <= metric < high``."""
-    size = metric_getter(size_metric_name)
+    corpus: MetricColumns, size_metric_name: str, low: float, high: float
+) -> list[bool]:
+    """Which projects have ``low <= metric < high``: one flag per row, for
+    ``itertools.compress`` over any column of the table."""
+    size = corpus.column(size_metric_name)
     if not low < high:
         raise OutOfRangeError(f"empty range [{low}, {high})")
-    return [pm for pm in corpus if low <= size(pm) < high]
+    return [low <= v < high for v in size]
 
 
 def pearson(xs, ys) -> float:

@@ -8,8 +8,10 @@ precision (shortest round-trip repr); display tables round.
 from __future__ import annotations
 
 import hashlib
+from itertools import repeat
 from pathlib import Path
 
+from .normalize import NormalizedColumns
 from .regression import Diagnostics, FitResult, ModelEval
 from .stats import BinSummary, range_text
 
@@ -161,10 +163,16 @@ def diagnostics_csv(diag: Diagnostics) -> str:
     )
 
 
-def normalized_csv(rows) -> str:
+def normalized_csv(table: NormalizedColumns) -> str:
+    # the columns hold floats, so repr is _fmt; beta is formatted once
     return _delimited(
         "project_id,raw_ratio,beta,normalized_value",
-        ([nm.project_id, _fmt(nm.raw_ratio), _fmt(nm.beta), _fmt(nm.value)] for nm in rows),
+        zip(
+            table.project_id,
+            map(repr, table.raw_ratio),
+            repeat(_fmt(table.beta)),
+            map(repr, table.value),
+        ),
     )
 
 

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
+from itertools import compress
+from operator import truediv
 from statistics import NormalDist
 
 from .errors import EmptyBinError, InsufficientDataError, OutOfRangeError
-from .metrics import ProjectMetrics, metric_getter
+from .metrics import MetricColumns
 from .regression import mean_ss
 
 # ---------------------------------------------------------------------------
@@ -117,9 +120,12 @@ class WelchResult:
     significant_at_95: bool
 
 
-def _mean_var(sample: list[float]) -> tuple[float, float]:
+def _moments(sample: list[float]) -> tuple[int, float, float]:
+    """Size, mean and sample variance of ``sample``; the variance of one
+    value is 0.0."""
     mean, ss = mean_ss(sample)
-    return mean, ss / (len(sample) - 1)
+    n = len(sample)
+    return n, mean, ss / (n - 1) if n > 1 else 0.0
 
 
 def welch_t_test(sample_a, sample_b) -> WelchResult:
@@ -132,24 +138,28 @@ def welch_t_test(sample_a, sample_b) -> WelchResult:
     b = [float(v) for v in sample_b]
     if len(a) < 2 or len(b) < 2:
         raise InsufficientDataError("each sample needs at least 2 values")
-    mean_a, var_a = _mean_var(a)
-    mean_b, var_b = _mean_var(b)
+    return _welch(_moments(a), _moments(b))
+
+
+def _welch(a: tuple[int, float, float], b: tuple[int, float, float]) -> WelchResult:
+    """``welch_t_test`` from each sample's ``_moments``."""
+    (n_a, mean_a, var_a), (n_b, mean_b, var_b) = a, b
     if var_a == 0.0 and var_b == 0.0:
         if mean_a == mean_b:
-            return WelchResult(0.0, float(len(a) + len(b) - 2), 1.0, False)
+            return WelchResult(0.0, float(n_a + n_b - 2), 1.0, False)
         t = math.inf if mean_a > mean_b else -math.inf
-        return WelchResult(t, float(len(a) + len(b) - 2), 0.0, True)
-    se_a = var_a / len(a)
-    se_b = var_b / len(b)
+        return WelchResult(t, float(n_a + n_b - 2), 0.0, True)
+    se_a = var_a / n_a
+    se_b = var_b / n_b
     se = se_a + se_b
     t = (mean_a - mean_b) / math.sqrt(se)
-    df_denom = se_a**2 / (len(a) - 1) + se_b**2 / (len(b) - 1)
+    df_denom = se_a**2 / (n_a - 1) + se_b**2 / (n_b - 1)
     if df_denom > 0.0 and math.isfinite(df_denom):
         df = se**2 / df_denom
     else:
-        df = float(len(a) + len(b) - 2)  # squared errors underflowed
+        df = float(n_a + n_b - 2)  # squared errors underflowed
     if not math.isfinite(df) or df <= 0.0:
-        df = float(len(a) + len(b) - 2)
+        df = float(n_a + n_b - 2)
     p = 2.0 * (1.0 - student_t_cdf(abs(t), df))
     return WelchResult(t, df, p, p < 0.05)
 
@@ -164,7 +174,12 @@ class Bin:
     label: str
     low: float  # -inf for the open left extreme
     high: float  # +inf for the open right extreme
-    projects: list[ProjectMetrics]
+    corpus: MetricColumns = field(repr=False)
+    members: list[bool] = field(repr=False)  # per row of ``corpus``: in this bin
+
+    def column(self, name: str) -> list[int]:
+        """Metric ``name`` of the bin's projects, in table order."""
+        return list(compress(self.corpus.column(name), self.members))
 
 
 def range_text(low: float, high: float) -> str:
@@ -188,7 +203,7 @@ class BinSummary:
     excluded_zero_ratio_count: int
 
 
-def bin_by(corpus: list[ProjectMetrics], metric_name: str, edges) -> list[Bin]:
+def bin_by(corpus: MetricColumns, metric_name: str, edges) -> list[Bin]:
     """Partition a corpus by a metric into left-inclusive bins.
 
     ``edges=(e1, .., ek)`` produces k+1 bins: ``< e1``, ``[e1, e2)``, ..,
@@ -202,15 +217,12 @@ def bin_by(corpus: list[ProjectMetrics], metric_name: str, edges) -> list[Bin]:
     bounds = [(-math.inf, edges[0])]
     bounds += list(zip(edges, edges[1:]))
     bounds.append((edges[-1], math.inf))
-    bins = [
-        Bin(label=f"b{idx + 1}", low=lo, high=hi, projects=[])
+    # the edges at or below v count the bins left of v's bin
+    where = list(map(partial(bisect_right, edges), corpus.column(metric_name)))
+    return [
+        Bin(f"b{idx + 1}", lo, hi, corpus, list(map(idx.__eq__, where)))
         for idx, (lo, hi) in enumerate(bounds)
     ]
-    value = metric_getter(metric_name)
-    for pm in corpus:
-        # the edges at or below v count the bins left of v's bin
-        bins[bisect_right(edges, value(pm))].projects.append(pm)
-    return bins
 
 
 def log_ratios(
@@ -222,16 +234,26 @@ def log_ratios(
     Projects with a zero numerator or denominator have no defined log
     ratio and are excluded (counted) either way.
     """
-    numerator, denominator = metric_getter(numerator_metric), metric_getter(denominator_metric)
-    values: list[float] = []
-    excluded = 0
-    for pm in bin_.projects:
-        num, den = numerator(pm), denominator(pm)
-        if num <= 0 or den <= 0:
-            excluded += 1
-            continue
-        values.append(math.log(num / den) if log else num / den)
-    return values, excluded
+    nums, dens = bin_.column(numerator_metric), bin_.column(denominator_metric)
+    usable = [num > 0 and den > 0 for num, den in zip(nums, dens)]
+    values = list(map(truediv, compress(nums, usable), compress(dens, usable)))
+    if log:
+        values = list(map(math.log, values))
+    return values, len(usable) - len(values)
+
+
+def _summary(bin_: Bin, moments: tuple[int, float, float], excluded: int) -> BinSummary:
+    n, mean, var = moments
+    return BinSummary(
+        label=bin_.label,
+        low=bin_.low,
+        high=bin_.high,
+        project_count=n,
+        mean_log=mean,
+        sd_log=math.sqrt(var),
+        mean_linear_pct=math.exp(mean) * 100.0,
+        excluded_zero_ratio_count=excluded,
+    )
 
 
 def log_ratio_summary(
@@ -244,15 +266,35 @@ def log_ratio_summary(
             f"bin {bin_.label}: no projects with usable "
             f"{numerator_metric}/{denominator_metric} ratio"
         )
-    mean, ss = mean_ss(values)
-    sd = math.sqrt(ss / (len(values) - 1)) if len(values) > 1 else 0.0
-    return BinSummary(
-        label=bin_.label,
-        low=bin_.low,
-        high=bin_.high,
-        project_count=len(values),
-        mean_log=mean,
-        sd_log=sd,
-        mean_linear_pct=math.exp(mean) * 100.0,
-        excluded_zero_ratio_count=excluded,
-    )
+    return _summary(bin_, _moments(values), excluded)
+
+
+def analyze_bins(
+    corpus: MetricColumns,
+    bin_metric: str,
+    edges,
+    numerator: str,
+    denominator: str,
+    log: bool = True,
+) -> tuple[list[BinSummary], dict[tuple[str, str], float]]:
+    """Bin the corpus by ``bin_metric`` and summarise the log ratio of each
+    bin with a usable ratio.  Welch tests compare the ratios (log ones
+    unless ``log`` is false) of every pair of bins holding two or more.
+
+    Each bin's ratios, and the size, mean and variance of the tested ones,
+    are computed once.
+    """
+    summaries = []
+    tested = {}  # bin label -> _moments of the values its Welch tests compare
+    for b in bin_by(corpus, bin_metric, edges):
+        ratios, excluded = log_ratios(b, numerator, denominator, log=False)
+        if ratios:
+            logs = _moments(list(map(math.log, ratios)))
+            summaries.append(_summary(b, logs, excluded))
+            tested[b.label] = logs if log else _moments(ratios)
+    labels = [label for label, (n, _, _) in tested.items() if n >= 2]
+    p_values = {}
+    for idx, a in enumerate(labels):
+        for b_label in labels[idx + 1 :]:
+            p_values[(a, b_label)] = _welch(tested[a], tested[b_label]).p_value
+    return summaries, p_values

@@ -8,6 +8,13 @@ newline, so that truncation is detectable.  A payload is the zlib stream
 are local to their project, so each record is encoded on its own and
 records can be written as they are made.  No database engine; readers
 rebuild in-memory indexes.
+
+The metrics table is a CSV of the ``METRIC_COLUMNS``, read back as
+:class:`~javascale.metrics.MetricColumns`.  A canonical table is one as
+``export_metrics_table`` writes it, in ASCII: the header, ``\\n`` line ends
+and cells of digits.  It is parsed in bulk and checked column by column.
+Any other table takes the row path, one checked ``ProjectMetrics`` per
+row, which accepts what ``int()`` accepts and names the first bad row.
 """
 
 from __future__ import annotations
@@ -16,6 +23,8 @@ import json
 import os
 import zlib
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import add, le
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -32,7 +41,7 @@ from .facts import (
     RelationKind,
     SourceEntity,
 )
-from .metrics import METRIC_COLUMNS, ProjectMetrics
+from .metrics import METRIC_COLUMNS, MetricColumns, ProjectMetrics, metric_columns
 
 ARCHIVE_VERSION = 2
 _MAGIC = "JSCALE-FACTS"
@@ -211,11 +220,60 @@ def export_metrics_table(metrics: list[ProjectMetrics], path: str | Path) -> Non
     Path(path).write_text("".join(",".join(map(str, r)) + "\n" for r in rows), encoding="utf-8")
 
 
-def read_metrics_table(path: str | Path) -> list[ProjectMetrics]:
+# the characters other than "\n" at which str.splitlines ends an ASCII line
+_OTHER_LINE_ENDS = "\r\x0b\x0c\x1c\x1d\x1e"
+_HEADER_LINE = ",".join(METRIC_COLUMNS) + "\n"
+_COUNTS = len(METRIC_COLUMNS) - 1
+_DIGITS_AND_COMMAS = dict.fromkeys(b"0123456789,")  # as str.translate deletes them
+
+
+def _canonical_columns(text: str) -> MetricColumns | None:
+    """The columns of a canonical table, one as ``export_metrics_table``
+    writes it, or None for any other text.
+
+    A canonical table is ASCII, starts with the header line and ends each
+    line with ``\\n`` alone, and each of its rows is an id and 16 cells of
+    ASCII digits without leading zeros that meet the row invariants.  The
+    numeric cells are parsed by one ``json.loads``.  The duplicate-id check
+    is left to the caller.
+    """
+    if not (text.isascii() and text.startswith(_HEADER_LINE) and text.endswith("\n")):
+        return None
+    if any(map(text.__contains__, _OTHER_LINE_ENDS)):
+        return None
+    lines = text[len(_HEADER_LINE) : -1].split("\n")
+    ids, _, cells = zip(*map(str.partition, lines, repeat(",")))
+    if not all(map((_COUNTS - 1).__eq__, map(str.count, cells, repeat(",")))):
+        return None
+    # each form of the cells is dropped once the next is made: a smaller peak
+    numeric = ",".join(cells)
+    del lines, cells
+    if numeric.translate(_DIGITS_AND_COMMAS):
+        return None
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ArchiveIntegrityError(f"{path}: not UTF-8 text: {exc}") from exc
+        values = json.loads(f"[{numeric}]")  # refuses empty cells and leading zeros
+    except ValueError:  # also a number past int()'s digit limit
+        return None
+    del numeric
+    counts = [values[i::_COUNTS] for i in range(_COUNTS)]
+    del values
+    table = MetricColumns(list(ids), *counts)
+    # the row invariants of ProjectMetrics; cells of digits are non-negative
+    if not (
+        table.modules == list(map(add, table.classes, table.interfaces))
+        and table.used_total
+        == list(map(add, map(add, table.used_internal, table.used_jdk), table.used_external))
+        and table.efferent_coupling == list(map(add, table.used_jdk, table.used_external))
+        and all(map(le, table.dui, table.classes))
+        and all(map(le, table.if_count, table.classes))
+    ):
+        return None
+    return table
+
+
+def _checked_rows(text: str, path: str | Path) -> list[ProjectMetrics]:
+    """The rows of any table text, each built and checked on its own; the
+    first fault raises."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ArchiveIntegrityError(f"{path}: empty metrics table")
@@ -231,5 +289,24 @@ def read_metrics_table(path: str | Path) -> list[ProjectMetrics]:
             out.append(ProjectMetrics(cells[0], *map(int, cells[1:])))
         except ValueError as exc:
             raise ArchiveIntegrityError(f"{path}: bad row {ln!r}: {exc}") from exc
-    DuplicateProjectError.check([m.project_id for m in out], f"{path}: duplicate project ids")
     return out
+
+
+def read_metrics_table(path: str | Path) -> MetricColumns:
+    """The metrics table at ``path`` as columns, in file order.
+
+    A canonical table is parsed in bulk and checked column-wise; any other
+    text takes the row path, which builds and checks one ``ProjectMetrics``
+    per row and so gives the same columns or the first bad row's error.
+    """
+    try:
+        # line ends are kept as written: a CRLF table is not canonical
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ArchiveIntegrityError(f"{path}: not UTF-8 text: {exc}") from exc
+    table = _canonical_columns(text)
+    if table is None:
+        table = metric_columns(_checked_rows(text, path))
+    DuplicateProjectError.check(table.project_id, f"{path}: duplicate project ids")
+    return table

@@ -15,6 +15,7 @@ import numpy as np
 
 from javascale.extractor import extract_project
 from javascale.facts import EntityKind, RelationKind
+from javascale.metrics import metric_columns
 from javascale.normalize import decorrelation_report, wmc_summary
 from javascale.pipeline import (
     DEFAULT_GRID,
@@ -177,7 +178,7 @@ def _validation_corpus(seed: int) -> tuple[list[int], list[int]]:
 def test_criterion_4_model_selection_workflow():
     start = time.perf_counter()
     # the eight-subset grid produces one fit row per model
-    corpus = pairs_to_metrics(generate(RECOVERY_SPEC))
+    corpus = metric_columns(pairs_to_metrics(generate(RECOVERY_SPEC)))
     fitted = fit_grid(corpus, DEFAULT_GRID)
     rows_ok = len(fitted) == 8 and all(f.n >= 3 for _, f, _ in fitted)
 
@@ -330,7 +331,7 @@ def test_criterion_6_statistics_correctness():
 
 
 def test_criterion_7_decorrelation():
-    corpus = pairs_to_metrics(generate(RECOVERY_SPEC))
+    corpus = metric_columns(pairs_to_metrics(generate(RECOVERY_SPEC)))
     matched = decorrelation_report(corpus, "methods", "classes", RECOVERY_SPEC.true_beta)
     naive = decorrelation_report(corpus, "methods", "classes", 1.0)
     _report(
@@ -360,7 +361,7 @@ def test_criterion_8_wmc_skewness():
                 methods=max(1, round(wmc * 1000)),
             )
         )
-    summary = wmc_summary(corpus)
+    summary = wmc_summary(metric_columns(corpus))
     center_ok = abs(summary.linear_of_mean_log - 4.28) < 0.05
     lo, hi = summary.one_sd_interval
     interval_ok = abs(lo - 2.28) < 0.02 * 2.28 and abs(hi - 8.00) < 0.02 * 8.00

@@ -20,7 +20,7 @@ from javascale.metrics import (
     ProjectMetrics,
     compute_metrics,
     measure,
-    metric_getter,
+    metric_columns,
 )
 from javascale.errors import UnknownMetricError
 from javascale.normalize import decorrelation_report, normalize_corpus
@@ -405,24 +405,32 @@ class TestMonotonicity:
             previous = pm
 
 
-class TestMetricGetter:
+class TestMetricColumns:
     def test_lookup(self):
-        pm = ProjectMetrics(project_id="p", sloc=7)
-        assert metric_getter("sloc")(pm) == 7
+        table = metric_columns([ProjectMetrics(project_id="p", sloc=7)])
+        assert table.column("sloc") == [7]
 
     def test_unknown_metric(self):
         with pytest.raises(UnknownMetricError, match=r"^unknown metric 'bogus'$"):
-            metric_getter("bogus")
+            metric_columns([]).column("bogus")
+
+    def test_transposes_rows_in_order(self, fixture_corpus):
+        table = metric_columns(fixture_corpus)
+        assert table._fields == tuple(METRIC_COLUMNS)
+        assert list(map(ProjectMetrics, *table)) == fixture_corpus
+
+    def test_empty_table_has_every_column(self):
+        assert metric_columns([]) == tuple([] for _ in METRIC_COLUMNS)
 
     # each consumer resolves its metrics before it reads a row
     @pytest.mark.parametrize(
         "consume",
         [
-            lambda: bin_by([], "bogus", (5,)),
-            lambda: log_ratios(Bin("b1", 0, 1, []), "bogus", "classes"),
-            lambda: normalize_corpus([], "methods", "bogus", 1.0),
-            lambda: decorrelation_report([], "bogus", "classes", 1.0),
-            lambda: _series([], GridCell("m", "bogus", "classes")),
+            lambda: bin_by(metric_columns([]), "bogus", (5,)),
+            lambda: log_ratios(Bin("b1", 0, 1, metric_columns([]), []), "bogus", "classes"),
+            lambda: normalize_corpus(metric_columns([]), "methods", "bogus", 1.0),
+            lambda: decorrelation_report(metric_columns([]), "bogus", "classes", 1.0),
+            lambda: _series(metric_columns([]), GridCell("m", "bogus", "classes")),
         ],
         ids=["bin_by", "log_ratios", "normalize_corpus", "decorrelation_report", "series"],
     )

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from javascale.errors import InsufficientDataError, UndefinedCorrelationError
-from javascale.metrics import ProjectMetrics
+from javascale.metrics import ProjectMetrics, metric_columns
 from javascale.normalize import (
     beta_normalize,
     decorrelation_report,
@@ -51,10 +51,10 @@ class TestBetaNormalize:
 class TestNormalizeCorpus:
     def test_rows_and_skipping(self):
         corpus = [pm("a", 10, 40), pm("b", 0, 5), pm("c", 100, 480)]
-        rows = normalize_corpus(corpus, "methods", "classes", 1.0)
-        assert [r.project_id for r in rows] == ["a", "c"]
-        assert rows[0].raw_ratio == pytest.approx(4.0)
-        assert rows[0].value == pytest.approx(4.0)
+        table = normalize_corpus(metric_columns(corpus), "methods", "classes", 1.0)
+        assert table.project_id == ["a", "c"]
+        assert table.raw_ratio[0] == pytest.approx(4.0)
+        assert table.value[0] == pytest.approx(4.0)
 
 
 class TestDecorrelation:
@@ -69,14 +69,14 @@ class TestDecorrelation:
 
     def test_true_beta_decorrelates(self):
         corpus = generate_metrics(self.SPEC)
-        report = decorrelation_report(corpus, "methods", "classes", 1.1055)
+        report = decorrelation_report(metric_columns(corpus), "methods", "classes", 1.1055)
         assert abs(report.pearson_log) < 0.05
         assert abs(report.spearman) < 0.05
         assert report.decorrelated
 
     def test_naive_ratio_stays_correlated(self):
         corpus = generate_metrics(self.SPEC)
-        report = decorrelation_report(corpus, "methods", "classes", 1.0)
+        report = decorrelation_report(metric_columns(corpus), "methods", "classes", 1.0)
         assert report.pearson_log > 0.25
         assert not report.decorrelated
 
@@ -87,25 +87,25 @@ class TestDecorrelation:
             for i, den in enumerate((1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024))
         ]
         with pytest.raises(UndefinedCorrelationError):
-            decorrelation_report(corpus, "methods", "classes", 1.0)
+            decorrelation_report(metric_columns(corpus), "methods", "classes", 1.0)
 
     def test_small_corpus_rejected(self):
         corpus = [pm(f"p{i}", 10, 40) for i in range(5)]
         with pytest.raises(InsufficientDataError):
-            decorrelation_report(corpus, "methods", "classes", 1.0)
+            decorrelation_report(metric_columns(corpus), "methods", "classes", 1.0)
 
 
 class TestWmcSummary:
     def test_constant_corpus(self):
         corpus = [pm(f"p{i}", 100, 428) for i in range(5)]
-        summary = wmc_summary(corpus)
+        summary = wmc_summary(metric_columns(corpus))
         assert summary.mean_linear == pytest.approx(4.28)
         assert summary.sd_log == 0.0
         assert summary.linear_of_mean_log == pytest.approx(4.28)
 
     def test_two_project_hand_case(self):
         corpus = [pm("a", 10, 20), pm("b", 10, 80)]
-        summary = wmc_summary(corpus)
+        summary = wmc_summary(metric_columns(corpus))
         assert summary.mean_log == pytest.approx(math.log(4.0), abs=1e-12)
         assert summary.linear_of_mean_log == pytest.approx(4.0, abs=1e-12)
         assert summary.mean_linear == pytest.approx(5.0, abs=1e-12)
@@ -117,7 +117,7 @@ class TestWmcSummary:
             noise_sigma=0.6, seed=9,
         )
         corpus = generate_metrics(spec)
-        summary = wmc_summary(corpus)
+        summary = wmc_summary(metric_columns(corpus))
         assert summary.mean_linear >= summary.linear_of_mean_log
         lo, hi = summary.one_sd_interval
         assert lo == pytest.approx(math.exp(summary.mean_log - summary.sd_log))
@@ -125,4 +125,4 @@ class TestWmcSummary:
 
     def test_all_projects_unusable(self):
         with pytest.raises(InsufficientDataError):
-            wmc_summary([pm("a", 0, 0)])
+            wmc_summary(metric_columns([pm("a", 0, 0)]))

@@ -20,7 +20,7 @@ from javascale.errors import (
     InsufficientDataError,
 )
 from javascale.extractor import extract_corpus
-from javascale.metrics import ProjectMetrics
+from javascale.metrics import MetricColumns, ProjectMetrics, metric_columns
 from javascale.pipeline import load_config, render_run_report, run_pipeline
 from javascale.regression import evaluate_nrmse
 from javascale.store import FactsArchive, export_metrics_table, read_facts, write_facts
@@ -71,6 +71,37 @@ MANIFEST_FILES = [
 GOLDEN_SHA256 = {
     "facts.bin": "d147ce48967b4add706aac287f882c727d250e61401d3435b50ff185b3ac4a07",
     "metrics.csv": "389c299e41c57335f474a5eeb0facb85e4e9a5af66157028b830a8ce1e991263",
+}
+
+# sha256 of the statistics commands' stdout and of normalized.csv, run in
+# the table's directory on a seeded synth table of 3,000 rows (the CI's
+# spec); the fitted floats pass through the platform's libm
+STATS_SPEC = {
+    "n_projects": 3000, "x_range": [1, 5000], "alpha": 1.1, "beta": 1.1, "sigma": 0.5, "seed": 1
+}
+STATS_GRID = {
+    "models": [
+        {"id": "m1", "y": "methods", "x": "classes"},
+        {"id": "r1", "y": "methods", "x": "classes", "robust": True},
+        {"id": "s1", "y": "methods", "x": "classes", "subset": [10, 1000]},
+        {"id": "k2", "y": "methods", "x": "classes", "k": 2},
+    ],
+    "testsets": [
+        {"name": "small", "metric": "classes", "range": [0, 100]},
+        {"name": "all", "metric": "classes", "range": [0, None]},
+    ],
+}
+STATS_COMMANDS = {
+    "validate": ["validate", "synth.csv", "--grid", "grid.json"],
+    "bins": ["bins", "synth.csv", "--ratio", "methods/classes", "--edges", "20,100,1000"],
+    "normalize": ["normalize", "synth.csv", "--num", "methods", "--den", "classes",
+                  "--beta", "auto", "-o", "normalized.csv"],
+}
+STATS_SHA256 = {
+    "validate": "1a069c3bd5fe4346880dfb6494d938eefde6c594724b708ac3ac580eb152bde0",
+    "bins": "4ad05d3394d0f65c5e26d60e572421097f331f42f2b8e23ed94263d4d6bce84d",
+    "normalize": "4772725ba0e73d1776c39e36a091e971114458c822fe5d7b0ea4be9f5b55c087",
+    "normalized.csv": "6457bbb537ee210cfb4965153b44829bbf78d1aaaf657e77276eb729f9720059",
 }
 
 MALFORMED_GRIDS = [
@@ -285,6 +316,20 @@ class TestRunPipeline:
         assert "projects: 10" in text
 
 
+def test_statistics_commands_match_golden_digests(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("spec.json").write_text(json.dumps(STATS_SPEC))
+    Path("grid.json").write_text(json.dumps(STATS_GRID))
+    assert main(["synth", "--spec", "spec.json", "-o", "synth.csv"]) == 0
+    capsys.readouterr()
+    digests = {}
+    for name, argv in STATS_COMMANDS.items():
+        assert main(argv) == 0, name
+        digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    digests["normalized.csv"] = hashlib.sha256(Path("normalized.csv").read_bytes()).hexdigest()
+    assert digests == STATS_SHA256
+
+
 def test_import_leaves_process_pools_unloaded():
     """The pool modules load only when a run starts a pool, not when
     ``javascale`` or any of its modules is imported."""
@@ -317,7 +362,7 @@ class TestEvaluateGrid:
     ]
 
     @staticmethod
-    def corpus() -> list[ProjectMetrics]:
+    def corpus() -> MetricColumns:
         rows = []
         for i in range(60):
             classes = round(2 * 1.15**i)
@@ -331,7 +376,7 @@ class TestEvaluateGrid:
                     methods=round(3 * classes**1.1) + i % 5,
                 )
             )
-        return rows
+        return metric_columns(rows)
 
     @pytest.mark.parametrize("space", ["log", "linear"])
     def test_same_as_one_evaluation_per_model_and_test_set(self, space):
@@ -341,9 +386,9 @@ class TestEvaluateGrid:
         for model_id, fit, cell in fitted:
             per_testset = {}
             for ts in self.TESTSETS:
-                rows = pipeline.filter_by_size(corpus, ts.metric, ts.low, ts.high)
-                xs = [getattr(pm, cell.x_metric) for pm in rows]
-                ys = [getattr(pm, cell.y_metric) for pm in rows]
+                keep = pipeline.filter_by_size(corpus, ts.metric, ts.low, ts.high)
+                xs = [x for x, kept in zip(corpus.column(cell.x_metric), keep) if kept]
+                ys = [y for y, kept in zip(corpus.column(cell.y_metric), keep) if kept]
                 per_testset[ts.name] = evaluate_nrmse(fit, xs, ys, space=space)
             expected.append((model_id, per_testset))
         evals = pipeline.evaluate_grid(corpus, fitted, self.TESTSETS, space)
@@ -759,7 +804,7 @@ class TestCli:
     def test_fit_grid_keeps_the_error_type(self, fixture_corpus, cell, error, message):
         grid = [pipeline.GridCell("m1", "methods", "classes"), cell]
         with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
-            pipeline.fit_grid(fixture_corpus, grid)
+            pipeline.fit_grid(metric_columns(fixture_corpus), grid)
         assert type(info.value) is error and type(info.value.__cause__) is error
 
     def test_normalize_model_outside_grid_is_usage_error(self, tmp_path, capsys):

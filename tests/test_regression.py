@@ -13,7 +13,7 @@ from javascale.errors import (
     UndefinedNormalizationError,
     UnknownMetricError,
 )
-from javascale.metrics import ProjectMetrics
+from javascale.metrics import ProjectMetrics, metric_columns
 from javascale.regression import (
     FitResult,
     diagnostics,
@@ -267,19 +267,20 @@ class TestNrmse:
 
 
 class TestFilterBySize:
-    CORPUS = [
-        ProjectMetrics(project_id="a", classes=5, modules=5),
-        ProjectMetrics(project_id="b", classes=50, modules=50),
-        ProjectMetrics(project_id="c", classes=500, modules=500),
-    ]
+    CORPUS = metric_columns(
+        [
+            ProjectMetrics(project_id="a", classes=5, modules=5),
+            ProjectMetrics(project_id="b", classes=50, modules=50),
+            ProjectMetrics(project_id="c", classes=500, modules=500),
+        ]
+    )
 
     def test_unbounded_range_keeps_all(self):
-        assert filter_by_size(self.CORPUS, "classes", 0, math.inf) == self.CORPUS
+        assert filter_by_size(self.CORPUS, "classes", 0, math.inf) == [True] * 3
 
     def test_left_inclusive_right_exclusive(self):
-        subset = filter_by_size(self.CORPUS, "classes", 10, 100)
-        assert [pm.project_id for pm in subset] == ["b"]
-        assert filter_by_size(self.CORPUS, "classes", 50, 500) == [self.CORPUS[1]]
+        assert filter_by_size(self.CORPUS, "classes", 10, 100) == [False, True, False]
+        assert filter_by_size(self.CORPUS, "classes", 50, 500) == [False, True, False]
 
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):

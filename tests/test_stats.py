@@ -6,12 +6,16 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from javascale import pipeline, stats
 from javascale.errors import EmptyBinError, InsufficientDataError
-from javascale.metrics import ProjectMetrics
+from javascale.metrics import ProjectMetrics, metric_columns
+from javascale.regression import mean_ss
 from javascale.stats import (
+    analyze_bins,
     bin_by,
     inverse_normal_cdf,
     log_ratio_summary,
+    log_ratios,
     normal_cdf,
     range_text,
     regularized_incomplete_beta,
@@ -164,30 +168,30 @@ class TestBinBy:
     EDGES = (20, 100, 1000, 5000)
 
     def corpus(self, sizes):
-        return [pm(f"p{i}", classes=s) for i, s in enumerate(sizes)]
+        return metric_columns([pm(f"p{i}", classes=s) for i, s in enumerate(sizes)])
 
     def test_five_bins_from_four_edges(self):
         bins = bin_by(self.corpus([5, 50, 500, 2000, 9000]), "classes", self.EDGES)
         assert len(bins) == 5
-        assert [len(b.projects) for b in bins] == [1, 1, 1, 1, 1]
+        assert [b.column("classes") for b in bins] == [[5], [50], [500], [2000], [9000]]
         assert range_text(bins[0].low, bins[0].high) == "< 20"
         assert range_text(bins[-1].low, bins[-1].high) == ">= 5000"
 
     def test_left_inclusive_boundary(self):
         bins = bin_by(self.corpus([20]), "classes", self.EDGES)
-        assert len(bins[1].projects) == 1  # 20 belongs to [20, 100)
+        assert bins[1].column("classes") == [20]  # 20 belongs to [20, 100)
 
     def test_single_project(self):
         bins = bin_by(self.corpus([42]), "classes", self.EDGES)
-        assert sum(len(b.projects) for b in bins) == 1
+        assert sum(len(b.column("classes")) for b in bins) == 1
 
     def test_empty_corpus_gives_empty_bins(self):
-        bins = bin_by([], "classes", self.EDGES)
-        assert all(not b.projects for b in bins)
+        bins = bin_by(metric_columns([]), "classes", self.EDGES)
+        assert all(not b.column("classes") for b in bins)
 
     def test_edges_must_ascend(self):
         with pytest.raises(ValueError):
-            bin_by([], "classes", (10, 10))
+            bin_by(metric_columns([]), "classes", (10, 10))
 
     # each edge and the size just below it, where an off-by-one bin lookup slips
     AT_EDGES = [e + d for e in EDGES for d in (-1, 0)]
@@ -204,9 +208,9 @@ class TestBinBy:
     def test_partition_property(self, sizes):
         corpus = self.corpus(sizes)
         bins = bin_by(corpus, "classes", self.EDGES)
-        assert sum(len(b.projects) for b in bins) == len(corpus)
+        assert sorted(v for b in bins for v in b.column("classes")) == sorted(sizes)
         for b in bins:
-            assert all(b.low <= p.classes < b.high for p in b.projects), b.label
+            assert all(b.low <= v < b.high for v in b.column("classes")), b.label
 
 
 class TestLogRatioSummary:
@@ -216,14 +220,14 @@ class TestLogRatioSummary:
             pm(f"p{i}", classes=1000, interfaces=round(1000 * math.exp(-1.68)))
             for i in range(4)
         ]
-        bins = bin_by(projects, "classes", (20,))
+        bins = bin_by(metric_columns(projects), "classes", (20,))
         summary = log_ratio_summary(bins[1], "interfaces", "classes")
         assert summary.mean_log == pytest.approx(-1.68, abs=0.01)
         assert summary.mean_linear_pct == pytest.approx(18.6, abs=0.2)
 
     def test_equal_ratios_zero_sd(self):
         projects = [pm(f"p{i}", classes=10, interfaces=5) for i in range(3)]
-        bins = bin_by(projects, "classes", (5,))
+        bins = bin_by(metric_columns(projects), "classes", (5,))
         summary = log_ratio_summary(bins[1], "interfaces", "classes")
         assert summary.sd_log == 0.0
 
@@ -235,7 +239,7 @@ class TestLogRatioSummary:
             pm("a", classes=1000, interfaces=n1),
             pm("b", classes=100000, interfaces=n3),
         ]
-        bins = bin_by(projects, "classes", (5,))
+        bins = bin_by(metric_columns(projects), "classes", (5,))
         summary = log_ratio_summary(bins[1], "interfaces", "classes")
         assert summary.mean_log == pytest.approx(-2.0, abs=0.01)
         assert summary.sd_log == pytest.approx(math.sqrt(2.0), abs=0.01)
@@ -245,13 +249,58 @@ class TestLogRatioSummary:
             pm("a", classes=10, interfaces=0),
             pm("b", classes=10, interfaces=5),
         ]
-        bins = bin_by(projects, "classes", (5,))
+        bins = bin_by(metric_columns(projects), "classes", (5,))
         summary = log_ratio_summary(bins[1], "interfaces", "classes")
         assert summary.excluded_zero_ratio_count == 1
         assert summary.project_count == 1
 
     def test_all_excluded_is_error(self):
         projects = [pm("a", classes=10, interfaces=0)]
-        bins = bin_by(projects, "classes", (5,))
+        bins = bin_by(metric_columns(projects), "classes", (5,))
         with pytest.raises(EmptyBinError):
             log_ratio_summary(bins[1], "interfaces", "classes")
+
+
+class TestAnalyzeBins:
+    EDGES = (20, 100, 1000, 5000)
+
+    @staticmethod
+    def corpus():
+        # sizes across the first four bins, some zero numerators, and one
+        # project alone in the last bin, which enters no Welch test
+        rows = [
+            pm(f"p{i}", classes=c, interfaces=(i * 7919) % (c // 3 + 2))
+            for i, c in enumerate(round(1.2**k) for k in range(1, 47))
+        ]
+        return metric_columns([*rows, pm("big", classes=6000, interfaces=400)])
+
+    @pytest.mark.parametrize("log", [True, False])
+    def test_same_as_the_public_functions_on_each_bin(self, log):
+        corpus = self.corpus()
+        summaries, p_values = analyze_bins(corpus, "classes", self.EDGES, "interfaces", "classes", log)
+        bins = bin_by(corpus, "classes", self.EDGES)
+        series = {b.label: log_ratios(b, "interfaces", "classes", log)[0] for b in bins}
+        assert summaries == [
+            log_ratio_summary(b, "interfaces", "classes") for b in bins if series[b.label]
+        ]
+        tested = [label for label, values in series.items() if len(values) >= 2]
+        assert tested == ["b1", "b2", "b3", "b4"]
+        assert p_values == {
+            (a, b): welch_t_test(series[a], series[b]).p_value
+            for i, a in enumerate(tested)
+            for b in tested[i + 1 :]
+        }
+
+    @pytest.mark.parametrize("log, passes", [(True, 5), (False, 10)])
+    def test_each_bin_is_summed_once(self, monkeypatch, log, passes):
+        calls = []
+
+        def counted(values):
+            calls.append(len(values))
+            return mean_ss(values)
+
+        monkeypatch.setattr(stats, "mean_ss", counted)
+        pipeline.analyze_bins(self.corpus(), "classes", self.EDGES, "interfaces", "classes", log)
+        # one pass over each bin's log ratios, and over its raw ratios when
+        # those are tested; not two per Welch test
+        assert len(calls) == passes

@@ -21,7 +21,8 @@ from javascale.errors import (
     UnsupportedVersionError,
 )
 from javascale.facts import EntityKind, FactRelation, ProjectFacts, RelationKind, SourceEntity
-from javascale.metrics import METRIC_COLUMNS, ProjectMetrics, compute_metrics
+from javascale.metrics import METRIC_COLUMNS, ProjectMetrics, compute_metrics, metric_columns
+from javascale import store
 from javascale.store import (
     FactsArchive,
     _project_payload,
@@ -32,6 +33,7 @@ from javascale.store import (
     write_facts,
 )
 
+import metrics_table_reference as reference
 from conftest import assert_measured_alike
 
 # entities and relations hold one array per field: (entity_id, fqn, kind,
@@ -476,10 +478,198 @@ class TestMetricsTable:
         path = tmp_path / "m.csv"
         export_metrics_table(fixture_corpus, path)
         loaded = read_metrics_table(path)
-        assert loaded == sorted(fixture_corpus, key=lambda pm: pm.project_id)
+        assert loaded == metric_columns(sorted(fixture_corpus, key=lambda pm: pm.project_id))
 
     def test_read_rejects_bad_header(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("nope,nope\n1,2\n")
         with pytest.raises(ArchiveIntegrityError):
             read_metrics_table(path)
+
+
+# ---------------------------------------------------------------------------
+# The column reader against the frozen row reader
+# ---------------------------------------------------------------------------
+
+
+def _read_both(path: Path) -> list:
+    """What each metrics-table reader gives: its columns, or the type and
+    message of what it raised."""
+    results = []
+    for read in (read_metrics_table, lambda p: metric_columns(reference.read_metrics_table(p))):
+        try:
+            results.append(read(path))
+        except Exception as exc:  # any difference, whatever it is, fails the test
+            results.append((type(exc), str(exc)))
+    return results
+
+
+# two rows that meet every invariant; the cells after the id are counts
+_A = "a,10,3,1,4,20,2,30,1,2,1,1,6,2,3,1,4"
+_B = "b,100,30,10,40,200,20,300,10,20,10,10,60,20,30,10,40"
+_GOOD = f"{_HEADER}\n{_A}\n{_B}\n"
+
+
+def _cell(row: str, index: int, text: str) -> str:
+    """``row`` with its cell ``index`` (0 is the id) replaced by ``text``."""
+    cells = row.split(",")
+    cells[index] = text
+    return ",".join(cells)
+
+
+# valid tables that export_metrics_table does not write, then faults that a
+# total cell count alone would miss
+OTHER_TABLES = [
+    pytest.param(_GOOD, id="canonical"),
+    pytest.param(f"{_HEADER}\n", id="header-only"),
+    pytest.param(f"{_HEADER}\n{_cell(_A, 1, '007')}\n", id="leading-zeros"),
+    pytest.param(f"{_HEADER}\n{_cell(_A, 1, '+10')}\n", id="plus"),
+    pytest.param(f"{_HEADER}\n{_cell(_A, 1, ' 10')}\n", id="space"),
+    pytest.param(f"{_HEADER}\n{_cell(_A, 1, '10 ')}\n", id="trailing-space"),
+    pytest.param(f"{_HEADER}\n{_cell(_A, 1, '1_0')}\n", id="underscore"),
+    pytest.param(f"{_HEADER}\n{_cell(_A, 1, chr(0xFF11) + chr(0xFF10))}\n", id="fullwidth-digits"),
+    pytest.param(_GOOD.replace("\n", "\r\n"), id="crlf"),
+    pytest.param(_GOOD.replace("\n", "\r"), id="cr"),
+    pytest.param(f"{_HEADER}\n\n{_A}\n", id="blank-line"),
+    pytest.param(f"{_HEADER}\n{_A}\n \t\n{_B}\n", id="whitespace-line"),
+    pytest.param(_GOOD[:-1], id="no-final-newline"),
+    pytest.param(chr(0xFEFF) + _GOOD, id="byte-order-mark"),
+    pytest.param(f"{_HEADER}\n{_cell(_A, 0, 'é')}\n", id="non-ascii-id"),
+    pytest.param(f"{_HEADER}\n{_cell(_A, 0, 'a b')}\n", id="id-with-space"),
+    pytest.param(f"{_HEADER}\n{_cell(_A, 0, '')}\n", id="empty-id"),
+    pytest.param(f"{_HEADER}\n{_cell(_A, 0, 'a' + chr(0x85) + 'b')}\n", id="id-with-nel"),
+    pytest.param(f"{_HEADER}\n{_cell(_A, 0, 'a' + chr(0x2028) + 'b')}\n", id="id-with-u2028"),
+    pytest.param(f"{_HEADER}\n{_cell(_A, 0, 'a' + chr(0xA0) + 'b')}\n", id="id-with-nbsp"),
+    pytest.param(f"{_HEADER}\n{_cell(_A, 0, 'a' + chr(0x0C) + 'b')}\n", id="id-with-form-feed"),
+    pytest.param(f"{_HEADER}\n{_A[:-2]}\n{_B},40,40\n", id="16-cells-then-18"),
+    pytest.param(f"{_HEADER}\n{_cell(_A, 5, '20.0')}\n", id="float"),
+    pytest.param(f"{_HEADER}\n{_cell(_A, 5, '-1')}\n", id="negative"),
+    pytest.param(f"{_HEADER}\n{_cell(_A, 5, '2e1')}\n", id="exponent"),
+    pytest.param(f"{_HEADER}\n{_cell(_A, 5, '')}\n", id="empty-cell"),
+    pytest.param(f"{_HEADER}\n{_cell(_A, 5, '9' * 5000)}\n", id="past-int-digit-limit"),
+    pytest.param(f"{_HEADER}\n{_cell(_A, 4, '5')}\n", id="modules"),
+    pytest.param(f"{_HEADER}\n{_cell(_A, 10, '4')}\n", id="dui"),
+    pytest.param(f"{_HEADER}\n{_A}\n{_B}\n{_A}\n", id="duplicate"),
+]
+
+
+@pytest.mark.parametrize(
+    "text", [*(pytest.param(p.values[0], id=f"bad-{p.id}") for p in BAD_TABLES), *OTHER_TABLES]
+)
+def test_column_reader_agrees_with_row_reader(tmp_path, text):
+    path = tmp_path / "m.csv"
+    _write(path, text)
+    new, old = _read_both(path)
+    assert new == old
+
+
+def test_canonical_table_is_parsed_in_bulk(fixture_corpus, tmp_path):
+    path = tmp_path / "m.csv"
+    export_metrics_table(fixture_corpus, path)
+    text = path.read_text(encoding="utf-8")
+    expected = metric_columns(reference.read_metrics_table(path))
+    assert store._canonical_columns(text) == expected
+    assert store._canonical_columns(text.replace("\n", "\r\n")) is None
+
+
+@st.composite
+def _metric_rows(draw) -> list[ProjectMetrics]:
+    """Rows that meet every invariant, under distinct ids with no comma."""
+    ids = draw(
+        st.lists(
+            st.text(st.characters(blacklist_characters=",", blacklist_categories=["Cs"]),
+                    min_size=1, max_size=4),
+            min_size=1, max_size=6, unique=True,
+        )
+    )
+    count = st.integers(0, 10**6)
+    rows = []
+    for pid in ids:
+        classes, interfaces, internal, jdk, external = (draw(count) for _ in range(5))
+        rows.append(
+            ProjectMetrics(
+                pid, draw(count), classes, interfaces, classes + interfaces, draw(count),
+                draw(count), draw(count), draw(count), draw(count),
+                draw(st.integers(0, classes)), draw(st.integers(0, classes)),
+                internal + jdk + external, internal, jdk, external, jdk + external,
+            )
+        )
+    return rows
+
+
+def _edit_cell(change):
+    """An edit of one cell of one row, both chosen by ``k``."""
+
+    def edit(text: str, k: int) -> str:
+        lines = text.split("\n")
+        row = 1 + k % max(len(lines) - 2, 1)
+        cells = lines[row].split(",")
+        if len(cells) > 1:
+            index = 1 + k // 7 % (len(cells) - 1)
+            cells[index] = change(cells[index])
+            lines[row] = ",".join(cells)
+        return "\n".join(lines)
+
+    return edit
+
+
+def _move_cell(text: str, k: int) -> str:
+    """The last cell of one row moved to the end of another."""
+    lines = text.split("\n")
+    a, b = 1 + k % max(len(lines) - 2, 1), 1 + k // 5 % max(len(lines) - 2, 1)
+    head, _, tail = lines[a].rpartition(",")
+    lines[a] = head
+    lines[b] += "," + tail
+    return "\n".join(lines)
+
+
+def _insert_line(line: str):
+    def edit(text: str, k: int) -> str:
+        lines = text.split("\n")
+        lines.insert(1 + k % (len(lines) - 1), line)
+        return "\n".join(lines)
+
+    return edit
+
+
+def _edit_id(change):
+    def edit(text: str, k: int) -> str:
+        lines = text.split("\n")
+        row = 1 + k % max(len(lines) - 2, 1)
+        lines[row] = change(lines[row], lines[1 + k // 3 % max(len(lines) - 2, 1)])
+        return "\n".join(lines)
+
+    return edit
+
+
+TABLE_EDITS = {
+    "none": lambda text, k: text,
+    "leading zero": _edit_cell(lambda c: "0" + c),
+    "plus": _edit_cell(lambda c: "+" + c),
+    "space": _edit_cell(lambda c: " " + c),
+    "float": _edit_cell(lambda c: c + ".0"),
+    "negative": _edit_cell(lambda c: "-" + c),
+    "plus one": _edit_cell(lambda c: str(int(c) + 1) if c.isdigit() else c),
+    "empty cell": _edit_cell(lambda c: ""),
+    "moved cell": _move_cell,
+    "crlf": lambda text, k: text.replace("\n", "\r\n"),
+    "blank line": _insert_line(""),
+    "whitespace line": _insert_line(" \t"),
+    "no final newline": lambda text, k: text[:-1],
+    "non-ascii id": _edit_id(lambda row, other: "é" + row),
+    "nel in id": _edit_id(lambda row, other: chr(0x85) + row),
+    "duplicate id": _edit_id(
+        lambda row, other: other.partition(",")[0] + "," + row.partition(",")[2]
+    ),
+}
+
+
+@given(_metric_rows(), st.sampled_from(sorted(TABLE_EDITS)), st.integers(0, 10**6))
+@settings(max_examples=300, deadline=None)
+def test_readers_agree_on_edited_exports(rows, edit, k):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "m.csv")
+        export_metrics_table(rows, path)
+        _write(path, TABLE_EDITS[edit](path.read_text(encoding="utf-8"), k))
+        new, old = _read_both(path)
+    assert new == old
