@@ -12,29 +12,25 @@ from pathlib import Path
 
 from .errors import DataError, EmptyCorpusError, UsageError
 from .metrics import DEFAULT_JDK_PREFIXES
-from .normalize import decorrelation_report, normalize_corpus
 from .pipeline import (
     GridCell,
     _series,
-    analyze_bins,
-    evaluate_grid,
+    bin_stage,
+    check_grid,
     extract_facts,
     fit_grid,
+    fit_stage,
     load_config,
     load_json,
     measure_archive,
+    normalize_stage,
     parse_grid,
     render_run_report,
     run_pipeline,
+    validate_stage,
 )
 from .regression import fit_log_power, fit_robust_log_power
-from .report import (
-    normalized_csv,
-    render_bin_report,
-    render_fit_table,
-    render_nrmse_table,
-    render_welch_matrix,
-)
+from .report import render_fit_table
 from .store import export_metrics_table, read_metrics_table
 from .synth import SynthSpec, generate_metrics
 
@@ -158,29 +154,21 @@ def cmd_bins(args) -> int:
         edges = [float(e) for e in args.edges.split(",") if e.strip()]
     except ValueError as exc:
         raise UsageError(f"--edges must be comma-separated numbers: {exc}") from exc
-    summaries, p_values = analyze_bins(
-        corpus,
-        args.bin_metric or den,
-        edges,
-        num,
-        den,
-        log=not args.linear_ratios,
-    )
-    print(render_bin_report(summaries, num, den), end="")
-    print(render_welch_matrix([s.label for s in summaries], p_values), end="")
+    files = bin_stage(corpus, args.bin_metric or den, edges, num, den, not args.linear_ratios)
+    print(files["bin_report.txt"] + files["welch_matrix.txt"], end="")
     return 0
 
 
 def cmd_validate(args) -> int:
-    corpus = read_metrics_table(args.metrics)
     grid_data = load_json(args.grid, "grid config")
     cells, testsets = parse_grid(grid_data, None, [])
     space = grid_data.get("space", "log")
-    fitted = fit_grid(corpus, cells)
-    print(render_fit_table([(mid, fit) for mid, fit, _ in fitted]), end="")
+    check_grid(cells, testsets, space)
+    corpus = read_metrics_table(args.metrics)
+    files, fitted = fit_stage(corpus, cells)
     if testsets:
-        evals = evaluate_grid(corpus, fitted, testsets, space)
-        print(render_nrmse_table(evals, [t.name for t in testsets]), end="")
+        files.update(validate_stage(corpus, fitted, testsets, space))
+    print(files["fit_table.txt"] + files.get("nrmse_table.txt", ""), end="")
     return 0
 
 
@@ -196,21 +184,15 @@ def cmd_normalize(args) -> int:
             beta = float(args.beta)
         except ValueError as exc:
             raise UsageError("--beta must be a number or 'auto'") from exc
-    normalized = normalize_corpus(corpus, args.num, args.den, beta)
-    text = normalized_csv(normalized)
+    files = normalize_stage(corpus, args.num, args.den, beta)
+    text = files["normalized.csv"]
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
-        print(f"wrote {len(normalized.project_id)} normalized row(s) -> {args.output}")
+        rows = text.count("\n") - 1  # less the header
+        print(f"wrote {rows} normalized row(s) -> {args.output}")
     else:
         print(text, end="")
-    try:
-        deco = decorrelation_report(corpus, args.num, args.den, beta)
-        print(
-            f"pearson_log={deco.pearson_log:.4f} spearman={deco.spearman:.4f} "
-            f"decorrelated={deco.decorrelated}"
-        )
-    except DataError as exc:
-        print(f"decorrelation unavailable: {exc}")
+    print(files["decorrelation.txt"], end="")
     return 0
 
 

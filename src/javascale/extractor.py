@@ -148,6 +148,11 @@ _DECL_BOUNDARY_WORDS = frozenset(["final", "else", "do"])
 _DECL_TERMINATORS = frozenset(["=", ";", ",", ":", ")"])
 
 
+def _member_ref(tok: Tok) -> bool:
+    """Whether ``tok`` can follow ``::``: an identifier, or ``new``."""
+    return tok.kind == "word" and (tok.text == "new" or tok.text not in KEYWORDS)
+
+
 # ---------------------------------------------------------------------------
 # Parse tree (per file)
 # ---------------------------------------------------------------------------
@@ -1282,7 +1287,7 @@ class _Emitter:
         if nxt is None or i + 2 >= n or toks[i + 2].kind != "word":
             return i + 1
         name = toks[i + 2].text
-        if nxt.text == "::":
+        if nxt.text == "::" and _member_ref(toks[i + 2]):
             if name == "new":
                 self.emit(RelationKind.INSTANTIATES, self._call_target(own.fqn, [], "<init>"))
             elif target is not None:
@@ -1385,7 +1390,7 @@ class _Emitter:
         if after is not None and after.text == "(":
             self._emit_call(segs)
             return j
-        if after is not None and after.text == "::" and j + 1 < n and toks[j + 1].kind == "word":
+        if after is not None and after.text == "::" and j + 1 < n and _member_ref(toks[j + 1]):
             ref_name = toks[j + 1].text
             if ref_name == "new":
                 written = ".".join(segs)

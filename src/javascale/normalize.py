@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import truediv
-from typing import Iterator
 
 from .errors import InsufficientDataError, OutOfRangeError
 from .metrics import MetricColumns
@@ -67,16 +66,27 @@ def beta_normalize(numerator: float, denominator: float, beta: float) -> float:
     """Size-adjusted ratio: numerator / denominator**beta."""
     if denominator < 1:
         raise ValueError("denominator must be at least 1")
+    [value] = _normalized([numerator], [denominator], beta)
+    return value
+
+
+def _normalized(nums: list[int], dens: list[int], beta: float) -> list[float]:
+    """``num / den**beta`` of each pair, denominators at least 1, beta checked
+    once if there is a pair.  A power that overflows or underflows to 0, or
+    a value that overflows, is an ``OutOfRangeError`` naming beta."""
+    if not dens:
+        return []
     _check_beta(beta)
-    return numerator / denominator**beta
-
-
-def _normalized(nums: list[int], dens: list[int], beta: float) -> Iterator[float]:
-    """``beta_normalize`` of each pair, denominators at least 1, beta checked
-    once if there is a pair."""
-    if dens:
-        _check_beta(beta)
-    return map(truediv, nums, map(pow, dens, repeat(beta)))
+    try:
+        values = list(map(truediv, nums, map(pow, dens, repeat(beta))))
+    except (OverflowError, ZeroDivisionError):
+        values = [math.inf]
+    if math.inf in values:
+        raise OutOfRangeError(
+            f"beta {beta!r} is out of range: size**beta or a normalized value"
+            " leaves the float range"
+        )
+    return values
 
 
 def normalize_corpus(
@@ -95,7 +105,7 @@ def normalize_corpus(
         beta=beta,
         project_id=list(compress(corpus.project_id, keep)),
         raw_ratio=list(map(truediv, nums, dens)),
-        value=list(_normalized(nums, dens, beta)),
+        value=_normalized(nums, dens, beta),
     )
 
 

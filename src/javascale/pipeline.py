@@ -79,6 +79,10 @@ class GridCell:
         return f"[{lo:g},{hi_text})"
 
 
+# each grid model's id, fit and cell, in grid order
+Fitted = list[tuple[str, FitResult, GridCell]]
+
+
 @dataclass(frozen=True)
 class EvalSet:
     name: str
@@ -126,37 +130,37 @@ class RunConfig:
         prefixes = self.jdk_prefixes
         if not (isinstance(prefixes, tuple) and all(isinstance(p, str) for p in prefixes)):
             raise UsageError(f"jdk_prefixes must be a list of strings, not {prefixes!r}")
-        names = [
-            self.bin_numerator,
-            self.bin_denominator,
-            self.bin_metric,
-            self.normalize_numerator,
-            self.normalize_denominator,
-        ]
-        for cell in self.model_grid:
-            names += [cell.y_metric, cell.x_metric]
-        for ts in self.testsets:
-            names.append(ts.metric)
-        unknown = sorted(set(n for n in names if n not in METRIC_NAMES))
-        if unknown:
-            raise UsageError(f"config references unknown metrics: {unknown}")
-        ids = [c.model_id for c in self.model_grid]
-        if len(ids) != len(set(ids)):
-            raise UsageError("model grid ids must be unique")
-        # each stage's own argument rules, run on empty input so that an
-        # out-of-range value fails before any stage runs
-        empty = metric_columns([])
-        for cell in self.model_grid:
-            _transform([], [], cell.k, False)
-            _series(empty, cell)
-        for ts in self.testsets:
-            filter_by_size(empty, ts.metric, ts.low, ts.high)
-        bin_by(empty, self.bin_metric, self.bin_edges)
-        evaluate_grid(empty, [], [], self.nrmse_space)
+        _check_metrics(self.bin_numerator, self.bin_denominator, self.bin_metric,
+                       self.normalize_numerator, self.normalize_denominator)
+        check_grid(self.model_grid, self.testsets, self.nrmse_space)
+        bin_by(metric_columns([]), self.bin_metric, self.bin_edges)
         if self.normalize_beta != "auto":
             beta_normalize(1, 1, self.normalize_beta)
-        elif self.normalize_model not in ids:
+        elif self.normalize_model not in [c.model_id for c in self.model_grid]:
             raise UsageError(f"normalize model {self.normalize_model!r} not in the grid")
+
+
+def _check_metrics(*names: str) -> None:
+    unknown = sorted(set(n for n in names if n not in METRIC_NAMES))
+    if unknown:
+        raise UsageError(f"config references unknown metrics: {unknown}")
+
+
+def check_grid(models: list[GridCell], testsets: list[EvalSet], space: str) -> None:
+    """Raise ``UsageError`` unless the model grid and test sets are sound:
+    known metrics, unique model ids, each model's k and subset, each test
+    set's range and the NRMSE ``space``.  Each stage's own argument rules
+    run on empty input, so a bad value fails before any stage runs."""
+    _check_metrics(*[n for c in models for n in (c.y_metric, c.x_metric)],
+                   *[ts.metric for ts in testsets])
+    ids = [cell.model_id for cell in models]
+    if len(ids) != len(set(ids)):
+        raise UsageError("model grid ids must be unique")
+    empty = metric_columns([])
+    for cell in models:
+        _transform([], [], cell.k, False)
+        _series(empty, cell)
+    evaluate_grid(empty, [], testsets, space)
 
 
 def _range(value) -> tuple[float, float]:
@@ -264,9 +268,7 @@ def _series(corpus: MetricColumns, cell: GridCell) -> tuple[list[int], list[int]
     return list(compress(xs, keep)), list(compress(ys, keep))
 
 
-def fit_grid(
-    corpus: MetricColumns, grid: list[GridCell]
-) -> list[tuple[str, FitResult, GridCell]]:
+def fit_grid(corpus: MetricColumns, grid: list[GridCell]) -> Fitted:
     out = []
     for cell in grid:
         xs, ys = _series(corpus, cell)
@@ -280,10 +282,7 @@ def fit_grid(
 
 
 def evaluate_grid(
-    corpus: MetricColumns,
-    fitted: list[tuple[str, FitResult, GridCell]],
-    testsets: list[EvalSet],
-    space: str = "log",
+    corpus: MetricColumns, fitted: Fitted, testsets: list[EvalSet], space: str = "log"
 ) -> list[ModelEval]:
     if space not in ("log", "linear"):
         raise UsageError(f"unknown NRMSE space {space!r}")
@@ -317,6 +316,54 @@ def evaluate_grid(
             )
         )
     return evals
+
+
+def fit_stage(table: MetricColumns, grid: list[GridCell]) -> tuple[dict[str, str], Fitted]:
+    """The ``fits`` stage's tables, and each model's fit."""
+    fitted = fit_grid(table, grid)
+    rows = [(model_id, fit) for model_id, fit, _ in fitted]
+    return {"fits.csv": fits_csv(rows), "fit_table.txt": render_fit_table(rows)}, fitted
+
+
+def bin_stage(
+    table: MetricColumns, bin_metric: str, edges, num: str, den: str, log: bool = True
+) -> dict[str, str]:
+    """The ``bins`` stage's files: each bin's ``num/den`` ratio and the Welch
+    tests between bins, on log ratios unless ``log`` is false."""
+    summaries, p_values = analyze_bins(table, bin_metric, edges, num, den, log=log)
+    return {
+        "bins.csv": bins_csv(summaries),
+        "bin_report.txt": render_bin_report(summaries, num, den),
+        "welch_matrix.csv": welch_csv(p_values),
+        "welch_matrix.txt": render_welch_matrix([s.label for s in summaries], p_values),
+    }
+
+
+def validate_stage(
+    table: MetricColumns, fitted: Fitted, testsets: list[EvalSet], space: str
+) -> dict[str, str]:
+    """The ``validate`` stage's files: each fitted model's NRMSE per test set."""
+    evals = evaluate_grid(table, fitted, testsets, space)
+    names = [ts.name for ts in testsets]
+    return {
+        "nrmse.csv": nrmse_csv(evals, names),
+        "nrmse_table.txt": render_nrmse_table(evals, names),
+    }
+
+
+def normalize_stage(table: MetricColumns, num: str, den: str, beta: float) -> dict[str, str]:
+    """The ``normalize`` stage's files: ``num / den**beta`` per project, and
+    the decorrelation check on one line."""
+    normalized = normalized_csv(normalize_corpus(table, num, den, beta))
+    try:
+        deco = decorrelation_report(table, num, den, beta)
+        deco_text = (
+            f"beta={deco.beta!r} n={deco.n} pearson_log={deco.pearson_log!r} "
+            f"spearman={deco.spearman!r} decorrelated={deco.decorrelated}\n"
+        )
+    except DataError as exc:
+        deco_text = f"decorrelation unavailable: {exc}\n"
+    return {"normalized.csv": normalized, "decorrelation.txt": deco_text}
 
 
 def _measure_project(
@@ -434,55 +481,23 @@ def run_pipeline(config: RunConfig) -> RunResult:
         table = metric_columns(corpus)
         done("metrics", {})
 
-        fitted = fit_grid(table, config.model_grid)
-        fit_rows = [(model_id, fit) for model_id, fit, _ in fitted]
-        files = {"fits.csv": fits_csv(fit_rows), "fit_table.txt": render_fit_table(fit_rows)}
+        files, fitted = fit_stage(table, config.model_grid)
         for model_id, fit, cell in fitted:
             if not fit.robust:
                 diag = diagnostics(fit, *_series(table, cell))
                 files[f"diagnostics/{model_id}.csv"] = diagnostics_csv(diag)
         done("fits", files)
 
-        num, den = config.bin_numerator, config.bin_denominator
-        summaries, p_values = analyze_bins(table, config.bin_metric, config.bin_edges, num, den)
-        labels = [s.label for s in summaries]
-        done(
-            "bins",
-            {
-                "bins.csv": bins_csv(summaries),
-                "bin_report.txt": render_bin_report(summaries, num, den),
-                "welch_matrix.csv": welch_csv(p_values),
-                "welch_matrix.txt": render_welch_matrix(labels, p_values),
-            },
-        )
+        bins = config.bin_metric, config.bin_edges, config.bin_numerator, config.bin_denominator
+        done("bins", bin_stage(table, *bins))
+        done("validate", validate_stage(table, fitted, config.testsets, config.nrmse_space))
 
-        evals = evaluate_grid(table, fitted, config.testsets, config.nrmse_space)
-        names = [ts.name for ts in config.testsets]
-        done(
-            "validate",
-            {
-                "nrmse.csv": nrmse_csv(evals, names),
-                "nrmse_table.txt": render_nrmse_table(evals, names),
-            },
-        )
-
-        num, den = config.normalize_numerator, config.normalize_denominator
+        fit_rows = [(model_id, fit) for model_id, fit, _ in fitted]
         beta = config.normalize_beta
         if beta == "auto":
             beta = dict(fit_rows)[config.normalize_model].beta
-        normalized = normalized_csv(normalize_corpus(table, num, den, beta))
-        try:
-            deco = decorrelation_report(table, num, den, beta)
-            deco_text = (
-                f"beta {deco.beta!r}\n"
-                f"n {deco.n}\n"
-                f"pearson_log {deco.pearson_log!r}\n"
-                f"spearman {deco.spearman!r}\n"
-                f"decorrelated {deco.decorrelated}\n"
-            )
-        except DataError as exc:
-            deco_text = f"decorrelation unavailable: {exc}\n"
-        done("normalize", {"normalized.csv": normalized, "decorrelation.txt": deco_text})
+        num, den = config.normalize_numerator, config.normalize_denominator
+        done("normalize", normalize_stage(table, num, den, beta))
 
         write_manifest(out)
         done("done", {})

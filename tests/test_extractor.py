@@ -798,6 +798,44 @@ class TestRelationCharacterization:
         assert "p.Holder.held HOLDS 'Foo'" in lines
         assert "p.Holder.go USES 'Foo'" in lines
 
+    def test_keyword_after_double_colon_names_no_member(self, tmp_path):
+        # Only an identifier or `new` may follow `::`.  The mutated corpora
+        # hold `Shape:: enum compareTo`; a keyword is no member name, and the
+        # `enum` there starts a local type.
+        write_project(
+            tmp_path,
+            {
+                "e/Shape.java": """
+                package e;
+                import java.util.List;
+                class Shape extends Base {
+                    void go(List<Shape> out) {
+                        out.sort(Shape:: enum compareTo);
+                    }
+                    void mine() {
+                        Runnable r = this:: switch;
+                        Runnable s = super:: for;
+                        Runnable t = Shape:: new;
+                        Runnable u = super:: hashCode;
+                    }
+                }
+                """
+            },
+        )
+        lines = rel_lines(extract_project(tmp_path, "e"))
+        assert [line for line in lines if line.startswith(("e.Shape.go ", "e.Shape.mine "))] == [
+            "e.Shape.go USES 'java.util.List'",
+            "e.Shape.go USES e.Shape",
+            "e.Shape.go CALLS 'java.util.List.sort'",
+            "e.Shape.go USES e.Shape",
+            "e.Shape.mine USES 'java.lang.Runnable'",
+            "e.Shape.mine USES 'java.lang.Runnable'",
+            "e.Shape.mine USES 'java.lang.Runnable'",
+            "e.Shape.mine INSTANTIATES 'e.Shape.<init>'",
+            "e.Shape.mine USES 'java.lang.Runnable'",
+            "e.Shape.mine CALLS 'Base.hashCode'",
+        ]
+
     def test_single_wildcard_guess_only_for_capitalised_names(self, tmp_path):
         write_project(
             tmp_path,

@@ -2,7 +2,11 @@ import math
 
 import pytest
 
-from javascale.errors import InsufficientDataError, UndefinedCorrelationError
+from javascale.errors import (
+    InsufficientDataError,
+    OutOfRangeError,
+    UndefinedCorrelationError,
+)
 from javascale.metrics import ProjectMetrics, metric_columns
 from javascale.normalize import (
     beta_normalize,
@@ -46,6 +50,13 @@ class TestBetaNormalize:
     def test_rejects_non_finite_beta(self):
         with pytest.raises(ValueError):
             beta_normalize(5, 5, math.inf)
+
+    # 5000**1000 overflows, 5000**-1000 underflows to 0, and 5000 / 5000**-84
+    # overflows
+    @pytest.mark.parametrize("num, beta", [(1, 1000.0), (1, -1000.0), (5000, -84.0)])
+    def test_rejects_beta_out_of_float_range(self, num, beta):
+        with pytest.raises(OutOfRangeError, match=f"^beta {beta!r} is out of range"):
+            beta_normalize(num, 5000, beta)
 
 
 class TestNormalizeCorpus:

@@ -100,7 +100,7 @@ STATS_COMMANDS = {
 STATS_SHA256 = {
     "validate": "1a069c3bd5fe4346880dfb6494d938eefde6c594724b708ac3ac580eb152bde0",
     "bins": "4ad05d3394d0f65c5e26d60e572421097f331f42f2b8e23ed94263d4d6bce84d",
-    "normalize": "4772725ba0e73d1776c39e36a091e971114458c822fe5d7b0ea4be9f5b55c087",
+    "normalize": "032da628e31d816eab1838718e90feb266f4f367a0e6d36bc51484a93929d74b",
     "normalized.csv": "6457bbb537ee210cfb4965153b44829bbf78d1aaaf657e77276eb729f9720059",
 }
 
@@ -113,6 +113,14 @@ MALFORMED_GRIDS = [
     {"models": [{"id": "m1", "y": "methods", "x": "classes"}],
      "testsets": [{"name": "all", "metric": "classes", "range": [0, None]}],
      "space": "cubic", "nrmse_space": "cubic"},
+    # checked before the fit table is printed, and without test sets
+    {"models": [{"id": "m1", "y": "methods", "x": "classes"}],
+     "space": "bogus", "nrmse_space": "bogus"},
+    {"models": [{"id": "m1", "y": "methods", "x": "classes"},
+                {"id": "m1", "y": "methods", "x": "classes", "k": 2}]},
+    {"models": [{"id": "m1", "y": "methods", "x": "classes"}],
+     "testsets": [{"name": "all", "metric": "classes", "range": [5, 1]}]},
+    {"models": [{"id": "m1", "y": "bogus", "x": "classes"}]},
 ]
 
 _SPEC = {"n_projects": 5, "x_range": [1, 100], "alpha": 1.0, "beta": 1.0}
@@ -302,12 +310,42 @@ class TestRunPipeline:
         out = run_pipeline(load_config(java_corpus_config(tmp_path))).out_dir
         fits = (out / "fits.csv").read_text().splitlines()
         beta_text = dict(zip(fits[0].split(","), fits[1].split(",")))["beta"]
-        deco = (out / "decorrelation.txt").read_text().splitlines()
-        keys, values = zip(*(line.split(" ") for line in deco))
+        [deco] = (out / "decorrelation.txt").read_text().splitlines()
+        keys, values = zip(*(field.split("=") for field in deco.split(" ")))
         assert keys == ("beta", "n", "pearson_log", "spearman", "decorrelated")
         assert values[:2] == (beta_text, "12")
         assert all(-1.0 <= float(v) <= 1.0 for v in values[2:4])
         assert values[4] in ("True", "False")
+
+    def test_statistics_commands_print_the_stage_files(self, tmp_path, capsys):
+        """Each statistics command prints the files its pipeline stage
+        writes, so each text has one renderer."""
+        path = java_corpus_config(tmp_path)
+        cfg = {**json.loads(path.read_text()), "bin_ratio": ["methods", "classes"]}
+        path.write_text(json.dumps(cfg))
+        out = run_pipeline(load_config(path)).out_dir
+        fits = (out / "fits.csv").read_text().splitlines()
+        beta_text = dict(zip(fits[0].split(","), fits[1].split(",")))["beta"]
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"models": cfg["models"], "testsets": cfg["testsets"]}))
+        table = str(out / "metrics.csv")
+        normalize = ["normalize", table, "--num", "methods", "--den", "classes",
+                     "--beta", beta_text]
+        edges = ",".join(map(str, cfg["bin_edges"]))
+        for argv, files in [
+            (["validate", table, "--grid", str(grid)], ["fit_table.txt", "nrmse_table.txt"]),
+            (["bins", table, "--ratio", "methods/classes", "--edges", edges],
+             ["bin_report.txt", "welch_matrix.txt"]),
+            (normalize, ["normalized.csv", "decorrelation.txt"]),
+        ]:
+            capsys.readouterr()
+            assert main(argv) == 0, argv[0]
+            expected = "".join((out / name).read_text() for name in files)
+            assert capsys.readouterr().out == expected, argv[0]
+        written = tmp_path / "normalized.csv"
+        assert main(normalize + ["-o", str(written)]) == 0
+        assert written.read_bytes() == (out / "normalized.csv").read_bytes()
+        assert "decorrelation unavailable" not in (out / "decorrelation.txt").read_text()
 
     def test_report_renders_from_stored_tables(self, tmp_path):
         result = run_pipeline(load_config(fixture_config(tmp_path)))
@@ -731,15 +769,48 @@ class TestCli:
             "decorrelation check needs >= 10 usable projects, have 9"
         )
 
+    # on the CI synth table, whose classes reach 5,000: 5000**1000 overflows,
+    # 5000**-88 and 5000**-1000 underflow to 0, and 5000**-84 is so small
+    # that some normalized values overflow
+    @pytest.mark.parametrize("beta", ["1000", "-88", "-1000", "-84"])
+    def test_normalize_beta_out_of_float_range_is_usage_error(self, tmp_path, capsys, beta):
+        spec, table, out_csv = tmp_path / "spec.json", tmp_path / "t.csv", tmp_path / "n.csv"
+        spec.write_text(json.dumps(STATS_SPEC))
+        assert self.run("synth", "--spec", str(spec), "-o", str(table)) == 0
+        capsys.readouterr()
+        argv = [str(table) if a == "TABLE" else a for a in _NORMALIZE]
+        assert self.run(*argv, f"--beta={beta}", "-o", str(out_csv)) == 1
+        assert capsys.readouterr() == ("", (
+            f"usage error: beta {float(beta)!r} is out of range: "
+            "size**beta or a normalized value leaves the float range\n"
+        ))
+        assert not out_csv.exists()
+
+    # the fixture projects have up to 3 classes: 3**1000 overflows and
+    # 3**-1000 underflows to 0
+    @pytest.mark.parametrize("beta", [1000, -1000])
+    def test_pipeline_beta_out_of_float_range_fails_the_run(self, tmp_path, capsys, beta):
+        cfg = fixture_config(tmp_path)
+        data = json.loads(cfg.read_text())
+        data["normalize"] = {"num": "methods", "den": "classes", "beta": beta}
+        cfg.write_text(json.dumps(data))
+        assert self.run("pipeline", str(cfg)) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: beta {float(beta)!r} ")
+        out = Path(data["out_dir"])
+        assert (out / "STATUS").read_text() == "".join(f"{s}\n" for s in STAGES[:5]) + "FAILED\n"
+        assert not (out / "normalized.csv").exists()
+
     @pytest.mark.parametrize("grid", MALFORMED_GRIDS)
     def test_malformed_grid_is_usage_error(self, tmp_path, fixture_table, capsys, grid):
         grid_path = tmp_path / "grid.json"
         grid_path.write_text(json.dumps(grid))
         assert self.run("validate", str(fixture_table), "--grid", str(grid_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage error: ")
         cfg = fixture_config(tmp_path)
         cfg.write_text(json.dumps({**json.loads(cfg.read_text()), **grid}))
         assert self.run("pipeline", str(cfg)) == 1
-        assert capsys.readouterr().err.count("usage error: ") == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
 
     @pytest.mark.parametrize("command, data", MALFORMED_CONFIGS)
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, command, data):
