@@ -39,7 +39,9 @@ from __future__ import annotations
 
 import logging
 import os
+from array import array
 from dataclasses import dataclass, field
+from itertools import compress, count
 from pathlib import Path
 from typing import NamedTuple
 
@@ -51,9 +53,10 @@ from .facts import (
     RelationKind,
     SourceEntity,
 )
-# ``tokenize`` is not called here; the benchmark's tracer (bench/worker.py)
-# looks it up in this module, with ``count_sloc`` and the public functions
-from .javalex import ASSIGN_OPS, KEYWORDS, PRIMITIVES, Tok, count_sloc, lex, tokenize
+# ``tokenize`` is not called here, but the benchmark's tracer
+# (bench/worker.py) wraps it and ``count_sloc`` under these names, with
+# ``parse_java_file`` and ``extract_project``
+from .javalex import ASSIGN_OPS, KEYWORDS, PRIMITIVES, count_sloc, lex, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -114,21 +117,14 @@ _TYPE_KEYWORDS = frozenset(["class", "interface", "enum"])
 _TYPE_KEYWORD_TEXTS = _TYPE_KEYWORDS | {"record"}  # the texts _type_keyword accepts
 
 
-def _type_keyword(toks: list[Tok], i: int, end: int) -> str | None:
-    """The kind of type declared from ``toks[i]`` on, if it starts one:
+def _type_keyword(texts: list[str], kinds: str, i: int, end: int) -> str | None:
+    """The kind of type declared from token ``i`` on, if it starts one:
     ``class``, ``interface`` or ``enum``, or ``record`` followed by a name
     and ``(`` or ``<`` before ``end`` (elsewhere ``record`` is a name)."""
-    t = toks[i]
-    if t.kind != "word":
-        return None
-    if t.text in _TYPE_KEYWORDS:
-        return t.text
-    if (
-        t.text == "record"
-        and i + 2 < end
-        and toks[i + 1].kind == "word"
-        and toks[i + 2].text in ("(", "<")
-    ):
+    text = texts[i]
+    if text in _TYPE_KEYWORDS:
+        return text
+    if text == "record" and i + 2 < end and kinds[i + 1] == "w" and texts[i + 2] in ("(", "<"):
         return "record"
     return None
 
@@ -139,18 +135,16 @@ _GENERIC_OK_PUNCT = frozenset([".", ",", "?", "<", ">", "[", "]"])
 _GENERIC_OK_WORDS = frozenset(["extends", "super"])
 
 # Tokens that may start an expression immediately after a cast.
-_CAST_FOLLOW_PUNCT = frozenset(["(", "!", "~"])
-_CAST_FOLLOW_WORDS = frozenset(["new", "this", "super"])
+_CAST_FOLLOW = frozenset(["(", "!", "~", "new", "this", "super"])
 
-_DECL_BOUNDARY_PUNCT = frozenset([";", "{", "}", "(", ",", ":", "->"])
-_DECL_BOUNDARY_WORDS = frozenset(["final", "else", "do"])
+_DECL_BOUNDARY = frozenset([";", "{", "}", "(", ",", ":", "->", "final", "else", "do"])
 
 _DECL_TERMINATORS = frozenset(["=", ";", ",", ":", ")"])
 
 
-def _member_ref(tok: Tok) -> bool:
-    """Whether ``tok`` can follow ``::``: an identifier, or ``new``."""
-    return tok.kind == "word" and (tok.text == "new" or tok.text not in KEYWORDS)
+def _member_ref(text: str, kind: str) -> bool:
+    """Whether a token can follow ``::``: an identifier, or ``new``."""
+    return kind == "w" and (text == "new" or text not in KEYWORDS)
 
 
 # ---------------------------------------------------------------------------
@@ -158,14 +152,14 @@ def _member_ref(tok: Tok) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class TypeRef:
     base: str
     args: list[str] = field(default_factory=list)
     dims: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class FieldDecl:
     name: str
     tref: TypeRef
@@ -175,7 +169,7 @@ class FieldDecl:
     entity_id: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class MethodDecl:
     name: str
     ret: TypeRef | None
@@ -190,14 +184,14 @@ class MethodDecl:
     entity_id: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class InitDecl:
     line: int
     body: tuple[int, int] = (0, 0)  # [start, end) of the file's tokens
     anons: list["TypeDecl"] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class EnumConst:
     name: str
     line: int
@@ -207,7 +201,7 @@ class EnumConst:
     entity_id: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class TypeDecl:
     kind: str  # class | interface | enum | annotation
     name: str | None  # None for anonymous classes
@@ -224,11 +218,14 @@ class TypeDecl:
     entity_id: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class FileSyntax:
     path: str
-    toks: list[Tok]
-    partner: list[int]  # _partners(toks)
+    # the token table, as ``lex`` returns it
+    texts: list[str]
+    kinds: str
+    lines: array
+    partner: array  # _partners(texts)
     # the `{` of each anonymous class body and the keyword of each local type
     # declaration in a body: the index past its tokens, and its declaration
     nested: dict[int, tuple[int, "TypeDecl"]] = field(default_factory=dict)
@@ -245,23 +242,25 @@ class FileSyntax:
 # ---------------------------------------------------------------------------
 
 
-def _partners(toks: list[Tok]) -> list[int]:
+def _partners(texts: list[str]) -> array:
     """For each ``(`` and ``{``, the index of the token closing it, or
-    ``len(toks)``; one stack per kind, so a ``)`` never closes a ``{``."""
-    partner = [len(toks)] * len(toks)
+    ``len(texts)``; one stack per kind, so a ``)`` never closes a ``{``."""
+    partner = array("i", [len(texts)]) * len(texts)
     parens: list[int] = []
     braces: list[int] = []
     stacks = {"(": parens, ")": parens, "{": braces, "}": braces}
-    for i in [i for i, t in enumerate(toks) if t.text in stacks]:
-        stack = stacks[toks[i].text]
-        if toks[i].text in "({":
-            stack.append(i)
-        elif stack:
-            partner[stack.pop()] = i
+    for i in compress(count(), map(stacks.__contains__, texts)):
+        text = texts[i]
+        if text in "({":
+            stacks[text].append(i)
+        elif stacks[text]:
+            partner[stacks[text].pop()] = i
     return partner
 
 
-def _skip_type_params(toks: list[Tok], i: int, n: int) -> tuple[list[str], list[str], int]:
+def _skip_type_params(
+    texts: list[str], kinds: str, i: int, n: int
+) -> tuple[list[str], list[str], int]:
     """Parse a declaration type-parameter list from ``<`` up to ``n``.
 
     Returns the introduced type-variable names (identifiers directly after
@@ -282,30 +281,30 @@ def _skip_type_params(toks: list[Tok], i: int, n: int) -> tuple[list[str], list[
             chain.clear()
 
     while i < n:
-        t = toks[i]
-        if t.text == "<":
+        t = texts[i]
+        if t == "<":
             flush()
             depth += 1
             expect_name = depth == 1
-        elif t.text in (">", ">>", ">>>"):
+        elif t in (">", ">>", ">>>"):
             flush()
-            depth -= {">": 1, ">>": 2, ">>>": 3}[t.text]
-        elif t.text == "," and depth == 1:
+            depth -= {">": 1, ">>": 2, ">>>": 3}[t]
+        elif t == "," and depth == 1:
             flush()
             expect_name = True
-        elif t.text in ("{", ";", ")"):
+        elif t in ("{", ";", ")"):
             flush()
             return names, bounds, i  # malformed; let the caller cope
-        elif t.kind == "word" and t.text not in KEYWORDS:
+        elif kinds[i] == "w" and t not in KEYWORDS:
             if expect_name:
-                names.append(t.text)
+                names.append(t)
                 expect_name = False
-            elif not chain or (i > 0 and toks[i - 1].text == "."):
-                chain.append(t.text)
+            elif not chain or (i > 0 and texts[i - 1] == "."):
+                chain.append(t)
             else:
                 flush()
-                chain.append(t.text)
-        elif t.text != ".":
+                chain.append(t)
+        elif t != ".":
             flush()
         i += 1
         if depth <= 0:
@@ -314,15 +313,18 @@ def _skip_type_params(toks: list[Tok], i: int, n: int) -> tuple[list[str], list[
     return names, bounds, n
 
 
-def parse_typeref(toks: list[Tok], i: int, n: int) -> tuple[TypeRef | None, int]:
-    """Parse a type reference in a usage position, from ``i`` up to ``n``.
+def parse_typeref(
+    texts: list[str], kinds: str, i: int, n: int
+) -> tuple[TypeRef | None, int]:
+    """Parse a type reference in a usage position, from token ``i`` up to
+    ``n`` of the table ``texts``, ``kinds``.
 
     Returns (None, i) when the tokens at ``i`` do not look like a type.
     Generic arguments are collected by base name; array brackets counted.
     """
-    if i >= n or toks[i].kind != "word":
+    if i >= n or kinds[i] != "w":
         return None, i
-    word = toks[i].text
+    word = texts[i]
     if word in PRIMITIVES or word in ("void", "var"):
         ref = TypeRef(base=word)
         i += 1
@@ -333,39 +335,41 @@ def parse_typeref(toks: list[Tok], i: int, n: int) -> tuple[TypeRef | None, int]
         i += 1
         args: list[str] = []
         # generic args may follow any segment
-        if i < n and toks[i].text == "<":
-            ok, args_here, i2 = _scan_generic_args(toks, i, n)
+        if i < n and texts[i] == "<":
+            ok, args_here, i2 = _scan_generic_args(texts, kinds, i, n)
             if not ok:
                 args_here, i2 = [], i
             args += args_here
             i = i2
         while (
             i + 1 < n
-            and toks[i].text == "."
-            and toks[i + 1].kind == "word"
-            and toks[i + 1].text not in KEYWORDS
+            and texts[i] == "."
+            and kinds[i + 1] == "w"
+            and texts[i + 1] not in KEYWORDS
         ):
-            segs.append(toks[i + 1].text)
+            segs.append(texts[i + 1])
             i += 2
-            if i < n and toks[i].text == "<":
-                ok, args_here, i2 = _scan_generic_args(toks, i, n)
+            if i < n and texts[i] == "<":
+                ok, args_here, i2 = _scan_generic_args(texts, kinds, i, n)
                 if not ok:
                     break
                 args += args_here
                 i = i2
         ref = TypeRef(base=".".join(segs), args=args)
-    while i + 1 < n and toks[i].text == "[" and toks[i + 1].text == "]":
+    while i + 1 < n and texts[i] == "[" and texts[i + 1] == "]":
         ref.dims += 1
         i += 2
-    if i < n and toks[i].text == "...":
+    if i < n and texts[i] == "...":
         ref.dims += 1
         i += 1
     return ref, i
 
 
-def _scan_generic_args(toks: list[Tok], i: int, n: int) -> tuple[bool, list[str], int]:
+def _scan_generic_args(
+    texts: list[str], kinds: str, i: int, n: int
+) -> tuple[bool, list[str], int]:
     """Scan ``<...>`` in a usage position; reject anything un-type-like."""
-    assert toks[i].text == "<"
+    assert texts[i] == "<"
     depth = 0
     names: list[str] = []
     j = i
@@ -377,25 +381,25 @@ def _scan_generic_args(toks: list[Tok], i: int, n: int) -> tuple[bool, list[str]
             cur.clear()
 
     while j < n:
-        t = toks[j]
-        if t.text == "<":
+        t = texts[j]
+        if t == "<":
             flush()
             depth += 1
-        elif t.text in (">", ">>", ">>>"):
-            depth -= {">": 1, ">>": 2, ">>>": 3}[t.text]
+        elif t in (">", ">>", ">>>"):
+            depth -= {">": 1, ">>": 2, ">>>": 3}[t]
             flush()
             if depth <= 0:
                 return True, names, j + 1
-        elif t.kind == "word":
-            if t.text in _GENERIC_OK_WORDS:
+        elif kinds[j] == "w":
+            if t in _GENERIC_OK_WORDS:
                 flush()
-            elif t.text in KEYWORDS and t.text not in PRIMITIVES:
+            elif t in KEYWORDS and t not in PRIMITIVES:
                 return False, [], i
             else:
-                cur.append(t.text)
-        elif t.text == ".":
+                cur.append(t)
+        elif t == ".":
             pass
-        elif t.text in _GENERIC_OK_PUNCT:
+        elif t in _GENERIC_OK_PUNCT:
             flush()
         else:
             return False, [], i
@@ -409,7 +413,7 @@ class _Parser:
 
     def __init__(self, syntax: FileSyntax, end: int):
         self.syntax = syntax
-        self.toks = syntax.toks
+        self.texts, self.kinds, self.lines = syntax.texts, syntax.kinds, syntax.lines
         self.end = end
 
     def warn(self) -> None:
@@ -437,30 +441,30 @@ class _Parser:
 
     def _skip_annotation(self, i: int) -> int:
         # at '@': @Name or @pkg.Name, optional (...)
-        toks, n = self.toks, self.end
+        texts, kinds, n = self.texts, self.kinds, self.end
         i += 1
-        while i + 1 < n and toks[i].kind == "word" and toks[i + 1].text == ".":
+        while i + 1 < n and kinds[i] == "w" and texts[i + 1] == ".":
             i += 2
-        if i < n and toks[i].kind == "word":
+        if i < n and kinds[i] == "w":
             i += 1
-        if i < n and toks[i].text == "(":
+        if i < n and texts[i] == "(":
             i = self.close(i) + 1
         return i
 
     def _skip_mods_annotations(self, i: int) -> int:
-        toks, n = self.toks, self.end
+        texts, n = self.texts, self.end
         while i < n:
-            t = toks[i]
-            if t.text == "@" and i + 1 < n and toks[i + 1].text != "interface":
+            t = texts[i]
+            if t == "@" and i + 1 < n and texts[i + 1] != "interface":
                 i = self._skip_annotation(i)
-            elif t.kind == "word" and t.text in MODIFIER_WORDS:
+            elif t in MODIFIER_WORDS:
                 # 'default' only acts as a modifier when not a switch label
-                if t.text == "default" and i + 1 < n and toks[i + 1].text == ":":
+                if t == "default" and i + 1 < n and texts[i + 1] == ":":
                     return i
                 i += 1
-            elif t.kind == "word" and t.text == "non":
+            elif t == "non":
                 # tolerate 'non-sealed' lexed as ['non', '-', 'sealed']
-                if i + 2 < n and toks[i + 1].text == "-" and toks[i + 2].text == "sealed":
+                if i + 2 < n and texts[i + 1] == "-" and texts[i + 2] == "sealed":
                     i += 3
                 else:
                     return i
@@ -469,10 +473,10 @@ class _Parser:
         return i
 
     def _skip_to_member_boundary(self, i: int) -> int:
-        toks = self.toks
+        texts = self.texts
         depth = 0
         while i < self.end:
-            t = toks[i].text
+            t = texts[i]
             if t == "{":
                 i = self.close(i) + 1
                 if depth == 0:
@@ -493,15 +497,15 @@ class _Parser:
 
     def _typeref_list(self, i: int) -> tuple[list[TypeRef], int]:
         refs: list[TypeRef] = []
-        toks, n = self.toks, self.end
+        texts, n = self.texts, self.end
         while True:
-            while i < n and toks[i].text == "@":
+            while i < n and texts[i] == "@":
                 i = self._skip_annotation(i)
-            ref, i = parse_typeref(toks, i, n)
+            ref, i = parse_typeref(texts, self.kinds, i, n)
             if ref is None:
                 break
             refs.append(ref)
-            if i < n and toks[i].text == ",":
+            if i < n and texts[i] == ",":
                 i += 1
                 continue
             break
@@ -510,32 +514,32 @@ class _Parser:
     # -- file level ------------------------------------------------------
 
     def parse_file(self) -> None:
-        toks, n = self.toks, self.end
+        texts, kinds, n = self.texts, self.kinds, self.end
         i = 0
         while i < n:
-            t = toks[i]
-            if t.text == ";":
+            t = texts[i]
+            if t == ";":
                 i += 1
                 continue
-            if t.text == "@" and i + 1 < n and toks[i + 1].text != "interface":
+            if t == "@" and i + 1 < n and texts[i + 1] != "interface":
                 i = self._skip_annotation(i)
                 continue
-            if t.kind == "word" and t.text == "package":
+            if t == "package":
                 segs = []
                 i += 1
-                while i < n and toks[i].kind == "word":
-                    segs.append(toks[i].text)
+                while i < n and kinds[i] == "w":
+                    segs.append(texts[i])
                     i += 1
-                    if i < n and toks[i].text == ".":
+                    if i < n and texts[i] == ".":
                         i += 1
                     else:
                         break
                 self.syntax.package = ".".join(segs) if segs else None
-                while i < n and toks[i].text != ";":
+                while i < n and texts[i] != ";":
                     i += 1
                 i += 1
                 continue
-            if t.kind == "word" and t.text == "import":
+            if t == "import":
                 i = self._parse_import(i)
                 continue
             decl, i2 = self._try_type_decl(i)
@@ -547,18 +551,18 @@ class _Parser:
             i = self._skip_to_member_boundary(i + 1)
 
     def _parse_import(self, i: int) -> int:
-        toks, n = self.toks, self.end
+        texts, kinds, n = self.texts, self.kinds, self.end
         i += 1
         is_static = False
-        if i < n and toks[i].text == "static":
+        if i < n and texts[i] == "static":
             is_static = True
             i += 1
         segs: list[str] = []
         wildcard = False
-        while i < n and toks[i].text != ";":
-            if toks[i].kind == "word":
-                segs.append(toks[i].text)
-            elif toks[i].text == "*":
+        while i < n and texts[i] != ";":
+            if kinds[i] == "w":
+                segs.append(texts[i])
+            elif texts[i] == "*":
                 wildcard = True
             i += 1
         i += 1
@@ -575,41 +579,40 @@ class _Parser:
     # -- type declarations -----------------------------------------------
 
     def _try_type_decl(self, i: int) -> tuple[TypeDecl | None, int]:
-        toks, n = self.toks, self.end
+        texts, n = self.texts, self.end
         j = self._skip_mods_annotations(i)
         if j >= n:
             return None, i
-        t = toks[j]
-        if t.text == "@" and j + 1 < n and toks[j + 1].text == "interface":
-            return self._parse_type_decl(j + 2, "annotation", toks[j].line)
-        kind = _type_keyword(toks, j, n)
+        if texts[j] == "@" and j + 1 < n and texts[j + 1] == "interface":
+            return self._parse_type_decl(j + 2, "annotation", self.lines[j])
+        kind = _type_keyword(texts, self.kinds, j, n)
         if kind is not None:
-            return self._parse_type_decl(j + 1, kind, t.line)
+            return self._parse_type_decl(j + 1, kind, self.lines[j])
         return None, i
 
     def _parse_type_decl(self, i: int, kind: str, line: int) -> tuple[TypeDecl | None, int]:
-        toks, n = self.toks, self.end
-        if i >= n or toks[i].kind != "word":
+        texts, kinds, n = self.texts, self.kinds, self.end
+        if i >= n or kinds[i] != "w":
             self.warn()
             return None, self._skip_to_member_boundary(i)
         is_record = kind == "record"  # kept as a class
-        decl = TypeDecl("class" if is_record else kind, toks[i].text, line, is_record=is_record)
+        decl = TypeDecl("class" if is_record else kind, texts[i], line, is_record=is_record)
         i += 1
-        if i < n and toks[i].text == "<":
-            decl.type_params, decl.type_param_bounds, i = _skip_type_params(toks, i, n)
-        if is_record and i < n and toks[i].text == "(":
+        if i < n and texts[i] == "<":
+            decl.type_params, decl.type_param_bounds, i = _skip_type_params(texts, kinds, i, n)
+        if is_record and i < n and texts[i] == "(":
             end = self.close(i)
             for tref, name in self._parse_params(i, end):
                 decl.members.append(FieldDecl(name=name, tref=tref, line=line))
             i = end + 1
         # a record header takes only `implements`
-        while i < n and toks[i].text != "{":
-            t = toks[i]
-            if t.kind == "word" and t.text == "extends" and not is_record:
+        while i < n and texts[i] != "{":
+            t = texts[i]
+            if t == "extends" and not is_record:
                 decl.extends, i = self._typeref_list(i + 1)
-            elif t.kind == "word" and t.text == "implements":
+            elif t == "implements":
                 decl.implements, i = self._typeref_list(i + 1)
-            elif t.kind == "word" and t.text == "permits" and not is_record:
+            elif t == "permits" and not is_record:
                 _, i = self._typeref_list(i + 1)
             else:
                 i += 1
@@ -624,36 +627,35 @@ class _Parser:
         return decl, end + 1
 
     def _parse_params(self, i_open: int, i_close: int) -> list[tuple[TypeRef, str]]:
-        toks = self.toks
+        texts, kinds = self.texts, self.kinds
         params: list[tuple[TypeRef, str]] = []
         i = i_open + 1
         while i < i_close:
-            while i < i_close and toks[i].text == "@":
+            while i < i_close and texts[i] == "@":
                 i = self._skip_annotation(i)
-            while i < i_close and toks[i].kind == "word" and toks[i].text == "final":
+            while i < i_close and texts[i] == "final":
                 i += 1
-            ref, i2 = parse_typeref(toks, i, self.end)
+            ref, i2 = parse_typeref(texts, kinds, i, self.end)
             if ref is None:
                 i += 1
                 continue
             i = i2
-            if i < i_close and toks[i].kind == "word":
-                name = toks[i].text
+            if i < i_close and kinds[i] == "w":
+                name = texts[i]
                 i += 1
-                while i + 1 < i_close and toks[i].text == "[" and toks[i + 1].text == "]":
+                while i + 1 < i_close and texts[i] == "[" and texts[i + 1] == "]":
                     ref.dims += 1
                     i += 2
                 params.append((ref, name))
-            while i < i_close and toks[i].text != ",":
+            while i < i_close and texts[i] != ",":
                 i += 1
             i += 1
         return params
 
     def _parse_members(self, decl: TypeDecl, i: int, end: int) -> None:
-        toks = self.toks
+        texts = self.texts
         while i < end:
-            t = toks[i]
-            if t.text == ";":
+            if texts[i] == ";":
                 i += 1
                 continue
             nested, i2 = self._try_type_decl(i)
@@ -664,16 +666,16 @@ class _Parser:
             j = self._skip_mods_annotations(i)
             if j >= end:
                 break
-            t = toks[j]
-            if t.text == "{":
+            t = texts[j]
+            if t == "{":
                 blk_end = self.close(j)
-                decl.members.append(self._body(InitDecl(t.line), j + 1, blk_end))
+                decl.members.append(self._body(InitDecl(self.lines[j]), j + 1, blk_end))
                 i = blk_end + 1
                 continue
             names: list[str] = []
             bounds: list[str] = []
-            if t.text == "<":
-                names, bounds, j = _skip_type_params(toks, j, self.end)
+            if t == "<":
+                names, bounds, j = _skip_type_params(texts, self.kinds, j, self.end)
                 if j >= end:
                     break
             member, i2 = self._parse_member_after_mods(decl, j, end)
@@ -688,31 +690,31 @@ class _Parser:
     def _parse_member_after_mods(
         self, decl: TypeDecl, i: int, end: int
     ) -> tuple[object | None, int]:
-        toks = self.toks
-        ref, j = parse_typeref(toks, i, self.end)
+        texts, kinds = self.texts, self.kinds
+        ref, j = parse_typeref(texts, kinds, i, self.end)
         if ref is None:
             return None, i
-        if j < end and toks[j].text == "(":
+        if j < end and texts[j] == "(":
             # constructor: the "type" was actually the class name
             if ref.base == decl.name and ref.dims == 0:
-                return self._parse_callable(decl, None, decl.name, True, j, toks[i].line, end)
+                return self._parse_callable(decl, None, decl.name, True, j, self.lines[i], end)
             return None, i
-        if j < end and toks[j].text == "{" and decl.is_record and ref == TypeRef(decl.name):
+        if j < end and texts[j] == "{" and decl.is_record and ref == TypeRef(decl.name):
             # compact canonical constructor: the parameters are the components
             blk_end = self.close(j)
             member = MethodDecl(
-                name=decl.name, ret=None, params=[], throws=[], line=toks[i].line, is_ctor=True
+                name=decl.name, ret=None, params=[], throws=[], line=self.lines[i], is_ctor=True
             )
             decl.members.append(self._body(member, j + 1, blk_end))
             return member, blk_end + 1
-        if j >= end or toks[j].kind != "word":
+        if j >= end or kinds[j] != "w":
             return None, i
-        name = toks[j].text
+        name = texts[j]
         after = j + 1
-        if after < end and toks[after].text == "(":
-            return self._parse_callable(decl, ref, name, False, after, toks[i].line, end)
-        if after <= end and (after >= end or toks[after].text in ("=", ";", ",", "[")):
-            return self._parse_fields(decl, ref, name, after, toks[i].line, end)
+        if after < end and texts[after] == "(":
+            return self._parse_callable(decl, ref, name, False, after, self.lines[i], end)
+        if after <= end and (after >= end or texts[after] in ("=", ";", ",", "[")):
+            return self._parse_fields(decl, ref, name, after, self.lines[i], end)
         return None, i
 
     def _parse_callable(
@@ -725,24 +727,24 @@ class _Parser:
         line: int,
         end: int,
     ) -> tuple[MethodDecl | None, int]:
-        toks = self.toks
+        texts = self.texts
         close = self.close(i_open)
         params = self._parse_params(i_open, close)
         i = close + 1
         throws: list[TypeRef] = []
-        while i < end and toks[i].text not in ("{", ";"):
-            if toks[i].kind == "word" and toks[i].text == "throws":
+        while i < end and texts[i] not in ("{", ";"):
+            if texts[i] == "throws":
                 throws, i = self._typeref_list(i + 1)
-            elif toks[i].kind == "word" and toks[i].text == "default":
+            elif texts[i] == "default":
                 # annotation member default value
-                while i < end and toks[i].text != ";":
+                while i < end and texts[i] != ";":
                     i += 1
             else:
                 i += 1
         member = MethodDecl(
             name=name, ret=ret, params=params, throws=throws, line=line, is_ctor=is_ctor
         )
-        if i < end and toks[i].text == "{":
+        if i < end and texts[i] == "{":
             blk_end = self.close(i)
             self._body(member, i + 1, blk_end)
             i = blk_end + 1
@@ -754,20 +756,20 @@ class _Parser:
     def _parse_fields(
         self, decl: TypeDecl, ref: TypeRef, first_name: str, i: int, line: int, end: int
     ) -> tuple[FieldDecl | None, int]:
-        toks = self.toks
+        texts, kinds = self.texts, self.kinds
         name = first_name
         first: FieldDecl | None = None
         while True:
             fd = FieldDecl(name=name, tref=ref, line=line)
             if first is None:
                 first = fd
-            while i < end and toks[i].text == "[" and i + 1 < end and toks[i + 1].text == "]":
+            while i < end and texts[i] == "[" and i + 1 < end and texts[i + 1] == "]":
                 i += 2
-            if i < end and toks[i].text == "=":
+            if i < end and texts[i] == "=":
                 start = i + 1
                 depth = 0
                 while i < end:
-                    t = toks[i].text
+                    t = texts[i]
                     if t in ("(", "[", "{"):
                         depth += 1
                     elif t in (")", "]", "}"):
@@ -777,52 +779,51 @@ class _Parser:
                     i += 1
                 self._body(fd, start, i)
             decl.members.append(fd)
-            if i < end and toks[i].text == ",":
+            if i < end and texts[i] == ",":
                 i += 1
-                if i < end and toks[i].kind == "word":
-                    name = toks[i].text
+                if i < end and kinds[i] == "w":
+                    name = texts[i]
                     i += 1
                     continue
             break
-        while i < end and toks[i].text != ";":
+        while i < end and texts[i] != ";":
             i += 1
         return first, i + 1
 
     def _parse_enum_body(self, decl: TypeDecl, i: int, end: int) -> None:
-        toks = self.toks
+        texts, kinds = self.texts, self.kinds
         consts: list[EnumConst] = []
         # constants come first, up to ';' or the closing brace
         while i < end:
-            while i < end and toks[i].text == "@":
+            while i < end and texts[i] == "@":
                 i = self._skip_annotation(i)
-            t = toks[i] if i < end else None
-            if t is None or t.text == ";":
+            if i >= end or texts[i] == ";":
                 i += 1
                 break
-            if t.kind != "word":
+            if kinds[i] != "w":
                 break
-            const = EnumConst(name=t.text, line=t.line)
+            const = EnumConst(name=texts[i], line=self.lines[i])
             i += 1
-            if i < end and toks[i].text == "(":
+            if i < end and texts[i] == "(":
                 close = self.close(i)
                 self._body(const, i + 1, close)
                 i = close + 1
-            if i < end and toks[i].text == "{":
+            if i < end and texts[i] == "{":
                 close = self.close(i)
                 body = TypeDecl(
                     kind="class",
                     name=None,
-                    line=toks[i].line,
+                    line=self.lines[i],
                     anon_super=TypeRef(base=decl.name or ""),
                 )
                 self._parse_members(body, i + 1, close)
                 const.anons.append(body)
                 i = close + 1
             consts.append(const)
-            if i < end and toks[i].text == ",":
+            if i < end and texts[i] == ",":
                 i += 1
                 continue
-            if i < end and toks[i].text == ";":
+            if i < end and texts[i] == ";":
                 i += 1
                 break
         self._parse_members(decl, i, end)
@@ -834,33 +835,33 @@ class _Parser:
         """Parse the anonymous class bodies and local type declarations from
         ``i`` to the window end into ``out``, in source order, and record
         each one's span in ``syntax.nested``."""
-        toks, n = self.toks, self.end
+        texts, kinds, n = self.texts, self.kinds, self.end
         while i < n:
-            t = toks[i]
-            if t.kind == "word" and t.text == "new":
-                ref, j = parse_typeref(toks, i + 1, n)
-                if ref is not None and j < n and toks[j].text == "(":
+            t = texts[i]
+            if t == "new":
+                ref, j = parse_typeref(texts, kinds, i + 1, n)
+                if ref is not None and j < n and texts[j] == "(":
                     close = self.close(j)
                     self.window(close)._nested_types(j + 1, out)
                     i = close + 1
-                    if i < n and toks[i].text == "{":
+                    if i < n and texts[i] == "{":
                         blk_end = self.close(i)
-                        body = TypeDecl("class", None, toks[i].line, anon_super=ref)
+                        body = TypeDecl("class", None, self.lines[i], anon_super=ref)
                         self.window(blk_end)._parse_members(body, i + 1, blk_end)
                         out.append(body)
                         self.syntax.nested[i] = (min(blk_end + 1, n), body)
                         i = blk_end + 1
                     continue
             # most tokens are not type keywords, and a set test is cheaper than the call
-            kind = _type_keyword(toks, i, n) if t.text in _TYPE_KEYWORD_TEXTS else None
+            kind = _type_keyword(texts, kinds, i, n) if t in _TYPE_KEYWORD_TEXTS else None
             if (
                 kind is not None
-                and toks[i - 1].text != "."
+                and texts[i - 1] != "."
                 and i + 1 < n
-                and toks[i + 1].kind == "word"
+                and kinds[i + 1] == "w"
             ):
                 # local type declaration; a name follows, so it parses
-                decl, end = self._parse_type_decl(i + 1, kind, t.line)
+                decl, end = self._parse_type_decl(i + 1, kind, self.lines[i])
                 out.append(decl)
                 self.syntax.nested[i] = (min(end, n), decl)
                 i = end
@@ -870,9 +871,9 @@ class _Parser:
 
 def parse_java_file(path_text: str, text: str) -> FileSyntax:
     """Parse one Java compilation unit into its structural summary."""
-    toks, sloc = lex(text)
-    syntax = FileSyntax(path_text, toks, _partners(toks), sloc=sloc)
-    _Parser(syntax, len(toks)).parse_file()
+    texts, kinds, lines, sloc = lex(text)
+    syntax = FileSyntax(path_text, texts, kinds, lines, _partners(texts), sloc=sloc)
+    _Parser(syntax, len(texts)).parse_file()
     return syntax
 
 
@@ -889,7 +890,7 @@ _KIND_MAP = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class _TypeInfo:
     decl: TypeDecl
     file: FileSyntax
@@ -1155,7 +1156,7 @@ class _Emitter:
         self.scope = scope
         self.skip = scope.skip  # type variables in scope; a method adds its own
         self.source = source_id
-        self.toks = scope.syntax.toks
+        self.texts, self.kinds = scope.syntax.texts, scope.syntax.kinds
         self.end = 0  # the end of the body ``run`` walks
         self.locals: dict[str, TypeRef | None] = {}  # parameters and locals
         self.consumed: set[int] = set()  # token indexes already emitted
@@ -1210,25 +1211,25 @@ class _Emitter:
         """Analyse the body ``[start, end)`` of the file's tokens, jumping over
         the anonymous class bodies and local types nested in it.  A lookahead
         may read a local type's first token, but the walk never enters one."""
-        toks, nested = self.toks, self.scope.syntax.nested
+        texts, kinds, nested = self.texts, self.kinds, self.scope.syntax.nested
         self.end = end
         i = start
-        prev: Tok | None = None
+        prev: str | None = None  # the text of the token before
         while i < end:
-            t = toks[i]
+            t = texts[i]
             if i in nested:
                 # after a local type, `prev` stays the token before it
-                i, prev = nested[i][0], t if t.text == "{" else prev
+                i, prev = nested[i][0], t if t == "{" else prev
                 continue
-            if t.kind == "word" and t.text == "new":
+            if t == "new":
                 j = self._handle_new(i)
-            elif t.kind == "word" and t.text in ("this", "super"):
-                j = self._handle_this_super(i, is_super=t.text == "super")
-            elif t.kind == "word" and t.text == "instanceof":
+            elif t in ("this", "super"):
+                j = self._handle_this_super(i, is_super=t == "super")
+            elif t == "instanceof":
                 j = self._handle_instanceof(i)
-            elif t.kind == "punct" and t.text == "(":
+            elif t == "(":
                 j = self._try_cast(i) or i + 1
-            elif t.kind == "word" and (t.text not in KEYWORDS or t.text in PRIMITIVES):
+            elif kinds[i] == "w" and (t not in KEYWORDS or t in PRIMITIVES):
                 j = self._handle_word(i, prev)
             else:
                 j = i + 1
@@ -1238,16 +1239,16 @@ class _Emitter:
             i = j
 
     def _handle_new(self, i: int) -> int:
-        toks, n = self.toks, self.end
-        ref, j = parse_typeref(toks, i + 1, n)
+        texts, kinds, n = self.texts, self.kinds, self.end
+        ref, j = parse_typeref(texts, kinds, i + 1, n)
         if ref is None:
             return i + 1
         for arg in ref.args:
             self.type_use(RelationKind.USES, arg)
-        if j < n and toks[j].text == "(":
+        if j < n and texts[j] == "(":
             syntax = self.scope.syntax
             close = min(syntax.partner[j], n)
-            if close + 1 < n and toks[close + 1].text == "{":  # a body the parser recorded
+            if close + 1 < n and texts[close + 1] == "{":  # a body the parser recorded
                 anon = syntax.nested[close + 1][1]
                 self.emit(RelationKind.INSTANTIATES, f"{anon.fqn}.<init>")
             else:
@@ -1256,15 +1257,15 @@ class _Emitter:
                 # chained call on the fresh instance: new T(...).m(...)
                 if (
                     close + 3 < n
-                    and toks[close + 1].text == "."
-                    and toks[close + 2].kind == "word"
-                    and toks[close + 3].text == "("
+                    and texts[close + 1] == "."
+                    and kinds[close + 2] == "w"
+                    and texts[close + 3] == "("
                 ):
-                    name = toks[close + 2].text
+                    name = texts[close + 2]
                     self.emit(RelationKind.CALLS, self._call_target(owner, [], name))
                     self.consumed.add(close + 2)
             return j + 1  # scan proceeds into the constructor args
-        if j < n and toks[j].text == "[":
+        if j < n and texts[j] == "[":
             self.type_use(RelationKind.USES, ref.base)
             return j + 1
         if ref.dims:
@@ -1273,28 +1274,28 @@ class _Emitter:
         return j
 
     def _handle_this_super(self, i: int, is_super: bool) -> int:
-        toks, n = self.toks, self.end
+        texts, kinds, n = self.texts, self.kinds, self.end
         own = self.scope.chain[0].decl
         target: str | None = own.fqn
         if is_super:
             ref = _super_ref(own)
             target = None if ref is None else (self.resolve_type(ref.base) or ref.base)
-        nxt = toks[i + 1] if i + 1 < n else None
-        if nxt is not None and nxt.text == "(":
+        nxt = texts[i + 1] if i + 1 < n else None
+        if nxt == "(":
             if target is not None:
                 self.emit(RelationKind.CALLS, self._call_target(target, [], "<init>"))
             return i + 1
-        if nxt is None or i + 2 >= n or toks[i + 2].kind != "word":
+        if nxt is None or i + 2 >= n or kinds[i + 2] != "w":
             return i + 1
-        name = toks[i + 2].text
-        if nxt.text == "::" and _member_ref(toks[i + 2]):
+        name = texts[i + 2]
+        if nxt == "::" and _member_ref(name, kinds[i + 2]):
             if name == "new":
                 self.emit(RelationKind.INSTANTIATES, self._call_target(own.fqn, [], "<init>"))
             elif target is not None:
                 self.emit(RelationKind.CALLS, self._call_target(target, [], name))
             return i + 3
-        if nxt.text == ".":
-            if i + 3 < n and toks[i + 3].text == "(":
+        if nxt == ".":
+            if i + 3 < n and texts[i + 3] == "(":
                 self.emit(
                     RelationKind.CALLS,
                     name if target is None else self._call_target(target, [], name),
@@ -1308,30 +1309,23 @@ class _Emitter:
         return i + 1
 
     def _handle_instanceof(self, i: int) -> int:
-        toks, n = self.toks, self.end
-        ref, j = parse_typeref(toks, i + 1, n)
+        texts, kinds, n = self.texts, self.kinds, self.end
+        ref, j = parse_typeref(texts, kinds, i + 1, n)
         if ref is None:
             return i + 1
         self.type_use(RelationKind.INSTANCEOF, ref.base)
-        if j < n and toks[j].kind == "word" and toks[j].text not in KEYWORDS:
-            self.locals[toks[j].text] = ref  # pattern binding
+        if j < n and kinds[j] == "w" and texts[j] not in KEYWORDS:
+            self.locals[texts[j]] = ref  # pattern binding
             j += 1
         return j
 
     def _try_cast(self, i: int) -> int | None:
-        toks, n = self.toks, self.end
-        ref, j = parse_typeref(toks, i + 1, n)
-        if ref is None or j >= n or toks[j].text != ")":
+        texts, kinds, n = self.texts, self.kinds, self.end
+        ref, j = parse_typeref(texts, kinds, i + 1, n)
+        if ref is None or j + 1 >= n or texts[j] != ")":
             return None
-        nxt = toks[j + 1] if j + 1 < n else None
-        if nxt is None:
-            return None
-        ok = (
-            nxt.kind in ("num", "str", "char")
-            or (nxt.kind == "word" and (nxt.text not in KEYWORDS or nxt.text in _CAST_FOLLOW_WORDS))
-            or (nxt.kind == "punct" and nxt.text in _CAST_FOLLOW_PUNCT)
-        )
-        if not ok:
+        nxt, kind = texts[j + 1], kinds[j + 1]
+        if not (kind in "nsc" or nxt in _CAST_FOLLOW or (kind == "w" and nxt not in KEYWORDS)):
             return None
         if (
             "." not in ref.base
@@ -1348,50 +1342,45 @@ class _Emitter:
         self.ref_use(RelationKind.CASTS, ref)
         return j + 1
 
-    def _handle_word(self, i: int, prev: Tok | None) -> int:
-        toks, n = self.toks, self.end
+    def _handle_word(self, i: int, prev: str | None) -> int:
+        texts, kinds, n = self.texts, self.kinds, self.end
         if i in self.consumed:
             return i + 1
-        if prev is not None and prev.text == ".":
+        if prev == ".":
             # member of an expression value: receiver type unknown
-            if i + 1 < n and toks[i + 1].text == "(":
-                self.emit(RelationKind.CALLS, toks[i].text)
+            if i + 1 < n and texts[i + 1] == "(":
+                self.emit(RelationKind.CALLS, texts[i])
             return i + 1
         # local variable declaration?
-        boundary = (
-            prev is None
-            or (prev.kind == "punct" and prev.text in _DECL_BOUNDARY_PUNCT)
-            or (prev.kind == "word" and prev.text in _DECL_BOUNDARY_WORDS)
-        )
-        if boundary:
-            ref, j = parse_typeref(toks, i, n)
+        if prev is None or prev in _DECL_BOUNDARY:
+            ref, j = parse_typeref(texts, kinds, i, n)
             if (
                 ref is not None
                 and j < n
-                and toks[j].kind == "word"
-                and toks[j].text not in KEYWORDS
-                and (j + 1 >= n or toks[j + 1].text in _DECL_TERMINATORS)
+                and kinds[j] == "w"
+                and texts[j] not in KEYWORDS
+                and (j + 1 >= n or texts[j + 1] in _DECL_TERMINATORS)
             ):
-                self.locals[toks[j].text] = None if ref.base == "var" else ref
+                self.locals[texts[j]] = None if ref.base == "var" else ref
                 self.ref_use(RelationKind.USES, ref)
                 return j + 1
         # dotted name chain
-        segs = [toks[i].text]
+        segs = [texts[i]]
         j = i + 1
         while (
             j + 1 < n
-            and toks[j].text == "."
-            and toks[j + 1].kind == "word"
-            and toks[j + 1].text not in KEYWORDS
+            and texts[j] == "."
+            and kinds[j + 1] == "w"
+            and texts[j + 1] not in KEYWORDS
         ):
-            segs.append(toks[j + 1].text)
+            segs.append(texts[j + 1])
             j += 2
-        after = toks[j] if j < n else None
-        if after is not None and after.text == "(":
+        after = texts[j] if j < n else None
+        if after == "(":
             self._emit_call(segs)
             return j
-        if after is not None and after.text == "::" and j + 1 < n and _member_ref(toks[j + 1]):
-            ref_name = toks[j + 1].text
+        if after == "::" and j + 1 < n and _member_ref(texts[j + 1], kinds[j + 1]):
+            ref_name = texts[j + 1]
             if ref_name == "new":
                 written = ".".join(segs)
                 owner = self.resolve_type(written) or written
@@ -1423,7 +1412,7 @@ class _Emitter:
             return
         self.emit(RelationKind.CALLS, self._call_target(owner, rest, name))
 
-    def _emit_name_use(self, last: int, segs: list[str], prev: Tok | None) -> None:
+    def _emit_name_use(self, last: int, segs: list[str], prev: str | None) -> None:
         head = segs[0]
         if head in self.locals:
             return
@@ -1451,18 +1440,17 @@ class _Emitter:
             # static member access on a library type
             self.type_use(RelationKind.USES, head)
 
-    def _emit_field_access(self, last: int, fd: FieldDecl, prev: Tok | None = None) -> None:
-        after = self.toks[last + 1] if last + 1 < self.end else None
+    def _emit_field_access(self, last: int, fd: FieldDecl, prev: str | None = None) -> None:
+        after = self.texts[last + 1] if last + 1 < self.end else None
         write = False
         read = True
-        if after is not None and after.kind == "punct":
-            if after.text in ASSIGN_OPS:
-                write = True
-                read = after.text != "="  # compound assignment also reads
-            elif after.text in ("++", "--"):
-                write = True
-                read = False
-        if prev is not None and prev.text in ("++", "--"):
+        if after in ASSIGN_OPS:
+            write = True
+            read = after != "="  # compound assignment also reads
+        elif after in ("++", "--"):
+            write = True
+            read = False
+        if prev in ("++", "--"):
             write = True
             read = False
         if write:

@@ -10,7 +10,16 @@ number takes a sign only after ``e``/``E`` in a decimal literal or
 
 from __future__ import annotations
 
-from javascale.javalex import Tok
+from typing import NamedTuple
+
+
+class Tok(NamedTuple):
+    """A token as the character loops make it; ``javascale.javalex`` keeps
+    no token objects, and its one-character kind is this kind's initial."""
+
+    kind: str  # one of: word, num, str, char, punct
+    text: str
+    line: int
 
 # Longest-match-first punctuation/operator list.
 _OPERATORS = [

@@ -1,10 +1,13 @@
+import gc
 import hashlib
 import random
 import shutil
 import subprocess
 import tempfile
 import textwrap
+import tracemalloc
 import zlib
+from array import array
 from pathlib import Path
 
 import pytest
@@ -1579,16 +1582,61 @@ BENCH_FACTS_SHA256 = "2c029aa06cece25ba20e2a1a40987e53ae67af1958fb66b10fa8808b06
 BENCH_SEEDS = (1, 7, 11)
 
 
-def test_benchmark_corpora_match_golden_digest(tmp_path, monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
-    import gen
+@pytest.fixture(scope="module")
+def bench_corpora(tmp_path_factory):
+    """The root of the benchmark corpus bench/gen.py makes for each seed."""
+    base = tmp_path_factory.mktemp("bench")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+        import gen
 
+        for seed in BENCH_SEEDS:
+            gen.write_corpus(gen.generate_corpus(seed), base / f"seed{seed}")
+    return {seed: base / f"seed{seed}" for seed in BENCH_SEEDS}
+
+
+def test_benchmark_corpora_match_golden_digest(bench_corpora, tmp_path):
     digest = hashlib.sha256()
     for seed in BENCH_SEEDS:
-        root = tmp_path / f"seed{seed}"
-        gen.write_corpus(gen.generate_corpus(seed), root)
+        root = bench_corpora[seed]
         projects = extract_corpus(root / "manifest.txt")
-        write_facts(FactsArchive(projects=projects), root / "facts.bin")
-        for _, payload, _ in scan_records(root / "facts.bin"):
+        write_facts(FactsArchive(projects=projects), tmp_path / f"facts{seed}.bin")
+        for _, payload, _ in scan_records(tmp_path / f"facts{seed}.bin"):
             digest.update(zlib.decompress(payload))
     assert digest.hexdigest() == BENCH_FACTS_SHA256
+
+
+class TestTokenTable:
+    def test_file_syntax_holds_parallel_arrays(self):
+        syntax = extractor.parse_java_file(
+            "A.java", "class A {\n  void m(int n) { m(n); }\n  String s = \"ok\";\n}\n"
+        )
+        n = len(syntax.texts)
+        assert type(syntax.kinds) is str and len(syntax.kinds) == n
+        for table in (syntax.lines, syntax.partner):
+            assert type(table) is array and table.typecode == "i" and len(table) == n
+        # `(` and `{` point at their partners; every other token at the end
+        assert {i: j for i, j in enumerate(syntax.partner) if j != n} == {
+            2: 21, 5: 8, 9: 15, 11: 13,
+        }
+
+    def test_largest_benchmark_project_holds_at_most_40_bytes_per_token(self, bench_corpora):
+        # p013 is the largest project of the seed-1 corpus.  What its parsed
+        # files hold is what freeing them returns, so growth of the
+        # process's table of interned strings is not counted.
+        root = bench_corpora[1] / "p013"
+        sources = [path.read_text(encoding="utf-8") for path in sorted(root.rglob("*.java"))]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            syntaxes = [extractor.parse_java_file(str(k), text) for k, text in enumerate(sources)]
+            tokens = sum(len(syntax.texts) for syntax in syntaxes)
+            gc.collect()
+            holding = tracemalloc.get_traced_memory()[0]
+            del syntaxes
+            gc.collect()
+            held = holding - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert tokens > 50_000
+        assert held <= 40 * tokens, f"{held / tokens:.1f} B per token"
