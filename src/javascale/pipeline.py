@@ -10,9 +10,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import tempfile
+from bisect import bisect_right
 from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import accumulate, compress
 from pathlib import Path
 
 from .errors import ArchiveError, ArchiveIntegrityError, DataError, UsageError
@@ -381,24 +383,85 @@ def _java_bytes(root: Path) -> int:
 
 
 def _in_workers(fn, jobs: list[tuple], weight):
-    """Yield ``fn(*job)`` for each job, in job order, from one process per CPU
-    this process may run on, heaviest by ``weight`` first; one CPU or job runs here."""
+    """Yield ``fn(*job)`` for each job, in job order.
+
+    With W = min(CPUs this process may run on, jobs) of two or more and
+    ``os.fork`` at hand, W - 1 forked children take jobs from the heavy end
+    of a list ordered by ``weight`` and this process from its light end,
+    until the two ends meet; each child pipes its results back once no job
+    is left.  Otherwise the jobs run here.  A failed job raises at its place
+    in job order.
+    """
     affinity = getattr(os, "sched_getaffinity", None)  # Linux only
     workers = min(len(affinity(0)) if affinity else os.cpu_count() or 1, len(jobs))
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         for job in jobs:
             yield fn(*job)
         return
-    # imported here: with multiprocessing it adds about 35 ms to start-up
-    from concurrent.futures import ProcessPoolExecutor
+    import fcntl  # POSIX only, as os.fork is
+    import mmap
+    import pickle
+    import signal
 
-    pool = ProcessPoolExecutor(workers)
-    try:
-        order = sorted(range(len(jobs)), key=lambda i: weight(jobs[i]), reverse=True)
-        futures = {i: pool.submit(fn, *jobs[i]) for i in order}
-        yield from (futures[i].result() for i in range(len(jobs)))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    weights = [weight(job) for job in jobs]
+    order = sorted(range(len(jobs)), key=weights.__getitem__, reverse=True)
+    # past the heaviest (W - 1) / W of the weight, lightest first: so the two
+    # ends meet on the smallest jobs, not on one of middle size
+    cumulative = list(accumulate(weights[i] for i in order))
+    split = bisect_right(cumulative, cumulative[-1] * (workers - 1) / workers)
+    order[split:] = reversed(order[split:])
+    # order[lo:hi] is left to run: memory shared with the children, under a
+    # lockf lock, which the kernel drops if its holder dies
+    window = memoryview(mmap.mmap(-1, 8)).cast("i")
+    window[1] = len(order)
+
+    def run(head: bool) -> list[tuple]:
+        done = []
+        while True:
+            fcntl.lockf(lock, fcntl.LOCK_EX)
+            lo, hi = window
+            if lo < hi:
+                window[0], window[1] = (lo + 1, hi) if head else (lo, hi - 1)
+            fcntl.lockf(lock, fcntl.LOCK_UN)
+            if lo == hi:
+                return done
+            i = order[lo if head else hi - 1]
+            try:
+                done.append((i, True, fn(*jobs[i])))
+            except Exception as exc:  # raised in job order, by this process
+                done.append((i, False, exc))
+
+    pipes, sent, failed = {}, {}, []  # by child pid: its pipe, what it sent
+    with tempfile.TemporaryFile() as lock:
+        try:
+            for _ in range(workers - 1):
+                r, w = os.pipe()
+                if (pid := os.fork()) == 0:
+                    try:
+                        with open(w, "wb") as out:
+                            pickle.dump(run(True), out, pickle.HIGHEST_PROTOCOL)
+                        os._exit(0)
+                    finally:  # reached on an error only
+                        os._exit(1)
+                os.close(w)
+                pipes[pid] = open(r, "rb")
+            results = run(False)
+            sent = {pid: pipe.read() for pid, pipe in pipes.items()}
+        finally:
+            for pid, pipe in pipes.items():
+                pipe.close()
+                if pid not in sent:  # this process raised
+                    os.kill(pid, signal.SIGKILL)
+                if status := os.waitpid(pid, 0)[1]:
+                    failed.append(f"{pid} exited with {os.waitstatus_to_exitcode(status)}")
+    if failed:
+        raise RuntimeError(f"worker process {failed[0]} and sent no results")
+    for data in sent.values():
+        results += pickle.loads(data)
+    for _, ok, value in sorted(results, key=lambda result: result[0]):
+        if not ok:
+            raise value
+        yield value
 
 
 def extract_facts(
@@ -406,8 +469,9 @@ def extract_facts(
 ) -> tuple[list[ProjectMetrics], int]:
     """Write the facts archive of a manifest's projects to ``path``, a record
     at a time in project-id order; return their metrics rows and their
-    parse-warning total.  The projects run in worker processes, the largest
-    (by ``.java`` bytes) first."""
+    parse-warning total.  On more than one CPU, forked children start on
+    the largest projects (by ``.java`` bytes) and this process on smaller
+    ones; the records are written once the last child is done."""
     jobs = [(pid, root, jdk_prefixes) for pid, root in read_manifest(manifest)]
     rows: list[list] = []  # [metrics row, parse warnings] per project
 
@@ -437,9 +501,10 @@ def _measure_record(path, offset, size, lineno, jdk_prefixes) -> tuple[ProjectMe
 def measure_archive(
     path: str | Path, jdk_prefixes: tuple[str, ...]
 ) -> list[tuple[ProjectMetrics, int]]:
-    """Each archived project's metrics row and unresolved-name count.  The
-    records are decoded and measured in worker processes, the longest first;
-    the error raised is the archive's first fault in file order."""
+    """Each archived project's metrics row and unresolved-name count.  On
+    more than one CPU, forked children start on the longest records and
+    this process on shorter ones; the error raised is the archive's first
+    fault in file order."""
     jobs, fault = [], None
     try:
         for offset, payload, lineno in scan_records(path):
@@ -455,10 +520,10 @@ def measure_archive(
 def run_pipeline(config: RunConfig) -> RunResult:
     """Execute every stage and write the report bundle.
 
-    Projects are extracted and measured in one process per CPU this
-    process may run on; the bundle is the same for any count.  ``STATUS``
-    lists the finished stages, one a line, then ``FAILED`` if a stage
-    raised.
+    Projects are extracted and measured by this process and one forked
+    child for each further CPU it may run on; the bundle is the same for
+    any count.  ``STATUS`` lists the finished stages, one a line, then
+    ``FAILED`` if a stage raised.
     """
     config.validate()
     out = Path(config.out_dir)

@@ -1,11 +1,12 @@
-import concurrent.futures
 import hashlib
 import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from javascale.errors import (
     EmptyCorpusError,
     InsufficientDataError,
 )
-from javascale.extractor import extract_corpus
+from javascale.extractor import extract_corpus, read_manifest
 from javascale.metrics import MetricColumns, ProjectMetrics, metric_columns
 from javascale.pipeline import load_config, render_run_report, run_pipeline
 from javascale.regression import evaluate_nrmse
@@ -211,7 +212,48 @@ def java_corpus_config(tmp_path: Path, out_name: str = "run") -> Path:
 
 
 class ExtractionCrash(RuntimeError):
-    """Raised by a patched extractor inside a pool worker."""
+    """Raised by a patched pipeline function, in a forked worker or here."""
+
+
+# On two CPUs the forked child first takes the fixture corpus's heaviest
+# project, p10_mixed, and this process first takes the largest project
+# outside the heaviest half of the weight: by .java bytes for extraction,
+# p08_collections; by record length for the metrics command, p09_nested.
+FAILING_IDS = ["here", "child", "both"]
+
+
+def failing_cases(here: str) -> list[tuple[set[str], str, str]]:
+    """The projects that raise, the one that surfaces (the first in job
+    order) and where it ran, for a fault in this process's share, in the
+    child's, and in both."""
+    child = "p10_mixed"
+    return [
+        ({here}, here, "this process"),
+        ({child}, child, "a child"),
+        ({here, child}, min(here, child), "this process"),
+    ]
+
+
+def crash_on(failing):
+    """A check to call with each project id as its job runs: it raises
+    ``ExtractionCrash`` on the projects in ``failing``, naming the process
+    that ran the job.  Jobs run here first wait 10 ms, so that the child
+    starts before this process reaches the heaviest."""
+    parent = os.getpid()
+
+    def check(project_id):
+        here = os.getpid() == parent
+        if here:
+            time.sleep(0.01)
+        if project_id in failing:
+            raise ExtractionCrash(f"{project_id} in {'this process' if here else 'a child'}")
+
+    return check
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def bundle_bytes(out_dir: Path) -> dict[str, bytes]:
@@ -277,34 +319,41 @@ class TestRunPipeline:
 
     @pytest.mark.parametrize("make_config", [fixture_config, java_corpus_config])
     def test_byte_identical_for_any_worker_count(self, tmp_path, make_config, monkeypatch):
-        def bundle(workers):
+        def bundle(workers, name):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
-            config = load_config(make_config(tmp_path, f"w{workers}"))
+            config = load_config(make_config(tmp_path, name))
             return bundle_bytes(run_pipeline(config).out_dir)
 
-        first = bundle(1)
+        first = bundle(1, "w1")
         for workers in (2, 4):
-            assert bundle(workers) == first, workers
+            assert bundle(workers, f"w{workers}") == first, workers
+        assert_no_child_left()
+        monkeypatch.delattr(os, "fork")  # as on Windows: two CPUs, one process
+        assert bundle(2, "no-fork") == first
 
     def test_worker_failure_fails_the_run(self, tmp_path, monkeypatch):
         real = pipeline.extract_project
-
-        def extract_project(root, project_id):
-            if project_id == "p10_mixed":  # the last record in the archive
-                raise ExtractionCrash(project_id)
-            return real(root, project_id)
-
-        # patched before the pool starts, so the forked workers inherit it
-        monkeypatch.setattr(pipeline, "extract_project", extract_project)
+        project_ids = [pid for pid, _ in read_manifest(CORPUS_DIR / "manifest.txt")]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        config = load_config(fixture_config(tmp_path))
-        with pytest.raises(ExtractionCrash):
-            run_pipeline(config)
-        out = Path(config.out_dir)
-        assert (out / "STATUS").read_text() == "FAILED\n"
-        # the nine records before the failed one are not a shorter corpus
-        with pytest.raises(ArchiveIntegrityError, match="truncated at record 10$"):
-            read_facts(out / "facts.bin")
+        for case, (failing, first, where) in zip(FAILING_IDS, failing_cases("p08_collections")):
+            crash = crash_on(failing)
+
+            def extract_project(root, project_id, crash=crash):
+                crash(project_id)
+                return real(root, project_id)
+
+            # patched before the children are forked, so they inherit it
+            monkeypatch.setattr(pipeline, "extract_project", extract_project)
+            config = load_config(fixture_config(tmp_path, case))
+            with pytest.raises(ExtractionCrash, match=f"^{first} in {where}$"):
+                run_pipeline(config)
+            assert_no_child_left()
+            out = Path(config.out_dir)
+            assert (out / "STATUS").read_text() == "FAILED\n"
+            # the records before the failed one are not a shorter corpus
+            record = project_ids.index(first) + 1
+            with pytest.raises(ArchiveIntegrityError, match=f"truncated at record {record}$"):
+                read_facts(out / "facts.bin")
 
     def test_decorrelation_report_format(self, tmp_path):
         out = run_pipeline(load_config(java_corpus_config(tmp_path))).out_dir
@@ -368,21 +417,115 @@ def test_statistics_commands_match_golden_digests(tmp_path, monkeypatch, capsys)
     assert digests == STATS_SHA256
 
 
-def test_import_leaves_process_pools_unloaded():
-    """The pool modules load only when a run starts a pool, not when
-    ``javascale`` or any of its modules is imported."""
+def test_import_leaves_process_pools_unloaded(tmp_path):
+    """The pool modules load neither when ``javascale`` or any of its
+    modules is imported nor when a command runs in forked workers."""
+    facts = tmp_path / "facts.bin"
+    assert main(["extract", str(CORPUS_DIR / "manifest.txt"), "-o", str(facts)]) == 0
     src = Path(javascale.__file__).resolve().parents[1]
+    pools = "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
     code = (
-        "import pkgutil, sys, javascale\n"
+        "import os, pkgutil, sys, javascale\n"
         "for m in pkgutil.iter_modules(javascale.__path__):\n"
         "    __import__(f'javascale.{m.name}')\n"
-        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+        f"{pools}\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from javascale.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        f"{pools}\n"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = ["metrics", str(facts), "-o", str(tmp_path / "m.csv")]
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
     )
-    assert proc.stdout == "[]\n"
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]")
+    assert (tmp_path / "m.csv").exists()
+
+
+def test_workers_run_each_job_once_and_leave_no_child(monkeypatch):
+    """Seven children and this process on 50,000 tiny jobs: a lost update
+    of the window they share would run a job twice or skip one."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    jobs = [(k, 2) for k in range(50_000)]
+    assert list(pipeline._in_workers(pow, jobs, lambda job: job[0] % 7)) == [
+        k * k for k in range(50_000)
+    ]
+    assert_no_child_left()
+    results = pipeline._in_workers(pow, jobs, lambda job: 0)
+    assert next(results) == 0
+    results.close()
+    assert_no_child_left()
+
+
+def _raise_here_sleep_in_a_child(parent: int, weight: int) -> None:
+    if os.getpid() == parent:
+        raise KeyboardInterrupt
+    time.sleep(20)
+
+
+def test_workers_are_stopped_when_this_process_raises(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    jobs = [(os.getpid(), k) for k in range(4)]
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        list(pipeline._in_workers(_raise_here_sleep_in_a_child, jobs, lambda job: job[1]))
+    assert time.monotonic() - start < 10  # the child was not waited for
+    assert_no_child_left()
+
+
+# run in a process group of its own, so that a command waiting on a dead
+# worker fails the test on a timeout, its workers and all, instead of
+# stalling the suite
+@pytest.mark.parametrize("command", ["extract", "metrics"])
+def test_dead_worker_is_an_error(tmp_path, command):
+    facts = tmp_path / "facts.bin"
+    assert main(["extract", str(CORPUS_DIR / "manifest.txt"), "-o", str(facts)]) == 0
+    # a child dies on its first job; the jobs run here wait, so that it takes one
+    code = (
+        "import os, sys, time\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from javascale import pipeline\n"
+        "from javascale.cli import main\n"
+        "parent, real = os.getpid(), pipeline.measure\n"
+        "def measure(*args):\n"
+        "    if os.getpid() != parent:\n"
+        "        os._exit(1)\n"
+        "    time.sleep(0.01)\n"
+        "    return real(*args)\n"
+        "pipeline.measure = measure\n"
+        "try:\n"
+        "    main(sys.argv[1:])\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    print('no child left')\n"
+    )
+    argv = {
+        "extract": ["extract", str(CORPUS_DIR / "manifest.txt"), "-o", str(tmp_path / "f.bin")],
+        "metrics": ["metrics", str(facts), "-o", str(tmp_path / "m.csv")],
+    }[command]
+    src = Path(javascale.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"the {command} command ran for 60 s with a dead worker")
+    assert (proc.returncode, err) == (0, "")
+    assert re.fullmatch(r"worker process \d+ exited with 1 and sent no results\nno child left\n", out)
+    assert not (tmp_path / "m.csv").exists()
 
 
 class TestEvaluateGrid:
@@ -690,22 +833,47 @@ class TestCli:
         table = tmp_path / "metrics.csv"
         assert self.run("extract", str(make_manifest(tmp_path)), "-o", str(facts)) == 0
         capsys.readouterr()
-        pools = []
+        real_fork, children = os.fork, []  # children forked per run
 
-        class Pool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, workers):
-                pools.append(workers)
-                super().__init__(workers)
+        def fork():
+            pid = real_fork()
+            children[-1] += pid != 0
+            return pid
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(os, "fork", fork)
         outputs = []
-        for cpus in (1, 2, 4):
+        for cpus in (1, 2, 4, 2):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            if len(outputs) == 3:
+                monkeypatch.delattr(os, "fork")  # as on Windows: in-process
             table.unlink(missing_ok=True)
+            children.append(0)
             assert self.run("metrics", str(facts), "-o", str(table)) == 0
             outputs.append((table.read_bytes(), capsys.readouterr().out))
-        assert outputs == [outputs[0]] * 3
-        assert pools == [2, 4]  # one CPU measures in-process
+        assert outputs == [outputs[0]] * 4
+        # this process takes jobs too; on one CPU it takes them all
+        assert children == [0, 1, 3, 0]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "failing, first, where", failing_cases("p09_nested"), ids=FAILING_IDS
+    )
+    def test_worker_failure_fails_metrics(self, tmp_path, monkeypatch, failing, first, where):
+        facts, table = tmp_path / "facts.bin", tmp_path / "m.csv"
+        assert self.run("extract", str(CORPUS_DIR / "manifest.txt"), "-o", str(facts)) == 0
+        real, crash = pipeline.measure, crash_on(failing)
+
+        def measure(columns, jdk_prefixes):
+            row, unresolved = real(columns, jdk_prefixes)
+            crash(row.project_id)
+            return row, unresolved
+
+        monkeypatch.setattr(pipeline, "measure", measure)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(ExtractionCrash, match=f"^{first} in {where}$"):
+            self.run("metrics", str(facts), "-o", str(table))
+        assert_no_child_left()
+        assert not table.exists()
 
     @pytest.mark.parametrize(
         "command, code",
@@ -728,7 +896,7 @@ class TestCli:
             "synth": ["synth", "--spec", str(path), "-o", str(tmp_path / "t.csv")],
             "file-name": ["extract", str(path), "-o", str(tmp_path / "f.bin")],
         }[command]
-        for cpus in (1, 2):  # in-process and in a pool
+        for cpus in (1, 2):  # in-process and in a forked worker
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
             assert self.run(*argv) == code
             err = capsys.readouterr().err

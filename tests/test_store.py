@@ -147,7 +147,7 @@ BAD_TABLES = [
 
 
 # archives with a fault after two or more framed records, so that the
-# metrics command measures the records before it in a pool
+# metrics command measures the records before it in forked workers
 _BIG_BAD_KIND = _record(
     project_id="big",
     entities=[
@@ -170,7 +170,7 @@ MULTI_FAULT_ARCHIVES = [
         "data after record 2",
         id="good-then-trailing",
     ),
-    # the later bad record is the longest, so a pool runs it first
+    # the later bad record is the longest, so a forked child runs it first
     pytest.param(
         _archive("4", _record(), _z("{not json"), _BIG_BAD_KIND, _record(project_id="q")),
         "bad record at line 4: .*Expecting",
@@ -235,7 +235,7 @@ _CYCLE_RECORD = _record(
 
 
 # run in a process group of its own, so that a command looping on the
-# cycle fails the test on a timeout, pool workers and all, instead of
+# cycle fails the test on a timeout, forked workers and all, instead of
 # stalling the suite
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_contains_cycle_is_integrity_error(tmp_path, cpus):
