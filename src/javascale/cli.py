@@ -11,14 +11,12 @@ import sys
 from pathlib import Path
 
 from .errors import DataError, EmptyCorpusError, UsageError
-from .metrics import DEFAULT_JDK_PREFIXES
+from .metrics import DEFAULT_JDK_PREFIXES, metric_columns
 from .pipeline import (
     GridCell,
-    _series,
     bin_stage,
     check_grid,
     extract_facts,
-    fit_grid,
     fit_stage,
     load_config,
     load_json,
@@ -27,10 +25,9 @@ from .pipeline import (
     parse_grid,
     render_run_report,
     run_pipeline,
+    settings_errors,
     validate_stage,
 )
-from .regression import fit_log_power, fit_robust_log_power
-from .report import render_fit_table
 from .store import export_metrics_table, read_metrics_table
 from .synth import SynthSpec, generate_metrics
 
@@ -132,20 +129,19 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    corpus = read_metrics_table(args.metrics)
     label = f"{args.y_metric} vs. {args.x_metric}"
-    xs, ys = _series(corpus, GridCell(label, args.y_metric, args.x_metric, subset=args.subset))
+    cell = GridCell(label, args.y_metric, args.x_metric, args.k, args.subset, args.robust,
+                    args.zero_offset)
+    check_grid([cell], [], "log")
+    files, [(_, fit, _)] = fit_stage(read_metrics_table(args.metrics), [cell])
     if args.subset is not None:
-        print(f"subset projects: {len(xs)}")
-    fitter = fit_robust_log_power if args.robust else fit_log_power
-    fit = fitter(xs, ys, args.k, zero_offset=args.zero_offset)
-    print(render_fit_table([(label, fit)]), end="")
+        print(f"subset projects: {fit.n + fit.excluded_zero_pairs}")
+    print(files["fit_table.txt"], end="")
     print(f"n={fit.n} excluded_zero_pairs={fit.excluded_zero_pairs}")
     return 0
 
 
 def cmd_bins(args) -> int:
-    corpus = read_metrics_table(args.metrics)
     try:
         num, den = args.ratio.split("/", 1)
     except ValueError as exc:
@@ -154,7 +150,9 @@ def cmd_bins(args) -> int:
         edges = [float(e) for e in args.edges.split(",") if e.strip()]
     except ValueError as exc:
         raise UsageError(f"--edges must be comma-separated numbers: {exc}") from exc
-    files = bin_stage(corpus, args.bin_metric or den, edges, num, den, not args.linear_ratios)
+    settings = args.bin_metric or den, edges, num, den, not args.linear_ratios
+    bin_stage(metric_columns([]), *settings)
+    files = bin_stage(read_metrics_table(args.metrics), *settings)
     print(files["bin_report.txt"] + files["welch_matrix.txt"], end="")
     return 0
 
@@ -173,17 +171,18 @@ def cmd_validate(args) -> int:
 
 
 def cmd_normalize(args) -> int:
+    auto = [GridCell("auto", args.num, args.den, subset=args.subset)] if args.beta == "auto" else []
+    try:
+        beta = 1.0 if auto else float(args.beta)  # 1.0 stands in for the fitted beta
+    except ValueError as exc:
+        raise UsageError("--beta must be a number or 'auto'") from exc
+    check_grid(auto, [], "log")
+    normalize_stage(metric_columns([]), args.num, args.den, beta)
     corpus = read_metrics_table(args.metrics)
-    if args.beta == "auto":
-        cell = GridCell("auto", args.num, args.den, subset=args.subset)
-        [(_, fit, _)] = fit_grid(corpus, [cell])
+    if auto:
+        _, [(_, fit, _)] = fit_stage(corpus, auto)
         beta = fit.beta
         print(f"auto beta from subset {args.subset[0]:g}:{args.subset[1]:g} -> {beta!r}")
-    else:
-        try:
-            beta = float(args.beta)
-        except ValueError as exc:
-            raise UsageError("--beta must be a number or 'auto'") from exc
     files = normalize_stage(corpus, args.num, args.den, beta)
     text = files["normalized.csv"]
     if args.output:
@@ -198,7 +197,7 @@ def cmd_normalize(args) -> int:
 
 def cmd_synth(args) -> int:
     data = load_json(args.spec, "synth spec")
-    try:
+    with settings_errors("synth spec"):
         spec = SynthSpec(
             n_projects=int(data["n_projects"]),
             x_range=(float(data["x_range"][0]), float(data["x_range"][1])),
@@ -210,10 +209,8 @@ def cmd_synth(args) -> int:
             x_metric=data.get("x_metric", "classes"),
             y_metric=data.get("y_metric", "methods"),
         )
-    except KeyError as exc:
-        raise UsageError(f"synth spec lacks key {exc}") from exc
-    except (IndexError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad synth spec value: {exc}") from exc
+    for name in (spec.x_metric, spec.y_metric):
+        metric_columns([]).column(name)  # an unknown metric is a usage error
     corpus = generate_metrics(spec)
     export_metrics_table(corpus, args.output)
     print(f"wrote {len(corpus)} synthetic project(s) -> {args.output}")

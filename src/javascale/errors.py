@@ -20,6 +20,10 @@ class OutOfRangeError(UsageError, ValueError):
     descending bin edges; the CLI reports it as a usage error."""
 
 
+class UnknownMetricError(UsageError):
+    """A metric name outside the metrics-table schema, which settings name, not data."""
+
+
 class DataError(JavaScaleError):
     """Input data cannot be processed as requested."""
 
@@ -44,8 +48,6 @@ class EmptyBinError(DataError):
     """A bin has no usable projects after exclusions."""
 
 
-class UnknownMetricError(DataError):
-    """A metric name does not exist in the metrics-table schema."""
 
 
 class DuplicateProjectError(DataError):

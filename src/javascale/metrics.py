@@ -122,7 +122,7 @@ class MetricColumns(namedtuple("_MetricColumns", METRIC_COLUMNS)):
 
     def column(self, name: str) -> list[int]:
         """The column of metric ``name``, checked once instead of per row."""
-        if name not in METRIC_NAMES:
+        if not (isinstance(name, str) and name in METRIC_NAMES):  # a JSON list is unhashable
             raise UnknownMetricError(f"unknown metric {name!r}")
         return getattr(self, name)
 

@@ -57,11 +57,6 @@ class WmcSummary:
     excluded: int
 
 
-def _check_beta(beta: float) -> None:
-    if not math.isfinite(beta):
-        raise OutOfRangeError(f"beta must be finite, got {beta!r}")
-
-
 def beta_normalize(numerator: float, denominator: float, beta: float) -> float:
     """Size-adjusted ratio: numerator / denominator**beta."""
     if denominator < 1:
@@ -72,11 +67,10 @@ def beta_normalize(numerator: float, denominator: float, beta: float) -> float:
 
 def _normalized(nums: list[int], dens: list[int], beta: float) -> list[float]:
     """``num / den**beta`` of each pair, denominators at least 1, beta checked
-    once if there is a pair.  A power that overflows or underflows to 0, or
+    once, with no pairs too.  A power that overflows or underflows to 0, or
     a value that overflows, is an ``OutOfRangeError`` naming beta."""
-    if not dens:
-        return []
-    _check_beta(beta)
+    if not math.isfinite(beta):
+        raise OutOfRangeError(f"beta must be finite, got {beta!r}")
     try:
         values = list(map(truediv, nums, map(pow, dens, repeat(beta))))
     except (OverflowError, ZeroDivisionError):

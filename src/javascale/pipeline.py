@@ -11,8 +11,9 @@ import json
 import math
 import os
 import tempfile
+import threading
 from bisect import bisect_right
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from itertools import accumulate, compress
 from pathlib import Path
@@ -21,13 +22,12 @@ from .errors import ArchiveError, ArchiveIntegrityError, DataError, UsageError
 from .extractor import extract_project, read_manifest
 from .metrics import (
     DEFAULT_JDK_PREFIXES,
-    METRIC_NAMES,
     MetricColumns,
     ProjectMetrics,
     measure,
     metric_columns,
 )
-from .normalize import beta_normalize, decorrelation_report, normalize_corpus
+from .normalize import decorrelation_report, normalize_corpus
 from .regression import (
     FitResult,
     ModelEval,
@@ -52,7 +52,7 @@ from .report import (
     welch_csv,
     write_manifest,
 )
-from .stats import analyze_bins, bin_by
+from .stats import analyze_bins
 from .store import (
     _project_payload,
     decode_columns,
@@ -71,6 +71,7 @@ class GridCell:
     k: float = 1.0
     subset: tuple[float, float] | None = None  # range on x_metric
     robust: bool = False
+    zero_offset: bool = False  # fit log(v+1); set by the fit command only
 
     @property
     def subset_rule(self) -> str:
@@ -129,23 +130,25 @@ class RunConfig:
     nrmse_space: str = "log"
 
     def validate(self) -> None:
+        """Raise ``UsageError`` on a bad setting; each stage checks its own on the empty table."""
         prefixes = self.jdk_prefixes
         if not (isinstance(prefixes, tuple) and all(isinstance(p, str) for p in prefixes)):
             raise UsageError(f"jdk_prefixes must be a list of strings, not {prefixes!r}")
-        _check_metrics(self.bin_numerator, self.bin_denominator, self.bin_metric,
-                       self.normalize_numerator, self.normalize_denominator)
         check_grid(self.model_grid, self.testsets, self.nrmse_space)
-        bin_by(metric_columns([]), self.bin_metric, self.bin_edges)
-        if self.normalize_beta != "auto":
-            beta_normalize(1, 1, self.normalize_beta)
-        elif self.normalize_model not in [c.model_id for c in self.model_grid]:
-            raise UsageError(f"normalize model {self.normalize_model!r} not in the grid")
-
-
-def _check_metrics(*names: str) -> None:
-    unknown = sorted(set(n for n in names if n not in METRIC_NAMES))
-    if unknown:
-        raise UsageError(f"config references unknown metrics: {unknown}")
+        empty = metric_columns([])
+        bin_stage(empty, self.bin_metric, self.bin_edges, self.bin_numerator, self.bin_denominator)
+        num, den, beta = self.normalize_numerator, self.normalize_denominator, self.normalize_beta
+        normalize_stage(empty, num, den, 1.0 if beta == "auto" else beta)
+        if beta == "auto":
+            cell = {c.model_id: c for c in self.model_grid}.get(self.normalize_model)
+            if cell is None:
+                raise UsageError(f"normalize model {self.normalize_model!r} not in the grid")
+            # num / den**beta removes the size dependence of num ~ den with k = 1 only
+            if (cell.y_metric, cell.x_metric, cell.k) != (num, den, 1):
+                raise UsageError(
+                    f"normalize model {cell.model_id!r} fits {cell.y_metric} ~ "
+                    f"{cell.x_metric} with k={cell.k:g}, not {num} ~ {den} with k=1"
+                )
 
 
 def check_grid(models: list[GridCell], testsets: list[EvalSet], space: str) -> None:
@@ -153,8 +156,6 @@ def check_grid(models: list[GridCell], testsets: list[EvalSet], space: str) -> N
     known metrics, unique model ids, each model's k and subset, each test
     set's range and the NRMSE ``space``.  Each stage's own argument rules
     run on empty input, so a bad value fails before any stage runs."""
-    _check_metrics(*[n for c in models for n in (c.y_metric, c.x_metric)],
-                   *[ts.metric for ts in testsets])
     ids = [cell.model_id for cell in models]
     if len(ids) != len(set(ids)):
         raise UsageError("model grid ids must be unique")
@@ -170,6 +171,17 @@ def _range(value) -> tuple[float, float]:
     return (float(lo), math.inf if hi is None else float(hi))
 
 
+@contextmanager
+def settings_errors(what: str):
+    """Report a missing key or a bad value in settings file ``what`` as a usage error."""
+    try:
+        yield
+    except KeyError as exc:
+        raise UsageError(f"{what} lacks key {exc}") from exc
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise UsageError(f"bad {what} value: {exc}") from exc
+
+
 def parse_grid(
     data: dict, models: list[GridCell] | None, testsets: list[EvalSet]
 ) -> tuple[list[GridCell], list[EvalSet]]:
@@ -179,7 +191,7 @@ def parse_grid(
     makes the ``models`` key required.  Missing keys and non-numeric
     values are usage errors.
     """
-    try:
+    with settings_errors("grid config"):
         if models is None or "models" in data:
             models = [
                 GridCell(
@@ -197,10 +209,6 @@ def parse_grid(
                 EvalSet(t["name"], t["metric"], *_range(t["range"]))
                 for t in data["testsets"]
             ]
-    except KeyError as exc:
-        raise UsageError(f"grid config lacks key {exc}") from exc
-    except (AttributeError, IndexError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad grid config value: {exc}") from exc
     return models, testsets
 
 
@@ -221,7 +229,7 @@ def load_config(path: str | Path) -> RunConfig:
         q = Path(value)
         return str(q if q.is_absolute() else base / q)
 
-    try:
+    with settings_errors("config"):
         cfg = RunConfig(
             manifest=_path(data["manifest"]),
             out_dir=_path(data["out_dir"]),
@@ -246,10 +254,6 @@ def load_config(path: str | Path) -> RunConfig:
             cfg.normalize_model = norm.get("model", cfg.normalize_model)
         if "nrmse_space" in data:
             cfg.nrmse_space = data["nrmse_space"]
-    except KeyError as exc:
-        raise UsageError(f"config lacks key {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad config value: {exc}") from exc
     cfg.validate()
     return cfg
 
@@ -276,10 +280,11 @@ def fit_grid(corpus: MetricColumns, grid: list[GridCell]) -> Fitted:
         xs, ys = _series(corpus, cell)
         fitter = fit_robust_log_power if cell.robust else fit_log_power
         try:
-            out.append((cell.model_id, fitter(xs, ys, cell.k), cell))
+            fit = fitter(xs, ys, cell.k, zero_offset=cell.zero_offset)
         except DataError as exc:
             where = f"{cell.y_metric} ~ {cell.x_metric} on {cell.subset_rule}"
             raise type(exc)(f"model {cell.model_id} ({where}): {exc}") from exc
+        out.append((cell.model_id, fit, cell))
     return out
 
 
@@ -385,16 +390,17 @@ def _java_bytes(root: Path) -> int:
 def _in_workers(fn, jobs: list[tuple], weight):
     """Yield ``fn(*job)`` for each job, in job order.
 
-    With W = min(CPUs this process may run on, jobs) of two or more and
-    ``os.fork`` at hand, W - 1 forked children take jobs from the heavy end
-    of a list ordered by ``weight`` and this process from its light end,
-    until the two ends meet; each child pipes its results back once no job
-    is left.  Otherwise the jobs run here.  A failed job raises at its place
-    in job order.
+    With W = min(CPUs this process may run on, jobs) of two or more,
+    ``os.fork`` at hand and no other thread running, W - 1 forked children
+    take jobs from the heavy end of a list ordered by ``weight`` and this
+    process from its light end, until the two ends meet; each child pipes
+    its results back once no job is left.  Otherwise the jobs run here: a
+    child forked while another thread holds a lock would wait on it forever.
+    A failed job raises at its place in job order.
     """
     affinity = getattr(os, "sched_getaffinity", None)  # Linux only
     workers = min(len(affinity(0)) if affinity else os.cpu_count() or 1, len(jobs))
-    if workers <= 1 or not hasattr(os, "fork"):
+    if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
         for job in jobs:
             yield fn(*job)
         return

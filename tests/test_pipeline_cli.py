@@ -6,22 +6,24 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
 import javascale
-from javascale import pipeline, regression
+from javascale import cli, pipeline, regression
 from javascale.cli import main
 from javascale.errors import (
     ArchiveIntegrityError,
     DegeneratePredictorError,
     EmptyCorpusError,
     InsufficientDataError,
+    UsageError,
 )
 from javascale.extractor import extract_corpus, read_manifest
-from javascale.metrics import MetricColumns, ProjectMetrics, metric_columns
+from javascale.metrics import DEFAULT_JDK_PREFIXES, MetricColumns, ProjectMetrics, metric_columns
 from javascale.pipeline import load_config, render_run_report, run_pipeline
 from javascale.regression import evaluate_nrmse
 from javascale.store import FactsArchive, export_metrics_table, read_facts, write_facts
@@ -92,13 +94,20 @@ STATS_GRID = {
         {"name": "all", "metric": "classes", "range": [0, None]},
     ],
 }
+_STATS_FIT = ["fit", "synth.csv", "--y", "methods", "--x", "classes"]
 STATS_COMMANDS = {
+    "fit": _STATS_FIT,
+    "fit subset robust": _STATS_FIT + ["--subset", "10:1000", "--robust"],
+    "fit zero-offset k2": _STATS_FIT + ["--zero-offset", "--k", "2"],
     "validate": ["validate", "synth.csv", "--grid", "grid.json"],
     "bins": ["bins", "synth.csv", "--ratio", "methods/classes", "--edges", "20,100,1000"],
     "normalize": ["normalize", "synth.csv", "--num", "methods", "--den", "classes",
                   "--beta", "auto", "-o", "normalized.csv"],
 }
 STATS_SHA256 = {
+    "fit": "e6221c06f6f89d9e5f4c048850051fe27dc474b87e6b4aa8d4598b357bbf974d",
+    "fit subset robust": "ce491540699441224057160a64246a735ca3cc648c7da8a11f7a56dc20451095",
+    "fit zero-offset k2": "055715212ed60a8b5be5aff476cf0d91703f034e74533106f406dc7e4b28fa1d",
     "validate": "1a069c3bd5fe4346880dfb6494d938eefde6c594724b708ac3ac580eb152bde0",
     "bins": "4ad05d3394d0f65c5e26d60e572421097f331f42f2b8e23ed94263d4d6bce84d",
     "normalize": "032da628e31d816eab1838718e90feb266f4f367a0e6d36bc51484a93929d74b",
@@ -122,6 +131,7 @@ MALFORMED_GRIDS = [
     {"models": [{"id": "m1", "y": "methods", "x": "classes"}],
      "testsets": [{"name": "all", "metric": "classes", "range": [5, 1]}]},
     {"models": [{"id": "m1", "y": "bogus", "x": "classes"}]},
+    {"models": [{"id": "m1", "y": ["methods"], "x": "classes"}]},
 ]
 
 _SPEC = {"n_projects": 5, "x_range": [1, 100], "alpha": 1.0, "beta": 1.0}
@@ -130,7 +140,9 @@ MALFORMED_CONFIGS = [
     ("pipeline", {"manifest": "m.txt"}),
     ("pipeline", {"manifest": "m.txt", "out_dir": "out", "bin_edges": [20, "many"]}),
     ("pipeline", {"manifest": "m.txt", "out_dir": "out", "normalize": ["methods"]}),
-] + [("synth", {k: v for k, v in _SPEC.items() if k != key}) for key in _SPEC]
+] + [("synth", {k: v for k, v in _SPEC.items() if k != key}) for key in _SPEC] + [
+    ("synth", {**_SPEC, "x_metric": "bogus"}),
+]
 
 # arguments outside a library rule's range; TABLE stands for a metrics table
 _FIT = ["fit", "TABLE", "--y", "methods", "--x", "classes"]
@@ -146,6 +158,16 @@ OUT_OF_RANGE_ARGS = [
     _FIT + ["--subset", "5:1"],
     _NORMALIZE + ["--beta", "auto", "--subset", "5:1"],
     _NORMALIZE + ["--beta", "inf"],
+]
+# a metric the schema lacks, in each place a statistics command names one;
+# GRID stands for a grid whose model fits it
+UNKNOWN_METRIC_ARGS = [
+    ["fit", "TABLE", "--y", "bogus", "--x", "classes"],
+    ["bins", "TABLE", "--ratio", "bogus/classes", "--edges", "20"],
+    ["bins", "TABLE", "--ratio", "interfaces/classes", "--edges", "20", "--bin-metric", "bogus"],
+    ["normalize", "TABLE", "--num", "bogus", "--den", "classes", "--beta", "auto"],
+    ["normalize", "TABLE", "--num", "bogus", "--den", "classes", "--beta", "1.5"],
+    ["validate", "TABLE", "--grid", "GRID"],
 ]
 _MODEL = {"id": "m1", "y": "methods", "x": "classes"}
 # config keys outside a library rule's range, merged into the fixture config
@@ -475,6 +497,39 @@ def test_workers_are_stopped_when_this_process_raises(monkeypatch):
     assert_no_child_left()
 
 
+def test_workers_do_not_fork_while_another_thread_runs(tmp_path, monkeypatch):
+    """With another thread running, the jobs run here, and give the same
+    bytes as in forked workers."""
+    manifest, prefixes = CORPUS_DIR / "manifest.txt", DEFAULT_JDK_PREFIXES
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    def run(name: str) -> tuple:
+        forks.clear()
+        archive = tmp_path / f"{name}.bin"
+        rows, warnings = pipeline.extract_facts(manifest, prefixes, archive)
+        measured = pipeline.measure_archive(archive, prefixes)
+        return rows, warnings, measured, archive.read_bytes(), len(forks)
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forked = run("forked")
+    parked = threading.Event()
+    thread = threading.Thread(target=parked.wait)
+    thread.start()
+    try:
+        here = run("here")
+    finally:
+        parked.set()
+        thread.join()
+    assert (forked[-1], here[-1]) == (2, 0)
+    assert here[:-1] == forked[:-1]
+    assert_no_child_left()
+
+
 # run in a process group of its own, so that a command waiting on a dead
 # worker fails the test on a timeout, its workers and all, instead of
 # stalling the suite
@@ -612,7 +667,7 @@ class TestConfig:
                 }
             )
         )
-        with pytest.raises(Exception):
+        with pytest.raises(UsageError, match=r"^unknown metric 'wat'$"):
             load_config(cfg)
 
 
@@ -1061,6 +1116,49 @@ class TestCli:
         assert self.run(*[str(fixture_table) if a == "TABLE" else a for a in argv]) == 1
         assert capsys.readouterr().err.startswith("usage error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        UNKNOWN_METRIC_ARGS + OUT_OF_RANGE_ARGS,
+        ids=lambda argv: " ".join([argv[0], *argv[2:]]),
+    )
+    def test_settings_are_checked_before_the_table_is_read(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        def read_metrics_table(path):
+            pytest.fail(f"{argv[0]} read {path} before checking its settings")
+
+        monkeypatch.setattr(cli, "read_metrics_table", read_metrics_table)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"models": [{"id": "m1", "y": "bogus", "x": "classes"}]}))
+        names = {"TABLE": str(tmp_path / "missing.csv"), "GRID": str(grid)}
+        assert self.run(*[names.get(a, a) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        if argv in UNKNOWN_METRIC_ARGS:
+            assert err == "usage error: unknown metric 'bogus'\n"
+
+    def test_normalize_subset_matters_for_auto_only(self, fixture_table, capsys):
+        argv = [str(fixture_table) if a == "TABLE" else a for a in _NORMALIZE]
+        assert self.run(*argv, "--beta", "1.5", "--subset", "5:1") == 0
+
+    # num / den**beta removes the size dependence of num ~ den with k = 1 only
+    @pytest.mark.parametrize(
+        "num, den, k",
+        [("interfaces", "classes", 1), ("classes", "methods", 1), ("methods", "classes", 2)],
+    )
+    def test_normalize_model_must_fit_the_normalized_law(self, tmp_path, capsys, num, den, k):
+        cfg = fixture_config(tmp_path)
+        data = json.loads(cfg.read_text())
+        data["normalize"] = {"num": num, "den": den, "beta": "auto", "model": "m1"}
+        data["models"][0]["k"] = k
+        cfg.write_text(json.dumps(data))
+        assert self.run("pipeline", str(cfg)) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: normalize model 'm1' fits methods ~ classes with k={k}, "
+            f"not {num} ~ {den} with k=1\n"
+        )
+        assert not Path(data["out_dir"]).exists()
+
     @pytest.mark.parametrize("change", OUT_OF_RANGE_CONFIGS, ids=json.dumps)
     def test_out_of_range_config_fails_before_any_stage(self, tmp_path, capsys, change):
         cfg = fixture_config(tmp_path)
@@ -1082,9 +1180,9 @@ class TestCli:
         missing = self.run("metrics", str(tmp_path / "nope.bin"), "-o", str(tmp_path / "x"))
         assert missing == 2
 
-    def test_unknown_metric_is_data_error(self, tmp_path):
+    def test_unknown_metric_is_usage_error(self, tmp_path):
         table = tmp_path / "metrics.csv"
         facts = tmp_path / "facts.bin"
         assert self.run("extract", str(CORPUS_DIR / "manifest.txt"), "-o", str(facts)) == 0
         assert self.run("metrics", str(facts), "-o", str(table)) == 0
-        assert self.run("fit", str(table), "--y", "bogus", "--x", "classes") == 2
+        assert self.run("fit", str(table), "--y", "bogus", "--x", "classes") == 1
