@@ -6,7 +6,8 @@ targets are entity ids when the target is declared inside the project and
 dotted name strings otherwise; names that could not be resolved to any
 package stay as plain (undotted) strings.  :class:`FactColumns` holds the
 same facts with each table transposed, one sequence per row field, as the
-archive stores them and as ``metrics.measure`` reads them.
+archive's ``decode_columns`` returns them and as ``metrics.measure`` reads
+them.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ Counting conventions:
   separately as unresolved and do not enter the provenance split.
 
 :func:`measure` reads a project's facts as columns
-(:class:`~javascale.facts.FactColumns`), the form the archive stores: the
+(:class:`~javascale.facts.FactColumns`), the form the archive decodes to: the
 ``metrics`` command passes each record's columns without building a row
 object, and a ``ProjectFacts`` is transposed once.  Kinds are counted per
 column, and each distinct relation target is resolved once.  The

@@ -166,6 +166,12 @@ def check_grid(models: list[GridCell], testsets: list[EvalSet], space: str) -> N
     evaluate_grid(empty, [], testsets, space)
 
 
+def _model_id(value) -> str:
+    if not isinstance(value, str):  # a JSON list would fail check_grid's set()
+        raise TypeError(f"model id {value!r} is not a string")
+    return value
+
+
 def _range(value) -> tuple[float, float]:
     lo, hi = value
     return (float(lo), math.inf if hi is None else float(hi))
@@ -188,14 +194,14 @@ def parse_grid(
     """The model grid and test sets of a JSON config object.
 
     Absent keys keep the given ``models`` and ``testsets``; ``models=None``
-    makes the ``models`` key required.  Missing keys and non-numeric
-    values are usage errors.
+    makes the ``models`` key required.  Missing keys, model ids that are
+    not strings and non-numeric values are usage errors.
     """
     with settings_errors("grid config"):
         if models is None or "models" in data:
             models = [
                 GridCell(
-                    model_id=m["id"],
+                    model_id=_model_id(m["id"]),
                     y_metric=m["y"],
                     x_metric=m["x"],
                     k=float(m.get("k", 1)),

@@ -3,11 +3,28 @@
 The archive is a header line with the format version, a project-count
 line, then one record per project: its length, a space, its payload and a
 newline, so that truncation is detectable.  A payload is the zlib stream
-(RFC 1950; its Adler-32 trailer checks it) of canonical JSON whose
-``entities`` and ``relations`` hold one array per row field.  Entity ids
+(RFC 1950; its Adler-32 trailer checks it) of canonical JSON.  Entity ids
 are local to their project, so each record is encoded on its own and
 records can be written as they are made.  No database engine; readers
 rebuild in-memory indexes.
+
+A version 3 record leaves out what extraction makes implicit:
+
+* ``entities`` holds four arrays, the fqn, kind, file and line of each
+  entity.  Their ids are 1..n in row order unless an ``ids`` array is
+  present, which holds them as they are.
+* ``parent`` holds one int per entity: the source of its ``CONTAINS``
+  relation, or 0 for none.  These are the leading ``CONTAINS`` relations,
+  written by extraction before any other, whose targets are entities in
+  increasing row order and whose sources are non-zero ints.
+* ``relations`` holds two arrays, the kind and target of each other
+  relation, in order; a later or out-of-order ``CONTAINS`` is one of them.
+  Their sources are in ``deltas``, each the difference from the previous
+  source (the first from 0), when all are ints; otherwise a plain
+  ``sources`` array holds them.
+
+So ``decode_columns`` returns, for any facts, exactly the columns the
+encoder was given, as JSON types them.
 
 The metrics table is a CSV of the ``METRIC_COLUMNS``, read back as
 :class:`~javascale.metrics.MetricColumns`.  A canonical table is one as
@@ -23,10 +40,10 @@ import json
 import os
 import zlib
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import add, le
+from itertools import accumulate, chain, compress, repeat
+from operator import add, le, sub
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     ArchiveIntegrityError,
@@ -43,7 +60,7 @@ from .facts import (
 )
 from .metrics import METRIC_COLUMNS, MetricColumns, ProjectMetrics, metric_columns
 
-ARCHIVE_VERSION = 2
+ARCHIVE_VERSION = 3
 _MAGIC = "JSCALE-FACTS"
 _MAX_DIGITS = 20  # of a record's length prefix
 
@@ -58,14 +75,55 @@ class FactsArchive:
         )
 
 
+def _ints(values) -> bool:
+    # bool and float compare equal to ints but are written as other JSON
+    return {int}.issuperset(map(type, values))
+
+
+def _parent_run(ids: Sequence, implicit: bool, relations: Sequence[Sequence]) -> list[int]:
+    """The source of each entity's ``CONTAINS`` relation in the leading run
+    of them whose sources are non-zero ints and whose targets are int ids
+    of entities in increasing row order, else 0."""
+    parent = [0] * len(ids)
+    last = -1
+    for source, kind, target in zip(*relations):
+        if kind != "CONTAINS" or type(source) is not int or not source or type(target) is not int:
+            break
+        try:
+            at = target - 1 if implicit else ids.index(target, last + 1)
+        except ValueError:
+            break
+        if not last < at < len(ids) or type(ids[at]) is not int:
+            break
+        parent[at] = source
+        last = at
+    return parent
+
+
 def _project_payload(columns: FactColumns) -> bytes:
-    text = json.dumps(
+    ids, fqns, kinds, files, lines = columns.entities
+    sources, kinds_of_relations, targets = columns.relations
+    implicit = _ints(ids) and list(ids) == list(range(1, len(ids) + 1))
+    parent = _parent_run(ids, implicit, columns.relations)
+    run = len(parent) - parent.count(0)
+    record = {
+        "project_id": columns.project_id,
+        "sloc": columns.sloc,
+        "parse_warning_count": columns.parse_warning_count,
+        "warnings": columns.warnings,
         # the kinds are str enums, so they encode as their values
-        columns._asdict(),
-        separators=(",", ":"),
-        sort_keys=True,
-        ensure_ascii=False,
-    )
+        "entities": [fqns, kinds, files, lines],
+        "parent": parent,
+        "relations": [kinds_of_relations[run:], targets[run:]],
+    }
+    if not implicit:
+        record["ids"] = ids
+    sources = sources[run:]
+    if _ints(sources):
+        record["deltas"] = list(map(sub, sources, chain((0,), sources)))
+    else:
+        record["sources"] = sources
+    text = json.dumps(record, separators=(",", ":"), sort_keys=True, ensure_ascii=False)
     return zlib.compress(text.encode("utf-8"))
 
 
@@ -74,11 +132,11 @@ _ENTITY_KINDS = {k.value: k for k in EntityKind}
 _RELATION_KINDS = {k.value: k for k in RelationKind}
 
 
-def _columns(data: dict, key: str) -> list:
+def _same_length(columns: list, name: str) -> list:
     # map() would stop at the shortest column, silently dropping rows
-    if len(set(map(len, data[key]))) > 1:
-        raise ValueError(f"{key} columns differ in length")
-    return data[key]
+    if len(set(map(len, columns))) > 1:
+        raise ValueError(f"{name} columns differ in length")
+    return columns
 
 
 def _rows(c: FactColumns) -> tuple[list[SourceEntity], list[FactRelation]]:
@@ -94,28 +152,52 @@ def _rows(c: FactColumns) -> tuple[list[SourceEntity], list[FactRelation]]:
     )
 
 
+def _decoded(data: dict) -> FactColumns:
+    """The columns a version 3 record's JSON stands for; a field that breaks
+    the layout raises."""
+    fqns, kinds, files, lines = data["entities"]
+    ids = data["ids"] if "ids" in data else list(range(1, len(fqns) + 1))
+    _same_length([ids, fqns, kinds, files, lines], "entities")
+    parent = data["parent"]
+    if len(parent) != len(fqns):
+        raise ValueError("parent and entities differ in length")
+    if not _ints(parent):
+        raise ValueError("parent holds a value that is not an int")
+    if ("deltas" in data) == ("sources" in data):
+        raise ValueError("a record holds both or neither of deltas and sources")
+    if "deltas" in data:
+        if not _ints(data["deltas"]):
+            raise ValueError("deltas holds a value that is not an int")
+        sources = list(accumulate(data["deltas"]))
+    else:
+        sources = data["sources"]
+    kinds_of_relations, targets = _same_length([sources, *data["relations"]], "relations")[1:]
+    run = len(parent) - parent.count(0)
+    return FactColumns(
+        project_id=data["project_id"],
+        sloc=data["sloc"],
+        parse_warning_count=data.get("parse_warning_count", 0),
+        warnings=list(data.get("warnings", [])),
+        entities=[ids, fqns, kinds, files, lines],
+        relations=[
+            [*filter(None, parent), *sources],
+            ["CONTAINS"] * run + kinds_of_relations,
+            [*compress(ids, parent), *targets],
+        ],
+    )
+
+
 def decode_columns(payload: bytes, path: str | Path, lineno: int) -> FactColumns:
     """The columns of the record payload framed at line ``lineno`` of
     ``path``; a record whose rows could not be built is refused."""
     try:
-        data = json.loads(zlib.decompress(payload).decode("utf-8"))
-        entities = _columns(data, "entities")
-        _, fqns, kinds, _, _ = entities
-        relations = _columns(data, "relations")
-        _, kinds_of_relations, _ = relations
-        columns = FactColumns(
-            project_id=data["project_id"],
-            sloc=data["sloc"],
-            parse_warning_count=data.get("parse_warning_count", 0),
-            warnings=list(data.get("warnings", [])),
-            entities=entities,
-            relations=relations,
-        )
+        columns = _decoded(json.loads(zlib.decompress(payload).decode("utf-8")))
+        _, fqns, kinds, _, _ = columns.entities
         try:
             buildable = (
                 all(fqns)
                 and _ENTITY_KINDS.keys() >= set(kinds)
-                and _RELATION_KINDS.keys() >= set(kinds_of_relations)
+                and _RELATION_KINDS.keys() >= set(columns.relations[1])
             )
         except TypeError:  # an unhashable kind
             buildable = False

@@ -59,6 +59,8 @@ class SynthSpec:
             raise ValueError("noise_sigma must be non-negative")
         if self.n_projects < 0:
             raise ValueError("n_projects must be non-negative")
+        if self.x_metric == self.y_metric:  # one column would hold y and lose x
+            raise ValueError(f"x_metric and y_metric are both {self.x_metric!r}")
 
 
 def _round_floor_zero(value: float) -> int:

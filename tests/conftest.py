@@ -1,3 +1,6 @@
+import hashlib
+import zlib
+
 import pytest
 
 from javascale.errors import ArchiveIntegrityError
@@ -14,6 +17,16 @@ MANIFEST = CORPUS_DIR / "manifest.txt"
 
 FOONUMBER_ROOT = CORPUS_DIR / "p01_foonumber"
 FOONUMBER_SOURCE = (FOONUMBER_ROOT / "src/foo/FooNumber.java").read_text()
+
+
+def archive_digest(*archives: Path) -> str:
+    """The sha256 of the archives' decompressed record payloads, in order:
+    unlike the archive's bytes it does not depend on the zlib build."""
+    digest = hashlib.sha256()
+    for archive in archives:
+        for _, payload, _ in scan_records(archive):
+            digest.update(zlib.decompress(payload))
+    return digest.hexdigest()
 
 
 def assert_measured_alike(archive: Path, projects) -> None:

@@ -2,10 +2,12 @@
 
     python tests/facts_diff.py OLD_SRC NEW_SRC
 
-Writes the project sets below into a temporary directory, extracts every
-project under each tree in its own interpreter, and prints each project
-whose zlib-decompressed record payloads differ, then one count per set.
-Exit status 0 when no record differs, 1 otherwise.
+Writes the project sets below into a temporary directory, extracts and
+archives every project under each tree in its own interpreter, decodes its
+record with that tree's ``decode_columns``, and prints each project whose
+decoded facts differ, then one count per set.  The facts are compared as
+canonical JSON, so two trees that write different archive versions can be
+compared.  Exit status 0 when no record differs, 1 otherwise.
 
 The sets: the mutated projects of ``test_extractor.mutated_projects`` for
 seeds 20260 (400 projects, the ones its digest test pins), 12345 and 777
@@ -24,7 +26,6 @@ import json
 import subprocess
 import sys
 import tempfile
-import zlib
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -67,11 +68,12 @@ def write_sets(root: Path) -> dict[str, list[tuple[str, str]]]:
 
 
 def extract_digests(src: str, sets_json: str) -> None:
-    """Print, as JSON, the sha256 of each project's decompressed record
-    payload, as the javascale under ``src`` extracts and archives it."""
+    """Print, as JSON, the sha256 of each project's facts as the javascale
+    under ``src`` extracts, archives and decodes them: the canonical JSON
+    of the ``FactColumns`` its ``decode_columns`` returns."""
     sys.path.insert(0, src)
     from javascale.extractor import extract_project
-    from javascale.store import FactsArchive, scan_records, write_facts
+    from javascale.store import FactsArchive, decode_columns, scan_records, write_facts
 
     sets = json.loads(Path(sets_json).read_text(encoding="utf-8"))
     digests: dict[str, dict[str, str]] = {}
@@ -81,8 +83,10 @@ def extract_digests(src: str, sets_json: str) -> None:
             digests[name] = {}
             for pid, root in projects:
                 write_facts(FactsArchive(projects=[extract_project(root, pid)]), archive)
-                ((_, payload, _),) = scan_records(archive)
-                digests[name][pid] = hashlib.sha256(zlib.decompress(payload)).hexdigest()
+                ((_, payload, lineno),) = scan_records(archive)
+                columns = decode_columns(payload, archive, lineno)
+                text = json.dumps(columns._asdict(), sort_keys=True, separators=(",", ":"))
+                digests[name][pid] = hashlib.sha256(text.encode()).hexdigest()
     print(json.dumps(digests))
 
 

@@ -1,5 +1,5 @@
 import gc
-import hashlib
+import json
 import random
 import shutil
 import subprocess
@@ -21,7 +21,7 @@ from javascale.facts import EntityKind, FactRelation, ProjectFacts, RelationKind
 from javascale.store import FactsArchive, scan_records, write_facts
 
 import javalex_reference as reference
-from conftest import CORPUS_DIR, assert_measured_alike
+from conftest import CORPUS_DIR, archive_digest, assert_measured_alike
 
 
 def _entity(entity_id: int, fqn: str, kind: EntityKind) -> SourceEntity:
@@ -1541,10 +1541,11 @@ class TestMutatedSources:
         facts.validate()
 
 
-# sha256 of the archive of MUTATED_PROJECTS projects mutated from _SOURCES
-# by a seeded generator; a deliberate change to the extractor's facts or to
-# the archive format changes it, and CHANGES.md records the old and new values
-MUTATED_SHA256 = "74e8f45fcdcca346240ea15e165469516decfa66e17aa750181d395f6e7fcf12"
+# sha256 of the decompressed record payloads of the archive of
+# MUTATED_PROJECTS projects mutated from _SOURCES by a seeded generator; a
+# deliberate change to the extractor's facts or to the archive format
+# changes it, and CHANGES.md records the old and new values
+MUTATED_SHA256 = "dbfddd1e7f5291cf710f55fd96bb284ad8bf03e1590caae5447e8a54ad48310c"
 MUTATED_PROJECTS = 400
 
 
@@ -1570,15 +1571,15 @@ def test_mutated_sources_match_golden_digest(tmp_path):
         for n, files in enumerate(mutated_projects(20260, MUTATED_PROJECTS))
     ]
     write_facts(FactsArchive(projects=projects), tmp_path / "facts.bin")
-    digest = hashlib.sha256((tmp_path / "facts.bin").read_bytes()).hexdigest()
-    assert digest == MUTATED_SHA256
+    assert archive_digest(tmp_path / "facts.bin") == MUTATED_SHA256
+    assert_compact(tmp_path / "facts.bin")
     assert_measured_alike(tmp_path / "facts.bin", projects)
 
 
-# sha256 over the zlib-decompressed record payloads of the facts of the
-# benchmark corpora that bench/gen.py makes for BENCH_SEEDS, so that the
-# digest holds for any zlib build; changes as MUTATED_SHA256 does
-BENCH_FACTS_SHA256 = "2c029aa06cece25ba20e2a1a40987e53ae67af1958fb66b10fa8808b06d750c7"
+# sha256 over the decompressed record payloads of the facts of the
+# benchmark corpora that bench/gen.py makes for BENCH_SEEDS; changes as
+# MUTATED_SHA256 does
+BENCH_FACTS_SHA256 = "59f5ad77256fad7c9d36941acb149cb96cd525d7edeac73bd0bcd8eab2533c6a"
 BENCH_SEEDS = (1, 7, 11)
 
 
@@ -1595,15 +1596,39 @@ def bench_corpora(tmp_path_factory):
     return {seed: base / f"seed{seed}" for seed in BENCH_SEEDS}
 
 
-def test_benchmark_corpora_match_golden_digest(bench_corpora, tmp_path):
-    digest = hashlib.sha256()
+@pytest.fixture(scope="module")
+def bench_archives(bench_corpora, tmp_path_factory):
+    """The facts archive of each benchmark corpus, in BENCH_SEEDS order."""
+    base = tmp_path_factory.mktemp("archives")
     for seed in BENCH_SEEDS:
-        root = bench_corpora[seed]
-        projects = extract_corpus(root / "manifest.txt")
-        write_facts(FactsArchive(projects=projects), tmp_path / f"facts{seed}.bin")
-        for _, payload, _ in scan_records(tmp_path / f"facts{seed}.bin"):
-            digest.update(zlib.decompress(payload))
-    assert digest.hexdigest() == BENCH_FACTS_SHA256
+        projects = extract_corpus(bench_corpora[seed] / "manifest.txt")
+        write_facts(FactsArchive(projects=projects), base / f"facts{seed}.bin")
+    return [base / f"facts{seed}.bin" for seed in BENCH_SEEDS]
+
+
+def test_benchmark_corpora_match_golden_digest(bench_archives):
+    assert archive_digest(*bench_archives) == BENCH_FACTS_SHA256
+
+
+def assert_compact(archive: Path) -> int:
+    """Check that each record of ``archive`` takes the compact form: ids
+    left implicit, every CONTAINS relation in ``parent`` and the sources
+    delta-coded; return the record count."""
+    records = 0
+    for _, payload, _ in scan_records(archive):
+        data = json.loads(zlib.decompress(payload))
+        assert "ids" not in data and "sources" not in data
+        assert "CONTAINS" not in data["relations"][0]
+        records += 1
+    return records
+
+
+def test_extracted_records_take_the_compact_form(fixture_projects, bench_archives, tmp_path):
+    # a record that fell back to the explicit form would still decode to
+    # the same facts, and only the archive's size would show it
+    write_facts(FactsArchive(projects=fixture_projects), tmp_path / "facts.bin")
+    assert assert_compact(tmp_path / "facts.bin") == len(fixture_projects) == 10
+    assert [assert_compact(archive) for archive in bench_archives] == [14, 14, 14]
 
 
 class TestTokenTable:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import zlib
+from itertools import starmap
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,14 @@ from javascale.errors import (
     DuplicateProjectError,
     UnsupportedVersionError,
 )
-from javascale.facts import EntityKind, FactRelation, ProjectFacts, RelationKind, SourceEntity
+from javascale.facts import (
+    EntityKind,
+    FactColumns,
+    FactRelation,
+    ProjectFacts,
+    RelationKind,
+    SourceEntity,
+)
 from javascale.metrics import METRIC_COLUMNS, ProjectMetrics, compute_metrics, metric_columns
 from javascale import store
 from javascale.store import (
@@ -36,15 +44,20 @@ from javascale.store import (
 import metrics_table_reference as reference
 from conftest import assert_measured_alike
 
-# entities and relations hold one array per field: (entity_id, fqn, kind,
-# file, line) and (source, kind, target)
-_PAYLOAD = {"project_id": "p", "sloc": 1, "entities": [[1], ["p"], ["PACKAGE"], [""], [0]]}
+# a version 3 record: entities hold one array per field but the id, which
+# is 1..n; parent the source of each entity's CONTAINS relation, or 0;
+# relations the kind and target of every other relation, and deltas their
+# sources, delta-coded
+_PAYLOAD = {
+    "project_id": "p", "sloc": 1, "entities": [["p"], ["PACKAGE"], [""], [0]], "parent": [0],
+    "deltas": [],
+}
 
 
-def _archive(count: str, *payloads: bytes) -> bytes:
+def _archive(count: str, *payloads: bytes, version: int = 3) -> bytes:
     """An archive of records whose length prefixes are right for ``payloads``."""
     records = b"".join(b"%d %b\n" % (len(p), p) for p in payloads)
-    return f"JSCALE-FACTS 2\n{count}\n".encode() + records
+    return f"JSCALE-FACTS {version}\n{count}\n".encode() + records
 
 
 def _z(text: str) -> bytes:
@@ -52,11 +65,21 @@ def _z(text: str) -> bytes:
 
 
 def _record(**changes) -> bytes:
-    return _z(json.dumps({"relations": [[], [], []], **_PAYLOAD, **changes}))
+    return _z(json.dumps({"relations": [[], []], **_PAYLOAD, **changes}))
+
+
+def _relation(kind, target) -> dict:
+    """The fields of a record's one relation, from entity 1."""
+    return {"relations": [[kind], [target]], "deltas": [1]}
 
 
 # a record as version 1 wrote it: plain JSON, one array per row
 _V1_RECORD = '{"entities":[[1,"p","PACKAGE","",0]],"project_id":"p","relations":[],"sloc":1}'
+# as version 2 wrote it, zlib-compressed: one array per field, ids included
+_V2_RECORD = _z(
+    '{"entities":[[1],["p"],["PACKAGE"],[""],[0]],"project_id":"p","relations":[[],[],[]],'
+    '"sloc":1}'
+)
 
 
 # each text, read as a facts archive, breaks one rule of the reader
@@ -64,25 +87,28 @@ BAD_ARCHIVES = [
     pytest.param("JSCALE-FACTS one\n0\n", "bad version line", id="version"),
     pytest.param(
         f"JSCALE-FACTS 1\n1\n{len(_V1_RECORD)} {_V1_RECORD}\n",
-        "archive version 1, reader supports 2$",
+        "archive version 1, reader supports 3$",
         id="v1",
     ),
-    pytest.param("JSCALE-FACTS 2", "missing project count", id="no-count"),
-    pytest.param("JSCALE-FACTS 2\nmany\n", "missing project count", id="bad-count"),
+    pytest.param(
+        _archive("1", _V2_RECORD, version=2), "archive version 2, reader supports 3$", id="v2"
+    ),
+    pytest.param("JSCALE-FACTS 3", "missing project count", id="no-count"),
+    pytest.param("JSCALE-FACTS 3\nmany\n", "missing project count", id="bad-count"),
     pytest.param(_archive("2", _record())[:-1], "truncated at record 2", id="truncated"),
     pytest.param(_archive("2", _record()), "truncated at record 2", id="cut-after-record"),
     pytest.param(_archive("1", _record()) + b"garbage\n", "data after record 1", id="trailing"),
     pytest.param(
-        b"JSCALE-FACTS 2\n1\nlong " + _record() + b"\n", "bad record at line 3$", id="prefix"
+        b"JSCALE-FACTS 3\n1\nlong " + _record() + b"\n", "bad record at line 3$", id="prefix"
     ),
-    pytest.param("JSCALE-FACTS 2\n1\n99 {}\n", "record length mismatch at line 3", id="length"),
+    pytest.param("JSCALE-FACTS 3\n1\n99 {}\n", "record length mismatch at line 3", id="length"),
     pytest.param(  # not read, so nothing of that size is allocated
-        f"JSCALE-FACTS 2\n1\n{'9' * 20} {{}}\n", "record length mismatch at line 3", id="huge"
+        f"JSCALE-FACTS 3\n1\n{'9' * 20} {{}}\n", "record length mismatch at line 3", id="huge"
     ),
-    pytest.param(f"JSCALE-FACTS 2\n1\n{'1' * 21} {{}}\n", "bad record at line 3$", id="digits"),
+    pytest.param(f"JSCALE-FACTS 3\n1\n{'1' * 21} {{}}\n", "bad record at line 3$", id="digits"),
     pytest.param(_archive("1", _z("{not json")), "bad record at line 3: .*Expecting", id="json"),
     pytest.param(
-        _archive("1", _record(entities=[[1], ["p"], ["KLASS"], [""], [0]])),
+        _archive("1", _record(entities=[["p"], ["KLASS"], [""], [0]])),
         "bad record at line 3: .*KLASS",
         id="kind",
     ),
@@ -103,14 +129,68 @@ BAD_ARCHIVES = [
         id="checksum",
     ),
     pytest.param(
-        _archive("1", _record(entities=[[1, 2], ["p"], ["PACKAGE"], [""], [0]])),
+        _archive("1", _record(entities=[["p", "q"], ["PACKAGE"], [""], [0]])),
         r"bad record at line 3: ValueError\('entities columns differ in length'\)",
         id="entity-columns",
     ),
     pytest.param(
-        _archive("1", _record(relations=[[1], ["USES"], []])),
+        _archive("1", _record(ids=[1, 2])),
+        r"bad record at line 3: ValueError\('entities columns differ in length'\)",
+        id="ids-length",
+    ),
+    pytest.param(
+        _archive("1", _record(relations=[["USES"], []], deltas=[1])),
         r"bad record at line 3: ValueError\('relations columns differ in length'\)",
         id="relation-columns",
+    ),
+    pytest.param(
+        _archive("1", _record(**_relation("USES", 1), sources=[1])),
+        r"bad record at line 3: ValueError\('a record holds both or neither of deltas and "
+        r"sources'\)",
+        id="deltas-and-sources",
+    ),
+    pytest.param(
+        _archive("1", _z(json.dumps(
+            {"relations": [[], []], **{k: v for k, v in _PAYLOAD.items() if k != "deltas"}}
+        ))),
+        r"bad record at line 3: ValueError\('a record holds both or neither of deltas and "
+        r"sources'\)",
+        id="no-sources",
+    ),
+    pytest.param(
+        _archive("1", _z(json.dumps({**_PAYLOAD, "deltas": None}))),
+        r"bad record at line 3: TypeError\(\"'NoneType' object is not iterable\"\)$",
+        id="null-deltas",
+    ),
+    pytest.param(
+        _archive("1", _record(parent=[0, 0])),
+        r"bad record at line 3: ValueError\('parent and entities differ in length'\)",
+        id="parent-length",
+    ),
+    pytest.param(
+        _archive("1", _record(parent=[1.0])),
+        r"bad record at line 3: ValueError\('parent holds a value that is not an int'\)",
+        id="parent-float",
+    ),
+    pytest.param(
+        _archive("1", _record(parent=[[1]])),
+        r"bad record at line 3: ValueError\('parent holds a value that is not an int'\)",
+        id="parent-list",
+    ),
+    pytest.param(
+        _archive("1", _record(parent=[True])),
+        r"bad record at line 3: ValueError\('parent holds a value that is not an int'\)",
+        id="parent-bool",
+    ),
+    pytest.param(
+        _archive("1", _record(**{**_relation("USES", 1), "deltas": [1.5]})),
+        r"bad record at line 3: ValueError\('deltas holds a value that is not an int'\)",
+        id="delta-float",
+    ),
+    pytest.param(
+        _archive("1", _record(**{**_relation("USES", 1), "deltas": ["1"]})),
+        r"bad record at line 3: ValueError\('deltas holds a value that is not an int'\)",
+        id="delta-str",
     ),
     pytest.param(
         _archive("1", _record(warnings=5)),
@@ -150,9 +230,8 @@ BAD_TABLES = [
 # metrics command measures the records before it in forked workers
 _BIG_BAD_KIND = _record(
     project_id="big",
-    entities=[
-        list(range(1, 501)), ["p"] * 500, ["PACKAGE"] * 499 + ["KLASS"], [""] * 500, [0] * 500
-    ],
+    entities=[["p"] * 500, ["PACKAGE"] * 499 + ["KLASS"], [""] * 500, [0] * 500],
+    parent=[0] * 500,
 )
 MULTI_FAULT_ARCHIVES = [
     pytest.param(
@@ -221,16 +300,13 @@ def test_metrics_reports_the_readers_first_fault(
     assert not (tmp_path / "m.csv").exists()
 
 
+# p.f is contained in p.m and p.m in p.f
 _CYCLE_RECORD = _record(
     project_id="cyc",
-    entities=[
-        [1, 2, 3],
-        ["p", "p.f", "p.m"],
-        ["PACKAGE", "FIELD", "METHOD"],
-        ["", "A.java", "A.java"],
-        [0, 1, 2],
-    ],
-    relations=[[2, 3, 1], ["CONTAINS", "CONTAINS", "USES"], [3, 2, 3]],
+    entities=[["p", "p.f", "p.m"], ["PACKAGE", "FIELD", "METHOD"], ["", "A.java", "A.java"],
+              [0, 1, 2]],
+    parent=[0, 3, 2],
+    **_relation("USES", 3),
 )
 
 
@@ -280,30 +356,30 @@ def test_contains_cycle_is_integrity_error(tmp_path, cpus):
             id="sloc",
         ),
         pytest.param(
-            _record(relations=[[1], ["USES"], [[1]]]), "unhashable type: 'list'", id="target"
+            _record(**_relation("USES", [1])), "unhashable type: 'list'", id="target"
         ),
         pytest.param(
-            _record(relations=[[1], ["CALLS"], [None]]),
+            _record(**_relation("CALLS", None)),
             "CALLS target None is not an entity of the record",
             id="null-call",
         ),
         pytest.param(
-            _record(relations=[[1], ["USES"], [None]]),
+            _record(**_relation("USES", None)),
             "USES target None is not an entity of the record",
             id="null-use",
         ),
         pytest.param(
-            _record(relations=[[1], ["USES"], [9]]),
+            _record(**_relation("USES", 9)),
             "USES target 9 is not an entity of the record",
             id="dangling",
         ),
         pytest.param(
-            _record(relations=[[1], ["INSTANTIATES"], [1.5]]),
+            _record(**_relation("INSTANTIATES", 1.5)),
             "INSTANTIATES target 1.5 is not an entity of the record",
             id="float",
         ),
         pytest.param(
-            _record(relations=[[1], ["USES"], [True]]),
+            _record(**_relation("USES", True)),
             "USES target True is not an entity of the record",
             id="bool",
         ),
@@ -375,9 +451,9 @@ class TestArchiveRoundTrip:
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "facts.bin"
         write_facts(FactsArchive(projects=[ProjectFacts(project_id="p")]), path)
-        data = path.read_bytes().replace(b"JSCALE-FACTS 2\n", b"JSCALE-FACTS 99\n", 1)
+        data = path.read_bytes().replace(b"JSCALE-FACTS 3\n", b"JSCALE-FACTS 99\n", 1)
         path.write_bytes(data)
-        with pytest.raises(UnsupportedVersionError, match="archive version 99, reader supports 2$"):
+        with pytest.raises(UnsupportedVersionError, match="archive version 99, reader supports 3$"):
             read_facts(path)
 
     def test_truncated_file(self, foonumber_facts, tmp_path):
@@ -399,6 +475,60 @@ class TestArchiveRoundTrip:
             FactsArchive(
                 projects=[ProjectFacts(project_id="p"), ProjectFacts(project_id="p")]
             )
+
+
+def _canonical(columns: FactColumns) -> str:
+    """The columns as JSON types them: what decoding a version 2 record,
+    which held them as they are, gave back."""
+    return json.dumps(columns._asdict(), sort_keys=True)
+
+
+_C, _U = RelationKind.CONTAINS, RelationKind.USES
+
+
+def _facts(relations, ids=(1, 2, 3)) -> ProjectFacts:
+    """A package, a class in it and a method in that, under ``ids``."""
+    kinds = [EntityKind.PACKAGE, EntityKind.CLASS, EntityKind.METHOD]
+    rows = zip(ids, ["p", "p.A", "p.A.m"], kinds, ["", "A.java", "A.java"], [0, 1, 2])
+    return ProjectFacts("p", list(starmap(SourceEntity, rows)),
+                        list(starmap(FactRelation, relations)), sloc=3)
+
+
+_TREE = [(1, _C, 2), (2, _C, 3)]
+# facts, then whether the record holds ids, whether it holds plain sources
+# and how many CONTAINS relations parent leaves to relations
+RECORD_FORMS = [
+    pytest.param(_facts([*_TREE, (3, _U, "x"), (3, RelationKind.CALLS, 3)]), False, False, 0,
+                 id="compact"),
+    pytest.param(_facts([(5, _C, 7), (7, _C, 9), (9, _U, 7)], ids=(5, 7, 9)), True, False, 0,
+                 id="ids-not-1-to-n"),
+    pytest.param(_facts(_TREE, ids=(True, 2.0, 3)), True, False, 2, id="ids-not-ints"),
+    pytest.param(_facts([(2, _C, 3), (1, _C, 2)]), False, False, 1, id="contains-out-of-order"),
+    pytest.param(_facts([(1, _C, 2), (1, _C, 2), (2, _C, 3)]), False, False, 2,
+                 id="contains-repeated"),
+    pytest.param(_facts([(1, _C, "p.A"), (2, _C, 3)]), False, False, 2, id="contains-name"),
+    pytest.param(_facts([(1, _C, 2), (2, _U, "x"), (2, _C, 3)]), False, False, 1,
+                 id="contains-after-body"),
+    pytest.param(_facts([(0, _C, 2), (2, _C, 3)]), False, False, 2, id="contains-from-0"),
+    pytest.param(_facts([*_TREE, ("p.A", _U, 3)]), False, True, 0, id="string-source"),
+    pytest.param(_facts([*_TREE, (True, _U, 3)]), False, True, 0, id="bool-source"),
+    pytest.param(ProjectFacts("e"), False, False, 0, id="empty"),
+]
+
+
+@pytest.mark.parametrize("facts, ids, plain, contains", RECORD_FORMS)
+def test_facts_outside_the_compact_form_round_trip(tmp_path, facts, ids, plain, contains):
+    payload = _project_payload(facts.columns())
+    data = json.loads(zlib.decompress(payload))
+    assert ("ids" in data, "sources" in data, "deltas" in data) == (ids, plain, not plain)
+    assert data["relations"][0].count("CONTAINS") == contains
+    assert _canonical(store.decode_columns(payload, "x", 3)) == _canonical(facts.columns())
+    a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+    write_facts(FactsArchive(projects=[facts]), a)
+    archive = read_facts(a)
+    assert archive.projects == [facts]
+    write_facts(archive, b)
+    assert a.read_bytes() == b.read_bytes()
 
 
 _TEXT = st.text(max_size=12)  # any code point but a lone surrogate
@@ -433,9 +563,42 @@ def test_any_facts_survive_write_and_read(projects):
         write_facts(FactsArchive(projects=projects), a)
         write_facts(FactsArchive(projects=projects), b)
         assert a.read_bytes() == b.read_bytes()
-        loaded = read_facts(a).projects
+        loaded = read_facts(a)
         assert_measured_alike(a, projects)
-    assert loaded == projects  # 1 and "1" are different targets
+        write_facts(loaded, b)
+        assert a.read_bytes() == b.read_bytes()
+    assert loaded.projects == projects  # 1 and "1" are different targets
+
+
+# ids, sources and targets that are ints near 1..n, or values that compare
+# equal to them but are written as other JSON
+_NEAR_INT = st.one_of(st.integers(-1, 7), st.booleans(), st.sampled_from([1.0, 2.0, -0.0]), _TEXT)
+
+
+@st.composite
+def _near_compact_facts(draw) -> ProjectFacts:
+    """Facts whose ids are often 1..n and whose relations often open with
+    a run of CONTAINS relations, as extraction writes them."""
+    n = draw(st.integers(0, 6))
+    ids = draw(st.one_of(st.just(range(1, n + 1)), st.lists(_NEAR_INT, min_size=n, max_size=n)))
+    entities = [SourceEntity(i, "e", EntityKind.CLASS, "", 0) for i in ids]
+    relation = st.builds(
+        FactRelation,
+        st.one_of(st.integers(-1, 7), _NEAR_INT),
+        st.sampled_from([_C, _C, _C, _U, RelationKind.CALLS]),
+        st.one_of(st.integers(0, 7), _NEAR_INT),
+    )
+    return ProjectFacts("p", entities, draw(st.lists(relation, max_size=10)))
+
+
+@given(_near_compact_facts())
+@settings(max_examples=500, deadline=None)
+def test_decoding_gives_the_columns_as_version_2_stored_them(facts):
+    columns = facts.columns()
+    payload = _project_payload(columns)
+    decoded = store.decode_columns(payload, "x", 3)
+    assert _canonical(decoded) == _canonical(columns)
+    assert _project_payload(decoded) == payload
 
 
 class TestMetricsTable:

@@ -99,6 +99,11 @@ class TestGenerate:
                 n_projects=5, x_range=(1, 10), true_alpha=1, true_beta=1,
                 noise_sigma=-1,
             )
+        with pytest.raises(ValueError, match="^x_metric and y_metric are both 'classes'$"):
+            SynthSpec(
+                n_projects=5, x_range=(1, 10), true_alpha=1, true_beta=1,
+                x_metric="classes", y_metric="classes",
+            )
 
 
 class TestGenerateMetrics:
