@@ -60,6 +60,18 @@ METRIC_COLUMNS = [
 
 METRIC_NAMES = frozenset(METRIC_COLUMNS[1:])
 
+
+# The row rules, for the row check, ProjectMetrics.derive, the table reader and
+# synth: each derived column is the sum of its parts, each capped one <= its cap.
+SUM_RULES = (
+    ("modules", ("classes", "interfaces"), "modules must equal classes + interfaces"),
+    ("used_total", ("used_internal", "used_jdk", "used_external"),
+     "used_total must be the sum of the provenance counts"),
+    ("efferent_coupling", ("used_jdk", "used_external"),
+     "efferent_coupling must equal used_jdk + used_external"),
+)
+CAPS = {"dui": "classes", "if_count": "classes"}
+
 DEFAULT_JDK_PREFIXES: tuple[str, ...] = ("java.", "javax.")
 
 _CLASS_KINDS = frozenset({EntityKind.CLASS, EntityKind.ENUM})
@@ -102,15 +114,19 @@ class ProjectMetrics(
         if min(counts) < 0:
             name = next(n for n, v in zip(METRIC_COLUMNS[1:], counts) if v < 0)
             raise ValueError(f"{name} must be non-negative")
-        if self.modules != self.classes + self.interfaces:
-            raise ValueError("modules must equal classes + interfaces")
-        if self.used_total != self.used_internal + self.used_jdk + self.used_external:
-            raise ValueError("used_total must be the sum of the provenance counts")
-        if self.efferent_coupling != self.used_jdk + self.used_external:
-            raise ValueError("efferent_coupling must equal used_jdk + used_external")
-        if self.dui > self.classes or self.if_count > self.classes:
+        for column, parts, message in SUM_RULES:
+            if getattr(self, column) != sum(getattr(self, part) for part in parts):
+                raise ValueError(message)
+        if any(getattr(self, column) > getattr(self, cap) for column, cap in CAPS.items()):
             raise ValueError("dui and if_count cannot exceed the class count")
         return self
+
+    @classmethod
+    def derive(cls, project_id: str, **counts: int) -> ProjectMetrics:
+        """The row of ``counts`` with each derived column the sum of its parts."""
+        for column, parts, _ in SUM_RULES:
+            counts[column] = sum(counts.get(part, 0) for part in parts)
+        return cls(project_id, **counts)
 
 
 class MetricColumns(namedtuple("_MetricColumns", METRIC_COLUMNS)):
@@ -241,14 +257,11 @@ def measure(
         else:
             external += 1
     per_rel = Counter(relation_kinds)
-    classes = per_kind[EntityKind.CLASS] + per_kind[EntityKind.ENUM]
-    interfaces = per_kind[EntityKind.INTERFACE] + per_kind[EntityKind.ANNOTATION]
-    row = ProjectMetrics(
-        project_id=facts.project_id,
+    row = ProjectMetrics.derive(
+        facts.project_id,
         sloc=facts.sloc,
-        classes=classes,
-        interfaces=interfaces,
-        modules=classes + interfaces,
+        classes=per_kind[EntityKind.CLASS] + per_kind[EntityKind.ENUM],
+        interfaces=per_kind[EntityKind.INTERFACE] + per_kind[EntityKind.ANNOTATION],
         methods=sum(kinds.get(parent.get(m)) in _CLASS_KINDS for m in method_ids),
         constructors=per_kind[EntityKind.CONSTRUCTOR],
         calls=per_rel[RelationKind.CALLS],
@@ -256,11 +269,9 @@ def measure(
         casts=per_rel[RelationKind.CASTS],
         dui=len(dui),
         if_count=len(inherited),
-        used_total=internal + jdk + external,
         used_internal=internal,
         used_jdk=jdk,
         used_external=external,
-        efferent_coupling=jdk + external,
     )
     return row, len(unresolved)
 

@@ -393,6 +393,16 @@ def _java_bytes(root: Path) -> int:
     return sum(p.stat().st_size for p in root.rglob("*.java") if p.is_file())
 
 
+def job_order(weights: list[int], workers: int) -> list[int]:
+    """Job indexes heaviest first, but past the heaviest (W - 1) / W of the weight
+    lightest first: so the children's head and this process's tail meet on the smallest."""
+    order = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
+    cumulative = list(accumulate(weights[i] for i in order))
+    split = bisect_right(cumulative, cumulative[-1] * (workers - 1) / workers)
+    order[split:] = reversed(order[split:])
+    return order
+
+
 def _in_workers(fn, jobs: list[tuple], weight):
     """Yield ``fn(*job)`` for each job, in job order.
 
@@ -415,13 +425,7 @@ def _in_workers(fn, jobs: list[tuple], weight):
     import pickle
     import signal
 
-    weights = [weight(job) for job in jobs]
-    order = sorted(range(len(jobs)), key=weights.__getitem__, reverse=True)
-    # past the heaviest (W - 1) / W of the weight, lightest first: so the two
-    # ends meet on the smallest jobs, not on one of middle size
-    cumulative = list(accumulate(weights[i] for i in order))
-    split = bisect_right(cumulative, cumulative[-1] * (workers - 1) / workers)
-    order[split:] = reversed(order[split:])
+    order = job_order([weight(job) for job in jobs], workers)
     # order[lo:hi] is left to run: memory shared with the children, under a
     # lockf lock, which the kernel drops if its holder dies
     window = memoryview(mmap.mmap(-1, 8)).cast("i")

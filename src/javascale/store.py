@@ -40,6 +40,7 @@ import json
 import os
 import zlib
 from dataclasses import dataclass, field
+from functools import partial, reduce
 from itertools import accumulate, chain, compress, repeat
 from operator import add, le, sub
 from pathlib import Path
@@ -47,6 +48,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     ArchiveIntegrityError,
+    DataError,
     DuplicateProjectError,
     UnsupportedVersionError,
 )
@@ -58,7 +60,7 @@ from .facts import (
     RelationKind,
     SourceEntity,
 )
-from .metrics import METRIC_COLUMNS, MetricColumns, ProjectMetrics, metric_columns
+from .metrics import CAPS, METRIC_COLUMNS, SUM_RULES, MetricColumns, ProjectMetrics, metric_columns
 
 ARCHIVE_VERSION = 3
 _MAGIC = "JSCALE-FACTS"
@@ -292,12 +294,15 @@ def read_facts(path: str | Path) -> FactsArchive:
 
 
 def export_metrics_table(metrics: list[ProjectMetrics], path: str | Path) -> None:
-    """Write the per-project metrics CSV, rows sorted by project id."""
+    """Write the per-project metrics CSV, rows sorted by project id.  An id
+    with a comma or a line break would not read back, and is a DataError."""
     if not metrics:
         raise ValueError("metrics list must be non-empty")
-    DuplicateProjectError.check(
-        [m.project_id for m in metrics], "duplicate project ids in export"
-    )
+    ids = [m.project_id for m in metrics]
+    DuplicateProjectError.check(ids, "duplicate project ids in export")
+    unwritable = sorted(i for i in ids if "," in i or "".join(i.splitlines()) != i)
+    if unwritable:
+        raise DataError(f"project ids with a comma or a line break: {unwritable}")
     rows = [METRIC_COLUMNS, *sorted(metrics, key=lambda m: m.project_id)]
     Path(path).write_text("".join(",".join(map(str, r)) + "\n" for r in rows), encoding="utf-8")
 
@@ -340,17 +345,12 @@ def _canonical_columns(text: str) -> MetricColumns | None:
     counts = [values[i::_COUNTS] for i in range(_COUNTS)]
     del values
     table = MetricColumns(list(ids), *counts)
-    # the row invariants of ProjectMetrics; cells of digits are non-negative
-    if not (
-        table.modules == list(map(add, table.classes, table.interfaces))
-        and table.used_total
-        == list(map(add, map(add, table.used_internal, table.used_jdk), table.used_external))
-        and table.efferent_coupling == list(map(add, table.used_jdk, table.used_external))
-        and all(map(le, table.dui, table.classes))
-        and all(map(le, table.if_count, table.classes))
-    ):
-        return None
-    return table
+    # the row rules of ProjectMetrics; cells of digits are non-negative
+    for column, parts, _ in SUM_RULES:
+        if getattr(table, column) != list(reduce(partial(map, add), map(table.column, parts))):
+            return None
+    capped = all(all(map(le, getattr(table, c), getattr(table, cap))) for c, cap in CAPS.items())
+    return table if capped else None
 
 
 def _checked_rows(text: str, path: str | Path) -> list[ProjectMetrics]:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .metrics import ProjectMetrics
+from .errors import OutOfRangeError
+from .metrics import CAPS, SUM_RULES, ProjectMetrics
 from .stats import inverse_normal_cdf
 
 _MASK64 = (1 << 64) - 1
@@ -57,8 +58,8 @@ class SynthSpec:
             raise ValueError("x_range must be positive with lo <= hi")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be non-negative")
-        if self.n_projects < 0:
-            raise ValueError("n_projects must be non-negative")
+        if self.n_projects < 1:  # a metrics table holds at least one row
+            raise ValueError("n_projects must be at least 1")
         if self.x_metric == self.y_metric:  # one column would hold y and lose x
             raise ValueError(f"x_metric and y_metric are both {self.x_metric!r}")
 
@@ -97,50 +98,31 @@ def pairs_to_metrics(
     y_metric: str = "methods",
     id_prefix: str = "synth",
 ) -> list[ProjectMetrics]:
-    """Wrap raw (x, y) pairs as ProjectMetrics rows.
-
-    Only the two chosen metric columns carry signal; dependent columns
-    (``modules``, the ``used_*`` totals) are derived so each record keeps
-    its invariants.
-    """
+    """Wrap raw (x, y) pairs as ProjectMetrics rows, planted through the row
+    rules: a derived metric's value goes into its first part and a capped
+    one raises its cap.  A pair whose x or y the rules then change in any
+    row, such as a derived metric and one of its parts, is an OutOfRangeError."""
+    first_part = {column: parts[0] for column, parts, _ in SUM_RULES}
     out: list[ProjectMetrics] = []
     width = len(str(max(len(pairs) - 1, 1)))
     for idx, (x, y) in enumerate(pairs):
-        kwargs: dict[str, int | str] = {
-            "project_id": f"{id_prefix}{idx:0{width}d}",
-            x_metric: x,
-            y_metric: y,
-        }
-        if "modules" in kwargs and "classes" not in kwargs:
-            kwargs["classes"] = kwargs["modules"]
-        classes = int(kwargs.get("classes", 0))
-        interfaces = int(kwargs.get("interfaces", 0))
-        kwargs["modules"] = classes + interfaces
-        if "efferent_coupling" in kwargs and "used_jdk" not in kwargs:
-            kwargs["used_jdk"] = kwargs["efferent_coupling"]
-        if "used_total" in kwargs and "used_internal" not in kwargs:
-            kwargs["used_internal"] = int(kwargs["used_total"]) - int(
-                kwargs.get("used_jdk", 0)
-            ) - int(kwargs.get("used_external", 0))
-        kwargs["used_total"] = (
-            int(kwargs.get("used_internal", 0))
-            + int(kwargs.get("used_jdk", 0))
-            + int(kwargs.get("used_external", 0))
-        )
-        kwargs["efferent_coupling"] = int(kwargs.get("used_jdk", 0)) + int(
-            kwargs.get("used_external", 0)
-        )
-        for capped in ("dui", "if_count"):
-            if capped in kwargs:
-                kwargs[capped] = min(int(kwargs[capped]), classes)
-        out.append(ProjectMetrics(**kwargs))  # type: ignore[arg-type]
+        planted = {x_metric: x, y_metric: y}
+        counts = {first_part.get(name, name): value for name, value in planted.items()}
+        for name, cap in CAPS.items():
+            if name in planted:
+                counts[cap] = max(counts.get(cap, 0), planted[name])
+        row = ProjectMetrics.derive(f"{id_prefix}{idx:0{width}d}", **counts)
+        for name, value in planted.items():
+            if getattr(row, name) != value:
+                raise OutOfRangeError(
+                    f"x_metric {x_metric!r} and y_metric {y_metric!r} cannot both be planted:"
+                    f" the row rules give {row.project_id} {name} {getattr(row, name)}, not {value}"
+                )
+        out.append(row)
     return out
 
 
 def generate_metrics(spec: SynthSpec, id_prefix: str = "synth") -> list[ProjectMetrics]:
     return pairs_to_metrics(
-        generate(spec),
-        x_metric=spec.x_metric,
-        y_metric=spec.y_metric,
-        id_prefix=id_prefix,
+        generate(spec), x_metric=spec.x_metric, y_metric=spec.y_metric, id_prefix=id_prefix
     )

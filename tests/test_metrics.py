@@ -333,6 +333,13 @@ class TestRowContract:
         assert pm._fields == tuple(METRIC_COLUMNS)
         assert pm[1:] == (9, 2, 1, 3) + (0,) * 12
 
+    def test_derive_sums_each_derived_column(self):
+        counts = dict(classes=2, interfaces=1, used_internal=1, used_jdk=2, used_external=4, dui=2)
+        pm = ProjectMetrics.derive("p", **counts, modules=9)
+        assert pm == ProjectMetrics("p", 0, 2, 1, 3, 0, 0, 0, 0, 0, 2, 0, 7, 1, 2, 4, 6)
+        with pytest.raises(ValueError, match="^dui and if_count cannot exceed the class count$"):
+            ProjectMetrics.derive("p", dui=1)
+
     def test_missing_project_id(self):
         with pytest.raises(TypeError):
             ProjectMetrics(sloc=1)

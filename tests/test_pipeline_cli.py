@@ -24,9 +24,15 @@ from javascale.errors import (
 )
 from javascale.extractor import extract_corpus, read_manifest
 from javascale.metrics import DEFAULT_JDK_PREFIXES, MetricColumns, ProjectMetrics, metric_columns
-from javascale.pipeline import load_config, render_run_report, run_pipeline
+from javascale.pipeline import job_order, load_config, render_run_report, run_pipeline
 from javascale.regression import evaluate_nrmse
-from javascale.store import FactsArchive, export_metrics_table, read_facts, write_facts
+from javascale.store import (
+    FactsArchive,
+    export_metrics_table,
+    read_facts,
+    scan_records,
+    write_facts,
+)
 
 from conftest import CORPUS_DIR, FIXTURES, archive_digest
 
@@ -147,6 +153,7 @@ MALFORMED_CONFIGS = [
 ] + [("synth", {k: v for k, v in _SPEC.items() if k != key}) for key in _SPEC] + [
     ("synth", {**_SPEC, "x_metric": "bogus"}),
     ("synth", {**_SPEC, "x_metric": "classes", "y_metric": "classes"}),
+    ("synth", {**_SPEC, "n_projects": 0}),
 ]
 
 # arguments outside a library rule's range; TABLE stands for a metrics table
@@ -242,23 +249,30 @@ class ExtractionCrash(RuntimeError):
     """Raised by a patched pipeline function, in a forked worker or here."""
 
 
-# On two CPUs the forked child first takes the fixture corpus's heaviest
-# project, p10_mixed, and this process first takes the largest project
-# outside the heaviest half of the weight, p08_collections, both by .java
-# bytes for extraction and by record length for the metrics command.
 FAILING_IDS = ["here", "child", "both"]
 
 
-def failing_cases(here: str) -> list[tuple[set[str], str, str]]:
+def failing_cases(weights: list[int]) -> list[tuple[set[str], str, str]]:
     """The projects that raise, the one that surfaces (the first in job
     order) and where it ran, for a fault in this process's share, in the
-    child's, and in both."""
-    child = "p10_mixed"
+    child's, and in both, when two CPUs share the fixture corpus's jobs of
+    these weights: the child first takes the head of ``job_order``, this
+    process its tail."""
+    project_ids = [pid for pid, _ in read_manifest(CORPUS_DIR / "manifest.txt")]
+    order = job_order(weights, 2)
+    here, child = project_ids[order[-1]], project_ids[order[0]]
     return [
         ({here}, here, "this process"),
         ({child}, child, "a child"),
         ({here, child}, min(here, child), "this process"),
     ]
+
+
+def test_job_order_reverses_the_lightest_share():
+    # heaviest first; past the heaviest half of the weight (10 of 20), lightest first
+    assert job_order([1, 2, 3, 4, 10], 2) == [4, 0, 1, 2, 3]
+    assert job_order([1, 2, 3, 4, 10], 4) == [4, 3, 0, 1, 2]
+    assert job_order([5], 2) == [0]
 
 
 def crash_on(failing):
@@ -345,6 +359,33 @@ class TestRunPipeline:
         assert (out / "metrics.csv").exists()
         assert not (out / "fits.csv").exists()
 
+    def test_test_set_too_small_leaves_its_cells_blank(self, tmp_path):
+        data = json.loads(fixture_config(tmp_path).read_text())
+        # one fixture project has 2 classes: an NRMSE needs 2 points
+        data["testsets"].append({"name": "one", "metric": "classes", "range": [2, 3]})
+        cfg = tmp_path / "one.json"
+        cfg.write_text(json.dumps(data))
+        out = run_pipeline(load_config(cfg)).out_dir
+        csv_lines = (out / "nrmse.csv").read_text().splitlines()
+        assert csv_lines[0] == "model,subset,all,big,one"
+        assert [line.rsplit(",", 1)[1] for line in csv_lines[1:]] == ["", "", ""]
+        table_lines = (out / "nrmse_table.txt").read_text().splitlines()
+        assert table_lines[0] == "model | subset | all | big | one"
+        assert [line.rsplit(" | ", 1)[1] for line in table_lines[1:]] == ["", "", ""]
+
+    def test_bin_metric_key_bins_by_that_metric(self, tmp_path, capsys):
+        data = json.loads(fixture_config(tmp_path).read_text())
+        data.update(bin_metric="sloc", bin_edges=[15, 25])
+        cfg = tmp_path / "sloc.json"
+        cfg.write_text(json.dumps(data))
+        out = run_pipeline(load_config(cfg)).out_dir
+        argv = ["--ratio", "methods/classes", "--edges", "15,25", "--bin-metric", "sloc"]
+        assert main(["bins", str(out / "metrics.csv"), *argv]) == 0
+        report = (out / "bin_report.txt").read_text() + (out / "welch_matrix.txt").read_text()
+        assert capsys.readouterr().out == report
+        assert main(["bins", str(out / "metrics.csv"), *argv[:-2]]) == 0  # by classes
+        assert capsys.readouterr().out != report
+
     @pytest.mark.parametrize("make_config", [fixture_config, java_corpus_config])
     def test_byte_identical_for_any_worker_count(self, tmp_path, make_config, monkeypatch):
         def bundle(workers, name):
@@ -361,9 +402,11 @@ class TestRunPipeline:
 
     def test_worker_failure_fails_the_run(self, tmp_path, monkeypatch):
         real = pipeline.extract_project
-        project_ids = [pid for pid, _ in read_manifest(CORPUS_DIR / "manifest.txt")]
+        manifest = read_manifest(CORPUS_DIR / "manifest.txt")
+        project_ids = [pid for pid, _ in manifest]
+        weights = [pipeline._java_bytes(root) for _, root in manifest]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        for case, (failing, first, where) in zip(FAILING_IDS, failing_cases("p08_collections")):
+        for case, (failing, first, where) in zip(FAILING_IDS, failing_cases(weights)):
             crash = crash_on(failing)
 
             def extract_project(root, project_id, crash=crash):
@@ -916,12 +959,12 @@ class TestCli:
         assert children == [0, 1, 3, 0]
         assert_no_child_left()
 
-    @pytest.mark.parametrize(
-        "failing, first, where", failing_cases("p08_collections"), ids=FAILING_IDS
-    )
-    def test_worker_failure_fails_metrics(self, tmp_path, monkeypatch, failing, first, where):
+    @pytest.mark.parametrize("case", FAILING_IDS)
+    def test_worker_failure_fails_metrics(self, tmp_path, monkeypatch, case):
         facts, table = tmp_path / "facts.bin", tmp_path / "m.csv"
         assert self.run("extract", str(CORPUS_DIR / "manifest.txt"), "-o", str(facts)) == 0
+        weights = [len(payload) for _, payload, _ in scan_records(facts)]
+        failing, first, where = failing_cases(weights)[FAILING_IDS.index(case)]
         real, crash = pipeline.measure, crash_on(failing)
 
         def measure(columns, jdk_prefixes):
@@ -1066,6 +1109,54 @@ class TestCli:
             argv = ["synth", "--spec", str(path), "-o", str(tmp_path / "t.csv")]
         assert self.run(*argv) == 1
         assert capsys.readouterr().err.startswith("usage error: ")
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_synth_pair_the_row_rules_would_change_is_refused(self, tmp_path, capsys):
+        spec, table = tmp_path / "spec.json", tmp_path / "t.csv"
+        # modules is classes + interfaces: planting both moves modules
+        spec.write_text(json.dumps({**_SPEC, "x_metric": "modules", "y_metric": "interfaces"}))
+        assert self.run("synth", "--spec", str(spec), "-o", str(table)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "usage error: x_metric 'modules' and y_metric 'interfaces' cannot both be planted: "
+        )
+        assert not table.exists()
+
+    def test_project_id_the_table_cannot_hold_is_a_data_error(self, tmp_path, capsys):
+        for name in ("a,b", "c"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "A.java").write_text("class A {}\n")
+        manifest, facts, table = tmp_path / "manifest.txt", tmp_path / "f.bin", tmp_path / "m.csv"
+        manifest.write_text("a,b\nc\n")
+        assert self.run("extract", str(manifest), "-o", str(facts)) == 0
+        capsys.readouterr()
+        message = "data error: project ids with a comma or a line break: ['a,b']\n"
+        assert self.run("metrics", str(facts), "-o", str(table)) == 2
+        assert capsys.readouterr() == ("", message)
+        assert not table.exists()
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"manifest": str(manifest), "out_dir": str(tmp_path / "run")}))
+        assert self.run("pipeline", str(config)) == 2
+        assert capsys.readouterr() == ("", message)
+        assert (tmp_path / "run" / "STATUS").read_text() == "extract\nFAILED\n"
+        assert not (tmp_path / "run" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (_FIT + ["--subset", "5"], "bad range '5', expected LO:HI"),
+            (
+                ["bins", "TABLE", "--ratio", "interfaces", "--edges", "1"],
+                "--ratio must look like interfaces/classes",
+            ),
+            (_NORMALIZE + ["--beta", "steep"], "--beta must be a number or 'auto'"),
+        ],
+        ids=["range", "ratio", "beta"],
+    )
+    def test_malformed_argument_is_usage_error(self, fixture_table, capsys, argv, message):
+        assert self.run(*[str(fixture_table) if a == "TABLE" else a for a in argv]) == 1
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
 
     # the fixture projects have 0-3 classes, so these cells have no points
     UNFITTABLE_CELLS = [

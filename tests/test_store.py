@@ -18,6 +18,7 @@ import javascale
 from javascale.cli import main
 from javascale.errors import (
     ArchiveIntegrityError,
+    DataError,
     DuplicateProjectError,
     UnsupportedVersionError,
 )
@@ -43,6 +44,9 @@ from javascale.store import (
 
 import metrics_table_reference as reference
 from conftest import assert_measured_alike
+
+# the characters at which str.splitlines ends a line
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 # a version 3 record: entities hold one array per field but the id, which
 # is 1..n; parent the source of each entity's CONTAINS relation, or 0;
@@ -637,6 +641,21 @@ class TestMetricsTable:
         with pytest.raises(ValueError):
             export_metrics_table([], tmp_path / "m.csv")
 
+    @pytest.mark.parametrize("char", [",", *LINE_BREAKS], ids=ascii)
+    def test_id_that_would_not_read_back_refused(self, tmp_path, char):
+        path = tmp_path / "m.csv"
+        metrics = [ProjectMetrics(project_id=f"b{char}c"), ProjectMetrics(project_id="a")]
+        with pytest.raises(DataError) as caught:
+            export_metrics_table(metrics, path)
+        assert str(caught.value) == f"project ids with a comma or a line break: {[f'b{char}c']}"
+        assert not path.exists()
+
+    def test_non_ascii_id_with_a_space_round_trips(self, tmp_path):
+        path = tmp_path / "m.csv"
+        rows = [ProjectMetrics(project_id="ü b", sloc=3), ProjectMetrics(project_id="")]
+        export_metrics_table(rows, path)
+        assert read_metrics_table(path) == metric_columns(sorted(rows))
+
     def test_read_round_trip(self, fixture_corpus, tmp_path):
         path = tmp_path / "m.csv"
         export_metrics_table(fixture_corpus, path)
@@ -711,7 +730,10 @@ OTHER_TABLES = [
     pytest.param(f"{_HEADER}\n{_cell(_A, 5, '')}\n", id="empty-cell"),
     pytest.param(f"{_HEADER}\n{_cell(_A, 5, '9' * 5000)}\n", id="past-int-digit-limit"),
     pytest.param(f"{_HEADER}\n{_cell(_A, 4, '5')}\n", id="modules"),
+    pytest.param(f"{_HEADER}\n{_cell(_A, 12, '7')}\n", id="used_total"),
+    pytest.param(f"{_HEADER}\n{_cell(_A, 16, '5')}\n", id="efferent_coupling"),
     pytest.param(f"{_HEADER}\n{_cell(_A, 10, '4')}\n", id="dui"),
+    pytest.param(f"{_HEADER}\n{_cell(_A, 11, '4')}\n", id="if_count"),
     pytest.param(f"{_HEADER}\n{_A}\n{_B}\n{_A}\n", id="duplicate"),
 ]
 
@@ -737,11 +759,17 @@ def test_canonical_table_is_parsed_in_bulk(fixture_corpus, tmp_path):
 
 @st.composite
 def _metric_rows(draw) -> list[ProjectMetrics]:
-    """Rows that meet every invariant, under distinct ids with no comma."""
+    """Rows that meet every invariant, under distinct ids that the table
+    can hold: no comma and no line break."""
     ids = draw(
         st.lists(
-            st.text(st.characters(blacklist_characters=",", blacklist_categories=["Cs"]),
-                    min_size=1, max_size=4),
+            st.text(
+                st.characters(
+                    blacklist_characters="," + LINE_BREAKS, blacklist_categories=["Cs"]
+                ),
+                min_size=1,
+                max_size=4,
+            ),
             min_size=1, max_size=6, unique=True,
         )
     )

@@ -1,8 +1,13 @@
+import hashlib
 import math
+from itertools import permutations
 
 import pytest
 
+from javascale.errors import OutOfRangeError
+from javascale.metrics import METRIC_COLUMNS
 from javascale.regression import fit_log_power
+from javascale.store import export_metrics_table
 from javascale.synth import SplitMix64, SynthSpec, generate, generate_metrics
 
 
@@ -99,6 +104,8 @@ class TestGenerate:
                 n_projects=5, x_range=(1, 10), true_alpha=1, true_beta=1,
                 noise_sigma=-1,
             )
+        with pytest.raises(ValueError, match="^n_projects must be at least 1$"):
+            SynthSpec(n_projects=0, x_range=(1, 10), true_alpha=1, true_beta=1)
         with pytest.raises(ValueError, match="^x_metric and y_metric are both 'classes'$"):
             SynthSpec(
                 n_projects=5, x_range=(1, 10), true_alpha=1, true_beta=1,
@@ -128,3 +135,57 @@ class TestGenerateMetrics:
         for pm in corpus:
             assert pm.sloc >= 10
             assert pm.used_total == pm.used_internal + pm.used_jdk + pm.used_external
+
+
+# every ordered pair of distinct metrics, each planted as x and y
+METRIC_PAIRS = list(permutations(METRIC_COLUMNS[1:], 2))
+
+
+def _pair_spec(x_metric: str, y_metric: str) -> SynthSpec:
+    return SynthSpec(
+        n_projects=200, x_range=(2, 2000), true_alpha=0.5, true_beta=1.0,
+        noise_sigma=0.4, seed=7, x_metric=x_metric, y_metric=y_metric,
+    )
+
+
+def _holds_planted(spec: SynthSpec, rows) -> bool:
+    planted = [(getattr(r, spec.x_metric), getattr(r, spec.y_metric)) for r in rows]
+    return planted == generate(spec)
+
+
+# sha256 over the metrics tables of the 166 pairs that hold their planted
+# values and name no capped metric (dui, if_count), in METRIC_PAIRS order,
+# each preceded by its "x~y" line
+PLANTED_TABLES_SHA256 = "3dbaa59400dfaf16c9a8bab0c857c309e359ad836080a1534e0cd41267baac55"
+
+
+class TestEveryMetricPair:
+    def test_planted_tables_are_pinned(self, tmp_path):
+        digest = hashlib.sha256()
+        pinned = 0
+        for x_metric, y_metric in METRIC_PAIRS:
+            if {x_metric, y_metric} & {"dui", "if_count"}:
+                continue
+            spec = _pair_spec(x_metric, y_metric)
+            try:
+                rows = generate_metrics(spec)
+            except ValueError:  # refused: pinned by the test below
+                continue
+            if not _holds_planted(spec, rows):
+                continue
+            export_metrics_table(rows, tmp_path / "t.csv")
+            digest.update(f"{x_metric}~{y_metric}\n".encode())
+            digest.update((tmp_path / "t.csv").read_bytes())
+            pinned += 1
+        assert pinned == 166
+        assert digest.hexdigest() == PLANTED_TABLES_SHA256
+
+    @pytest.mark.parametrize("x_metric, y_metric", METRIC_PAIRS)
+    def test_each_pair_holds_its_planted_values_or_is_refused(self, x_metric, y_metric):
+        spec = _pair_spec(x_metric, y_metric)
+        try:
+            rows = generate_metrics(spec)
+        except OutOfRangeError as exc:
+            assert str(exc).startswith(f"x_metric {x_metric!r} and y_metric {y_metric!r} ")
+        else:
+            assert _holds_planted(spec, rows)
