@@ -37,10 +37,9 @@ resolves to one, else the resolved name, else the name as written.
 
 from __future__ import annotations
 
-import logging
 import os
+import sys
 from array import array
-from dataclasses import dataclass, field
 from itertools import compress, count
 from pathlib import Path
 from typing import NamedTuple
@@ -57,8 +56,6 @@ from .facts import (
 # (bench/worker.py) wraps it and ``count_sloc`` under these names, with
 # ``parse_java_file`` and ``extract_project``
 from .javalex import ASSIGN_OPS, KEYWORDS, PRIMITIVES, count_sloc, lex, tokenize
-
-log = logging.getLogger(__name__)
 
 DEFAULT_PACKAGE = "(default)"
 
@@ -152,89 +149,109 @@ def _member_ref(text: str, kind: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
 class TypeRef:
-    base: str
-    args: list[str] = field(default_factory=list)
-    dims: int = 0
+    __slots__ = ("base", "args", "dims")
+
+    def __init__(self, base: str, args: list[str] | None = None) -> None:
+        self.base = base
+        self.args = [] if args is None else args
+        self.dims = 0
 
 
-@dataclass(slots=True)
 class FieldDecl:
-    name: str
-    tref: TypeRef
-    line: int
-    body: tuple[int, int] = (0, 0)  # the initializer, as [start, end) of the file's tokens
-    anons: list["TypeDecl"] = field(default_factory=list)
-    entity_id: int = 0
+    __slots__ = ("name", "tref", "line", "body", "anons", "entity_id")
+
+    def __init__(self, name: str, tref: TypeRef, line: int) -> None:
+        self.name, self.tref, self.line = name, tref, line
+        self.body = (0, 0)  # the initializer, as [start, end) of the file's tokens
+        self.anons: list[TypeDecl] = []
+        self.entity_id = 0
 
 
-@dataclass(slots=True)
 class MethodDecl:
-    name: str
-    ret: TypeRef | None
-    params: list[tuple[TypeRef, str]]
-    throws: list[TypeRef]
-    line: int
-    is_ctor: bool = False
-    type_params: list[str] = field(default_factory=list)
-    type_param_bounds: list[str] = field(default_factory=list)
-    body: tuple[int, int] = (0, 0)  # [start, end) of the file's tokens
-    anons: list["TypeDecl"] = field(default_factory=list)
-    entity_id: int = 0
+    __slots__ = (
+        "name", "ret", "params", "throws", "line", "is_ctor",
+        "type_params", "type_param_bounds", "body", "anons", "entity_id",
+    )
+
+    def __init__(
+        self, name: str, ret: TypeRef | None, params: list, throws: list, line: int, is_ctor=False
+    ) -> None:
+        self.name, self.ret, self.line, self.is_ctor = name, ret, line, is_ctor
+        self.params: list[tuple[TypeRef, str]] = params
+        self.throws: list[TypeRef] = throws
+        self.type_params: list[str] = []
+        self.type_param_bounds: list[str] = []
+        self.body = (0, 0)  # [start, end) of the file's tokens
+        self.anons: list[TypeDecl] = []
+        self.entity_id = 0
 
 
-@dataclass(slots=True)
 class InitDecl:
-    line: int
-    body: tuple[int, int] = (0, 0)  # [start, end) of the file's tokens
-    anons: list["TypeDecl"] = field(default_factory=list)
+    __slots__ = ("line", "body", "anons")
+
+    def __init__(self, line: int) -> None:
+        self.line = line
+        self.body = (0, 0)  # [start, end) of the file's tokens
+        self.anons: list[TypeDecl] = []
 
 
-@dataclass(slots=True)
 class EnumConst:
-    name: str
-    line: int
-    body: tuple[int, int] = (0, 0)  # the arguments
-    # anonymous classes in the arguments, then the constant's class body
-    anons: list["TypeDecl"] = field(default_factory=list)
-    entity_id: int = 0
+    __slots__ = ("name", "line", "body", "anons", "entity_id")
+
+    def __init__(self, name: str, line: int) -> None:
+        self.name, self.line = name, line
+        self.body = (0, 0)  # the arguments
+        # anonymous classes in the arguments, then the constant's class body
+        self.anons: list[TypeDecl] = []
+        self.entity_id = 0
 
 
-@dataclass(slots=True)
 class TypeDecl:
-    kind: str  # class | interface | enum | annotation
-    name: str | None  # None for anonymous classes
-    line: int
-    extends: list[TypeRef] = field(default_factory=list)
-    implements: list[TypeRef] = field(default_factory=list)
-    # declaration order; an enum's constants follow its other members
-    members: list = field(default_factory=list)
-    anon_super: TypeRef | None = None
-    is_record: bool = False
-    type_params: list[str] = field(default_factory=list)
-    type_param_bounds: list[str] = field(default_factory=list)
-    fqn: str = ""
-    entity_id: int = 0
+    __slots__ = (
+        "kind", "name", "line", "extends", "implements", "members", "anon_super",
+        "is_record", "type_params", "type_param_bounds", "fqn", "entity_id",
+    )
+
+    def __init__(
+        self, kind: str, name: str | None, line: int, anon_super=None, is_record=False
+    ) -> None:
+        self.kind = kind  # class | interface | enum | annotation
+        self.name = name  # None for anonymous classes
+        self.line, self.is_record = line, is_record
+        self.anon_super: TypeRef | None = anon_super
+        self.extends: list[TypeRef] = []
+        self.implements: list[TypeRef] = []
+        # declaration order; an enum's constants follow its other members
+        self.members: list = []
+        self.type_params: list[str] = []
+        self.type_param_bounds: list[str] = []
+        self.fqn = ""
+        self.entity_id = 0
 
 
-@dataclass(slots=True)
 class FileSyntax:
-    path: str
-    # the token table, as ``lex`` returns it
-    texts: list[str]
-    kinds: str
-    lines: array
-    partner: array  # _partners(texts)
-    # the `{` of each anonymous class body and the keyword of each local type
-    # declaration in a body: the index past its tokens, and its declaration
-    nested: dict[int, tuple[int, "TypeDecl"]] = field(default_factory=dict)
-    package: str | None = None
-    imports: dict[str, str] = field(default_factory=dict)  # simple -> fqn
-    wildcard_imports: list[str] = field(default_factory=list)
-    types: list[TypeDecl] = field(default_factory=list)
-    parse_warnings: int = 0
-    sloc: int = 0
+    __slots__ = (
+        "path", "texts", "kinds", "lines", "partner", "nested", "package",
+        "imports", "wildcard_imports", "types", "parse_warnings", "sloc",
+    )
+
+    def __init__(
+        self, path: str, texts: list[str], kinds: str, lines: array, partner: array, sloc: int
+    ) -> None:
+        self.path = path
+        # the token table, as ``lex`` returns it
+        self.texts, self.kinds, self.lines = texts, kinds, lines
+        self.partner = partner  # _partners(texts)
+        # the `{` of each anonymous class body and the keyword of each local type
+        # declaration in a body: the index past its tokens, and its declaration
+        self.nested: dict[int, tuple[int, TypeDecl]] = {}
+        self.package: str | None = None
+        self.imports: dict[str, str] = {}  # simple -> fqn
+        self.wildcard_imports: list[str] = []
+        self.types: list[TypeDecl] = []
+        self.parse_warnings = 0
+        self.sloc = sloc
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +716,8 @@ class _Parser:
             if ref.base == decl.name and ref.dims == 0:
                 return self._parse_callable(decl, None, decl.name, True, j, self.lines[i], end)
             return None, i
-        if j < end and texts[j] == "{" and decl.is_record and ref == TypeRef(decl.name):
+        compact_ctor = (ref.base, ref.args, ref.dims) == (decl.name, [], 0)
+        if j < end and texts[j] == "{" and decl.is_record and compact_ctor:
             # compact canonical constructor: the parameters are the components
             blk_end = self.close(j)
             member = MethodDecl(
@@ -890,14 +908,14 @@ _KIND_MAP = {
 }
 
 
-@dataclass(slots=True)
 class _TypeInfo:
-    decl: TypeDecl
-    file: FileSyntax
-    fields: dict[str, FieldDecl] = field(default_factory=dict)
-    # the first declared overload of each name; constructors as "<init>"
-    methods: dict[str, MethodDecl] = field(default_factory=dict)
-    outer: "_TypeInfo | None" = None
+    __slots__ = ("decl", "file", "fields", "methods", "outer")
+
+    def __init__(self, decl: TypeDecl, file: FileSyntax, outer: _TypeInfo | None) -> None:
+        self.decl, self.file, self.outer = decl, file, outer
+        self.fields: dict[str, FieldDecl] = {}
+        # the first declared overload of each name; constructors as "<init>"
+        self.methods: dict[str, MethodDecl] = {}
 
 
 class _Scope(NamedTuple):
@@ -1470,8 +1488,8 @@ def extract_project(project_root: str | Path, project_id: str) -> ProjectFacts:
     Files are processed in sorted relative-path order, so repeated runs on
     the same tree produce identical entity ids, which run 1..n whatever
     other projects exist.  Unreadable files and unparseable declarations
-    are skipped with a recorded warning.  A file name that is not UTF-8,
-    which no archive can store, is a ``DataError``.
+    are skipped with a warning, recorded and printed to stderr.  A file
+    name that is not UTF-8, which no archive can store, is a ``DataError``.
     """
     root = Path(project_root)
     facts = ProjectFacts(project_id=project_id)
@@ -1493,13 +1511,13 @@ def extract_project(project_root: str | Path, project_id: str) -> ProjectFacts:
             text = path.read_bytes().decode("utf-8", errors="replace")
         except OSError as exc:
             facts.warnings.append(f"skipped-file {rel}: {exc}")
-            log.warning("project=%s file=%s skipped: %s", project_id, rel, exc)
+            print(f"project={project_id} file={rel} skipped: {exc}", file=sys.stderr)
             continue
         try:
             syntax = parse_java_file(rel, text)
         except Exception as exc:  # tolerant by contract
             facts.warnings.append(f"skipped-file {rel}: parse failure {exc}")
-            log.warning("project=%s file=%s parse failure: %s", project_id, rel, exc)
+            print(f"project={project_id} file={rel} parse failure: {exc}", file=sys.stderr)
             facts.parse_warning_count += 1
             total_sloc += count_sloc(text)
             continue

@@ -12,7 +12,6 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Sequence, Union
 
@@ -93,14 +92,27 @@ class FactColumns(NamedTuple):
     relations: Sequence[Sequence]  # source, kind, target
 
 
-@dataclass
 class ProjectFacts:
-    project_id: str
-    entities: list[SourceEntity] = field(default_factory=list)
-    relations: list[FactRelation] = field(default_factory=list)
-    sloc: int = 0
-    warnings: list[str] = field(default_factory=list)
-    parse_warning_count: int = 0
+    """One project's facts; a list not passed in starts empty and is its own."""
+
+    __slots__ = ("project_id", "entities", "relations", "sloc", "warnings", "parse_warning_count")
+
+    def __init__(
+        self,
+        project_id: str,
+        entities: list[SourceEntity] | None = None,
+        relations: list[FactRelation] | None = None,
+        sloc: int = 0,
+        warnings: list[str] | None = None,
+        parse_warning_count: int = 0,
+    ) -> None:
+        self.project_id, self.sloc, self.parse_warning_count = project_id, sloc, parse_warning_count
+        self.entities = [] if entities is None else entities
+        self.relations = [] if relations is None else relations
+        self.warnings = [] if warnings is None else warnings
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is ProjectFacts and self.columns() == other.columns()
 
     def columns(self) -> FactColumns:
         """The facts transposed, one tuple per row field; no row is checked."""

@@ -9,9 +9,9 @@ verifies that on a corpus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import truediv
+from typing import NamedTuple
 
 from .errors import InsufficientDataError, OutOfRangeError
 from .metrics import MetricColumns
@@ -20,8 +20,7 @@ from .regression import mean_ss, pearson, spearman
 DECORRELATION_THRESHOLD = 0.05
 
 
-@dataclass(frozen=True)
-class NormalizedColumns:
+class NormalizedColumns(NamedTuple):
     """The normalized table: one list per column, a row per project."""
 
     numerator_metric: str
@@ -32,8 +31,7 @@ class NormalizedColumns:
     value: list[float]  # numerator / denominator**beta
 
 
-@dataclass(frozen=True)
-class DecorrelationReport:
+class DecorrelationReport(NamedTuple):
     numerator_metric: str
     denominator_metric: str
     beta: float
@@ -46,8 +44,7 @@ class DecorrelationReport:
         return abs(self.pearson_log) < DECORRELATION_THRESHOLD
 
 
-@dataclass(frozen=True)
-class WmcSummary:
+class WmcSummary(NamedTuple):
     n: int
     mean_linear: float
     mean_log: float

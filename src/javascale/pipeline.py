@@ -14,9 +14,9 @@ import tempfile
 import threading
 from bisect import bisect_right
 from contextlib import closing, contextmanager
-from dataclasses import dataclass, field
 from itertools import accumulate, compress
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 from .errors import ArchiveError, ArchiveIntegrityError, DataError, UsageError
 from .extractor import extract_project, read_manifest
@@ -63,8 +63,7 @@ from .store import (
 )
 
 
-@dataclass(frozen=True)
-class GridCell:
+class GridCell(NamedTuple):
     model_id: str
     y_metric: str
     x_metric: str
@@ -86,15 +85,14 @@ class GridCell:
 Fitted = list[tuple[str, FitResult, GridCell]]
 
 
-@dataclass(frozen=True)
-class EvalSet:
+class EvalSet(NamedTuple):
     name: str
     metric: str
     low: float
     high: float
 
 
-DEFAULT_GRID = [
+DEFAULT_GRID = (
     GridCell("m1", "methods", "classes"),
     GridCell("m2", "methods", "classes", subset=(10, 3000)),
     GridCell("m3", "methods", "classes", subset=(20, 3000)),
@@ -103,17 +101,16 @@ DEFAULT_GRID = [
     GridCell("m6", "methods", "classes", subset=(100, 500)),
     GridCell("m7", "methods", "classes", subset=(10, 100)),
     GridCell("m8", "methods", "classes", subset=(1000, 3000)),
-]
+)
 
-DEFAULT_TESTSETS = [
+DEFAULT_TESTSETS = (
     EvalSet("vsmall", "classes", 0, 10),
     EvalSet("vlarge", "classes", 3000, math.inf),
     EvalSet("all", "classes", 0, math.inf),
-]
+)
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     manifest: str
     out_dir: str
     jdk_prefixes: tuple[str, ...] = DEFAULT_JDK_PREFIXES
@@ -121,8 +118,8 @@ class RunConfig:
     bin_numerator: str = "interfaces"
     bin_denominator: str = "classes"
     bin_metric: str = "classes"
-    model_grid: list[GridCell] = field(default_factory=lambda: list(DEFAULT_GRID))
-    testsets: list[EvalSet] = field(default_factory=lambda: list(DEFAULT_TESTSETS))
+    model_grid: Sequence[GridCell] = DEFAULT_GRID
+    testsets: Sequence[EvalSet] = DEFAULT_TESTSETS
     normalize_numerator: str = "methods"
     normalize_denominator: str = "classes"
     normalize_beta: float | str = "auto"  # "auto" reads the chosen model's fit
@@ -151,7 +148,7 @@ class RunConfig:
                 )
 
 
-def check_grid(models: list[GridCell], testsets: list[EvalSet], space: str) -> None:
+def check_grid(models: Sequence[GridCell], testsets: Sequence[EvalSet], space: str) -> None:
     """Raise ``UsageError`` unless the model grid and test sets are sound:
     known metrics, unique model ids, each model's k and subset, each test
     set's range and the NRMSE ``space``.  Each stage's own argument rules
@@ -189,8 +186,8 @@ def settings_errors(what: str):
 
 
 def parse_grid(
-    data: dict, models: list[GridCell] | None, testsets: list[EvalSet]
-) -> tuple[list[GridCell], list[EvalSet]]:
+    data: dict, models: Sequence[GridCell] | None, testsets: Sequence[EvalSet]
+) -> tuple[Sequence[GridCell], Sequence[EvalSet]]:
     """The model grid and test sets of a JSON config object.
 
     Absent keys keep the given ``models`` and ``testsets``; ``models=None``
@@ -236,36 +233,34 @@ def load_config(path: str | Path) -> RunConfig:
         return str(q if q.is_absolute() else base / q)
 
     with settings_errors("config"):
-        cfg = RunConfig(
-            manifest=_path(data["manifest"]),
-            out_dir=_path(data["out_dir"]),
-        )
+        cfg = dict(RunConfig._field_defaults, manifest=_path(data["manifest"]))
+        cfg["out_dir"] = _path(data["out_dir"])
         if "jdk_prefixes" in data:
             prefixes = data["jdk_prefixes"]  # a string must not become a tuple of letters
-            cfg.jdk_prefixes = tuple(prefixes) if isinstance(prefixes, list) else prefixes
+            cfg["jdk_prefixes"] = tuple(prefixes) if isinstance(prefixes, list) else prefixes
         if "bin_edges" in data:
-            cfg.bin_edges = tuple(float(e) for e in data["bin_edges"])
+            cfg["bin_edges"] = tuple(float(e) for e in data["bin_edges"])
         if "bin_ratio" in data:
-            cfg.bin_numerator, cfg.bin_denominator = data["bin_ratio"]
-            cfg.bin_metric = cfg.bin_denominator
+            cfg["bin_numerator"], cfg["bin_denominator"] = data["bin_ratio"]
+            cfg["bin_metric"] = cfg["bin_denominator"]
         if "bin_metric" in data:
-            cfg.bin_metric = data["bin_metric"]
-        cfg.model_grid, cfg.testsets = parse_grid(data, cfg.model_grid, cfg.testsets)
+            cfg["bin_metric"] = data["bin_metric"]
+        cfg["model_grid"], cfg["testsets"] = parse_grid(data, cfg["model_grid"], cfg["testsets"])
         if "normalize" in data:
             norm = data["normalize"]
-            cfg.normalize_numerator = norm.get("num", cfg.normalize_numerator)
-            cfg.normalize_denominator = norm.get("den", cfg.normalize_denominator)
-            beta = norm.get("beta", cfg.normalize_beta)
-            cfg.normalize_beta = beta if beta == "auto" else float(beta)
-            cfg.normalize_model = norm.get("model", cfg.normalize_model)
+            cfg["normalize_numerator"] = norm.get("num", cfg["normalize_numerator"])
+            cfg["normalize_denominator"] = norm.get("den", cfg["normalize_denominator"])
+            beta = norm.get("beta", cfg["normalize_beta"])
+            cfg["normalize_beta"] = beta if beta == "auto" else float(beta)
+            cfg["normalize_model"] = norm.get("model", cfg["normalize_model"])
         if "nrmse_space" in data:
-            cfg.nrmse_space = data["nrmse_space"]
-    cfg.validate()
-    return cfg
+            cfg["nrmse_space"] = data["nrmse_space"]
+    config = RunConfig(**cfg)
+    config.validate()
+    return config
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     out_dir: Path
     stages: list[str]
     fit_rows: list[tuple[str, FitResult]]
@@ -280,7 +275,7 @@ def _series(corpus: MetricColumns, cell: GridCell) -> tuple[list[int], list[int]
     return list(compress(xs, keep)), list(compress(ys, keep))
 
 
-def fit_grid(corpus: MetricColumns, grid: list[GridCell]) -> Fitted:
+def fit_grid(corpus: MetricColumns, grid: Sequence[GridCell]) -> Fitted:
     out = []
     for cell in grid:
         xs, ys = _series(corpus, cell)
@@ -295,7 +290,7 @@ def fit_grid(corpus: MetricColumns, grid: list[GridCell]) -> Fitted:
 
 
 def evaluate_grid(
-    corpus: MetricColumns, fitted: Fitted, testsets: list[EvalSet], space: str = "log"
+    corpus: MetricColumns, fitted: Fitted, testsets: Sequence[EvalSet], space: str = "log"
 ) -> list[ModelEval]:
     if space not in ("log", "linear"):
         raise UsageError(f"unknown NRMSE space {space!r}")
@@ -331,7 +326,7 @@ def evaluate_grid(
     return evals
 
 
-def fit_stage(table: MetricColumns, grid: list[GridCell]) -> tuple[dict[str, str], Fitted]:
+def fit_stage(table: MetricColumns, grid: Sequence[GridCell]) -> tuple[dict[str, str], Fitted]:
     """The ``fits`` stage's tables, and each model's fit."""
     fitted = fit_grid(table, grid)
     rows = [(model_id, fit) for model_id, fit, _ in fitted]
@@ -353,7 +348,7 @@ def bin_stage(
 
 
 def validate_stage(
-    table: MetricColumns, fitted: Fitted, testsets: list[EvalSet], space: str
+    table: MetricColumns, fitted: Fitted, testsets: Sequence[EvalSet], space: str
 ) -> dict[str, str]:
     """The ``validate`` stage's files: each fitted model's NRMSE per test set."""
     evals = evaluate_grid(table, fitted, testsets, space)

@@ -14,9 +14,8 @@ order of the input pairs: a permutation gives the same bits.
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 from .errors import (
     DegeneratePredictorError,
@@ -39,8 +38,7 @@ def mean_ss(values: list[float]) -> tuple[float, float]:
     return mean, math.fsum((v - mean) ** 2 for v in values)
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     alpha: float
     beta: float
     k: float
@@ -57,8 +55,7 @@ class FitResult:
         return "log-log" if self.k == 1 else f"log-log^{self.k:g}"
 
 
-@dataclass(frozen=True)
-class Diagnostics:
+class Diagnostics(NamedTuple):
     fitted: list[float]
     residuals: list[float]
     standardized_residuals: list[float]
@@ -68,8 +65,7 @@ class Diagnostics:
     cooks_distance: list[float]
 
 
-@dataclass(frozen=True)
-class ModelEval:
+class ModelEval(NamedTuple):
     model_id: str
     subset_rule: str
     nrmse_per_testset: dict[str, float]
@@ -166,6 +162,13 @@ def _weighted_ols(
     return alpha, beta
 
 
+def _median(values: list[float]) -> float:
+    """``statistics.median``: the middle value, or the mean of the middle two."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def fit_robust_log_power(
     xs, ys, k: float = 1.0, *, zero_offset: bool = False
 ) -> FitResult:
@@ -180,8 +183,8 @@ def fit_robust_log_power(
     converged = True
     for _iteration in range(MAX_IRLS_ITERATIONS):
         resid = [z - alpha - beta * t for t, z in zip(ts, zs)]
-        med = statistics.median(resid)
-        scale = statistics.median([abs(e - med) for e in resid]) / MAD_TO_SIGMA
+        med = _median(resid)
+        scale = _median([abs(e - med) for e in resid]) / MAD_TO_SIGMA
         if scale <= 0.0:
             break  # residuals (essentially) identical: OLS answer stands
         cutoff = HUBER_C * scale

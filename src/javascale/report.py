@@ -7,7 +7,6 @@ precision (shortest round-trip repr); display tables round.
 
 from __future__ import annotations
 
-import hashlib
 from itertools import repeat
 from pathlib import Path
 
@@ -177,9 +176,9 @@ def normalized_csv(table: NormalizedColumns) -> str:
 
 
 def sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
+    import hashlib  # on first use: a command that writes no manifest does not load it
+
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def write_manifest(out_dir: str | Path, manifest_name: str = "MANIFEST") -> Path:

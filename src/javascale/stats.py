@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from itertools import compress
 from operator import truediv
-from statistics import NormalDist
+from typing import NamedTuple
 
 from .errors import EmptyBinError, InsufficientDataError, OutOfRangeError
 from .metrics import MetricColumns
@@ -30,14 +29,18 @@ def normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-_STANDARD_NORMAL = NormalDist()
+@cache
+def _standard_normal():
+    from statistics import NormalDist  # on first use: most commands draw no quantile
+
+    return NormalDist()
 
 
 def inverse_normal_cdf(p: float) -> float:
     """Quantile function of the standard normal distribution."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
-    return _STANDARD_NORMAL.inv_cdf(p)
+    return _standard_normal().inv_cdf(p)
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -112,8 +115,7 @@ def student_t_cdf(t: float, df: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WelchResult:
+class WelchResult(NamedTuple):
     t_statistic: float
     degrees_of_freedom: float
     p_value: float
@@ -169,13 +171,15 @@ def _welch(a: tuple[int, float, float], b: tuple[int, float, float]) -> WelchRes
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Bin:
+class Bin(NamedTuple):
     label: str
     low: float  # -inf for the open left extreme
     high: float  # +inf for the open right extreme
-    corpus: MetricColumns = field(repr=False)
-    members: list[bool] = field(repr=False)  # per row of ``corpus``: in this bin
+    corpus: MetricColumns
+    members: list[bool]  # per row of ``corpus``: in this bin
+
+    def __repr__(self) -> str:  # without the whole table
+        return f"Bin(label={self.label!r}, low={self.low!r}, high={self.high!r})"
 
     def column(self, name: str) -> list[int]:
         """Metric ``name`` of the bin's projects, in table order."""
@@ -191,8 +195,7 @@ def range_text(low: float, high: float) -> str:
     return f"{low:g} -- {high:g}"
 
 
-@dataclass(frozen=True)
-class BinSummary:
+class BinSummary(NamedTuple):
     label: str
     low: float
     high: float

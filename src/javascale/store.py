@@ -39,12 +39,11 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import accumulate, chain, compress, repeat
 from operator import add, le, sub
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     ArchiveIntegrityError,
@@ -67,14 +66,19 @@ _MAGIC = "JSCALE-FACTS"
 _MAX_DIGITS = 20  # of a record's length prefix
 
 
-@dataclass
-class FactsArchive:
-    projects: list[ProjectFacts] = field(default_factory=list)
+class _FactsArchiveRow(NamedTuple):
+    projects: list[ProjectFacts]
 
-    def __post_init__(self) -> None:
-        DuplicateProjectError.check(
-            [p.project_id for p in self.projects], "duplicate project ids"
-        )
+
+class FactsArchive(_FactsArchiveRow):
+    """A named tuple whose construction checks that the project ids are unique."""
+
+    __slots__ = ()
+
+    def __new__(cls, projects: list[ProjectFacts] | None = None):
+        projects = [] if projects is None else projects
+        DuplicateProjectError.check([p.project_id for p in projects], "duplicate project ids")
+        return tuple.__new__(cls, (projects,))
 
 
 def _ints(values) -> bool:

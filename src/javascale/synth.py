@@ -9,7 +9,7 @@ integers (floored at zero) to behave like real metric counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import OutOfRangeError
 from .metrics import CAPS, SUM_RULES, ProjectMetrics
@@ -40,8 +40,7 @@ class SplitMix64:
         return inverse_normal_cdf(self.next_unit())
 
 
-@dataclass(frozen=True)
-class SynthSpec:
+class _SynthSpecRow(NamedTuple):
     n_projects: int
     x_range: tuple[float, float]  # log-uniform support
     true_alpha: float
@@ -52,7 +51,14 @@ class SynthSpec:
     x_metric: str = "classes"
     y_metric: str = "methods"
 
-    def __post_init__(self) -> None:
+
+class SynthSpec(_SynthSpecRow):
+    """An immutable named tuple whose construction checks the settings."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         lo, hi = self.x_range
         if lo <= 0 or hi <= 0 or lo > hi:
             raise ValueError("x_range must be positive with lo <= hi")
@@ -62,6 +68,7 @@ class SynthSpec:
             raise ValueError("n_projects must be at least 1")
         if self.x_metric == self.y_metric:  # one column would hold y and lose x
             raise ValueError(f"x_metric and y_metric are both {self.x_metric!r}")
+        return self
 
 
 def _round_floor_zero(value: float) -> int:

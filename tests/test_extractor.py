@@ -160,7 +160,7 @@ class TestExtraction:
         facts = extract_project(tmp_path, "p")
         assert facts.sloc == sum(count_sloc(textwrap.dedent(b)) for b in files.values())
 
-    def test_parse_failure_keeps_the_file_sloc(self, tmp_path, monkeypatch):
+    def test_parse_failure_keeps_the_file_sloc(self, tmp_path, monkeypatch, capfd):
         files = {
             "a/Bad.java": "package a;\n\n// broken\nclass Bad {\n  int x;\n}\n",
             "a/Good.java": "package a;\nclass Good {\n}\n",
@@ -179,6 +179,24 @@ class TestExtraction:
         assert facts.warnings == ["skipped-file a/Bad.java: parse failure boom"]
         assert facts.parse_warning_count == 1
         assert [e.fqn for e in facts.entities] == ["a", "a.Good"]
+        assert capfd.readouterr() == ("", "project=p file=a/Bad.java parse failure: boom\n")
+
+    def test_unreadable_file_is_skipped_with_a_warning(self, tmp_path, monkeypatch, capfd):
+        write_project(tmp_path, {"a/Bad.java": "class Bad {}", "a/Good.java": "class Good {}"})
+        real = Path.read_bytes
+        exc = PermissionError(13, "Permission denied")
+
+        def read_bytes(path):
+            if path.name == "Bad.java":
+                raise exc
+            return real(path)
+
+        monkeypatch.setattr(Path, "read_bytes", read_bytes)
+        facts = extract_project(tmp_path, "p")
+        assert facts.warnings == [f"skipped-file a/Bad.java: {exc}"]
+        assert facts.parse_warning_count == 0
+        assert [e.fqn for e in facts.entities] == ["(default)", "Good"]
+        assert capfd.readouterr() == ("", f"project=p file=a/Bad.java skipped: {exc}\n")
 
     def test_parse_warning_on_garbage_declaration(self, tmp_path):
         write_project(

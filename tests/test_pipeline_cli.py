@@ -490,29 +490,38 @@ def test_statistics_commands_match_golden_digests(tmp_path, monkeypatch, capsys)
 
 def test_import_leaves_process_pools_unloaded(tmp_path):
     """The pool modules load neither when ``javascale`` or any of its
-    modules is imported nor when a command runs in forked workers."""
+    modules is imported nor when a command runs in forked workers.  Nor do
+    the modules that only cost start-up time: ``dataclasses`` and
+    ``logging`` never load, ``hashlib`` loads for a run's MANIFEST and
+    ``statistics`` for its diagnostics' normal quantiles."""
     facts = tmp_path / "facts.bin"
     assert main(["extract", str(CORPUS_DIR / "manifest.txt"), "-o", str(facts)]) == 0
     src = Path(javascale.__file__).resolve().parents[1]
-    pools = "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    unloaded = (
+        "multiprocessing", "concurrent.futures", "dataclasses", "logging", "statistics", "hashlib"
+    )
+    loaded = f"print('loaded', [m for m in {unloaded} if m in sys.modules])"
     code = (
         "import os, pkgutil, sys, javascale\n"
         "for m in pkgutil.iter_modules(javascale.__path__):\n"
         "    __import__(f'javascale.{m.name}')\n"
-        f"{pools}\n"
+        f"{loaded}\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "from javascale.cli import main\n"
-        "assert main(sys.argv[1:]) == 0\n"
-        f"{pools}\n"
+        "assert main(sys.argv[1:-1]) == 0\n"
+        f"{loaded}\n"
+        "assert main(['pipeline', sys.argv[-1]]) == 0\n"
+        f"{loaded}\n"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
-    argv = ["metrics", str(facts), "-o", str(tmp_path / "m.csv")]
+    argv = ["metrics", str(facts), "-o", str(tmp_path / "m.csv"), str(fixture_config(tmp_path))]
     proc = subprocess.run(
         [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
     )
-    lines = proc.stdout.splitlines()
-    assert (lines[0], lines[-1]) == ("[]", "[]")
+    lines = [line for line in proc.stdout.splitlines() if line.startswith("loaded ")]
+    assert lines == ["loaded []", "loaded []", "loaded ['statistics', 'hashlib']"]
     assert (tmp_path / "m.csv").exists()
+    assert (tmp_path / "run" / "MANIFEST").exists()
 
 
 def test_workers_run_each_job_once_and_leave_no_child(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from javascale.errors import (
     UndefinedNormalizationError,
     UnknownMetricError,
 )
+from javascale import regression
 from javascale.metrics import ProjectMetrics, metric_columns
 from javascale.regression import (
     FitResult,
@@ -181,6 +183,25 @@ class TestRobustFit:
     def test_keeps_pearson_of_data(self):
         xs, ys = [1, 2, 4, 8, 16], [2, 5, 7, 18, 31]
         assert fit_robust_log_power(xs, ys).r == fit_log_power(xs, ys).r
+
+    @pytest.mark.parametrize("n", [41, 42])
+    def test_medians_match_statistics_median(self, n, monkeypatch):
+        """The fit's two medians per iteration, taken from sorted lists, give
+        the fit ``statistics.median`` gives, bit for bit, at odd and even n;
+        four copies of one pair tie their residuals and deviations."""
+        spec = SynthSpec(
+            n_projects=n - 4, x_range=(2, 5000), true_alpha=1.0, true_beta=1.1,
+            noise_sigma=0.4, seed=n,
+        )
+        pairs = generate(spec) + [(50, 90)] * 4
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        fit = fit_robust_log_power(xs, ys)
+        monkeypatch.setattr(regression, "_median", statistics.median)
+        reference = fit_robust_log_power(xs, ys)
+        assert fit.n == n and fit.converged
+        assert repr(fit) == repr(reference)
+        for values in ([3.0, 1.0, 2.0], [4.0, 1.0, 3.0, 2.0], [0.5, 0.5, -1.0, 0.5]):
+            assert repr(regression._median(values)) == repr(statistics.median(values))
 
 
 class TestDiagnostics:

@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import pytest
 import scipy.special
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from javascale import pipeline, stats
 from javascale.errors import EmptyBinError, InsufficientDataError
 from javascale.metrics import ProjectMetrics, metric_columns
-from javascale.regression import mean_ss
+from javascale.regression import diagnostics, fit_log_power, mean_ss
 from javascale.stats import (
     analyze_bins,
     bin_by,
@@ -50,6 +51,28 @@ class TestInverseNormal:
             assert inverse_normal_cdf(p) == pytest.approx(
                 -inverse_normal_cdf(1 - p), abs=1e-10
             )
+
+    def test_one_normal_dist_made_on_first_use(self, monkeypatch):
+        """``diagnostics`` draws one quantile per point; the ``NormalDist``
+        behind them is made once, on first use."""
+        made = []
+
+        class Counted(statistics.NormalDist):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(statistics, "NormalDist", Counted)
+        stats._standard_normal.cache_clear()
+        try:
+            xs = [1, 2, 3, 5, 8, 13, 21]
+            ys = [3, 4, 9, 11, 20, 35, 50]
+            diag = diagnostics(fit_log_power(xs, ys), xs, ys)
+            assert inverse_normal_cdf(0.975) == pytest.approx(1.959964, abs=1e-6)
+        finally:
+            stats._standard_normal.cache_clear()
+        assert len(diag.qq_pairs) == 7
+        assert made == [()]
 
     def test_against_scipy(self):
         for i in range(1, 100):
