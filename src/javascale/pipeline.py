@@ -10,11 +10,9 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 import threading
-from bisect import bisect_right
 from contextlib import closing, contextmanager
-from itertools import accumulate, compress
+from itertools import compress
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -32,6 +30,7 @@ from .regression import (
     FitResult,
     ModelEval,
     _transform,
+    check_nrmse_space,
     diagnostics,
     evaluate_nrmse,
     filter_by_size,
@@ -292,8 +291,7 @@ def fit_grid(corpus: MetricColumns, grid: Sequence[GridCell]) -> Fitted:
 def evaluate_grid(
     corpus: MetricColumns, fitted: Fitted, testsets: Sequence[EvalSet], space: str = "log"
 ) -> list[ModelEval]:
-    if space not in ("log", "linear"):
-        raise UsageError(f"unknown NRMSE space {space!r}")
+    check_nrmse_space(space)
     kept = [(ts.name, filter_by_size(corpus, ts.metric, ts.low, ts.high)) for ts in testsets]
     # models with the same metrics, k and zero offset share a test set's
     # points, mapped by _transform once for the log space
@@ -388,26 +386,30 @@ def _java_bytes(root: Path) -> int:
     return sum(p.stat().st_size for p in root.rglob("*.java") if p.is_file())
 
 
-def job_order(weights: list[int], workers: int) -> list[int]:
-    """Job indexes heaviest first, but past the heaviest (W - 1) / W of the weight
-    lightest first: so the children's head and this process's tail meet on the smallest."""
-    order = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
-    cumulative = list(accumulate(weights[i] for i in order))
-    split = bisect_right(cumulative, cumulative[-1] * (workers - 1) / workers)
-    order[split:] = reversed(order[split:])
-    return order
+def job_shares(weights: list[int], workers: int) -> list[list[int]]:
+    """Job indexes in ``workers`` shares: heaviest first, each job to the
+    first share of least load and then fewest jobs, so the last share's
+    heaviest job is the W-th heaviest and no share's load exceeds
+    total / W plus the heaviest weight."""
+    shares: list[list[int]] = [[] for _ in range(workers)]
+    loads = [(0, 0)] * workers  # (weight, jobs) per share
+    for i in sorted(range(len(weights)), key=weights.__getitem__, reverse=True):
+        s = loads.index(min(loads))
+        shares[s].append(i)
+        loads[s] = (loads[s][0] + weights[i], loads[s][1] + 1)
+    return shares
 
 
 def _in_workers(fn, jobs: list[tuple], weight):
     """Yield ``fn(*job)`` for each job, in job order.
 
     With W = min(CPUs this process may run on, jobs) of two or more,
-    ``os.fork`` at hand and no other thread running, W - 1 forked children
-    take jobs from the heavy end of a list ordered by ``weight`` and this
-    process from its light end, until the two ends meet; each child pipes
-    its results back once no job is left.  Otherwise the jobs run here: a
-    child forked while another thread holds a lock would wait on it forever.
-    A failed job raises at its place in job order.
+    ``os.fork`` at hand and no other thread running, the jobs are split by
+    ``weight`` into W shares with ``job_shares`` before any fork: W - 1
+    forked children each run one share and pipe its results back, and this
+    process runs the last.  Otherwise the jobs run here: a child forked
+    while another thread holds a lock would wait on it forever.  A failed
+    job raises at its place in job order.
     """
     affinity = getattr(os, "sched_getaffinity", None)  # Linux only
     workers = min(len(affinity(0)) if affinity else os.cpu_count() or 1, len(jobs))
@@ -415,56 +417,42 @@ def _in_workers(fn, jobs: list[tuple], weight):
         for job in jobs:
             yield fn(*job)
         return
-    import fcntl  # POSIX only, as os.fork is
-    import mmap
     import pickle
     import signal
 
-    order = job_order([weight(job) for job in jobs], workers)
-    # order[lo:hi] is left to run: memory shared with the children, under a
-    # lockf lock, which the kernel drops if its holder dies
-    window = memoryview(mmap.mmap(-1, 8)).cast("i")
-    window[1] = len(order)
+    *theirs, mine = job_shares([weight(job) for job in jobs], workers)
 
-    def run(head: bool) -> list[tuple]:
+    def run(share: list[int]) -> list[tuple]:
         done = []
-        while True:
-            fcntl.lockf(lock, fcntl.LOCK_EX)
-            lo, hi = window
-            if lo < hi:
-                window[0], window[1] = (lo + 1, hi) if head else (lo, hi - 1)
-            fcntl.lockf(lock, fcntl.LOCK_UN)
-            if lo == hi:
-                return done
-            i = order[lo if head else hi - 1]
+        for i in share:
             try:
                 done.append((i, True, fn(*jobs[i])))
             except Exception as exc:  # raised in job order, by this process
                 done.append((i, False, exc))
+        return done
 
     pipes, sent, failed = {}, {}, []  # by child pid: its pipe, what it sent
-    with tempfile.TemporaryFile() as lock:
-        try:
-            for _ in range(workers - 1):
-                r, w = os.pipe()
-                if (pid := os.fork()) == 0:
-                    try:
-                        with open(w, "wb") as out:
-                            pickle.dump(run(True), out, pickle.HIGHEST_PROTOCOL)
-                        os._exit(0)
-                    finally:  # reached on an error only
-                        os._exit(1)
-                os.close(w)
-                pipes[pid] = open(r, "rb")
-            results = run(False)
-            sent = {pid: pipe.read() for pid, pipe in pipes.items()}
-        finally:
-            for pid, pipe in pipes.items():
-                pipe.close()
-                if pid not in sent:  # this process raised
-                    os.kill(pid, signal.SIGKILL)
-                if status := os.waitpid(pid, 0)[1]:
-                    failed.append(f"{pid} exited with {os.waitstatus_to_exitcode(status)}")
+    try:
+        for share in theirs:
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    with open(w, "wb") as out:
+                        pickle.dump(run(share), out, pickle.HIGHEST_PROTOCOL)
+                    os._exit(0)
+                finally:  # reached on an error only
+                    os._exit(1)
+            os.close(w)
+            pipes[pid] = open(r, "rb")
+        results = run(mine)
+        sent = {pid: pipe.read() for pid, pipe in pipes.items()}
+    finally:
+        for pid, pipe in pipes.items():
+            pipe.close()
+            if pid not in sent:  # this process raised
+                os.kill(pid, signal.SIGKILL)
+            if status := os.waitpid(pid, 0)[1]:
+                failed.append(f"{pid} exited with {os.waitstatus_to_exitcode(status)}")
     if failed:
         raise RuntimeError(f"worker process {failed[0]} and sent no results")
     for data in sent.values():
@@ -480,9 +468,10 @@ def extract_facts(
 ) -> tuple[list[ProjectMetrics], int]:
     """Write the facts archive of a manifest's projects to ``path``, a record
     at a time in project-id order; return their metrics rows and their
-    parse-warning total.  On more than one CPU, forked children start on
-    the largest projects (by ``.java`` bytes) and this process on smaller
-    ones; the records are written once the last child is done."""
+    parse-warning total.  On more than one CPU, the projects are shared out
+    by ``.java`` bytes before forking, and this process extracts the share
+    whose largest project is the W-th largest; the records are written once
+    the last child is done."""
     jobs = [(pid, root, jdk_prefixes) for pid, root in read_manifest(manifest)]
     rows: list[list] = []  # [metrics row, parse warnings] per project
 
@@ -513,9 +502,9 @@ def measure_archive(
     path: str | Path, jdk_prefixes: tuple[str, ...]
 ) -> list[tuple[ProjectMetrics, int]]:
     """Each archived project's metrics row and unresolved-name count.  On
-    more than one CPU, forked children start on the longest records and
-    this process on shorter ones; the error raised is the archive's first
-    fault in file order."""
+    more than one CPU, the records are shared out by length, as projects
+    are by ``extract_facts``; the error raised is the archive's first fault
+    in file order."""
     jobs, fault = [], None
     try:
         for offset, payload, lineno in scan_records(path):
@@ -532,9 +521,10 @@ def run_pipeline(config: RunConfig) -> RunResult:
     """Execute every stage and write the report bundle.
 
     Projects are extracted and measured by this process and one forked
-    child for each further CPU it may run on; the bundle is the same for
-    any count.  ``STATUS`` lists the finished stages, one a line, then
-    ``FAILED`` if a stage raised.
+    child for each further CPU it may run on, each with a share of them
+    fixed by their sizes; the bundle is the same for any count.
+    ``STATUS`` lists the finished stages, one a line, then ``FAILED`` if a
+    stage raised.
     """
     config.validate()
     out = Path(config.out_dir)

@@ -292,6 +292,12 @@ def nrmse(predictions, actuals) -> float:
     return rmse / (y_max - y_min)
 
 
+def check_nrmse_space(space: str) -> None:
+    """Raise ``OutOfRangeError`` unless ``space`` is ``"log"`` or ``"linear"``."""
+    if space not in ("log", "linear"):
+        raise OutOfRangeError(f"unknown NRMSE space {space!r}")
+
+
 def evaluate_nrmse(fit: FitResult, test_xs, test_ys, *, space: str = "log") -> float:
     """NRMSE of a fitted model on a test set.
 
@@ -299,16 +305,15 @@ def evaluate_nrmse(fit: FitResult, test_xs, test_ys, *, space: str = "log") -> f
     was fitted in; ``space="linear"`` compares raw predictions against raw
     values.
     """
+    check_nrmse_space(space)
     if space == "log":
         ts, zs, _ = _transform(test_xs, test_ys, fit.k, fit.zero_offset)
         return transformed_nrmse(fit, ts, zs)
-    if space == "linear":
-        pairs = [(x, y) for x, y in zip(test_xs, test_ys) if x > 0]
-        if len(pairs) < 2:
-            raise InsufficientDataError("NRMSE needs at least 2 usable points")
-        preds = [predict(fit, x) for x, _ in pairs]
-        return nrmse(preds, [y for _, y in pairs])
-    raise ValueError(f"unknown NRMSE space {space!r}")
+    pairs = [(x, y) for x, y in zip(test_xs, test_ys) if x > 0]
+    if len(pairs) < 2:
+        raise InsufficientDataError("NRMSE needs at least 2 usable points")
+    preds = [predict(fit, x) for x, _ in pairs]
+    return nrmse(preds, [y for _, y in pairs])
 
 
 def transformed_nrmse(fit: FitResult, ts: list[float], zs: list[float]) -> float:

@@ -14,6 +14,8 @@ from .normalize import NormalizedColumns
 from .regression import Diagnostics, FitResult, ModelEval
 from .stats import BinSummary, range_text
 
+MANIFEST_NAME = "MANIFEST"  # the file write_manifest writes, and does not hash
+
 
 def _fmt(value: float | None) -> str:
     """A data cell: the shortest round-trip repr, or empty for a missing value."""
@@ -181,15 +183,15 @@ def sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def write_manifest(out_dir: str | Path, manifest_name: str = "MANIFEST") -> Path:
+def write_manifest(out_dir: str | Path) -> Path:
     """Hash every file under the output directory into a manifest."""
     out = Path(out_dir)
     entries = []
     for path in sorted(out.rglob("*")):
-        if not path.is_file() or path.name == manifest_name:
+        if not path.is_file() or path.name == MANIFEST_NAME:
             continue
         rel = path.relative_to(out).as_posix()
         entries.append(f"{sha256_file(path)}  {rel}")
-    target = out / manifest_name
+    target = out / MANIFEST_NAME
     target.write_text("\n".join(entries) + "\n", encoding="utf-8")
     return target

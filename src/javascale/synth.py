@@ -16,6 +16,7 @@ from .metrics import CAPS, SUM_RULES, ProjectMetrics
 from .stats import inverse_normal_cdf
 
 _MASK64 = (1 << 64) - 1
+ID_PREFIX = "synth"  # each row's id is this and its zero-padded index
 
 
 class SplitMix64:
@@ -103,7 +104,6 @@ def pairs_to_metrics(
     *,
     x_metric: str = "classes",
     y_metric: str = "methods",
-    id_prefix: str = "synth",
 ) -> list[ProjectMetrics]:
     """Wrap raw (x, y) pairs as ProjectMetrics rows, planted through the row
     rules: a derived metric's value goes into its first part and a capped
@@ -118,7 +118,7 @@ def pairs_to_metrics(
         for name, cap in CAPS.items():
             if name in planted:
                 counts[cap] = max(counts.get(cap, 0), planted[name])
-        row = ProjectMetrics.derive(f"{id_prefix}{idx:0{width}d}", **counts)
+        row = ProjectMetrics.derive(f"{ID_PREFIX}{idx:0{width}d}", **counts)
         for name, value in planted.items():
             if getattr(row, name) != value:
                 raise OutOfRangeError(
@@ -129,7 +129,5 @@ def pairs_to_metrics(
     return out
 
 
-def generate_metrics(spec: SynthSpec, id_prefix: str = "synth") -> list[ProjectMetrics]:
-    return pairs_to_metrics(
-        generate(spec), x_metric=spec.x_metric, y_metric=spec.y_metric, id_prefix=id_prefix
-    )
+def generate_metrics(spec: SynthSpec) -> list[ProjectMetrics]:
+    return pairs_to_metrics(generate(spec), x_metric=spec.x_metric, y_metric=spec.y_metric)

@@ -11,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import javascale
 from javascale import cli, pipeline, regression
@@ -20,11 +22,12 @@ from javascale.errors import (
     DegeneratePredictorError,
     EmptyCorpusError,
     InsufficientDataError,
+    OutOfRangeError,
     UsageError,
 )
 from javascale.extractor import extract_corpus, read_manifest
 from javascale.metrics import DEFAULT_JDK_PREFIXES, MetricColumns, ProjectMetrics, metric_columns
-from javascale.pipeline import job_order, load_config, render_run_report, run_pipeline
+from javascale.pipeline import job_shares, load_config, render_run_report, run_pipeline
 from javascale.regression import evaluate_nrmse
 from javascale.store import (
     FactsArchive,
@@ -256,36 +259,41 @@ def failing_cases(weights: list[int]) -> list[tuple[set[str], str, str]]:
     """The projects that raise, the one that surfaces (the first in job
     order) and where it ran, for a fault in this process's share, in the
     child's, and in both, when two CPUs share the fixture corpus's jobs of
-    these weights: the child first takes the head of ``job_order``, this
-    process its tail."""
+    these weights: ``job_shares`` gives the child the first share and this
+    process the last."""
     project_ids = [pid for pid, _ in read_manifest(CORPUS_DIR / "manifest.txt")]
-    order = job_order(weights, 2)
-    here, child = project_ids[order[-1]], project_ids[order[0]]
+    [child, *_], [here, *_] = job_shares(weights, 2)  # each share's heaviest job
+    first, where = min((here, "this process"), (child, "a child"))
+    here, child = project_ids[here], project_ids[child]
     return [
         ({here}, here, "this process"),
         ({child}, child, "a child"),
-        ({here, child}, min(here, child), "this process"),
+        ({here, child}, project_ids[first], where),
     ]
 
 
-def test_job_order_reverses_the_lightest_share():
-    # heaviest first; past the heaviest half of the weight (10 of 20), lightest first
-    assert job_order([1, 2, 3, 4, 10], 2) == [4, 0, 1, 2, 3]
-    assert job_order([1, 2, 3, 4, 10], 4) == [4, 3, 0, 1, 2]
-    assert job_order([5], 2) == [0]
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 30), min_size=1, max_size=40), st.data())
+def test_job_shares_split_by_weight(weights, data):
+    workers = data.draw(st.integers(1, len(weights)), label="workers")
+    shares = job_shares(weights, workers)
+    assert len(shares) == workers
+    assert sorted(i for share in shares for i in share) == list(range(len(weights)))
+    assert job_shares(list(weights), workers) == shares
+    # this process runs the last share: its heaviest job is the W-th heaviest
+    assert max(weights[i] for i in shares[-1]) == sorted(weights, reverse=True)[workers - 1]
+    bound = sum(weights) / workers + max(weights)
+    assert all(sum(weights[i] for i in share) <= bound for share in shares)
 
 
 def crash_on(failing):
     """A check to call with each project id as its job runs: it raises
     ``ExtractionCrash`` on the projects in ``failing``, naming the process
-    that ran the job.  Jobs run here first wait 10 ms, so that the child
-    starts before this process reaches the heaviest."""
+    that ran the job."""
     parent = os.getpid()
 
     def check(project_id):
         here = os.getpid() == parent
-        if here:
-            time.sleep(0.01)
         if project_id in failing:
             raise ExtractionCrash(f"{project_id} in {'this process' if here else 'a child'}")
 
@@ -525,8 +533,8 @@ def test_import_leaves_process_pools_unloaded(tmp_path):
 
 
 def test_workers_run_each_job_once_and_leave_no_child(monkeypatch):
-    """Seven children and this process on 50,000 tiny jobs: a lost update
-    of the window they share would run a job twice or skip one."""
+    """Seven children and this process on 50,000 tiny jobs, each run once
+    and yielded in job order, also when every weight is the same."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     jobs = [(k, 2) for k in range(50_000)]
     assert list(pipeline._in_workers(pow, jobs, lambda job: job[0] % 7)) == [
@@ -595,9 +603,9 @@ def test_workers_do_not_fork_while_another_thread_runs(tmp_path, monkeypatch):
 def test_dead_worker_is_an_error(tmp_path, command):
     facts = tmp_path / "facts.bin"
     assert main(["extract", str(CORPUS_DIR / "manifest.txt"), "-o", str(facts)]) == 0
-    # a child dies on its first job; the jobs run here wait, so that it takes one
+    # the child dies on the first job of its share
     code = (
-        "import os, sys, time\n"
+        "import os, sys\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "from javascale import pipeline\n"
         "from javascale.cli import main\n"
@@ -605,7 +613,6 @@ def test_dead_worker_is_an_error(tmp_path, command):
         "def measure(*args):\n"
         "    if os.getpid() != parent:\n"
         "        os._exit(1)\n"
-        "    time.sleep(0.01)\n"
         "    return real(*args)\n"
         "pipeline.measure = measure\n"
         "try:\n"
@@ -687,6 +694,13 @@ class TestEvaluateGrid:
             expected.append((model_id, per_testset))
         evals = pipeline.evaluate_grid(corpus, fitted, self.TESTSETS, space)
         assert [(e.model_id, e.nrmse_per_testset) for e in evals] == expected
+
+    def test_unknown_space_is_the_regression_error(self):
+        # one check for the grid and evaluate_nrmse: the same type and message
+        corpus = self.corpus()
+        fitted = pipeline.fit_grid(corpus, self.CELLS)
+        with pytest.raises(OutOfRangeError, match="^unknown NRMSE space 'cubic'$"):
+            pipeline.evaluate_grid(corpus, fitted, self.TESTSETS, "cubic")
 
     def test_transforms_each_test_set_once_per_series(self, monkeypatch):
         corpus = self.corpus()

@@ -10,9 +10,11 @@ from javascale.errors import (
     DataError,
     DegeneratePredictorError,
     InsufficientDataError,
+    OutOfRangeError,
     UndefinedCorrelationError,
     UndefinedNormalizationError,
     UnknownMetricError,
+    UsageError,
 )
 from javascale import regression
 from javascale.metrics import ProjectMetrics, metric_columns
@@ -282,9 +284,11 @@ class TestNrmse:
         assert evaluate_nrmse(fit, xs, ys, space="linear") == pytest.approx(0.0, abs=1e-9)
 
     def test_unknown_space(self):
+        # a usage error to the CLI, and still a ValueError to a caller
         fit = FitResult(1, 1, 1, 1, 1, 10)
-        with pytest.raises(ValueError):
-            evaluate_nrmse(fit, [1, 2], [1, 2], space="cubits")
+        with pytest.raises(OutOfRangeError, match="^unknown NRMSE space 'cubic'$") as info:
+            evaluate_nrmse(fit, [1, 2], [1, 2], space="cubic")
+        assert isinstance(info.value, UsageError) and isinstance(info.value, ValueError)
 
 
 class TestFilterBySize:
