@@ -493,8 +493,8 @@ def _measure_record(path, offset, size, lineno, jdk_prefixes) -> tuple[ProjectMe
     try:
         return measure(columns, jdk_prefixes)
     except (TypeError, ValueError) as exc:
-        # a CONTAINS cycle, a row invariant such as sloc >= 0, or a field of
-        # the wrong type, which decode_columns does not check
+        # a CONTAINS cycle, a row invariant such as sloc >= 0, or a relation
+        # target of the wrong type, which decode_columns does not check
         raise ArchiveIntegrityError(f"{path}: bad record at line {lineno}: {exc}") from exc
 
 

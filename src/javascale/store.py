@@ -8,7 +8,7 @@ are local to their project, so each record is encoded on its own and
 records can be written as they are made.  No database engine; readers
 rebuild in-memory indexes.
 
-A version 3 record leaves out what extraction makes implicit:
+A version 4 record leaves out what extraction makes implicit:
 
 * ``entities`` holds four arrays, the fqn, kind, file and line of each
   entity.  Their ids are 1..n in row order unless an ``ids`` array is
@@ -17,14 +17,24 @@ A version 3 record leaves out what extraction makes implicit:
   relation, or 0 for none.  These are the leading ``CONTAINS`` relations,
   written by extraction before any other, whose targets are entities in
   increasing row order and whose sources are non-zero ints.
+* An entity with a parent is coded when the ids are 1..n, its parent's row
+  comes before its own and its fqn starts with the parent's: its fqn array
+  holds only the rest, such as ``.count`` or ``$1``, and the decoder
+  rebuilds the fqns in one pass in row order.  ``full`` lists, by row index
+  from 0, every other entity with a parent; it is left out when empty.
 * ``relations`` holds two arrays, the kind and target of each other
   relation, in order; a later or out-of-order ``CONTAINS`` is one of them.
   Their sources are in ``deltas``, each the difference from the previous
   source (the first from 0), when all are ints; otherwise a plain
   ``sources`` array holds them.
+* Each kind column holds ordinals into ``ENTITY_KIND_TABLE`` or
+  ``RELATION_KIND_TABLE``, unless it holds a kind its table does not name;
+  then it holds the kinds' names, and the record is refused when read.
 
-So ``decode_columns`` returns, for any facts, exactly the columns the
-encoder was given, as JSON types them.
+So ``decode_columns`` returns, for any facts of known kinds and string
+fqns, exactly the columns the encoder was given, as JSON types them, with
+each kind as its enum member.  It checks the type of each field it reads.
+Version 3 and older archives are refused, not converted.
 
 The metrics table is a CSV of the ``METRIC_COLUMNS``, read back as
 :class:`~javascale.metrics.MetricColumns`.  A canonical table is one as
@@ -61,9 +71,27 @@ from .facts import (
 )
 from .metrics import CAPS, METRIC_COLUMNS, SUM_RULES, MetricColumns, ProjectMetrics, metric_columns
 
-ARCHIVE_VERSION = 3
+ARCHIVE_VERSION = 4
 _MAGIC = "JSCALE-FACTS"
 _MAX_DIGITS = 20  # of a record's length prefix
+
+# what each kind ordinal of a version 4 record stands for, written out
+# rather than taken from the enums' order, so that a new or reordered
+# member cannot re-map stored records; a new kind goes at the end
+ENTITY_KIND_TABLE = (
+    "PACKAGE", "CLASS", "INTERFACE", "ENUM", "ANNOTATION", "FIELD", "CONSTRUCTOR", "METHOD",
+)
+RELATION_KIND_TABLE = (
+    "CONTAINS", "HOLDS", "WRITES", "READS", "CALLS", "INSTANTIATES", "EXTENDS", "IMPLEMENTS",
+    "CASTS", "INSTANCEOF", "USES",
+)
+# a kind's ordinal (an enum member hashes and compares equal to its
+# value), and an ordinal's member: a dict lookup refuses a negative
+# ordinal, which a tuple's would wrap
+_ENTITY_ORDINALS = {kind: n for n, kind in enumerate(ENTITY_KIND_TABLE)}
+_RELATION_ORDINALS = {kind: n for n, kind in enumerate(RELATION_KIND_TABLE)}
+_ENTITY_KIND_OF = dict(enumerate(map(EntityKind, ENTITY_KIND_TABLE)))
+_RELATION_KIND_OF = dict(enumerate(map(RelationKind, RELATION_KIND_TABLE)))
 
 
 class _FactsArchiveRow(NamedTuple):
@@ -106,24 +134,50 @@ def _parent_run(ids: Sequence, implicit: bool, relations: Sequence[Sequence]) ->
     return parent
 
 
+def _coded_fqns(fqns: Sequence, parent: list[int], implicit: bool) -> tuple[list, list[int]]:
+    """Each fqn as a record stores it, and the rows with a parent whose fqn
+    is stored in full: a row whose parent's row comes before it and whose
+    fqn starts with the parent's stores only the rest."""
+    stored, full = list(fqns), []
+    for row, source in enumerate(parent):
+        if source:
+            head = fqns[source - 1] if implicit and 0 < source <= row else None
+            fqn = fqns[row]
+            if type(head) is type(fqn) is str and fqn.startswith(head):
+                stored[row] = fqn[len(head) :]
+            else:
+                full.append(row)
+    return stored, full
+
+
+def _ordinals(kinds: Sequence, ordinals: dict) -> Sequence:
+    """The kinds as ordinals, or as they are if one has none."""
+    try:
+        return list(map(ordinals.__getitem__, kinds))
+    except (KeyError, TypeError):  # an unknown or unhashable kind
+        return kinds
+
+
 def _project_payload(columns: FactColumns) -> bytes:
     ids, fqns, kinds, files, lines = columns.entities
     sources, kinds_of_relations, targets = columns.relations
     implicit = _ints(ids) and list(ids) == list(range(1, len(ids) + 1))
     parent = _parent_run(ids, implicit, columns.relations)
     run = len(parent) - parent.count(0)
+    stored, full = _coded_fqns(fqns, parent, implicit)
     record = {
         "project_id": columns.project_id,
         "sloc": columns.sloc,
         "parse_warning_count": columns.parse_warning_count,
         "warnings": columns.warnings,
-        # the kinds are str enums, so they encode as their values
-        "entities": [fqns, kinds, files, lines],
+        "entities": [stored, _ordinals(kinds, _ENTITY_ORDINALS), files, lines],
         "parent": parent,
-        "relations": [kinds_of_relations[run:], targets[run:]],
+        "relations": [_ordinals(kinds_of_relations[run:], _RELATION_ORDINALS), targets[run:]],
     }
     if not implicit:
         record["ids"] = ids
+    if full:
+        record["full"] = full
     sources = sources[run:]
     if _ints(sources):
         record["deltas"] = list(map(sub, sources, chain((0,), sources)))
@@ -145,30 +199,65 @@ def _same_length(columns: list, name: str) -> list:
     return columns
 
 
-def _rows(c: FactColumns) -> tuple[list[SourceEntity], list[FactRelation]]:
-    """The rows of the columns, kinds as members; the first row that cannot
-    be built, for an empty fqn or an unknown kind, raises."""
-    ids, fqns, kinds, files, lines = c.entities
-    sources, kinds_of_relations, targets = c.relations
-    kinds = map(_ENTITY_KINDS.__getitem__, kinds)
-    kinds_of_relations = map(_RELATION_KINDS.__getitem__, kinds_of_relations)
-    return (
-        list(map(SourceEntity, ids, fqns, kinds, files, lines)),
-        list(map(FactRelation, sources, kinds_of_relations, targets)),
-    )
+def _fqns(stored: list, parent: list[int], full, implicit: bool) -> list:
+    """The fqns a record's fqn array stands for, rebuilt in one pass in row
+    order: a coded row's is its parent's fqn and what it stores."""
+    "".join(stored)  # a TypeError names the first fqn that is not a string
+    if type(full) is not list or not _ints(full):
+        raise ValueError("full is not a list of ints")
+    if full and (min(full) < 0 or max(full) >= len(stored)):
+        raise ValueError("full holds a row index out of range")
+    coded = list(parent)
+    for row in full:
+        coded[row] = 0
+    for row, source in enumerate(coded):
+        if source:
+            # the parent's row comes first, so its fqn is already rebuilt
+            if not (implicit and 0 < source <= row):
+                raise ValueError(f"the fqn of row {row} is coded, but not under an earlier row")
+            stored[row] = stored[source - 1] + stored[row]
+    return stored
+
+
+def _kinds(column: list, table: dict, names: dict) -> list:
+    """The kinds, as members, of a column of ordinals, each a key of
+    ``table``, or of a column of kind names, each a key of ``names``; any
+    other column raises.  Members, unlike equal strings, are found by
+    identity in the sets of kinds ``measure`` looks them up in."""
+    if not _ints(column):
+        return list(map(names.__getitem__, column))  # a KeyError names the first unknown kind
+    try:
+        return list(map(table.__getitem__, column))
+    except KeyError:
+        raise ValueError("a kind ordinal is out of range") from None
 
 
 def _decoded(data: dict) -> FactColumns:
-    """The columns a version 3 record's JSON stands for; a field that breaks
+    """The columns a version 4 record's JSON stands for; a field that breaks
     the layout raises."""
-    fqns, kinds, files, lines = data["entities"]
-    ids = data["ids"] if "ids" in data else list(range(1, len(fqns) + 1))
-    _same_length([ids, fqns, kinds, files, lines], "entities")
+    scalars = {
+        "project_id": data["project_id"],
+        "sloc": data["sloc"],
+        "parse_warning_count": data.get("parse_warning_count", 0),
+        "warnings": data.get("warnings", []),
+    }
+    for (name, value), kind in zip(scalars.items(), (str, int, int, list)):
+        if type(value) is not kind:  # a bool or a float is not an int
+            raise ValueError(f"{name} is {type(value).__name__}, not {kind.__name__}")
+    if not {str}.issuperset(map(type, scalars["warnings"])):
+        raise ValueError("warnings holds a value that is not a string")
+    stored, kinds, files, lines = data["entities"]
+    implicit = "ids" not in data
+    ids = list(range(1, len(stored) + 1)) if implicit else data["ids"]
+    _same_length([ids, stored, kinds, files, lines], "entities")
     parent = data["parent"]
-    if len(parent) != len(fqns):
+    if len(parent) != len(stored):
         raise ValueError("parent and entities differ in length")
     if not _ints(parent):
         raise ValueError("parent holds a value that is not an int")
+    fqns = _fqns(stored, parent, data.get("full", []), implicit)
+    if not all(fqns):
+        raise ValueError("entity fqn must be non-empty")
     if ("deltas" in data) == ("sources" in data):
         raise ValueError("a record holds both or neither of deltas and sources")
     if "deltas" in data:
@@ -180,14 +269,12 @@ def _decoded(data: dict) -> FactColumns:
     kinds_of_relations, targets = _same_length([sources, *data["relations"]], "relations")[1:]
     run = len(parent) - parent.count(0)
     return FactColumns(
-        project_id=data["project_id"],
-        sloc=data["sloc"],
-        parse_warning_count=data.get("parse_warning_count", 0),
-        warnings=list(data.get("warnings", [])),
-        entities=[ids, fqns, kinds, files, lines],
+        **scalars,
+        entities=[ids, fqns, _kinds(kinds, _ENTITY_KIND_OF, _ENTITY_KINDS), files, lines],
         relations=[
             [*filter(None, parent), *sources],
-            ["CONTAINS"] * run + kinds_of_relations,
+            [RelationKind.CONTAINS] * run
+            + _kinds(kinds_of_relations, _RELATION_KIND_OF, _RELATION_KINDS),
             [*compress(ids, parent), *targets],
         ],
     )
@@ -197,19 +284,7 @@ def decode_columns(payload: bytes, path: str | Path, lineno: int) -> FactColumns
     """The columns of the record payload framed at line ``lineno`` of
     ``path``; a record whose rows could not be built is refused."""
     try:
-        columns = _decoded(json.loads(zlib.decompress(payload).decode("utf-8")))
-        _, fqns, kinds, _, _ = columns.entities
-        try:
-            buildable = (
-                all(fqns)
-                and _ENTITY_KINDS.keys() >= set(kinds)
-                and _RELATION_KINDS.keys() >= set(columns.relations[1])
-            )
-        except TypeError:  # an unhashable kind
-            buildable = False
-        if not buildable:
-            _rows(columns)  # raises what the first bad row raises
-        return columns
+        return _decoded(json.loads(zlib.decompress(payload).decode("utf-8")))
     except (KeyError, TypeError, ValueError, zlib.error) as exc:
         raise ArchiveIntegrityError(f"{path}: bad record at line {lineno}: {exc!r}") from exc
 
@@ -217,9 +292,13 @@ def decode_columns(payload: bytes, path: str | Path, lineno: int) -> FactColumns
 def decode_record(payload: bytes, path: str | Path, lineno: int) -> ProjectFacts:
     """The project of the record payload framed at line ``lineno`` of ``path``."""
     c = decode_columns(payload, path, lineno)
-    entities, relations = _rows(c)
     return ProjectFacts(
-        c.project_id, entities, relations, c.sloc, c.warnings, c.parse_warning_count
+        c.project_id,
+        list(map(SourceEntity, *c.entities)),
+        list(map(FactRelation, *c.relations)),
+        c.sloc,
+        c.warnings,
+        c.parse_warning_count,
     )
 
 

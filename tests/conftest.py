@@ -7,7 +7,9 @@ from javascale.errors import ArchiveIntegrityError
 from javascale.extractor import extract_corpus, extract_project
 from javascale.metrics import DEFAULT_JDK_PREFIXES, compute_metrics, measure
 from javascale.pipeline import _measure_record
-from javascale.store import scan_records
+from javascale.store import decode_columns, scan_records
+
+from facts_diff import columns_json
 
 from pathlib import Path
 
@@ -26,6 +28,17 @@ def archive_digest(*archives: Path) -> str:
     for archive in archives:
         for _, payload, _ in scan_records(archive):
             digest.update(zlib.decompress(payload))
+    return digest.hexdigest()
+
+
+def columns_digest(*archives: Path) -> str:
+    """The sha256 of the canonical JSON of each record's decoded columns, in
+    order, as ``facts_diff`` computes it: unlike ``archive_digest`` it does
+    not depend on the archive's format."""
+    digest = hashlib.sha256()
+    for archive in archives:
+        for _, payload, lineno in scan_records(archive):
+            digest.update(columns_json(decode_columns(payload, archive, lineno)))
     return digest.hexdigest()
 
 

@@ -67,6 +67,12 @@ def write_sets(root: Path) -> dict[str, list[tuple[str, str]]]:
     return sets
 
 
+def columns_json(columns) -> bytes:
+    """The canonical JSON of a record's decoded ``FactColumns``, which does
+    not depend on the archive version that stored them."""
+    return json.dumps(columns._asdict(), sort_keys=True, separators=(",", ":")).encode()
+
+
 def extract_digests(src: str, sets_json: str) -> None:
     """Print, as JSON, the sha256 of each project's facts as the javascale
     under ``src`` extracts, archives and decodes them: the canonical JSON
@@ -85,8 +91,7 @@ def extract_digests(src: str, sets_json: str) -> None:
                 write_facts(FactsArchive(projects=[extract_project(root, pid)]), archive)
                 ((_, payload, lineno),) = scan_records(archive)
                 columns = decode_columns(payload, archive, lineno)
-                text = json.dumps(columns._asdict(), sort_keys=True, separators=(",", ":"))
-                digests[name][pid] = hashlib.sha256(text.encode()).hexdigest()
+                digests[name][pid] = hashlib.sha256(columns_json(columns)).hexdigest()
     print(json.dumps(digests))
 
 

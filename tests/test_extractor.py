@@ -15,13 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from javascale import extractor
-from javascale.extractor import extract_corpus, extract_project
+from javascale.extractor import DEFAULT_PACKAGE, extract_corpus, extract_project
 from javascale.errors import DataError, DuplicateProjectError, EmptyCorpusError
 from javascale.facts import EntityKind, FactRelation, ProjectFacts, RelationKind, SourceEntity
-from javascale.store import FactsArchive, scan_records, write_facts
+from javascale.store import RELATION_KIND_TABLE, FactsArchive, scan_records, write_facts
 
 import javalex_reference as reference
-from conftest import CORPUS_DIR, archive_digest, assert_measured_alike
+from conftest import CORPUS_DIR, archive_digest, assert_measured_alike, columns_digest
 
 
 def _entity(entity_id: int, fqn: str, kind: EntityKind) -> SourceEntity:
@@ -1562,8 +1562,11 @@ class TestMutatedSources:
 # sha256 of the decompressed record payloads of the archive of
 # MUTATED_PROJECTS projects mutated from _SOURCES by a seeded generator; a
 # deliberate change to the extractor's facts or to the archive format
-# changes it, and CHANGES.md records the old and new values
-MUTATED_SHA256 = "dbfddd1e7f5291cf710f55fd96bb284ad8bf03e1590caae5447e8a54ad48310c"
+# changes it, and CHANGES.md records the old and new values.  The columns
+# digest (columns_digest) is of the facts alone: a change to the archive
+# format leaves it as it is
+MUTATED_SHA256 = "36c6f1cb07df0daa6027e5ec483c024b0ba23aeae5a628a2d308026fc1140466"
+MUTATED_COLUMNS_SHA256 = "96c82fa3929bdd7da534f61636f0a926d5ed8018f7498588afa426da8c6760ad"
 MUTATED_PROJECTS = 400
 
 
@@ -1590,14 +1593,17 @@ def test_mutated_sources_match_golden_digest(tmp_path):
     ]
     write_facts(FactsArchive(projects=projects), tmp_path / "facts.bin")
     assert archive_digest(tmp_path / "facts.bin") == MUTATED_SHA256
+    assert columns_digest(tmp_path / "facts.bin") == MUTATED_COLUMNS_SHA256
     assert_compact(tmp_path / "facts.bin")
     assert_measured_alike(tmp_path / "facts.bin", projects)
 
 
 # sha256 over the decompressed record payloads of the facts of the
 # benchmark corpora that bench/gen.py makes for BENCH_SEEDS; changes as
-# MUTATED_SHA256 does
-BENCH_FACTS_SHA256 = "59f5ad77256fad7c9d36941acb149cb96cd525d7edeac73bd0bcd8eab2533c6a"
+# MUTATED_SHA256 does; the columns digest beside it changes as
+# MUTATED_COLUMNS_SHA256 does
+BENCH_FACTS_SHA256 = "9ac4eaaeb3154b827b3f9fe8f6bae9333089f47c71248b4841010606e6601f5a"
+BENCH_COLUMNS_SHA256 = "2c029aa06cece25ba20e2a1a40987e53ae67af1958fb66b10fa8808b06d750c7"
 BENCH_SEEDS = (1, 7, 11)
 
 
@@ -1626,17 +1632,26 @@ def bench_archives(bench_corpora, tmp_path_factory):
 
 def test_benchmark_corpora_match_golden_digest(bench_archives):
     assert archive_digest(*bench_archives) == BENCH_FACTS_SHA256
+    assert columns_digest(*bench_archives) == BENCH_COLUMNS_SHA256
 
 
 def assert_compact(archive: Path) -> int:
     """Check that each record of ``archive`` takes the compact form: ids
-    left implicit, every CONTAINS relation in ``parent`` and the sources
-    delta-coded; return the record count."""
+    left implicit, every CONTAINS relation in ``parent``, each fqn under a
+    parent coded after the parent's, the kinds as ordinals and the sources
+    delta-coded; return the record count.  Only a type of the default
+    package, whose fqn does not start with the package's name, is stored
+    whole."""
     records = 0
+    contains = RELATION_KIND_TABLE.index("CONTAINS")
     for _, payload, _ in scan_records(archive):
         data = json.loads(zlib.decompress(payload))
         assert "ids" not in data and "sources" not in data
-        assert "CONTAINS" not in data["relations"][0]
+        fqns, parent = data["entities"][0], data["parent"]
+        assert {fqns[parent[row] - 1] for row in data.get("full", [])} <= {DEFAULT_PACKAGE}
+        kinds, relation_kinds = data["entities"][1], data["relations"][0]
+        assert {int}.issuperset(map(type, kinds + relation_kinds))
+        assert contains not in relation_kinds
         records += 1
     return records
 

@@ -37,7 +37,7 @@ from javascale.store import (
     write_facts,
 )
 
-from conftest import CORPUS_DIR, FIXTURES, archive_digest
+from conftest import CORPUS_DIR, FIXTURES, archive_digest, columns_digest
 
 EXPECTED_OUTPUTS = [
     "facts.bin",
@@ -83,9 +83,12 @@ MANIFEST_FILES = [
 # facts.bin is over its decompressed record payloads (archive_digest), so
 # it does not depend on the zlib build either
 GOLDEN_SHA256 = {
-    "facts.bin": "a6d7cde6011b203448612860425ba2afb39ca69f2e7f9d3e237d71b976c2e052",
+    "facts.bin": "8676ec616ed6c8719b04b9cb60505469c30ea4a8802dade841336d6ab0e6bf64",
     "metrics.csv": "389c299e41c57335f474a5eeb0facb85e4e9a5af66157028b830a8ce1e991263",
 }
+# sha256 of facts.bin's decoded columns (columns_digest), which a change to
+# the archive format leaves as it is
+FACTS_COLUMNS_SHA256 = "9497cf5e43567d1b215d58e8e639befa7d668677b885b777bc3e8a724ac23001"
 
 # sha256 of the statistics commands' stdout and of normalized.csv, run in
 # the table's directory on a seeded synth table of 3,000 rows (the CI's
@@ -337,6 +340,7 @@ class TestRunPipeline:
     def test_facts_and_metrics_match_golden_hashes(self, tmp_path):
         out = run_pipeline(load_config(fixture_config(tmp_path))).out_dir
         assert archive_digest(out / "facts.bin") == GOLDEN_SHA256["facts.bin"]
+        assert columns_digest(out / "facts.bin") == FACTS_COLUMNS_SHA256
         metrics = hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest()
         assert metrics == GOLDEN_SHA256["metrics.csv"]
 

@@ -48,17 +48,17 @@ from conftest import assert_measured_alike
 # the characters at which str.splitlines ends a line
 LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
-# a version 3 record: entities hold one array per field but the id, which
-# is 1..n; parent the source of each entity's CONTAINS relation, or 0;
-# relations the kind and target of every other relation, and deltas their
-# sources, delta-coded
+# a version 4 record: entities hold one array per field but the id, which
+# is 1..n, kinds as ordinals into the store's tables; parent the source of
+# each entity's CONTAINS relation, or 0; relations the kind and target of
+# every other relation, and deltas their sources, delta-coded
 _PAYLOAD = {
-    "project_id": "p", "sloc": 1, "entities": [["p"], ["PACKAGE"], [""], [0]], "parent": [0],
+    "project_id": "p", "sloc": 1, "entities": [["p"], [0], [""], [0]], "parent": [0],
     "deltas": [],
 }
 
 
-def _archive(count: str, *payloads: bytes, version: int = 3) -> bytes:
+def _archive(count: str, *payloads: bytes, version: int = 4) -> bytes:
     """An archive of records whose length prefixes are right for ``payloads``."""
     records = b"".join(b"%d %b\n" % (len(p), p) for p in payloads)
     return f"JSCALE-FACTS {version}\n{count}\n".encode() + records
@@ -73,7 +73,10 @@ def _record(**changes) -> bytes:
 
 
 def _relation(kind, target) -> dict:
-    """The fields of a record's one relation, from entity 1."""
+    """The fields of a record's one relation, from entity 1; a kind named in
+    the store's table is written as its ordinal."""
+    if kind in store.RELATION_KIND_TABLE:
+        kind = store.RELATION_KIND_TABLE.index(kind)
     return {"relations": [[kind], [target]], "deltas": [1]}
 
 
@@ -84,6 +87,11 @@ _V2_RECORD = _z(
     '{"entities":[[1],["p"],["PACKAGE"],[""],[0]],"project_id":"p","relations":[[],[],[]],'
     '"sloc":1}'
 )
+# as version 3 wrote it: kinds as names, no fqn coded under its parent's
+_V3_RECORD = _z(
+    '{"deltas":[],"entities":[["p"],["PACKAGE"],[""],[0]],"parent":[0],"project_id":"p",'
+    '"relations":[[],[]],"sloc":1}'
+)
 
 
 # each text, read as a facts archive, breaks one rule of the reader
@@ -91,25 +99,28 @@ BAD_ARCHIVES = [
     pytest.param("JSCALE-FACTS one\n0\n", "bad version line", id="version"),
     pytest.param(
         f"JSCALE-FACTS 1\n1\n{len(_V1_RECORD)} {_V1_RECORD}\n",
-        "archive version 1, reader supports 3$",
+        "archive version 1, reader supports 4$",
         id="v1",
     ),
     pytest.param(
-        _archive("1", _V2_RECORD, version=2), "archive version 2, reader supports 3$", id="v2"
+        _archive("1", _V2_RECORD, version=2), "archive version 2, reader supports 4$", id="v2"
     ),
-    pytest.param("JSCALE-FACTS 3", "missing project count", id="no-count"),
-    pytest.param("JSCALE-FACTS 3\nmany\n", "missing project count", id="bad-count"),
+    pytest.param(
+        _archive("1", _V3_RECORD, version=3), "archive version 3, reader supports 4$", id="v3"
+    ),
+    pytest.param("JSCALE-FACTS 4", "missing project count", id="no-count"),
+    pytest.param("JSCALE-FACTS 4\nmany\n", "missing project count", id="bad-count"),
     pytest.param(_archive("2", _record())[:-1], "truncated at record 2", id="truncated"),
     pytest.param(_archive("2", _record()), "truncated at record 2", id="cut-after-record"),
     pytest.param(_archive("1", _record()) + b"garbage\n", "data after record 1", id="trailing"),
     pytest.param(
-        b"JSCALE-FACTS 3\n1\nlong " + _record() + b"\n", "bad record at line 3$", id="prefix"
+        b"JSCALE-FACTS 4\n1\nlong " + _record() + b"\n", "bad record at line 3$", id="prefix"
     ),
-    pytest.param("JSCALE-FACTS 3\n1\n99 {}\n", "record length mismatch at line 3", id="length"),
+    pytest.param("JSCALE-FACTS 4\n1\n99 {}\n", "record length mismatch at line 3", id="length"),
     pytest.param(  # not read, so nothing of that size is allocated
-        f"JSCALE-FACTS 3\n1\n{'9' * 20} {{}}\n", "record length mismatch at line 3", id="huge"
+        f"JSCALE-FACTS 4\n1\n{'9' * 20} {{}}\n", "record length mismatch at line 3", id="huge"
     ),
-    pytest.param(f"JSCALE-FACTS 3\n1\n{'1' * 21} {{}}\n", "bad record at line 3$", id="digits"),
+    pytest.param(f"JSCALE-FACTS 4\n1\n{'1' * 21} {{}}\n", "bad record at line 3$", id="digits"),
     pytest.param(_archive("1", _z("{not json")), "bad record at line 3: .*Expecting", id="json"),
     pytest.param(
         _archive("1", _record(entities=[["p"], ["KLASS"], [""], [0]])),
@@ -133,7 +144,7 @@ BAD_ARCHIVES = [
         id="checksum",
     ),
     pytest.param(
-        _archive("1", _record(entities=[["p", "q"], ["PACKAGE"], [""], [0]])),
+        _archive("1", _record(entities=[["p", "q"], [0], [""], [0]])),
         r"bad record at line 3: ValueError\('entities columns differ in length'\)",
         id="entity-columns",
     ),
@@ -198,8 +209,91 @@ BAD_ARCHIVES = [
     ),
     pytest.param(
         _archive("1", _record(warnings=5)),
-        r"bad record at line 3: TypeError\(\"'int' object is not iterable\"\)$",
+        r"bad record at line 3: ValueError\('warnings is int, not list'\)$",
         id="warnings",
+    ),
+    # kind ordinals: plain indexing would wrap a negative one; a bool or a
+    # float is not an ordinal, and a column that is not all ordinals is
+    # read as kind names
+    pytest.param(
+        _archive("1", _record(entities=[["p"], [-1], [""], [0]])),
+        r"bad record at line 3: ValueError\('a kind ordinal is out of range'\)$",
+        id="ordinal-negative",
+    ),
+    pytest.param(
+        _archive("1", _record(entities=[["p"], [len(store.ENTITY_KIND_TABLE)], [""], [0]])),
+        r"bad record at line 3: ValueError\('a kind ordinal is out of range'\)$",
+        id="ordinal-past-table",
+    ),
+    pytest.param(
+        _archive("1", _record(**_relation(len(store.RELATION_KIND_TABLE), 1))),
+        r"bad record at line 3: ValueError\('a kind ordinal is out of range'\)$",
+        id="relation-ordinal-past-table",
+    ),
+    pytest.param(
+        _archive("1", _record(entities=[["p"], [False], [""], [0]])),
+        r"bad record at line 3: KeyError\(False\)$",
+        id="ordinal-bool",
+    ),
+    pytest.param(
+        _archive("1", _record(**_relation(10.0, 1))),
+        r"bad record at line 3: KeyError\(10\.0\)$",
+        id="ordinal-float",
+    ),
+    pytest.param(
+        _archive("1", _record(relations=[[10, "USES"], [1, 1]], deltas=[1, 0])),
+        r"bad record at line 3: KeyError\(10\)$",
+        id="ordinals-and-names",
+    ),
+    # full lists row indexes of entities whose fqn is stored whole
+    pytest.param(
+        _archive("1", _record(full=5)),
+        r"bad record at line 3: ValueError\('full is not a list of ints'\)$",
+        id="full-int",
+    ),
+    pytest.param(
+        _archive("1", _record(full=[0.0])),
+        r"bad record at line 3: ValueError\('full is not a list of ints'\)$",
+        id="full-float",
+    ),
+    pytest.param(
+        _archive("1", _record(full=[1])),
+        r"bad record at line 3: ValueError\('full holds a row index out of range'\)$",
+        id="full-past-rows",
+    ),
+    pytest.param(
+        _archive("1", _record(full=[-1])),
+        r"bad record at line 3: ValueError\('full holds a row index out of range'\)$",
+        id="full-negative",
+    ),
+    # a coded fqn is its parent's plus what the row stores, so the parent's
+    # row must come first: before it, not after and not the row itself
+    pytest.param(
+        _archive("1", _record(entities=[[".A", "p"], [1, 0], ["A.java", ""], [1, 0]],
+                              parent=[2, 0])),
+        r"bad record at line 3: ValueError\('the fqn of row 0 is coded, but not under an "
+        r"earlier row'\)$",
+        id="coded-before-parent",
+    ),
+    pytest.param(
+        _archive("1", _record(entities=[["p", ".A"], [0, 1], ["", "A.java"], [0, 1]],
+                              parent=[0, 2])),
+        r"bad record at line 3: ValueError\('the fqn of row 1 is coded, but not under an "
+        r"earlier row'\)$",
+        id="coded-under-itself",
+    ),
+    pytest.param(  # with ids, parent holds ids, not rows
+        _archive("1", _record(entities=[["p", ".A"], [0, 1], ["", "A.java"], [0, 1]],
+                              parent=[0, 5], ids=[5, 6])),
+        r"bad record at line 3: ValueError\('the fqn of row 1 is coded, but not under an "
+        r"earlier row'\)$",
+        id="coded-with-ids",
+    ),
+    pytest.param(
+        _archive("1", _record(entities=[["p", 7], [0, 1], ["", "A.java"], [0, 1]],
+                              parent=[0, 1])),
+        r"bad record at line 3: TypeError\('sequence item 1: expected str instance, int found'\)$",
+        id="fqn-int",
     ),
 ]
 
@@ -304,12 +398,13 @@ def test_metrics_reports_the_readers_first_fault(
     assert not (tmp_path / "m.csv").exists()
 
 
-# p.f is contained in p.m and p.m in p.f
+# p.f is contained in p.m and p.m in p.f; neither fqn starts with its
+# parent's, so both are stored whole
 _CYCLE_RECORD = _record(
     project_id="cyc",
-    entities=[["p", "p.f", "p.m"], ["PACKAGE", "FIELD", "METHOD"], ["", "A.java", "A.java"],
-              [0, 1, 2]],
+    entities=[["p", "p.f", "p.m"], [0, 5, 7], ["", "A.java", "A.java"], [0, 1, 2]],
     parent=[0, 3, 2],
+    full=[1, 2],
     **_relation("USES", 3),
 )
 
@@ -348,16 +443,32 @@ def test_contains_cycle_is_integrity_error(tmp_path, cpus):
     assert not (tmp_path / "m.csv").exists()
 
 
-# decode_record checks a record's shape but not its field types; measuring
-# the record is what finds a wrong one, in a worker or in-process
+# decoding checks a record's scalar fields, and measuring it checks the
+# relation targets; either finds a wrong type, in a worker or in-process
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize(
     "record, message",
     [
+        pytest.param(_record(sloc="x"), "ValueError('sloc is str, not int')", id="sloc"),
+        pytest.param(_record(sloc=True), "ValueError('sloc is bool, not int')", id="sloc-bool"),
         pytest.param(
-            _record(sloc="x"),
-            "'<' not supported between instances of 'int' and 'str'",
-            id="sloc",
+            _record(sloc=1.5), "ValueError('sloc is float, not int')", id="sloc-float"
+        ),
+        pytest.param(
+            _record(project_id=5), "ValueError('project_id is int, not str')", id="project-id"
+        ),
+        pytest.param(
+            _record(warnings="abc"), "ValueError('warnings is str, not list')", id="warnings"
+        ),
+        pytest.param(
+            _record(warnings=[5]),
+            "ValueError('warnings holds a value that is not a string')",
+            id="warning",
+        ),
+        pytest.param(
+            _record(parse_warning_count="x"),
+            "ValueError('parse_warning_count is str, not int')",
+            id="parse-warning-count",
         ),
         pytest.param(
             _record(**_relation("USES", [1])), "unhashable type: 'list'", id="target"
@@ -455,9 +566,9 @@ class TestArchiveRoundTrip:
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "facts.bin"
         write_facts(FactsArchive(projects=[ProjectFacts(project_id="p")]), path)
-        data = path.read_bytes().replace(b"JSCALE-FACTS 3\n", b"JSCALE-FACTS 99\n", 1)
+        data = path.read_bytes().replace(b"JSCALE-FACTS 4\n", b"JSCALE-FACTS 99\n", 1)
         path.write_bytes(data)
-        with pytest.raises(UnsupportedVersionError, match="archive version 99, reader supports 3$"):
+        with pytest.raises(UnsupportedVersionError, match="archive version 99, reader supports 4$"):
             read_facts(path)
 
     def test_truncated_file(self, foonumber_facts, tmp_path):
@@ -490,42 +601,54 @@ def _canonical(columns: FactColumns) -> str:
 _C, _U = RelationKind.CONTAINS, RelationKind.USES
 
 
-def _facts(relations, ids=(1, 2, 3)) -> ProjectFacts:
+def _facts(relations, ids=(1, 2, 3), fqns=("p", "p.A", "p.A.m")) -> ProjectFacts:
     """A package, a class in it and a method in that, under ``ids``."""
     kinds = [EntityKind.PACKAGE, EntityKind.CLASS, EntityKind.METHOD]
-    rows = zip(ids, ["p", "p.A", "p.A.m"], kinds, ["", "A.java", "A.java"], [0, 1, 2])
+    rows = zip(ids, fqns, kinds, ["", "A.java", "A.java"], [0, 1, 2])
     return ProjectFacts("p", list(starmap(SourceEntity, rows)),
                         list(starmap(FactRelation, relations)), sloc=3)
 
 
 _TREE = [(1, _C, 2), (2, _C, 3)]
-# facts, then whether the record holds ids, whether it holds plain sources
-# and how many CONTAINS relations parent leaves to relations
+# facts, then whether the record holds ids, whether it holds plain sources,
+# how many CONTAINS relations parent leaves to relations and the rows with
+# a parent whose fqn is stored whole
 RECORD_FORMS = [
-    pytest.param(_facts([*_TREE, (3, _U, "x"), (3, RelationKind.CALLS, 3)]), False, False, 0,
+    pytest.param(_facts([*_TREE, (3, _U, "x"), (3, RelationKind.CALLS, 3)]), False, False, 0, [],
                  id="compact"),
     pytest.param(_facts([(5, _C, 7), (7, _C, 9), (9, _U, 7)], ids=(5, 7, 9)), True, False, 0,
-                 id="ids-not-1-to-n"),
-    pytest.param(_facts(_TREE, ids=(True, 2.0, 3)), True, False, 2, id="ids-not-ints"),
-    pytest.param(_facts([(2, _C, 3), (1, _C, 2)]), False, False, 1, id="contains-out-of-order"),
-    pytest.param(_facts([(1, _C, 2), (1, _C, 2), (2, _C, 3)]), False, False, 2,
+                 [1, 2], id="ids-not-1-to-n"),
+    pytest.param(_facts([(1, _C, 2), (2, _C, 4)], ids=(1, 2, 4)), True, False, 0, [1, 2],
+                 id="ids-with-a-gap"),
+    pytest.param(_facts(_TREE, ids=(True, 2.0, 3)), True, False, 2, [], id="ids-not-ints"),
+    pytest.param(_facts([(2, _C, 3), (1, _C, 2)]), False, False, 1, [], id="contains-out-of-order"),
+    pytest.param(_facts([(1, _C, 2), (1, _C, 2), (2, _C, 3)]), False, False, 2, [],
                  id="contains-repeated"),
-    pytest.param(_facts([(1, _C, "p.A"), (2, _C, 3)]), False, False, 2, id="contains-name"),
-    pytest.param(_facts([(1, _C, 2), (2, _U, "x"), (2, _C, 3)]), False, False, 1,
+    pytest.param(_facts([(1, _C, "p.A"), (2, _C, 3)]), False, False, 2, [], id="contains-name"),
+    pytest.param(_facts([(1, _C, 2), (2, _U, "x"), (2, _C, 3)]), False, False, 1, [],
                  id="contains-after-body"),
-    pytest.param(_facts([(0, _C, 2), (2, _C, 3)]), False, False, 2, id="contains-from-0"),
-    pytest.param(_facts([*_TREE, ("p.A", _U, 3)]), False, True, 0, id="string-source"),
-    pytest.param(_facts([*_TREE, (True, _U, 3)]), False, True, 0, id="bool-source"),
-    pytest.param(ProjectFacts("e"), False, False, 0, id="empty"),
+    pytest.param(_facts([(0, _C, 2), (2, _C, 3)]), False, False, 2, [], id="contains-from-0"),
+    pytest.param(_facts([(-1, _C, 2), (2, _C, 3)]), False, False, 0, [1],
+                 id="contains-from-negative"),
+    pytest.param(_facts([*_TREE, ("p.A", _U, 3)]), False, True, 0, [], id="string-source"),
+    pytest.param(_facts([*_TREE, (True, _U, 3)]), False, True, 0, [], id="bool-source"),
+    pytest.param(_facts(_TREE, fqns=("p", "q.A", "p.A$1")), False, False, 0, [1, 2],
+                 id="fqn-not-under-parent"),
+    pytest.param(_facts([(2, _C, 1), (1, _C, 3)], fqns=("p.A", "p", "p.A.m")), False, False, 0,
+                 [0], id="parent-after-child"),
+    pytest.param(_facts([(1, _C, 2), (1, _C, 3)], fqns=("p", "p", "p$")), False, False, 0, [],
+                 id="fqn-equal-to-parent"),
+    pytest.param(ProjectFacts("e"), False, False, 0, [], id="empty"),
 ]
 
 
-@pytest.mark.parametrize("facts, ids, plain, contains", RECORD_FORMS)
-def test_facts_outside_the_compact_form_round_trip(tmp_path, facts, ids, plain, contains):
+@pytest.mark.parametrize("facts, ids, plain, contains, full", RECORD_FORMS)
+def test_facts_outside_the_compact_form_round_trip(tmp_path, facts, ids, plain, contains, full):
     payload = _project_payload(facts.columns())
     data = json.loads(zlib.decompress(payload))
     assert ("ids" in data, "sources" in data, "deltas" in data) == (ids, plain, not plain)
-    assert data["relations"][0].count("CONTAINS") == contains
+    assert data["relations"][0].count(store.RELATION_KIND_TABLE.index("CONTAINS")) == contains
+    assert data.get("full") == (full or None)  # left out when empty
     assert _canonical(store.decode_columns(payload, "x", 3)) == _canonical(facts.columns())
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
     write_facts(FactsArchive(projects=[facts]), a)
@@ -533,6 +656,45 @@ def test_facts_outside_the_compact_form_round_trip(tmp_path, facts, ids, plain, 
     assert archive.projects == [facts]
     write_facts(archive, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_a_coded_fqn_stores_what_follows_its_parents(foonumber_facts):
+    data = json.loads(zlib.decompress(_project_payload(foonumber_facts.columns())))
+    fqns = [e.fqn for e in foonumber_facts.entities]
+    stored = data["entities"][0]
+    assert "full" not in data and stored[0] == fqns[0] == "foo"
+    assert stored[1:] == [fqn[len(fqns[p - 1]):] for fqn, p in zip(fqns[1:], data["parent"][1:])]
+    assert all(s[0] in ".$" for s in stored[1:])
+    kinds = [store.ENTITY_KIND_TABLE.index(e.kind) for e in foonumber_facts.entities]
+    assert data["entities"][1] == kinds
+
+
+def test_a_column_with_an_unknown_kind_is_written_as_names(tmp_path):
+    facts = _facts(_TREE)
+    facts.entities[2] = facts.entities[2]._replace(kind="KLASS")
+    facts.relations.append(FactRelation(3, "READS_ALOUD", 1))
+    data = json.loads(zlib.decompress(_project_payload(facts.columns())))
+    assert data["entities"][1] == ["PACKAGE", "CLASS", "KLASS"]
+    assert data["relations"][0] == ["READS_ALOUD"]
+    path = tmp_path / "facts.bin"
+    write_facts(FactsArchive(projects=[facts]), path)
+    with pytest.raises(ArchiveIntegrityError, match=r"bad record at line 3: KeyError\('KLASS'\)$"):
+        read_facts(path)
+
+
+def test_kind_tables_name_each_kind_once():
+    # the ordinals of stored records: reordering a table, or an enum, must
+    # not change what a stored ordinal means, and a new kind goes at the end
+    assert store.ENTITY_KIND_TABLE == (
+        "PACKAGE", "CLASS", "INTERFACE", "ENUM", "ANNOTATION", "FIELD", "CONSTRUCTOR", "METHOD",
+    )
+    assert store.RELATION_KIND_TABLE == (
+        "CONTAINS", "HOLDS", "WRITES", "READS", "CALLS", "INSTANTIATES", "EXTENDS", "IMPLEMENTS",
+        "CASTS", "INSTANCEOF", "USES",
+    )
+    for table, kinds in [(store.ENTITY_KIND_TABLE, EntityKind),
+                         (store.RELATION_KIND_TABLE, RelationKind)]:
+        assert sorted(table) == sorted(kind.value for kind in kinds)
 
 
 _TEXT = st.text(max_size=12)  # any code point but a lone surrogate
@@ -581,11 +743,13 @@ _NEAR_INT = st.one_of(st.integers(-1, 7), st.booleans(), st.sampled_from([1.0, 2
 
 @st.composite
 def _near_compact_facts(draw) -> ProjectFacts:
-    """Facts whose ids are often 1..n and whose relations often open with
-    a run of CONTAINS relations, as extraction writes them."""
+    """Facts whose ids are often 1..n, whose relations often open with a
+    run of CONTAINS relations, as extraction writes them, and whose fqns
+    often start with another's."""
     n = draw(st.integers(0, 6))
     ids = draw(st.one_of(st.just(range(1, n + 1)), st.lists(_NEAR_INT, min_size=n, max_size=n)))
-    entities = [SourceEntity(i, "e", EntityKind.CLASS, "", 0) for i in ids]
+    fqn = st.sampled_from(["e", "e.f", "e.f$1", "e.g", "h"])
+    entities = [SourceEntity(i, draw(fqn), draw(st.sampled_from(EntityKind)), "", 0) for i in ids]
     relation = st.builds(
         FactRelation,
         st.one_of(st.integers(-1, 7), _NEAR_INT),
