@@ -8,11 +8,17 @@ are local to their project, so each record is encoded on its own and
 records can be written as they are made.  No database engine; readers
 rebuild in-memory indexes.
 
-A version 4 record leaves out what extraction makes implicit:
+A version 5 record leaves out what extraction makes implicit and stores
+each repeated value once:
 
 * ``entities`` holds four arrays, the fqn, kind, file and line of each
   entity.  Their ids are 1..n in row order unless an ``ids`` array is
-  present, which holds them as they are.
+  present, which holds them as they are.  Each file is an index into the
+  record's ``files`` array, its distinct files in order of first
+  appearance (or, when one is not a string, the file column as it is).
+  The lines are delta-coded, each the difference from the previous line
+  (the first from 0), when all are ints.  A file that is not a string or
+  a line that is not an int is refused when read.
 * ``parent`` holds one int per entity: the source of its ``CONTAINS``
   relation, or 0 for none.  These are the leading ``CONTAINS`` relations,
   written by extraction before any other, whose targets are entities in
@@ -22,19 +28,26 @@ A version 4 record leaves out what extraction makes implicit:
   holds only the rest, such as ``.count`` or ``$1``, and the decoder
   rebuilds the fqns in one pass in row order.  ``full`` lists, by row index
   from 0, every other entity with a parent; it is left out when empty.
-* ``relations`` holds two arrays, the kind and target of each other
-  relation, in order; a later or out-of-order ``CONTAINS`` is one of them.
-  Their sources are in ``deltas``, each the difference from the previous
-  source (the first from 0), when all are ints; otherwise a plain
-  ``sources`` array holds them.
+* ``relations`` holds, for each other relation in order, an index into
+  ``pairs``: two arrays, the kinds and targets of the record's distinct
+  (kind, target) pairs in order of first appearance.  A later or
+  out-of-order ``CONTAINS`` is one of them.  Pairs are merged only when
+  the type of every kind (an ordinal, or a name under the unknown-kind
+  fallback) and target is ``int`` or ``str``: 1, 1.0, True and "1" (and
+  0.0 and -0.0) are equal keys but different JSON.  Otherwise each
+  relation is its own pair: ``pairs`` holds the kind and target of each
+  relation and ``relations`` is 0..n-1.  The sources are in ``deltas``,
+  each the difference from the previous source (the first from 0), when
+  all are ints; otherwise a plain ``sources`` array holds them.
 * Each kind column holds ordinals into ``ENTITY_KIND_TABLE`` or
   ``RELATION_KIND_TABLE``, unless it holds a kind its table does not name;
   then it holds the kinds' names, and the record is refused when read.
 
-So ``decode_columns`` returns, for any facts of known kinds and string
-fqns, exactly the columns the encoder was given, as JSON types them, with
-each kind as its enum member.  It checks the type of each field it reads.
-Version 3 and older archives are refused, not converted.
+So ``decode_columns`` returns, for any facts of known kinds, string fqns
+and files and int lines, exactly the columns the encoder was given, as
+JSON types them, with each kind as its enum member.  It checks the type
+of each field it reads and that each index is an int inside its table.
+Version 4 and older archives are refused, not converted.
 
 The metrics table is a CSV of the ``METRIC_COLUMNS``, read back as
 :class:`~javascale.metrics.MetricColumns`.  A canonical table is one as
@@ -71,11 +84,11 @@ from .facts import (
 )
 from .metrics import CAPS, METRIC_COLUMNS, SUM_RULES, MetricColumns, ProjectMetrics, metric_columns
 
-ARCHIVE_VERSION = 4
+ARCHIVE_VERSION = 5
 _MAGIC = "JSCALE-FACTS"
 _MAX_DIGITS = 20  # of a record's length prefix
 
-# what each kind ordinal of a version 4 record stands for, written out
+# what each kind ordinal of a record stands for, written out
 # rather than taken from the enums' order, so that a new or reordered
 # member cannot re-map stored records; a new kind goes at the end
 ENTITY_KIND_TABLE = (
@@ -114,6 +127,10 @@ def _ints(values) -> bool:
     return {int}.issuperset(map(type, values))
 
 
+def _strings(values) -> bool:
+    return {str}.issuperset(map(type, values))
+
+
 def _parent_run(ids: Sequence, implicit: bool, relations: Sequence[Sequence]) -> list[int]:
     """The source of each entity's ``CONTAINS`` relation in the leading run
     of them whose sources are non-zero ints and whose targets are int ids
@@ -150,6 +167,19 @@ def _coded_fqns(fqns: Sequence, parent: list[int], implicit: bool) -> tuple[list
     return stored, full
 
 
+def _table(column: Iterable) -> tuple[list, list[int]]:
+    """The distinct values of ``column`` in order of first appearance, and
+    the index of each of its values into them."""
+    index: dict = {}
+    indexes = [index.setdefault(value, len(index)) for value in column]
+    return list(index), indexes
+
+
+# the types of keys that are equal only when their JSON is the same: 1,
+# 1.0, True and "1" (and 0.0 and -0.0) are equal keys but different JSON
+_EXACT_KEYS = {int, str}
+
+
 def _ordinals(kinds: Sequence, ordinals: dict) -> Sequence:
     """The kinds as ordinals, or as they are if one has none."""
     try:
@@ -165,15 +195,29 @@ def _project_payload(columns: FactColumns) -> bytes:
     parent = _parent_run(ids, implicit, columns.relations)
     run = len(parent) - parent.count(0)
     stored, full = _coded_fqns(fqns, parent, implicit)
+    if _strings(files):
+        files, file_index = _table(files)
+    else:  # refused when read, as the column stands
+        files, file_index = list(files), list(range(len(files)))
+    if _ints(lines):
+        lines = list(map(sub, lines, chain((0,), lines)))
+    kinds_of_relations = _ordinals(kinds_of_relations[run:], _RELATION_ORDINALS)
+    targets = targets[run:]
     record = {
         "project_id": columns.project_id,
         "sloc": columns.sloc,
         "parse_warning_count": columns.parse_warning_count,
         "warnings": columns.warnings,
-        "entities": [stored, _ordinals(kinds, _ENTITY_ORDINALS), files, lines],
+        "entities": [stored, _ordinals(kinds, _ENTITY_ORDINALS), file_index, lines],
+        "files": files,
         "parent": parent,
-        "relations": [_ordinals(kinds_of_relations[run:], _RELATION_ORDINALS), targets[run:]],
     }
+    if _EXACT_KEYS.issuperset(map(type, chain(kinds_of_relations, targets))):
+        pairs, record["relations"] = _table(zip(kinds_of_relations, targets))
+        record["pairs"] = [[kind for kind, _ in pairs], [target for _, target in pairs]]
+    else:  # each relation its own pair
+        record["pairs"] = [kinds_of_relations, targets]
+        record["relations"] = list(range(len(targets)))
     if not implicit:
         record["ids"] = ids
     if full:
@@ -232,8 +276,39 @@ def _kinds(column: list, table: dict, names: dict) -> list:
         raise ValueError("a kind ordinal is out of range") from None
 
 
+def _indexed(index: list, name: str, *tables: list) -> list[list]:
+    """The entries of each table that ``index`` names, each index an int in
+    ``[0, len(table))``; any other index raises.  A dict lookup refuses a
+    negative index, which a list's would wrap."""
+    if not _ints(index):
+        raise ValueError(f"{name} holds an index that is not an int")
+    try:
+        return [list(map(dict(enumerate(table)).__getitem__, index)) for table in tables]
+    except KeyError:
+        raise ValueError(f"{name} holds an index out of range") from None
+
+
+def _list(value, name: str) -> list:
+    # a string would be read one character at a time
+    if type(value) is not list:
+        raise ValueError(f"{name} is {type(value).__name__}, not list")
+    return value
+
+
+def _relation_columns(data: dict) -> tuple[list, list]:
+    """The kind, as a member, and the target of each relation a record
+    stores apart from its ``parent`` run."""
+    index, (kinds, targets) = data["relations"], data["pairs"]
+    _same_length(
+        [_list(kinds, "the pair kind column"), _list(targets, "the pair target column")], "pairs"
+    )
+    # each pair's kind is looked up once, however many relations hold it
+    kinds = _kinds(kinds, _RELATION_KIND_OF, _RELATION_KINDS)
+    return _indexed(index, "relations", kinds, targets)
+
+
 def _decoded(data: dict) -> FactColumns:
-    """The columns a version 4 record's JSON stands for; a field that breaks
+    """The columns a version 5 record's JSON stands for; a field that breaks
     the layout raises."""
     scalars = {
         "project_id": data["project_id"],
@@ -244,12 +319,20 @@ def _decoded(data: dict) -> FactColumns:
     for (name, value), kind in zip(scalars.items(), (str, int, int, list)):
         if type(value) is not kind:  # a bool or a float is not an int
             raise ValueError(f"{name} is {type(value).__name__}, not {kind.__name__}")
-    if not {str}.issuperset(map(type, scalars["warnings"])):
+    if not _strings(scalars["warnings"]):
         raise ValueError("warnings holds a value that is not a string")
-    stored, kinds, files, lines = data["entities"]
+    stored, kinds, file_index, lines = data["entities"]
     implicit = "ids" not in data
     ids = list(range(1, len(stored) + 1)) if implicit else data["ids"]
-    _same_length([ids, stored, kinds, files, lines], "entities")
+    _same_length([ids, stored, kinds, file_index, lines], "entities")
+    kinds = _kinds(kinds, _ENTITY_KIND_OF, _ENTITY_KINDS)
+    files = _list(data["files"], "files")
+    if not _strings(files):
+        raise ValueError("files holds a value that is not a string")
+    [files] = _indexed(file_index, "the file column", files)
+    if not _ints(lines):
+        raise ValueError("the line column holds a value that is not an int")
+    lines = list(accumulate(lines))
     parent = data["parent"]
     if len(parent) != len(stored):
         raise ValueError("parent and entities differ in length")
@@ -266,15 +349,16 @@ def _decoded(data: dict) -> FactColumns:
         sources = list(accumulate(data["deltas"]))
     else:
         sources = data["sources"]
-    kinds_of_relations, targets = _same_length([sources, *data["relations"]], "relations")[1:]
+    kinds_of_relations, targets = _same_length(
+        [sources, *_relation_columns(data)], "relations"
+    )[1:]
     run = len(parent) - parent.count(0)
     return FactColumns(
         **scalars,
-        entities=[ids, fqns, _kinds(kinds, _ENTITY_KIND_OF, _ENTITY_KINDS), files, lines],
+        entities=[ids, fqns, kinds, files, lines],
         relations=[
             [*filter(None, parent), *sources],
-            [RelationKind.CONTAINS] * run
-            + _kinds(kinds_of_relations, _RELATION_KIND_OF, _RELATION_KINDS),
+            [RelationKind.CONTAINS] * run + kinds_of_relations,
             [*compress(ids, parent), *targets],
         ],
     )

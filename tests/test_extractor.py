@@ -1565,7 +1565,7 @@ class TestMutatedSources:
 # changes it, and CHANGES.md records the old and new values.  The columns
 # digest (columns_digest) is of the facts alone: a change to the archive
 # format leaves it as it is
-MUTATED_SHA256 = "36c6f1cb07df0daa6027e5ec483c024b0ba23aeae5a628a2d308026fc1140466"
+MUTATED_SHA256 = "80b6434032fdb0b4091db25d08af9b8aa2219a8214136a6f8b7906eab5957341"
 MUTATED_COLUMNS_SHA256 = "96c82fa3929bdd7da534f61636f0a926d5ed8018f7498588afa426da8c6760ad"
 MUTATED_PROJECTS = 400
 
@@ -1602,7 +1602,7 @@ def test_mutated_sources_match_golden_digest(tmp_path):
 # benchmark corpora that bench/gen.py makes for BENCH_SEEDS; changes as
 # MUTATED_SHA256 does; the columns digest beside it changes as
 # MUTATED_COLUMNS_SHA256 does
-BENCH_FACTS_SHA256 = "9ac4eaaeb3154b827b3f9fe8f6bae9333089f47c71248b4841010606e6601f5a"
+BENCH_FACTS_SHA256 = "d52a29bf0d3d0ed0c82025b772a1c7059183ce3117c4a0f4d47b4aceedab3656"
 BENCH_COLUMNS_SHA256 = "2c029aa06cece25ba20e2a1a40987e53ae67af1958fb66b10fa8808b06d750c7"
 BENCH_SEEDS = (1, 7, 11)
 
@@ -1638,10 +1638,11 @@ def test_benchmark_corpora_match_golden_digest(bench_archives):
 def assert_compact(archive: Path) -> int:
     """Check that each record of ``archive`` takes the compact form: ids
     left implicit, every CONTAINS relation in ``parent``, each fqn under a
-    parent coded after the parent's, the kinds as ordinals and the sources
-    delta-coded; return the record count.  Only a type of the default
-    package, whose fqn does not start with the package's name, is stored
-    whole."""
+    parent coded after the parent's, the kinds as ordinals, the files in a
+    table, the relations in a table of their (kind, target) pairs and the
+    sources delta-coded; return the record count.  Only a type of the
+    default package, whose fqn does not start with the package's name, is
+    stored whole."""
     records = 0
     contains = RELATION_KIND_TABLE.index("CONTAINS")
     for _, payload, _ in scan_records(archive):
@@ -1649,9 +1650,12 @@ def assert_compact(archive: Path) -> int:
         assert "ids" not in data and "sources" not in data
         fqns, parent = data["entities"][0], data["parent"]
         assert {fqns[parent[row] - 1] for row in data.get("full", [])} <= {DEFAULT_PACKAGE}
-        kinds, relation_kinds = data["entities"][1], data["relations"][0]
+        kinds, relation_kinds = data["entities"][1], data["pairs"][0]
         assert {int}.issuperset(map(type, kinds + relation_kinds))
         assert contains not in relation_kinds
+        # each pair and each file is stored once
+        assert len(set(zip(*data["pairs"]))) == len(relation_kinds)
+        assert len(set(data["files"])) == len(data["files"])
         records += 1
     return records
 

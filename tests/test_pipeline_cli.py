@@ -83,7 +83,7 @@ MANIFEST_FILES = [
 # facts.bin is over its decompressed record payloads (archive_digest), so
 # it does not depend on the zlib build either
 GOLDEN_SHA256 = {
-    "facts.bin": "8676ec616ed6c8719b04b9cb60505469c30ea4a8802dade841336d6ab0e6bf64",
+    "facts.bin": "67d9fb13bc437742ff40828f97965dbc80064faf44e11422599ce32e64e48f55",
     "metrics.csv": "389c299e41c57335f474a5eeb0facb85e4e9a5af66157028b830a8ce1e991263",
 }
 # sha256 of facts.bin's decoded columns (columns_digest), which a change to

@@ -48,17 +48,19 @@ from conftest import assert_measured_alike
 # the characters at which str.splitlines ends a line
 LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
-# a version 4 record: entities hold one array per field but the id, which
-# is 1..n, kinds as ordinals into the store's tables; parent the source of
-# each entity's CONTAINS relation, or 0; relations the kind and target of
-# every other relation, and deltas their sources, delta-coded
+# a version 5 record: entities hold one array per field but the id, which
+# is 1..n, kinds as ordinals into the store's tables, files as indexes into
+# files and lines delta-coded; parent the source of each entity's CONTAINS
+# relation, or 0; relations an index into pairs, the distinct (kind,
+# target) pairs, for every other relation, and deltas their sources,
+# delta-coded
 _PAYLOAD = {
-    "project_id": "p", "sloc": 1, "entities": [["p"], [0], [""], [0]], "parent": [0],
-    "deltas": [],
+    "project_id": "p", "sloc": 1, "entities": [["p"], [0], [0], [0]], "files": [""],
+    "parent": [0], "deltas": [],
 }
 
 
-def _archive(count: str, *payloads: bytes, version: int = 4) -> bytes:
+def _archive(count: str, *payloads: bytes, version: int = 5) -> bytes:
     """An archive of records whose length prefixes are right for ``payloads``."""
     records = b"".join(b"%d %b\n" % (len(p), p) for p in payloads)
     return f"JSCALE-FACTS {version}\n{count}\n".encode() + records
@@ -68,8 +70,11 @@ def _z(text: str) -> bytes:
     return zlib.compress(text.encode())
 
 
-def _record(**changes) -> bytes:
-    return _z(json.dumps({"relations": [[], []], **_PAYLOAD, **changes}))
+def _record(drop=(), **changes) -> bytes:
+    """A record of ``_PAYLOAD`` with no relations, ``changes`` made and the
+    fields named in ``drop`` left out."""
+    fields = {"relations": [], "pairs": [[], []], **_PAYLOAD, **changes}
+    return _z(json.dumps({k: v for k, v in fields.items() if k not in drop}))
 
 
 def _relation(kind, target) -> dict:
@@ -77,7 +82,7 @@ def _relation(kind, target) -> dict:
     the store's table is written as its ordinal."""
     if kind in store.RELATION_KIND_TABLE:
         kind = store.RELATION_KIND_TABLE.index(kind)
-    return {"relations": [[kind], [target]], "deltas": [1]}
+    return {"relations": [0], "pairs": [[kind], [target]], "deltas": [1]}
 
 
 # a record as version 1 wrote it: plain JSON, one array per row
@@ -92,6 +97,12 @@ _V3_RECORD = _z(
     '{"deltas":[],"entities":[["p"],["PACKAGE"],[""],[0]],"parent":[0],"project_id":"p",'
     '"relations":[[],[]],"sloc":1}'
 )
+# as version 4 wrote it: kinds as ordinals, files and lines as they are, a
+# kind and a target column for the relations
+_V4_RECORD = _z(
+    '{"deltas":[],"entities":[["p"],[0],[""],[0]],"parent":[0],"project_id":"p",'
+    '"relations":[[],[]],"sloc":1}'
+)
 
 
 # each text, read as a facts archive, breaks one rule of the reader
@@ -99,31 +110,34 @@ BAD_ARCHIVES = [
     pytest.param("JSCALE-FACTS one\n0\n", "bad version line", id="version"),
     pytest.param(
         f"JSCALE-FACTS 1\n1\n{len(_V1_RECORD)} {_V1_RECORD}\n",
-        "archive version 1, reader supports 4$",
+        "archive version 1, reader supports 5$",
         id="v1",
     ),
     pytest.param(
-        _archive("1", _V2_RECORD, version=2), "archive version 2, reader supports 4$", id="v2"
+        _archive("1", _V2_RECORD, version=2), "archive version 2, reader supports 5$", id="v2"
     ),
     pytest.param(
-        _archive("1", _V3_RECORD, version=3), "archive version 3, reader supports 4$", id="v3"
+        _archive("1", _V3_RECORD, version=3), "archive version 3, reader supports 5$", id="v3"
     ),
-    pytest.param("JSCALE-FACTS 4", "missing project count", id="no-count"),
-    pytest.param("JSCALE-FACTS 4\nmany\n", "missing project count", id="bad-count"),
+    pytest.param(
+        _archive("1", _V4_RECORD, version=4), "archive version 4, reader supports 5$", id="v4"
+    ),
+    pytest.param("JSCALE-FACTS 5", "missing project count", id="no-count"),
+    pytest.param("JSCALE-FACTS 5\nmany\n", "missing project count", id="bad-count"),
     pytest.param(_archive("2", _record())[:-1], "truncated at record 2", id="truncated"),
     pytest.param(_archive("2", _record()), "truncated at record 2", id="cut-after-record"),
     pytest.param(_archive("1", _record()) + b"garbage\n", "data after record 1", id="trailing"),
     pytest.param(
-        b"JSCALE-FACTS 4\n1\nlong " + _record() + b"\n", "bad record at line 3$", id="prefix"
+        b"JSCALE-FACTS 5\n1\nlong " + _record() + b"\n", "bad record at line 3$", id="prefix"
     ),
-    pytest.param("JSCALE-FACTS 4\n1\n99 {}\n", "record length mismatch at line 3", id="length"),
+    pytest.param("JSCALE-FACTS 5\n1\n99 {}\n", "record length mismatch at line 3", id="length"),
     pytest.param(  # not read, so nothing of that size is allocated
-        f"JSCALE-FACTS 4\n1\n{'9' * 20} {{}}\n", "record length mismatch at line 3", id="huge"
+        f"JSCALE-FACTS 5\n1\n{'9' * 20} {{}}\n", "record length mismatch at line 3", id="huge"
     ),
-    pytest.param(f"JSCALE-FACTS 4\n1\n{'1' * 21} {{}}\n", "bad record at line 3$", id="digits"),
+    pytest.param(f"JSCALE-FACTS 5\n1\n{'1' * 21} {{}}\n", "bad record at line 3$", id="digits"),
     pytest.param(_archive("1", _z("{not json")), "bad record at line 3: .*Expecting", id="json"),
     pytest.param(
-        _archive("1", _record(entities=[["p"], ["KLASS"], [""], [0]])),
+        _archive("1", _record(entities=[["p"], ["KLASS"], [0], [0]])),
         "bad record at line 3: .*KLASS",
         id="kind",
     ),
@@ -144,7 +158,7 @@ BAD_ARCHIVES = [
         id="checksum",
     ),
     pytest.param(
-        _archive("1", _record(entities=[["p", "q"], [0], [""], [0]])),
+        _archive("1", _record(entities=[["p", "q"], [0], [0], [0]])),
         r"bad record at line 3: ValueError\('entities columns differ in length'\)",
         id="entity-columns",
     ),
@@ -154,9 +168,19 @@ BAD_ARCHIVES = [
         id="ids-length",
     ),
     pytest.param(
-        _archive("1", _record(relations=[["USES"], []], deltas=[1])),
+        _archive("1", _record(**_relation("USES", 1), drop=("deltas",), sources=[])),
         r"bad record at line 3: ValueError\('relations columns differ in length'\)",
         id="relation-columns",
+    ),
+    pytest.param(
+        _archive("1", _record(**{**_relation("USES", 1), "relations": [0, 0]})),
+        r"bad record at line 3: ValueError\('relations columns differ in length'\)",
+        id="pair-index-length",
+    ),
+    pytest.param(
+        _archive("1", _record(relations=[0], pairs=[[10], []], deltas=[1])),
+        r"bad record at line 3: ValueError\('pairs columns differ in length'\)",
+        id="pairs-columns",
     ),
     pytest.param(
         _archive("1", _record(**_relation("USES", 1), sources=[1])),
@@ -165,9 +189,7 @@ BAD_ARCHIVES = [
         id="deltas-and-sources",
     ),
     pytest.param(
-        _archive("1", _z(json.dumps(
-            {"relations": [[], []], **{k: v for k, v in _PAYLOAD.items() if k != "deltas"}}
-        ))),
+        _archive("1", _record(drop=("deltas",))),
         r"bad record at line 3: ValueError\('a record holds both or neither of deltas and "
         r"sources'\)",
         id="no-sources",
@@ -216,12 +238,12 @@ BAD_ARCHIVES = [
     # float is not an ordinal, and a column that is not all ordinals is
     # read as kind names
     pytest.param(
-        _archive("1", _record(entities=[["p"], [-1], [""], [0]])),
+        _archive("1", _record(entities=[["p"], [-1], [0], [0]])),
         r"bad record at line 3: ValueError\('a kind ordinal is out of range'\)$",
         id="ordinal-negative",
     ),
     pytest.param(
-        _archive("1", _record(entities=[["p"], [len(store.ENTITY_KIND_TABLE)], [""], [0]])),
+        _archive("1", _record(entities=[["p"], [len(store.ENTITY_KIND_TABLE)], [0], [0]])),
         r"bad record at line 3: ValueError\('a kind ordinal is out of range'\)$",
         id="ordinal-past-table",
     ),
@@ -231,7 +253,7 @@ BAD_ARCHIVES = [
         id="relation-ordinal-past-table",
     ),
     pytest.param(
-        _archive("1", _record(entities=[["p"], [False], [""], [0]])),
+        _archive("1", _record(entities=[["p"], [False], [0], [0]])),
         r"bad record at line 3: KeyError\(False\)$",
         id="ordinal-bool",
     ),
@@ -241,9 +263,14 @@ BAD_ARCHIVES = [
         id="ordinal-float",
     ),
     pytest.param(
-        _archive("1", _record(relations=[[10, "USES"], [1, 1]], deltas=[1, 0])),
+        _archive("1", _record(relations=[0, 1], pairs=[[10, "USES"], [1, 2]], deltas=[1, 0])),
         r"bad record at line 3: KeyError\(10\)$",
         id="ordinals-and-names",
+    ),
+    pytest.param(
+        _archive("1", _record(relations=[0, 1], pairs=[[10, "USES"], [1, 1]], deltas=[1, 0])),
+        r"bad record at line 3: KeyError\(10\)$",
+        id="ordinals-and-names-each-its-own-pair",
     ),
     # full lists row indexes of entities whose fqn is stored whole
     pytest.param(
@@ -269,31 +296,110 @@ BAD_ARCHIVES = [
     # a coded fqn is its parent's plus what the row stores, so the parent's
     # row must come first: before it, not after and not the row itself
     pytest.param(
-        _archive("1", _record(entities=[[".A", "p"], [1, 0], ["A.java", ""], [1, 0]],
-                              parent=[2, 0])),
+        _archive("1", _record(entities=[[".A", "p"], [1, 0], [0, 1], [1, -1]],
+                              files=["A.java", ""], parent=[2, 0])),
         r"bad record at line 3: ValueError\('the fqn of row 0 is coded, but not under an "
         r"earlier row'\)$",
         id="coded-before-parent",
     ),
     pytest.param(
-        _archive("1", _record(entities=[["p", ".A"], [0, 1], ["", "A.java"], [0, 1]],
-                              parent=[0, 2])),
+        _archive("1", _record(entities=[["p", ".A"], [0, 1], [0, 1], [0, 1]],
+                              files=["", "A.java"], parent=[0, 2])),
         r"bad record at line 3: ValueError\('the fqn of row 1 is coded, but not under an "
         r"earlier row'\)$",
         id="coded-under-itself",
     ),
     pytest.param(  # with ids, parent holds ids, not rows
-        _archive("1", _record(entities=[["p", ".A"], [0, 1], ["", "A.java"], [0, 1]],
-                              parent=[0, 5], ids=[5, 6])),
+        _archive("1", _record(entities=[["p", ".A"], [0, 1], [0, 1], [0, 1]],
+                              files=["", "A.java"], parent=[0, 5], ids=[5, 6])),
         r"bad record at line 3: ValueError\('the fqn of row 1 is coded, but not under an "
         r"earlier row'\)$",
         id="coded-with-ids",
     ),
     pytest.param(
-        _archive("1", _record(entities=[["p", 7], [0, 1], ["", "A.java"], [0, 1]],
-                              parent=[0, 1])),
+        _archive("1", _record(entities=[["p", 7], [0, 1], [0, 1], [0, 1]],
+                              files=["", "A.java"], parent=[0, 1])),
         r"bad record at line 3: TypeError\('sequence item 1: expected str instance, int found'\)$",
         id="fqn-int",
+    ),
+    # files are indexes into the record's table of them, each a string, and
+    # lines are delta-coded ints
+    pytest.param(
+        _archive("1", _record(files=[5])),
+        r"bad record at line 3: ValueError\('files holds a value that is not a string'\)$",
+        id="file-int",
+    ),
+    pytest.param(
+        _archive("1", _record(files="A.java")),
+        r"bad record at line 3: ValueError\('files is str, not list'\)$",
+        id="files-str",
+    ),
+    pytest.param(
+        _archive("1", _record(entities=[["p"], [0], [-1], [0]])),
+        r"bad record at line 3: ValueError\('the file column holds an index out of range'\)$",
+        id="file-index-negative",
+    ),
+    pytest.param(
+        _archive("1", _record(entities=[["p"], [0], [1], [0]])),
+        r"bad record at line 3: ValueError\('the file column holds an index out of range'\)$",
+        id="file-index-past-table",
+    ),
+    pytest.param(
+        _archive("1", _record(entities=[["p"], [0], [""], [0]])),
+        r"bad record at line 3: ValueError\('the file column holds an index that is not an int'\)$",
+        id="file-index-str",
+    ),
+    pytest.param(
+        _archive("1", _record(entities=[["p"], [0], [0], ["x"]])),
+        r"bad record at line 3: ValueError\('the line column holds a value that is not an int'\)$",
+        id="line-str",
+    ),
+    pytest.param(
+        _archive("1", _record(entities=[["p"], [0], [0], [True]])),
+        r"bad record at line 3: ValueError\('the line column holds a value that is not an int'\)$",
+        id="line-bool",
+    ),
+    pytest.param(
+        _archive("1", _record(entities=[["p"], [0], [0], [1.0]])),
+        r"bad record at line 3: ValueError\('the line column holds a value that is not an int'\)$",
+        id="line-float",
+    ),
+    # each relation is an index into the record's pair table
+    pytest.param(
+        _archive("1", _record(**{**_relation("USES", 1), "relations": [-1]})),
+        r"bad record at line 3: ValueError\('relations holds an index out of range'\)$",
+        id="pair-index-negative",
+    ),
+    pytest.param(
+        _archive("1", _record(**{**_relation("USES", 1), "relations": [1]})),
+        r"bad record at line 3: ValueError\('relations holds an index out of range'\)$",
+        id="pair-index-past-table",
+    ),
+    pytest.param(
+        _archive("1", _record(**{**_relation("USES", 1), "relations": [0.0]})),
+        r"bad record at line 3: ValueError\('relations holds an index that is not an int'\)$",
+        id="pair-index-float",
+    ),
+    pytest.param(
+        _archive("1", _record(**{**_relation("USES", 1), "relations": [False]})),
+        r"bad record at line 3: ValueError\('relations holds an index that is not an int'\)$",
+        id="pair-index-bool",
+    ),
+    pytest.param(
+        _archive("1", _record(**{**_relation("USES", 1), "relations": ["0"]})),
+        r"bad record at line 3: ValueError\('relations holds an index that is not an int'\)$",
+        id="pair-index-str",
+    ),
+    # a string of the right length is not a column of the pair table
+    pytest.param(
+        _archive("1", _record(relations=[0], pairs=[[10], "1"], deltas=[1])),
+        r"bad record at line 3: ValueError\('the pair target column is str, not list'\)$",
+        id="pairs-target-str",
+    ),
+    pytest.param(
+        _archive("1", _record(relations=[0], pairs=["A", [1]], deltas=[1])),
+        r"bad record at line 3: ValueError\('the pair kind column is str, not list'\)$",
+        id="pairs-kind-str",
     ),
 ]
 
@@ -328,7 +434,7 @@ BAD_TABLES = [
 # metrics command measures the records before it in forked workers
 _BIG_BAD_KIND = _record(
     project_id="big",
-    entities=[["p"] * 500, ["PACKAGE"] * 499 + ["KLASS"], [""] * 500, [0] * 500],
+    entities=[["p"] * 500, ["PACKAGE"] * 499 + ["KLASS"], [0] * 500, [0] * 500],
     parent=[0] * 500,
 )
 MULTI_FAULT_ARCHIVES = [
@@ -402,7 +508,8 @@ def test_metrics_reports_the_readers_first_fault(
 # parent's, so both are stored whole
 _CYCLE_RECORD = _record(
     project_id="cyc",
-    entities=[["p", "p.f", "p.m"], [0, 5, 7], ["", "A.java", "A.java"], [0, 1, 2]],
+    entities=[["p", "p.f", "p.m"], [0, 5, 7], [0, 1, 1], [0, 1, 1]],
+    files=["", "A.java"],
     parent=[0, 3, 2],
     full=[1, 2],
     **_relation("USES", 3),
@@ -566,9 +673,9 @@ class TestArchiveRoundTrip:
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "facts.bin"
         write_facts(FactsArchive(projects=[ProjectFacts(project_id="p")]), path)
-        data = path.read_bytes().replace(b"JSCALE-FACTS 4\n", b"JSCALE-FACTS 99\n", 1)
+        data = path.read_bytes().replace(b"JSCALE-FACTS 5\n", b"JSCALE-FACTS 99\n", 1)
         path.write_bytes(data)
-        with pytest.raises(UnsupportedVersionError, match="archive version 99, reader supports 4$"):
+        with pytest.raises(UnsupportedVersionError, match="archive version 99, reader supports 5$"):
             read_facts(path)
 
     def test_truncated_file(self, foonumber_facts, tmp_path):
@@ -638,8 +745,14 @@ RECORD_FORMS = [
                  [0], id="parent-after-child"),
     pytest.param(_facts([(1, _C, 2), (1, _C, 3)], fqns=("p", "p", "p$")), False, False, 0, [],
                  id="fqn-equal-to-parent"),
+    pytest.param(_facts([*_TREE, (3, _U, 1.0)]), False, False, 0, [], id="float-target"),
     pytest.param(ProjectFacts("e"), False, False, 0, [], id="empty"),
 ]
+
+
+def _kinds_of_relations(data: dict) -> list:
+    """The kind column of a record's relations, through its pair table."""
+    return [data["pairs"][0][pair] for pair in data["relations"]]
 
 
 @pytest.mark.parametrize("facts, ids, plain, contains, full", RECORD_FORMS)
@@ -647,7 +760,7 @@ def test_facts_outside_the_compact_form_round_trip(tmp_path, facts, ids, plain, 
     payload = _project_payload(facts.columns())
     data = json.loads(zlib.decompress(payload))
     assert ("ids" in data, "sources" in data, "deltas" in data) == (ids, plain, not plain)
-    assert data["relations"][0].count(store.RELATION_KIND_TABLE.index("CONTAINS")) == contains
+    assert _kinds_of_relations(data).count(store.RELATION_KIND_TABLE.index("CONTAINS")) == contains
     assert data.get("full") == (full or None)  # left out when empty
     assert _canonical(store.decode_columns(payload, "x", 3)) == _canonical(facts.columns())
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -675,11 +788,70 @@ def test_a_column_with_an_unknown_kind_is_written_as_names(tmp_path):
     facts.relations.append(FactRelation(3, "READS_ALOUD", 1))
     data = json.loads(zlib.decompress(_project_payload(facts.columns())))
     assert data["entities"][1] == ["PACKAGE", "CLASS", "KLASS"]
-    assert data["relations"][0] == ["READS_ALOUD"]
+    assert data["pairs"] == [["READS_ALOUD"], [1]]
     path = tmp_path / "facts.bin"
     write_facts(FactsArchive(projects=[facts]), path)
     with pytest.raises(ArchiveIntegrityError, match=r"bad record at line 3: KeyError\('KLASS'\)$"):
         read_facts(path)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        pytest.param("file", 5, "files holds a value that is not a string", id="file-int"),
+        pytest.param("file", ["A.java"], "files holds a value that is not a string",
+                     id="file-list"),
+        pytest.param("line", "2", "the line column holds a value that is not an int",
+                     id="line-str"),
+        pytest.param("line", True, "the line column holds a value that is not an int",
+                     id="line-bool"),
+    ],
+)
+def test_a_file_or_line_of_another_type_is_written_but_refused(tmp_path, field, value, message):
+    facts = _facts(_TREE)
+    facts.entities[2] = facts.entities[2]._replace(**{field: value})
+    path = tmp_path / "facts.bin"
+    write_facts(FactsArchive(projects=[facts]), path)
+    expected = rf"bad record at line 3: ValueError\('{message}'\)$"
+    with pytest.raises(ArchiveIntegrityError, match=expected):
+        read_facts(path)
+
+
+def test_a_pair_table_lists_each_distinct_pair_once():
+    calls = RelationKind.CALLS
+    facts = _facts([*_TREE, (3, _U, "x"), (3, calls, 3), (2, _U, "x"), (3, _U, 1), (2, calls, 3)])
+    data = json.loads(zlib.decompress(_project_payload(facts.columns())))
+    assert data == {
+        "project_id": "p", "sloc": 3, "parse_warning_count": 0, "warnings": [],
+        "entities": [["p", ".A", ".m"], [0, 1, 7], [0, 1, 1], [0, 1, 1]],
+        "files": ["", "A.java"],
+        "parent": [0, 1, 2],
+        # USES "x", CALLS 3 and USES 1, in order of first appearance
+        "pairs": [[10, 4, 10], ["x", 3, 1]],
+        "relations": [0, 1, 0, 2, 1],
+        "deltas": [3, 0, -1, 1, -1],
+    }
+
+
+def test_equal_targets_of_different_json_stay_apart(tmp_path):
+    # 1, 1.0, True, -0.0, 0 and "1" are two keys of a dict, not six
+    targets = [1, 1.0, True, -0.0, 0, "1", 1, 0.0]
+    facts = [_facts([*_TREE, *((3, _U, target) for target in targets)]),
+             _facts([*_TREE, *((3, _U, target) for target in [1, "1", 0, 1])])]
+    facts[1].project_id = "q"
+    a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+    write_facts(FactsArchive(projects=facts), a)
+    archive = read_facts(a)
+    assert [[repr(r.target) for r in p.relations[2:]] for p in archive.projects] == [
+        list(map(repr, targets)), ["1", "'1'", "0", "1"]
+    ]
+    write_facts(archive, b)
+    assert a.read_bytes() == b.read_bytes()
+    # only the record of ints and strings merges equal pairs
+    first, second = (json.loads(zlib.decompress(payload)) for _, payload, _ in
+                     store.scan_records(a))
+    assert first["pairs"] == [[10] * 8, targets] and first["relations"] == list(range(8))
+    assert second["pairs"] == [[10, 10, 10], [1, "1", 0]] and second["relations"] == [0, 1, 2, 0]
 
 
 def test_kind_tables_name_each_kind_once():
