@@ -5,9 +5,11 @@ types, members) and :class:`FactRelation` edges between them.  Relation
 targets are entity ids when the target is declared inside the project and
 dotted name strings otherwise; names that could not be resolved to any
 package stay as plain (undotted) strings.  :class:`FactColumns` holds the
-same facts with each table transposed, one sequence per row field, as the
-archive's ``decode_columns`` returns them and as ``metrics.measure`` reads
-them.
+same facts with each table transposed, one sequence per row field, as
+``metrics.measure`` reads them.  The archive stores only facts in the form
+extraction makes them, with ids 1..n in row order and each target an int
+or a string (see ``store.encode_columns``); its ``decode_columns`` returns
+them as columns.
 """
 
 from __future__ import annotations

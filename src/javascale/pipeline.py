@@ -53,8 +53,8 @@ from .report import (
 )
 from .stats import analyze_bins
 from .store import (
-    _project_payload,
     decode_columns,
+    encode_columns,
     export_metrics_table,
     read_metrics_table,
     scan_records,
@@ -379,7 +379,7 @@ def _measure_project(
     facts = extract_project(root, project_id)
     columns = facts.columns()
     metrics, _ = measure(columns, jdk_prefixes)
-    return _project_payload(columns), metrics, facts.parse_warning_count
+    return encode_columns(columns), metrics, facts.parse_warning_count
 
 
 def _java_bytes(root: Path) -> int:
@@ -493,8 +493,8 @@ def _measure_record(path, offset, size, lineno, jdk_prefixes) -> tuple[ProjectMe
     try:
         return measure(columns, jdk_prefixes)
     except (TypeError, ValueError) as exc:
-        # a CONTAINS cycle, a row invariant such as sloc >= 0, or a relation
-        # target of the wrong type, which decode_columns does not check
+        # a CONTAINS cycle, a row invariant such as sloc >= 0, or an int
+        # target that is not an entity id: decode_columns checks the types
         raise ArchiveIntegrityError(f"{path}: bad record at line {lineno}: {exc}") from exc
 
 

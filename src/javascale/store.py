@@ -8,45 +8,44 @@ are local to their project, so each record is encoded on its own and
 records can be written as they are made.  No database engine; readers
 rebuild in-memory indexes.
 
-A version 5 record leaves out what extraction makes implicit and stores
-each repeated value once:
+A version 5 record holds one project's facts as extraction makes them:
+its scalar fields typed, its ids 1..n in row order, its fqns non-empty
+strings, its kinds ones the tables below name, its files strings, its
+lines and relation sources ints and its relation targets ints (entity
+ids) or strings (names).  ``encode_columns`` takes only facts of that
+form and raises a ValueError naming the first field that breaks it.  The
+record leaves out what the form makes implicit and stores each repeated
+value once:
 
 * ``entities`` holds four arrays, the fqn, kind, file and line of each
-  entity.  Their ids are 1..n in row order unless an ``ids`` array is
-  present, which holds them as they are.  Each file is an index into the
-  record's ``files`` array, its distinct files in order of first
-  appearance (or, when one is not a string, the file column as it is).
-  The lines are delta-coded, each the difference from the previous line
-  (the first from 0), when all are ints.  A file that is not a string or
-  a line that is not an int is refused when read.
+  entity; the ids are left out.  Each file is an index into the record's
+  ``files`` array, its distinct files in order of first appearance.  The
+  lines are delta-coded, each the difference from the previous line (the
+  first from 0).
 * ``parent`` holds one int per entity: the source of its ``CONTAINS``
   relation, or 0 for none.  These are the leading ``CONTAINS`` relations,
   written by extraction before any other, whose targets are entities in
-  increasing row order and whose sources are non-zero ints.
-* An entity with a parent is coded when the ids are 1..n, its parent's row
-  comes before its own and its fqn starts with the parent's: its fqn array
-  holds only the rest, such as ``.count`` or ``$1``, and the decoder
-  rebuilds the fqns in one pass in row order.  ``full`` lists, by row index
-  from 0, every other entity with a parent; it is left out when empty.
+  increasing row order and whose sources are not 0.
+* An entity with a parent is coded when its parent's row comes before its
+  own and its fqn starts with the parent's: its fqn array holds only the
+  rest, such as ``.count`` or ``$1``, and the decoder rebuilds the fqns in
+  one pass in row order.  ``full`` lists, by row index from 0, every other
+  entity with a parent; it is left out when empty.
 * ``relations`` holds, for each other relation in order, an index into
   ``pairs``: two arrays, the kinds and targets of the record's distinct
   (kind, target) pairs in order of first appearance.  A later or
-  out-of-order ``CONTAINS`` is one of them.  Pairs are merged only when
-  the type of every kind (an ordinal, or a name under the unknown-kind
-  fallback) and target is ``int`` or ``str``: 1, 1.0, True and "1" (and
-  0.0 and -0.0) are equal keys but different JSON.  Otherwise each
-  relation is its own pair: ``pairs`` holds the kind and target of each
-  relation and ``relations`` is 0..n-1.  The sources are in ``deltas``,
-  each the difference from the previous source (the first from 0), when
-  all are ints; otherwise a plain ``sources`` array holds them.
+  out-of-order ``CONTAINS`` is one of them.  An int and a string are equal
+  keys only when they are the same JSON, unlike 1, 1.0, True and "1", so
+  equal pairs are merged.  The sources are in ``deltas``, each the
+  difference from the previous source (the first from 0).
 * Each kind column holds ordinals into ``ENTITY_KIND_TABLE`` or
-  ``RELATION_KIND_TABLE``, unless it holds a kind its table does not name;
-  then it holds the kinds' names, and the record is refused when read.
+  ``RELATION_KIND_TABLE``.
 
-So ``decode_columns`` returns, for any facts of known kinds, string fqns
-and files and int lines, exactly the columns the encoder was given, as
-JSON types them, with each kind as its enum member.  It checks the type
-of each field it reads and that each index is an int inside its table.
+So ``decode_columns`` returns exactly the columns the encoder was given,
+as JSON types them, with each kind as its enum member.  It reads this one
+layout: it requires every field but ``full``, refuses any field the
+layout does not name, checks the type of each field it reads (a target an
+int or a string) and that each index is an int inside its table.
 Version 4 and older archives are refused, not converted.
 
 The metrics table is a CSV of the ``METRIC_COLUMNS``, read back as
@@ -127,41 +126,62 @@ def _ints(values) -> bool:
     return {int}.issuperset(map(type, values))
 
 
-def _strings(values) -> bool:
-    return {str}.issuperset(map(type, values))
+_TYPE_NAMES = {int: "an int", str: "a string"}
 
 
-def _parent_run(ids: Sequence, implicit: bool, relations: Sequence[Sequence]) -> list[int]:
-    """The source of each entity's ``CONTAINS`` relation in the leading run
-    of them whose sources are non-zero ints and whose targets are int ids
-    of entities in increasing row order, else 0."""
-    parent = [0] * len(ids)
-    last = -1
+def _only(types: tuple, values, name: str):
+    """``values``, each of one of ``types``; any other value raises."""
+    if not set(map(type, values)).issubset(types):
+        kinds = " or ".join(map(_TYPE_NAMES.__getitem__, types))
+        raise ValueError(f"{name} holds a value that is not {kinds}")
+    return values
+
+
+# a record's scalar fields and their types
+_SCALARS = {"project_id": str, "sloc": int, "parse_warning_count": int, "warnings": list}
+
+
+def _scalars(fields) -> dict:
+    """The scalar fields of ``fields``, each of its type, the warnings
+    strings; a missing field or one of another type raises."""
+    scalars = {name: fields[name] for name in _SCALARS}
+    for (name, value), kind in zip(scalars.items(), _SCALARS.values()):
+        if type(value) is not kind:  # a bool or a float is not an int
+            raise ValueError(f"{name} is {type(value).__name__}, not {kind.__name__}")
+    _only((str,), scalars["warnings"], "warnings")
+    return scalars
+
+
+def _same_length(columns: list, name: str) -> list:
+    # map() would stop at the shortest column, silently dropping rows
+    if len(set(map(len, columns))) > 1:
+        raise ValueError(f"{name} columns differ in length")
+    return columns
+
+
+def _parent_run(n: int, relations: Sequence[Sequence]) -> list[int]:
+    """The source of each of ``n`` entities' ``CONTAINS`` relation in the
+    leading run of them whose sources are not 0 and whose targets are the
+    ids of entities in increasing row order, else 0."""
+    parent = [0] * n
+    last = 0
     for source, kind, target in zip(*relations):
-        if kind != "CONTAINS" or type(source) is not int or not source or type(target) is not int:
+        if kind != "CONTAINS" or not source or type(target) is not int or not last < target <= n:
             break
-        try:
-            at = target - 1 if implicit else ids.index(target, last + 1)
-        except ValueError:
-            break
-        if not last < at < len(ids) or type(ids[at]) is not int:
-            break
-        parent[at] = source
-        last = at
+        parent[target - 1] = source
+        last = target
     return parent
 
 
-def _coded_fqns(fqns: Sequence, parent: list[int], implicit: bool) -> tuple[list, list[int]]:
+def _coded_fqns(fqns: Sequence[str], parent: list[int]) -> tuple[list, list[int]]:
     """Each fqn as a record stores it, and the rows with a parent whose fqn
     is stored in full: a row whose parent's row comes before it and whose
     fqn starts with the parent's stores only the rest."""
     stored, full = list(fqns), []
     for row, source in enumerate(parent):
         if source:
-            head = fqns[source - 1] if implicit and 0 < source <= row else None
-            fqn = fqns[row]
-            if type(head) is type(fqn) is str and fqn.startswith(head):
-                stored[row] = fqn[len(head) :]
+            if 0 < source <= row and fqns[row].startswith(fqns[source - 1]):
+                stored[row] = fqns[row][len(fqns[source - 1]) :]
             else:
                 full.append(row)
     return stored, full
@@ -175,75 +195,64 @@ def _table(column: Iterable) -> tuple[list, list[int]]:
     return list(index), indexes
 
 
-# the types of keys that are equal only when their JSON is the same: 1,
-# 1.0, True and "1" (and 0.0 and -0.0) are equal keys but different JSON
-_EXACT_KEYS = {int, str}
+def _deltas(values: Sequence[int]) -> list[int]:
+    """Each value less the one before it, the first less 0."""
+    return list(map(sub, values, chain((0,), values)))
 
 
-def _ordinals(kinds: Sequence, ordinals: dict) -> Sequence:
-    """The kinds as ordinals, or as they are if one has none."""
+def _ordinals(kinds: Sequence, ordinals: dict, name: str) -> list[int]:
     try:
         return list(map(ordinals.__getitem__, kinds))
     except (KeyError, TypeError):  # an unknown or unhashable kind
-        return kinds
+        raise ValueError(f"{name} holds a kind its table does not name") from None
 
 
-def _project_payload(columns: FactColumns) -> bytes:
-    ids, fqns, kinds, files, lines = columns.entities
-    sources, kinds_of_relations, targets = columns.relations
-    implicit = _ints(ids) and list(ids) == list(range(1, len(ids) + 1))
-    parent = _parent_run(ids, implicit, columns.relations)
+def encode_columns(columns: FactColumns) -> bytes:
+    """The record payload of ``columns`` in extraction's form: scalar fields
+    of the types ``decode_columns`` requires, ids 1..n in row order,
+    non-empty string fqns, kinds the tables name, string files, int lines
+    and sources, and int or string targets.  Any other columns raise a
+    ValueError that names the first field breaking the form."""
+    record = _scalars(columns._asdict())
+    ids, fqns, kinds, files, lines = _same_length(list(columns.entities), "entities")
+    sources, kinds_of_relations, targets = _same_length(list(columns.relations), "relations")
+    if not _ints(ids) or list(ids) != list(range(1, len(ids) + 1)):
+        raise ValueError("the id column is not 1..n")
+    if not all(_only((str,), fqns, "the fqn column")):
+        raise ValueError("entity fqn must be non-empty")
+    kinds = _ordinals(kinds, _ENTITY_ORDINALS, "the entity kind column")
+    files, file_index = _table(_only((str,), files, "the file column"))
+    lines = _deltas(_only((int,), lines, "the line column"))
+    _only((int,), sources, "the source column")
+    parent = _parent_run(len(ids), columns.relations)
     run = len(parent) - parent.count(0)
-    stored, full = _coded_fqns(fqns, parent, implicit)
-    if _strings(files):
-        files, file_index = _table(files)
-    else:  # refused when read, as the column stands
-        files, file_index = list(files), list(range(len(files)))
-    if _ints(lines):
-        lines = list(map(sub, lines, chain((0,), lines)))
-    kinds_of_relations = _ordinals(kinds_of_relations[run:], _RELATION_ORDINALS)
-    targets = targets[run:]
-    record = {
-        "project_id": columns.project_id,
-        "sloc": columns.sloc,
-        "parse_warning_count": columns.parse_warning_count,
-        "warnings": columns.warnings,
-        "entities": [stored, _ordinals(kinds, _ENTITY_ORDINALS), file_index, lines],
-        "files": files,
-        "parent": parent,
-    }
-    if _EXACT_KEYS.issuperset(map(type, chain(kinds_of_relations, targets))):
-        pairs, record["relations"] = _table(zip(kinds_of_relations, targets))
-        record["pairs"] = [[kind for kind, _ in pairs], [target for _, target in pairs]]
-    else:  # each relation its own pair
-        record["pairs"] = [kinds_of_relations, targets]
-        record["relations"] = list(range(len(targets)))
-    if not implicit:
-        record["ids"] = ids
+    kinds_of_relations = _ordinals(
+        kinds_of_relations[run:], _RELATION_ORDINALS, "the relation kind column"
+    )
+    _only((int, str), targets, "the target column")
+    # an int or a string key is equal to another only when its JSON is the
+    # same, unlike 1, 1.0, True and "1", so equal pairs can be merged
+    pairs, relations = _table(zip(kinds_of_relations, targets[run:]))
+    stored, full = _coded_fqns(fqns, parent)
+    record.update(
+        entities=[stored, kinds, file_index, lines],
+        files=files,
+        parent=parent,
+        pairs=[[kind for kind, _ in pairs], [target for _, target in pairs]],
+        relations=relations,
+        deltas=_deltas(sources[run:]),
+    )
     if full:
         record["full"] = full
-    sources = sources[run:]
-    if _ints(sources):
-        record["deltas"] = list(map(sub, sources, chain((0,), sources)))
-    else:
-        record["sources"] = sources
     text = json.dumps(record, separators=(",", ":"), sort_keys=True, ensure_ascii=False)
     return zlib.compress(text.encode("utf-8"))
 
 
-# a dict lookup costs a fraction of an enum call; an unknown kind is a KeyError
-_ENTITY_KINDS = {k.value: k for k in EntityKind}
-_RELATION_KINDS = {k.value: k for k in RelationKind}
+# the fields of a record: each is required but full, left out when empty
+_FIELDS = {*_SCALARS, "entities", "files", "parent", "full", "pairs", "relations", "deltas"}
 
 
-def _same_length(columns: list, name: str) -> list:
-    # map() would stop at the shortest column, silently dropping rows
-    if len(set(map(len, columns))) > 1:
-        raise ValueError(f"{name} columns differ in length")
-    return columns
-
-
-def _fqns(stored: list, parent: list[int], full, implicit: bool) -> list:
+def _fqns(stored: list, parent: list[int], full) -> list:
     """The fqns a record's fqn array stands for, rebuilt in one pass in row
     order: a coded row's is its parent's fqn and what it stores."""
     "".join(stored)  # a TypeError names the first fqn that is not a string
@@ -257,21 +266,18 @@ def _fqns(stored: list, parent: list[int], full, implicit: bool) -> list:
     for row, source in enumerate(coded):
         if source:
             # the parent's row comes first, so its fqn is already rebuilt
-            if not (implicit and 0 < source <= row):
+            if not 0 < source <= row:
                 raise ValueError(f"the fqn of row {row} is coded, but not under an earlier row")
             stored[row] = stored[source - 1] + stored[row]
     return stored
 
 
-def _kinds(column: list, table: dict, names: dict) -> list:
+def _kinds(column: list, table: dict, name: str) -> list:
     """The kinds, as members, of a column of ordinals, each a key of
-    ``table``, or of a column of kind names, each a key of ``names``; any
-    other column raises.  Members, unlike equal strings, are found by
-    identity in the sets of kinds ``measure`` looks them up in."""
-    if not _ints(column):
-        return list(map(names.__getitem__, column))  # a KeyError names the first unknown kind
+    ``table``; any other column raises.  Members, unlike equal strings, are
+    found by identity in the sets of kinds ``measure`` looks them up in."""
     try:
-        return list(map(table.__getitem__, column))
+        return list(map(table.__getitem__, _only((int,), column, name)))
     except KeyError:
         raise ValueError("a kind ordinal is out of range") from None
 
@@ -303,55 +309,36 @@ def _relation_columns(data: dict) -> tuple[list, list]:
         [_list(kinds, "the pair kind column"), _list(targets, "the pair target column")], "pairs"
     )
     # each pair's kind is looked up once, however many relations hold it
-    kinds = _kinds(kinds, _RELATION_KIND_OF, _RELATION_KINDS)
+    kinds = _kinds(kinds, _RELATION_KIND_OF, "the pair kind column")
+    _only((int, str), targets, "the pair target column")
     return _indexed(index, "relations", kinds, targets)
 
 
 def _decoded(data: dict) -> FactColumns:
-    """The columns a version 5 record's JSON stands for; a field that breaks
-    the layout raises."""
-    scalars = {
-        "project_id": data["project_id"],
-        "sloc": data["sloc"],
-        "parse_warning_count": data.get("parse_warning_count", 0),
-        "warnings": data.get("warnings", []),
-    }
-    for (name, value), kind in zip(scalars.items(), (str, int, int, list)):
-        if type(value) is not kind:  # a bool or a float is not an int
-            raise ValueError(f"{name} is {type(value).__name__}, not {kind.__name__}")
-    if not _strings(scalars["warnings"]):
-        raise ValueError("warnings holds a value that is not a string")
+    """The columns a version 5 record's JSON stands for; a missing field, a
+    field the layout does not name or one that breaks it raises."""
+    scalars = _scalars(data)
+    unnamed = sorted(data.keys() - _FIELDS)
+    if unnamed:
+        raise ValueError(f"a record holds a field the layout does not name: {unnamed[0]!r}")
     stored, kinds, file_index, lines = data["entities"]
-    implicit = "ids" not in data
-    ids = list(range(1, len(stored) + 1)) if implicit else data["ids"]
-    _same_length([ids, stored, kinds, file_index, lines], "entities")
-    kinds = _kinds(kinds, _ENTITY_KIND_OF, _ENTITY_KINDS)
-    files = _list(data["files"], "files")
-    if not _strings(files):
-        raise ValueError("files holds a value that is not a string")
+    _same_length([stored, kinds, file_index, lines], "entities")
+    kinds = _kinds(kinds, _ENTITY_KIND_OF, "the entity kind column")
+    files = _only((str,), _list(data["files"], "files"), "files")
     [files] = _indexed(file_index, "the file column", files)
-    if not _ints(lines):
-        raise ValueError("the line column holds a value that is not an int")
-    lines = list(accumulate(lines))
+    lines = list(accumulate(_only((int,), lines, "the line column")))
     parent = data["parent"]
     if len(parent) != len(stored):
         raise ValueError("parent and entities differ in length")
-    if not _ints(parent):
-        raise ValueError("parent holds a value that is not an int")
-    fqns = _fqns(stored, parent, data.get("full", []), implicit)
+    _only((int,), parent, "parent")
+    fqns = _fqns(stored, parent, data.get("full", []))
     if not all(fqns):
         raise ValueError("entity fqn must be non-empty")
-    if ("deltas" in data) == ("sources" in data):
-        raise ValueError("a record holds both or neither of deltas and sources")
-    if "deltas" in data:
-        if not _ints(data["deltas"]):
-            raise ValueError("deltas holds a value that is not an int")
-        sources = list(accumulate(data["deltas"]))
-    else:
-        sources = data["sources"]
+    sources = list(accumulate(_only((int,), data["deltas"], "deltas")))
     kinds_of_relations, targets = _same_length(
         [sources, *_relation_columns(data)], "relations"
     )[1:]
+    ids = list(range(1, len(stored) + 1))
     run = len(parent) - parent.count(0)
     return FactColumns(
         **scalars,
@@ -398,7 +385,7 @@ def write_records(payloads: Iterable[bytes], count: int, path: str | Path) -> No
 
 def write_facts(archive: FactsArchive, path: str | Path) -> None:
     """Write an archive; two writes of equal content are byte-identical."""
-    payloads = map(_project_payload, map(ProjectFacts.columns, archive.projects))
+    payloads = map(encode_columns, map(ProjectFacts.columns, archive.projects))
     write_records(payloads, len(archive.projects), path)
 
 

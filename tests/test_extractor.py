@@ -18,10 +18,18 @@ from javascale import extractor
 from javascale.extractor import DEFAULT_PACKAGE, extract_corpus, extract_project
 from javascale.errors import DataError, DuplicateProjectError, EmptyCorpusError
 from javascale.facts import EntityKind, FactRelation, ProjectFacts, RelationKind, SourceEntity
-from javascale.store import RELATION_KIND_TABLE, FactsArchive, scan_records, write_facts
+from javascale.store import (
+    RELATION_KIND_TABLE,
+    FactsArchive,
+    decode_columns,
+    encode_columns,
+    scan_records,
+    write_facts,
+)
 
 import javalex_reference as reference
 from conftest import CORPUS_DIR, archive_digest, assert_measured_alike, columns_digest
+from facts_diff import MUTATED_SEEDS, columns_json
 
 
 def _entity(entity_id: int, fqn: str, kind: EntityKind) -> SourceEntity:
@@ -1636,36 +1644,49 @@ def test_benchmark_corpora_match_golden_digest(bench_archives):
 
 
 def assert_compact(archive: Path) -> int:
-    """Check that each record of ``archive`` takes the compact form: ids
-    left implicit, every CONTAINS relation in ``parent``, each fqn under a
-    parent coded after the parent's, the kinds as ordinals, the files in a
-    table, the relations in a table of their (kind, target) pairs and the
-    sources delta-coded; return the record count.  Only a type of the
-    default package, whose fqn does not start with the package's name, is
-    stored whole."""
+    """Check that each record of ``archive`` holds every CONTAINS relation
+    in ``parent`` and codes each fqn under a parent after the parent's;
+    return the record count.  Only a type of the default package, whose fqn
+    does not start with the package's name, is stored whole."""
     records = 0
     contains = RELATION_KIND_TABLE.index("CONTAINS")
     for _, payload, _ in scan_records(archive):
         data = json.loads(zlib.decompress(payload))
-        assert "ids" not in data and "sources" not in data
         fqns, parent = data["entities"][0], data["parent"]
         assert {fqns[parent[row] - 1] for row in data.get("full", [])} <= {DEFAULT_PACKAGE}
-        kinds, relation_kinds = data["entities"][1], data["pairs"][0]
-        assert {int}.issuperset(map(type, kinds + relation_kinds))
-        assert contains not in relation_kinds
-        # each pair and each file is stored once
-        assert len(set(zip(*data["pairs"]))) == len(relation_kinds)
-        assert len(set(data["files"])) == len(data["files"])
+        assert contains not in data["pairs"][0]
         records += 1
     return records
 
 
 def test_extracted_records_take_the_compact_form(fixture_projects, bench_archives, tmp_path):
-    # a record that fell back to the explicit form would still decode to
-    # the same facts, and only the archive's size would show it
+    # a CONTAINS relation left out of parent, or an fqn stored whole, would
+    # still decode to the same facts, and only the archive's size would show it
     write_facts(FactsArchive(projects=fixture_projects), tmp_path / "facts.bin")
     assert assert_compact(tmp_path / "facts.bin") == len(fixture_projects) == 10
     assert [assert_compact(archive) for archive in bench_archives] == [14, 14, 14]
+
+
+def assert_in_the_writers_form(projects) -> None:
+    """Check that the writer takes each project's facts, as extraction made
+    them, and that its record decodes to exactly those columns."""
+    for facts in projects:
+        columns = facts.columns()
+        decoded = decode_columns(encode_columns(columns), "x", 3)
+        assert columns_json(decoded) == columns_json(columns)
+
+
+def test_fixture_facts_are_in_the_writers_form(fixture_projects):
+    assert_in_the_writers_form(fixture_projects)
+
+
+# the sets of mutated projects that tests/facts_diff.py compares
+@pytest.mark.parametrize("seed, count", MUTATED_SEEDS)
+def test_mutated_facts_are_in_the_writers_form(tmp_path, seed, count):
+    assert_in_the_writers_form(
+        extract_project(write_project(tmp_path / f"m{n:04d}", files), f"m{n:04d}")
+        for n, files in enumerate(mutated_projects(seed, count))
+    )
 
 
 class TestTokenTable:

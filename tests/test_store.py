@@ -34,7 +34,7 @@ from javascale.metrics import METRIC_COLUMNS, ProjectMetrics, compute_metrics, m
 from javascale import store
 from javascale.store import (
     FactsArchive,
-    _project_payload,
+    encode_columns,
     export_metrics_table,
     read_facts,
     read_metrics_table,
@@ -48,15 +48,15 @@ from conftest import assert_measured_alike
 # the characters at which str.splitlines ends a line
 LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
-# a version 5 record: entities hold one array per field but the id, which
-# is 1..n, kinds as ordinals into the store's tables, files as indexes into
-# files and lines delta-coded; parent the source of each entity's CONTAINS
-# relation, or 0; relations an index into pairs, the distinct (kind,
-# target) pairs, for every other relation, and deltas their sources,
-# delta-coded
+# a version 5 record: the scalar fields; entities hold one array per field
+# but the id, which is 1..n, kinds as ordinals into the store's tables,
+# files as indexes into files and lines delta-coded; parent the source of
+# each entity's CONTAINS relation, or 0; relations an index into pairs, the
+# distinct (kind, target) pairs, for every other relation, and deltas their
+# sources, delta-coded
 _PAYLOAD = {
-    "project_id": "p", "sloc": 1, "entities": [["p"], [0], [0], [0]], "files": [""],
-    "parent": [0], "deltas": [],
+    "project_id": "p", "sloc": 1, "parse_warning_count": 0, "warnings": [],
+    "entities": [["p"], [0], [0], [0]], "files": [""], "parent": [0], "deltas": [],
 }
 
 
@@ -138,7 +138,8 @@ BAD_ARCHIVES = [
     pytest.param(_archive("1", _z("{not json")), "bad record at line 3: .*Expecting", id="json"),
     pytest.param(
         _archive("1", _record(entities=[["p"], ["KLASS"], [0], [0]])),
-        "bad record at line 3: .*KLASS",
+        r"bad record at line 3: ValueError\('the entity kind column holds a value that is not an "
+        r"int'\)$",
         id="kind",
     ),
     pytest.param(
@@ -163,12 +164,7 @@ BAD_ARCHIVES = [
         id="entity-columns",
     ),
     pytest.param(
-        _archive("1", _record(ids=[1, 2])),
-        r"bad record at line 3: ValueError\('entities columns differ in length'\)",
-        id="ids-length",
-    ),
-    pytest.param(
-        _archive("1", _record(**_relation("USES", 1), drop=("deltas",), sources=[])),
+        _archive("1", _record(**{**_relation("USES", 1), "deltas": []})),
         r"bad record at line 3: ValueError\('relations columns differ in length'\)",
         id="relation-columns",
     ),
@@ -182,17 +178,35 @@ BAD_ARCHIVES = [
         r"bad record at line 3: ValueError\('pairs columns differ in length'\)",
         id="pairs-columns",
     ),
+    # the record holds each field of the layout, full apart, and no other:
+    # ids or sources, which older encoders wrote for other facts, would
+    # otherwise be ignored and the record read under the wrong ids
+    pytest.param(
+        _archive("1", _record(ids=[1])),
+        r"bad record at line 3: ValueError\(\"a record holds a field the layout does not name: "
+        r"'ids'\"\)$",
+        id="ids",
+    ),
     pytest.param(
         _archive("1", _record(**_relation("USES", 1), sources=[1])),
-        r"bad record at line 3: ValueError\('a record holds both or neither of deltas and "
-        r"sources'\)",
-        id="deltas-and-sources",
+        r"bad record at line 3: ValueError\(\"a record holds a field the layout does not name: "
+        r"'sources'\"\)$",
+        id="sources",
     ),
     pytest.param(
         _archive("1", _record(drop=("deltas",))),
-        r"bad record at line 3: ValueError\('a record holds both or neither of deltas and "
-        r"sources'\)",
-        id="no-sources",
+        r"bad record at line 3: KeyError\('deltas'\)$",
+        id="no-deltas",
+    ),
+    pytest.param(
+        _archive("1", _record(drop=("warnings",))),
+        r"bad record at line 3: KeyError\('warnings'\)$",
+        id="no-warnings",
+    ),
+    pytest.param(
+        _archive("1", _record(drop=("parse_warning_count",))),
+        r"bad record at line 3: KeyError\('parse_warning_count'\)$",
+        id="no-parse-warning-count",
     ),
     pytest.param(
         _archive("1", _z(json.dumps({**_PAYLOAD, "deltas": None}))),
@@ -234,9 +248,8 @@ BAD_ARCHIVES = [
         r"bad record at line 3: ValueError\('warnings is int, not list'\)$",
         id="warnings",
     ),
-    # kind ordinals: plain indexing would wrap a negative one; a bool or a
-    # float is not an ordinal, and a column that is not all ordinals is
-    # read as kind names
+    # kind ordinals: plain indexing would wrap a negative one, and a bool, a
+    # float or a name is not an ordinal
     pytest.param(
         _archive("1", _record(entities=[["p"], [-1], [0], [0]])),
         r"bad record at line 3: ValueError\('a kind ordinal is out of range'\)$",
@@ -254,23 +267,21 @@ BAD_ARCHIVES = [
     ),
     pytest.param(
         _archive("1", _record(entities=[["p"], [False], [0], [0]])),
-        r"bad record at line 3: KeyError\(False\)$",
+        r"bad record at line 3: ValueError\('the entity kind column holds a value that is not an "
+        r"int'\)$",
         id="ordinal-bool",
     ),
     pytest.param(
         _archive("1", _record(**_relation(10.0, 1))),
-        r"bad record at line 3: KeyError\(10\.0\)$",
+        r"bad record at line 3: ValueError\('the pair kind column holds a value that is not an "
+        r"int'\)$",
         id="ordinal-float",
     ),
     pytest.param(
         _archive("1", _record(relations=[0, 1], pairs=[[10, "USES"], [1, 2]], deltas=[1, 0])),
-        r"bad record at line 3: KeyError\(10\)$",
+        r"bad record at line 3: ValueError\('the pair kind column holds a value that is not an "
+        r"int'\)$",
         id="ordinals-and-names",
-    ),
-    pytest.param(
-        _archive("1", _record(relations=[0, 1], pairs=[[10, "USES"], [1, 1]], deltas=[1, 0])),
-        r"bad record at line 3: KeyError\(10\)$",
-        id="ordinals-and-names-each-its-own-pair",
     ),
     # full lists row indexes of entities whose fqn is stored whole
     pytest.param(
@@ -308,13 +319,6 @@ BAD_ARCHIVES = [
         r"bad record at line 3: ValueError\('the fqn of row 1 is coded, but not under an "
         r"earlier row'\)$",
         id="coded-under-itself",
-    ),
-    pytest.param(  # with ids, parent holds ids, not rows
-        _archive("1", _record(entities=[["p", ".A"], [0, 1], [0, 1], [0, 1]],
-                              files=["", "A.java"], parent=[0, 5], ids=[5, 6])),
-        r"bad record at line 3: ValueError\('the fqn of row 1 is coded, but not under an "
-        r"earlier row'\)$",
-        id="coded-with-ids",
     ),
     pytest.param(
         _archive("1", _record(entities=[["p", 7], [0, 1], [0, 1], [0, 1]],
@@ -400,6 +404,19 @@ BAD_ARCHIVES = [
         _archive("1", _record(relations=[0], pairs=["A", [1]], deltas=[1])),
         r"bad record at line 3: ValueError\('the pair kind column is str, not list'\)$",
         id="pairs-kind-str",
+    ),
+    # a target is an entity id or a name
+    pytest.param(
+        _archive("1", _record(**_relation("USES", 1.5))),
+        r"bad record at line 3: ValueError\('the pair target column holds a value that is not an "
+        r"int or a string'\)$",
+        id="pair-target-float",
+    ),
+    pytest.param(
+        _archive("1", _record(**_relation("USES", [1]))),
+        r"bad record at line 3: ValueError\('the pair target column holds a value that is not an "
+        r"int or a string'\)$",
+        id="pair-target-list",
     ),
 ]
 
@@ -550,8 +567,14 @@ def test_contains_cycle_is_integrity_error(tmp_path, cpus):
     assert not (tmp_path / "m.csv").exists()
 
 
-# decoding checks a record's scalar fields, and measuring it checks the
-# relation targets; either finds a wrong type, in a worker or in-process
+_NOT_A_PAIR_TARGET = (
+    "ValueError('the pair target column holds a value that is not an int or a string')"
+)
+
+
+# decoding checks the type of each field, and measuring checks that an int
+# target is an entity of the record; either finds its fault in a worker or
+# in-process
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize(
     "record, message",
@@ -577,33 +600,19 @@ def test_contains_cycle_is_integrity_error(tmp_path, cpus):
             "ValueError('parse_warning_count is str, not int')",
             id="parse-warning-count",
         ),
+        pytest.param(_record(**_relation("USES", [1])), _NOT_A_PAIR_TARGET, id="target"),
+        pytest.param(_record(**_relation("USES", None)), _NOT_A_PAIR_TARGET, id="null"),
+        pytest.param(_record(**_relation("INSTANTIATES", 1.5)), _NOT_A_PAIR_TARGET, id="float"),
+        pytest.param(_record(**_relation("USES", True)), _NOT_A_PAIR_TARGET, id="bool"),
         pytest.param(
-            _record(**_relation("USES", [1])), "unhashable type: 'list'", id="target"
-        ),
-        pytest.param(
-            _record(**_relation("CALLS", None)),
-            "CALLS target None is not an entity of the record",
-            id="null-call",
-        ),
-        pytest.param(
-            _record(**_relation("USES", None)),
-            "USES target None is not an entity of the record",
-            id="null-use",
+            _record(**_relation("CALLS", 9)),
+            "CALLS target 9 is not an entity of the record",
+            id="dangling-call",
         ),
         pytest.param(
             _record(**_relation("USES", 9)),
             "USES target 9 is not an entity of the record",
             id="dangling",
-        ),
-        pytest.param(
-            _record(**_relation("INSTANTIATES", 1.5)),
-            "INSTANTIATES target 1.5 is not an entity of the record",
-            id="float",
-        ),
-        pytest.param(
-            _record(**_relation("USES", True)),
-            "USES target True is not an entity of the record",
-            id="bool",
         ),
     ],
 )
@@ -644,7 +653,7 @@ class TestArchiveRoundTrip:
     def test_foonumber_round_trip(self, foonumber_facts, tmp_path):
         # its compressed record holds both framing bytes, so a reader that
         # split the record at either would cut it short
-        payload = _project_payload(foonumber_facts.columns())
+        payload = encode_columns(foonumber_facts.columns())
         assert b"\n" in payload and b" " in payload
         path = tmp_path / "facts.bin"
         write_facts(FactsArchive(projects=[foonumber_facts, ProjectFacts(project_id="q")]), path)
@@ -700,8 +709,7 @@ class TestArchiveRoundTrip:
 
 
 def _canonical(columns: FactColumns) -> str:
-    """The columns as JSON types them: what decoding a version 2 record,
-    which held them as they are, gave back."""
+    """The columns as JSON types them."""
     return json.dumps(columns._asdict(), sort_keys=True)
 
 
@@ -717,37 +725,28 @@ def _facts(relations, ids=(1, 2, 3), fqns=("p", "p.A", "p.A.m")) -> ProjectFacts
 
 
 _TREE = [(1, _C, 2), (2, _C, 3)]
-# facts, then whether the record holds ids, whether it holds plain sources,
-# how many CONTAINS relations parent leaves to relations and the rows with
-# a parent whose fqn is stored whole
+# facts in extraction's form, then how many CONTAINS relations parent
+# leaves to relations and the rows with a parent whose fqn is stored whole
 RECORD_FORMS = [
-    pytest.param(_facts([*_TREE, (3, _U, "x"), (3, RelationKind.CALLS, 3)]), False, False, 0, [],
-                 id="compact"),
-    pytest.param(_facts([(5, _C, 7), (7, _C, 9), (9, _U, 7)], ids=(5, 7, 9)), True, False, 0,
-                 [1, 2], id="ids-not-1-to-n"),
-    pytest.param(_facts([(1, _C, 2), (2, _C, 4)], ids=(1, 2, 4)), True, False, 0, [1, 2],
-                 id="ids-with-a-gap"),
-    pytest.param(_facts(_TREE, ids=(True, 2.0, 3)), True, False, 2, [], id="ids-not-ints"),
-    pytest.param(_facts([(2, _C, 3), (1, _C, 2)]), False, False, 1, [], id="contains-out-of-order"),
-    pytest.param(_facts([(1, _C, 2), (1, _C, 2), (2, _C, 3)]), False, False, 2, [],
-                 id="contains-repeated"),
-    pytest.param(_facts([(1, _C, "p.A"), (2, _C, 3)]), False, False, 2, [], id="contains-name"),
-    pytest.param(_facts([(1, _C, 2), (2, _U, "x"), (2, _C, 3)]), False, False, 1, [],
-                 id="contains-after-body"),
-    pytest.param(_facts([(0, _C, 2), (2, _C, 3)]), False, False, 2, [], id="contains-from-0"),
-    pytest.param(_facts([(-1, _C, 2), (2, _C, 3)]), False, False, 0, [1],
-                 id="contains-from-negative"),
-    pytest.param(_facts([*_TREE, ("p.A", _U, 3)]), False, True, 0, [], id="string-source"),
-    pytest.param(_facts([*_TREE, (True, _U, 3)]), False, True, 0, [], id="bool-source"),
-    pytest.param(_facts(_TREE, fqns=("p", "q.A", "p.A$1")), False, False, 0, [1, 2],
-                 id="fqn-not-under-parent"),
-    pytest.param(_facts([(2, _C, 1), (1, _C, 3)], fqns=("p.A", "p", "p.A.m")), False, False, 0,
-                 [0], id="parent-after-child"),
-    pytest.param(_facts([(1, _C, 2), (1, _C, 3)], fqns=("p", "p", "p$")), False, False, 0, [],
+    pytest.param(_facts([*_TREE, (3, _U, "x"), (3, RelationKind.CALLS, 3)]), 0, [], id="compact"),
+    pytest.param(_facts([(2, _C, 3), (1, _C, 2)]), 1, [], id="contains-out-of-order"),
+    pytest.param(_facts([(1, _C, 2), (1, _C, 2), (2, _C, 3)]), 2, [], id="contains-repeated"),
+    pytest.param(_facts([(1, _C, "p.A"), (2, _C, 3)]), 2, [], id="contains-name"),
+    pytest.param(_facts([(1, _C, 2), (2, _U, "x"), (2, _C, 3)]), 1, [], id="contains-after-body"),
+    pytest.param(_facts([(0, _C, 2), (2, _C, 3)]), 2, [], id="contains-from-0"),
+    pytest.param(_facts([(-1, _C, 2), (2, _C, 3)]), 0, [1], id="contains-from-negative"),
+    pytest.param(_facts(_TREE, fqns=("p", "q.A", "p.A$1")), 0, [1, 2], id="fqn-not-under-parent"),
+    pytest.param(_facts([(2, _C, 1), (1, _C, 3)], fqns=("p.A", "p", "p.A.m")), 0, [0],
+                 id="parent-after-child"),
+    pytest.param(_facts([(1, _C, 2), (1, _C, 3)], fqns=("p", "p", "p$")), 0, [],
                  id="fqn-equal-to-parent"),
-    pytest.param(_facts([*_TREE, (3, _U, 1.0)]), False, False, 0, [], id="float-target"),
-    pytest.param(ProjectFacts("e"), False, False, 0, [], id="empty"),
+    pytest.param(ProjectFacts("e"), 0, [], id="empty"),
 ]
+# the fields of every record; full is left out when empty
+_LAYOUT = {
+    "project_id", "sloc", "parse_warning_count", "warnings", "entities", "files", "parent",
+    "pairs", "relations", "deltas",
+}
 
 
 def _kinds_of_relations(data: dict) -> list:
@@ -755,11 +754,11 @@ def _kinds_of_relations(data: dict) -> list:
     return [data["pairs"][0][pair] for pair in data["relations"]]
 
 
-@pytest.mark.parametrize("facts, ids, plain, contains, full", RECORD_FORMS)
-def test_facts_outside_the_compact_form_round_trip(tmp_path, facts, ids, plain, contains, full):
-    payload = _project_payload(facts.columns())
+@pytest.mark.parametrize("facts, contains, full", RECORD_FORMS)
+def test_facts_in_extractions_form_round_trip(tmp_path, facts, contains, full):
+    payload = encode_columns(facts.columns())
     data = json.loads(zlib.decompress(payload))
-    assert ("ids" in data, "sources" in data, "deltas" in data) == (ids, plain, not plain)
+    assert data.keys() - {"full"} == _LAYOUT
     assert _kinds_of_relations(data).count(store.RELATION_KIND_TABLE.index("CONTAINS")) == contains
     assert data.get("full") == (full or None)  # left out when empty
     assert _canonical(store.decode_columns(payload, "x", 3)) == _canonical(facts.columns())
@@ -771,8 +770,59 @@ def test_facts_outside_the_compact_form_round_trip(tmp_path, facts, ids, plain, 
     assert a.read_bytes() == b.read_bytes()
 
 
+def _method(**change) -> ProjectFacts:
+    """``_facts(_TREE)`` with ``change`` made to its method's row."""
+    facts = _facts(_TREE)
+    facts.entities[2] = facts.entities[2]._replace(**change)
+    return facts
+
+
+_NOT_A_SOURCE = "the source column holds a value that is not an int"
+_NOT_A_TARGET = "the target column holds a value that is not an int or a string"
+# facts outside extraction's form, and the ValueError the writer raises
+REFUSED_FORMS = [
+    pytest.param(_facts([(5, _C, 7), (7, _C, 9), (9, _U, 7)], ids=(5, 7, 9)),
+                 "the id column is not 1..n", id="ids-not-1-to-n"),
+    pytest.param(_facts([(1, _C, 2), (2, _C, 4)], ids=(1, 2, 4)), "the id column is not 1..n",
+                 id="ids-with-a-gap"),
+    pytest.param(_facts(_TREE, ids=(True, 2.0, 3)), "the id column is not 1..n", id="ids-not-ints"),
+    pytest.param(_facts([*_TREE, ("p.A", _U, 3)]), _NOT_A_SOURCE, id="string-source"),
+    pytest.param(_facts([*_TREE, (True, _U, 3)]), _NOT_A_SOURCE, id="bool-source"),
+    # 1, 1.0, True and "1" (and 0.0 and -0.0) are equal keys but different JSON
+    pytest.param(_facts([*_TREE, (3, _U, 1.0)]), _NOT_A_TARGET, id="float-target"),
+    pytest.param(_facts([*_TREE, (3, _U, True)]), _NOT_A_TARGET, id="bool-target"),
+    pytest.param(_facts([*_TREE, (3, _U, -0.0)]), _NOT_A_TARGET, id="negative-zero-target"),
+    pytest.param(_facts([*_TREE, (3, _U, None)]), _NOT_A_TARGET, id="null-target"),
+    pytest.param(_method(kind="KLASS"),
+                 "the entity kind column holds a kind its table does not name", id="entity-kind"),
+    pytest.param(_facts([*_TREE, (3, "READS_ALOUD", 1)]),
+                 "the relation kind column holds a kind its table does not name",
+                 id="relation-kind"),
+    pytest.param(_method(fqn=7), "the fqn column holds a value that is not a string", id="fqn-int"),
+    pytest.param(_method(file=5), "the file column holds a value that is not a string",
+                 id="file-int"),
+    pytest.param(_method(file=["A.java"]), "the file column holds a value that is not a string",
+                 id="file-list"),
+    pytest.param(_method(line="2"), "the line column holds a value that is not an int",
+                 id="line-str"),
+    pytest.param(_method(line=True), "the line column holds a value that is not an int",
+                 id="line-bool"),
+    pytest.param(ProjectFacts("p", sloc="3"), "sloc is str, not int", id="sloc-str"),
+    pytest.param(ProjectFacts("p", warnings=[5]), "warnings holds a value that is not a string",
+                 id="warning-int"),
+]
+
+
+@pytest.mark.parametrize("facts, message", REFUSED_FORMS)
+def test_facts_outside_extractions_form_are_refused(tmp_path, facts, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        encode_columns(facts.columns())
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        write_facts(FactsArchive(projects=[facts]), tmp_path / "facts.bin")
+
+
 def test_a_coded_fqn_stores_what_follows_its_parents(foonumber_facts):
-    data = json.loads(zlib.decompress(_project_payload(foonumber_facts.columns())))
+    data = json.loads(zlib.decompress(encode_columns(foonumber_facts.columns())))
     fqns = [e.fqn for e in foonumber_facts.entities]
     stored = data["entities"][0]
     assert "full" not in data and stored[0] == fqns[0] == "foo"
@@ -782,45 +832,10 @@ def test_a_coded_fqn_stores_what_follows_its_parents(foonumber_facts):
     assert data["entities"][1] == kinds
 
 
-def test_a_column_with_an_unknown_kind_is_written_as_names(tmp_path):
-    facts = _facts(_TREE)
-    facts.entities[2] = facts.entities[2]._replace(kind="KLASS")
-    facts.relations.append(FactRelation(3, "READS_ALOUD", 1))
-    data = json.loads(zlib.decompress(_project_payload(facts.columns())))
-    assert data["entities"][1] == ["PACKAGE", "CLASS", "KLASS"]
-    assert data["pairs"] == [["READS_ALOUD"], [1]]
-    path = tmp_path / "facts.bin"
-    write_facts(FactsArchive(projects=[facts]), path)
-    with pytest.raises(ArchiveIntegrityError, match=r"bad record at line 3: KeyError\('KLASS'\)$"):
-        read_facts(path)
-
-
-@pytest.mark.parametrize(
-    "field, value, message",
-    [
-        pytest.param("file", 5, "files holds a value that is not a string", id="file-int"),
-        pytest.param("file", ["A.java"], "files holds a value that is not a string",
-                     id="file-list"),
-        pytest.param("line", "2", "the line column holds a value that is not an int",
-                     id="line-str"),
-        pytest.param("line", True, "the line column holds a value that is not an int",
-                     id="line-bool"),
-    ],
-)
-def test_a_file_or_line_of_another_type_is_written_but_refused(tmp_path, field, value, message):
-    facts = _facts(_TREE)
-    facts.entities[2] = facts.entities[2]._replace(**{field: value})
-    path = tmp_path / "facts.bin"
-    write_facts(FactsArchive(projects=[facts]), path)
-    expected = rf"bad record at line 3: ValueError\('{message}'\)$"
-    with pytest.raises(ArchiveIntegrityError, match=expected):
-        read_facts(path)
-
-
 def test_a_pair_table_lists_each_distinct_pair_once():
     calls = RelationKind.CALLS
     facts = _facts([*_TREE, (3, _U, "x"), (3, calls, 3), (2, _U, "x"), (3, _U, 1), (2, calls, 3)])
-    data = json.loads(zlib.decompress(_project_payload(facts.columns())))
+    data = json.loads(zlib.decompress(encode_columns(facts.columns())))
     assert data == {
         "project_id": "p", "sloc": 3, "parse_warning_count": 0, "warnings": [],
         "entities": [["p", ".A", ".m"], [0, 1, 7], [0, 1, 1], [0, 1, 1]],
@@ -834,24 +849,17 @@ def test_a_pair_table_lists_each_distinct_pair_once():
 
 
 def test_equal_targets_of_different_json_stay_apart(tmp_path):
-    # 1, 1.0, True, -0.0, 0 and "1" are two keys of a dict, not six
-    targets = [1, 1.0, True, -0.0, 0, "1", 1, 0.0]
-    facts = [_facts([*_TREE, *((3, _U, target) for target in targets)]),
-             _facts([*_TREE, *((3, _U, target) for target in [1, "1", 0, 1])])]
-    facts[1].project_id = "q"
+    # 1 and "1" are two keys of a dict, so two pairs
+    facts = _facts([*_TREE, *((3, _U, target) for target in [1, "1", 0, 1])])
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-    write_facts(FactsArchive(projects=facts), a)
+    write_facts(FactsArchive(projects=[facts]), a)
     archive = read_facts(a)
-    assert [[repr(r.target) for r in p.relations[2:]] for p in archive.projects] == [
-        list(map(repr, targets)), ["1", "'1'", "0", "1"]
-    ]
+    assert [repr(r.target) for r in archive.projects[0].relations[2:]] == ["1", "'1'", "0", "1"]
     write_facts(archive, b)
     assert a.read_bytes() == b.read_bytes()
-    # only the record of ints and strings merges equal pairs
-    first, second = (json.loads(zlib.decompress(payload)) for _, payload, _ in
-                     store.scan_records(a))
-    assert first["pairs"] == [[10] * 8, targets] and first["relations"] == list(range(8))
-    assert second["pairs"] == [[10, 10, 10], [1, "1", 0]] and second["relations"] == [0, 1, 2, 0]
+    ((_, payload, _),) = store.scan_records(a)
+    data = json.loads(zlib.decompress(payload))
+    assert data["pairs"] == [[10, 10, 10], [1, "1", 0]] and data["relations"] == [0, 1, 2, 0]
 
 
 def test_kind_tables_name_each_kind_once():
@@ -870,32 +878,35 @@ def test_kind_tables_name_each_kind_once():
 
 
 _TEXT = st.text(max_size=12)  # any code point but a lone surrogate
-_PROJECTS = st.builds(
-    ProjectFacts,
-    project_id=_TEXT,
-    entities=st.lists(
-        st.builds(
-            SourceEntity, st.integers(), _TEXT.filter(bool), st.sampled_from(EntityKind),
-            _TEXT, st.integers(min_value=0),
-        ),
-        max_size=6,
-    ),
-    relations=st.lists(
-        st.builds(
-            FactRelation, st.integers(), st.sampled_from(RelationKind),
-            st.one_of(st.integers(), _TEXT),
-        ),
-        max_size=6,
-    ),
-    sloc=st.integers(min_value=0),
-    warnings=st.lists(_TEXT, max_size=3),
-    parse_warning_count=st.integers(min_value=0),
-)
+# ints, often small enough to be an id of the entities drawn
+_INT = st.one_of(st.integers(-1, 7), st.integers())
 
 
-@given(st.lists(_PROJECTS, max_size=3, unique_by=lambda p: p.project_id))
+@st.composite
+def _compact_facts(draw) -> ProjectFacts:
+    """Facts in extraction's form, whatever their fqns, files, lines,
+    sources and targets."""
+    n = draw(st.integers(0, 6))
+    entities = [
+        SourceEntity(
+            i, draw(_TEXT.filter(bool)), draw(st.sampled_from(EntityKind)), draw(_TEXT),
+            draw(st.integers()),
+        )
+        for i in range(1, n + 1)
+    ]
+    relation = st.builds(
+        FactRelation, _INT, st.sampled_from(RelationKind), st.one_of(_INT, _TEXT)
+    )
+    return ProjectFacts(
+        draw(_TEXT), entities, draw(st.lists(relation, max_size=6)),
+        draw(st.integers(min_value=0)), draw(st.lists(_TEXT, max_size=3)),
+        draw(st.integers(min_value=0)),
+    )
+
+
+@given(st.lists(_compact_facts(), max_size=3, unique_by=lambda p: p.project_id))
 @settings(max_examples=200, deadline=None)
-def test_any_facts_survive_write_and_read(projects):
+def test_compact_facts_survive_write_and_read(projects):
     with tempfile.TemporaryDirectory() as tmp:
         a, b = Path(tmp, "a.bin"), Path(tmp, "b.bin")
         write_facts(FactsArchive(projects=projects), a)
@@ -931,14 +942,27 @@ def _near_compact_facts(draw) -> ProjectFacts:
     return ProjectFacts("p", entities, draw(st.lists(relation, max_size=10)))
 
 
+def _typed(kinds: set, values) -> bool:
+    return kinds.issuperset(map(type, values))
+
+
 @given(_near_compact_facts())
 @settings(max_examples=500, deadline=None)
-def test_decoding_gives_the_columns_as_version_2_stored_them(facts):
+def test_near_compact_facts_are_refused_or_decode_to_the_columns_given(facts):
     columns = facts.columns()
-    payload = _project_payload(columns)
+    ids, sources, targets = columns.entities[0], columns.relations[0], columns.relations[2]
+    in_form = (
+        _typed({int}, ids) and list(ids) == list(range(1, len(ids) + 1))
+        and _typed({int}, sources) and _typed({int, str}, targets)
+    )
+    if not in_form:
+        with pytest.raises(ValueError):
+            encode_columns(columns)
+        return
+    payload = encode_columns(columns)
     decoded = store.decode_columns(payload, "x", 3)
     assert _canonical(decoded) == _canonical(columns)
-    assert _project_payload(decoded) == payload
+    assert encode_columns(decoded) == payload
 
 
 class TestMetricsTable:
