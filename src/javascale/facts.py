@@ -7,9 +7,10 @@ dotted name strings otherwise; names that could not be resolved to any
 package stay as plain (undotted) strings.  :class:`FactColumns` holds the
 same facts with each table transposed, one sequence per row field, as
 ``metrics.measure`` reads them.  The archive stores only facts in the form
-extraction makes them, with ids 1..n in row order and each target an int
-or a string (see ``store.encode_columns``); its ``decode_columns`` returns
-them as columns.
+extraction makes them, with ids 1..n in row order, each ``CONTAINS``
+parent before its child and each target an int or a string (see
+``store.encode_columns``); its ``decode_columns`` returns them as columns.
+Every reader refuses a parent after its child, so containment is a forest.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ MEMBER_KINDS = frozenset(
 )
 
 RelationTarget = Union[int, str]
+# what every reader says of a CONTAINS parent that does not come before its child
+LATE_PARENT = "the CONTAINS parent {} of entity {} is not an earlier entity"
 
 
 class _SourceEntityRow(NamedTuple):
@@ -133,29 +136,21 @@ class ProjectFacts:
         if len(ids) != len(set(ids)):
             raise ValueError("entity ids are not unique")
         known = set(ids)
-        parents: dict[int, int] = {}
+        contained: set[int] = set()
         for rel in self.relations:
             if rel.source not in known:
                 raise ValueError(f"relation source {rel.source} not in entity set")
             if rel.kind is RelationKind.CONTAINS:
                 if not isinstance(rel.target, int) or rel.target not in known:
                     raise ValueError("CONTAINS target must be a project entity")
-                if rel.target in parents:
+                if rel.target in contained:
                     raise ValueError(f"entity {rel.target} has two CONTAINS parents")
-                parents[rel.target] = rel.source
+                if not rel.source < rel.target:  # so containment is a forest
+                    raise ValueError(LATE_PARENT.format(rel.source, rel.target))
+                contained.add(rel.target)
         for ent in self.entities:
             if ent.kind in TYPE_KINDS or ent.kind in MEMBER_KINDS:
-                if ent.entity_id not in parents:
+                if ent.entity_id not in contained:
                     raise ValueError(f"{ent.fqn} has no CONTAINS parent")
-        # CONTAINS edges must form a forest; as only packages lack a parent,
-        # every tree is rooted at one.
-        for ent in self.entities:
-            seen = set()
-            cur = ent.entity_id
-            while cur in parents:
-                if cur in seen:
-                    raise ValueError("CONTAINS cycle detected")
-                seen.add(cur)
-                cur = parents[cur]
         if self.sloc < 0:
             raise ValueError("sloc must be non-negative")

@@ -36,7 +36,7 @@ from collections import Counter, namedtuple
 from itertools import compress
 
 from .errors import UnknownMetricError
-from .facts import TYPE_KINDS, EntityKind, FactColumns, ProjectFacts, RelationKind
+from .facts import LATE_PARENT, TYPE_KINDS, EntityKind, FactColumns, ProjectFacts, RelationKind
 
 METRIC_COLUMNS = [
     "project_id",
@@ -174,9 +174,9 @@ def measure(
     rows are walked for the parents and only the EXTENDS and IMPLEMENTS
     rows for ``dui`` and ``if_count``; each distinct (kind, target) pair of
     a type use is resolved once, in file order, to at most one used module.
-    A CONTAINS cycle is a ValueError naming its entities; a type use whose
-    target is neither a name nor an entity id of the record is one naming
-    the target.
+    A CONTAINS parent walked to that is not a lower id than its child is a
+    ValueError naming both, so no walk loops; a type use whose target is
+    neither a name nor an entity id of the record is one naming it.
     """
     if isinstance(facts, ProjectFacts):
         facts = facts.columns()
@@ -201,15 +201,11 @@ def measure(
         """The innermost type that is or contains the entity, looked up once."""
         if entity_id not in owners:
             cur: int | None = entity_id
-            steps = 0
             while cur is not None and kinds.get(cur) not in TYPE_KINDS:
-                if steps > len(parent):  # a parent taken twice: cur is on a cycle
-                    cycle = [cur]
-                    while parent[cycle[-1]] != cur:
-                        cycle.append(parent[cycle[-1]])
-                    raise ValueError(f"CONTAINS cycle through entities {sorted(cycle)}")
-                cur = parent.get(cur)
-                steps += 1
+                up = parent.get(cur)
+                if up is not None and not up < cur:  # each step is to a lower id
+                    raise ValueError(LATE_PARENT.format(up, cur))
+                cur = up
             owners[entity_id] = None if cur is None else fqns[cur]
         return owners[entity_id]
 
@@ -231,7 +227,7 @@ def measure(
     type_uses = compress(
         zip(relation_kinds, targets), map(_TYPE_USE_KINDS.__contains__, relation_kinds)
     )
-    for kind, target in dict.fromkeys(type_uses):  # in file order, for the cycle named
+    for kind, target in dict.fromkeys(type_uses):  # in file order, for the fault named
         if type(target) is int and target in kinds:  # not a bool or a float equal to an id
             fqn = owner_type(target)
         elif not isinstance(target, str):

@@ -493,8 +493,8 @@ def _measure_record(path, offset, size, lineno, jdk_prefixes) -> tuple[ProjectMe
     try:
         return measure(columns, jdk_prefixes)
     except (TypeError, ValueError) as exc:
-        # a CONTAINS cycle, a row invariant such as sloc >= 0, or an int
-        # target that is not an entity id: decode_columns checks the types
+        # a row invariant such as sloc >= 0: decode_columns checks the
+        # types, the parents' order and that each id names an entity
         raise ArchiveIntegrityError(f"{path}: bad record at line {lineno}: {exc}") from exc
 
 

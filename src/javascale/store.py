@@ -11,8 +11,9 @@ rebuild in-memory indexes.
 A version 5 record holds one project's facts as extraction makes them:
 its scalar fields typed, its ids 1..n in row order, its fqns non-empty
 strings, its kinds ones the tables below name, its files strings, its
-lines and relation sources ints and its relation targets ints (entity
-ids) or strings (names).  ``encode_columns`` takes only facts of that
+lines ints, its relation sources and targets entity ids, or names for
+targets, and each ``CONTAINS`` relation first, its targets increasing and
+each from an earlier entity.  ``encode_columns`` takes only facts of that
 form and raises a ValueError naming the first field that breaks it.  The
 record leaves out what the form makes implicit and stores each repeated
 value once:
@@ -23,21 +24,19 @@ value once:
   lines are delta-coded, each the difference from the previous line (the
   first from 0).
 * ``parent`` holds one int per entity: the source of its ``CONTAINS``
-  relation, or 0 for none.  These are the leading ``CONTAINS`` relations,
-  written by extraction before any other, whose targets are entities in
-  increasing row order and whose sources are not 0.
-* An entity with a parent is coded when its parent's row comes before its
-  own and its fqn starts with the parent's: its fqn array holds only the
-  rest, such as ``.count`` or ``$1``, and the decoder rebuilds the fqns in
-  one pass in row order.  ``full`` lists, by row index from 0, every other
-  entity with a parent; it is left out when empty.
+  relation, an earlier entity, or 0 for none.  It is the record's whole
+  containment, a forest by construction.
+* An entity whose fqn starts with its parent's is coded: its fqn array
+  holds only the rest, such as ``.count`` or ``$1``, and the decoder
+  rebuilds the fqns in one pass in row order.  ``full`` lists, by row
+  index from 0, every other entity with a parent; it is left out when
+  empty.
 * ``relations`` holds, for each other relation in order, an index into
   ``pairs``: two arrays, the kinds and targets of the record's distinct
-  (kind, target) pairs in order of first appearance.  A later or
-  out-of-order ``CONTAINS`` is one of them.  An int and a string are equal
-  keys only when they are the same JSON, unlike 1, 1.0, True and "1", so
-  equal pairs are merged.  The sources are in ``deltas``, each the
-  difference from the previous source (the first from 0).
+  (kind, target) pairs in order of first appearance.  An int and a string
+  are equal keys only when they are the same JSON, unlike 1, 1.0, True
+  and "1", so equal pairs are merged.  The sources are in ``deltas``,
+  each the difference from the previous source (the first from 0).
 * Each kind column holds ordinals into ``ENTITY_KIND_TABLE`` or
   ``RELATION_KIND_TABLE``.
 
@@ -45,7 +44,8 @@ So ``decode_columns`` returns exactly the columns the encoder was given,
 as JSON types them, with each kind as its enum member.  It reads this one
 layout: it requires every field but ``full``, refuses any field the
 layout does not name, checks the type of each field it reads (a target an
-int or a string) and that each index is an int inside its table.
+int or a string), that each index is an int inside its table, each id an
+entity and each parent 0 or an earlier row, and that no pair is a parent.
 Version 4 and older archives are refused, not converted.
 
 The metrics table is a CSV of the ``METRIC_COLUMNS``, read back as
@@ -74,6 +74,7 @@ from .errors import (
     UnsupportedVersionError,
 )
 from .facts import (
+    LATE_PARENT,
     EntityKind,
     FactColumns,
     FactRelation,
@@ -159,15 +160,24 @@ def _same_length(columns: list, name: str) -> list:
     return columns
 
 
+def _entity_ids(ids: Sequence[int], n: int, name: str) -> None:
+    """Raise unless each of ``ids`` is an entity of a record of ``n``."""
+    if ids and (min(ids) < 1 or max(ids) > n):
+        raise ValueError(f"{name} is not an entity of the record")
+
+
 def _parent_run(n: int, relations: Sequence[Sequence]) -> list[int]:
-    """The source of each of ``n`` entities' ``CONTAINS`` relation in the
-    leading run of them whose sources are not 0 and whose targets are the
-    ids of entities in increasing row order, else 0."""
+    """Each of ``n`` entities' parent, else 0, from the leading ``CONTAINS``
+    relations; one out of extraction's order raises."""
     parent = [0] * n
     last = 0
     for source, kind, target in zip(*relations):
-        if kind != "CONTAINS" or not source or type(target) is not int or not last < target <= n:
+        if kind != "CONTAINS":
             break
+        if type(target) is not int or not last < target <= n:
+            raise ValueError(f"CONTAINS target {target!r} is not an entity after {last}")
+        if not 0 < source < target:
+            raise ValueError(LATE_PARENT.format(source, target))
         parent[target - 1] = source
         last = target
     return parent
@@ -175,12 +185,11 @@ def _parent_run(n: int, relations: Sequence[Sequence]) -> list[int]:
 
 def _coded_fqns(fqns: Sequence[str], parent: list[int]) -> tuple[list, list[int]]:
     """Each fqn as a record stores it, and the rows with a parent whose fqn
-    is stored in full: a row whose parent's row comes before it and whose
-    fqn starts with the parent's stores only the rest."""
+    is stored in full: a row whose fqn starts with its parent's stores the rest."""
     stored, full = list(fqns), []
     for row, source in enumerate(parent):
         if source:
-            if 0 < source <= row and fqns[row].startswith(fqns[source - 1]):
+            if fqns[row].startswith(fqns[source - 1]):
                 stored[row] = fqns[row][len(fqns[source - 1]) :]
             else:
                 full.append(row)
@@ -210,9 +219,10 @@ def _ordinals(kinds: Sequence, ordinals: dict, name: str) -> list[int]:
 def encode_columns(columns: FactColumns) -> bytes:
     """The record payload of ``columns`` in extraction's form: scalar fields
     of the types ``decode_columns`` requires, ids 1..n in row order,
-    non-empty string fqns, kinds the tables name, string files, int lines
-    and sources, and int or string targets.  Any other columns raise a
-    ValueError that names the first field breaking the form."""
+    non-empty string fqns, kinds the tables name, string files, int lines,
+    sources and int targets that are ids, other targets strings, and each
+    ``CONTAINS`` relation first, from an earlier entity.  Any other columns
+    raise a ValueError that names the first field breaking the form."""
     record = _scalars(columns._asdict())
     ids, fqns, kinds, files, lines = _same_length(list(columns.entities), "entities")
     sources, kinds_of_relations, targets = _same_length(list(columns.relations), "relations")
@@ -225,14 +235,18 @@ def encode_columns(columns: FactColumns) -> bytes:
     lines = _deltas(_only((int,), lines, "the line column"))
     _only((int,), sources, "the source column")
     parent = _parent_run(len(ids), columns.relations)
+    _entity_ids(sources, len(ids), "a relation source")
     run = len(parent) - parent.count(0)
     kinds_of_relations = _ordinals(
         kinds_of_relations[run:], _RELATION_ORDINALS, "the relation kind column"
     )
+    if _RELATION_ORDINALS["CONTAINS"] in kinds_of_relations:
+        raise ValueError("a CONTAINS relation follows a relation of another kind")
     _only((int, str), targets, "the target column")
     # an int or a string key is equal to another only when its JSON is the
     # same, unlike 1, 1.0, True and "1", so equal pairs can be merged
     pairs, relations = _table(zip(kinds_of_relations, targets[run:]))
+    _entity_ids([t for _, t in pairs if type(t) is int], len(ids), "a relation target")
     stored, full = _coded_fqns(fqns, parent)
     record.update(
         entities=[stored, kinds, file_index, lines],
@@ -264,10 +278,7 @@ def _fqns(stored: list, parent: list[int], full) -> list:
     for row in full:
         coded[row] = 0
     for row, source in enumerate(coded):
-        if source:
-            # the parent's row comes first, so its fqn is already rebuilt
-            if not 0 < source <= row:
-                raise ValueError(f"the fqn of row {row} is coded, but not under an earlier row")
+        if source:  # the parent's row, and so its fqn, comes first
             stored[row] = stored[source - 1] + stored[row]
     return stored
 
@@ -301,16 +312,19 @@ def _list(value, name: str) -> list:
     return value
 
 
-def _relation_columns(data: dict) -> tuple[list, list]:
-    """The kind, as a member, and the target of each relation a record
-    stores apart from its ``parent`` run."""
+def _relation_columns(data: dict, n: int) -> tuple[list, list]:
+    """The kind, as a member, and the target of each relation a record of
+    ``n`` entities stores apart from its ``parent`` column."""
     index, (kinds, targets) = data["relations"], data["pairs"]
     _same_length(
         [_list(kinds, "the pair kind column"), _list(targets, "the pair target column")], "pairs"
     )
     # each pair's kind is looked up once, however many relations hold it
     kinds = _kinds(kinds, _RELATION_KIND_OF, "the pair kind column")
+    if RelationKind.CONTAINS in kinds:
+        raise ValueError("a pair holds the CONTAINS kind, which only parent stores")
     _only((int, str), targets, "the pair target column")
+    _entity_ids([t for t in targets if type(t) is int], n, "a pair target")
     return _indexed(index, "relations", kinds, targets)
 
 
@@ -331,12 +345,16 @@ def _decoded(data: dict) -> FactColumns:
     if len(parent) != len(stored):
         raise ValueError("parent and entities differ in length")
     _only((int,), parent, "parent")
+    if min(parent, default=0) < 0 or not all(map(le, parent, range(len(parent)))):
+        row = next(row for row, source in enumerate(parent) if not 0 <= source <= row)
+        raise ValueError(LATE_PARENT.format(parent[row], row + 1))
     fqns = _fqns(stored, parent, data.get("full", []))
     if not all(fqns):
         raise ValueError("entity fqn must be non-empty")
     sources = list(accumulate(_only((int,), data["deltas"], "deltas")))
+    _entity_ids(sources, len(stored), "a relation source")
     kinds_of_relations, targets = _same_length(
-        [sources, *_relation_columns(data)], "relations"
+        [sources, *_relation_columns(data, len(stored))], "relations"
     )[1:]
     ids = list(range(1, len(stored) + 1))
     run = len(parent) - parent.count(0)

@@ -12,8 +12,9 @@ compared.  Exit status 0 when no record differs, 1 otherwise.
 The sets: the mutated projects of ``test_extractor.mutated_projects`` for
 seeds 20260 (400 projects, the ones its digest test pins), 12345 and 777
 (1,500 each); each of ``test_extractor._SOURCES`` as a one-file project;
-the fixture corpus; and the benchmark's corpora for seeds 1, 7 and 11,
-made by ``bench/gen.py``.  The projects are made once, from this
+each of ``CONSTRUCTS``, the constructs no other set reaches, as one; the
+fixture corpus; and the benchmark's corpora for seeds 1, 7 and 11, made by
+``bench/gen.py``.  The projects are made once, from this
 checkout's tests and generator, so both trees read the same files.
 
 Not a test module: pytest collects ``test_*.py`` only.
@@ -31,6 +32,42 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 MUTATED_SEEDS = ((20260, 400), (12345, 1500), (777, 1500))
 BENCH_SEEDS = (1, 7, 11)
+# one source per construct that the extractor handles but that no other
+# set holds; not in test_extractor._SOURCES, which seeds the mutated sets
+CONSTRUCTS = {
+    "static-import": """package c;
+import static java.lang.Math.max;
+import static java.util.Collections.*;
+class A { int f(int a, int b) { return max(a, b); } java.util.List<A> g() { return emptyList(); } }
+""",
+    "permits": """package c;
+sealed interface Shape permits Circle, Square {}
+final class Circle implements Shape {}
+final class Square implements Shape {}
+""",
+    "compact-record-constructor": """package c;
+record Range(int lo, int hi) {
+    Range { if (lo > hi) throw new IllegalArgumentException("lo > hi"); }
+}
+""",
+    "annotation-default": """package c;
+@interface Tag { String value() default "x"; int[] ids() default {1, 2}; }
+""",
+    "non-sealed": """package c;
+sealed class Base permits Open {}
+non-sealed class Open extends Base {}
+""",
+    "annotated-implements-and-throws": """package c;
+class Task implements @Deprecated Runnable, @SuppressWarnings("x") java.io.Serializable {
+    public void run() {}
+    void load() throws @Deprecated java.io.IOException, @Deprecated InterruptedException {}
+}
+""",
+    "this-new": """package c;
+import java.util.function.Supplier;
+class Node { Supplier<Node> maker() { return this::new; } }
+""",
+}
 
 
 def _manifest_projects(manifest: Path) -> list[tuple[str, str]]:
@@ -55,11 +92,12 @@ def write_sets(root: Path) -> dict[str, list[tuple[str, str]]]:
             pid = f"m{n:04d}"
             write_project(root / name / pid, files)
             sets[name].append((pid, str(root / name / pid)))
-    sets["sources"] = []
-    for n, text in enumerate(_SOURCES):
-        pid = f"s{n:02d}"
-        write_project(root / "sources" / pid, {"F.java": text})
-        sets["sources"].append((pid, str(root / "sources" / pid)))
+    sources = {f"s{n:02d}": text for n, text in enumerate(_SOURCES)}
+    for name, texts in [("sources", sources), ("constructs", CONSTRUCTS)]:
+        sets[name] = []
+        for pid, text in texts.items():
+            write_project(root / name / pid, {"F.java": text})
+            sets[name].append((pid, str(root / name / pid)))
     sets["fixtures"] = _manifest_projects(TESTS / "fixtures" / "corpus" / "manifest.txt")
     for seed in BENCH_SEEDS:
         gen.write_corpus(gen.generate_corpus(seed), root / f"bench-{seed}")

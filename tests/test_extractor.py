@@ -56,7 +56,7 @@ BROKEN_FACTS = [
     ([_PKG, _CLS, _MTH], _TREE[:1], 0, "p.C.m has no CONTAINS parent"),
     ([_PKG, _CLS, _MTH],
      [FactRelation(2, RelationKind.CONTAINS, 3), FactRelation(3, RelationKind.CONTAINS, 2)], 0,
-     "CONTAINS cycle detected"),
+     "the CONTAINS parent 3 of entity 2 is not an earlier entity"),
     ([_PKG, _CLS, _MTH], _TREE, -1, "sloc must be non-negative"),
 ]
 

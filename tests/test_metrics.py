@@ -1,5 +1,4 @@
 import pickle
-import re
 import textwrap
 
 import pytest
@@ -250,16 +249,18 @@ class TestMeasure:
             for prefixes in [("java.", "javax."), ("java.", "sun.")]:
                 assert measure(shuffled, prefixes) == measure(facts, prefixes)
 
+    # a walk up the CONTAINS parents steps to lower ids only, so it cannot
+    # loop: a cycle is refused at its first step to a later entity
     @pytest.mark.parametrize(
-        "relations, used, cycle",
+        "relations, used, parent, child",
         [
-            ([(2, 3), (3, 2)], 3, "[2, 3]"),
-            ([(3, 3)], 3, "[3]"),
-            ([(3, 1), (2, 3), (3, 2)], 1, "[2, 3]"),  # from 1 up into the cycle
+            ([(2, 3), (3, 2)], 3, 3, 2),
+            ([(3, 3)], 3, 3, 3),
+            ([(3, 1), (2, 3), (3, 2)], 1, 3, 1),  # 1 in 3, which is on the cycle
         ],
         ids=["two", "self", "tail"],
     )
-    def test_contains_cycle_is_named(self, relations, used, cycle):
+    def test_a_parent_after_its_child_is_named(self, relations, used, parent, child):
         facts = ProjectFacts(
             "cyc",
             [
@@ -270,7 +271,19 @@ class TestMeasure:
             [FactRelation(s, RelationKind.CONTAINS, t) for s, t in relations]
             + [FactRelation(1, RelationKind.USES, used)],
         )
-        message = f"^CONTAINS cycle through entities {re.escape(cycle)}$"
+        message = f"^the CONTAINS parent {parent} of entity {child} is not an earlier entity$"
+        with pytest.raises(ValueError, match=message):
+            measure(facts)
+
+    # the archive's reader refuses such a target first; facts built in
+    # memory reach this check
+    @pytest.mark.parametrize("kind", [RelationKind.CALLS, RelationKind.USES])
+    def test_a_type_use_of_no_entity_is_named(self, kind):
+        facts = ProjectFacts(
+            "dangling", [SourceEntity(1, "p", EntityKind.PACKAGE, "", 0)],
+            [FactRelation(1, kind, 9)],
+        )
+        message = f"^{kind.value} target 9 is not an entity of the record$"
         with pytest.raises(ValueError, match=message):
             measure(facts)
 

@@ -1,19 +1,14 @@
 import json
 import os
 import re
-import signal
-import subprocess
-import sys
 import tempfile
 import zlib
-from itertools import starmap
+from itertools import starmap, takewhile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-import javascale
 
 from javascale.cli import main
 from javascale.errors import (
@@ -124,6 +119,7 @@ BAD_ARCHIVES = [
     ),
     pytest.param("JSCALE-FACTS 5", "missing project count", id="no-count"),
     pytest.param("JSCALE-FACTS 5\nmany\n", "missing project count", id="bad-count"),
+    pytest.param("JSCALE-FACTS 5\n-1\n", "missing project count", id="negative-count"),
     pytest.param(_archive("2", _record())[:-1], "truncated at record 2", id="truncated"),
     pytest.param(_archive("2", _record()), "truncated at record 2", id="cut-after-record"),
     pytest.param(_archive("1", _record()) + b"garbage\n", "data after record 1", id="trailing"),
@@ -304,21 +300,39 @@ BAD_ARCHIVES = [
         r"bad record at line 3: ValueError\('full holds a row index out of range'\)$",
         id="full-negative",
     ),
-    # a coded fqn is its parent's plus what the row stores, so the parent's
-    # row must come first: before it, not after and not the row itself
+    # every row's parent, coded or in full, is 0 or an earlier row: before
+    # it, not after, not the row itself and not past the rows
     pytest.param(
         _archive("1", _record(entities=[[".A", "p"], [1, 0], [0, 1], [1, -1]],
                               files=["A.java", ""], parent=[2, 0])),
-        r"bad record at line 3: ValueError\('the fqn of row 0 is coded, but not under an "
-        r"earlier row'\)$",
+        r"bad record at line 3: ValueError\('the CONTAINS parent 2 of entity 1 is not an "
+        r"earlier entity'\)$",
         id="coded-before-parent",
     ),
     pytest.param(
         _archive("1", _record(entities=[["p", ".A"], [0, 1], [0, 1], [0, 1]],
                               files=["", "A.java"], parent=[0, 2])),
-        r"bad record at line 3: ValueError\('the fqn of row 1 is coded, but not under an "
-        r"earlier row'\)$",
+        r"bad record at line 3: ValueError\('the CONTAINS parent 2 of entity 2 is not an "
+        r"earlier entity'\)$",
         id="coded-under-itself",
+    ),
+    pytest.param(
+        _archive("1", _record(entities=[["p", ".A", "q.B"], [0, 1, 1], [0, 1, 1], [0, 1, 1]],
+                              files=["", "A.java"], parent=[0, 1, 77], full=[2])),
+        r"bad record at line 3: ValueError\('the CONTAINS parent 77 of entity 3 is not an "
+        r"earlier entity'\)$",
+        id="full-under-later-row",
+    ),
+    pytest.param(
+        _archive("1", _record(parent=[-1])),
+        r"bad record at line 3: ValueError\('the CONTAINS parent -1 of entity 1 is not an "
+        r"earlier entity'\)$",
+        id="parent-negative",
+    ),
+    pytest.param(
+        _archive("1", _record(entities=[[""], [0], [0], [0]])),
+        r"bad record at line 3: ValueError\('entity fqn must be non-empty'\)$",
+        id="fqn-empty",
     ),
     pytest.param(
         _archive("1", _record(entities=[["p", 7], [0, 1], [0, 1], [0, 1]],
@@ -417,6 +431,36 @@ BAD_ARCHIVES = [
         r"bad record at line 3: ValueError\('the pair target column holds a value that is not an "
         r"int or a string'\)$",
         id="pair-target-list",
+    ),
+    # an int target or a source is an entity of the record
+    pytest.param(
+        _archive("1", _record(**_relation("READS", 99))),
+        r"bad record at line 3: ValueError\('a pair target is not an entity of the record'\)$",
+        id="pair-target-past-entities",
+    ),
+    pytest.param(
+        _archive("1", _record(**_relation("USES", 0))),
+        r"bad record at line 3: ValueError\('a pair target is not an entity of the record'\)$",
+        id="pair-target-0",
+    ),
+    pytest.param(
+        _archive("1", _record(**{**_relation("USES", "x"), "deltas": [99]})),
+        r"bad record at line 3: ValueError\('a relation source is not an entity of the "
+        r"record'\)$",
+        id="source-past-entities",
+    ),
+    pytest.param(
+        _archive("1", _record(**{**_relation("USES", "x"), "deltas": [0]})),
+        r"bad record at line 3: ValueError\('a relation source is not an entity of the "
+        r"record'\)$",
+        id="source-0",
+    ),
+    # containment is the parent column alone
+    pytest.param(
+        _archive("1", _record(**_relation("CONTAINS", 1))),
+        r"bad record at line 3: ValueError\('a pair holds the CONTAINS kind, which only parent "
+        r"stores'\)$",
+        id="pair-contains",
     ),
 ]
 
@@ -521,60 +565,14 @@ def test_metrics_reports_the_readers_first_fault(
     assert not (tmp_path / "m.csv").exists()
 
 
-# p.f is contained in p.m and p.m in p.f; neither fqn starts with its
-# parent's, so both are stored whole
-_CYCLE_RECORD = _record(
-    project_id="cyc",
-    entities=[["p", "p.f", "p.m"], [0, 5, 7], [0, 1, 1], [0, 1, 1]],
-    files=["", "A.java"],
-    parent=[0, 3, 2],
-    full=[1, 2],
-    **_relation("USES", 3),
-)
-
-
-# run in a process group of its own, so that a command looping on the
-# cycle fails the test on a timeout, forked workers and all, instead of
-# stalling the suite
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_contains_cycle_is_integrity_error(tmp_path, cpus):
-    path = tmp_path / "facts.bin"
-    _write(path, _archive("2", _record(), _CYCLE_RECORD))
-    code = (
-        "import os, sys; os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))\n"
-        "from javascale.cli import main; sys.exit(main(sys.argv[2:]))"
-    )
-    src = Path(javascale.__file__).resolve().parents[1]
-    argv = ["metrics", str(path), "-o", str(tmp_path / "m.csv")]
-    proc = subprocess.Popen(
-        [sys.executable, "-c", code, str(cpus), *argv],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        start_new_session=True,
-    )
-    try:
-        _, err = proc.communicate(timeout=60)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        pytest.fail("the metrics command ran for 60 s on a CONTAINS cycle")
-    assert proc.returncode == 2
-    assert err == (
-        f"data error: {path}: bad record at line 4: CONTAINS cycle through entities [2, 3]\n"
-    )
-    assert not (tmp_path / "m.csv").exists()
-
-
 _NOT_A_PAIR_TARGET = (
     "ValueError('the pair target column holds a value that is not an int or a string')"
 )
 
 
-# decoding checks the type of each field, and measuring checks that an int
-# target is an entity of the record; either finds its fault in a worker or
-# in-process
+# decoding checks the type of each field, that each parent comes before its
+# child and that each id is an entity of the record, and finds its fault in
+# a worker or in-process
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize(
     "record, message",
@@ -606,13 +604,32 @@ _NOT_A_PAIR_TARGET = (
         pytest.param(_record(**_relation("USES", True)), _NOT_A_PAIR_TARGET, id="bool"),
         pytest.param(
             _record(**_relation("CALLS", 9)),
-            "CALLS target 9 is not an entity of the record",
+            "ValueError('a pair target is not an entity of the record')",
             id="dangling-call",
         ),
         pytest.param(
             _record(**_relation("USES", 9)),
-            "USES target 9 is not an entity of the record",
+            "ValueError('a pair target is not an entity of the record')",
             id="dangling",
+        ),
+        pytest.param(
+            _record(**{**_relation("USES", "x"), "deltas": [99]}),
+            "ValueError('a relation source is not an entity of the record')",
+            id="dangling-source",
+        ),
+        # p.f is contained in p.m and p.m in p.f; neither fqn starts with
+        # its parent's, so both are stored whole
+        pytest.param(
+            _record(
+                project_id="cyc",
+                entities=[["p", "p.f", "p.m"], [0, 5, 7], [0, 1, 1], [0, 1, 1]],
+                files=["", "A.java"],
+                parent=[0, 3, 2],
+                full=[1, 2],
+                **_relation("USES", 3),
+            ),
+            "ValueError('the CONTAINS parent 3 of entity 2 is not an earlier entity')",
+            id="cycle",
         ),
     ],
 )
@@ -725,22 +742,15 @@ def _facts(relations, ids=(1, 2, 3), fqns=("p", "p.A", "p.A.m")) -> ProjectFacts
 
 
 _TREE = [(1, _C, 2), (2, _C, 3)]
-# facts in extraction's form, then how many CONTAINS relations parent
-# leaves to relations and the rows with a parent whose fqn is stored whole
+# facts in extraction's form, then the rows with a parent whose fqn is
+# stored whole
 RECORD_FORMS = [
-    pytest.param(_facts([*_TREE, (3, _U, "x"), (3, RelationKind.CALLS, 3)]), 0, [], id="compact"),
-    pytest.param(_facts([(2, _C, 3), (1, _C, 2)]), 1, [], id="contains-out-of-order"),
-    pytest.param(_facts([(1, _C, 2), (1, _C, 2), (2, _C, 3)]), 2, [], id="contains-repeated"),
-    pytest.param(_facts([(1, _C, "p.A"), (2, _C, 3)]), 2, [], id="contains-name"),
-    pytest.param(_facts([(1, _C, 2), (2, _U, "x"), (2, _C, 3)]), 1, [], id="contains-after-body"),
-    pytest.param(_facts([(0, _C, 2), (2, _C, 3)]), 2, [], id="contains-from-0"),
-    pytest.param(_facts([(-1, _C, 2), (2, _C, 3)]), 0, [1], id="contains-from-negative"),
-    pytest.param(_facts(_TREE, fqns=("p", "q.A", "p.A$1")), 0, [1, 2], id="fqn-not-under-parent"),
-    pytest.param(_facts([(2, _C, 1), (1, _C, 3)], fqns=("p.A", "p", "p.A.m")), 0, [0],
-                 id="parent-after-child"),
-    pytest.param(_facts([(1, _C, 2), (1, _C, 3)], fqns=("p", "p", "p$")), 0, [],
+    pytest.param(_facts([*_TREE, (3, _U, "x"), (3, RelationKind.CALLS, 3)]), [], id="compact"),
+    pytest.param(_facts([(1, _C, 3), (3, _U, 2)]), [], id="a-row-without-parent"),
+    pytest.param(_facts(_TREE, fqns=("p", "q.A", "p.A$1")), [1, 2], id="fqn-not-under-parent"),
+    pytest.param(_facts([(1, _C, 2), (1, _C, 3)], fqns=("p", "p", "p$")), [],
                  id="fqn-equal-to-parent"),
-    pytest.param(ProjectFacts("e"), 0, [], id="empty"),
+    pytest.param(ProjectFacts("e"), [], id="empty"),
 ]
 # the fields of every record; full is left out when empty
 _LAYOUT = {
@@ -749,17 +759,12 @@ _LAYOUT = {
 }
 
 
-def _kinds_of_relations(data: dict) -> list:
-    """The kind column of a record's relations, through its pair table."""
-    return [data["pairs"][0][pair] for pair in data["relations"]]
-
-
-@pytest.mark.parametrize("facts, contains, full", RECORD_FORMS)
-def test_facts_in_extractions_form_round_trip(tmp_path, facts, contains, full):
+@pytest.mark.parametrize("facts, full", RECORD_FORMS)
+def test_facts_in_extractions_form_round_trip(tmp_path, facts, full):
     payload = encode_columns(facts.columns())
     data = json.loads(zlib.decompress(payload))
     assert data.keys() - {"full"} == _LAYOUT
-    assert _kinds_of_relations(data).count(store.RELATION_KIND_TABLE.index("CONTAINS")) == contains
+    assert store.RELATION_KIND_TABLE.index("CONTAINS") not in data["pairs"][0]
     assert data.get("full") == (full or None)  # left out when empty
     assert _canonical(store.decode_columns(payload, "x", 3)) == _canonical(facts.columns())
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -779,8 +784,39 @@ def _method(**change) -> ProjectFacts:
 
 _NOT_A_SOURCE = "the source column holds a value that is not an int"
 _NOT_A_TARGET = "the target column holds a value that is not an int or a string"
+_NO_SOURCE = "a relation source is not an entity of the record"
+_NO_TARGET = "a relation target is not an entity of the record"
+
+
+def _late(parent: int, child: int) -> str:
+    return f"the CONTAINS parent {parent} of entity {child} is not an earlier entity"
+
+
 # facts outside extraction's form, and the ValueError the writer raises
 REFUSED_FORMS = [
+    # every CONTAINS relation comes first, its targets increasing, each
+    # from an entity before its target
+    pytest.param(_facts([(2, _C, 3), (1, _C, 2)]), "CONTAINS target 2 is not an entity after 3",
+                 id="contains-out-of-order"),
+    pytest.param(_facts([(1, _C, 2), (1, _C, 2), (2, _C, 3)]),
+                 "CONTAINS target 2 is not an entity after 2", id="contains-repeated"),
+    pytest.param(_facts([(1, _C, "p.A"), (2, _C, 3)]),
+                 "CONTAINS target 'p.A' is not an entity after 0", id="contains-name"),
+    pytest.param(_facts([(1, _C, 2), (2, _C, 4)]), "CONTAINS target 4 is not an entity after 2",
+                 id="contains-past-entities"),
+    pytest.param(_facts([(1, _C, 2), (2, _U, "x"), (2, _C, 3)]),
+                 "a CONTAINS relation follows a relation of another kind",
+                 id="contains-after-body"),
+    pytest.param(_facts([(0, _C, 2), (2, _C, 3)]), _late(0, 2), id="contains-from-0"),
+    pytest.param(_facts([(-1, _C, 2), (2, _C, 3)]), _late(-1, 2), id="contains-from-negative"),
+    pytest.param(_facts([(2, _C, 1), (1, _C, 3)], fqns=("p.A", "p", "p.A.m")), _late(2, 1),
+                 id="parent-after-child"),
+    pytest.param(_facts([(1, _C, 2), (3, _C, 3)]), _late(3, 3), id="parent-is-child"),
+    # each source, and each int target, is an entity of the record
+    pytest.param(_facts([*_TREE, (4, _U, "x")]), _NO_SOURCE, id="source-past-entities"),
+    pytest.param(_facts([*_TREE, (0, _U, "x")]), _NO_SOURCE, id="source-0"),
+    pytest.param(_facts([*_TREE, (3, _U, 4)]), _NO_TARGET, id="target-past-entities"),
+    pytest.param(_facts([*_TREE, (3, _U, 0)]), _NO_TARGET, id="zero-target"),
     pytest.param(_facts([(5, _C, 7), (7, _C, 9), (9, _U, 7)], ids=(5, 7, 9)),
                  "the id column is not 1..n", id="ids-not-1-to-n"),
     pytest.param(_facts([(1, _C, 2), (2, _C, 4)], ids=(1, 2, 4)), "the id column is not 1..n",
@@ -821,6 +857,14 @@ def test_facts_outside_extractions_form_are_refused(tmp_path, facts, message):
         write_facts(FactsArchive(projects=[facts]), tmp_path / "facts.bin")
 
 
+def test_an_empty_fqn_is_refused():
+    # SourceEntity refuses an empty fqn, so only columns can hold one
+    columns = _facts(_TREE).columns()
+    ids, _, *rest = columns.entities
+    with pytest.raises(ValueError, match="^entity fqn must be non-empty$"):
+        encode_columns(columns._replace(entities=[ids, ("p", "", "p.A.m"), *rest]))
+
+
 def test_a_coded_fqn_stores_what_follows_its_parents(foonumber_facts):
     data = json.loads(zlib.decompress(encode_columns(foonumber_facts.columns())))
     fqns = [e.fqn for e in foonumber_facts.entities]
@@ -850,16 +894,16 @@ def test_a_pair_table_lists_each_distinct_pair_once():
 
 def test_equal_targets_of_different_json_stay_apart(tmp_path):
     # 1 and "1" are two keys of a dict, so two pairs
-    facts = _facts([*_TREE, *((3, _U, target) for target in [1, "1", 0, 1])])
+    facts = _facts([*_TREE, *((3, _U, target) for target in [1, "1", 2, 1])])
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
     write_facts(FactsArchive(projects=[facts]), a)
     archive = read_facts(a)
-    assert [repr(r.target) for r in archive.projects[0].relations[2:]] == ["1", "'1'", "0", "1"]
+    assert [repr(r.target) for r in archive.projects[0].relations[2:]] == ["1", "'1'", "2", "1"]
     write_facts(archive, b)
     assert a.read_bytes() == b.read_bytes()
     ((_, payload, _),) = store.scan_records(a)
     data = json.loads(zlib.decompress(payload))
-    assert data["pairs"] == [[10, 10, 10], [1, "1", 0]] and data["relations"] == [0, 1, 2, 0]
+    assert data["pairs"] == [[10, 10, 10], [1, "1", 2]] and data["relations"] == [0, 1, 2, 0]
 
 
 def test_kind_tables_name_each_kind_once():
@@ -878,8 +922,26 @@ def test_kind_tables_name_each_kind_once():
 
 
 _TEXT = st.text(max_size=12)  # any code point but a lone surrogate
-# ints, often small enough to be an id of the entities drawn
-_INT = st.one_of(st.integers(-1, 7), st.integers())
+_OTHER_KINDS = [kind for kind in RelationKind if kind is not _C]
+
+
+@st.composite
+def _relations_in_form(draw, n: int, targets=_TEXT) -> list[FactRelation]:
+    """Relations of ``n`` entities in extraction's form: a CONTAINS relation
+    to some of them in row order, each from an earlier entity, then others
+    whose sources are entities and whose targets are entities or
+    ``targets``."""
+    contained = [
+        FactRelation(draw(st.integers(1, child - 1)), _C, child)
+        for child in range(2, n + 1)
+        if draw(st.booleans())
+    ]
+    if not n:
+        return contained
+    entity = st.integers(1, n)
+    other = st.builds(FactRelation, entity, st.sampled_from(_OTHER_KINDS),
+                      st.one_of(entity, targets))
+    return contained + draw(st.lists(other, max_size=6))
 
 
 @st.composite
@@ -894,11 +956,8 @@ def _compact_facts(draw) -> ProjectFacts:
         )
         for i in range(1, n + 1)
     ]
-    relation = st.builds(
-        FactRelation, _INT, st.sampled_from(RelationKind), st.one_of(_INT, _TEXT)
-    )
     return ProjectFacts(
-        draw(_TEXT), entities, draw(st.lists(relation, max_size=6)),
+        draw(_TEXT), entities, draw(_relations_in_form(n)),
         draw(st.integers(min_value=0)), draw(st.lists(_TEXT, max_size=3)),
         draw(st.integers(min_value=0)),
     )
@@ -926,9 +985,9 @@ _NEAR_INT = st.one_of(st.integers(-1, 7), st.booleans(), st.sampled_from([1.0, 2
 
 @st.composite
 def _near_compact_facts(draw) -> ProjectFacts:
-    """Facts whose ids are often 1..n, whose relations often open with a
-    run of CONTAINS relations, as extraction writes them, and whose fqns
-    often start with another's."""
+    """Facts whose ids are often 1..n, whose relations are often in
+    extraction's form, opening with CONTAINS relations each from an earlier
+    entity, and whose fqns often start with another's."""
     n = draw(st.integers(0, 6))
     ids = draw(st.one_of(st.just(range(1, n + 1)), st.lists(_NEAR_INT, min_size=n, max_size=n)))
     fqn = st.sampled_from(["e", "e.f", "e.f$1", "e.g", "h"])
@@ -939,23 +998,43 @@ def _near_compact_facts(draw) -> ProjectFacts:
         st.sampled_from([_C, _C, _C, _U, RelationKind.CALLS]),
         st.one_of(st.integers(0, 7), _NEAR_INT),
     )
-    return ProjectFacts("p", entities, draw(st.lists(relation, max_size=10)))
+    relations = st.one_of(
+        _relations_in_form(n, _NEAR_INT), st.lists(relation, max_size=10)
+    )
+    return ProjectFacts("p", entities, draw(relations))
 
 
 def _typed(kinds: set, values) -> bool:
     return kinds.issuperset(map(type, values))
 
 
+def _in_extractions_form(columns: FactColumns) -> bool:
+    """Whether the ids are 1..n, the sources entities, the targets entities
+    or strings, and the CONTAINS relations first, each to an entity after
+    the last and from one before it."""
+    ids, (sources, kinds, targets) = columns.entities[0], columns.relations
+    n = len(ids)
+    if not (_typed({int}, ids) and list(ids) == list(range(1, n + 1))):
+        return False
+    if not (_typed({int}, sources) and _typed({int, str}, targets)):
+        return False
+    run = len(list(takewhile(_C.__eq__, kinds)))
+    children = targets[:run]
+    return (
+        _C not in kinds[run:]
+        and _typed({int}, children)
+        and list(children) == sorted(set(children))
+        and all(0 < source < child <= n for source, child in zip(sources, children))
+        and all(1 <= source <= n for source in sources)
+        and all(1 <= target <= n for target in targets if type(target) is int)
+    )
+
+
 @given(_near_compact_facts())
 @settings(max_examples=500, deadline=None)
 def test_near_compact_facts_are_refused_or_decode_to_the_columns_given(facts):
     columns = facts.columns()
-    ids, sources, targets = columns.entities[0], columns.relations[0], columns.relations[2]
-    in_form = (
-        _typed({int}, ids) and list(ids) == list(range(1, len(ids) + 1))
-        and _typed({int}, sources) and _typed({int, str}, targets)
-    )
-    if not in_form:
+    if not _in_extractions_form(columns):
         with pytest.raises(ValueError):
             encode_columns(columns)
         return
