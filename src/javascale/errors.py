@@ -44,12 +44,6 @@ class UndefinedNormalizationError(DataError):
     """NRMSE normalization range is zero (y_max == y_min)."""
 
 
-class EmptyBinError(DataError):
-    """A bin has no usable projects after exclusions."""
-
-
-
-
 class DuplicateProjectError(DataError):
     """Two projects share the same project id."""
 

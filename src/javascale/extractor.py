@@ -210,7 +210,7 @@ class EnumConst:
 class TypeDecl:
     __slots__ = (
         "kind", "name", "line", "extends", "implements", "members", "anon_super",
-        "is_record", "type_params", "type_param_bounds", "fqn", "entity_id",
+        "is_record", "components", "type_params", "type_param_bounds", "fqn", "entity_id",
     )
 
     def __init__(
@@ -224,6 +224,7 @@ class TypeDecl:
         self.implements: list[TypeRef] = []
         # declaration order; an enum's constants follow its other members
         self.members: list = []
+        self.components: list[tuple[TypeRef, str]] = []  # a record header's, in order
         self.type_params: list[str] = []
         self.type_param_bounds: list[str] = []
         self.fqn = ""
@@ -619,7 +620,8 @@ class _Parser:
             decl.type_params, decl.type_param_bounds, i = _skip_type_params(texts, kinds, i, n)
         if is_record and i < n and texts[i] == "(":
             end = self.close(i)
-            for tref, name in self._parse_params(i, end):
+            decl.components = self._parse_params(i, end)
+            for tref, name in decl.components:
                 decl.members.append(FieldDecl(name=name, tref=tref, line=line))
             i = end + 1
         # a record header takes only `implements`
@@ -718,10 +720,12 @@ class _Parser:
             return None, i
         compact_ctor = (ref.base, ref.args, ref.dims) == (decl.name, [], 0)
         if j < end and texts[j] == "{" and decl.is_record and compact_ctor:
-            # compact canonical constructor: the parameters are the components
+            # compact canonical constructor: the parameters are the header's
+            # components, not the fields a body may declare before it
             blk_end = self.close(j)
             member = MethodDecl(
-                name=decl.name, ret=None, params=[], throws=[], line=self.lines[i], is_ctor=True
+                name=decl.name, ret=None, params=decl.components, throws=[],
+                line=self.lines[i], is_ctor=True,
             )
             decl.members.append(self._body(member, j + 1, blk_end))
             return member, blk_end + 1

@@ -48,11 +48,6 @@ TYPE_KINDS = frozenset(
     {EntityKind.CLASS, EntityKind.INTERFACE, EntityKind.ENUM, EntityKind.ANNOTATION}
 )
 
-# Kinds whose members live directly in a type body.
-MEMBER_KINDS = frozenset(
-    {EntityKind.FIELD, EntityKind.CONSTRUCTOR, EntityKind.METHOD}
-)
-
 RelationTarget = Union[int, str]
 # what every reader says of a CONTAINS parent that does not come before its child
 LATE_PARENT = "the CONTAINS parent {} of entity {} is not an earlier entity"
@@ -129,28 +124,3 @@ class ProjectFacts:
             list(zip(*self.entities)) or [()] * len(SourceEntity._fields),
             list(zip(*self.relations)) or [()] * len(FactRelation._fields),
         )
-
-    def validate(self) -> None:
-        """Check the structural invariants; raise ValueError on violation."""
-        ids = [e.entity_id for e in self.entities]
-        if len(ids) != len(set(ids)):
-            raise ValueError("entity ids are not unique")
-        known = set(ids)
-        contained: set[int] = set()
-        for rel in self.relations:
-            if rel.source not in known:
-                raise ValueError(f"relation source {rel.source} not in entity set")
-            if rel.kind is RelationKind.CONTAINS:
-                if not isinstance(rel.target, int) or rel.target not in known:
-                    raise ValueError("CONTAINS target must be a project entity")
-                if rel.target in contained:
-                    raise ValueError(f"entity {rel.target} has two CONTAINS parents")
-                if not rel.source < rel.target:  # so containment is a forest
-                    raise ValueError(LATE_PARENT.format(rel.source, rel.target))
-                contained.add(rel.target)
-        for ent in self.entities:
-            if ent.kind in TYPE_KINDS or ent.kind in MEMBER_KINDS:
-                if ent.entity_id not in contained:
-                    raise ValueError(f"{ent.fqn} has no CONTAINS parent")
-        if self.sloc < 0:
-            raise ValueError("sloc must be non-negative")

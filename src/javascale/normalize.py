@@ -54,14 +54,6 @@ class WmcSummary(NamedTuple):
     excluded: int
 
 
-def beta_normalize(numerator: float, denominator: float, beta: float) -> float:
-    """Size-adjusted ratio: numerator / denominator**beta."""
-    if denominator < 1:
-        raise ValueError("denominator must be at least 1")
-    [value] = _normalized([numerator], [denominator], beta)
-    return value
-
-
 def _normalized(nums: list[int], dens: list[int], beta: float) -> list[float]:
     """``num / den**beta`` of each pair, denominators at least 1, beta checked
     once, with no pairs too.  A power that overflows or underflows to 0, or

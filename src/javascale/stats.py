@@ -1,6 +1,9 @@
 """Binned ratio analysis, the Welch two-sample t-test, and the
 distribution functions they need.
 
+``analyze_bins`` is the one path from a metrics table to per-bin
+summaries of the log ratio and the Welch p-values between bins.
+
 The Student-t CDF goes through the regularized incomplete beta function
 (continued fraction, Lentz's method); the inverse normal CDF is
 ``statistics.NormalDist.inv_cdf`` (Wichura's AS241), which stays within
@@ -16,17 +19,13 @@ from itertools import compress
 from operator import truediv
 from typing import NamedTuple
 
-from .errors import EmptyBinError, InsufficientDataError, OutOfRangeError
+from .errors import InsufficientDataError, OutOfRangeError
 from .metrics import MetricColumns
 from .regression import mean_ss
 
 # ---------------------------------------------------------------------------
 # Distribution functions
 # ---------------------------------------------------------------------------
-
-
-def normal_cdf(z: float) -> float:
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 @cache
@@ -228,48 +227,18 @@ def bin_by(corpus: MetricColumns, metric_name: str, edges) -> list[Bin]:
     ]
 
 
-def log_ratios(
-    bin_: Bin, numerator_metric: str, denominator_metric: str, log: bool = True
+def bin_ratios(
+    bin_: Bin, numerator_metric: str, denominator_metric: str
 ) -> tuple[list[float], int]:
-    """Per-project log(num/den) for a bin, or the raw num/den when ``log``
-    is false, plus the excluded-project count.
+    """Per-project num/den for a bin, plus the excluded-project count.
 
     Projects with a zero numerator or denominator have no defined log
-    ratio and are excluded (counted) either way.
+    ratio and are excluded (counted).
     """
     nums, dens = bin_.column(numerator_metric), bin_.column(denominator_metric)
     usable = [num > 0 and den > 0 for num, den in zip(nums, dens)]
     values = list(map(truediv, compress(nums, usable), compress(dens, usable)))
-    if log:
-        values = list(map(math.log, values))
     return values, len(usable) - len(values)
-
-
-def _summary(bin_: Bin, moments: tuple[int, float, float], excluded: int) -> BinSummary:
-    n, mean, var = moments
-    return BinSummary(
-        label=bin_.label,
-        low=bin_.low,
-        high=bin_.high,
-        project_count=n,
-        mean_log=mean,
-        sd_log=math.sqrt(var),
-        mean_linear_pct=math.exp(mean) * 100.0,
-        excluded_zero_ratio_count=excluded,
-    )
-
-
-def log_ratio_summary(
-    bin_: Bin, numerator_metric: str, denominator_metric: str
-) -> BinSummary:
-    """Mean and SD of the log ratio over a bin's usable projects."""
-    values, excluded = log_ratios(bin_, numerator_metric, denominator_metric)
-    if not values:
-        raise EmptyBinError(
-            f"bin {bin_.label}: no projects with usable "
-            f"{numerator_metric}/{denominator_metric} ratio"
-        )
-    return _summary(bin_, _moments(values), excluded)
 
 
 def analyze_bins(
@@ -281,8 +250,9 @@ def analyze_bins(
     log: bool = True,
 ) -> tuple[list[BinSummary], dict[tuple[str, str], float]]:
     """Bin the corpus by ``bin_metric`` and summarise the log ratio of each
-    bin with a usable ratio.  Welch tests compare the ratios (log ones
-    unless ``log`` is false) of every pair of bins holding two or more.
+    bin with a usable ratio; a bin with none is left out.  Welch tests
+    compare the ratios (log ones unless ``log`` is false) of every pair of
+    bins holding two or more.
 
     Each bin's ratios, and the size, mean and variance of the tested ones,
     are computed once.
@@ -290,10 +260,13 @@ def analyze_bins(
     summaries = []
     tested = {}  # bin label -> _moments of the values its Welch tests compare
     for b in bin_by(corpus, bin_metric, edges):
-        ratios, excluded = log_ratios(b, numerator, denominator, log=False)
+        ratios, excluded = bin_ratios(b, numerator, denominator)
         if ratios:
-            logs = _moments(list(map(math.log, ratios)))
-            summaries.append(_summary(b, logs, excluded))
+            logs = n, mean, var = _moments(list(map(math.log, ratios)))
+            linear_pct = math.exp(mean) * 100.0
+            summaries.append(
+                BinSummary(b.label, b.low, b.high, n, mean, math.sqrt(var), linear_pct, excluded)
+            )
             tested[b.label] = logs if log else _moments(ratios)
     labels = [label for label, (n, _, _) in tested.items() if n >= 2]
     p_values = {}

@@ -46,7 +46,9 @@ layout: it requires every field but ``full``, refuses any field the
 layout does not name, checks the type of each field it reads (a target an
 int or a string), that each index is an int inside its table, each id an
 entity and each parent 0 or an earlier row, and that no pair is a parent.
-Version 4 and older archives are refused, not converted.
+Version 4 and older archives are refused, not converted.  The commands
+measure those columns; ``read_facts`` alone builds entity and relation
+rows from them, one record at a time.
 
 The metrics table is a CSV of the ``METRIC_COLUMNS``, read back as
 :class:`~javascale.metrics.MetricColumns`.  A canonical table is one as
@@ -378,19 +380,6 @@ def decode_columns(payload: bytes, path: str | Path, lineno: int) -> FactColumns
         raise ArchiveIntegrityError(f"{path}: bad record at line {lineno}: {exc!r}") from exc
 
 
-def decode_record(payload: bytes, path: str | Path, lineno: int) -> ProjectFacts:
-    """The project of the record payload framed at line ``lineno`` of ``path``."""
-    c = decode_columns(payload, path, lineno)
-    return ProjectFacts(
-        c.project_id,
-        list(map(SourceEntity, *c.entities)),
-        list(map(FactRelation, *c.relations)),
-        c.sloc,
-        c.warnings,
-        c.parse_warning_count,
-    )
-
-
 def write_records(payloads: Iterable[bytes], count: int, path: str | Path) -> None:
     """Write an archive of ``count`` encoded project records, each one as
     ``payloads`` yields it; until the last is written the file reads as
@@ -449,15 +438,25 @@ def scan_records(path: str | Path) -> Iterator[tuple[int, bytes, int]]:
             raise ArchiveIntegrityError(f"{path}: data after record {count}")
 
 
-def read_records(path: str | Path) -> Iterator[ProjectFacts]:
-    """Yield each project of an archive as its record is read and checked;
-    what follows the last record is checked when the iterator is exhausted."""
-    for _, payload, lineno in scan_records(path):
-        yield decode_record(payload, path, lineno)
-
-
 def read_facts(path: str | Path) -> FactsArchive:
-    return FactsArchive(projects=list(read_records(path)))
+    """The projects of an archive, each record read, checked and built into
+    its entity and relation rows before the next is read; the first fault
+    in file order raises."""
+    projects = []
+    for _, payload, lineno in scan_records(path):
+        c = decode_columns(payload, path, lineno)
+        projects.append(
+            ProjectFacts(
+                c.project_id,
+                list(map(SourceEntity, *c.entities)),
+                list(map(FactRelation, *c.relations)),
+                c.sloc,
+                c.warnings,
+                c.parse_warning_count,
+            )
+        )
+        del c  # only the rows are kept, not the columns they were built from
+    return FactsArchive(projects=projects)
 
 
 # ---------------------------------------------------------------------------

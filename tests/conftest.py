@@ -1,13 +1,16 @@
+import faulthandler
 import hashlib
+import os
 import zlib
 
 import pytest
 
 from javascale.errors import ArchiveIntegrityError
 from javascale.extractor import extract_corpus, extract_project
+from javascale.facts import EntityKind, RelationKind
 from javascale.metrics import DEFAULT_JDK_PREFIXES, compute_metrics, measure
 from javascale.pipeline import _measure_record
-from javascale.store import decode_columns, scan_records
+from javascale.store import decode_columns, encode_columns, scan_records
 
 from facts_diff import columns_json
 
@@ -42,6 +45,25 @@ def columns_digest(*archives: Path) -> str:
     return digest.hexdigest()
 
 
+def assert_in_extractions_form(facts) -> None:
+    """``facts`` are in the form extraction makes: the archive's decoder
+    gives back the columns its encoder was given, which holds only for ids
+    1..n and sources and int targets that are entities, with every
+    ``CONTAINS`` relation first, its targets increasing and each from an
+    earlier entity; every entity but a package has a parent; and the sloc
+    count is not negative."""
+    assert facts.sloc >= 0, f"sloc must be non-negative, got {facts.sloc}"
+    columns = facts.columns()
+    decoded = decode_columns(encode_columns(columns), "facts", 3)
+    assert columns_json(decoded) == columns_json(columns)
+    ids, fqns, kinds = columns.entities[:3]
+    contained = {t for k, t in zip(*columns.relations[1:]) if k == RelationKind.CONTAINS}
+    for entity_id, fqn, kind in zip(ids, fqns, kinds):
+        assert kind == EntityKind.PACKAGE or entity_id in contained, (
+            f"{fqn} has no CONTAINS parent"
+        )
+
+
 def assert_measured_alike(archive: Path, projects) -> None:
     """Measuring each record of ``archive`` as the metrics command does gives
     what ``measure`` gives its project: the row and unresolved count, or the
@@ -58,6 +80,31 @@ def assert_measured_alike(archive: Path, projects) -> None:
         except ArchiveIntegrityError as exc:
             got = str(exc)
         assert got == expected
+
+
+# a test running this long has lost a loop bound; the slowest takes about 2.4 s
+TEST_TIME_LIMIT_S = 120
+_STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # the run's own stderr: while a test runs, descriptor 2 is pytest's
+    # capture file, which is lost when the watchdog ends the process
+    config.stash[_STDERR] = os.dup(2)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """End the run with every thread's traceback when one test's setup,
+    call and teardown take longer than ``TEST_TIME_LIMIT_S``, rather than
+    hang.  The watchdog is no ``threading`` thread, so it does not keep
+    the pipeline's workers from forking."""
+    stderr = item.config.stash[_STDERR]
+    faulthandler.dump_traceback_later(TEST_TIME_LIMIT_S, exit=True, file=stderr)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 def pytest_collection_modifyitems(items):

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import re
 import shutil
 import subprocess
 import tempfile
@@ -28,7 +29,13 @@ from javascale.store import (
 )
 
 import javalex_reference as reference
-from conftest import CORPUS_DIR, archive_digest, assert_measured_alike, columns_digest
+from conftest import (
+    CORPUS_DIR,
+    archive_digest,
+    assert_in_extractions_form,
+    assert_measured_alike,
+    columns_digest,
+)
 from facts_diff import MUTATED_SEEDS, columns_json
 
 
@@ -42,22 +49,27 @@ _PKG, _CLS, _MTH = (
     _entity(3, "p.C.m", EntityKind.METHOD),
 )
 _TREE = [FactRelation(1, RelationKind.CONTAINS, 2), FactRelation(2, RelationKind.CONTAINS, 3)]
+_NOT_AFTER = "CONTAINS target {} is not an entity after {}"
 
-# one hand-built project per structural invariant that validate() enforces
+# one hand-built project per way out of extraction's form; the archive's
+# encoder refuses all but the parentless member and the negative sloc
 BROKEN_FACTS = [
-    ([_PKG, _CLS, _entity(2, "p.C.m", EntityKind.METHOD)], _TREE, 0,
-     "entity ids are not unique"),
-    ([_PKG, _CLS, _MTH], _TREE + [FactRelation(9, RelationKind.CALLS, "x")], 0,
-     "relation source 9 not in entity set"),
-    ([_PKG, _CLS, _MTH], _TREE + [FactRelation(1, RelationKind.CONTAINS, "p.D")], 0,
-     "CONTAINS target must be a project entity"),
-    ([_PKG, _CLS, _MTH], _TREE + [FactRelation(1, RelationKind.CONTAINS, 3)], 0,
-     "entity 3 has two CONTAINS parents"),
-    ([_PKG, _CLS, _MTH], _TREE[:1], 0, "p.C.m has no CONTAINS parent"),
-    ([_PKG, _CLS, _MTH],
-     [FactRelation(2, RelationKind.CONTAINS, 3), FactRelation(3, RelationKind.CONTAINS, 2)], 0,
-     "the CONTAINS parent 3 of entity 2 is not an earlier entity"),
-    ([_PKG, _CLS, _MTH], _TREE, -1, "sloc must be non-negative"),
+    pytest.param([_PKG, _CLS, _entity(2, "p.C.m", EntityKind.METHOD)], _TREE, 0,
+                 (ValueError, "the id column is not 1..n"), id="ids-not-unique"),
+    pytest.param([_PKG, _CLS, _MTH], _TREE + [FactRelation(9, RelationKind.CALLS, "x")], 0,
+                 (ValueError, "a relation source is not an entity of the record"),
+                 id="source-not-an-entity"),
+    pytest.param([_PKG, _CLS, _MTH], _TREE + [FactRelation(1, RelationKind.CONTAINS, "p.D")], 0,
+                 (ValueError, _NOT_AFTER.format("'p.D'", 3)), id="contains-a-name"),
+    pytest.param([_PKG, _CLS, _MTH], _TREE + [FactRelation(1, RelationKind.CONTAINS, 3)], 0,
+                 (ValueError, _NOT_AFTER.format(3, 3)), id="two-parents"),
+    pytest.param([_PKG, _CLS, _MTH], _TREE[:1], 0,
+                 (AssertionError, "p.C.m has no CONTAINS parent"), id="no-parent"),
+    pytest.param([_PKG, _CLS, _MTH],
+                 [FactRelation(2, RelationKind.CONTAINS, 3), FactRelation(3, RelationKind.CONTAINS, 2)],
+                 0, (ValueError, _NOT_AFTER.format(2, 3)), id="contains-cycle"),
+    pytest.param([_PKG, _CLS, _MTH], _TREE, -1,
+                 (AssertionError, "sloc must be non-negative, got -1"), id="negative-sloc"),
 ]
 
 
@@ -117,15 +129,16 @@ class TestFooNumber:
         assert foonumber_facts.sloc == 11
 
     def test_structural_invariants(self, foonumber_facts):
-        foonumber_facts.validate()
+        assert_in_extractions_form(foonumber_facts)
 
 
-@pytest.mark.parametrize("entities, relations, sloc, message", BROKEN_FACTS)
-def test_validate_rejects_broken_facts(entities, relations, sloc, message):
-    ProjectFacts("p", [_PKG, _CLS, _MTH], _TREE).validate()
-    facts = ProjectFacts("p", entities, relations, sloc=sloc)
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        facts.validate()
+@pytest.mark.parametrize("entities, relations, sloc, fault", BROKEN_FACTS)
+def test_broken_facts_are_out_of_extractions_form(entities, relations, sloc, fault):
+    assert_in_extractions_form(ProjectFacts("p", [_PKG, _CLS, _MTH], _TREE))
+    error, message = fault
+    # pytest's rewritten assert adds its explanation after a newline
+    with pytest.raises(error, match=f"^{re.escape(message)}(\n|$)"):
+        assert_in_extractions_form(ProjectFacts("p", entities, relations, sloc=sloc))
 
 
 class TestExtraction:
@@ -150,7 +163,7 @@ class TestExtraction:
 
     def test_every_type_has_one_contains_parent(self, fixture_projects):
         for facts in fixture_projects:
-            facts.validate()
+            assert_in_extractions_form(facts)
 
     def test_no_implicit_constructors(self, tmp_path):
         write_project(tmp_path, {"N.java": "class N { void f() {} }"})
@@ -261,7 +274,7 @@ class TestExtraction:
         pkgs = [e for e in facts.entities if e.kind is EntityKind.PACKAGE]
         assert len(pkgs) == 1
         assert any(e.fqn == "Top" for e in facts.entities)
-        facts.validate()
+        assert_in_extractions_form(facts)
 
     def test_extends_unresolved_kept_as_written(self, tmp_path):
         write_project(
@@ -382,26 +395,26 @@ class TestExtraction:
         assert ("a.T.worker", RelationKind.HOLDS, "other.Thread") in rels
 
     def test_record_compact_constructor(self, tmp_path):
-        write_project(
-            tmp_path,
-            {
-                "R.java": """
-                public record R(int a) {
-                    public R { if (a < 0) throw new IllegalArgumentException(); }
-                }
-                """
-            },
-        )
-        facts = extract_project(tmp_path, "p")
-        ctors = [e.fqn for e in facts.entities if e.kind is EntityKind.CONSTRUCTOR]
+        # the header's components are the compact constructor's parameters,
+        # as in the explicit canonical form: a use of one reads no field, a
+        # static field declared before the constructor is not a parameter,
+        # and Java's closing field assignments are left out
+        body = "if (a < 0) throw new IllegalArgumentException(); count++;"
+        facts = {}
+        for form, ctor in [("compact", "R"), ("explicit", "R(int a)")]:
+            source = f"public record R(int a) {{ static int count; public {ctor} {{ {body} }} }}"
+            facts[form] = extract_project(write_project(tmp_path / form, {"R.java": source}), "p")
+        compact = facts["compact"]
+        ctors = [e.fqn for e in compact.entities if e.kind is EntityKind.CONSTRUCTOR]
         assert ctors == ["R.<init>"]
-        assert (
-            "R.<init>",
-            RelationKind.INSTANTIATES,
-            "java.lang.IllegalArgumentException.<init>",
-        ) in rel_texts(facts)
-        assert facts.parse_warning_count == 0
-        assert facts.warnings == []
+        assert [t for t in rel_texts(compact) if t[0] == "R.<init>"] == [
+            ("R.<init>", RelationKind.USES, "java.lang.Integer"),
+            ("R.<init>", RelationKind.INSTANTIATES, "java.lang.IllegalArgumentException.<init>"),
+            ("R.<init>", RelationKind.WRITES, "R.count"),
+        ]
+        assert compact == facts["explicit"]
+        assert compact.parse_warning_count == 0
+        assert compact.warnings == []
 
     def test_record_header_takes_only_implements(self, tmp_path):
         # a record cannot extend; a stray `extends` is skipped, not a supertype
@@ -1564,7 +1577,7 @@ class TestMutatedSources:
             )
             facts = extract_project(root, "fuzz")
         assert not [w for w in facts.warnings if "parse failure" in w]
-        facts.validate()
+        assert_in_extractions_form(facts)
 
 
 # sha256 of the decompressed record payloads of the archive of

@@ -24,7 +24,9 @@ from javascale.metrics import (
 from javascale.errors import UnknownMetricError
 from javascale.normalize import decorrelation_report, normalize_corpus
 from javascale.pipeline import GridCell, _series
-from javascale.stats import Bin, bin_by, log_ratios
+from javascale.stats import Bin, bin_by, bin_ratios
+
+from conftest import assert_in_extractions_form
 
 
 def project_from(tmp_path, files):
@@ -216,9 +218,9 @@ _NAMES = st.sampled_from(
 def small_projects(draw):
     """A valid project of a package, up to a dozen types and members, and
     relations of every kind to project entities and to names."""
-    entities = [SourceEntity(0, "p", EntityKind.PACKAGE, "", 0)]
+    entities = [SourceEntity(1, "p", EntityKind.PACKAGE, "", 0)]
     relations = []
-    for eid in range(1, draw(st.integers(1, 12)) + 1):
+    for eid in range(2, draw(st.integers(1, 12)) + 2):
         owner = draw(st.sampled_from([e for e in entities if e.kind is not EntityKind.FIELD]))
         if owner.kind is EntityKind.PACKAGE:
             kind = draw(st.sampled_from(_TYPE_KINDS))
@@ -226,11 +228,11 @@ def small_projects(draw):
             kind = draw(st.sampled_from(_TYPE_KINDS + _MEMBER_KINDS))
         entities.append(SourceEntity(eid, f"{owner.fqn}.E{eid}", kind, "A.java", eid))
         relations.append(FactRelation(owner.entity_id, RelationKind.CONTAINS, eid))
-    ids = st.integers(0, len(entities) - 1)
+    ids = st.integers(1, len(entities))
     uses = st.builds(FactRelation, ids, st.sampled_from(_USE_KINDS), st.one_of(ids, _NAMES))
     relations += draw(st.lists(uses, max_size=20))
     facts = ProjectFacts("generated", entities, relations, sloc=draw(st.integers(0, 99)))
-    facts.validate()
+    assert_in_extractions_form(facts)
     return facts
 
 
@@ -447,12 +449,12 @@ class TestMetricColumns:
         "consume",
         [
             lambda: bin_by(metric_columns([]), "bogus", (5,)),
-            lambda: log_ratios(Bin("b1", 0, 1, metric_columns([]), []), "bogus", "classes"),
+            lambda: bin_ratios(Bin("b1", 0, 1, metric_columns([]), []), "bogus", "classes"),
             lambda: normalize_corpus(metric_columns([]), "methods", "bogus", 1.0),
             lambda: decorrelation_report(metric_columns([]), "bogus", "classes", 1.0),
             lambda: _series(metric_columns([]), GridCell("m", "bogus", "classes")),
         ],
-        ids=["bin_by", "log_ratios", "normalize_corpus", "decorrelation_report", "series"],
+        ids=["bin_by", "bin_ratios", "normalize_corpus", "decorrelation_report", "series"],
     )
     def test_unknown_metric_on_empty_corpus(self, consume):
         with pytest.raises(UnknownMetricError, match=r"^unknown metric 'bogus'$"):

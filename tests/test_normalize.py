@@ -9,7 +9,6 @@ from javascale.errors import (
 )
 from javascale.metrics import ProjectMetrics, metric_columns
 from javascale.normalize import (
-    beta_normalize,
     decorrelation_report,
     normalize_corpus,
     wmc_summary,
@@ -23,43 +22,45 @@ def pm(pid, classes, methods):
     )
 
 
-class TestBetaNormalize:
+def normalized(beta, *sizes):
+    """``normalize_corpus`` of methods by classes**beta over one project of
+    each (methods, classes) pair, in order."""
+    corpus = [pm(f"p{i}", classes, methods) for i, (methods, classes) in enumerate(sizes)]
+    return normalize_corpus(metric_columns(corpus), "methods", "classes", beta)
+
+
+class TestNormalizeCorpus:
     def test_beta_one_is_plain_ratio(self):
-        assert beta_normalize(486, 100, 1.0) == pytest.approx(4.86)
+        assert normalized(1.0, (486, 100)).value == [pytest.approx(4.86)]
 
     def test_reference_beta_collapses_sizes_to_one_constant(self):
         # with the fitted exponent, both project sizes give e^alpha
-        big = beta_normalize(486, 100, 1.1055)
-        small = beta_normalize(38, 10, 1.1055)
+        big, small = normalized(1.1055, (486, 100), (38, 10)).value
         assert big == pytest.approx(math.exp(1.0949), rel=0.005)
         assert small == pytest.approx(math.exp(1.0949), rel=0.005)
         assert big == pytest.approx(small, rel=0.01)
 
     def test_exact_model_data_gives_exact_constant(self):
-        alpha, beta = 0.7, 1.2
-        for den in (1, 10, 250, 5000):
-            num = math.exp(alpha) * den**beta
-            assert beta_normalize(num, den, beta) == pytest.approx(
-                math.exp(alpha), rel=1e-12
-            )
+        # methods = 3 * classes**1.5, in whole counts
+        table = normalized(1.5, (3, 1), (24, 4), (3000, 100), (375000, 2500))
+        assert table.value == [pytest.approx(3.0, rel=1e-12)] * 4
 
-    def test_rejects_zero_denominator(self):
-        with pytest.raises(ValueError):
-            beta_normalize(5, 0, 1.1)
+    def test_a_zero_denominator_leaves_the_row_out(self):
+        table = normalized(1.1, (5, 0), (40, 10))
+        assert table.project_id == ["p1"]
+        assert normalized(1.1, (5, 0)).value == []
 
     def test_rejects_non_finite_beta(self):
-        with pytest.raises(ValueError):
-            beta_normalize(5, 5, math.inf)
+        with pytest.raises(OutOfRangeError, match="^beta must be finite, got inf$"):
+            normalized(math.inf, (5, 5))
 
     # 5000**1000 overflows, 5000**-1000 underflows to 0, and 5000 / 5000**-84
     # overflows
     @pytest.mark.parametrize("num, beta", [(1, 1000.0), (1, -1000.0), (5000, -84.0)])
     def test_rejects_beta_out_of_float_range(self, num, beta):
         with pytest.raises(OutOfRangeError, match=f"^beta {beta!r} is out of range"):
-            beta_normalize(num, 5000, beta)
+            normalized(beta, (num, 5000))
 
-
-class TestNormalizeCorpus:
     def test_rows_and_skipping(self):
         corpus = [pm("a", 10, 40), pm("b", 0, 5), pm("c", 100, 480)]
         table = normalize_corpus(metric_columns(corpus), "methods", "classes", 1.0)

@@ -8,16 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from javascale import pipeline, stats
-from javascale.errors import EmptyBinError, InsufficientDataError
+from javascale.errors import InsufficientDataError
 from javascale.metrics import ProjectMetrics, metric_columns
 from javascale.regression import diagnostics, fit_log_power, mean_ss
 from javascale.stats import (
     analyze_bins,
     bin_by,
+    bin_ratios,
     inverse_normal_cdf,
-    log_ratio_summary,
-    log_ratios,
-    normal_cdf,
     range_text,
     regularized_incomplete_beta,
     student_t_cdf,
@@ -44,7 +42,7 @@ class TestInverseNormal:
 
     def test_round_trip(self):
         for p in (0.001, 0.123, 0.5, 0.777, 0.999):
-            assert normal_cdf(inverse_normal_cdf(p)) == pytest.approx(p, abs=1e-12)
+            assert scipy.special.ndtr(inverse_normal_cdf(p)) == pytest.approx(p, abs=1e-12)
 
     def test_symmetry(self):
         for p in (0.01, 0.2, 0.4):
@@ -114,7 +112,7 @@ class TestStudentT:
 
     def test_limits_to_normal(self):
         for t in (-2.0, -0.5, 0.5, 2.0):
-            assert student_t_cdf(t, 1e6) == pytest.approx(normal_cdf(t), abs=1e-6)
+            assert student_t_cdf(t, 1e6) == pytest.approx(scipy.special.ndtr(t), abs=1e-6)
 
     def test_df_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -236,22 +234,30 @@ class TestBinBy:
             assert all(b.low <= v < b.high for v in b.column("classes")), b.label
 
 
-class TestLogRatioSummary:
+def one_bin_summaries(projects, edge):
+    """``analyze_bins`` of interfaces/classes over projects that all fall
+    in the second of two bins split at ``edge``: the first, empty, is left out."""
+    summaries, p_values = analyze_bins(
+        metric_columns(projects), "classes", (edge,), "interfaces", "classes"
+    )
+    assert p_values == {}
+    return summaries
+
+
+class TestOneBinSummary:
     def test_constant_ratio_matches_reference_row(self):
         # every project at ratio e^-1.68 -> mean_log -1.68, linear 18.6%
         projects = [
             pm(f"p{i}", classes=1000, interfaces=round(1000 * math.exp(-1.68)))
             for i in range(4)
         ]
-        bins = bin_by(metric_columns(projects), "classes", (20,))
-        summary = log_ratio_summary(bins[1], "interfaces", "classes")
+        [summary] = one_bin_summaries(projects, 20)
         assert summary.mean_log == pytest.approx(-1.68, abs=0.01)
         assert summary.mean_linear_pct == pytest.approx(18.6, abs=0.2)
 
     def test_equal_ratios_zero_sd(self):
         projects = [pm(f"p{i}", classes=10, interfaces=5) for i in range(3)]
-        bins = bin_by(metric_columns(projects), "classes", (5,))
-        summary = log_ratio_summary(bins[1], "interfaces", "classes")
+        [summary] = one_bin_summaries(projects, 5)
         assert summary.sd_log == 0.0
 
     def test_two_project_hand_case(self):
@@ -262,8 +268,7 @@ class TestLogRatioSummary:
             pm("a", classes=1000, interfaces=n1),
             pm("b", classes=100000, interfaces=n3),
         ]
-        bins = bin_by(metric_columns(projects), "classes", (5,))
-        summary = log_ratio_summary(bins[1], "interfaces", "classes")
+        [summary] = one_bin_summaries(projects, 5)
         assert summary.mean_log == pytest.approx(-2.0, abs=0.01)
         assert summary.sd_log == pytest.approx(math.sqrt(2.0), abs=0.01)
 
@@ -272,16 +277,13 @@ class TestLogRatioSummary:
             pm("a", classes=10, interfaces=0),
             pm("b", classes=10, interfaces=5),
         ]
-        bins = bin_by(metric_columns(projects), "classes", (5,))
-        summary = log_ratio_summary(bins[1], "interfaces", "classes")
+        [summary] = one_bin_summaries(projects, 5)
         assert summary.excluded_zero_ratio_count == 1
         assert summary.project_count == 1
 
-    def test_all_excluded_is_error(self):
+    def test_all_excluded_leaves_the_bin_out(self):
         projects = [pm("a", classes=10, interfaces=0)]
-        bins = bin_by(metric_columns(projects), "classes", (5,))
-        with pytest.raises(EmptyBinError):
-            log_ratio_summary(bins[1], "interfaces", "classes")
+        assert one_bin_summaries(projects, 5) == []
 
 
 class TestAnalyzeBins:
@@ -302,10 +304,21 @@ class TestAnalyzeBins:
         corpus = self.corpus()
         summaries, p_values = analyze_bins(corpus, "classes", self.EDGES, "interfaces", "classes", log)
         bins = bin_by(corpus, "classes", self.EDGES)
-        series = {b.label: log_ratios(b, "interfaces", "classes", log)[0] for b in bins}
-        assert summaries == [
-            log_ratio_summary(b, "interfaces", "classes") for b in bins if series[b.label]
-        ]
+        ratios = {b.label: bin_ratios(b, "interfaces", "classes") for b in bins}
+        logs = {label: list(map(math.log, values)) for label, (values, _) in ratios.items()}
+        usable = [(b.label, b.low, b.high) for b in bins if logs[b.label]]
+        assert [(s.label, s.low, s.high) for s in summaries] == usable
+        for summary in summaries:
+            values, excluded = logs[summary.label], ratios[summary.label][1]
+            mean = statistics.fmean(values)
+            assert summary.project_count == len(values)
+            assert summary.excluded_zero_ratio_count == excluded
+            assert summary.mean_log == pytest.approx(mean, rel=1e-12)
+            assert summary.sd_log == pytest.approx(
+                statistics.stdev(values) if len(values) > 1 else 0.0, rel=1e-12
+            )
+            assert summary.mean_linear_pct == pytest.approx(math.exp(mean) * 100.0, rel=1e-12)
+        series = logs if log else {label: values for label, (values, _) in ratios.items()}
         tested = [label for label, values in series.items() if len(values) >= 2]
         assert tested == ["b1", "b2", "b3", "b4"]
         assert p_values == {

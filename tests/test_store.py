@@ -33,7 +33,6 @@ from javascale.store import (
     export_metrics_table,
     read_facts,
     read_metrics_table,
-    read_records,
     write_facts,
 )
 
@@ -558,7 +557,7 @@ def test_metrics_reports_the_readers_first_fault(
     path = tmp_path / "facts.bin"
     _write(path, text)
     with pytest.raises(ArchiveIntegrityError, match=f"^{re.escape(str(path))}: {message}") as read:
-        list(read_records(path))
+        read_facts(path)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     assert main(["metrics", str(path), "-o", str(tmp_path / "m.csv")]) == 2
     assert capsys.readouterr().err == f"data error: {read.value}\n"
@@ -679,8 +678,9 @@ class TestArchiveRoundTrip:
     def test_records_are_read_one_at_a_time(self, tmp_path):
         path = tmp_path / "facts.bin"
         path.write_bytes(_archive("2", _record()) + b"99 {}\n")
-        records = read_records(path)
-        assert next(records).project_id == "p"
+        records = store.scan_records(path)
+        _, payload, lineno = next(records)
+        assert store.decode_columns(payload, path, lineno).project_id == "p"
         with pytest.raises(ArchiveIntegrityError, match="record length mismatch at line 4$"):
             next(records)
 
@@ -800,6 +800,8 @@ REFUSED_FORMS = [
                  id="contains-out-of-order"),
     pytest.param(_facts([(1, _C, 2), (1, _C, 2), (2, _C, 3)]),
                  "CONTAINS target 2 is not an entity after 2", id="contains-repeated"),
+    pytest.param(_facts([*_TREE, (1, _C, 3)]), "CONTAINS target 3 is not an entity after 3",
+                 id="contains-second-parent"),
     pytest.param(_facts([(1, _C, "p.A"), (2, _C, 3)]),
                  "CONTAINS target 'p.A' is not an entity after 0", id="contains-name"),
     pytest.param(_facts([(1, _C, 2), (2, _C, 4)]), "CONTAINS target 4 is not an entity after 2",
@@ -821,6 +823,7 @@ REFUSED_FORMS = [
                  "the id column is not 1..n", id="ids-not-1-to-n"),
     pytest.param(_facts([(1, _C, 2), (2, _C, 4)], ids=(1, 2, 4)), "the id column is not 1..n",
                  id="ids-with-a-gap"),
+    pytest.param(_facts(_TREE, ids=(1, 2, 2)), "the id column is not 1..n", id="ids-repeated"),
     pytest.param(_facts(_TREE, ids=(True, 2.0, 3)), "the id column is not 1..n", id="ids-not-ints"),
     pytest.param(_facts([*_TREE, ("p.A", _U, 3)]), _NOT_A_SOURCE, id="string-source"),
     pytest.param(_facts([*_TREE, (True, _U, 3)]), _NOT_A_SOURCE, id="bool-source"),
