@@ -12,7 +12,19 @@ matched once, up front.  Each body the parser captures (a method body, a
 field initializer, an initializer block, an enum constant's arguments)
 stays a window of its file's tokens: the parser reads the anonymous class
 bodies and local type declarations nested in it and records their spans,
-and the relation pass walks the window, jumping over those spans.
+and the relation pass walks the window, jumping over those spans.  The
+parser finds those types from the file's ``new`` and type-keyword tokens,
+whose indexes it lists once per file.  The walk steps over an inert token
+(``_INERT``: a keyword no handler takes, or punctuation other than ``(``
+and ``{``) with one set test.
+
+Each type's scope holds the fields and methods its names can see, the
+nearest declarer's winning, so a member lookup is one dict lookup; and a
+memo of the type names resolved in it, so each is resolved once per scope.
+``extract_project`` pauses the cycle collector while it runs: extraction
+makes no reference cycles (a test pins that a collection after it finds
+nothing), so the collector's passes over its many small objects would
+free nothing.
 
 A simple type name resolves to the first of:
 
@@ -37,9 +49,11 @@ resolves to one, else the resolved name, else the name as written.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from array import array
+from bisect import bisect_left
 from itertools import compress, count
 from pathlib import Path
 from typing import NamedTuple
@@ -112,6 +126,7 @@ MODIFIER_WORDS = frozenset(
 
 _TYPE_KEYWORDS = frozenset(["class", "interface", "enum"])
 _TYPE_KEYWORD_TEXTS = _TYPE_KEYWORDS | {"record"}  # the texts _type_keyword accepts
+_NESTED_STARTS = _TYPE_KEYWORD_TEXTS | {"new"}  # the tokens a nested type starts at
 
 
 def _type_keyword(texts: list[str], kinds: str, i: int, end: int) -> str | None:
@@ -137,6 +152,17 @@ _CAST_FOLLOW = frozenset(["(", "!", "~", "new", "this", "super"])
 _DECL_BOUNDARY = frozenset([";", "{", "}", "(", ",", ":", "->", "final", "else", "do"])
 
 _DECL_TERMINATORS = frozenset(["=", ";", ",", ":", ")"])
+
+# The tokens that may follow a type's first word within the type.
+_TYPE_GOES_ON = frozenset(["<", ".", "[", "..."])
+
+# The tokens the relation pass takes no action on: the keywords no handler
+# takes and the punctuation other than `(` and `{`.  A `{` or a type keyword
+# may start a nested span, so neither is here.
+_INERT = (KEYWORDS - PRIMITIVES - _TYPE_KEYWORDS - {"new", "this", "super", "instanceof"}) | set(
+    """) } [ ] ; , . @ ? ~ : = < > ! + - * / % & | ^ ... -> :: == != <= >= && || ++ --
+    += -= *= /= %= &= |= ^= << >> >>> <<= >>= >>>=""".split()
+)
 
 
 def _member_ref(text: str, kind: str) -> bool:
@@ -233,7 +259,7 @@ class TypeDecl:
 
 class FileSyntax:
     __slots__ = (
-        "path", "texts", "kinds", "lines", "partner", "nested", "package",
+        "path", "texts", "kinds", "lines", "partner", "starts", "nested", "package",
         "imports", "wildcard_imports", "types", "parse_warnings", "sloc",
     )
 
@@ -244,6 +270,8 @@ class FileSyntax:
         # the token table, as ``lex`` returns it
         self.texts, self.kinds, self.lines = texts, kinds, lines
         self.partner = partner  # _partners(texts)
+        # the index of each `new` and type keyword, where a nested type may start
+        self.starts = array("i", compress(count(), map(_NESTED_STARTS.__contains__, texts)))
         # the `{` of each anonymous class body and the keyword of each local type
         # declaration in a body: the index past its tokens, and its declaration
         self.nested: dict[int, tuple[int, TypeDecl]] = {}
@@ -856,28 +884,27 @@ class _Parser:
     def _nested_types(self, i: int, out: list[TypeDecl]) -> None:
         """Parse the anonymous class bodies and local type declarations from
         ``i`` to the window end into ``out``, in source order, and record
-        each one's span in ``syntax.nested``."""
-        texts, kinds, n = self.texts, self.kinds, self.end
-        while i < n:
-            t = texts[i]
-            if t == "new":
+        each one's span in ``syntax.nested``.  Only a ``new`` or a type
+        keyword can start one, so only those tokens are visited."""
+        texts, kinds, n, starts = self.texts, self.kinds, self.end, self.syntax.starts
+        k = bisect_left(starts, i)
+        while k < len(starts) and (i := starts[k]) < n:
+            resume = i + 1
+            if texts[i] == "new":
                 ref, j = parse_typeref(texts, kinds, i + 1, n)
                 if ref is not None and j < n and texts[j] == "(":
                     close = self.close(j)
                     self.window(close)._nested_types(j + 1, out)
-                    i = close + 1
-                    if i < n and texts[i] == "{":
-                        blk_end = self.close(i)
-                        body = TypeDecl("class", None, self.lines[i], anon_super=ref)
-                        self.window(blk_end)._parse_members(body, i + 1, blk_end)
+                    resume = close + 1
+                    if resume < n and texts[resume] == "{":
+                        blk_end = self.close(resume)
+                        body = TypeDecl("class", None, self.lines[resume], anon_super=ref)
+                        self.window(blk_end)._parse_members(body, resume + 1, blk_end)
                         out.append(body)
-                        self.syntax.nested[i] = (min(blk_end + 1, n), body)
-                        i = blk_end + 1
-                    continue
-            # most tokens are not type keywords, and a set test is cheaper than the call
-            kind = _type_keyword(texts, kinds, i, n) if t in _TYPE_KEYWORD_TEXTS else None
-            if (
-                kind is not None
+                        self.syntax.nested[resume] = (min(blk_end + 1, n), body)
+                        resume = blk_end + 1
+            elif (
+                (kind := _type_keyword(texts, kinds, i, n)) is not None
                 and texts[i - 1] != "."
                 and i + 1 < n
                 and kinds[i + 1] == "w"
@@ -886,9 +913,8 @@ class _Parser:
                 decl, end = self._parse_type_decl(i + 1, kind, self.lines[i])
                 out.append(decl)
                 self.syntax.nested[i] = (min(end, n), decl)
-                i = end
-                continue
-            i += 1
+                resume = end
+            k = bisect_left(starts, resume, k + 1)
 
 
 def parse_java_file(path_text: str, text: str) -> FileSyntax:
@@ -925,17 +951,25 @@ class _TypeInfo:
 class _Scope(NamedTuple):
     """What the names in one type's declarations and bodies can see.
 
+    Member lookup sees the fields and methods of the type, its enclosing
+    types and the internal superclasses of each, merged into one dict per
+    table: where two declare a name, the nearest along that lookup chain
+    (each type before its superclasses, then the next enclosing type)
+    wins.  Type-name resolution stays lexical, along ``chain``, and
+    ``resolved`` memoizes it per name.
+
     Built once per type by the relation pass and dropped after it; never
     stored on a ``_TypeInfo``, whose own entry in ``chain`` would make a
-    reference cycle that keeps every token list alive until a collection.
+    reference cycle, which ``extract_project``, running with the cycle
+    collector paused, would leave behind until the collector next ran.
     """
 
     syntax: FileSyntax
     chain: list[_TypeInfo]  # the type, then its enclosing types outward
     skip: frozenset[str]  # type variables declared along the chain
-    # member lookup also sees fields/methods inherited from internal
-    # superclasses; type-name resolution stays lexical
-    lookup: list[_TypeInfo]
+    fields: dict[str, FieldDecl]
+    methods: dict[str, MethodDecl]  # constructors as "<init>"
+    resolved: dict[str, str | None]  # type names resolved along ``chain``
 
 
 def _super_ref(decl: TypeDecl) -> TypeRef | None:
@@ -1094,7 +1128,12 @@ class _ProjectBuilder:
                 chain.append(cur)
                 cur = cur.outer
             skip = frozenset(name for link in chain for name in link.decl.type_params)
-            self._emit_type(_Scope(info.file, chain, skip, self._lookup_chain(chain)))
+            fields: dict[str, FieldDecl] = {}
+            methods: dict[str, MethodDecl] = {}
+            for link in reversed(self._lookup_chain(chain)):  # the nearest last, so it wins
+                fields.update(link.fields)
+                methods.update(link.methods)
+            self._emit_type(_Scope(info.file, chain, skip, fields, methods, {}))
 
     def _lookup_chain(self, chain: list[_TypeInfo]) -> list[_TypeInfo]:
         """``chain`` with each link followed by its internal superclasses."""
@@ -1189,7 +1228,12 @@ class _Emitter:
         self.b.relations.append(FactRelation(self.source, kind, target))
 
     def resolve_type(self, name: str) -> str | None:
-        return self.b.resolve(name, self.scope.syntax, self.scope.chain)
+        resolved = self.scope.resolved
+        try:
+            return resolved[name]
+        except KeyError:
+            resolved[name] = fqn = self.b.resolve(name, self.scope.syntax, self.scope.chain)
+            return fqn
 
     def type_use(self, kind: RelationKind, name: str) -> None:
         """Record a use of the type written ``name``: the project type's
@@ -1209,15 +1253,6 @@ class _Emitter:
         self.type_use(kind, ref.base)
         for arg in ref.args:
             self.type_use(RelationKind.USES, arg)
-
-    def find(self, table: str, name: str) -> FieldDecl | MethodDecl | None:
-        """The nearest enclosing or inherited declarer's member ``name`` in
-        ``table``: ``"fields"`` or ``"methods"``."""
-        for info in self.scope.lookup:
-            member = getattr(info, table).get(name)
-            if member is not None:
-                return member
-        return None
 
     def _call_target(self, owner_fqn: str, rest: list[str], name: str) -> int | str:
         if owner_fqn in self.b.types and not rest:
@@ -1239,6 +1274,10 @@ class _Emitter:
         prev: str | None = None  # the text of the token before
         while i < end:
             t = texts[i]
+            if t in _INERT:
+                prev = t
+                i += 1
+                continue
             if i in nested:
                 # after a local type, `prev` stays the token before it
                 i, prev = nested[i][0], t if t == "{" else prev
@@ -1324,7 +1363,7 @@ class _Emitter:
                 )
                 return i + 3
             # this.f / super.f field access
-            fd = self.find("fields", name)
+            fd = self.scope.fields.get(name)
             if fd is not None and not is_super:
                 self._emit_field_access(i + 2, fd)
             return i + 3
@@ -1343,6 +1382,11 @@ class _Emitter:
 
     def _try_cast(self, i: int) -> int | None:
         texts, kinds, n = self.texts, self.kinds, self.end
+        # a cast's type is a word followed by `)` or by more of the type
+        if i + 2 >= n or kinds[i + 1] != "w" or not (
+            texts[i + 2] == ")" or texts[i + 2] in _TYPE_GOES_ON
+        ):
+            return None
         ref, j = parse_typeref(texts, kinds, i + 1, n)
         if ref is None or j + 1 >= n or texts[j] != ")":
             return None
@@ -1357,7 +1401,7 @@ class _Emitter:
         ):
             # A bare lowercase name that resolves to nothing is far more
             # likely a parenthesised expression than a cast.
-            if ref.base in self.locals or self.find("fields", ref.base) is not None:
+            if ref.base in self.locals or self.scope.fields.get(ref.base) is not None:
                 return None
             if not ref.base[:1].isupper() and self.resolve_type(ref.base) is None:
                 return None
@@ -1368,13 +1412,16 @@ class _Emitter:
         texts, kinds, n = self.texts, self.kinds, self.end
         if i in self.consumed:
             return i + 1
+        nxt = texts[i + 1] if i + 1 < n else None
         if prev == ".":
             # member of an expression value: receiver type unknown
-            if i + 1 < n and texts[i + 1] == "(":
+            if nxt == "(":
                 self.emit(RelationKind.CALLS, texts[i])
             return i + 1
-        # local variable declaration?
-        if prev is None or prev in _DECL_BOUNDARY:
+        # local variable declaration?  Its name or more of its type follows
+        if (prev is None or prev in _DECL_BOUNDARY) and (
+            nxt in _TYPE_GOES_ON or (nxt is not None and kinds[i + 1] == "w")
+        ):
             ref, j = parse_typeref(texts, kinds, i, n)
             if (
                 ref is not None
@@ -1386,6 +1433,8 @@ class _Emitter:
                 self.locals[texts[j]] = None if ref.base == "var" else ref
                 self.ref_use(RelationKind.USES, ref)
                 return j + 1
+        if texts[i] in self.locals and nxt not in ("(", ".", "::"):
+            return i + 1  # a plain use of a local records nothing
         # dotted name chain
         segs = [texts[i]]
         j = i + 1
@@ -1417,7 +1466,7 @@ class _Emitter:
         name = segs[-1]
         receiver = segs[:-1]
         if not receiver:
-            found = self.find("methods", name)
+            found = self.scope.methods.get(name)
             self.emit(RelationKind.CALLS, name if found is None else found.entity_id)
             return
         head = receiver[0]
@@ -1426,7 +1475,7 @@ class _Emitter:
             ref = self.locals[head]
             owner = self.resolve_type(ref.base) if ref is not None else None
         else:
-            fd = self.find("fields", head)
+            fd = self.scope.fields.get(head)
             owner = self.resolve_type(head if fd is None else fd.tref.base)
         if owner is None:
             # unresolved receiver; keep the raw text
@@ -1438,7 +1487,7 @@ class _Emitter:
         head = segs[0]
         if head in self.locals:
             return
-        fd = self.find("fields", head)
+        fd = self.scope.fields.get(head)
         if fd is not None:
             if len(segs) == 1:
                 self._emit_field_access(last, fd, prev)
@@ -1486,6 +1535,20 @@ class _Emitter:
 # ---------------------------------------------------------------------------
 
 
+def java_files(root: str | Path) -> list[str]:
+    """The relative POSIX paths of the ``.java`` files under ``root``, sorted:
+    what ``rglob("*.java")`` finds and ``is_file()`` keeps.  A symlinked
+    directory is not entered; a symlink to a file counts."""
+    base = os.fspath(root)
+    found = []
+    for top, _, names in os.walk(base):
+        at = top[len(base):].lstrip(os.sep).replace(os.sep, "/")
+        for name in names:
+            if name.endswith(".java") and os.path.isfile(os.path.join(top, name)):
+                found.append(f"{at}/{name}" if at else name)
+    return sorted(found)
+
+
 def extract_project(project_root: str | Path, project_id: str) -> ProjectFacts:
     """Extract the fact model for every ``.java`` file under a directory.
 
@@ -1494,47 +1557,49 @@ def extract_project(project_root: str | Path, project_id: str) -> ProjectFacts:
     other projects exist.  Unreadable files and unparseable declarations
     are skipped with a warning, recorded and printed to stderr.  A file
     name that is not UTF-8, which no archive can store, is a ``DataError``.
+    The cycle collector is off while it runs, and then as the caller had it.
     """
     root = Path(project_root)
     facts = ProjectFacts(project_id=project_id)
     builder = _ProjectBuilder()
-    files = sorted(
-        (p for p in root.rglob("*.java") if p.is_file()),
-        key=lambda p: p.relative_to(root).as_posix(),
-    )
     syntaxes: list[FileSyntax] = []
     total_sloc = 0
-    for path in files:
-        rel = path.relative_to(root).as_posix()
-        try:
-            rel.encode("utf-8")
-        except UnicodeEncodeError:
-            name = os.fsencode(rel)
-            raise DataError(f"project {project_id}: file name {name!r} is not UTF-8") from None
-        try:
-            text = path.read_bytes().decode("utf-8", errors="replace")
-        except OSError as exc:
-            facts.warnings.append(f"skipped-file {rel}: {exc}")
-            print(f"project={project_id} file={rel} skipped: {exc}", file=sys.stderr)
-            continue
-        try:
-            syntax = parse_java_file(rel, text)
-        except Exception as exc:  # tolerant by contract
-            facts.warnings.append(f"skipped-file {rel}: parse failure {exc}")
-            print(f"project={project_id} file={rel} parse failure: {exc}", file=sys.stderr)
-            facts.parse_warning_count += 1
-            total_sloc += count_sloc(text)
-            continue
-        total_sloc += syntax.sloc
-        if syntax.parse_warnings:
-            facts.parse_warning_count += syntax.parse_warnings
-            facts.warnings.append(
-                f"parse-warnings {rel}: {syntax.parse_warnings} declaration(s) skipped"
-            )
-        syntaxes.append(syntax)
-    for syntax in syntaxes:
-        builder.add_file(syntax)
-    builder.emit_relations()
+    collecting = gc.isenabled()
+    gc.disable()  # extraction makes no reference cycles
+    try:
+        for rel in java_files(root):
+            try:
+                rel.encode("utf-8")
+            except UnicodeEncodeError:
+                name = os.fsencode(rel)
+                raise DataError(f"project {project_id}: file name {name!r} is not UTF-8") from None
+            try:
+                text = (root / rel).read_bytes().decode("utf-8", errors="replace")
+            except OSError as exc:
+                facts.warnings.append(f"skipped-file {rel}: {exc}")
+                print(f"project={project_id} file={rel} skipped: {exc}", file=sys.stderr)
+                continue
+            try:
+                syntax = parse_java_file(rel, text)
+            except Exception as exc:  # tolerant by contract
+                facts.warnings.append(f"skipped-file {rel}: parse failure {exc}")
+                print(f"project={project_id} file={rel} parse failure: {exc}", file=sys.stderr)
+                facts.parse_warning_count += 1
+                total_sloc += count_sloc(text)
+                continue
+            total_sloc += syntax.sloc
+            if syntax.parse_warnings:
+                facts.parse_warning_count += syntax.parse_warnings
+                facts.warnings.append(
+                    f"parse-warnings {rel}: {syntax.parse_warnings} declaration(s) skipped"
+                )
+            syntaxes.append(syntax)
+        for syntax in syntaxes:
+            builder.add_file(syntax)
+        builder.emit_relations()
+    finally:
+        if collecting:
+            gc.enable()
     facts.entities = builder.entities
     facts.relations = builder.relations
     facts.sloc = total_sloc

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .errors import ArchiveError, ArchiveIntegrityError, DataError, UsageError
-from .extractor import extract_project, read_manifest
+from .extractor import extract_project, java_files, read_manifest
 from .metrics import (
     DEFAULT_JDK_PREFIXES,
     MetricColumns,
@@ -383,7 +383,7 @@ def _measure_project(
 
 
 def _java_bytes(root: Path) -> int:
-    return sum(p.stat().st_size for p in root.rglob("*.java") if p.is_file())
+    return sum(os.path.getsize(os.path.join(root, rel)) for rel in java_files(root))
 
 
 def job_shares(weights: list[int], workers: int) -> list[list[int]]:

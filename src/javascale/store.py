@@ -9,11 +9,12 @@ records can be written as they are made.  No database engine; readers
 rebuild in-memory indexes.
 
 A version 5 record holds one project's facts as extraction makes them:
-its scalar fields typed, its ids 1..n in row order, its fqns non-empty
-strings, its kinds ones the tables below name, its files strings, its
-lines ints, its relation sources and targets entity ids, or names for
-targets, and each ``CONTAINS`` relation first, its targets increasing and
-each from an earlier entity.  ``encode_columns`` takes only facts of that
+its scalar fields typed, its sloc and parse-warning counts not negative,
+its ids 1..n in row order, its fqns non-empty strings, its kinds ones the
+tables below name, its files strings, its lines ints, its relation
+sources and targets entity ids, or names for targets, and each
+``CONTAINS`` relation first, its targets increasing and each from an
+earlier entity.  ``encode_columns`` takes only facts of that
 form and raises a ValueError naming the first field that breaks it.  The
 record leaves out what the form makes implicit and stores each repeated
 value once:
@@ -145,12 +146,15 @@ _SCALARS = {"project_id": str, "sloc": int, "parse_warning_count": int, "warning
 
 
 def _scalars(fields) -> dict:
-    """The scalar fields of ``fields``, each of its type, the warnings
-    strings; a missing field or one of another type raises."""
+    """The scalar fields of ``fields``, each of its type, the counts not
+    negative, the warnings strings; a missing field or one that breaks
+    these rules raises."""
     scalars = {name: fields[name] for name in _SCALARS}
     for (name, value), kind in zip(scalars.items(), _SCALARS.values()):
         if type(value) is not kind:  # a bool or a float is not an int
             raise ValueError(f"{name} is {type(value).__name__}, not {kind.__name__}")
+        if kind is int and value < 0:
+            raise ValueError(f"{name} must be non-negative")
     _only((str,), scalars["warnings"], "warnings")
     return scalars
 
@@ -220,10 +224,10 @@ def _ordinals(kinds: Sequence, ordinals: dict, name: str) -> list[int]:
 
 def encode_columns(columns: FactColumns) -> bytes:
     """The record payload of ``columns`` in extraction's form: scalar fields
-    of the types ``decode_columns`` requires, ids 1..n in row order,
-    non-empty string fqns, kinds the tables name, string files, int lines,
-    sources and int targets that are ids, other targets strings, and each
-    ``CONTAINS`` relation first, from an earlier entity.  Any other columns
+    of the types ``decode_columns`` requires, counts not negative, ids 1..n
+    in row order, non-empty string fqns, kinds the tables name, string
+    files, int lines, sources and int targets that are ids, other targets
+    strings, and each ``CONTAINS`` relation first, from an earlier entity.  Any other columns
     raise a ValueError that names the first field breaking the form."""
     record = _scalars(columns._asdict())
     ids, fqns, kinds, files, lines = _same_length(list(columns.entities), "entities")

@@ -50,9 +50,8 @@ def assert_in_extractions_form(facts) -> None:
     gives back the columns its encoder was given, which holds only for ids
     1..n and sources and int targets that are entities, with every
     ``CONTAINS`` relation first, its targets increasing and each from an
-    earlier entity; every entity but a package has a parent; and the sloc
-    count is not negative."""
-    assert facts.sloc >= 0, f"sloc must be non-negative, got {facts.sloc}"
+    earlier entity, and with the sloc and parse-warning counts not negative;
+    and every entity but a package has a parent."""
     columns = facts.columns()
     decoded = decode_columns(encode_columns(columns), "facts", 3)
     assert columns_json(decoded) == columns_json(columns)

@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 import random
 import re
 import shutil
@@ -19,6 +20,7 @@ from javascale import extractor
 from javascale.extractor import DEFAULT_PACKAGE, extract_corpus, extract_project
 from javascale.errors import DataError, DuplicateProjectError, EmptyCorpusError
 from javascale.facts import EntityKind, FactRelation, ProjectFacts, RelationKind, SourceEntity
+from javascale.pipeline import _java_bytes
 from javascale.store import (
     RELATION_KIND_TABLE,
     FactsArchive,
@@ -52,7 +54,7 @@ _TREE = [FactRelation(1, RelationKind.CONTAINS, 2), FactRelation(2, RelationKind
 _NOT_AFTER = "CONTAINS target {} is not an entity after {}"
 
 # one hand-built project per way out of extraction's form; the archive's
-# encoder refuses all but the parentless member and the negative sloc
+# encoder refuses all but the parentless member
 BROKEN_FACTS = [
     pytest.param([_PKG, _CLS, _entity(2, "p.C.m", EntityKind.METHOD)], _TREE, 0,
                  (ValueError, "the id column is not 1..n"), id="ids-not-unique"),
@@ -69,7 +71,7 @@ BROKEN_FACTS = [
                  [FactRelation(2, RelationKind.CONTAINS, 3), FactRelation(3, RelationKind.CONTAINS, 2)],
                  0, (ValueError, _NOT_AFTER.format(2, 3)), id="contains-cycle"),
     pytest.param([_PKG, _CLS, _MTH], _TREE, -1,
-                 (AssertionError, "sloc must be non-negative, got -1"), id="negative-sloc"),
+                 (ValueError, "sloc must be non-negative"), id="negative-sloc"),
 ]
 
 
@@ -1736,3 +1738,212 @@ class TestTokenTable:
             tracemalloc.stop()
         assert tokens > 50_000
         assert held <= 40 * tokens, f"{held / tokens:.1f} B per token"
+
+
+# Each body ends on the pre-checks' edge cases: a local declaration's type
+# goes on past its first word with `[]`, `...` or `<...>`; a cast's type
+# is one word or more; a local is followed by `::` or `.`; and a word or
+# `(` is a body's last token or the one before it.  The relations are those
+# of the rules the pre-checks skip.
+FAST_PATH_FILES = {
+    "f/F.java": """
+    package f;
+    class F {
+        F next;
+        void decls(Object o) {
+            a[] x;
+            a... y;
+            a<b> z;
+            a.b w;
+            a[] .q();
+            a < b;
+            Runnable r = o::hashCode;
+            o.hashCode();
+        }
+        void casts(Object o, int k) {
+            Object c1 = (a) o;
+            Object c2 = (a[]) o;
+            Object c3 = (a.b) o;
+            Object c4 = (a<b>) o;
+            int c5 = (k) + 1;
+            int c6 = (next) - 1;
+            Object c7 = (a ... ) o;
+        }
+        void lastWord() { a }
+        void lastTwoWords() { a b }
+        void lastParen() { a ( }
+        void parenWord() { ( a }
+        void wordParen() { g() ; a ( b }
+        void castAtEnd() { ( a ) }
+        void g() { (F) }
+    }
+    """,
+}
+
+FAST_PATH_RELATIONS = """
+f.F.next HOLDS f.F
+f.F.decls USES 'java.lang.Object'
+f.F.decls USES 'a'
+f.F.decls USES 'a'
+f.F.decls USES 'a'
+f.F.decls USES 'b'
+f.F.decls USES 'a.b'
+f.F.decls CALLS 'q'
+f.F.decls USES 'java.lang.Runnable'
+f.F.decls CALLS 'java.lang.Object.hashCode'
+f.F.decls CALLS 'java.lang.Object.hashCode'
+f.F.casts USES 'java.lang.Object'
+f.F.casts USES 'java.lang.Integer'
+f.F.casts USES 'java.lang.Object'
+f.F.casts USES 'java.lang.Object'
+f.F.casts CASTS 'a'
+f.F.casts USES 'java.lang.Object'
+f.F.casts CASTS 'a.b'
+f.F.casts USES 'java.lang.Object'
+f.F.casts CASTS 'a'
+f.F.casts USES 'b'
+f.F.casts USES 'java.lang.Integer'
+f.F.casts USES 'java.lang.Integer'
+f.F.casts READS f.F.next
+f.F.casts USES 'java.lang.Object'
+f.F.casts CASTS 'a'
+f.F.lastTwoWords USES 'a'
+f.F.lastParen CALLS 'a'
+f.F.wordParen CALLS f.F.g
+f.F.wordParen CALLS 'a'
+f.F.g USES f.F
+"""
+
+# a name declared both by an enclosing type and by a superclass
+NEAREST_FILES = {
+    "n/Top.java": """
+    package n;
+    class Base { int f; int m() { return 0; } }
+    class Mid extends Base { int f; }
+    class Top {
+        int f; int m() { return 1; }
+        class Outer {
+            int f;
+            class Inner extends Base { void go() { f = m(); } }
+            class Deeper extends Mid { void go() { f++; m(); } }
+            class Plain { void go() { f--; m(); } }
+            class Own extends Base { int f; void go() { f += 1; } }
+        }
+    }
+    """,
+}
+
+
+class TestFastPaths:
+    def test_inert_tokens_fall_through_the_dispatch(self):
+        # a token `run` steps over would reach no handler: it is no
+        # dispatched keyword, no `(` or `{`, no type keyword and no word
+        # that _handle_word takes
+        for text in extractor._INERT:
+            texts, kinds, _, _ = extractor.lex(text)
+            assert texts == [text], text
+            assert text not in ("new", "this", "super", "instanceof", "(", "{"), text
+            assert text not in extractor._TYPE_KEYWORD_TEXTS, text
+            assert kinds != "w" or (
+                text in extractor.KEYWORDS and text not in extractor.PRIMITIVES
+            ), text
+
+    def test_pre_checks_keep_the_relations(self, tmp_path):
+        facts = extract_project(write_project(tmp_path, FAST_PATH_FILES), "f")
+        assert facts.warnings == []
+        lines = [line for line in rel_lines(facts) if " CONTAINS " not in line]
+        assert lines == FAST_PATH_RELATIONS.split("\n")[1:-1]
+
+    def test_the_nearest_declarer_wins(self, tmp_path):
+        # the type first, then its superclasses, then the enclosing types
+        lines = rel_lines(extract_project(write_project(tmp_path, NEAREST_FILES), "n"))
+        assert [line for line in lines if ".go " in line] == [
+            "n.Top.Outer.Inner.go WRITES n.Base.f",
+            "n.Top.Outer.Inner.go CALLS n.Base.m",
+            "n.Top.Outer.Deeper.go WRITES n.Mid.f",
+            "n.Top.Outer.Deeper.go CALLS n.Base.m",
+            "n.Top.Outer.Plain.go WRITES n.Top.Outer.f",
+            "n.Top.Outer.Plain.go CALLS n.Top.m",
+            "n.Top.Outer.Own.go WRITES n.Top.Outer.Own.f",
+            "n.Top.Outer.Own.go READS n.Top.Outer.Own.f",
+        ]
+
+    def test_extraction_makes_no_reference_cycles(self, tmp_path):
+        # extract_project pauses the cycle collector, which frees nothing
+        # only as long as extraction leaves no cycle behind
+        roots = [
+            (write_project(tmp_path / f"m{n:03d}", files), f"m{n:03d}")
+            for n, files in enumerate(mutated_projects(20260, MUTATED_PROJECTS))
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            extract_corpus(CORPUS_DIR / "manifest.txt")
+            for root, project_id in roots:
+                extract_project(root, project_id)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_the_callers_collector_is_restored(self, tmp_path, monkeypatch):
+        write_project(tmp_path, {"A.java": "class A {}"})
+        real = extractor.parse_java_file
+        seen = []
+
+        def parse_java_file(path_text, text):
+            seen.append(gc.isenabled())
+            return real(path_text, text)
+
+        monkeypatch.setattr(extractor, "parse_java_file", parse_java_file)
+        assert gc.isenabled()
+        extract_project(tmp_path, "p")
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            extract_project(tmp_path, "p")
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        assert seen == [False, False]
+
+
+class TestJavaFiles:
+    def test_the_listing_keeps_rglobs_rules(self, tmp_path):
+        outside = write_project(tmp_path / "outside", {"Real.java": "class Real {}"})
+        root = write_project(
+            tmp_path / "root", {"a/A.java": "class A {}", "x.java/C.java": "class C {}"}
+        )
+        (root / "linked").symlink_to(root / "a", target_is_directory=True)
+        (root / "B.java").symlink_to(outside / "Real.java")
+        (root / "gone.java").symlink_to(tmp_path / "nowhere.java")
+        (root / "a" / "notes.txt").write_text("class N {}")
+        expected = ["B.java", "a/A.java", "x.java/C.java"]
+        assert extractor.java_files(root) == expected
+        rglob = [p.relative_to(root).as_posix() for p in root.rglob("*.java") if p.is_file()]
+        assert sorted(rglob) == expected
+        facts = extract_project(root, "p")
+        assert facts.warnings == []
+        assert [e.file for e in facts.entities if e.kind == EntityKind.CLASS] == expected
+
+    def test_java_bytes_are_those_extraction_reads(self, tmp_path, monkeypatch):
+        root = write_project(tmp_path / "root", {"a/A.java": "class A {}", "B.java": "class B { }"})
+        (root / "linked").symlink_to(root / "a", target_is_directory=True)
+        (root / "dir.java").mkdir()
+        read = []
+        real = Path.read_bytes
+
+        def read_bytes(path):
+            read.append(path)
+            return real(path)
+
+        monkeypatch.setattr(Path, "read_bytes", read_bytes)
+        extract_project(root, "p")
+        assert len(read) == 2
+        assert _java_bytes(root) == sum(path.stat().st_size for path in read)
+
+    def test_a_file_name_not_utf8_is_a_data_error(self, tmp_path):
+        write_project(tmp_path, {"A.java": "class A {}"})
+        (tmp_path / os.fsdecode(b"\xffB.java")).write_text("class B {}")
+        with pytest.raises(DataError, match=r"^project p: file name b'\\xffB\.java' is not UTF-8$"):
+            extract_project(tmp_path, "p")
+        assert gc.isenabled()

@@ -243,6 +243,17 @@ BAD_ARCHIVES = [
         r"bad record at line 3: ValueError\('warnings is int, not list'\)$",
         id="warnings",
     ),
+    # a count is not negative, as no extraction makes one
+    pytest.param(
+        _archive("1", _record(sloc=-1)),
+        r"bad record at line 3: ValueError\('sloc must be non-negative'\)$",
+        id="sloc-negative",
+    ),
+    pytest.param(
+        _archive("1", _record(parse_warning_count=-2)),
+        r"bad record at line 3: ValueError\('parse_warning_count must be non-negative'\)$",
+        id="parse-warnings-negative",
+    ),
     # kind ordinals: plain indexing would wrap a negative one, and a bool, a
     # float or a name is not an ordinal
     pytest.param(
@@ -647,7 +658,8 @@ def test_negative_sloc_record_is_integrity_error(tmp_path, capsys):
     path = tmp_path / "facts.bin"
     _write(path, _archive("1", _record(sloc=-1)))
     assert main(["metrics", str(path), "-o", str(tmp_path / "m.csv")]) == 2
-    message = f"data error: {path}: bad record at line 3: sloc must be non-negative\n"
+    # the decoder refuses it before the row rules could
+    message = f"data error: {path}: bad record at line 3: ValueError('sloc must be non-negative')\n"
     assert capsys.readouterr().err == message
 
 
@@ -847,6 +859,9 @@ REFUSED_FORMS = [
     pytest.param(_method(line=True), "the line column holds a value that is not an int",
                  id="line-bool"),
     pytest.param(ProjectFacts("p", sloc="3"), "sloc is str, not int", id="sloc-str"),
+    pytest.param(ProjectFacts("p", sloc=-1), "sloc must be non-negative", id="sloc-negative"),
+    pytest.param(ProjectFacts("p", parse_warning_count=-2),
+                 "parse_warning_count must be non-negative", id="parse-warnings-negative"),
     pytest.param(ProjectFacts("p", warnings=[5]), "warnings holds a value that is not a string",
                  id="warning-int"),
 ]
