@@ -21,10 +21,9 @@ and ``{``) with one set test.
 Each type's scope holds the fields and methods its names can see, the
 nearest declarer's winning, so a member lookup is one dict lookup; and a
 memo of the type names resolved in it, so each is resolved once per scope.
-``extract_project`` pauses the cycle collector while it runs: extraction
-makes no reference cycles (a test pins that a collection after it finds
-nothing), so the collector's passes over its many small objects would
-free nothing.
+Extraction makes no reference cycles (a test pins that a collection
+after it finds nothing), so the pipeline runs it with the cycle collector
+paused, whose passes over its many small objects would free nothing.
 
 A simple type name resolves to the first of:
 
@@ -49,7 +48,6 @@ resolves to one, else the resolved name, else the name as written.
 
 from __future__ import annotations
 
-import gc
 import os
 import sys
 from array import array
@@ -960,8 +958,8 @@ class _Scope(NamedTuple):
 
     Built once per type by the relation pass and dropped after it; never
     stored on a ``_TypeInfo``, whose own entry in ``chain`` would make a
-    reference cycle, which ``extract_project``, running with the cycle
-    collector paused, would leave behind until the collector next ran.
+    reference cycle, which extraction, run with the cycle collector
+    paused, would leave behind until the collector next ran.
     """
 
     syntax: FileSyntax
@@ -1557,49 +1555,42 @@ def extract_project(project_root: str | Path, project_id: str) -> ProjectFacts:
     other projects exist.  Unreadable files and unparseable declarations
     are skipped with a warning, recorded and printed to stderr.  A file
     name that is not UTF-8, which no archive can store, is a ``DataError``.
-    The cycle collector is off while it runs, and then as the caller had it.
     """
     root = Path(project_root)
     facts = ProjectFacts(project_id=project_id)
     builder = _ProjectBuilder()
     syntaxes: list[FileSyntax] = []
     total_sloc = 0
-    collecting = gc.isenabled()
-    gc.disable()  # extraction makes no reference cycles
-    try:
-        for rel in java_files(root):
-            try:
-                rel.encode("utf-8")
-            except UnicodeEncodeError:
-                name = os.fsencode(rel)
-                raise DataError(f"project {project_id}: file name {name!r} is not UTF-8") from None
-            try:
-                text = (root / rel).read_bytes().decode("utf-8", errors="replace")
-            except OSError as exc:
-                facts.warnings.append(f"skipped-file {rel}: {exc}")
-                print(f"project={project_id} file={rel} skipped: {exc}", file=sys.stderr)
-                continue
-            try:
-                syntax = parse_java_file(rel, text)
-            except Exception as exc:  # tolerant by contract
-                facts.warnings.append(f"skipped-file {rel}: parse failure {exc}")
-                print(f"project={project_id} file={rel} parse failure: {exc}", file=sys.stderr)
-                facts.parse_warning_count += 1
-                total_sloc += count_sloc(text)
-                continue
-            total_sloc += syntax.sloc
-            if syntax.parse_warnings:
-                facts.parse_warning_count += syntax.parse_warnings
-                facts.warnings.append(
-                    f"parse-warnings {rel}: {syntax.parse_warnings} declaration(s) skipped"
-                )
-            syntaxes.append(syntax)
-        for syntax in syntaxes:
-            builder.add_file(syntax)
-        builder.emit_relations()
-    finally:
-        if collecting:
-            gc.enable()
+    for rel in java_files(root):
+        try:
+            rel.encode("utf-8")
+        except UnicodeEncodeError:
+            name = os.fsencode(rel)
+            raise DataError(f"project {project_id}: file name {name!r} is not UTF-8") from None
+        try:
+            text = (root / rel).read_bytes().decode("utf-8", errors="replace")
+        except OSError as exc:
+            facts.warnings.append(f"skipped-file {rel}: {exc}")
+            print(f"project={project_id} file={rel} skipped: {exc}", file=sys.stderr)
+            continue
+        try:
+            syntax = parse_java_file(rel, text)
+        except Exception as exc:  # tolerant by contract
+            facts.warnings.append(f"skipped-file {rel}: parse failure {exc}")
+            print(f"project={project_id} file={rel} parse failure: {exc}", file=sys.stderr)
+            facts.parse_warning_count += 1
+            total_sloc += count_sloc(text)
+            continue
+        total_sloc += syntax.sloc
+        if syntax.parse_warnings:
+            facts.parse_warning_count += syntax.parse_warnings
+            facts.warnings.append(
+                f"parse-warnings {rel}: {syntax.parse_warnings} declaration(s) skipped"
+            )
+        syntaxes.append(syntax)
+    for syntax in syntaxes:
+        builder.add_file(syntax)
+    builder.emit_relations()
     facts.entities = builder.entities
     facts.relations = builder.relations
     facts.sloc = total_sloc

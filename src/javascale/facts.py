@@ -6,11 +6,13 @@ targets are entity ids when the target is declared inside the project and
 dotted name strings otherwise; names that could not be resolved to any
 package stay as plain (undotted) strings.  :class:`FactColumns` holds the
 same facts with each table transposed, one sequence per row field, as
-``metrics.measure`` reads them.  The archive stores only facts in the form
-extraction makes them, with ids 1..n in row order, each ``CONTAINS``
-parent before its child and each target an int or a string (see
-``store.encode_columns``); its ``decode_columns`` returns them as columns.
-Every reader refuses a parent after its child, so containment is a forest.
+``metrics.measure`` reads them.  Extraction makes facts in one form: ids
+1..n in row order, each relation source and int target an entity, each
+target an int or a string, and each ``CONTAINS`` relation first, from an
+earlier entity, so containment is a forest.  :func:`check_form` checks it
+for ``store.encode_columns`` and ``metrics.compute_metrics``; the archive's
+decoder checks its stored ``parent`` column, and ``measure`` reads facts
+already in the form, running :func:`containment` alone.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ TYPE_KINDS = frozenset(
 )
 
 RelationTarget = Union[int, str]
-# what every reader says of a CONTAINS parent that does not come before its child
+# what every check says of a CONTAINS parent that does not come before its child
 LATE_PARENT = "the CONTAINS parent {} of entity {} is not an earlier entity"
 
 
@@ -124,3 +126,63 @@ class ProjectFacts:
             list(zip(*self.entities)) or [()] * len(SourceEntity._fields),
             list(zip(*self.relations)) or [()] * len(FactRelation._fields),
         )
+
+
+def all_ints(values) -> bool:
+    # bool and float compare equal to ints but are written as other JSON
+    return {int}.issuperset(map(type, values))
+
+
+_TYPE_NAMES = {int: "an int", str: "a string"}
+
+
+def only(types: tuple, values, name: str):
+    """``values``, each of one of ``types``; any other value raises."""
+    if not set(map(type, values)).issubset(types):
+        kinds = " or ".join(map(_TYPE_NAMES.__getitem__, types))
+        raise ValueError(f"{name} holds a value that is not {kinds}")
+    return values
+
+
+def entity_ids(ids: Sequence[int], n: int, name: str) -> None:
+    """Raise unless each of ``ids`` is an entity of a record of ``n``."""
+    if ids and (min(ids) < 1 or max(ids) > n):
+        raise ValueError(f"{name} is not an entity of the record")
+
+
+def containment(columns: FactColumns) -> list[int]:
+    """Each entity's ``CONTAINS`` parent, else 0, from the leading
+    ``CONTAINS`` relations; one out of extraction's order raises."""
+    n = len(columns.entities[0])
+    parent = [0] * n
+    last = 0
+    for source, kind, target in zip(*columns.relations):
+        if kind != "CONTAINS":
+            break
+        if type(target) is not int or not last < target <= n:
+            raise ValueError(f"CONTAINS target {target!r} is not an entity after {last}")
+        if not 0 < source < target:
+            raise ValueError(LATE_PARENT.format(source, target))
+        parent[target - 1] = source
+        last = target
+    return parent
+
+
+def check_form(columns: FactColumns) -> list[int]:
+    """The ``containment`` of facts in extraction's form: ids 1..n, int
+    sources, a leading ``CONTAINS`` run and no ``CONTAINS`` after it,
+    sources and int targets that are entities, other targets strings.
+    The first rule broken, in that order, raises a ValueError naming it."""
+    ids = columns.entities[0]
+    sources, kinds, targets = columns.relations
+    if not all_ints(ids) or list(ids) != list(range(1, len(ids) + 1)):
+        raise ValueError("the id column is not 1..n")
+    only((int,), sources, "the source column")
+    parent = containment(columns)
+    entity_ids(sources, len(ids), "a relation source")
+    run = len(parent) - parent.count(0)
+    if "CONTAINS" in kinds[run:]:
+        raise ValueError("a CONTAINS relation follows a relation of another kind")
+    only((int, str), targets, "the target column")
+    entity_ids([t for t in targets if type(t) is int], len(ids), "a relation target")
+    return parent

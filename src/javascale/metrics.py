@@ -16,12 +16,14 @@ Counting conventions:
   separately as unresolved and do not enter the provenance split.
 
 :func:`measure` reads a project's facts as columns
-(:class:`~javascale.facts.FactColumns`), the form the archive decodes to: the
-``metrics`` command passes each record's columns without building a row
-object, and a ``ProjectFacts`` is transposed once.  Kinds are counted per
-column, and each distinct relation target is resolved once.  The
-unresolved count comes back beside the row; the ``metrics`` command sums
-it over the projects and prints the unresolved fraction.
+(:class:`~javascale.facts.FactColumns`) already in extraction's form, as
+extraction makes them and the archive decodes them: the ``metrics``
+command passes each record's columns without building a row object.
+:func:`compute_metrics`, which takes a caller's facts, checks the form
+first.  Kinds are counted per column, and each distinct relation target
+is resolved once.  The unresolved count comes back beside the row; the
+``metrics`` command sums it over the projects and prints the unresolved
+fraction.
 
 A :class:`ProjectMetrics` row is what extraction and the archive path
 make, one per project.  The statistics stages read a whole table as
@@ -36,7 +38,8 @@ from collections import Counter, namedtuple
 from itertools import compress
 
 from .errors import UnknownMetricError
-from .facts import LATE_PARENT, TYPE_KINDS, EntityKind, FactColumns, ProjectFacts, RelationKind
+from .facts import TYPE_KINDS, EntityKind, FactColumns, ProjectFacts, RelationKind
+from .facts import check_form, containment
 
 METRIC_COLUMNS = [
     "project_id",
@@ -76,7 +79,6 @@ DEFAULT_JDK_PREFIXES: tuple[str, ...] = ("java.", "javax.")
 
 _CLASS_KINDS = frozenset({EntityKind.CLASS, EntityKind.ENUM})
 _METHOD_KINDS = frozenset({EntityKind.METHOD})
-_CONTAINS_KINDS = frozenset({RelationKind.CONTAINS})
 _INHERIT_KINDS = frozenset({RelationKind.EXTENDS, RelationKind.IMPLEMENTS})
 _CALL_KINDS = frozenset({RelationKind.CALLS, RelationKind.INSTANTIATES})
 
@@ -165,49 +167,30 @@ def _call_owner(name: str, declared: set[str]) -> str | None:
 
 
 def measure(
-    facts: ProjectFacts | FactColumns, jdk_prefixes: tuple[str, ...] = DEFAULT_JDK_PREFIXES
+    facts: FactColumns, jdk_prefixes: tuple[str, ...] = DEFAULT_JDK_PREFIXES
 ) -> tuple[ProjectMetrics, int]:
     """A project's metrics row and its count of distinct unresolved names.
 
-    Pure and deterministic.  Reads the facts as columns, transposing a
-    ``ProjectFacts`` once.  The kind columns are counted; only the CONTAINS
-    rows are walked for the parents and only the EXTENDS and IMPLEMENTS
-    rows for ``dui`` and ``if_count``; each distinct (kind, target) pair of
-    a type use is resolved once, in file order, to at most one used module.
-    A CONTAINS parent walked to that is not a lower id than its child is a
-    ValueError naming both, so no walk loops; a type use whose target is
-    neither a name nor an entity id of the record is one naming it.
+    Pure and deterministic.  ``facts`` are columns in extraction's form,
+    checked where they entered, so only their ``containment`` is read:
+    each entity's owner type is found in one pass in row order, a parent's
+    before its child's.  The kind columns are counted; only the EXTENDS
+    and IMPLEMENTS rows are walked for ``dui`` and ``if_count``; each
+    distinct (kind, target) pair of a type use is resolved once to at
+    most one used module.
     """
-    if isinstance(facts, ProjectFacts):
-        facts = facts.columns()
-    ids, fqns_of_ids, entity_kinds, _, _ = facts.entities
+    if not isinstance(facts, FactColumns):  # rows would be read as columns
+        raise TypeError(f"measure takes FactColumns, not {type(facts).__name__}")
+    _, fqns, entity_kinds, _, _ = facts.entities
     sources, relation_kinds, targets = facts.relations
-    # an id given twice keeps its last row, as a dict built row by row would
-    kinds = dict(zip(ids, entity_kinds))
-    fqns = dict(zip(ids, fqns_of_ids))
+    parent = containment(facts)
+    kind_of = [None, *entity_kinds]  # by id, None for no entity
+    owner: list[str | None] = [None]  # the innermost type that is or contains each id
+    for up, kind, fqn in zip(parent, entity_kinds, fqns):
+        owner.append(fqn if kind in TYPE_KINDS else owner[up])
     per_kind = Counter(entity_kinds)
-    declared = set(compress(fqns_of_ids, map(TYPE_KINDS.__contains__, entity_kinds)))
-    method_ids = compress(ids, map(_METHOD_KINDS.__contains__, entity_kinds))
-    parent = {
-        target: source
-        for target, source in compress(
-            zip(targets, sources), map(_CONTAINS_KINDS.__contains__, relation_kinds)
-        )
-        if isinstance(target, int)
-    }
-    owners: dict[int, str | None] = {}
-
-    def owner_type(entity_id: int) -> str | None:
-        """The innermost type that is or contains the entity, looked up once."""
-        if entity_id not in owners:
-            cur: int | None = entity_id
-            while cur is not None and kinds.get(cur) not in TYPE_KINDS:
-                up = parent.get(cur)
-                if up is not None and not up < cur:  # each step is to a lower id
-                    raise ValueError(LATE_PARENT.format(up, cur))
-                cur = up
-            owners[entity_id] = None if cur is None else fqns[cur]
-        return owners[entity_id]
+    declared = set(compress(fqns, map(TYPE_KINDS.__contains__, entity_kinds)))
+    method_parents = compress(parent, map(_METHOD_KINDS.__contains__, entity_kinds))
 
     dui: set[int] = set()  # classes with a non-Object extends or an implements
     inherited: set[int] = set()  # classes some declaration extends
@@ -215,25 +198,21 @@ def measure(
         zip(sources, relation_kinds, targets), map(_INHERIT_KINDS.__contains__, relation_kinds)
     ):
         if kind == RelationKind.EXTENDS:
-            if kinds.get(target) in _CLASS_KINDS:
+            if type(target) is int and kind_of[target] in _CLASS_KINDS:
                 inherited.add(target)
-            name = fqns.get(target) if isinstance(target, int) else target
-            if kinds.get(source) in _CLASS_KINDS and name not in ("java.lang.Object", "Object"):
+            name = fqns[target - 1] if type(target) is int else target
+            if kind_of[source] in _CLASS_KINDS and name not in ("java.lang.Object", "Object"):
                 dui.add(source)
-        elif kinds.get(source) in _CLASS_KINDS:
+        elif kind_of[source] in _CLASS_KINDS:
             dui.add(source)
     used: set[str] = set()
     unresolved: set[str] = set()
     type_uses = compress(
         zip(relation_kinds, targets), map(_TYPE_USE_KINDS.__contains__, relation_kinds)
     )
-    for kind, target in dict.fromkeys(type_uses):  # in file order, for the fault named
-        if type(target) is int and target in kinds:  # not a bool or a float equal to an id
-            fqn = owner_type(target)
-        elif not isinstance(target, str):
-            raise ValueError(
-                f"{RelationKind(kind).value} target {target!r} is not an entity of the record"
-            )
+    for kind, target in dict.fromkeys(type_uses):
+        if type(target) is int:
+            fqn = owner[target]
         elif kind in _CALL_KINDS:
             fqn = _call_owner(target, declared)
             if fqn is None:
@@ -258,7 +237,7 @@ def measure(
         sloc=facts.sloc,
         classes=per_kind[EntityKind.CLASS] + per_kind[EntityKind.ENUM],
         interfaces=per_kind[EntityKind.INTERFACE] + per_kind[EntityKind.ANNOTATION],
-        methods=sum(kinds.get(parent.get(m)) in _CLASS_KINDS for m in method_ids),
+        methods=sum(kind_of[up] in _CLASS_KINDS for up in method_parents),
         constructors=per_kind[EntityKind.CONSTRUCTOR],
         calls=per_rel[RelationKind.CALLS],
         instanceof_count=per_rel[RelationKind.INSTANCEOF],
@@ -273,11 +252,13 @@ def measure(
 
 
 # kept for bench/worker.py's traced run, which wraps this name as its
-# metrics.provenance span: the span times every measure call, on archive
-# columns and on ProjectFacts alike
+# metrics.provenance span: the span times every measure call
 used_modules_by_provenance = measure
 
 
 def compute_metrics(facts: ProjectFacts) -> ProjectMetrics:
-    """The project's metrics row, with the default JDK prefixes."""
-    return measure(facts)[0]
+    """The project's metrics row, with the default JDK prefixes, once its
+    facts are checked to be in extraction's form (``check_form``)."""
+    columns = facts.columns()
+    check_form(columns)
+    return measure(columns)[0]

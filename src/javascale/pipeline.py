@@ -7,6 +7,7 @@ byte-identical files, verified by the sha256 manifest the run emits.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from itertools import compress
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .errors import ArchiveError, ArchiveIntegrityError, DataError, UsageError
+from .errors import ArchiveError, DataError, UsageError
 from .extractor import extract_project, java_files, read_manifest
 from .metrics import (
     DEFAULT_JDK_PREFIXES,
@@ -400,6 +401,19 @@ def job_shares(weights: list[int], workers: int) -> list[list[int]]:
     return shares
 
 
+@contextmanager
+def _collector_paused():
+    """The cycle collector off, then as the caller had it: a share's jobs
+    make no reference cycles for it to free."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def _in_workers(fn, jobs: list[tuple], weight):
     """Yield ``fn(*job)`` for each job, in job order.
 
@@ -409,13 +423,15 @@ def _in_workers(fn, jobs: list[tuple], weight):
     forked children each run one share and pipe its results back, and this
     process runs the last.  Otherwise the jobs run here: a child forked
     while another thread holds a lock would wait on it forever.  A failed
-    job raises at its place in job order.
+    job raises at its place in job order.  Each share runs with the cycle
+    collector paused.
     """
     affinity = getattr(os, "sched_getaffinity", None)  # Linux only
     workers = min(len(affinity(0)) if affinity else os.cpu_count() or 1, len(jobs))
     if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
-        for job in jobs:
-            yield fn(*job)
+        with _collector_paused():
+            for job in jobs:
+                yield fn(*job)
         return
     import pickle
     import signal
@@ -424,11 +440,12 @@ def _in_workers(fn, jobs: list[tuple], weight):
 
     def run(share: list[int]) -> list[tuple]:
         done = []
-        for i in share:
-            try:
-                done.append((i, True, fn(*jobs[i])))
-            except Exception as exc:  # raised in job order, by this process
-                done.append((i, False, exc))
+        with _collector_paused():
+            for i in share:
+                try:
+                    done.append((i, True, fn(*jobs[i])))
+                except Exception as exc:  # raised in job order, by this process
+                    done.append((i, False, exc))
         return done
 
     pipes, sent, failed = {}, {}, []  # by child pid: its pipe, what it sent
@@ -489,13 +506,7 @@ def _measure_record(path, offset, size, lineno, jdk_prefixes) -> tuple[ProjectMe
     with open(path, "rb") as fh:
         fh.seek(offset)
         payload = fh.read(size)
-    columns = decode_columns(payload, path, lineno)
-    try:
-        return measure(columns, jdk_prefixes)
-    except (TypeError, ValueError) as exc:
-        # a row invariant such as sloc >= 0: decode_columns checks the
-        # types, the parents' order and that each id names an entity
-        raise ArchiveIntegrityError(f"{path}: bad record at line {lineno}: {exc}") from exc
+    return measure(decode_columns(payload, path, lineno), jdk_prefixes)
 
 
 def measure_archive(

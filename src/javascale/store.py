@@ -10,14 +10,14 @@ rebuild in-memory indexes.
 
 A version 5 record holds one project's facts as extraction makes them:
 its scalar fields typed, its sloc and parse-warning counts not negative,
-its ids 1..n in row order, its fqns non-empty strings, its kinds ones the
-tables below name, its files strings, its lines ints, its relation
-sources and targets entity ids, or names for targets, and each
-``CONTAINS`` relation first, its targets increasing and each from an
-earlier entity.  ``encode_columns`` takes only facts of that
-form and raises a ValueError naming the first field that breaks it.  The
-record leaves out what the form makes implicit and stores each repeated
-value once:
+its fqns non-empty strings, its kinds ones the tables below name, its
+files strings, its lines ints, and its ids and relations in the form
+``facts.check_form`` checks: ids 1..n in row order, relation sources and
+targets entity ids, or names for targets, and each ``CONTAINS`` relation
+first, its targets increasing and each from an earlier entity.
+``encode_columns`` takes only facts of that form and raises a ValueError
+naming the first field that breaks it.  The record leaves out what the
+form makes implicit and stores each repeated value once:
 
 * ``entities`` holds four arrays, the fqn, kind, file and line of each
   entity; the ids are left out.  Each file is an index into the record's
@@ -47,9 +47,10 @@ layout: it requires every field but ``full``, refuses any field the
 layout does not name, checks the type of each field it reads (a target an
 int or a string), that each index is an int inside its table, each id an
 entity and each parent 0 or an earlier row, and that no pair is a parent.
-Version 4 and older archives are refused, not converted.  The commands
-measure those columns; ``read_facts`` alone builds entity and relation
-rows from them, one record at a time.
+So its columns are in extraction's form without ``check_form``, and the
+commands measure them as they are; ``read_facts`` alone builds entity
+and relation rows from them, one record at a time.  Version 4 and older
+archives are refused, not converted.
 
 The metrics table is a CSV of the ``METRIC_COLUMNS``, read back as
 :class:`~javascale.metrics.MetricColumns`.  A canonical table is one as
@@ -77,13 +78,8 @@ from .errors import (
     UnsupportedVersionError,
 )
 from .facts import (
-    LATE_PARENT,
-    EntityKind,
-    FactColumns,
-    FactRelation,
-    ProjectFacts,
-    RelationKind,
-    SourceEntity,
+    LATE_PARENT, EntityKind, FactColumns, FactRelation, ProjectFacts, RelationKind, SourceEntity,
+    all_ints, check_form, entity_ids, only,
 )
 from .metrics import CAPS, METRIC_COLUMNS, SUM_RULES, MetricColumns, ProjectMetrics, metric_columns
 
@@ -125,22 +121,6 @@ class FactsArchive(_FactsArchiveRow):
         return tuple.__new__(cls, (projects,))
 
 
-def _ints(values) -> bool:
-    # bool and float compare equal to ints but are written as other JSON
-    return {int}.issuperset(map(type, values))
-
-
-_TYPE_NAMES = {int: "an int", str: "a string"}
-
-
-def _only(types: tuple, values, name: str):
-    """``values``, each of one of ``types``; any other value raises."""
-    if not set(map(type, values)).issubset(types):
-        kinds = " or ".join(map(_TYPE_NAMES.__getitem__, types))
-        raise ValueError(f"{name} holds a value that is not {kinds}")
-    return values
-
-
 # a record's scalar fields and their types
 _SCALARS = {"project_id": str, "sloc": int, "parse_warning_count": int, "warnings": list}
 
@@ -155,7 +135,7 @@ def _scalars(fields) -> dict:
             raise ValueError(f"{name} is {type(value).__name__}, not {kind.__name__}")
         if kind is int and value < 0:
             raise ValueError(f"{name} must be non-negative")
-    _only((str,), scalars["warnings"], "warnings")
+    only((str,), scalars["warnings"], "warnings")
     return scalars
 
 
@@ -164,29 +144,6 @@ def _same_length(columns: list, name: str) -> list:
     if len(set(map(len, columns))) > 1:
         raise ValueError(f"{name} columns differ in length")
     return columns
-
-
-def _entity_ids(ids: Sequence[int], n: int, name: str) -> None:
-    """Raise unless each of ``ids`` is an entity of a record of ``n``."""
-    if ids and (min(ids) < 1 or max(ids) > n):
-        raise ValueError(f"{name} is not an entity of the record")
-
-
-def _parent_run(n: int, relations: Sequence[Sequence]) -> list[int]:
-    """Each of ``n`` entities' parent, else 0, from the leading ``CONTAINS``
-    relations; one out of extraction's order raises."""
-    parent = [0] * n
-    last = 0
-    for source, kind, target in zip(*relations):
-        if kind != "CONTAINS":
-            break
-        if type(target) is not int or not last < target <= n:
-            raise ValueError(f"CONTAINS target {target!r} is not an entity after {last}")
-        if not 0 < source < target:
-            raise ValueError(LATE_PARENT.format(source, target))
-        parent[target - 1] = source
-        last = target
-    return parent
 
 
 def _coded_fqns(fqns: Sequence[str], parent: list[int]) -> tuple[list, list[int]]:
@@ -224,35 +181,27 @@ def _ordinals(kinds: Sequence, ordinals: dict, name: str) -> list[int]:
 
 def encode_columns(columns: FactColumns) -> bytes:
     """The record payload of ``columns`` in extraction's form: scalar fields
-    of the types ``decode_columns`` requires, counts not negative, ids 1..n
-    in row order, non-empty string fqns, kinds the tables name, string
-    files, int lines, sources and int targets that are ids, other targets
-    strings, and each ``CONTAINS`` relation first, from an earlier entity.  Any other columns
-    raise a ValueError that names the first field breaking the form."""
+    of the types ``decode_columns`` requires, counts not negative, ids and
+    relations as ``facts.check_form`` requires, non-empty string fqns,
+    kinds the tables name, string files and int lines.  Any other columns
+    raise a ValueError that names the first field breaking the form, in
+    this order: scalars, column lengths, ``check_form``, the other columns."""
     record = _scalars(columns._asdict())
-    ids, fqns, kinds, files, lines = _same_length(list(columns.entities), "entities")
+    _, fqns, kinds, files, lines = _same_length(list(columns.entities), "entities")
     sources, kinds_of_relations, targets = _same_length(list(columns.relations), "relations")
-    if not _ints(ids) or list(ids) != list(range(1, len(ids) + 1)):
-        raise ValueError("the id column is not 1..n")
-    if not all(_only((str,), fqns, "the fqn column")):
+    parent = check_form(columns)
+    if not all(only((str,), fqns, "the fqn column")):
         raise ValueError("entity fqn must be non-empty")
     kinds = _ordinals(kinds, _ENTITY_ORDINALS, "the entity kind column")
-    files, file_index = _table(_only((str,), files, "the file column"))
-    lines = _deltas(_only((int,), lines, "the line column"))
-    _only((int,), sources, "the source column")
-    parent = _parent_run(len(ids), columns.relations)
-    _entity_ids(sources, len(ids), "a relation source")
+    files, file_index = _table(only((str,), files, "the file column"))
+    lines = _deltas(only((int,), lines, "the line column"))
     run = len(parent) - parent.count(0)
     kinds_of_relations = _ordinals(
         kinds_of_relations[run:], _RELATION_ORDINALS, "the relation kind column"
     )
-    if _RELATION_ORDINALS["CONTAINS"] in kinds_of_relations:
-        raise ValueError("a CONTAINS relation follows a relation of another kind")
-    _only((int, str), targets, "the target column")
     # an int or a string key is equal to another only when its JSON is the
     # same, unlike 1, 1.0, True and "1", so equal pairs can be merged
     pairs, relations = _table(zip(kinds_of_relations, targets[run:]))
-    _entity_ids([t for _, t in pairs if type(t) is int], len(ids), "a relation target")
     stored, full = _coded_fqns(fqns, parent)
     record.update(
         entities=[stored, kinds, file_index, lines],
@@ -276,7 +225,7 @@ def _fqns(stored: list, parent: list[int], full) -> list:
     """The fqns a record's fqn array stands for, rebuilt in one pass in row
     order: a coded row's is its parent's fqn and what it stores."""
     "".join(stored)  # a TypeError names the first fqn that is not a string
-    if type(full) is not list or not _ints(full):
+    if type(full) is not list or not all_ints(full):
         raise ValueError("full is not a list of ints")
     if full and (min(full) < 0 or max(full) >= len(stored)):
         raise ValueError("full holds a row index out of range")
@@ -294,7 +243,7 @@ def _kinds(column: list, table: dict, name: str) -> list:
     ``table``; any other column raises.  Members, unlike equal strings, are
     found by identity in the sets of kinds ``measure`` looks them up in."""
     try:
-        return list(map(table.__getitem__, _only((int,), column, name)))
+        return list(map(table.__getitem__, only((int,), column, name)))
     except KeyError:
         raise ValueError("a kind ordinal is out of range") from None
 
@@ -303,7 +252,7 @@ def _indexed(index: list, name: str, *tables: list) -> list[list]:
     """The entries of each table that ``index`` names, each index an int in
     ``[0, len(table))``; any other index raises.  A dict lookup refuses a
     negative index, which a list's would wrap."""
-    if not _ints(index):
+    if not all_ints(index):
         raise ValueError(f"{name} holds an index that is not an int")
     try:
         return [list(map(dict(enumerate(table)).__getitem__, index)) for table in tables]
@@ -329,8 +278,8 @@ def _relation_columns(data: dict, n: int) -> tuple[list, list]:
     kinds = _kinds(kinds, _RELATION_KIND_OF, "the pair kind column")
     if RelationKind.CONTAINS in kinds:
         raise ValueError("a pair holds the CONTAINS kind, which only parent stores")
-    _only((int, str), targets, "the pair target column")
-    _entity_ids([t for t in targets if type(t) is int], n, "a pair target")
+    only((int, str), targets, "the pair target column")
+    entity_ids([t for t in targets if type(t) is int], n, "a pair target")
     return _indexed(index, "relations", kinds, targets)
 
 
@@ -344,21 +293,21 @@ def _decoded(data: dict) -> FactColumns:
     stored, kinds, file_index, lines = data["entities"]
     _same_length([stored, kinds, file_index, lines], "entities")
     kinds = _kinds(kinds, _ENTITY_KIND_OF, "the entity kind column")
-    files = _only((str,), _list(data["files"], "files"), "files")
+    files = only((str,), _list(data["files"], "files"), "files")
     [files] = _indexed(file_index, "the file column", files)
-    lines = list(accumulate(_only((int,), lines, "the line column")))
+    lines = list(accumulate(only((int,), lines, "the line column")))
     parent = data["parent"]
     if len(parent) != len(stored):
         raise ValueError("parent and entities differ in length")
-    _only((int,), parent, "parent")
+    only((int,), parent, "parent")
     if min(parent, default=0) < 0 or not all(map(le, parent, range(len(parent)))):
         row = next(row for row, source in enumerate(parent) if not 0 <= source <= row)
         raise ValueError(LATE_PARENT.format(parent[row], row + 1))
     fqns = _fqns(stored, parent, data.get("full", []))
     if not all(fqns):
         raise ValueError("entity fqn must be non-empty")
-    sources = list(accumulate(_only((int,), data["deltas"], "deltas")))
-    _entity_ids(sources, len(stored), "a relation source")
+    sources = list(accumulate(only((int,), data["deltas"], "deltas")))
+    entity_ids(sources, len(stored), "a relation source")
     kinds_of_relations, targets = _same_length(
         [sources, *_relation_columns(data, len(stored))], "relations"
     )[1:]

@@ -4,10 +4,13 @@
 
 Writes the project sets below into a temporary directory, extracts and
 archives every project under each tree in its own interpreter, decodes its
-record with that tree's ``decode_columns``, and prints each project whose
-decoded facts differ, then one count per set.  The facts are compared as
-canonical JSON, so two trees that write different archive versions can be
-compared.  Exit status 0 when no record differs, 1 otherwise.
+record with that tree's ``decode_columns`` and measures the decoded
+columns with that tree's ``measure``.  Prints each project whose decoded
+facts or metrics row differ, then two counts per set, of records and of
+rows.  The facts are compared as canonical JSON, so two trees that write
+different archive versions can be compared; a row is compared with its
+unresolved-name count.  Exit status 0 when no record and no row differs,
+1 otherwise.
 
 The sets: the mutated projects of ``test_extractor.mutated_projects`` for
 seeds 20260 (400 projects, the ones its digest test pins), 12345 and 777
@@ -80,7 +83,8 @@ def _manifest_projects(manifest: Path) -> list[tuple[str, str]]:
 
 def write_sets(root: Path) -> dict[str, list[tuple[str, str]]]:
     """Write every project set under ``root``; each set's (id, root) pairs."""
-    sys.path[:0] = [str(TESTS), str(TESTS.parent / "bench"), str(TESTS.parent / "src")]
+    # this checkout's javascale, which the tests and the generator import
+    sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS), str(TESTS.parent / "bench")]
     import gen
     from test_extractor import _SOURCES, mutated_projects, write_project
 
@@ -111,12 +115,18 @@ def columns_json(columns) -> bytes:
     return json.dumps(columns._asdict(), sort_keys=True, separators=(",", ":")).encode()
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def extract_digests(src: str, sets_json: str) -> None:
-    """Print, as JSON, the sha256 of each project's facts as the javascale
-    under ``src`` extracts, archives and decodes them: the canonical JSON
-    of the ``FactColumns`` its ``decode_columns`` returns."""
+    """Print, as JSON, two sha256 digests of each project as the javascale
+    under ``src`` extracts, archives and decodes it: of the canonical JSON
+    of the ``FactColumns`` its ``decode_columns`` returns, and of the
+    metrics row and unresolved-name count its ``measure`` makes of them."""
     sys.path.insert(0, src)
     from javascale.extractor import extract_project
+    from javascale.metrics import measure
     from javascale.store import FactsArchive, decode_columns, scan_records, write_facts
 
     sets = json.loads(Path(sets_json).read_text(encoding="utf-8"))
@@ -129,7 +139,11 @@ def extract_digests(src: str, sets_json: str) -> None:
                 write_facts(FactsArchive(projects=[extract_project(root, pid)]), archive)
                 ((_, payload, lineno),) = scan_records(archive)
                 columns = decode_columns(payload, archive, lineno)
-                digests[name][pid] = hashlib.sha256(columns_json(columns)).hexdigest()
+                row, unresolved = measure(columns)
+                digests[name][pid] = [
+                    _sha256(columns_json(columns)),
+                    _sha256(json.dumps([*row, unresolved]).encode()),
+                ]
     print(json.dumps(digests))
 
 
@@ -157,11 +171,12 @@ def main(argv: list[str]) -> int:
     old, new = (json.loads(out) for out in outputs)
     differing = 0
     for name, digests in old.items():
-        diffs = [pid for pid, digest in digests.items() if new[name].get(pid) != digest]
-        for pid in diffs:
-            print(f"{name}/{pid}")
-        print(f"{name}: {len(diffs)} of {len(digests)} record(s) differ")
-        differing += len(diffs)
+        for n, what in enumerate(["record", "row"]):
+            diffs = [pid for pid, pair in digests.items() if new[name][pid][n] != pair[n]]
+            for pid in diffs:
+                print(f"{name}/{pid} {what}")
+            print(f"{name}: {len(diffs)} of {len(digests)} {what}(s) differ")
+            differing += len(diffs)
     return 1 if differing else 0
 
 

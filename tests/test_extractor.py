@@ -17,10 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from javascale import extractor
-from javascale.extractor import DEFAULT_PACKAGE, extract_corpus, extract_project
+from javascale.extractor import DEFAULT_PACKAGE, extract_corpus, extract_project, read_manifest
 from javascale.errors import DataError, DuplicateProjectError, EmptyCorpusError
 from javascale.facts import EntityKind, FactRelation, ProjectFacts, RelationKind, SourceEntity
-from javascale.pipeline import _java_bytes
+from javascale.metrics import DEFAULT_JDK_PREFIXES, measure
+from javascale.pipeline import _java_bytes, _measure_project
 from javascale.store import (
     RELATION_KIND_TABLE,
     FactsArchive,
@@ -841,6 +842,25 @@ class TestRelationCharacterization:
         lines = rel_lines(extract_project(tmp_path, "p"))
         assert "p.Holder.held HOLDS 'Foo'" in lines
         assert "p.Holder.go USES 'Foo'" in lines
+
+    @pytest.mark.parametrize(
+        "constructor, target",
+        [("", "'c.Node.<init>'"), ("Node() {} ", "c.Node.<init>")],
+        ids=["implicit", "declared"],
+    )
+    def test_this_new_instantiates_its_own_type(self, tmp_path, constructor, target):
+        # `this::new` names the enclosing type's constructor: the entity
+        # when the type declares one, else the name
+        text = (
+            "package c;\nimport java.util.function.Supplier;\n"
+            f"class Node {{ {constructor}Supplier<Node> maker() {{ return this::new; }} }}\n"
+        )
+        lines = rel_lines(extract_project(write_project(tmp_path, {"c/F.java": text}), "c"))
+        assert [line for line in lines if line.startswith("c.Node.maker ")] == [
+            "c.Node.maker USES 'java.util.function.Supplier'",
+            "c.Node.maker USES c.Node",
+            f"c.Node.maker INSTANTIATES {target}",
+        ]
 
     def test_keyword_after_double_colon_names_no_member(self, tmp_path):
         # Only an identifier or `new` may follow `::`.  The mutated corpora
@@ -1869,42 +1889,22 @@ class TestFastPaths:
         ]
 
     def test_extraction_makes_no_reference_cycles(self, tmp_path):
-        # extract_project pauses the cycle collector, which frees nothing
-        # only as long as extraction leaves no cycle behind
+        # each share of the pipeline's projects runs with the cycle collector
+        # paused, which frees nothing only as long as extracting, measuring,
+        # encoding, decoding and measuring again leave no cycle behind
         roots = [
-            (write_project(tmp_path / f"m{n:03d}", files), f"m{n:03d}")
+            (f"m{n:03d}", write_project(tmp_path / f"m{n:03d}", files))
             for n, files in enumerate(mutated_projects(20260, MUTATED_PROJECTS))
         ]
         gc.collect()
         gc.disable()
         try:
-            extract_corpus(CORPUS_DIR / "manifest.txt")
-            for root, project_id in roots:
-                extract_project(root, project_id)
+            for project_id, root in [*read_manifest(CORPUS_DIR / "manifest.txt"), *roots]:
+                payload, row, _ = _measure_project(project_id, root, DEFAULT_JDK_PREFIXES)
+                assert measure(decode_columns(payload, "facts.bin", 3))[0] == row
             assert gc.collect() == 0
         finally:
             gc.enable()
-
-    def test_the_callers_collector_is_restored(self, tmp_path, monkeypatch):
-        write_project(tmp_path, {"A.java": "class A {}"})
-        real = extractor.parse_java_file
-        seen = []
-
-        def parse_java_file(path_text, text):
-            seen.append(gc.isenabled())
-            return real(path_text, text)
-
-        monkeypatch.setattr(extractor, "parse_java_file", parse_java_file)
-        assert gc.isenabled()
-        extract_project(tmp_path, "p")
-        assert gc.isenabled()
-        gc.disable()
-        try:
-            extract_project(tmp_path, "p")
-            assert not gc.isenabled()
-        finally:
-            gc.enable()
-        assert seen == [False, False]
 
 
 class TestJavaFiles:
@@ -1946,4 +1946,3 @@ class TestJavaFiles:
         (tmp_path / os.fsdecode(b"\xffB.java")).write_text("class B {}")
         with pytest.raises(DataError, match=r"^project p: file name b'\\xffB\.java' is not UTF-8$"):
             extract_project(tmp_path, "p")
-        assert gc.isenabled()

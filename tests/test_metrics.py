@@ -138,19 +138,19 @@ class TestUsedModules:
             tmp_path,
             {"a/A.java": "package a; class A {}", "a/B.java": "package a; class B { A a; }"},
         )
-        pm, _ = measure(facts)
+        pm, _ = measure(facts.columns())
         assert (pm.used_internal, pm.used_jdk, pm.used_external) == (1, 0, 0)
 
     def test_jdk(self, tmp_path):
         facts = project_from(tmp_path, {"A.java": "class A { Integer n; }"})
-        pm, _ = measure(facts)
+        pm, _ = measure(facts.columns())
         assert (pm.used_internal, pm.used_jdk, pm.used_external) == (0, 1, 0)
 
     def test_external(self, tmp_path):
         facts = project_from(
             tmp_path, {"A.java": "import org.apache.commons.X; class A { X x; }"}
         )
-        pm, _ = measure(facts)
+        pm, _ = measure(facts.columns())
         assert (pm.used_internal, pm.used_jdk, pm.used_external) == (0, 0, 1)
 
     def test_custom_prefixes(self, tmp_path):
@@ -158,18 +158,18 @@ class TestUsedModules:
             tmp_path, {"A.java": "import sun.misc.Unsafe; class A { Unsafe u; }"}
         )
         assert compute_metrics(facts).used_external == 1
-        pm, _ = measure(facts, ("java.", "sun."))
+        pm, _ = measure(facts.columns(), ("java.", "sun."))
         assert (pm.used_jdk, pm.used_external) == (1, 0)
 
     def test_foonumber_provenance(self, foonumber_facts):
-        pm, _ = measure(foonumber_facts)
+        pm, _ = measure(foonumber_facts.columns())
         assert pm.used_internal == 1  # the class itself, via self-instantiation
         assert pm.used_jdk >= 2  # Integer and System at least
         assert pm.used_external == 0
         assert pm.used_total == pm.used_internal + pm.used_jdk + pm.used_external
 
     def test_empty(self):
-        pm, _ = measure(ProjectFacts(project_id="none"))
+        pm, _ = measure(ProjectFacts(project_id="none").columns())
         assert (pm.used_internal, pm.used_jdk, pm.used_external, pm.used_total) == (0, 0, 0, 0)
 
     def test_distinctness(self, tmp_path):
@@ -180,7 +180,7 @@ class TestUsedModules:
             tmp_path,
             {"A.java": f"import ext.Thing;\nclass A {{\n  void go() {{\n{body}\n  }}\n}}"},
         )
-        pm, _ = measure(facts)
+        pm, _ = measure(facts.columns())
         assert pm.used_external == 1
 
     def test_unresolved_not_in_provenance_split(self, tmp_path):
@@ -188,7 +188,7 @@ class TestUsedModules:
             tmp_path,
             {"A.java": "class A { void go() { Mystery.call(); helper(); } }"},
         )
-        pm, unresolved = measure(facts)
+        pm, unresolved = measure(facts.columns())
         assert pm.used_external == 0
         assert unresolved >= 1
 
@@ -237,32 +237,34 @@ def small_projects(draw):
 
 
 class TestMeasure:
-    # the extractor emits every CONTAINS edge first; an archive may not
+    # within extraction's form only the relations after the CONTAINS run
+    # may come in any order
     @given(st.data())
     @settings(max_examples=60, deadline=None)
-    def test_entity_and_relation_order_do_not_matter(self, fixture_projects, data):
+    def test_the_order_of_other_relations_does_not_matter(self, fixture_projects, data):
         for facts in [*fixture_projects, data.draw(small_projects())]:
+            run = sum(r.kind == RelationKind.CONTAINS for r in facts.relations)
+            others = data.draw(st.permutations(facts.relations[run:]))
             shuffled = ProjectFacts(
-                facts.project_id,
-                data.draw(st.permutations(facts.entities)),
-                data.draw(st.permutations(facts.relations)),
-                facts.sloc,
+                facts.project_id, facts.entities, facts.relations[:run] + others, facts.sloc
             )
             for prefixes in [("java.", "javax."), ("java.", "sun.")]:
-                assert measure(shuffled, prefixes) == measure(facts, prefixes)
+                assert measure(shuffled.columns(), prefixes) == measure(facts.columns(), prefixes)
 
-    # a walk up the CONTAINS parents steps to lower ids only, so it cannot
-    # loop: a cycle is refused at its first step to a later entity
+    # compute_metrics checks a caller's facts before measuring them: a
+    # CONTAINS parent after its child, so any cycle, is refused
     @pytest.mark.parametrize(
-        "relations, used, parent, child",
+        "relations, used, message",
         [
-            ([(2, 3), (3, 2)], 3, 3, 2),
-            ([(3, 3)], 3, 3, 3),
-            ([(3, 1), (2, 3), (3, 2)], 1, 3, 1),  # 1 in 3, which is on the cycle
+            ([(2, 3), (3, 2)], 3, "CONTAINS target 2 is not an entity after 3"),
+            ([(3, 3)], 3, "the CONTAINS parent 3 of entity 3 is not an earlier entity"),
+            # 1 in 3, which is on the cycle
+            ([(3, 1), (2, 3), (3, 2)], 1,
+             "the CONTAINS parent 3 of entity 1 is not an earlier entity"),
         ],
         ids=["two", "self", "tail"],
     )
-    def test_a_parent_after_its_child_is_named(self, relations, used, parent, child):
+    def test_a_parent_after_its_child_is_named(self, relations, used, message):
         facts = ProjectFacts(
             "cyc",
             [
@@ -273,21 +275,21 @@ class TestMeasure:
             [FactRelation(s, RelationKind.CONTAINS, t) for s, t in relations]
             + [FactRelation(1, RelationKind.USES, used)],
         )
-        message = f"^the CONTAINS parent {parent} of entity {child} is not an earlier entity$"
-        with pytest.raises(ValueError, match=message):
-            measure(facts)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            compute_metrics(facts)
 
-    # the archive's reader refuses such a target first; facts built in
-    # memory reach this check
     @pytest.mark.parametrize("kind", [RelationKind.CALLS, RelationKind.USES])
     def test_a_type_use_of_no_entity_is_named(self, kind):
         facts = ProjectFacts(
             "dangling", [SourceEntity(1, "p", EntityKind.PACKAGE, "", 0)],
             [FactRelation(1, kind, 9)],
         )
-        message = f"^{kind.value} target 9 is not an entity of the record$"
-        with pytest.raises(ValueError, match=message):
-            measure(facts)
+        with pytest.raises(ValueError, match="^a relation target is not an entity of the record$"):
+            compute_metrics(facts)
+
+    def test_measure_takes_columns_only(self, foonumber_facts):
+        with pytest.raises(TypeError, match="^measure takes FactColumns, not ProjectFacts$"):
+            measure(foonumber_facts)
 
     def test_walk_up_to_a_package_is_no_cycle(self):
         # one CONTAINS edge, but two steps up from the field: to p, then to nothing
@@ -299,7 +301,7 @@ class TestMeasure:
             ],
             [FactRelation(1, RelationKind.CONTAINS, 2), FactRelation(1, RelationKind.USES, 2)],
         )
-        row, unresolved = measure(facts)
+        row, unresolved = measure(facts.columns())
         assert (row.used_total, unresolved) == (0, 0)
 
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -551,6 +552,31 @@ def test_workers_run_each_job_once_and_leave_no_child(monkeypatch):
     assert_no_child_left()
 
 
+def _collector_state(fails: bool) -> bool:
+    if fails:
+        raise ValueError("a failed job")
+    return gc.isenabled()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("collecting", [True, False])
+def test_each_share_runs_with_the_collector_paused(monkeypatch, cpus, collecting):
+    """In this process and in a forked child alike; the caller's setting
+    comes back after the shares, also when a job raises."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    (gc.enable if collecting else gc.disable)()
+    try:
+        jobs = [(False,)] * 4
+        assert list(pipeline._in_workers(_collector_state, jobs, lambda job: 1)) == [False] * 4
+        assert gc.isenabled() is collecting
+        with pytest.raises(ValueError, match="^a failed job$"):
+            list(pipeline._in_workers(_collector_state, [*jobs, (True,)], lambda job: 1))
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable()
+    assert_no_child_left()
+
+
 def _raise_here_sleep_in_a_child(parent: int, weight: int) -> None:
     if os.getpid() == parent:
         raise KeyboardInterrupt
@@ -883,6 +909,13 @@ class TestCli:
         out_dir = json.loads(cfg.read_text())["out_dir"]
         assert self.run("report", out_dir) == 0
         assert "model fits" in capsys.readouterr().out
+
+    def test_report_on_a_missing_run_directory_is_a_data_error(self, tmp_path, capsys):
+        missing = tmp_path / "no-run"
+        assert self.run("report", str(missing)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"data error: run directory {missing} does not exist\n"
 
     def test_fit_zero_offset_flag(self, tmp_path, capsys):
         facts = tmp_path / "facts.bin"

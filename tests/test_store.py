@@ -804,8 +804,9 @@ def _late(parent: int, child: int) -> str:
     return f"the CONTAINS parent {parent} of entity {child} is not an earlier entity"
 
 
-# facts outside extraction's form, and the ValueError the writer raises
-REFUSED_FORMS = [
+# facts whose ids or relations break extraction's form, and the ValueError
+# that facts.check_form raises for the writer and for compute_metrics alike
+BROKEN_STRUCTURE = [
     # every CONTAINS relation comes first, its targets increasing, each
     # from an entity before its target
     pytest.param(_facts([(2, _C, 3), (1, _C, 2)]), "CONTAINS target 2 is not an entity after 3",
@@ -844,6 +845,11 @@ REFUSED_FORMS = [
     pytest.param(_facts([*_TREE, (3, _U, True)]), _NOT_A_TARGET, id="bool-target"),
     pytest.param(_facts([*_TREE, (3, _U, -0.0)]), _NOT_A_TARGET, id="negative-zero-target"),
     pytest.param(_facts([*_TREE, (3, _U, None)]), _NOT_A_TARGET, id="null-target"),
+]
+
+# facts outside extraction's form, and the ValueError the writer raises
+REFUSED_FORMS = [
+    *BROKEN_STRUCTURE,
     pytest.param(_method(kind="KLASS"),
                  "the entity kind column holds a kind its table does not name", id="entity-kind"),
     pytest.param(_facts([*_TREE, (3, "READS_ALOUD", 1)]),
@@ -873,6 +879,12 @@ def test_facts_outside_extractions_form_are_refused(tmp_path, facts, message):
         encode_columns(facts.columns())
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         write_facts(FactsArchive(projects=[facts]), tmp_path / "facts.bin")
+
+
+@pytest.mark.parametrize("facts, message", BROKEN_STRUCTURE)
+def test_compute_metrics_refuses_a_broken_structure_as_the_writer_does(facts, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        compute_metrics(facts)
 
 
 def test_an_empty_fqn_is_refused():
