@@ -18,6 +18,7 @@ from .pipeline import (
     check_grid,
     extract_facts,
     fit_stage,
+    json_list,
     load_config,
     load_json,
     measure_archive,
@@ -198,9 +199,10 @@ def cmd_normalize(args) -> int:
 def cmd_synth(args) -> int:
     data = load_json(args.spec, "synth spec")
     with settings_errors("synth spec"):
+        x_range = json_list(data["x_range"], "x_range")
         spec = SynthSpec(
             n_projects=int(data["n_projects"]),
-            x_range=(float(data["x_range"][0]), float(data["x_range"][1])),
+            x_range=(float(x_range[0]), float(x_range[1])),
             true_alpha=float(data["alpha"]),
             true_beta=float(data["beta"]),
             true_k=float(data.get("k", 1)),

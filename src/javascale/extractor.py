@@ -57,13 +57,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import DataError, DuplicateProjectError, EmptyCorpusError
-from .facts import (
-    EntityKind,
-    FactRelation,
-    ProjectFacts,
-    RelationKind,
-    SourceEntity,
-)
+from .facts import EntityKind, ProjectFacts, RelationKind
 # ``tokenize`` is not called here, but the benchmark's tracer
 # (bench/worker.py) wraps it and ``count_sloc`` under these names, with
 # ``parse_java_file`` and ``extract_project``
@@ -977,28 +971,33 @@ def _super_ref(decl: TypeDecl) -> TypeRef | None:
 
 class _ProjectBuilder:
     def __init__(self):
-        self.entities: list[SourceEntity] = []
-        self.relations: list[FactRelation] = []
+        # the facts' columns: each entity's id, fqn, kind, file and line,
+        # and each relation's source, kind and target
+        self.entity_columns: list[list] = [[], [], [], [], []]
+        self.relation_columns: list[list] = [[], [], []]
         self.packages: dict[str, int] = {}
         self.types: dict[str, _TypeInfo] = {}
         self.all_infos: list[_TypeInfo] = []  # declaration order, no overwrites
 
     def _new_entity(self, fqn: str, kind: EntityKind, file: str, line: int) -> int:
-        eid = len(self.entities) + 1
-        self.entities.append(
-            SourceEntity(
-                entity_id=eid,
-                fqn=fqn,
-                kind=kind,
-                file=file,
-                line=line,
-            )
-        )
+        ids, fqns, kinds, files, lines = self.entity_columns
+        eid = len(ids) + 1
+        ids.append(eid)
+        fqns.append(fqn)
+        kinds.append(kind)
+        files.append(file)
+        lines.append(line)
         return eid
+
+    def relate(self, source: int, kind: RelationKind, target: int | str) -> None:
+        sources, kinds, targets = self.relation_columns
+        sources.append(source)
+        kinds.append(kind)
+        targets.append(target)
 
     def _contains(self, parent: int, fqn: str, kind: EntityKind, file: str, line: int) -> int:
         eid = self._new_entity(fqn, kind, file, line)
-        self.relations.append(FactRelation(parent, RelationKind.CONTAINS, eid))
+        self.relate(parent, RelationKind.CONTAINS, eid)
         return eid
 
     def package_entity(self, name: str) -> int:
@@ -1195,9 +1194,7 @@ class _ProjectBuilder:
         else:  # an initializer block or an enum constant's arguments
             emitter = _Emitter(self, scope, type_eid)
             if isinstance(member, EnumConst):
-                self.relations.append(
-                    FactRelation(member.entity_id, RelationKind.HOLDS, type_eid)
-                )
+                self.relate(member.entity_id, RelationKind.HOLDS, type_eid)
         emitter.run(*member.body)
 
 
@@ -1223,7 +1220,7 @@ class _Emitter:
     # -- small helpers ----------------------------------------------------
 
     def emit(self, kind: RelationKind, target: int | str) -> None:
-        self.b.relations.append(FactRelation(self.source, kind, target))
+        self.b.relate(self.source, kind, target)
 
     def resolve_type(self, name: str) -> str | None:
         resolved = self.scope.resolved
@@ -1557,10 +1554,10 @@ def extract_project(project_root: str | Path, project_id: str) -> ProjectFacts:
     name that is not UTF-8, which no archive can store, is a ``DataError``.
     """
     root = Path(project_root)
-    facts = ProjectFacts(project_id=project_id)
     builder = _ProjectBuilder()
     syntaxes: list[FileSyntax] = []
-    total_sloc = 0
+    warnings: list[str] = []
+    total_sloc = parse_warning_count = 0
     for rel in java_files(root):
         try:
             rel.encode("utf-8")
@@ -1570,31 +1567,31 @@ def extract_project(project_root: str | Path, project_id: str) -> ProjectFacts:
         try:
             text = (root / rel).read_bytes().decode("utf-8", errors="replace")
         except OSError as exc:
-            facts.warnings.append(f"skipped-file {rel}: {exc}")
+            warnings.append(f"skipped-file {rel}: {exc}")
             print(f"project={project_id} file={rel} skipped: {exc}", file=sys.stderr)
             continue
         try:
             syntax = parse_java_file(rel, text)
         except Exception as exc:  # tolerant by contract
-            facts.warnings.append(f"skipped-file {rel}: parse failure {exc}")
+            warnings.append(f"skipped-file {rel}: parse failure {exc}")
             print(f"project={project_id} file={rel} parse failure: {exc}", file=sys.stderr)
-            facts.parse_warning_count += 1
+            parse_warning_count += 1
             total_sloc += count_sloc(text)
             continue
         total_sloc += syntax.sloc
         if syntax.parse_warnings:
-            facts.parse_warning_count += syntax.parse_warnings
-            facts.warnings.append(
+            parse_warning_count += syntax.parse_warnings
+            warnings.append(
                 f"parse-warnings {rel}: {syntax.parse_warnings} declaration(s) skipped"
             )
         syntaxes.append(syntax)
     for syntax in syntaxes:
         builder.add_file(syntax)
     builder.emit_relations()
-    facts.entities = builder.entities
-    facts.relations = builder.relations
-    facts.sloc = total_sloc
-    return facts
+    return ProjectFacts(
+        project_id, total_sloc, parse_warning_count, warnings,
+        builder.entity_columns, builder.relation_columns,
+    )
 
 
 def read_manifest(manifest_path: str | Path) -> list[tuple[str, Path]]:

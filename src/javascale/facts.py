@@ -1,16 +1,20 @@
 """Entity/relation fact model for extracted Java projects.
 
-A project is reduced to a flat list of :class:`SourceEntity` rows (packages,
-types, members) and :class:`FactRelation` edges between them.  Relation
-targets are entity ids when the target is declared inside the project and
-dotted name strings otherwise; names that could not be resolved to any
-package stay as plain (undotted) strings.  :class:`FactColumns` holds the
-same facts with each table transposed, one sequence per row field, as
-``metrics.measure`` reads them.  Extraction makes facts in one form: ids
-1..n in row order, each relation source and int target an entity, each
-target an int or a string, and each ``CONTAINS`` relation first, from an
-earlier entity, so containment is a forest.  :func:`check_form` checks it
-for ``store.encode_columns`` and ``metrics.compute_metrics``; the archive's
+A project's facts are a :class:`ProjectFacts`: its scalar fields and two
+tables held as columns, ``entity_columns`` (packages, types, members) and
+``relation_columns`` (edges between them), one list per field of a
+:class:`SourceEntity` or :class:`FactRelation` row.  Extraction appends to
+the columns, the archive's decoder makes them, and ``check_form``,
+``metrics.measure`` and ``store.encode_columns`` read them; the
+``entities`` and ``relations`` properties build the rows on demand, for
+callers that read facts a row at a time.  Relation targets are entity ids
+when the target is declared inside the project and dotted name strings
+otherwise; names that could not be resolved to any package stay as plain
+(undotted) strings.  Extraction makes facts in one form: ids 1..n in row
+order, each relation source and int target an entity, each target an int
+or a string, and each ``CONTAINS`` relation first, from an earlier entity,
+so containment is a forest.  :func:`check_form` checks it for
+``store.encode_columns`` and ``metrics.compute_metrics``; the archive's
 decoder checks its stored ``parent`` column, and ``measure`` reads facts
 already in the form, running :func:`containment` alone.
 """
@@ -80,52 +84,30 @@ class FactRelation(NamedTuple):
     target: RelationTarget
 
 
-class FactColumns(NamedTuple):
-    """A project's facts with each table transposed: ``entities`` holds the
-    ``SourceEntity`` fields' columns, ``relations`` the ``FactRelation``
-    fields', each in row order.  A kind is an enum member or its value,
-    which compares and hashes equal to it."""
+class ProjectFacts(NamedTuple):
+    """One project's facts, each table as columns in row order:
+    ``entity_columns`` holds one list per ``SourceEntity`` field,
+    ``relation_columns`` one per ``FactRelation`` field.  A kind is an enum
+    member or its value, which compares and hashes equal to it.  Every
+    producer gives each column as a list of its own, so facts read back
+    from an archive equal the facts written."""
 
     project_id: str
     sloc: int
     parse_warning_count: int
     warnings: list[str]
-    entities: Sequence[Sequence]  # entity_id, fqn, kind, file, line
-    relations: Sequence[Sequence]  # source, kind, target
+    entity_columns: list[list]  # entity_id, fqn, kind, file, line
+    relation_columns: list[list]  # source, kind, target
 
+    @property
+    def entities(self) -> list[SourceEntity]:
+        """The entity rows, built at each read; building one checks its fqn."""
+        return list(map(SourceEntity, *self.entity_columns))
 
-class ProjectFacts:
-    """One project's facts; a list not passed in starts empty and is its own."""
-
-    __slots__ = ("project_id", "entities", "relations", "sloc", "warnings", "parse_warning_count")
-
-    def __init__(
-        self,
-        project_id: str,
-        entities: list[SourceEntity] | None = None,
-        relations: list[FactRelation] | None = None,
-        sloc: int = 0,
-        warnings: list[str] | None = None,
-        parse_warning_count: int = 0,
-    ) -> None:
-        self.project_id, self.sloc, self.parse_warning_count = project_id, sloc, parse_warning_count
-        self.entities = [] if entities is None else entities
-        self.relations = [] if relations is None else relations
-        self.warnings = [] if warnings is None else warnings
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is ProjectFacts and self.columns() == other.columns()
-
-    def columns(self) -> FactColumns:
-        """The facts transposed, one tuple per row field; no row is checked."""
-        return FactColumns(
-            self.project_id,
-            self.sloc,
-            self.parse_warning_count,
-            self.warnings,
-            list(zip(*self.entities)) or [()] * len(SourceEntity._fields),
-            list(zip(*self.relations)) or [()] * len(FactRelation._fields),
-        )
+    @property
+    def relations(self) -> list[FactRelation]:
+        """The relation rows, built at each read."""
+        return list(map(FactRelation, *self.relation_columns))
 
 
 def all_ints(values) -> bool:
@@ -150,13 +132,13 @@ def entity_ids(ids: Sequence[int], n: int, name: str) -> None:
         raise ValueError(f"{name} is not an entity of the record")
 
 
-def containment(columns: FactColumns) -> list[int]:
+def containment(facts: ProjectFacts) -> list[int]:
     """Each entity's ``CONTAINS`` parent, else 0, from the leading
     ``CONTAINS`` relations; one out of extraction's order raises."""
-    n = len(columns.entities[0])
+    n = len(facts.entity_columns[0])
     parent = [0] * n
     last = 0
-    for source, kind, target in zip(*columns.relations):
+    for source, kind, target in zip(*facts.relation_columns):
         if kind != "CONTAINS":
             break
         if type(target) is not int or not last < target <= n:
@@ -168,17 +150,17 @@ def containment(columns: FactColumns) -> list[int]:
     return parent
 
 
-def check_form(columns: FactColumns) -> list[int]:
+def check_form(facts: ProjectFacts) -> list[int]:
     """The ``containment`` of facts in extraction's form: ids 1..n, int
     sources, a leading ``CONTAINS`` run and no ``CONTAINS`` after it,
     sources and int targets that are entities, other targets strings.
     The first rule broken, in that order, raises a ValueError naming it."""
-    ids = columns.entities[0]
-    sources, kinds, targets = columns.relations
+    ids = facts.entity_columns[0]
+    sources, kinds, targets = facts.relation_columns
     if not all_ints(ids) or list(ids) != list(range(1, len(ids) + 1)):
         raise ValueError("the id column is not 1..n")
     only((int,), sources, "the source column")
-    parent = containment(columns)
+    parent = containment(facts)
     entity_ids(sources, len(ids), "a relation source")
     run = len(parent) - parent.count(0)
     if "CONTAINS" in kinds[run:]:

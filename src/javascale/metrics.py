@@ -15,15 +15,14 @@ Counting conventions:
   and package-less names the project does not declare, are tallied
   separately as unresolved and do not enter the provenance split.
 
-:func:`measure` reads a project's facts as columns
-(:class:`~javascale.facts.FactColumns`) already in extraction's form, as
-extraction makes them and the archive decodes them: the ``metrics``
-command passes each record's columns without building a row object.
-:func:`compute_metrics`, which takes a caller's facts, checks the form
-first.  Kinds are counted per column, and each distinct relation target
-is resolved once.  The unresolved count comes back beside the row; the
-``metrics`` command sums it over the projects and prints the unresolved
-fraction.
+:func:`measure` reads a project's facts
+(:class:`~javascale.facts.ProjectFacts`, whose tables are columns) already
+in extraction's form, as extraction makes them and the archive decodes
+them; no entity or relation row is built.  :func:`compute_metrics`, which
+takes a caller's facts, checks the form first.  Kinds are counted per
+column, and each distinct relation target is resolved once.  The
+unresolved count comes back beside the row; the ``metrics`` command sums
+it over the projects and prints the unresolved fraction.
 
 A :class:`ProjectMetrics` row is what extraction and the archive path
 make, one per project.  The statistics stages read a whole table as
@@ -38,7 +37,7 @@ from collections import Counter, namedtuple
 from itertools import compress
 
 from .errors import UnknownMetricError
-from .facts import TYPE_KINDS, EntityKind, FactColumns, ProjectFacts, RelationKind
+from .facts import TYPE_KINDS, EntityKind, ProjectFacts, RelationKind
 from .facts import check_form, containment
 
 METRIC_COLUMNS = [
@@ -167,22 +166,20 @@ def _call_owner(name: str, declared: set[str]) -> str | None:
 
 
 def measure(
-    facts: FactColumns, jdk_prefixes: tuple[str, ...] = DEFAULT_JDK_PREFIXES
+    facts: ProjectFacts, jdk_prefixes: tuple[str, ...] = DEFAULT_JDK_PREFIXES
 ) -> tuple[ProjectMetrics, int]:
     """A project's metrics row and its count of distinct unresolved names.
 
-    Pure and deterministic.  ``facts`` are columns in extraction's form,
-    checked where they entered, so only their ``containment`` is read:
+    Pure and deterministic.  ``facts`` are in extraction's form, checked
+    where they entered, so their ``containment`` is run, not ``check_form``:
     each entity's owner type is found in one pass in row order, a parent's
     before its child's.  The kind columns are counted; only the EXTENDS
     and IMPLEMENTS rows are walked for ``dui`` and ``if_count``; each
     distinct (kind, target) pair of a type use is resolved once to at
     most one used module.
     """
-    if not isinstance(facts, FactColumns):  # rows would be read as columns
-        raise TypeError(f"measure takes FactColumns, not {type(facts).__name__}")
-    _, fqns, entity_kinds, _, _ = facts.entities
-    sources, relation_kinds, targets = facts.relations
+    _, fqns, entity_kinds, _, _ = facts.entity_columns
+    sources, relation_kinds, targets = facts.relation_columns
     parent = containment(facts)
     kind_of = [None, *entity_kinds]  # by id, None for no entity
     owner: list[str | None] = [None]  # the innermost type that is or contains each id
@@ -259,6 +256,5 @@ used_modules_by_provenance = measure
 def compute_metrics(facts: ProjectFacts) -> ProjectMetrics:
     """The project's metrics row, with the default JDK prefixes, once its
     facts are checked to be in extraction's form (``check_form``)."""
-    columns = facts.columns()
-    check_form(columns)
-    return measure(columns)[0]
+    check_form(facts)
+    return measure(facts)[0]

@@ -169,8 +169,16 @@ def _model_id(value) -> str:
     return value
 
 
-def _range(value) -> tuple[float, float]:
-    lo, hi = value
+def json_list(value, key: str) -> list:
+    """``value``, the setting ``key``, which must be a JSON list: a string or
+    an object would be read one item at a time."""
+    if type(value) is not list:
+        raise UsageError(f"{key} must be a list, not {value!r}")
+    return value
+
+
+def _range(value, key: str) -> tuple[float, float]:
+    lo, hi = json_list(value, key)
     return (float(lo), math.inf if hi is None else float(hi))
 
 
@@ -202,14 +210,14 @@ def parse_grid(
                     y_metric=m["y"],
                     x_metric=m["x"],
                     k=float(m.get("k", 1)),
-                    subset=None if m.get("subset") is None else _range(m["subset"]),
+                    subset=None if m.get("subset") is None else _range(m["subset"], "subset"),
                     robust=bool(m.get("robust", False)),
                 )
                 for m in data["models"]
             ]
         if "testsets" in data:
             testsets = [
-                EvalSet(t["name"], t["metric"], *_range(t["range"]))
+                EvalSet(t["name"], t["metric"], *_range(t["range"], "range"))
                 for t in data["testsets"]
             ]
     return models, testsets
@@ -239,9 +247,10 @@ def load_config(path: str | Path) -> RunConfig:
             prefixes = data["jdk_prefixes"]  # a string must not become a tuple of letters
             cfg["jdk_prefixes"] = tuple(prefixes) if isinstance(prefixes, list) else prefixes
         if "bin_edges" in data:
-            cfg["bin_edges"] = tuple(float(e) for e in data["bin_edges"])
+            cfg["bin_edges"] = tuple(float(e) for e in json_list(data["bin_edges"], "bin_edges"))
         if "bin_ratio" in data:
-            cfg["bin_numerator"], cfg["bin_denominator"] = data["bin_ratio"]
+            ratio = json_list(data["bin_ratio"], "bin_ratio")
+            cfg["bin_numerator"], cfg["bin_denominator"] = ratio
             cfg["bin_metric"] = cfg["bin_denominator"]
         if "bin_metric" in data:
             cfg["bin_metric"] = data["bin_metric"]
@@ -378,9 +387,8 @@ def _measure_project(
 ) -> tuple[bytes, ProjectMetrics, int]:
     """One project's record, metrics row and parse-warning count; its facts stay here."""
     facts = extract_project(root, project_id)
-    columns = facts.columns()
-    metrics, _ = measure(columns, jdk_prefixes)
-    return encode_columns(columns), metrics, facts.parse_warning_count
+    metrics, _ = measure(facts, jdk_prefixes)
+    return encode_columns(facts), metrics, facts.parse_warning_count
 
 
 def _java_bytes(root: Path) -> int:

@@ -41,16 +41,16 @@ form makes implicit and stores each repeated value once:
 * Each kind column holds ordinals into ``ENTITY_KIND_TABLE`` or
   ``RELATION_KIND_TABLE``.
 
-So ``decode_columns`` returns exactly the columns the encoder was given,
-as JSON types them, with each kind as its enum member.  It reads this one
-layout: it requires every field but ``full``, refuses any field the
-layout does not name, checks the type of each field it reads (a target an
-int or a string), that each index is an int inside its table, each id an
-entity and each parent 0 or an earlier row, and that no pair is a parent.
-So its columns are in extraction's form without ``check_form``, and the
-commands measure them as they are; ``read_facts`` alone builds entity
-and relation rows from them, one record at a time.  Version 4 and older
-archives are refused, not converted.
+So ``decode_columns`` returns exactly the ``ProjectFacts`` the encoder
+was given, as JSON types them, each column a list and each kind its enum
+member.  It reads this one layout: it requires every field but ``full``,
+refuses any field the layout does not name, checks the type of each
+field it reads (a target an int or a string), that each index is an int
+inside its table, each id an entity and each parent 0 or an earlier row,
+and that no pair is a parent.
+So its facts are in extraction's form without ``check_form``, and the
+commands measure them as they are; no entity or relation row is built.
+Version 4 and older archives are refused, not converted.
 
 The metrics table is a CSV of the ``METRIC_COLUMNS``, read back as
 :class:`~javascale.metrics.MetricColumns`.  A canonical table is one as
@@ -78,8 +78,7 @@ from .errors import (
     UnsupportedVersionError,
 )
 from .facts import (
-    LATE_PARENT, EntityKind, FactColumns, FactRelation, ProjectFacts, RelationKind, SourceEntity,
-    all_ints, check_form, entity_ids, only,
+    LATE_PARENT, EntityKind, ProjectFacts, RelationKind, all_ints, check_form, entity_ids, only,
 )
 from .metrics import CAPS, METRIC_COLUMNS, SUM_RULES, MetricColumns, ProjectMetrics, metric_columns
 
@@ -179,17 +178,17 @@ def _ordinals(kinds: Sequence, ordinals: dict, name: str) -> list[int]:
         raise ValueError(f"{name} holds a kind its table does not name") from None
 
 
-def encode_columns(columns: FactColumns) -> bytes:
-    """The record payload of ``columns`` in extraction's form: scalar fields
+def encode_columns(facts: ProjectFacts) -> bytes:
+    """The record payload of ``facts`` in extraction's form: scalar fields
     of the types ``decode_columns`` requires, counts not negative, ids and
     relations as ``facts.check_form`` requires, non-empty string fqns,
-    kinds the tables name, string files and int lines.  Any other columns
+    kinds the tables name, string files and int lines.  Any other facts
     raise a ValueError that names the first field breaking the form, in
     this order: scalars, column lengths, ``check_form``, the other columns."""
-    record = _scalars(columns._asdict())
-    _, fqns, kinds, files, lines = _same_length(list(columns.entities), "entities")
-    sources, kinds_of_relations, targets = _same_length(list(columns.relations), "relations")
-    parent = check_form(columns)
+    record = _scalars(facts._asdict())
+    _, fqns, kinds, files, lines = _same_length(facts.entity_columns, "entities")
+    sources, kinds_of_relations, targets = _same_length(facts.relation_columns, "relations")
+    parent = check_form(facts)
     if not all(only((str,), fqns, "the fqn column")):
         raise ValueError("entity fqn must be non-empty")
     kinds = _ordinals(kinds, _ENTITY_ORDINALS, "the entity kind column")
@@ -283,8 +282,8 @@ def _relation_columns(data: dict, n: int) -> tuple[list, list]:
     return _indexed(index, "relations", kinds, targets)
 
 
-def _decoded(data: dict) -> FactColumns:
-    """The columns a version 5 record's JSON stands for; a missing field, a
+def _decoded(data: dict) -> ProjectFacts:
+    """The facts a version 5 record's JSON stands for; a missing field, a
     field the layout does not name or one that breaks it raises."""
     scalars = _scalars(data)
     unnamed = sorted(data.keys() - _FIELDS)
@@ -313,10 +312,10 @@ def _decoded(data: dict) -> FactColumns:
     )[1:]
     ids = list(range(1, len(stored) + 1))
     run = len(parent) - parent.count(0)
-    return FactColumns(
+    return ProjectFacts(
         **scalars,
-        entities=[ids, fqns, kinds, files, lines],
-        relations=[
+        entity_columns=[ids, fqns, kinds, files, lines],
+        relation_columns=[
             [*filter(None, parent), *sources],
             [RelationKind.CONTAINS] * run + kinds_of_relations,
             [*compress(ids, parent), *targets],
@@ -324,9 +323,10 @@ def _decoded(data: dict) -> FactColumns:
     )
 
 
-def decode_columns(payload: bytes, path: str | Path, lineno: int) -> FactColumns:
-    """The columns of the record payload framed at line ``lineno`` of
-    ``path``; a record whose rows could not be built is refused."""
+def decode_columns(payload: bytes, path: str | Path, lineno: int) -> ProjectFacts:
+    """The facts of the record payload framed at line ``lineno`` of
+    ``path``, their tables as columns; a record outside the layout is
+    refused."""
     try:
         return _decoded(json.loads(zlib.decompress(payload).decode("utf-8")))
     except (KeyError, TypeError, ValueError, zlib.error) as exc:
@@ -345,7 +345,7 @@ def write_records(payloads: Iterable[bytes], count: int, path: str | Path) -> No
 
 def write_facts(archive: FactsArchive, path: str | Path) -> None:
     """Write an archive; two writes of equal content are byte-identical."""
-    payloads = map(encode_columns, map(ProjectFacts.columns, archive.projects))
+    payloads = map(encode_columns, archive.projects)
     write_records(payloads, len(archive.projects), path)
 
 
@@ -392,24 +392,10 @@ def scan_records(path: str | Path) -> Iterator[tuple[int, bytes, int]]:
 
 
 def read_facts(path: str | Path) -> FactsArchive:
-    """The projects of an archive, each record read, checked and built into
-    its entity and relation rows before the next is read; the first fault
-    in file order raises."""
-    projects = []
-    for _, payload, lineno in scan_records(path):
-        c = decode_columns(payload, path, lineno)
-        projects.append(
-            ProjectFacts(
-                c.project_id,
-                list(map(SourceEntity, *c.entities)),
-                list(map(FactRelation, *c.relations)),
-                c.sloc,
-                c.warnings,
-                c.parse_warning_count,
-            )
-        )
-        del c  # only the rows are kept, not the columns they were built from
-    return FactsArchive(projects=projects)
+    """The projects of an archive, each record read and checked before the
+    next is read; the first fault in file order raises."""
+    records = scan_records(path)
+    return FactsArchive([decode_columns(payload, path, line) for _, payload, line in records])
 
 
 # ---------------------------------------------------------------------------

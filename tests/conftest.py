@@ -6,7 +6,7 @@ import zlib
 import pytest
 
 from javascale.extractor import extract_corpus, extract_project
-from javascale.facts import EntityKind, RelationKind
+from javascale.facts import EntityKind, FactRelation, ProjectFacts, RelationKind, SourceEntity
 from javascale.metrics import DEFAULT_JDK_PREFIXES, compute_metrics, measure
 from javascale.pipeline import _measure_record
 from javascale.store import decode_columns, encode_columns, scan_records
@@ -44,6 +44,19 @@ def columns_digest(*archives: Path) -> str:
     return digest.hexdigest()
 
 
+def facts_from_rows(
+    project_id: str, entities=(), relations=(), sloc=0, warnings=(), parse_warning_count=0
+) -> ProjectFacts:
+    """The ``ProjectFacts`` of ``entities`` and ``relations``, sequences of
+    ``SourceEntity`` and ``FactRelation`` rows (or of plain tuples), each
+    column and the warnings a new list."""
+    return ProjectFacts(
+        project_id, sloc, parse_warning_count, list(warnings),
+        [[row[i] for row in entities] for i in range(len(SourceEntity._fields))],
+        [[row[i] for row in relations] for i in range(len(FactRelation._fields))],
+    )
+
+
 def assert_in_extractions_form(facts) -> None:
     """``facts`` are in the form extraction makes: the archive's decoder
     gives back the columns its encoder was given, which holds only for ids
@@ -51,11 +64,10 @@ def assert_in_extractions_form(facts) -> None:
     ``CONTAINS`` relation first, its targets increasing and each from an
     earlier entity, and with the sloc and parse-warning counts not negative;
     and every entity but a package has a parent."""
-    columns = facts.columns()
-    decoded = decode_columns(encode_columns(columns), "facts", 3)
-    assert columns_json(decoded) == columns_json(columns)
-    ids, fqns, kinds = columns.entities[:3]
-    contained = {t for k, t in zip(*columns.relations[1:]) if k == RelationKind.CONTAINS}
+    decoded = decode_columns(encode_columns(facts), "facts", 3)
+    assert columns_json(decoded) == columns_json(facts)
+    ids, fqns, kinds = facts.entity_columns[:3]
+    contained = {t for k, t in zip(*facts.relation_columns[1:]) if k == RelationKind.CONTAINS}
     for entity_id, fqn, kind in zip(ids, fqns, kinds):
         assert kind == EntityKind.PACKAGE or entity_id in contained, (
             f"{fqn} has no CONTAINS parent"
@@ -64,13 +76,13 @@ def assert_in_extractions_form(facts) -> None:
 
 def assert_measured_alike(archive: Path, projects) -> None:
     """Measuring each record of ``archive`` as the metrics command does gives
-    what ``measure`` gives its project's columns: the row and unresolved
+    what ``measure`` gives its project's facts: the row and unresolved
     count."""
     records = list(scan_records(archive))
     assert len(records) == len(projects)
     for (offset, payload, lineno), facts in zip(records, projects):
         got = _measure_record(archive, offset, len(payload), lineno, DEFAULT_JDK_PREFIXES)
-        assert got == measure(facts.columns())
+        assert got == measure(facts)
 
 
 # a test running this long has lost a loop bound; the slowest takes about 2.4 s

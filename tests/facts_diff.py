@@ -5,7 +5,7 @@
 Writes the project sets below into a temporary directory, extracts and
 archives every project under each tree in its own interpreter, decodes its
 record with that tree's ``decode_columns`` and measures the decoded
-columns with that tree's ``measure``.  Prints each project whose decoded
+facts with that tree's ``measure``.  Prints each project whose decoded
 facts or metrics row differ, then two counts per set, of records and of
 rows.  The facts are compared as canonical JSON, so two trees that write
 different archive versions can be compared; a row is compared with its
@@ -109,10 +109,18 @@ def write_sets(root: Path) -> dict[str, list[tuple[str, str]]]:
     return sets
 
 
-def columns_json(columns) -> bytes:
-    """The canonical JSON of a record's decoded ``FactColumns``, which does
-    not depend on the archive version that stored them."""
-    return json.dumps(columns._asdict(), sort_keys=True, separators=(",", ":")).encode()
+# a record's decoded fields, in the order both the facts' named tuple and
+# the older FactColumns hold them, under the keys the golden digests were
+# computed with
+_FIELD_KEYS = ("project_id", "sloc", "parse_warning_count", "warnings", "entities", "relations")
+
+
+def columns_json(facts) -> bytes:
+    """The canonical JSON of a record's decoded facts, their six fields
+    taken by position: it depends neither on the archive version that
+    stored them nor on the names of the fields."""
+    record = dict(zip(_FIELD_KEYS, facts, strict=True))
+    return json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
 
 
 def _sha256(data: bytes) -> str:
@@ -122,7 +130,7 @@ def _sha256(data: bytes) -> str:
 def extract_digests(src: str, sets_json: str) -> None:
     """Print, as JSON, two sha256 digests of each project as the javascale
     under ``src`` extracts, archives and decodes it: of the canonical JSON
-    of the ``FactColumns`` its ``decode_columns`` returns, and of the
+    of the facts its ``decode_columns`` returns, and of the
     metrics row and unresolved-name count its ``measure`` makes of them."""
     sys.path.insert(0, src)
     from javascale.extractor import extract_project
@@ -138,10 +146,10 @@ def extract_digests(src: str, sets_json: str) -> None:
             for pid, root in projects:
                 write_facts(FactsArchive(projects=[extract_project(root, pid)]), archive)
                 ((_, payload, lineno),) = scan_records(archive)
-                columns = decode_columns(payload, archive, lineno)
-                row, unresolved = measure(columns)
+                facts = decode_columns(payload, archive, lineno)
+                row, unresolved = measure(facts)
                 digests[name][pid] = [
-                    _sha256(columns_json(columns)),
+                    _sha256(columns_json(facts)),
                     _sha256(json.dumps([*row, unresolved]).encode()),
                 ]
     print(json.dumps(digests))

@@ -9,6 +9,8 @@ import pytest
 
 from javascale import extractor, metrics
 
+from conftest import FOONUMBER_ROOT
+
 BENCH = Path(__file__).parents[1] / "bench"
 
 
@@ -36,3 +38,16 @@ def test_tracer_wraps_every_name_and_undoes(worker):
     finally:
         tracer.undo()
     assert (extractor.tokenize, extractor.count_sloc, extractor.parse_java_file) == originals
+
+
+def test_tracer_counts_a_projects_entities_and_relations(worker, foonumber_facts):
+    # the counters read the row views, one row per entity and per relation
+    tracer = worker.install_tracer()
+    try:
+        extractor.extract_project(FOONUMBER_ROOT, "p01_foonumber")
+    finally:
+        tracer.undo()
+    ids, sources = foonumber_facts.entity_columns[0], foonumber_facts.relation_columns[0]
+    assert tracer.calls["extractor.extract_project"] == 1
+    assert tracer.counts["extractor.entities"] == len(ids) == 6
+    assert tracer.counts["extractor.relations"] == len(sources) == 14

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from javascale import extractor
 from javascale.extractor import DEFAULT_PACKAGE, extract_corpus, extract_project, read_manifest
 from javascale.errors import DataError, DuplicateProjectError, EmptyCorpusError
-from javascale.facts import EntityKind, FactRelation, ProjectFacts, RelationKind, SourceEntity
+from javascale.facts import EntityKind, FactRelation, RelationKind, SourceEntity
 from javascale.metrics import DEFAULT_JDK_PREFIXES, measure
 from javascale.pipeline import _java_bytes, _measure_project
 from javascale.store import (
@@ -38,6 +38,7 @@ from conftest import (
     assert_in_extractions_form,
     assert_measured_alike,
     columns_digest,
+    facts_from_rows,
 )
 from facts_diff import MUTATED_SEEDS, columns_json
 
@@ -137,11 +138,11 @@ class TestFooNumber:
 
 @pytest.mark.parametrize("entities, relations, sloc, fault", BROKEN_FACTS)
 def test_broken_facts_are_out_of_extractions_form(entities, relations, sloc, fault):
-    assert_in_extractions_form(ProjectFacts("p", [_PKG, _CLS, _MTH], _TREE))
+    assert_in_extractions_form(facts_from_rows("p", [_PKG, _CLS, _MTH], _TREE))
     error, message = fault
     # pytest's rewritten assert adds its explanation after a newline
     with pytest.raises(error, match=f"^{re.escape(message)}(\n|$)"):
-        assert_in_extractions_form(ProjectFacts("p", entities, relations, sloc=sloc))
+        assert_in_extractions_form(facts_from_rows("p", entities, relations, sloc=sloc))
 
 
 class TestExtraction:
@@ -1706,9 +1707,8 @@ def assert_in_the_writers_form(projects) -> None:
     """Check that the writer takes each project's facts, as extraction made
     them, and that its record decodes to exactly those columns."""
     for facts in projects:
-        columns = facts.columns()
-        decoded = decode_columns(encode_columns(columns), "x", 3)
-        assert columns_json(decoded) == columns_json(columns)
+        decoded = decode_columns(encode_columns(facts), "x", 3)
+        assert columns_json(decoded) == columns_json(facts)
 
 
 def test_fixture_facts_are_in_the_writers_form(fixture_projects):

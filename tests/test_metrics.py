@@ -6,14 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from javascale.extractor import extract_project
-from javascale.facts import (
-    TYPE_KINDS,
-    EntityKind,
-    FactRelation,
-    ProjectFacts,
-    RelationKind,
-    SourceEntity,
-)
+from javascale.facts import TYPE_KINDS, EntityKind, FactRelation, RelationKind, SourceEntity
 from javascale.metrics import (
     METRIC_COLUMNS,
     ProjectMetrics,
@@ -26,7 +19,7 @@ from javascale.normalize import decorrelation_report, normalize_corpus
 from javascale.pipeline import GridCell, _series
 from javascale.stats import Bin, bin_by, bin_ratios
 
-from conftest import assert_in_extractions_form
+from conftest import assert_in_extractions_form, facts_from_rows
 
 
 def project_from(tmp_path, files):
@@ -55,7 +48,7 @@ class TestComputeMetrics:
         assert pm.sloc == 11
 
     def test_empty_project(self):
-        pm = compute_metrics(ProjectFacts(project_id="nothing"))
+        pm = compute_metrics(facts_from_rows("nothing"))
         for name in (
             "sloc classes interfaces modules methods constructors calls "
             "instanceof_count casts dui if_count used_total used_internal "
@@ -138,19 +131,19 @@ class TestUsedModules:
             tmp_path,
             {"a/A.java": "package a; class A {}", "a/B.java": "package a; class B { A a; }"},
         )
-        pm, _ = measure(facts.columns())
+        pm, _ = measure(facts)
         assert (pm.used_internal, pm.used_jdk, pm.used_external) == (1, 0, 0)
 
     def test_jdk(self, tmp_path):
         facts = project_from(tmp_path, {"A.java": "class A { Integer n; }"})
-        pm, _ = measure(facts.columns())
+        pm, _ = measure(facts)
         assert (pm.used_internal, pm.used_jdk, pm.used_external) == (0, 1, 0)
 
     def test_external(self, tmp_path):
         facts = project_from(
             tmp_path, {"A.java": "import org.apache.commons.X; class A { X x; }"}
         )
-        pm, _ = measure(facts.columns())
+        pm, _ = measure(facts)
         assert (pm.used_internal, pm.used_jdk, pm.used_external) == (0, 0, 1)
 
     def test_custom_prefixes(self, tmp_path):
@@ -158,18 +151,18 @@ class TestUsedModules:
             tmp_path, {"A.java": "import sun.misc.Unsafe; class A { Unsafe u; }"}
         )
         assert compute_metrics(facts).used_external == 1
-        pm, _ = measure(facts.columns(), ("java.", "sun."))
+        pm, _ = measure(facts, ("java.", "sun."))
         assert (pm.used_jdk, pm.used_external) == (1, 0)
 
     def test_foonumber_provenance(self, foonumber_facts):
-        pm, _ = measure(foonumber_facts.columns())
+        pm, _ = measure(foonumber_facts)
         assert pm.used_internal == 1  # the class itself, via self-instantiation
         assert pm.used_jdk >= 2  # Integer and System at least
         assert pm.used_external == 0
         assert pm.used_total == pm.used_internal + pm.used_jdk + pm.used_external
 
     def test_empty(self):
-        pm, _ = measure(ProjectFacts(project_id="none").columns())
+        pm, _ = measure(facts_from_rows("none"))
         assert (pm.used_internal, pm.used_jdk, pm.used_external, pm.used_total) == (0, 0, 0, 0)
 
     def test_distinctness(self, tmp_path):
@@ -180,7 +173,7 @@ class TestUsedModules:
             tmp_path,
             {"A.java": f"import ext.Thing;\nclass A {{\n  void go() {{\n{body}\n  }}\n}}"},
         )
-        pm, _ = measure(facts.columns())
+        pm, _ = measure(facts)
         assert pm.used_external == 1
 
     def test_unresolved_not_in_provenance_split(self, tmp_path):
@@ -188,7 +181,7 @@ class TestUsedModules:
             tmp_path,
             {"A.java": "class A { void go() { Mystery.call(); helper(); } }"},
         )
-        pm, unresolved = measure(facts.columns())
+        pm, unresolved = measure(facts)
         assert pm.used_external == 0
         assert unresolved >= 1
 
@@ -231,7 +224,7 @@ def small_projects(draw):
     ids = st.integers(1, len(entities))
     uses = st.builds(FactRelation, ids, st.sampled_from(_USE_KINDS), st.one_of(ids, _NAMES))
     relations += draw(st.lists(uses, max_size=20))
-    facts = ProjectFacts("generated", entities, relations, sloc=draw(st.integers(0, 99)))
+    facts = facts_from_rows("generated", entities, relations, sloc=draw(st.integers(0, 99)))
     assert_in_extractions_form(facts)
     return facts
 
@@ -245,11 +238,11 @@ class TestMeasure:
         for facts in [*fixture_projects, data.draw(small_projects())]:
             run = sum(r.kind == RelationKind.CONTAINS for r in facts.relations)
             others = data.draw(st.permutations(facts.relations[run:]))
-            shuffled = ProjectFacts(
+            shuffled = facts_from_rows(
                 facts.project_id, facts.entities, facts.relations[:run] + others, facts.sloc
             )
             for prefixes in [("java.", "javax."), ("java.", "sun.")]:
-                assert measure(shuffled.columns(), prefixes) == measure(facts.columns(), prefixes)
+                assert measure(shuffled, prefixes) == measure(facts, prefixes)
 
     # compute_metrics checks a caller's facts before measuring them: a
     # CONTAINS parent after its child, so any cycle, is refused
@@ -265,7 +258,7 @@ class TestMeasure:
         ids=["two", "self", "tail"],
     )
     def test_a_parent_after_its_child_is_named(self, relations, used, message):
-        facts = ProjectFacts(
+        facts = facts_from_rows(
             "cyc",
             [
                 SourceEntity(1, "p", EntityKind.PACKAGE, "", 0),
@@ -280,20 +273,16 @@ class TestMeasure:
 
     @pytest.mark.parametrize("kind", [RelationKind.CALLS, RelationKind.USES])
     def test_a_type_use_of_no_entity_is_named(self, kind):
-        facts = ProjectFacts(
+        facts = facts_from_rows(
             "dangling", [SourceEntity(1, "p", EntityKind.PACKAGE, "", 0)],
             [FactRelation(1, kind, 9)],
         )
         with pytest.raises(ValueError, match="^a relation target is not an entity of the record$"):
             compute_metrics(facts)
 
-    def test_measure_takes_columns_only(self, foonumber_facts):
-        with pytest.raises(TypeError, match="^measure takes FactColumns, not ProjectFacts$"):
-            measure(foonumber_facts)
-
     def test_walk_up_to_a_package_is_no_cycle(self):
         # one CONTAINS edge, but two steps up from the field: to p, then to nothing
-        facts = ProjectFacts(
+        facts = facts_from_rows(
             "flat",
             [
                 SourceEntity(1, "p", EntityKind.PACKAGE, "", 0),
@@ -301,7 +290,7 @@ class TestMeasure:
             ],
             [FactRelation(1, RelationKind.CONTAINS, 2), FactRelation(1, RelationKind.USES, 2)],
         )
-        row, unresolved = measure(facts.columns())
+        row, unresolved = measure(facts)
         assert (row.used_total, unresolved) == (0, 0)
 
 

@@ -199,6 +199,22 @@ OUT_OF_RANGE_CONFIGS = [
     {"jdk_prefixes": "java."},
     {"jdk_prefixes": [1]},
 ]
+# a list setting given as a string or an object, which would be read one
+# item at a time, merged into the fixture config or the synth spec, and
+# the usage error that names its key
+NON_LIST_SETTINGS = [
+    pytest.param("pipeline", {"bin_edges": "12"}, "bin_edges must be a list, not '12'",
+                 id="bin_edges-string"),
+    pytest.param("pipeline", {"bin_edges": {"5": 0}}, "bin_edges must be a list, not {'5': 0}",
+                 id="bin_edges-object"),
+    pytest.param("pipeline", {"bin_ratio": "ab"}, "bin_ratio must be a list, not 'ab'",
+                 id="bin_ratio"),
+    pytest.param("pipeline", {"models": [{**_MODEL, "subset": "19"}]},
+                 "subset must be a list, not '19'", id="subset"),
+    pytest.param("pipeline", {"testsets": [{"name": "all", "metric": "classes", "range": "05"}]},
+                 "range must be a list, not '05'", id="range"),
+    pytest.param("synth", {"x_range": "19"}, "x_range must be a list, not '19'", id="x_range"),
+]
 
 
 def fixture_config(tmp_path, out_name="run"):
@@ -1170,6 +1186,23 @@ class TestCli:
         assert self.run(*argv) == 1
         assert capsys.readouterr().err.startswith("usage error: ")
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("command, change, message", NON_LIST_SETTINGS)
+    def test_a_list_setting_that_is_no_list_is_refused(
+        self, tmp_path, capsys, command, change, message
+    ):
+        if command == "pipeline":
+            path = fixture_config(tmp_path)
+            data = {**json.loads(path.read_text()), **change}
+            argv = ["pipeline", str(path)]
+        else:
+            path = tmp_path / "spec.json"
+            data = {**_SPEC, **change}
+            argv = ["synth", "--spec", str(path), "-o", str(tmp_path / "t.csv")]
+        path.write_text(json.dumps(data))
+        assert self.run(*argv) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not (tmp_path / "run").exists() and not (tmp_path / "t.csv").exists()
 
     def test_synth_pair_the_row_rules_would_change_is_refused(self, tmp_path, capsys):
         spec, table = tmp_path / "spec.json", tmp_path / "t.csv"

@@ -8,7 +8,6 @@ import pytest
 
 from javascale import extractor
 from javascale.errors import DuplicateProjectError
-from javascale.facts import ProjectFacts
 from javascale.metrics import DEFAULT_JDK_PREFIXES, metric_columns
 from javascale.normalize import DecorrelationReport, NormalizedColumns, WmcSummary
 from javascale.pipeline import (
@@ -23,6 +22,8 @@ from javascale.regression import Diagnostics, FitResult, ModelEval
 from javascale.stats import Bin, BinSummary, WelchResult
 from javascale.store import FactsArchive
 from javascale.synth import SynthSpec
+
+from conftest import facts_from_rows
 
 NAMED_TUPLES = [
     FitResult(alpha=1.0, beta=1.1, k=1.0, r=0.9, r_squared=0.81, n=10),
@@ -40,6 +41,7 @@ NAMED_TUPLES = [
     RunConfig(manifest="manifest.txt", out_dir="run"),
     RunResult(out_dir="run", stages=[], fit_rows=[]),
     FactsArchive(),
+    facts_from_rows("p"),
 ]
 
 
@@ -56,14 +58,14 @@ def test_keyword_construction_with_defaults():
     assert cfg.jdk_prefixes == DEFAULT_JDK_PREFIXES
     assert (cfg.model_grid, cfg.testsets) == (DEFAULT_GRID, DEFAULT_TESTSETS)
     assert (cfg.normalize_beta, cfg.normalize_model, cfg.nrmse_space) == ("auto", "m5", "log")
-    facts = ProjectFacts(project_id="p", sloc=3)
+    facts = facts_from_rows("p", sloc=3)
     assert (facts.project_id, facts.sloc, facts.parse_warning_count) == ("p", 3, 0)
     assert (facts.entities, facts.relations, facts.warnings) == ([], [], [])
-    assert facts == ProjectFacts("p", [], [], 3) != ProjectFacts("p")
+    assert facts == facts_from_rows("p", [], [], 3) != facts_from_rows("p")
     assert FactsArchive(projects=[facts]).projects == [facts]
     assert FactsArchive().projects == []
     with pytest.raises(DuplicateProjectError):
-        FactsArchive(projects=[facts, ProjectFacts("p")])
+        FactsArchive(projects=[facts, facts_from_rows("p")])
     spec = SynthSpec(n_projects=5, x_range=(1, 10), true_alpha=1.0, true_beta=1.2, seed=7)
     assert (spec.true_k, spec.noise_sigma, spec.seed, spec.y_metric) == (1.0, 0.0, 7, "methods")
     with pytest.raises(ValueError, match="^n_projects must be at least 1$"):
@@ -83,7 +85,6 @@ def _records():
     syntax = extractor.FileSyntax("A.java", [], "", array("i"), array("i"), sloc=0)
     decl = extractor.TypeDecl("class", "A", 1)
     return [
-        ProjectFacts("p"),
         ref,
         extractor.FieldDecl("f", ref, 1),
         extractor.MethodDecl("m", None, [], [], 1),

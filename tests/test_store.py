@@ -17,14 +17,7 @@ from javascale.errors import (
     DuplicateProjectError,
     UnsupportedVersionError,
 )
-from javascale.facts import (
-    EntityKind,
-    FactColumns,
-    FactRelation,
-    ProjectFacts,
-    RelationKind,
-    SourceEntity,
-)
+from javascale.facts import EntityKind, FactRelation, ProjectFacts, RelationKind, SourceEntity
 from javascale.metrics import METRIC_COLUMNS, ProjectMetrics, compute_metrics, metric_columns
 from javascale import store
 from javascale.store import (
@@ -37,7 +30,7 @@ from javascale.store import (
 )
 
 import metrics_table_reference as reference
-from conftest import assert_measured_alike
+from conftest import assert_measured_alike, facts_from_rows
 
 # the characters at which str.splitlines ends a line
 LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
@@ -681,11 +674,11 @@ class TestArchiveRoundTrip:
     def test_foonumber_round_trip(self, foonumber_facts, tmp_path):
         # its compressed record holds both framing bytes, so a reader that
         # split the record at either would cut it short
-        payload = encode_columns(foonumber_facts.columns())
+        payload = encode_columns(foonumber_facts)
         assert b"\n" in payload and b" " in payload
         path = tmp_path / "facts.bin"
-        write_facts(FactsArchive(projects=[foonumber_facts, ProjectFacts(project_id="q")]), path)
-        assert read_facts(path).projects == [foonumber_facts, ProjectFacts(project_id="q")]
+        write_facts(FactsArchive(projects=[foonumber_facts, facts_from_rows("q")]), path)
+        assert read_facts(path).projects == [foonumber_facts, facts_from_rows("q")]
 
     def test_records_are_read_one_at_a_time(self, tmp_path):
         path = tmp_path / "facts.bin"
@@ -710,7 +703,7 @@ class TestArchiveRoundTrip:
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "facts.bin"
-        write_facts(FactsArchive(projects=[ProjectFacts(project_id="p")]), path)
+        write_facts(FactsArchive(projects=[facts_from_rows("p")]), path)
         data = path.read_bytes().replace(b"JSCALE-FACTS 5\n", b"JSCALE-FACTS 99\n", 1)
         path.write_bytes(data)
         with pytest.raises(UnsupportedVersionError, match="archive version 99, reader supports 5$"):
@@ -732,14 +725,12 @@ class TestArchiveRoundTrip:
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(DuplicateProjectError, match=r"^duplicate project ids: \['p'\]$"):
-            FactsArchive(
-                projects=[ProjectFacts(project_id="p"), ProjectFacts(project_id="p")]
-            )
+            FactsArchive(projects=[facts_from_rows("p"), facts_from_rows("p")])
 
 
-def _canonical(columns: FactColumns) -> str:
-    """The columns as JSON types them."""
-    return json.dumps(columns._asdict(), sort_keys=True)
+def _canonical(facts: ProjectFacts) -> str:
+    """The facts as JSON types them."""
+    return json.dumps(facts._asdict(), sort_keys=True)
 
 
 _C, _U = RelationKind.CONTAINS, RelationKind.USES
@@ -749,8 +740,7 @@ def _facts(relations, ids=(1, 2, 3), fqns=("p", "p.A", "p.A.m")) -> ProjectFacts
     """A package, a class in it and a method in that, under ``ids``."""
     kinds = [EntityKind.PACKAGE, EntityKind.CLASS, EntityKind.METHOD]
     rows = zip(ids, fqns, kinds, ["", "A.java", "A.java"], [0, 1, 2])
-    return ProjectFacts("p", list(starmap(SourceEntity, rows)),
-                        list(starmap(FactRelation, relations)), sloc=3)
+    return facts_from_rows("p", list(starmap(SourceEntity, rows)), relations, sloc=3)
 
 
 _TREE = [(1, _C, 2), (2, _C, 3)]
@@ -762,7 +752,7 @@ RECORD_FORMS = [
     pytest.param(_facts(_TREE, fqns=("p", "q.A", "p.A$1")), [1, 2], id="fqn-not-under-parent"),
     pytest.param(_facts([(1, _C, 2), (1, _C, 3)], fqns=("p", "p", "p$")), [],
                  id="fqn-equal-to-parent"),
-    pytest.param(ProjectFacts("e"), [], id="empty"),
+    pytest.param(facts_from_rows("e"), [], id="empty"),
 ]
 # the fields of every record; full is left out when empty
 _LAYOUT = {
@@ -773,12 +763,12 @@ _LAYOUT = {
 
 @pytest.mark.parametrize("facts, full", RECORD_FORMS)
 def test_facts_in_extractions_form_round_trip(tmp_path, facts, full):
-    payload = encode_columns(facts.columns())
+    payload = encode_columns(facts)
     data = json.loads(zlib.decompress(payload))
     assert data.keys() - {"full"} == _LAYOUT
     assert store.RELATION_KIND_TABLE.index("CONTAINS") not in data["pairs"][0]
     assert data.get("full") == (full or None)  # left out when empty
-    assert _canonical(store.decode_columns(payload, "x", 3)) == _canonical(facts.columns())
+    assert _canonical(store.decode_columns(payload, "x", 3)) == _canonical(facts)
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
     write_facts(FactsArchive(projects=[facts]), a)
     archive = read_facts(a)
@@ -790,8 +780,9 @@ def test_facts_in_extractions_form_round_trip(tmp_path, facts, full):
 def _method(**change) -> ProjectFacts:
     """``_facts(_TREE)`` with ``change`` made to its method's row."""
     facts = _facts(_TREE)
-    facts.entities[2] = facts.entities[2]._replace(**change)
-    return facts
+    rows = facts.entities
+    rows[2] = rows[2]._replace(**change)
+    return facts_from_rows(facts.project_id, rows, facts.relations, facts.sloc)
 
 
 _NOT_A_SOURCE = "the source column holds a value that is not an int"
@@ -864,19 +855,19 @@ REFUSED_FORMS = [
                  id="line-str"),
     pytest.param(_method(line=True), "the line column holds a value that is not an int",
                  id="line-bool"),
-    pytest.param(ProjectFacts("p", sloc="3"), "sloc is str, not int", id="sloc-str"),
-    pytest.param(ProjectFacts("p", sloc=-1), "sloc must be non-negative", id="sloc-negative"),
-    pytest.param(ProjectFacts("p", parse_warning_count=-2),
+    pytest.param(facts_from_rows("p", sloc="3"), "sloc is str, not int", id="sloc-str"),
+    pytest.param(facts_from_rows("p", sloc=-1), "sloc must be non-negative", id="sloc-negative"),
+    pytest.param(facts_from_rows("p", parse_warning_count=-2),
                  "parse_warning_count must be non-negative", id="parse-warnings-negative"),
-    pytest.param(ProjectFacts("p", warnings=[5]), "warnings holds a value that is not a string",
-                 id="warning-int"),
+    pytest.param(facts_from_rows("p", warnings=[5]),
+                 "warnings holds a value that is not a string", id="warning-int"),
 ]
 
 
 @pytest.mark.parametrize("facts, message", REFUSED_FORMS)
 def test_facts_outside_extractions_form_are_refused(tmp_path, facts, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        encode_columns(facts.columns())
+        encode_columns(facts)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         write_facts(FactsArchive(projects=[facts]), tmp_path / "facts.bin")
 
@@ -889,14 +880,14 @@ def test_compute_metrics_refuses_a_broken_structure_as_the_writer_does(facts, me
 
 def test_an_empty_fqn_is_refused():
     # SourceEntity refuses an empty fqn, so only columns can hold one
-    columns = _facts(_TREE).columns()
-    ids, _, *rest = columns.entities
+    facts = _facts(_TREE)
+    ids, _, *rest = facts.entity_columns
     with pytest.raises(ValueError, match="^entity fqn must be non-empty$"):
-        encode_columns(columns._replace(entities=[ids, ("p", "", "p.A.m"), *rest]))
+        encode_columns(facts._replace(entity_columns=[ids, ["p", "", "p.A.m"], *rest]))
 
 
 def test_a_coded_fqn_stores_what_follows_its_parents(foonumber_facts):
-    data = json.loads(zlib.decompress(encode_columns(foonumber_facts.columns())))
+    data = json.loads(zlib.decompress(encode_columns(foonumber_facts)))
     fqns = [e.fqn for e in foonumber_facts.entities]
     stored = data["entities"][0]
     assert "full" not in data and stored[0] == fqns[0] == "foo"
@@ -909,7 +900,7 @@ def test_a_coded_fqn_stores_what_follows_its_parents(foonumber_facts):
 def test_a_pair_table_lists_each_distinct_pair_once():
     calls = RelationKind.CALLS
     facts = _facts([*_TREE, (3, _U, "x"), (3, calls, 3), (2, _U, "x"), (3, _U, 1), (2, calls, 3)])
-    data = json.loads(zlib.decompress(encode_columns(facts.columns())))
+    data = json.loads(zlib.decompress(encode_columns(facts)))
     assert data == {
         "project_id": "p", "sloc": 3, "parse_warning_count": 0, "warnings": [],
         "entities": [["p", ".A", ".m"], [0, 1, 7], [0, 1, 1], [0, 1, 1]],
@@ -986,7 +977,7 @@ def _compact_facts(draw) -> ProjectFacts:
         )
         for i in range(1, n + 1)
     ]
-    return ProjectFacts(
+    return facts_from_rows(
         draw(_TEXT), entities, draw(_relations_in_form(n)),
         draw(st.integers(min_value=0)), draw(st.lists(_TEXT, max_size=3)),
         draw(st.integers(min_value=0)),
@@ -1031,18 +1022,18 @@ def _near_compact_facts(draw) -> ProjectFacts:
     relations = st.one_of(
         _relations_in_form(n, _NEAR_INT), st.lists(relation, max_size=10)
     )
-    return ProjectFacts("p", entities, draw(relations))
+    return facts_from_rows("p", entities, draw(relations))
 
 
 def _typed(kinds: set, values) -> bool:
     return kinds.issuperset(map(type, values))
 
 
-def _in_extractions_form(columns: FactColumns) -> bool:
+def _in_extractions_form(facts: ProjectFacts) -> bool:
     """Whether the ids are 1..n, the sources entities, the targets entities
     or strings, and the CONTAINS relations first, each to an entity after
     the last and from one before it."""
-    ids, (sources, kinds, targets) = columns.entities[0], columns.relations
+    ids, (sources, kinds, targets) = facts.entity_columns[0], facts.relation_columns
     n = len(ids)
     if not (_typed({int}, ids) and list(ids) == list(range(1, n + 1))):
         return False
@@ -1063,14 +1054,13 @@ def _in_extractions_form(columns: FactColumns) -> bool:
 @given(_near_compact_facts())
 @settings(max_examples=500, deadline=None)
 def test_near_compact_facts_are_refused_or_decode_to_the_columns_given(facts):
-    columns = facts.columns()
-    if not _in_extractions_form(columns):
+    if not _in_extractions_form(facts):
         with pytest.raises(ValueError):
-            encode_columns(columns)
+            encode_columns(facts)
         return
-    payload = encode_columns(columns)
+    payload = encode_columns(facts)
     decoded = store.decode_columns(payload, "x", 3)
-    assert _canonical(decoded) == _canonical(columns)
+    assert _canonical(decoded) == _canonical(facts)
     assert encode_columns(decoded) == payload
 
 
